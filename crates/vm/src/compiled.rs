@@ -57,7 +57,7 @@ pub(crate) fn call(
 ) -> VmResult<Option<Value>> {
     let code = vm.threaded(method)?;
     let mut fr = Frame::new(&code.rir);
-    for (v, loc) in args.into_iter().zip(code.rir.arg_locs.clone().into_iter()) {
+    for (v, loc) in args.into_iter().zip(code.rir.arg_locs.iter().copied()) {
         fr.store_value(&loc_to_dst(loc), v);
     }
     let mut ex = Threaded {

@@ -29,7 +29,7 @@ pub(crate) fn call(
 ) -> VmResult<Option<Value>> {
     let rir = vm.compiled(method)?;
     let mut fr = Frame::new(&rir);
-    for (v, loc) in args.into_iter().zip(rir.arg_locs.clone().into_iter()) {
+    for (v, loc) in args.into_iter().zip(rir.arg_locs.iter().copied()) {
         fr.store_value(&loc_to_dst(loc), v);
     }
     let mut ex = Exec {

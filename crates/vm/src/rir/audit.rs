@@ -20,19 +20,28 @@
 //! it everywhere), so an unsound elision is a hard engine error rather
 //! than a silent wrong answer.
 //!
-//! The checker trusts only the CFG/natural-loop utilities it shares with
-//! the optimizer (`rir::loops`); all value reasoning is re-implemented
-//! here. Idiom certificates verify the structural facts the era JITs
-//! keyed on (zero-init monotone counter + a guard against the array
-//! length); range and versioned certificates verify the full interval
-//! derivation.
+//! The checker trusts only the structural analysis it shares with the
+//! optimizer (`rir::loops::Analysis`: basic blocks, natural
+//! loops, where each virtual register is written); all value reasoning —
+//! what a slot holds, what a guard implies — is re-implemented here, and
+//! the optimizer's block-local fact scan is never consulted. Idiom
+//! certificates verify the structural facts the era JITs keyed on
+//! (zero-init monotone counter + a guard against the array length); range
+//! and versioned certificates verify the full interval derivation.
+//!
+//! Two entry points share one per-certificate implementation.
+//! `check` is the whole-method judge: it analyzes the code it is given
+//! from scratch, sweeps for completeness and verifies every certificate.
+//! `check_cert` verifies a single certificate against an analysis the
+//! caller already holds; the flag-flipping elimination passes ask it
+//! about each candidate *before* committing, so an elision costs one
+//! certificate check rather than a whole-method audit.
 
-use crate::rir::loops::{find_loops, Cfg, NaturalLoop};
+use crate::rir::loops::{Analysis, BitSet, Cfg, Defs, NaturalLoop};
 use crate::rir::lower::Lowered;
-use crate::rir::opt::{def_p, def_r, leaders};
+use crate::rir::opt::{def_p, def_r};
 use crate::rir::{BoundsMode, Operand, RInst};
 use hpcnet_cil::{BinOp, CmpOp, NumTy};
-use std::collections::{HashMap, HashSet};
 
 /// Offsets and constants beyond this magnitude are rejected outright so
 /// interval arithmetic stays far away from `i32` wrap.
@@ -110,61 +119,28 @@ impl ElisionCert {
     }
 }
 
-/// Global definition sites, with "real" filters matching the invariants
-/// the passes rely on: entry zero-inits (`ConstP 0` / `ConstNull`) do not
-/// count against single-definition reasoning.
-struct Defs {
-    p: HashMap<u16, Vec<usize>>,
-    r: HashMap<u16, Vec<usize>>,
-    real_p: HashMap<u16, Vec<usize>>,
-    real_r: HashMap<u16, Vec<usize>>,
-}
-
-impl Defs {
-    fn collect(l: &Lowered) -> Defs {
-        let mut d = Defs {
-            p: HashMap::new(),
-            r: HashMap::new(),
-            real_p: HashMap::new(),
-            real_r: HashMap::new(),
-        };
-        for (i, inst) in l.code.iter().enumerate() {
-            if let Some(v) = def_p(inst) {
-                d.p.entry(v).or_default().push(i);
-                if !matches!(inst, RInst::ConstP { bits: 0, .. }) {
-                    d.real_p.entry(v).or_default().push(i);
-                }
-            }
-            if let Some(v) = def_r(inst) {
-                d.r.entry(v).or_default().push(i);
-                if !matches!(inst, RInst::ConstNull { .. }) {
-                    d.real_r.entry(v).or_default().push(i);
-                }
-            }
-        }
-        d
-    }
-
-    fn real_r_count(&self, v: u16) -> usize {
-        self.real_r.get(&v).map_or(0, |d| d.len())
-    }
-}
-
-/// Everything the per-certificate checks need.
+/// One method under audit: its code and the structural analysis of
+/// exactly that code. Cheap to make — the cost is in the [`Analysis`],
+/// which a caller verifying many certificates builds once.
 struct Ck<'a> {
     l: &'a Lowered,
-    heads: Vec<u32>,
-    defs: Defs,
-    cfg: Cfg,
-    loops: Vec<NaturalLoop>,
+    an: &'a Analysis,
 }
 
-impl<'a> Ck<'a> {
-    /// Start pc of the basic block containing `pc`.
-    fn block_start(&self, pc: usize) -> usize {
-        match self.heads.binary_search(&(pc as u32)) {
-            Ok(i) => self.heads[i] as usize,
-            Err(i) => self.heads[i - 1] as usize,
+impl Ck<'_> {
+    fn defs(&self) -> &Defs {
+        self.an.defs(self.l)
+    }
+
+    /// Known constant in primitive `slot` just before `at`, from its last
+    /// definition in `bs..at`: a `ConstP`, or a move of a slot that is
+    /// itself a known constant at that point.
+    fn const_before(&self, bs: usize, at: usize, slot: u16) -> Option<i64> {
+        let d = self.defs().last_p_in(slot, bs, at)?;
+        match &self.l.code[d] {
+            RInst::ConstP { bits, .. } => Some(*bits as u32 as i32 as i64),
+            RInst::MovP { src, .. } => self.const_before(bs, d, *src),
+            _ => None,
         }
     }
 
@@ -178,9 +154,7 @@ impl<'a> Ck<'a> {
                 let mut cur = *s;
                 let mut at = at;
                 for _ in 0..16 {
-                    let d = (block_start..at)
-                        .rev()
-                        .find(|&j| def_p(&self.l.code[j]) == Some(cur))?;
+                    let d = self.defs().last_p_in(cur, block_start, at)?;
                     match &self.l.code[d] {
                         RInst::ConstP { bits, .. } => {
                             return Some(*bits as u32 as i32 as i64)
@@ -203,20 +177,18 @@ impl<'a> Ck<'a> {
     /// the rooted read and `pc` (so the value at `pc` really is the
     /// current `root + k`).
     fn affine_of(&self, pc: usize, slot: u16, root: u16) -> Option<i64> {
-        let bs = self.block_start(pc);
+        let bs = self.an.block_start(pc);
         let mut cur = slot;
         let mut k: i64 = 0;
         let mut at = pc;
         for _ in 0..16 {
             if cur == root {
-                if (at..pc).any(|j| def_p(&self.l.code[j]) == Some(root)) {
+                if self.defs().last_p_in(root, at, pc).is_some() {
                     return None;
                 }
                 return if k.abs() <= K_CAP { Some(k) } else { None };
             }
-            let d = (bs..at)
-                .rev()
-                .find(|&j| def_p(&self.l.code[j]) == Some(cur))?;
+            let d = self.defs().last_p_in(cur, bs, at)?;
             match &self.l.code[d] {
                 RInst::MovP { src, .. } => cur = *src,
                 RInst::Bin { op: BinOp::Add, ty: NumTy::I4, a, b, .. } => {
@@ -237,16 +209,14 @@ impl<'a> Ck<'a> {
     /// Resolve a reference slot at `pc` (same block) through `MovR` copies
     /// to its origin, requiring the origin unredefined up to `pc`.
     fn resolve_r(&self, pc: usize, slot: u16) -> Option<u16> {
-        let bs = self.block_start(pc);
+        let bs = self.an.block_start(pc);
+        let defs = self.defs();
         let mut cur = slot;
         let mut at = pc;
         for _ in 0..16 {
-            let d = (bs..at)
-                .rev()
-                .find(|&j| def_r(&self.l.code[j]) == Some(cur));
-            match d {
+            match defs.last_r_in(cur, bs, at) {
                 None => {
-                    if (at..pc).any(|j| def_r(&self.l.code[j]) == Some(cur)) {
+                    if defs.last_r_in(cur, at, pc).is_some() {
                         return None;
                     }
                     return Some(cur);
@@ -259,7 +229,7 @@ impl<'a> Ck<'a> {
                     _ => {
                         // Defined here by a non-copy: this slot is its own
                         // origin from this point on.
-                        if (d + 1..pc).any(|j| def_r(&self.l.code[j]) == Some(cur) && j != d) {
+                        if defs.last_r_in(cur, d + 1, pc).is_some() {
                             return None;
                         }
                         return Some(cur);
@@ -283,23 +253,15 @@ impl<'a> Ck<'a> {
         depth: u8,
         lp: Option<&NaturalLoop>,
     ) -> Option<i64> {
-        if depth == 0 || self.defs.real_r_count(arr) > 1 {
+        if depth == 0 || self.defs().real_r_count(arr) > 1 {
             return None;
         }
-        let d = match at {
-            Some(at) => {
-                let bs = self.block_start(at);
-                match (bs..at)
-                    .rev()
-                    .find(|&j| def_p(&self.l.code[j]) == Some(slot))
-                {
-                    Some(d) => d,
-                    None => self.invariant_real_p_def(slot, lp)?,
-                }
-            }
+        let local = at.and_then(|at| self.defs().last_p_in(slot, self.an.block_start(at), at));
+        let d = match local {
+            Some(d) => d,
             None => self.invariant_real_p_def(slot, lp)?,
         };
-        let bs = self.block_start(d);
+        let bs = self.an.block_start(d);
         match &self.l.code[d] {
             RInst::LdLen { arr: a, .. } => {
                 // Resolve both the instruction's operand and the certified
@@ -341,61 +303,45 @@ impl<'a> Ck<'a> {
     }
 
     /// The single real (non-zero-init) definition site of a primitive
-    /// slot, if it has exactly one.
-    fn single_real_p_def(&self, slot: u16) -> Option<usize> {
-        match self.defs.real_p.get(&slot) {
-            Some(d) if d.len() == 1 => Some(d[0]),
-            _ => None,
-        }
-    }
-
-    /// [`Self::single_real_p_def`], additionally outside the given loop
+    /// slot, if it has exactly one — additionally outside the given loop
     /// (a length fact sourced from inside the loop is not invariant).
     fn invariant_real_p_def(&self, slot: u16, lp: Option<&NaturalLoop>) -> Option<usize> {
-        let d = self.single_real_p_def(slot)?;
-        if let Some(lp) = lp {
-            if lp.body.contains(&self.cfg.block_of(d as u32)) {
-                return None;
-            }
+        if self.defs().real_p_count(slot) != 1 {
+            return None;
+        }
+        let d = self
+            .defs()
+            .p_sites(slot)
+            .iter()
+            .map(|&d| d as usize)
+            .find(|&d| !matches!(self.l.code[d], RInst::ConstP { bits: 0, .. }))?;
+        if lp.is_some_and(|lp| lp.contains_pc(&self.an.cfg, d)) {
+            return None;
         }
         Some(d)
     }
 
-    /// In-loop definition sites of a primitive slot.
-    fn loop_p_defs(&self, lp: &NaturalLoop, v: u16) -> Vec<usize> {
-        let mut out = Vec::new();
-        for &b in &lp.body {
-            let (s, e) = self.cfg.ranges[b];
-            out.extend((s..e).filter(|&pc| def_p(&self.l.code[pc]) == Some(v)));
-        }
-        out
-    }
-
     /// Does the loop redefine the reference slot (ignoring zero-inits)?
     fn loop_redefines_r(&self, lp: &NaturalLoop, v: u16) -> bool {
-        lp.body.iter().any(|&b| {
-            let (s, e) = self.cfg.ranges[b];
-            (s..e).any(|pc| {
-                def_r(&self.l.code[pc]) == Some(v)
-                    && !matches!(self.l.code[pc], RInst::ConstNull { .. })
-            })
-        })
+        self.an
+            .loop_r_defs(self.l, lp, v)
+            .any(|pc| !matches!(self.l.code[pc], RInst::ConstNull { .. }))
     }
 
     /// Classify the definition at `pc` as `v = v + step` (directly or via
     /// a same-block temp) and return the positive constant `step`.
     fn def_step(&self, pc: usize, v: u16) -> Option<i64> {
-        let bs = self.block_start(pc);
+        let bs = self.an.block_start(pc);
         let k = match &self.l.code[pc] {
             RInst::Bin { op: BinOp::Add, ty: NumTy::I4, dst, a, b } if *dst == v => {
-                let base = self.affine_of_at(bs, pc, *a, v)?;
+                let base = self.affine_of(pc, *a, v)?;
                 base.checked_add(self.const_op(bs, pc, b)?)?
             }
             RInst::Bin { op: BinOp::Sub, ty: NumTy::I4, dst, a, b } if *dst == v => {
-                let base = self.affine_of_at(bs, pc, *a, v)?;
+                let base = self.affine_of(pc, *a, v)?;
                 base.checked_sub(self.const_op(bs, pc, b)?)?
             }
-            RInst::MovP { dst, src } if *dst == v => self.affine_of_at(bs, pc, *src, v)?,
+            RInst::MovP { dst, src } if *dst == v => self.affine_of(pc, *src, v)?,
             _ => return None,
         };
         // Any positive `i32` step keeps the counter monotone; only the
@@ -403,138 +349,31 @@ impl<'a> Ck<'a> {
         if k >= 1 && k <= i32::MAX as i64 { Some(k) } else { None }
     }
 
-    /// [`Self::affine_of`] with an explicit block start (for use while
-    /// already scanning inside a block).
-    fn affine_of_at(&self, bs: usize, pc: usize, slot: u16, root: u16) -> Option<i64> {
-        let mut cur = slot;
-        let mut k: i64 = 0;
-        let mut at = pc;
-        for _ in 0..16 {
-            if cur == root {
-                if (at..pc).any(|j| def_p(&self.l.code[j]) == Some(root)) {
-                    return None;
-                }
-                return if k.abs() <= K_CAP { Some(k) } else { None };
-            }
-            let d = (bs..at)
-                .rev()
-                .find(|&j| def_p(&self.l.code[j]) == Some(cur))?;
-            match &self.l.code[d] {
-                RInst::MovP { src, .. } => cur = *src,
-                RInst::Bin { op: BinOp::Add, ty: NumTy::I4, a, b, .. } => {
-                    k = k.checked_add(self.const_op(bs, d, b)?)?;
-                    cur = *a;
-                }
-                RInst::Bin { op: BinOp::Sub, ty: NumTy::I4, a, b, .. } => {
-                    k = k.checked_sub(self.const_op(bs, d, b)?)?;
-                    cur = *a;
-                }
-                _ => return None,
-            }
-            at = d;
-        }
-        None
-    }
-
     /// Every in-loop definition of `v` must be a positive constant
     /// increment; returns their pcs.
     fn increments(&self, lp: &NaturalLoop, v: u16) -> Option<Vec<usize>> {
-        let defs = self.loop_p_defs(lp, v);
+        let defs: Vec<usize> = self.an.loop_p_defs(self.l, lp, v).collect();
         for &pc in &defs {
             self.def_step(pc, v)?;
         }
         Some(defs)
     }
 
-    /// Blocks and tail-pcs downstream of an increment without re-passing
-    /// the header (mirrors the pass-side post-increment exclusion).
-    fn post_region(
-        &self,
-        lp: &NaturalLoop,
-        inc_pcs: &[usize],
-    ) -> (HashSet<usize>, HashSet<usize>) {
-        let mut post_pcs: HashSet<usize> = HashSet::new();
-        let mut post_blocks: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for &ipc in inc_pcs {
-            let b = self.cfg.block_of(ipc as u32);
-            post_pcs.extend(ipc + 1..self.cfg.ranges[b].1);
-            stack.extend(
-                self.cfg.succs[b]
-                    .iter()
-                    .copied()
-                    .filter(|s| lp.body.contains(s) && *s != lp.header),
-            );
-        }
-        while let Some(b) = stack.pop() {
-            if post_blocks.insert(b) {
-                stack.extend(
-                    self.cfg.succs[b]
-                        .iter()
-                        .copied()
-                        .filter(|s| lp.body.contains(s) && *s != lp.header),
-                );
-            }
-        }
-        (post_pcs, post_blocks)
-    }
-
     /// Constant value of `v` at the end of block `b`, looking through
     /// blocks that do not define it (depth-limited, cycle-safe). Used for
     /// entry lower bounds: hoisted preheaders and versioning guards sit
     /// between the initializing block and the header.
-    fn const_at_block_end(
-        &self,
-        b: usize,
-        v: u16,
-        depth: u8,
-        visited: &mut HashSet<usize>,
-    ) -> Option<i64> {
+    fn const_at_block_end(&self, b: usize, v: u16, depth: u8, visited: &mut BitSet) -> Option<i64> {
         if depth == 0 || !visited.insert(b) {
             return None;
         }
-        let (s, e) = self.cfg.ranges[b];
-        // Forward constant scan of the block.
-        let mut val: Option<i64> = None;
-        let mut defined = false;
-        let mut consts: HashMap<u16, i64> = HashMap::new();
-        for pc in s..e {
-            match &self.l.code[pc] {
-                RInst::ConstP { dst, bits } => {
-                    consts.insert(*dst, *bits as u32 as i32 as i64);
-                    if *dst == v {
-                        defined = true;
-                        val = Some(*bits as u32 as i32 as i64);
-                    }
-                }
-                RInst::MovP { dst, src } => {
-                    let c = consts.get(src).copied();
-                    match c {
-                        Some(c) => consts.insert(*dst, c),
-                        None => consts.remove(dst),
-                    };
-                    if *dst == v {
-                        defined = true;
-                        val = c;
-                    }
-                }
-                inst => {
-                    if let Some(d) = def_p(inst) {
-                        consts.remove(&d);
-                        if d == v {
-                            defined = true;
-                            val = None;
-                        }
-                    }
-                }
-            }
-        }
-        if defined {
-            return val;
+        let (s, e) = self.an.cfg.ranges[b];
+        if self.defs().last_p_in(v, s, e).is_some() {
+            return self.const_before(s, e, v);
         }
         // Not defined here: every predecessor must agree on a constant
         // (we take the minimum — a valid lower bound).
-        let preds = &self.cfg.preds[b];
+        let preds = self.an.cfg.preds(b);
         if preds.is_empty() {
             return None;
         }
@@ -549,17 +388,9 @@ impl<'a> Ck<'a> {
     /// Lower bound of `v` on every edge entering the loop header from
     /// outside the loop.
     fn entry_lo(&self, lp: &NaturalLoop, v: u16) -> Option<i64> {
-        let entry_preds: Vec<usize> = self.cfg.preds[lp.header]
-            .iter()
-            .copied()
-            .filter(|p| !lp.body.contains(p))
-            .collect();
-        if entry_preds.is_empty() {
-            return None;
-        }
         let mut lo: Option<i64> = None;
-        for p in entry_preds {
-            let mut visited = HashSet::new();
+        for &p in self.an.cfg.preds(lp.header).iter().filter(|&&p| !lp.contains(p)) {
+            let mut visited = BitSet::new(self.an.cfg.ranges.len());
             // Depth covers the chains of small non-defining blocks that
             // LICM preheaders and versioning guards insert before headers.
             let c = self.const_at_block_end(p, v, 32, &mut visited)?;
@@ -573,16 +404,16 @@ impl<'a> Ck<'a> {
     /// loop. Returns the raw guarded slot, the bound operand, and whether
     /// the staying predicate is strict (`<`) or non-strict (`<=`).
     fn normalize_guard(&self, lp: &NaturalLoop, guard_pc: u32) -> Option<(u16, Operand, bool)> {
-        let (_, he) = self.cfg.ranges[lp.header];
+        let cfg = &self.an.cfg;
+        let (_, he) = cfg.ranges[lp.header];
         if guard_pc as usize != he - 1 {
             return None;
         }
         let RInst::BrCmp { op, ty: NumTy::I4, a, b, t } = self.l.code[guard_pc as usize] else {
             return None;
         };
-        let tgt_in = lp.body.contains(&self.cfg.block_of(t));
-        let fall_in =
-            he < self.l.code.len() && lp.body.contains(&self.cfg.block_of(he as u32));
+        let tgt_in = lp.contains(cfg.block_of(t));
+        let fall_in = he < self.l.code.len() && lp.contains(cfg.block_of(he as u32));
         if tgt_in == fall_in {
             return None;
         }
@@ -630,24 +461,25 @@ impl<'a> Ck<'a> {
         }
         // Path 2: the bound is an enclosing loop's induction variable,
         // itself guarded below the array length (triangular loops).
-        if depth == 0 || !self.loop_p_defs(lp, bs).is_empty() {
+        if depth == 0 || self.an.loop_p_defs(self.l, lp, bs).next().is_some() {
             return None;
         }
-        for olp in &self.loops {
-            if olp.header == lp.header || !olp.clean || !lp.body.is_subset(&olp.body) {
+        let cfg = &self.an.cfg;
+        for olp in &self.an.loops {
+            if olp.header == lp.header || !olp.clean || !olp.encloses(lp) {
                 continue;
             }
-            let (_, ohe) = self.cfg.ranges[olp.header];
+            let (_, ohe) = cfg.ranges[olp.header];
             let og = (ohe - 1) as u32;
             let Some(oinc) = self.increments(olp, bs) else { continue };
             // The inner loop must run before the outer increment within
             // each outer iteration, or the guard no longer covers `bs`.
-            let (post_pcs, post_blocks) = self.post_region(olp, &oinc);
+            let post = olp.post_region(cfg, &oinc);
             let inner_in_post = lp.body.iter().any(|&b| {
-                post_blocks.contains(&b)
+                post.blocks.contains(b)
                     || (b != olp.header && {
-                        let (s, e) = self.cfg.ranges[b];
-                        (s..e).any(|pc| post_pcs.contains(&pc))
+                        let (s, e) = cfg.ranges[b];
+                        post.tail_overlaps(s, e)
                     })
             });
             if inner_in_post {
@@ -659,81 +491,73 @@ impl<'a> Ck<'a> {
         }
         None
     }
+
+    /// Is the access at `pc` in the part of `lp` its header guard covers:
+    /// past the header block, and not downstream of one of the induction
+    /// variable's increments `inc` within the same iteration?
+    fn covered_by_guard(&self, lp: &NaturalLoop, inc: &[usize], pc: u32) -> bool {
+        let post = lp.post_region(&self.an.cfg, inc);
+        let b = self.an.cfg.block_of(pc);
+        b != lp.header && !post.blocks.contains(b) && !post.in_tail(pc as usize)
+    }
 }
 
 /// Verify every certificate against the final code and sweep for
 /// completeness. Returns the first failure as a human-readable message.
+///
+/// This is the whole-method judge: it builds its own [`Analysis`] and
+/// trusts nothing the optimizer computed. Audited profiles run it at the
+/// end of the pipeline; loop versioning runs it on every transformed
+/// body before committing. The flag-flipping passes verify one candidate
+/// at a time with [`check_cert`] against the analysis they already hold.
 pub(crate) fn check(l: &Lowered) -> Result<(), String> {
     // Completeness both ways: elided accesses and certificates must match
     // one-to-one on (pc, mechanism).
-    let mut elided: HashMap<u32, BoundsMode> = HashMap::new();
-    for (pc, inst) in l.code.iter().enumerate() {
-        if let RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } = inst {
-            if !bounds.is_checked() {
-                elided.insert(pc as u32, *bounds);
-            }
-        }
-    }
-    let mut seen: HashSet<u32> = HashSet::new();
+    let elided = |pc: usize| l.code.get(pc).and_then(RInst::bounds).filter(|m| !m.is_checked());
+    let mut certified = vec![false; l.code.len()];
     for c in &l.certs {
-        if !seen.insert(c.pc) {
+        let Some(m) = elided(c.pc as usize) else {
+            return Err(format!("certificate at pc {} has no matching elided access", c.pc));
+        };
+        if std::mem::replace(&mut certified[c.pc as usize], true) {
             return Err(format!("duplicate certificate for pc {}", c.pc));
         }
-        match elided.get(&c.pc) {
-            Some(m) if *m == c.mechanism => {}
-            Some(m) => {
-                return Err(format!(
-                    "certificate at pc {} claims {:?} but access is {:?}",
-                    c.pc, c.mechanism, m
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "certificate at pc {} has no matching elided access",
-                    c.pc
-                ))
-            }
+        if m != c.mechanism {
+            return Err(format!(
+                "certificate at pc {} claims {:?} but access is {:?}",
+                c.pc, c.mechanism, m
+            ));
         }
     }
-    for (&pc, m) in &elided {
-        if !seen.contains(&pc) {
+    for pc in 0..l.code.len() {
+        if let Some(m) = elided(pc).filter(|_| !certified[pc]) {
             return Err(format!("elided access at pc {} ({:?}) has no certificate", pc, m));
         }
     }
     if l.certs.is_empty() {
         return Ok(());
     }
-    let mut heads: Vec<u32> = leaders(l)
-        .into_iter()
-        .filter(|&h| (h as usize) < l.code.len())
-        .collect();
-    heads.sort_unstable();
-    let cfg = Cfg::build(l);
-    let loops = find_loops(l, &cfg);
-    let ck = Ck { l, heads, defs: Defs::collect(l), cfg, loops };
+    let an = Analysis::new(l);
     for c in &l.certs {
-        check_one(&ck, c).map_err(|e| format!("cert at pc {}: {}", c.pc, e))?;
+        check_cert(l, &an, c).map_err(|e| format!("cert at pc {}: {}", c.pc, e))?;
     }
     Ok(())
 }
 
-/// The access instruction's raw `(idx, arr)` slots.
-fn access_slots(l: &Lowered, pc: u32) -> Result<(u16, u16), String> {
-    match l.code.get(pc as usize) {
-        Some(RInst::LdElem { arr, idx, .. }) | Some(RInst::StElem { arr, idx, .. }) => {
-            Ok((*idx, *arr))
-        }
-        _ => Err("not an element access".into()),
-    }
-}
-
-fn check_one(ck: &Ck, cert: &ElisionCert) -> Result<(), String> {
+/// Verify one certificate against `l`, given the structural analysis of
+/// exactly this code. The verdict depends on instruction positions,
+/// operands and definitions only — never on any access's
+/// [`BoundsMode`] or on the other certificates — so a pass may ask
+/// before it flips the access, and one [`Analysis`] serves every
+/// candidate of a flag-flipping pass.
+pub(crate) fn check_cert(l: &Lowered, an: &Analysis, cert: &ElisionCert) -> Result<(), String> {
+    let ck = Ck { l, an };
     match &cert.kind {
         CertKind::BlockGuard { guard_pc, ivar, arr } => {
-            check_block_guard(ck, cert.pc, *guard_pc, *ivar, *arr)
+            check_block_guard(&ck, cert.pc, *guard_pc, *ivar, *arr)
         }
         CertKind::Loop { guard_pc, ivar, offset, entry_lo, sup_arr, sup_off } => check_loop(
-            ck, cert.pc, *guard_pc, *ivar, *offset, *entry_lo, *sup_arr, *sup_off,
+            &ck, cert.pc, *guard_pc, *ivar, *offset, *entry_lo, *sup_arr, *sup_off,
         ),
         CertKind::Versioned {
             guard_start,
@@ -744,7 +568,7 @@ fn check_one(ck: &Ck, cert: &ElisionCert) -> Result<(), String> {
             lo_check_pc,
             len_check_pc,
         } => check_versioned(
-            ck,
+            &ck,
             cert.pc,
             *guard_start,
             *guard_pc,
@@ -754,6 +578,16 @@ fn check_one(ck: &Ck, cert: &ElisionCert) -> Result<(), String> {
             *lo_check_pc,
             *len_check_pc,
         ),
+    }
+}
+
+/// The access instruction's raw `(idx, arr)` slots.
+fn access_slots(l: &Lowered, pc: u32) -> Result<(u16, u16), String> {
+    match l.code.get(pc as usize) {
+        Some(RInst::LdElem { arr, idx, .. }) | Some(RInst::StElem { arr, idx, .. }) => {
+            Ok((*idx, *arr))
+        }
+        _ => Err("not an element access".into()),
     }
 }
 
@@ -771,16 +605,15 @@ fn check_block_guard(ck: &Ck, pc: u32, guard_pc: u32, ivar: u16, arr: u16) -> Re
     if ck.resolve_r(pc as usize, araw) != Some(arr) {
         return Err("array does not resolve to the certified origin".into());
     }
-    if ck.defs.real_r_count(arr) > 1 {
+    if ck.defs().real_r_count(arr) > 1 {
         return Err("array origin has multiple definitions".into());
     }
     // Counter shape: starts at zero (an explicit `ConstP 0`, or the
     // implicit zero-initialization every non-argument local gets), every
     // other def an increment.
-    let defs = ck.defs.p.get(&ivar).cloned().unwrap_or_default();
     let mut zero = !ck.is_arg_p(ivar);
     let mut inc = false;
-    for d in defs {
+    for d in ck.defs().p_sites(ivar).iter().map(|&d| d as usize) {
         if matches!(ck.l.code[d], RInst::ConstP { bits: 0, .. }) {
             zero = true;
         } else if ck.def_step(d, ivar).is_some() {
@@ -829,80 +662,71 @@ fn check_block_guard(ck: &Ck, pc: u32, guard_pc: u32, ivar: u16, arr: u16) -> Re
     // and no guard-free path from the in-bounds edge to the access may
     // redefine the counter (the canonical latch increment sits on a path
     // that re-enters the guard, so it stays legal).
-    let gb = ck.cfg.block_of(guard_pc);
-    let ab = ck.cfg.block_of(pc);
+    let cfg = &ck.an.cfg;
+    let gb = cfg.block_of(guard_pc);
+    let ab = cfg.block_of(pc);
     if ab == gb {
         return Err("access shares the guard's block and runs before the test".into());
     }
     let (in_succ, out_succ) = if in_bounds_taken {
-        (ck.cfg.block_of(t), ck.cfg.block_of(guard_pc + 1))
+        (cfg.block_of(t), cfg.block_of(guard_pc + 1))
     } else {
-        (ck.cfg.block_of(guard_pc + 1), ck.cfg.block_of(t))
+        (cfg.block_of(guard_pc + 1), cfg.block_of(t))
     };
-    let entry = ck.cfg.block_of(0);
-    if reach_avoiding(&ck.cfg, entry, gb).contains(&ab) {
+    let entry = cfg.block_of(0);
+    if reach_avoiding(cfg, entry, gb).contains(ab) {
         return Err("guard does not dominate the access".into());
     }
-    if reach_avoiding(&ck.cfg, out_succ, gb).contains(&ab) {
+    if reach_avoiding(cfg, out_succ, gb).contains(ab) {
         return Err("out-of-bounds edge reaches the access without re-passing the guard".into());
     }
-    let r_in = reach_avoiding(&ck.cfg, in_succ, gb);
-    if !r_in.contains(&ab) {
+    let r_in = reach_avoiding(cfg, in_succ, gb);
+    if !r_in.contains(ab) {
         return Err("in-bounds edge does not reach the access".into());
     }
-    let to_access = coreach_avoiding(&ck.cfg, ab, gb);
+    let to_access = coreach_avoiding(cfg, ab, gb);
     // Defs after the access in its own block only matter when a guard-free
     // cycle can revisit the block.
-    let ab_cycle = ck.cfg.succs[ab]
+    let ab_cycle = cfg
+        .succs(ab)
         .iter()
-        .any(|&s| s != gb && (s == ab || reach_avoiding(&ck.cfg, s, gb).contains(&ab)));
-    for &bk in r_in.iter().filter(|bk| to_access.contains(bk)) {
-        let (s, e) = ck.cfg.ranges[bk];
-        let e = if bk == ab && !ab_cycle { pc as usize } else { e };
-        if (s..e).any(|j| def_p(&ck.l.code[j]) == Some(ivar)) {
-            return Err("counter is redefined between the guard and the access".into());
-        }
+        .any(|&s| s != gb && (s == ab || reach_avoiding(cfg, s, gb).contains(ab)));
+    let redefined = ck.defs().p_sites(ivar).iter().any(|&d| {
+        let bk = cfg.block_of(d);
+        r_in.contains(bk) && to_access.contains(bk) && (bk != ab || ab_cycle || d < pc)
+    });
+    if redefined {
+        return Err("counter is redefined between the guard and the access".into());
     }
     Ok(())
 }
 
 /// Blocks reachable from `from` along successor edges that never enter
 /// `avoid`. Includes `from`; empty when `from == avoid`.
-fn reach_avoiding(cfg: &Cfg, from: usize, avoid: usize) -> HashSet<usize> {
-    let mut seen = HashSet::new();
-    if from == avoid {
-        return seen;
-    }
-    let mut stack = vec![from];
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        for &s in &cfg.succs[b] {
-            if s != avoid && !seen.contains(&s) {
-                stack.push(s);
-            }
-        }
-    }
-    seen
+fn reach_avoiding(cfg: &Cfg, from: usize, avoid: usize) -> BitSet {
+    walk_avoiding(cfg, from, avoid, Cfg::succs)
 }
 
 /// Blocks from which `to` is reachable along edges that never enter
 /// `avoid`. Includes `to`; empty when `to == avoid`.
-fn coreach_avoiding(cfg: &Cfg, to: usize, avoid: usize) -> HashSet<usize> {
-    let mut seen = HashSet::new();
-    if to == avoid {
+fn coreach_avoiding(cfg: &Cfg, to: usize, avoid: usize) -> BitSet {
+    walk_avoiding(cfg, to, avoid, Cfg::preds)
+}
+
+fn walk_avoiding(
+    cfg: &Cfg,
+    start: usize,
+    avoid: usize,
+    next: for<'c> fn(&'c Cfg, usize) -> &'c [usize],
+) -> BitSet {
+    let mut seen = BitSet::new(cfg.ranges.len());
+    if start == avoid {
         return seen;
     }
-    let mut stack = vec![to];
+    let mut stack = vec![start];
     while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        for &p in &cfg.preds[b] {
-            if p != avoid && !seen.contains(&p) {
-                stack.push(p);
-            }
+        if seen.insert(b) {
+            stack.extend(next(cfg, b).iter().copied().filter(|&n| n != avoid));
         }
     }
     seen
@@ -911,11 +735,12 @@ fn coreach_avoiding(cfg: &Cfg, to: usize, avoid: usize) -> HashSet<usize> {
 /// Find the loop whose header terminator is `guard_pc` and that contains
 /// `pc`.
 fn loop_for<'c>(ck: &'c Ck, pc: u32, guard_pc: u32) -> Result<&'c NaturalLoop, String> {
-    ck.loops
+    ck.an
+        .loops
         .iter()
         .find(|lp| {
-            ck.cfg.ranges[lp.header].1 as u32 == guard_pc + 1
-                && lp.body.contains(&ck.cfg.block_of(pc))
+            ck.an.cfg.ranges[lp.header].1 as u32 == guard_pc + 1
+                && lp.contains_pc(&ck.an.cfg, pc as usize)
         })
         .ok_or_else(|| "no loop with the certified guard contains the access".into())
 }
@@ -945,15 +770,13 @@ fn check_loop(
     if ck.loop_redefines_r(lp, sup_arr) {
         return Err("array is redefined inside the loop".into());
     }
-    if ck.defs.real_r_count(sup_arr) > 1 {
+    if ck.defs().real_r_count(sup_arr) > 1 {
         return Err("array origin has multiple definitions".into());
     }
     let inc = ck
         .increments(lp, ivar)
         .ok_or("induction variable has a non-increment in-loop definition")?;
-    let (post_pcs, post_blocks) = ck.post_region(lp, &inc);
-    let b = ck.cfg.block_of(pc);
-    if b == lp.header || post_blocks.contains(&b) || post_pcs.contains(&(pc as usize)) {
+    if !ck.covered_by_guard(lp, &inc, pc) {
         return Err("access is not covered by the header guard".into());
     }
     let derived = ck
@@ -1018,7 +841,7 @@ fn check_versioned(
     if ck.resolve_r(pc as usize, araw) != Some(arr) {
         return Err("access array does not match the guarded array".into());
     }
-    if ck.defs.real_r_count(arr) > 1 {
+    if ck.defs().real_r_count(arr) > 1 {
         return Err("array origin has multiple definitions".into());
     }
     if ck.loop_redefines_r(lp, arr) {
@@ -1027,9 +850,7 @@ fn check_versioned(
     let inc = ck
         .increments(lp, ivar)
         .ok_or("induction variable has a non-increment definition in the clone")?;
-    let (post_pcs, post_blocks) = ck.post_region(lp, &inc);
-    let b = ck.cfg.block_of(pc);
-    if b == lp.header || post_blocks.contains(&b) || post_pcs.contains(&(pc as usize)) {
+    if !ck.covered_by_guard(lp, &inc, pc) {
         return Err("access is not covered by the clone's header guard".into());
     }
     let (raw, bound, strict) = ck
@@ -1042,7 +863,7 @@ fn check_versioned(
         return Err("clone guard does not test the induction variable".into());
     }
     if let Operand::Slot(bs) = bound {
-        if !ck.loop_p_defs(lp, bs).is_empty() {
+        if ck.an.loop_p_defs(ck.l, lp, bs).next().is_some() {
             return Err("bound slot is redefined inside the clone".into());
         }
     }
@@ -1051,7 +872,8 @@ fn check_versioned(
     // every conditional bailing to the same place outside the clone, with
     // no definitions of the certified slots.
     let gs = guard_start as usize;
-    let clone_header = ck.cfg.heads[lp.header];
+    let cfg = &ck.an.cfg;
+    let clone_header = cfg.ranges[lp.header].0 as u32;
     let mut orig: Option<u32> = None;
     let mut end: Option<usize> = None;
     for j in gs..ck.l.code.len() {
@@ -1085,19 +907,14 @@ fn check_versioned(
     }
     let end = end.ok_or("guard region has no terminating branch")?;
     let orig = orig.ok_or("guard region has no bail-out checks")?;
-    if lp.body.contains(&ck.cfg.block_of(orig)) {
+    if lp.contains(cfg.block_of(orig)) {
         return Err("guard bail-out lands inside the clone".into());
     }
     // Only the guard's final `Br` may enter the clone from outside.
-    for b in 0..ck.cfg.ranges.len() {
-        if lp.body.contains(&b) {
-            continue;
-        }
-        for &s in &ck.cfg.succs[b] {
-            if lp.body.contains(&s) {
-                if s != lp.header || ck.cfg.ranges[b].1 != end + 1 {
-                    return Err("clone is reachable without passing the guard".into());
-                }
+    for b in (0..cfg.ranges.len()).filter(|&b| !lp.contains(b)) {
+        for &s in cfg.succs(b).iter().filter(|&&s| lp.contains(s)) {
+            if s != lp.header || cfg.ranges[b].1 != end + 1 {
+                return Err("clone is reachable without passing the guard".into());
             }
         }
     }
@@ -1112,9 +929,7 @@ fn check_versioned(
         return Err("null check is not a reference equality".into());
     };
     let null_ok = |s: u16| {
-        ck.defs.r.get(&s).map_or(false, |d| {
-            d.len() == 1 && matches!(ck.l.code[d[0]], RInst::ConstNull { .. })
-        })
+        matches!(ck.defs().r_sites(s), [d] if matches!(ck.l.code[*d as usize], RInst::ConstNull { .. }))
     };
     if !((na == arr && null_ok(nb)) || (nb == arr && null_ok(na))) {
         return Err("null check does not test the guarded array".into());
@@ -1124,7 +939,7 @@ fn check_versioned(
             if *a == tz && *t == orig => {}
         _ => return Err("null check does not bail to the original loop".into()),
     }
-    if ck.defs.p.get(&tz).map_or(0, |d| d.len()) != 1 {
+    if ck.defs().p_sites(tz).len() != 1 {
         return Err("null-check temp has extra definitions".into());
     }
     // Lower-bound check: `if (ivar < 0) goto orig`.
@@ -1142,7 +957,7 @@ fn check_versioned(
     if larr != arr {
         return Err("length check reads a different array".into());
     }
-    if ck.defs.p.get(&tl).map_or(0, |d| d.len()) != 1 {
+    if ck.defs().p_sites(tl).len() != 1 {
         return Err("length temp has extra definitions".into());
     }
     let len_ok = match (ck.l.code.get(lcp + 1), bound) {
@@ -1366,5 +1181,137 @@ mod tests {
             bounds: BoundsMode::ElidedIdiom,
         };
         assert_eq!(check(&l), Ok(()));
+    }
+
+    /// Variants of a certificate that cite other real instructions or
+    /// shifted interval facts — some still sound, most not.
+    fn mutations(l: &Lowered, c: &ElisionCert) -> Vec<ElisionCert> {
+        let other_guards = l
+            .code
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i, RInst::BrCmp { ty: NumTy::I4, .. }))
+            .map(|(pc, _)| pc as u32)
+            .take(8);
+        let mut out = Vec::new();
+        let mut with = |kind: CertKind| out.push(ElisionCert { kind, ..c.clone() });
+        match c.kind.clone() {
+            CertKind::BlockGuard { ivar, arr, .. } => {
+                for guard_pc in other_guards {
+                    with(CertKind::BlockGuard { guard_pc, ivar, arr });
+                }
+                with(CertKind::BlockGuard { guard_pc: 0, ivar: ivar + 1, arr });
+            }
+            CertKind::Loop { guard_pc, ivar, offset, entry_lo, sup_arr, sup_off } => {
+                for g in other_guards {
+                    with(CertKind::Loop { guard_pc: g, ivar, offset, entry_lo, sup_arr, sup_off });
+                }
+                for (d_off, d_lo, d_sup) in [(1, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, 1)] {
+                    with(CertKind::Loop {
+                        guard_pc,
+                        ivar,
+                        offset: offset + d_off,
+                        entry_lo: entry_lo + d_lo,
+                        sup_arr,
+                        sup_off: sup_off + d_sup,
+                    });
+                }
+            }
+            CertKind::Versioned {
+                guard_start,
+                guard_pc,
+                ivar,
+                arr,
+                null_check_pc,
+                lo_check_pc,
+                len_check_pc,
+            } => {
+                for (null_check_pc, lo_check_pc, len_check_pc) in [
+                    (lo_check_pc, null_check_pc, len_check_pc),
+                    (null_check_pc, len_check_pc, lo_check_pc),
+                    (null_check_pc, lo_check_pc, null_check_pc),
+                ] {
+                    with(CertKind::Versioned {
+                        guard_start,
+                        guard_pc,
+                        ivar,
+                        arr,
+                        null_check_pc,
+                        lo_check_pc,
+                        len_check_pc,
+                    });
+                }
+                with(CertKind::Versioned {
+                    guard_start: guard_start + 1,
+                    guard_pc,
+                    ivar,
+                    arr,
+                    null_check_pc,
+                    lo_check_pc,
+                    len_check_pc,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_certificate_checks_agree_with_the_whole_method_audit_on_the_corpus() {
+        // The optimizer commits elisions on `check_cert`'s word; the
+        // end-of-pipeline judge is `check`. On every reproducer in
+        // conform/corpus/ the two must give the same verdict certificate
+        // by certificate — for the certificates the optimizer issued and
+        // for tampered variants of each.
+        use crate::profile::VmProfile;
+        use crate::rir::{lower, opt};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../conform/corpus");
+        let mut sources: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|x| x == "cs"))
+            .collect();
+        sources.sort();
+        assert!(!sources.is_empty());
+        let (mut issued, mut accepted, mut rejected) = (0, 0, 0);
+        for path in sources {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let module = hpcnet_minics::compile(&src).unwrap();
+            for profile in [VmProfile::clr11(), VmProfile::jvm_ibm131()] {
+                let vm = crate::Vm::new(module.clone(), profile).unwrap();
+                for m in (0..vm.module.methods.len() as u32).map(hpcnet_cil::MethodId) {
+                    if vm.module.method(m).body.code.is_empty() {
+                        continue;
+                    }
+                    let mut l = lower::lower(&vm, m, profile.passes.inline, 0).unwrap();
+                    opt::optimize(&profile.passes, &mut l);
+                    assert_eq!(check(&l), Ok(()), "{}", path.display());
+                    let an = Analysis::new(&l);
+                    for (i, cert) in l.certs.iter().enumerate() {
+                        issued += 1;
+                        assert_eq!(check_cert(&l, &an, cert), Ok(()));
+                        for variant in mutations(&l, cert) {
+                            let mut tampered = l.clone();
+                            tampered.certs[i] = variant.clone();
+                            let one = check_cert(&tampered, &an, &variant);
+                            let whole = check(&tampered);
+                            assert_eq!(
+                                one.is_ok(),
+                                whole.is_ok(),
+                                "{} {variant:?}: {one:?} vs {whole:?}",
+                                path.display()
+                            );
+                            if one.is_ok() {
+                                accepted += 1;
+                            } else {
+                                rejected += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(issued >= 10, "the corpus yields only {issued} certificates");
+        assert!(rejected > issued, "tampering must mostly be caught ({rejected} of {issued})");
+        assert!(accepted > 0, "some variants (a weaker entry bound) stay sound");
     }
 }

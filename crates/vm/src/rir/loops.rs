@@ -1,57 +1,147 @@
-//! Natural-loop detection over the RIR control-flow graph.
+//! The per-method structural analysis the JIT front half shares: basic
+//! blocks, dominators, natural loops and definition sites.
 //!
-//! The loop-aware passes ([`crate::rir::opt`]'s ABCE and LICM) need the
-//! structure the era's optimizing JITs recovered before anything else:
-//! basic blocks, dominators, and natural loops (back edges whose target
-//! dominates their source, plus the backward-reachable body). The CFG here
-//! covers *normal* control flow only; any loop whose instructions overlap
-//! an exception region is reported as not `clean` and the loop passes skip
-//! it — the era's JITs likewise gave up on protected regions, and every
-//! Grande/SciMark kernel body is EH-free.
+//! The loop-aware passes ([`crate::rir::opt`]'s ABCE and LICM,
+//! [`crate::rir::range`]) and the elision-certificate checker
+//! ([`crate::rir::audit`]) all need the structure the era's optimizing
+//! JITs recovered before anything else: basic blocks, dominators, natural
+//! loops (back edges whose target dominates their source, plus the
+//! backward-reachable body), and where each virtual register is written.
+//! [`Analysis`] computes that once per *structural version* of a method —
+//! it depends on instruction positions, branch targets, EH ranges and
+//! destination registers only, so flipping a [`crate::rir::BoundsMode`]
+//! leaves it valid, while any pass that inserts, deletes or moves
+//! instructions must build a new one. Every table is dense (indexed by
+//! pc, block or vreg); building one is linear in the method.
+//!
+//! The CFG covers *normal* control flow only; any loop whose instructions
+//! overlap an exception region is reported as not `clean` and the loop
+//! passes skip it — the era's JITs likewise gave up on protected regions,
+//! and every Grande/SciMark kernel body is EH-free.
 
 use crate::rir::lower::Lowered;
+use crate::rir::opt::{def_p, def_r};
 use crate::rir::RInst;
-use std::collections::BTreeSet;
+use std::cell::OnceCell;
+
+/// How many structures this thread has built, so tests can pin the
+/// optimizer's compile-cost model (one context per structural version,
+/// never one per candidate).
+#[cfg(test)]
+pub(crate) mod built {
+    use std::cell::Cell;
+
+    thread_local! {
+        static CFGS: Cell<u64> = const { Cell::new(0) };
+        static ANALYSES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count_cfg() {
+        CFGS.with(|c| c.set(c.get() + 1));
+    }
+
+    pub(crate) fn count_analysis() {
+        ANALYSES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// `(Cfg::build calls, Analysis::new calls)` on this thread so far.
+    pub(crate) fn totals() -> (u64, u64) {
+        (CFGS.with(Cell::get), ANALYSES.with(Cell::get))
+    }
+}
+
+/// A fixed-size set of small integers (blocks of one method).
+pub(crate) struct BitSet(Vec<u64>);
+
+impl BitSet {
+    pub fn new(len: usize) -> BitSet {
+        BitSet(vec![0; len.div_ceil(64)])
+    }
+
+    pub fn contains(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 != 0)
+    }
+
+    /// Add `i`; true when it was not yet a member.
+    pub fn insert(&mut self, i: usize) -> bool {
+        let fresh = !self.contains(i);
+        self.0[i / 64] |= 1u64 << (i % 64);
+        fresh
+    }
+}
+
+/// Basic-block leaders as a mask over `0..=code.len()`: entry, branch
+/// targets, post-terminator instructions, and EH boundaries.
+pub(crate) fn leader_mask(l: &Lowered) -> Vec<bool> {
+    let mut mask = vec![false; l.code.len() + 1];
+    let mut mark = |pc: usize| {
+        if let Some(m) = mask.get_mut(pc) {
+            *m = true;
+        }
+    };
+    mark(0);
+    for (i, inst) in l.code.iter().enumerate() {
+        if let Some(t) = inst.target() {
+            mark(t as usize);
+        }
+        if matches!(
+            inst,
+            RInst::Br { .. }
+                | RInst::BrIf { .. }
+                | RInst::BrIfRef { .. }
+                | RInst::BrCmp { .. }
+                | RInst::Ret { .. }
+                | RInst::Throw { .. }
+                | RInst::Leave { .. }
+                | RInst::EndFinally
+        ) {
+            mark(i + 1);
+        }
+    }
+    for r in &l.eh {
+        mark(r.try_start as usize);
+        mark(r.handler_start as usize);
+    }
+    mask
+}
 
 /// Basic-block partition of a [`Lowered`] body with normal-flow edges.
 pub(crate) struct Cfg {
-    /// Sorted block start pcs.
-    pub heads: Vec<u32>,
-    /// Half-open instruction range per block.
+    /// Half-open instruction range per block, in code order.
     pub ranges: Vec<(usize, usize)>,
-    pub succs: Vec<Vec<usize>>,
-    pub preds: Vec<Vec<usize>>,
+    /// Block of every pc.
+    block_index: Vec<u32>,
+    /// Up to two successors per block: branch target first, then the
+    /// fall-through.
+    succs: Vec<([usize; 2], u8)>,
+    /// Predecessors, flattened: block `b`'s are
+    /// `pred_items[pred_start[b]..pred_start[b + 1]]`, ascending.
+    pred_start: Vec<u32>,
+    pred_items: Vec<usize>,
 }
 
 impl Cfg {
     pub fn build(l: &Lowered) -> Cfg {
+        #[cfg(test)]
+        built::count_cfg();
         let n = l.code.len();
-        let mut heads: Vec<u32> = super::opt::leaders(l)
-            .into_iter()
-            .filter(|&h| h < n as u32)
-            .collect();
-        heads.sort_unstable();
-        let nb = heads.len();
-        let block_of = |pc: u32| -> usize {
-            match heads.binary_search(&pc) {
-                Ok(b) => b,
-                Err(b) => b - 1,
+        let mask = leader_mask(l);
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        let mut block_index = vec![0u32; n];
+        for pc in 0..n {
+            if mask[pc] {
+                if let Some(last) = ranges.last_mut() {
+                    last.1 = pc;
+                }
+                ranges.push((pc, n));
             }
-        };
-        let mut ranges = Vec::with_capacity(nb);
-        for b in 0..nb {
-            let start = heads[b] as usize;
-            let end = if b + 1 < nb { heads[b + 1] as usize } else { n };
-            ranges.push((start, end));
+            block_index[pc] = ranges.len() as u32 - 1;
         }
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for b in 0..nb {
-            let (_, end) = ranges[b];
+        let nb = ranges.len();
+        let mut succs = vec![([0usize; 2], 0u8); nb];
+        let mut pred_start = vec![0u32; nb + 1];
+        for (b, &(_, end)) in ranges.iter().enumerate() {
             let last = &l.code[end - 1];
-            if let Some(t) = last.target() {
-                succs[b].push(block_of(t));
-            }
             let falls = !matches!(
                 last,
                 RInst::Br { .. }
@@ -60,23 +150,40 @@ impl Cfg {
                     | RInst::Leave { .. }
                     | RInst::EndFinally
             );
-            if falls && end < n {
-                succs[b].push(block_of(end as u32));
+            let target = last.target().map(|t| block_index[t as usize] as usize);
+            let fall = (falls && end < n).then(|| block_index[end] as usize);
+            for s in target.into_iter().chain(fall) {
+                let (slots, k) = &mut succs[b];
+                slots[*k as usize] = s;
+                *k += 1;
+                pred_start[s + 1] += 1;
             }
         }
         for b in 0..nb {
-            for &s in &succs[b] {
-                preds[s].push(b);
+            pred_start[b + 1] += pred_start[b];
+        }
+        let mut fill = pred_start.clone();
+        let mut pred_items = vec![0usize; pred_start[nb] as usize];
+        for (b, (slots, k)) in succs.iter().enumerate() {
+            for &s in &slots[..*k as usize] {
+                pred_items[fill[s] as usize] = b;
+                fill[s] += 1;
             }
         }
-        Cfg { heads, ranges, succs, preds }
+        Cfg { ranges, block_index, succs, pred_start, pred_items }
     }
 
     pub fn block_of(&self, pc: u32) -> usize {
-        match self.heads.binary_search(&pc) {
-            Ok(b) => b,
-            Err(b) => b - 1,
-        }
+        self.block_index[pc as usize] as usize
+    }
+
+    pub fn succs(&self, b: usize) -> &[usize] {
+        let (slots, k) = &self.succs[b];
+        &slots[..*k as usize]
+    }
+
+    pub fn preds(&self, b: usize) -> &[usize] {
+        &self.pred_items[self.pred_start[b] as usize..self.pred_start[b + 1] as usize]
     }
 
     /// Dominator sets via iterative bit-vector dataflow, one flat `u64`
@@ -95,8 +202,8 @@ impl Cfg {
         while changed {
             changed = false;
             for b in 1..nb {
-                row.fill(if self.preds[b].is_empty() { 0 } else { u64::MAX });
-                for &p in &self.preds[b] {
+                row.fill(if self.preds(b).is_empty() { 0 } else { u64::MAX });
+                for &p in self.preds(b) {
                     for (r, d) in row.iter_mut().zip(&bits[p * words..(p + 1) * words]) {
                         *r &= *d;
                     }
@@ -130,7 +237,9 @@ impl DomSets {
 /// merged.
 pub(crate) struct NaturalLoop {
     pub header: usize,
-    pub body: BTreeSet<usize>,
+    /// The loop's blocks, ascending.
+    pub body: Vec<usize>,
+    member: BitSet,
     /// No instruction of the loop lies inside any EH try or handler range,
     /// so exception edges cannot re-enter the body and the loop passes may
     /// reason over normal flow alone.
@@ -138,40 +247,102 @@ pub(crate) struct NaturalLoop {
 }
 
 impl NaturalLoop {
+    /// Is block `b` part of the loop?
+    pub fn contains(&self, b: usize) -> bool {
+        self.member.contains(b)
+    }
+
+    /// Is every block of `inner` part of this loop?
+    pub fn encloses(&self, inner: &NaturalLoop) -> bool {
+        inner.body.iter().all(|&b| self.contains(b))
+    }
+
     /// Is instruction `pc` inside the loop?
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn contains_pc(&self, cfg: &Cfg, pc: usize) -> bool {
-        self.body.contains(&cfg.block_of(pc as u32))
+        self.contains(cfg.block_of(pc as u32))
+    }
+
+    /// The part of one iteration that runs *after* one of the given
+    /// in-loop definitions (an induction variable's increments) without
+    /// re-passing the header: the rest of each definition's block, plus
+    /// every body block reachable from there short of the header. A header
+    /// guard on the variable says nothing about its value in this region.
+    pub fn post_region(&self, cfg: &Cfg, def_pcs: &[usize]) -> PostRegion {
+        let mut tails = Vec::with_capacity(def_pcs.len());
+        let mut blocks = BitSet::new(cfg.ranges.len());
+        let mut stack: Vec<usize> = Vec::new();
+        let inner = |s: &usize| self.contains(*s) && *s != self.header;
+        for &pc in def_pcs {
+            let b = cfg.block_of(pc as u32);
+            tails.push((pc + 1, cfg.ranges[b].1));
+            stack.extend(cfg.succs(b).iter().copied().filter(inner));
+        }
+        while let Some(b) = stack.pop() {
+            if blocks.insert(b) {
+                stack.extend(cfg.succs(b).iter().copied().filter(inner));
+            }
+        }
+        PostRegion { tails, blocks }
+    }
+}
+
+/// See [`NaturalLoop::post_region`].
+pub(crate) struct PostRegion {
+    /// Half-open pc range after each definition, to its block's end.
+    tails: Vec<(usize, usize)>,
+    /// Whole blocks downstream of a definition.
+    pub blocks: BitSet,
+}
+
+impl PostRegion {
+    /// Does `pc` follow a definition within the definition's own block?
+    pub fn in_tail(&self, pc: usize) -> bool {
+        self.tails.iter().any(|&(s, e)| s <= pc && pc < e)
+    }
+
+    /// Does any pc of `start..end` follow a definition within the
+    /// definition's own block?
+    pub fn tail_overlaps(&self, start: usize, end: usize) -> bool {
+        self.tails.iter().any(|&(s, e)| s < end && start < e)
     }
 }
 
 /// Find all natural loops (merged per header), headers in ascending order.
-pub(crate) fn find_loops(l: &Lowered, cfg: &Cfg) -> Vec<NaturalLoop> {
-    let dom = cfg.dominators();
+fn find_loops(l: &Lowered, cfg: &Cfg) -> Vec<NaturalLoop> {
     let nb = cfg.ranges.len();
+    // Block indices cannot increase all the way around a cycle: without
+    // an edge to the same or an earlier block there is no loop to find.
+    if !(0..nb).any(|b| cfg.succs(b).iter().any(|&s| s <= b)) {
+        return Vec::new();
+    }
+    let dom = cfg.dominators();
     // Back edges b -> h where h dominates b.
     let mut latches_of: Vec<Vec<usize>> = vec![Vec::new(); nb];
     for b in 0..nb {
-        for &s in &cfg.succs[b] {
+        for &s in cfg.succs(b) {
             if dom.dominates(s, b) {
                 latches_of[s].push(b);
             }
         }
     }
     let mut out = Vec::new();
-    for h in 0..nb {
-        if latches_of[h].is_empty() {
+    for (h, latches) in latches_of.into_iter().enumerate() {
+        if latches.is_empty() {
             continue;
         }
         // Body: header plus backward closure from the latches that stops
         // at the header.
-        let mut body = BTreeSet::from([h]);
-        let mut stack = latches_of[h].clone();
+        let mut member = BitSet::new(nb);
+        member.insert(h);
+        let mut body = vec![h];
+        let mut stack = latches;
         while let Some(b) = stack.pop() {
-            if body.insert(b) {
-                stack.extend(cfg.preds[b].iter().copied());
+            if member.insert(b) {
+                body.push(b);
+                stack.extend(cfg.preds(b).iter().copied());
             }
         }
+        body.sort_unstable();
         let clean = body.iter().all(|&b| {
             let (start, end) = cfg.ranges[b];
             l.eh.iter().all(|r| {
@@ -181,9 +352,193 @@ pub(crate) fn find_loops(l: &Lowered, cfg: &Cfg) -> Vec<NaturalLoop> {
                 outside_try && outside_handler
             })
         });
-        out.push(NaturalLoop { header: h, body, clean });
+        out.push(NaturalLoop { header: h, body, member, clean });
     }
     out
+}
+
+/// Definition sites of every virtual register, ascending by pc.
+///
+/// "Real" definitions exclude the entry zero-inits (`ConstP 0` /
+/// `ConstNull`), matching the invariants the passes rely on: a zero-init
+/// does not count against single-definition reasoning (a null array traps
+/// before its length matters; a zero length only makes a loop vacuous).
+pub(crate) struct Defs {
+    p: SiteTable,
+    r: SiteTable,
+}
+
+/// Per-vreg site lists, flattened: vreg `v`'s sites are
+/// `sites[start[v]..start[v + 1]]`.
+struct SiteTable {
+    start: Vec<u32>,
+    sites: Vec<u32>,
+    real: Vec<u32>,
+}
+
+impl SiteTable {
+    fn sized(n_vregs: u16) -> SiteTable {
+        let nv = n_vregs as usize;
+        SiteTable { start: vec![0; nv + 1], sites: Vec::new(), real: vec![0; nv] }
+    }
+
+    /// First pass: one more site for `v`.
+    fn count(&mut self, v: u16, zero_init: bool) {
+        self.start[v as usize + 1] += 1;
+        self.real[v as usize] += u32::from(!zero_init);
+    }
+
+    /// Between the passes: turn counts into offsets. Returns the cursor
+    /// the second pass advances.
+    fn offsets(&mut self) -> Vec<u32> {
+        for v in 1..self.start.len() {
+            self.start[v] += self.start[v - 1];
+        }
+        self.sites = vec![0; self.start.last().copied().unwrap_or(0) as usize];
+        self.start.clone()
+    }
+
+    /// Second pass, in pc order: record the site.
+    fn place(&mut self, cursor: &mut [u32], v: u16, pc: usize) {
+        self.sites[cursor[v as usize] as usize] = pc as u32;
+        cursor[v as usize] += 1;
+    }
+
+    /// Empty for a vreg the method does not have (a tampered certificate
+    /// may name one).
+    fn sites(&self, v: u16) -> &[u32] {
+        match (self.start.get(v as usize), self.start.get(v as usize + 1)) {
+            (Some(&s), Some(&e)) => &self.sites[s as usize..e as usize],
+            _ => &[],
+        }
+    }
+
+    /// The last site in `lo..hi`.
+    fn last_in(&self, v: u16, lo: usize, hi: usize) -> Option<usize> {
+        let sites = self.sites(v);
+        let k = sites.partition_point(|&s| (s as usize) < hi);
+        let s = *sites[..k].last()? as usize;
+        (s >= lo).then_some(s)
+    }
+}
+
+impl Defs {
+    fn collect(l: &Lowered) -> Defs {
+        let mut p = SiteTable::sized(l.n_pvreg);
+        let mut r = SiteTable::sized(l.n_rvreg);
+        for inst in &l.code {
+            if let Some(v) = def_p(inst) {
+                p.count(v, matches!(inst, RInst::ConstP { bits: 0, .. }));
+            } else if let Some(v) = def_r(inst) {
+                r.count(v, matches!(inst, RInst::ConstNull { .. }));
+            }
+        }
+        let (mut p_cursor, mut r_cursor) = (p.offsets(), r.offsets());
+        for (pc, inst) in l.code.iter().enumerate() {
+            if let Some(v) = def_p(inst) {
+                p.place(&mut p_cursor, v, pc);
+            } else if let Some(v) = def_r(inst) {
+                r.place(&mut r_cursor, v, pc);
+            }
+        }
+        Defs { p, r }
+    }
+
+    /// Every pc that writes primitive vreg `v`.
+    pub fn p_sites(&self, v: u16) -> &[u32] {
+        self.p.sites(v)
+    }
+
+    /// Every pc that writes reference vreg `v`.
+    pub fn r_sites(&self, v: u16) -> &[u32] {
+        self.r.sites(v)
+    }
+
+    /// Definitions of primitive `v` other than `ConstP 0`.
+    pub fn real_p_count(&self, v: u16) -> u32 {
+        self.p.real.get(v as usize).copied().unwrap_or(0)
+    }
+
+    /// Definitions of reference `v` other than `ConstNull`.
+    pub fn real_r_count(&self, v: u16) -> u32 {
+        self.r.real.get(v as usize).copied().unwrap_or(0)
+    }
+
+    /// The last write to primitive `v` in `lo..hi`.
+    pub fn last_p_in(&self, v: u16, lo: usize, hi: usize) -> Option<usize> {
+        self.p.last_in(v, lo, hi)
+    }
+
+    /// The last write to reference `v` in `lo..hi`.
+    pub fn last_r_in(&self, v: u16, lo: usize, hi: usize) -> Option<usize> {
+        self.r.last_in(v, lo, hi)
+    }
+}
+
+/// Everything structural about one version of a method's code.
+pub(crate) struct Analysis {
+    pub cfg: Cfg,
+    /// Natural loops, headers ascending.
+    pub loops: Vec<NaturalLoop>,
+    /// Collected on first use: LICM re-analyzes after every hoist and
+    /// never asks where anything is defined.
+    defs: OnceCell<Defs>,
+}
+
+impl Analysis {
+    pub fn new(l: &Lowered) -> Analysis {
+        Analysis::with_cfg(l, Cfg::build(l))
+    }
+
+    /// Complete a [`Cfg`] already built for this exact code.
+    pub fn with_cfg(l: &Lowered, cfg: Cfg) -> Analysis {
+        #[cfg(test)]
+        built::count_analysis();
+        let loops = find_loops(l, &cfg);
+        Analysis { cfg, loops, defs: OnceCell::new() }
+    }
+
+    /// Definition sites of `l`, which must be the code this analysis was
+    /// built for.
+    pub fn defs(&self, l: &Lowered) -> &Defs {
+        self.defs.get_or_init(|| Defs::collect(l))
+    }
+
+    /// Start pc of the basic block containing `pc`.
+    pub fn block_start(&self, pc: usize) -> usize {
+        self.cfg.ranges[self.cfg.block_of(pc as u32)].0
+    }
+
+    /// pcs inside `lp` that write primitive `v`, ascending.
+    pub fn loop_p_defs<'a>(
+        &'a self,
+        l: &Lowered,
+        lp: &'a NaturalLoop,
+        v: u16,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.in_loop(self.defs(l).p_sites(v), lp)
+    }
+
+    /// pcs inside `lp` that write reference `v`, ascending.
+    pub fn loop_r_defs<'a>(
+        &'a self,
+        l: &Lowered,
+        lp: &'a NaturalLoop,
+        v: u16,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.in_loop(self.defs(l).r_sites(v), lp)
+    }
+
+    fn in_loop<'a>(
+        &'a self,
+        sites: &'a [u32],
+        lp: &'a NaturalLoop,
+    ) -> impl Iterator<Item = usize> + 'a {
+        sites
+            .iter()
+            .map(|&pc| pc as usize)
+            .filter(move |&pc| lp.contains_pc(&self.cfg, pc))
+    }
 }
 
 #[cfg(test)]
@@ -225,15 +580,24 @@ mod tests {
             RInst::Br { t: 1 },
             RInst::Ret { src: None },
         ]);
-        let cfg = Cfg::build(&l);
-        let loops = find_loops(&l, &cfg);
-        assert_eq!(loops.len(), 1);
-        let lp = &loops[0];
+        let an = Analysis::new(&l);
+        assert_eq!(an.loops.len(), 1);
+        let lp = &an.loops[0];
         assert!(lp.clean);
-        assert_eq!(cfg.ranges[lp.header].0, 1);
-        assert!(lp.contains_pc(&cfg, 2));
-        assert!(!lp.contains_pc(&cfg, 0));
-        assert!(!lp.contains_pc(&cfg, 4));
+        assert_eq!(an.cfg.ranges[lp.header].0, 1);
+        assert!(lp.contains_pc(&an.cfg, 2));
+        assert!(!lp.contains_pc(&an.cfg, 0));
+        assert!(!lp.contains_pc(&an.cfg, 4));
+        // Definition sites: `i` is written at 0 (zero-init) and 2.
+        assert_eq!(an.defs(&l).p_sites(0), &[0, 2]);
+        assert_eq!(an.defs(&l).real_p_count(0), 1);
+        assert_eq!(an.loop_p_defs(&l, lp, 0).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(an.defs(&l).last_p_in(0, 0, 2), Some(0));
+        assert_eq!(an.defs(&l).last_p_in(0, 1, 2), None);
+        assert!(an.defs(&l).p_sites(99).is_empty());
+        // Everything after the increment, short of the header.
+        let post = lp.post_region(&an.cfg, &[2]);
+        assert!(post.in_tail(3) && !post.in_tail(2) && !post.in_tail(1));
     }
 
     #[test]
@@ -242,7 +606,6 @@ mod tests {
             RInst::ConstP { dst: 0, bits: 7 },
             RInst::Ret { src: None },
         ]);
-        let cfg = Cfg::build(&l);
-        assert!(find_loops(&l, &cfg).is_empty());
+        assert!(Analysis::new(&l).loops.is_empty());
     }
 }

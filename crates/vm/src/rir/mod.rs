@@ -209,6 +209,24 @@ pub enum RInst {
 }
 
 impl RInst {
+    /// How an element access handles its bounds check; `None` for every
+    /// other instruction.
+    pub fn bounds(&self) -> Option<BoundsMode> {
+        match self {
+            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => Some(*bounds),
+            _ => None,
+        }
+    }
+
+    /// The bounds mode of an element access, for the elimination passes
+    /// to flip.
+    pub(crate) fn bounds_mut(&mut self) -> Option<&mut BoundsMode> {
+        match self {
+            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => Some(bounds),
+            _ => None,
+        }
+    }
+
     /// Branch target, if any.
     pub fn target(&self) -> Option<u32> {
         match self {

@@ -15,8 +15,8 @@
 use crate::machine::Vm;
 use crate::observe::{Event, JitOutcome, LoopRejectReason};
 use crate::profile::PassConfig;
-use crate::rir::audit::{CertKind, ElisionCert};
-use crate::rir::loops::{find_loops, Cfg, NaturalLoop};
+use crate::rir::audit::{self, CertKind, ElisionCert};
+use crate::rir::loops::{leader_mask, Analysis, Cfg, NaturalLoop};
 use crate::rir::lower::{rewrite_slots, Lowered};
 use crate::rir::{ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
@@ -35,39 +35,60 @@ pub(crate) struct OptResult {
     pub force_spill_p: HashSet<u16>,
 }
 
+/// The analysis context of one *structural version* of a method: the
+/// shared [`Analysis`] (blocks, dominators, loops, definition sites) plus
+/// the pass-side block-local fact scan, computed on first use.
+///
+/// Flipping a [`BoundsMode`] changes neither, so every flag-flipping pass
+/// over the same code (structural BCE; idiom ABCE and range ABCE) shares
+/// one context and verifies each candidate against it with
+/// [`audit::check_cert`]. A pass that inserts, deletes or moves
+/// instructions must call [`MethodCtx::rebuild`] before anyone looks at
+/// the context again — there is no implicit staleness check.
+pub(crate) struct MethodCtx {
+    pub an: Analysis,
+    facts: Option<LoopFacts>,
+}
+
+impl MethodCtx {
+    fn new(l: &Lowered) -> MethodCtx {
+        MethodCtx { an: Analysis::new(l), facts: None }
+    }
+
+    /// The code moved: analyze the new structural version.
+    fn rebuild(&mut self, l: &Lowered) {
+        *self = MethodCtx::new(l);
+    }
+
+    /// The analysis together with the block-local facts of `l`, which
+    /// must be the code this context was built for.
+    pub fn facts(&mut self, l: &Lowered) -> (&Analysis, &LoopFacts) {
+        let an = &self.an;
+        (an, self.facts.get_or_insert_with(|| scan_facts(l, an)))
+    }
+}
+
 /// Run a pass configuration over lowered code in place. Both register
 /// tiers share this pipeline — the exec tier hands the result to the
 /// use-count allocator below, the compiled tier to the linear-scan
 /// allocator in [`crate::rir::compile`] — so a pass combination means the
 /// same thing on either tier.
 ///
+/// The code goes through a short series of structural versions: the
+/// lowered body (scalar passes; they rewrite and blank instructions but
+/// move none), the compacted body (idiom ABCE, range ABCE, the first LICM
+/// round), the body after each LICM hoist (the last of which loop
+/// versioning plans on), and the body after each applied versioning plan
+/// (analyzed by the whole-method audit alone). Each is analyzed exactly
+/// once — one [`MethodCtx`] per version, nothing per candidate.
+///
 /// This is a pure function of `(passes, l)`: per-VM counters are applied
 /// separately by [`apply_outcome_counters`] so the result can be memoized
 /// across engines (see [`crate::rir::share`]).
 pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
     let passes = *passes;
-    if passes.const_prop {
-        const_and_copy_prop(l, &passes);
-    } else if passes.copy_prop {
-        const_and_copy_prop(
-            l,
-            &PassConfig {
-                const_prop: false,
-                ..passes
-            },
-        );
-    }
-    if passes.mul_strength_reduction {
-        strength_reduce(l);
-    }
     let mut outcome = JitOutcome::default();
-    if passes.bce {
-        let n = eliminate_bounds_checks(l);
-        outcome.bce_removed = n as u32;
-    }
-    if passes.dce {
-        dead_code_elim(l);
-    }
+    scalar_passes(&passes, l, &mut outcome);
     compact(l);
     // The loop-aware tier runs on compacted code (shuffle moves already
     // erased by copy-prop + DCE), where the guard compare reads the named
@@ -76,28 +97,21 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
     let loop_tier =
         passes.abce || passes.licm || passes.range_abce || passes.loop_versioning;
     if loop_tier && !l.code.is_empty() {
-        let cfg = Cfg::build(l);
-        let loops = find_loops(l, &cfg);
-        outcome.loops_found = loops.len() as u32;
+        let mut ctx = MethodCtx::new(l);
+        outcome.loops_found = ctx.an.loops.len() as u32;
         if passes.abce {
-            let (n, rej) = loop_aware_bce(l, &cfg, &loops);
+            let (n, rej) = loop_aware_bce(l, &mut ctx);
             outcome.abce_removed = n as u32;
             rejections = rej;
         }
         if passes.range_abce {
-            // Idiom ABCE only flips access flags, so the CFG and loop
-            // structure are still valid here.
-            outcome.range_removed = crate::rir::range::range_abce(l, &cfg, &loops) as u32;
+            outcome.range_removed = crate::rir::range::range_abce(l, &mut ctx) as u32;
         }
         if passes.licm {
-            let n = loop_invariant_code_motion(l);
-            outcome.licm_hoisted = n as u32;
+            outcome.licm_hoisted = loop_invariant_code_motion(l, &mut ctx) as u32;
         }
         if passes.loop_versioning {
-            // LICM moved code; versioning needs fresh structure.
-            let cfg = Cfg::build(l);
-            let loops = find_loops(l, &cfg);
-            let (n, lv) = crate::rir::range::version_loops(l, &cfg, &loops);
+            let (n, lv) = crate::rir::range::version_loops(l, ctx);
             outcome.versioned_removed = n as u32;
             outcome.loops_versioned = lv as u32;
         }
@@ -108,6 +122,36 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
         HashSet::new()
     };
     OptResult { outcome, rejections, force_spill_p }
+}
+
+/// The passes that run on the lowered body before compaction. None of
+/// them changes a branch, a terminator or an instruction's position
+/// (folding rewrites in place, DCE blanks to `Nop`), so one block
+/// partition serves them all.
+fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome) {
+    let any = passes.const_prop
+        || passes.copy_prop
+        || passes.mul_strength_reduction
+        || passes.bce
+        || passes.dce;
+    if !any || l.code.is_empty() {
+        return;
+    }
+    let mut cfg = Cfg::build(l);
+    if passes.const_prop || passes.copy_prop {
+        const_and_copy_prop(l, &cfg, passes);
+    }
+    if passes.mul_strength_reduction {
+        strength_reduce(l, &cfg);
+    }
+    if passes.bce && l.code.iter().any(|i| i.bounds().is_some()) {
+        let mut ctx = MethodCtx { an: Analysis::with_cfg(l, cfg), facts: None };
+        outcome.bce_removed = eliminate_bounds_checks(l, &mut ctx) as u32;
+        cfg = ctx.an.cfg;
+    }
+    if passes.dce {
+        dead_code_elim(l, &cfg);
+    }
 }
 
 /// Apply one compile's pass outcome to a VM's counters. Split out of
@@ -162,36 +206,6 @@ pub(crate) fn push_compile_events(
         vm.observer
             .push_event(Event::LoopRejected { method, header_pc, reason });
     }
-}
-
-/// Basic-block leader set: entry, branch targets, post-terminator
-/// instructions, and EH boundaries.
-pub(crate) fn leaders(l: &Lowered) -> HashSet<u32> {
-    let mut set = HashSet::new();
-    set.insert(0);
-    for (i, inst) in l.code.iter().enumerate() {
-        if let Some(t) = inst.target() {
-            set.insert(t);
-        }
-        if matches!(
-            inst,
-            RInst::Br { .. }
-                | RInst::BrIf { .. }
-                | RInst::BrIfRef { .. }
-                | RInst::BrCmp { .. }
-                | RInst::Ret { .. }
-                | RInst::Throw { .. }
-                | RInst::Leave { .. }
-                | RInst::EndFinally
-        ) {
-            set.insert(i as u32 + 1);
-        }
-    }
-    for r in &l.eh {
-        set.insert(r.try_start);
-        set.insert(r.handler_start);
-    }
-    set
 }
 
 /// The primitive slot an instruction defines, if any.
@@ -300,86 +314,159 @@ fn restore_def_r(inst: &mut RInst, d: u16) {
     }
 }
 
+/// Block-local facts about virtual registers: a dense table, indexed by
+/// vreg, that is emptied at every block boundary in time proportional to
+/// what the block put in it.
+struct BlockFacts<T> {
+    slot: Vec<Option<T>>,
+    /// Every vreg set since the last drain (a vreg forgotten and set again
+    /// appears twice; the drain skips the emptied slot).
+    touched: Vec<u16>,
+}
+
+impl<T: Copy> BlockFacts<T> {
+    fn new(n_vregs: u16) -> BlockFacts<T> {
+        BlockFacts { slot: vec![None; n_vregs as usize], touched: Vec::new() }
+    }
+
+    fn get(&self, v: u16) -> Option<T> {
+        self.slot[v as usize]
+    }
+
+    fn set(&mut self, v: u16, fact: T) {
+        if self.slot[v as usize].replace(fact).is_none() {
+            self.touched.push(v);
+        }
+    }
+
+    fn forget(&mut self, v: u16) {
+        self.slot[v as usize] = None;
+    }
+
+    /// Block boundary: hand every fact still held to `f` and forget it.
+    fn drain(&mut self, mut f: impl FnMut(u16, T)) {
+        for v in self.touched.drain(..) {
+            if let Some(fact) = self.slot[v as usize].take() {
+                f(v, fact);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.drain(|_, _| {});
+    }
+}
+
+/// Block-local facts of the form "`v` currently equals (something about)
+/// vreg `o`", which die when `o` is redefined. Instead of sweeping the
+/// table on every definition, each fact records `o`'s definition count
+/// at the time it was learned and is ignored once that count has moved.
+struct OriginFacts {
+    facts: BlockFacts<(u16, u32)>,
+}
+
+impl OriginFacts {
+    fn new(n_vregs: u16) -> OriginFacts {
+        OriginFacts { facts: BlockFacts::new(n_vregs) }
+    }
+
+    /// The origin recorded for `v`, if it has not been redefined since.
+    fn get(&self, v: u16, origin_defs: &[u32]) -> Option<u16> {
+        self.facts
+            .get(v)
+            .filter(|&(o, at)| origin_defs[o as usize] == at)
+            .map(|(o, _)| o)
+    }
+
+    fn set(&mut self, v: u16, origin: u16, origin_defs: &[u32]) {
+        self.facts.set(v, (origin, origin_defs[origin as usize]));
+    }
+
+    fn forget(&mut self, v: u16) {
+        self.facts.forget(v);
+    }
+
+    fn clear(&mut self) {
+        self.facts.clear();
+    }
+}
+
 /// Combined local (per basic block) constant and copy propagation.
 ///
 /// * copies: after `mov d, s`, uses of `d` read `s` directly;
 /// * constants: after `mov d, #k`, `d` is known; const-const operations
 ///   fold, and with `imm_fusion` a known right operand becomes an
 ///   immediate (IBM's "constants throughout the loop").
-fn const_and_copy_prop(l: &mut Lowered, passes: &PassConfig) {
-    let heads = leaders(l);
-    let mut pconst: HashMap<u16, u64> = HashMap::new();
-    let mut pcopy: HashMap<u16, u16> = HashMap::new();
-    let mut rcopy: HashMap<u16, u16> = HashMap::new();
+fn const_and_copy_prop(l: &mut Lowered, cfg: &Cfg, passes: &PassConfig) {
+    let mut pconst: BlockFacts<u64> = BlockFacts::new(l.n_pvreg);
+    let mut pcopy = OriginFacts::new(l.n_pvreg);
+    let mut rcopy = OriginFacts::new(l.n_rvreg);
+    let mut pdefs = vec![0u32; l.n_pvreg as usize];
+    let mut rdefs = vec![0u32; l.n_rvreg as usize];
 
-    for i in 0..l.code.len() {
-        if heads.contains(&(i as u32)) {
-            pconst.clear();
-            pcopy.clear();
-            rcopy.clear();
-        }
-        // Rewrite uses through the copy maps.
-        if passes.copy_prop {
-            let (pc, rc) = (&pcopy, &rcopy);
-            rewrite_uses(
-                &mut l.code[i],
-                &mut |v| *pc.get(&v).unwrap_or(&v),
-                &mut |v| *rc.get(&v).unwrap_or(&v),
-            );
-        }
-        // Constant folding / fusion.
-        if passes.const_prop {
-            let folded = fold_inst(&l.code[i], &pconst, passes.imm_fusion);
-            if let Some(new) = folded {
-                l.code[i] = new;
+    for &(start, end) in &cfg.ranges {
+        pconst.clear();
+        pcopy.clear();
+        rcopy.clear();
+        for i in start..end {
+            // Rewrite uses through the copy maps.
+            if passes.copy_prop {
+                rewrite_uses(
+                    &mut l.code[i],
+                    &mut |v| pcopy.get(v, &pdefs).unwrap_or(v),
+                    &mut |v| rcopy.get(v, &rdefs).unwrap_or(v),
+                );
             }
-        }
-        // Update the dataflow state from the (possibly rewritten) inst.
-        let inst = &l.code[i];
-        let dp = def_p(inst);
-        let dr = def_r(inst);
-        if let Some(d) = dp {
-            pconst.remove(&d);
-            pcopy.remove(&d);
-            pcopy.retain(|_, v| *v != d);
-        }
-        if let Some(d) = dr {
-            rcopy.remove(&d);
-            rcopy.retain(|_, v| *v != d);
-        }
-        match inst {
-            RInst::ConstP { dst, bits } => {
-                pconst.insert(*dst, *bits);
-            }
-            RInst::MovP { dst, src } if dst != src => {
-                if let Some(&c) = pconst.get(src) {
-                    pconst.insert(*dst, c);
-                }
-                // Canonicalize toward the lower-numbered vreg: arguments
-                // and locals precede stack cells, so facts about named
-                // variables (e.g. the BCE length idiom) survive the
-                // store-to-local direction too.
-                if dst < src {
-                    pcopy.insert(*src, *dst);
-                } else {
-                    pcopy.insert(*dst, *src);
+            // Constant folding / fusion.
+            if passes.const_prop {
+                let folded = fold_inst(&l.code[i], &pconst, passes.imm_fusion);
+                if let Some(new) = folded {
+                    l.code[i] = new;
                 }
             }
-            RInst::MovR { dst, src } if dst != src => {
-                if dst < src {
-                    rcopy.insert(*src, *dst);
-                } else {
-                    rcopy.insert(*dst, *src);
-                }
+            // Update the dataflow state from the (possibly rewritten) inst.
+            let inst = &l.code[i];
+            if let Some(d) = def_p(inst) {
+                pconst.forget(d);
+                pcopy.forget(d);
+                pdefs[d as usize] += 1;
             }
-            _ => {}
+            if let Some(d) = def_r(inst) {
+                rcopy.forget(d);
+                rdefs[d as usize] += 1;
+            }
+            match inst {
+                RInst::ConstP { dst, bits } => pconst.set(*dst, *bits),
+                RInst::MovP { dst, src } if dst != src => {
+                    if let Some(c) = pconst.get(*src) {
+                        pconst.set(*dst, c);
+                    }
+                    // Canonicalize toward the lower-numbered vreg: arguments
+                    // and locals precede stack cells, so facts about named
+                    // variables (e.g. the BCE length idiom) survive the
+                    // store-to-local direction too.
+                    if dst < src {
+                        pcopy.set(*src, *dst, &pdefs);
+                    } else {
+                        pcopy.set(*dst, *src, &pdefs);
+                    }
+                }
+                RInst::MovR { dst, src } if dst != src => {
+                    if dst < src {
+                        rcopy.set(*src, *dst, &rdefs);
+                    } else {
+                        rcopy.set(*dst, *src, &rdefs);
+                    }
+                }
+                _ => {}
+            }
         }
     }
 }
 
 /// Fold one instruction against the known-constant map.
-fn fold_inst(inst: &RInst, pconst: &HashMap<u16, u64>, imm_fusion: bool) -> Option<RInst> {
-    let known = |s: &u16| pconst.get(s).copied();
+fn fold_inst(inst: &RInst, pconst: &BlockFacts<u64>, imm_fusion: bool) -> Option<RInst> {
+    let known = |s: &u16| pconst.get(*s);
     match inst {
         RInst::MovP { dst, src } => known(src).map(|bits| RInst::ConstP { dst: *dst, bits }),
         RInst::Bin { op, ty, dst, a, b } => {
@@ -394,8 +481,7 @@ fn fold_inst(inst: &RInst, pconst: &HashMap<u16, u64>, imm_fusion: bool) -> Opti
                 }
             }
             if imm_fusion {
-                if let (Operand::Slot(s), Some(bv)) = (b, bval) {
-                    let _ = s;
+                if let (Operand::Slot(_), Some(bv)) = (b, bval) {
                     return Some(RInst::Bin {
                         op: *op,
                         ty: *ty,
@@ -486,38 +572,35 @@ fn eval_un(op: UnOp, ty: NumTy, a: u64) -> Option<u64> {
 /// operands with an in-block constant reaching definition — shift counts
 /// are immediates in every real encoding, independent of whether the
 /// profile fuses general constants.
-fn strength_reduce(l: &mut Lowered) {
-    let heads = leaders(l);
-    let mut consts: HashMap<u16, u64> = HashMap::new();
-    for i in 0..l.code.len() {
-        if heads.contains(&(i as u32)) {
-            consts.clear();
-        }
-        if let RInst::Bin { op, ty, b, .. } = &mut l.code[i] {
-            if *op == BinOp::Mul && ty.is_int() {
-                let c = match b {
-                    Operand::Imm(c) => Some(*c),
-                    Operand::Slot(s) => consts.get(s).copied(),
-                };
-                if let Some(c) = c {
-                    let val = match ty {
-                        NumTy::I4 => c as u32 as i32 as i64,
-                        _ => c as i64,
+fn strength_reduce(l: &mut Lowered, cfg: &Cfg) {
+    let mut consts: BlockFacts<u64> = BlockFacts::new(l.n_pvreg);
+    for &(start, end) in &cfg.ranges {
+        consts.clear();
+        for i in start..end {
+            if let RInst::Bin { op, ty, b, .. } = &mut l.code[i] {
+                if *op == BinOp::Mul && ty.is_int() {
+                    let c = match b {
+                        Operand::Imm(c) => Some(*c),
+                        Operand::Slot(s) => consts.get(*s),
                     };
-                    if val > 0 && (val as u64).is_power_of_two() {
-                        *op = BinOp::Shl;
-                        *b = Operand::Imm(val.trailing_zeros() as u64);
+                    if let Some(c) = c {
+                        let val = match ty {
+                            NumTy::I4 => c as u32 as i32 as i64,
+                            _ => c as i64,
+                        };
+                        if val > 0 && (val as u64).is_power_of_two() {
+                            *op = BinOp::Shl;
+                            *b = Operand::Imm(val.trailing_zeros() as u64);
+                        }
                     }
                 }
             }
-        }
-        match &l.code[i] {
-            RInst::ConstP { dst, bits } => {
-                consts.insert(*dst, *bits);
-            }
-            inst => {
-                if let Some(d) = def_p(inst) {
-                    consts.remove(&d);
+            match &l.code[i] {
+                RInst::ConstP { dst, bits } => consts.set(*dst, *bits),
+                inst => {
+                    if let Some(d) = def_p(inst) {
+                        consts.forget(d);
+                    }
                 }
             }
         }
@@ -531,243 +614,73 @@ fn strength_reduce(l: &mut Lowered) {
 /// 15 % on the sparse kernel).
 ///
 /// The matcher works the way the era's JITs did — structural pattern
-/// recognition over block-local facts rather than full dominance
-/// analysis: per-block maps track copies, known constants, `x = local + k`
-/// facts, and `x = arr.Length` facts, resolved through the naive
-/// stack-shuffle lowering. The execution engine keeps a safety net: an
-/// "unchecked" access that does go out of range is an engine error, so a
-/// differential test would expose an unsound match.
-fn eliminate_bounds_checks(l: &mut Lowered) -> u64 {
-    let heads = leaders(l);
+/// recognition over the block-local facts of [`scan_facts`] rather than
+/// full dominance analysis. Those facts are necessary but not sufficient
+/// (a compare against the length that never controls the access would
+/// match — conform seed 330), so every candidate's certificate goes to
+/// the independent checker, which verifies the guard edge's dominance;
+/// only what it accepts is elided. The execution engine keeps a safety
+/// net on top: an "unchecked" access that does go out of range is an
+/// engine error, so a differential test would expose an unsound match.
+fn eliminate_bounds_checks(l: &mut Lowered, ctx: &mut MethodCtx) -> u64 {
+    let (an, facts) = ctx.facts(l);
 
-    // Global def counts: array origins must be written at most once for
-    // their length to be loop-invariant.
-    let mut pdef_count: HashMap<u16, u32> = HashMap::new();
-    let mut rdef_count: HashMap<u16, u32> = HashMap::new();
-    for inst in &l.code {
-        if let Some(d) = def_p(inst) {
-            *pdef_count.entry(d).or_default() += 1;
-        }
-        if let Some(d) = def_r(inst) {
-            // The entry zero-init (`ConstNull`) does not threaten length
-            // stability: a null array traps before its length matters.
-            if !matches!(inst, RInst::ConstNull { .. }) {
-                *rdef_count.entry(d).or_default() += 1;
-            }
-        }
-    }
-
-    #[derive(Default)]
-    struct Ind {
+    // Counter shape per vreg: zero-initialized, advanced only by the
+    // canonical `i = <i + k>` move, never written any other way.
+    #[derive(Clone, Copy, Default)]
+    struct Counter {
         zero: bool,
         inc: bool,
         tainted: bool,
     }
-    let mut ind: HashMap<u16, Ind> = HashMap::new();
-    // (index origin, array origin) -> pc of a witnessing guard compare,
-    // recorded for the elision certificate.
+    let mut counters = vec![Counter::default(); l.n_pvreg as usize];
+    for (pc, inst) in l.code.iter().enumerate() {
+        let Some(d) = def_p(inst) else { continue };
+        let c = &mut counters[d as usize];
+        match inst {
+            RInst::ConstP { bits: 0, .. } => c.zero = true,
+            RInst::MovP { .. } if facts.is_increment(pc) => c.inc = true,
+            // A nonzero reseed, a copy, a one-instruction `i = i + k`,
+            // a load: none is the monotone-from-zero shape.
+            _ => c.tainted = true,
+        }
+    }
+    // (index origin, array origin) -> pc of the first compare of the two,
+    // recorded as the certificate's witness. The matcher keys on the
+    // operands as written, so it reads the raw length facts.
     let mut guards: HashMap<(u16, u16), u32> = HashMap::new();
-    let mut accesses: Vec<(usize, u16, u16)> = Vec::new();
-    // Length facts that survive block boundaries: a local with a single
-    // real definition that copies an `ldlen` result (the hand-hoisted
-    // `int len = arr.Length;` idiom the Grande sources use).
-    let mut global_lenof: HashMap<u16, u16> = HashMap::new();
-    let mut real_pdefs: HashMap<u16, u32> = HashMap::new();
-    for inst in &l.code {
-        if let Some(d) = def_p(inst) {
-            // Entry zero-inits don't count (a zero length only makes the
-            // loop vacuous).
-            if !matches!(inst, RInst::ConstP { bits: 0, .. }) {
-                *real_pdefs.entry(d).or_default() += 1;
-            }
+    for (pc, g) in facts.guards() {
+        let Some(b) = g.b else { continue };
+        if let Some(arr) = g.b_len_raw {
+            guards.entry((g.a, arr)).or_insert(pc);
+        }
+        if let Some(arr) = g.a_len_raw {
+            guards.entry((b, arr)).or_insert(pc);
         }
     }
 
-    // Block-local facts.
-    let mut copies: HashMap<u16, u16> = HashMap::new(); // vreg -> origin vreg
-    let mut rcopies: HashMap<u16, u16> = HashMap::new();
-    let mut consts: HashMap<u16, u64> = HashMap::new();
-    let mut incof: HashMap<u16, u16> = HashMap::new(); // vreg -> local (vreg == local + k)
-    let mut lenof: HashMap<u16, u16> = HashMap::new(); // vreg -> arr origin
-
-    for i in 0..l.code.len() {
-        if heads.contains(&(i as u32)) {
-            copies.clear();
-            rcopies.clear();
-            consts.clear();
-            incof.clear();
-            lenof.clear();
-        }
-        let presolve = |v: u16, copies: &HashMap<u16, u16>| *copies.get(&v).unwrap_or(&v);
-        let rresolve = |v: u16, rcopies: &HashMap<u16, u16>| *rcopies.get(&v).unwrap_or(&v);
-
-        // Record guard/access facts first (they read pre-instruction state).
-        match &l.code[i] {
-            RInst::BrCmp { ty: NumTy::I4, a, b: Operand::Slot(s), .. } => {
-                if let Some(&arr) = lenof.get(s).or_else(|| global_lenof.get(s)) {
-                    guards.entry((presolve(*a, &copies), arr)).or_insert(i as u32);
-                }
-                if let Some(&arr) = lenof.get(a).or_else(|| global_lenof.get(a)) {
-                    guards.entry((presolve(*s, &copies), arr)).or_insert(i as u32);
-                }
-            }
-            RInst::LdElem { arr, idx, .. } | RInst::StElem { arr, idx, .. } => {
-                accesses.push((i, presolve(*idx, &copies), rresolve(*arr, &rcopies)));
-            }
-            _ => {}
-        }
-
-        // Invalidation: a def of v breaks facts about v and facts that
-        // mention v as an origin.
-        let dp = def_p(&l.code[i]);
-        let dr = def_r(&l.code[i]);
-        // Compute new facts before invalidating (they reference old state).
-        enum NewFact {
-            Const(u64),
-            Copy(u16),
-            IncOf(u16),
-            LenOf(u16),
-            None,
-        }
-        let mut fact = NewFact::None;
-        match &l.code[i] {
-            RInst::ConstP { dst, bits } => {
-                // A nonzero reseed breaks the counter's monotone-from-zero
-                // shape (the zero-init itself is recorded below).
-                if *bits != 0 {
-                    ind.entry(*dst).or_default().tainted = true;
-                }
-                fact = NewFact::Const(*bits);
-            }
-            RInst::MovP { dst, src } => {
-                if incof.get(src).copied() == Some(*dst) {
-                    // `i = <i + k>` — the canonical increment completing.
-                    ind.entry(*dst).or_default().inc = true;
-                } else {
-                    ind.entry(*dst).or_default().tainted = true;
-                    fact = NewFact::Copy(presolve(*src, &copies));
-                    // `int len = arr.Length;` — promote to a global fact
-                    // when this is the local's only real definition.
-                    if let Some(&arr) = lenof.get(src) {
-                        if real_pdefs.get(dst).copied().unwrap_or(0) == 1 {
-                            global_lenof.insert(*dst, arr);
-                        }
-                    }
-                }
-            }
-            RInst::MovR { dst, src } => {
-                let _ = dst;
-                fact = NewFact::Copy(rresolve(*src, &rcopies));
-            }
-            RInst::Bin { op: BinOp::Add, ty: NumTy::I4, dst, a, b } => {
-                let k = match b {
-                    Operand::Imm(k) => Some(*k),
-                    Operand::Slot(s) => consts.get(s).copied(),
-                };
-                ind.entry(*dst).or_default().tainted = true;
-                if let Some(k) = k {
-                    if (k as u32 as i32) > 0 {
-                        fact = NewFact::IncOf(presolve(*a, &copies));
-                    }
-                }
-            }
-            RInst::LdLen { arr, dst } => {
-                ind.entry(*dst).or_default().tainted = true;
-                let ao = rresolve(*arr, &rcopies);
-                if rdef_count.get(&ao).copied().unwrap_or(0) <= 1 {
-                    fact = NewFact::LenOf(ao);
-                }
-            }
-            inst => {
-                if let Some(d) = def_p(inst) {
-                    ind.entry(d).or_default().tainted = true;
-                }
-            }
-        }
-        if let RInst::ConstP { dst, bits: 0 } = &l.code[i] {
-            ind.entry(*dst).or_default().zero = true;
-        }
-        if let Some(d) = dp {
-            copies.remove(&d);
-            consts.remove(&d);
-            incof.remove(&d);
-            lenof.remove(&d);
-            copies.retain(|_, o| *o != d);
-            incof.retain(|_, o| *o != d);
-        }
-        if let Some(d) = dr {
-            rcopies.remove(&d);
-            rcopies.retain(|_, o| *o != d);
-            lenof.retain(|_, o| *o != d);
-        }
-        match (fact, dp, dr) {
-            (NewFact::Const(c), Some(d), _) => {
-                consts.insert(d, c);
-            }
-            (NewFact::Copy(o), Some(d), _) if o != d => {
-                copies.insert(d, o);
-                if let Some(&c) = consts.get(&o) {
-                    consts.insert(d, c);
-                }
-            }
-            (NewFact::Copy(o), _, Some(d)) if o != d => {
-                rcopies.insert(d, o);
-            }
-            (NewFact::IncOf(o), Some(d), _) if o != d => {
-                incof.insert(d, o);
-            }
-            (NewFact::LenOf(a), Some(d), _) => {
-                lenof.insert(d, a);
-            }
-            _ => {}
-        }
-    }
-
-    let induction: HashSet<u16> = ind
-        .iter()
-        .filter(|(_, c)| c.zero && c.inc && !c.tainted)
-        .map(|(v, _)| *v)
-        .collect();
     let mut eliminated = 0u64;
-    for (i, idx_o, arr_o) in accesses {
-        let Some(&guard_pc) = guards.get(&(idx_o, arr_o)) else { continue };
-        if !induction.contains(&idx_o) {
+    for pc in 0..l.code.len() {
+        let Some((ivar, arr)) = facts.access(pc) else { continue };
+        let Some(&guard_pc) = guards.get(&(ivar, arr)) else { continue };
+        let c = counters[ivar as usize];
+        if !(c.zero && c.inc && !c.tainted) || l.code[pc].bounds() != Some(BoundsMode::Checked) {
             continue;
         }
-        let checked = match &l.code[i] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => bounds.is_checked(),
-            _ => unreachable!(),
-        };
-        if !checked {
-            continue;
-        }
-        // Trial-commit: the block-local facts above are necessary but not
-        // sufficient (a compare against the length that never controls the
-        // access would match — conform seed 330). Apply the elision, let
-        // the independent checker verify the certificate's guard-edge
-        // dominance, and revert any it cannot prove.
-        set_bounds(l, i, BoundsMode::ElidedIdiom);
-        l.certs.push(ElisionCert {
-            pc: i as u32,
+        let cert = ElisionCert {
+            pc: pc as u32,
             mechanism: BoundsMode::ElidedIdiom,
-            kind: CertKind::BlockGuard { guard_pc, ivar: idx_o, arr: arr_o },
-        });
-        if crate::rir::audit::check(l).is_ok() {
+            kind: CertKind::BlockGuard { guard_pc, ivar, arr },
+        };
+        if audit::check_cert(l, an, &cert).is_ok() {
+            if let Some(bounds) = l.code[pc].bounds_mut() {
+                *bounds = BoundsMode::ElidedIdiom;
+            }
+            l.certs.push(cert);
             eliminated += 1;
-        } else {
-            l.certs.pop();
-            set_bounds(l, i, BoundsMode::Checked);
         }
     }
     eliminated
-}
-
-/// Set the bounds mode of the element access at `pc`.
-fn set_bounds(l: &mut Lowered, pc: usize, mode: BoundsMode) {
-    match &mut l.code[pc] {
-        RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => *bounds = mode,
-        _ => unreachable!("set_bounds on a non-access instruction"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -790,207 +703,220 @@ pub(crate) struct GuardFacts {
     pub a_len: Option<(u16, bool)>,
     /// Same for the right operand.
     pub b_len: Option<(u16, bool)>,
+    /// The array whose length the left operand holds *as written* — a
+    /// fact about the raw slot only, not about what it copies. This is
+    /// all the structural matcher looks at.
+    pub a_len_raw: Option<u16>,
+    /// Same for the right operand.
+    pub b_len_raw: Option<u16>,
 }
 
-/// Classification of a primitive definition site.
-pub(crate) enum DefKind {
-    /// `x = x + k` with constant `k > 0` — a counted-loop increment
-    /// (directly, or through the stack-cell `mov x, <x+k>` shape).
-    Increment,
-    Other,
-}
-
-/// Per-instruction facts for the loop-aware passes, resolved with the same
-/// block-local machinery the structural BCE matcher uses.
+/// Per-instruction facts for the bounds-check passes, from one forward
+/// scan with block-local reasoning only.
 pub(crate) struct LoopFacts {
-    /// pc of an element access -> (index origin, array origin).
-    pub access: HashMap<usize, (u16, u16)>,
-    /// pc of an I4 `BrCmp` -> resolved guard operands.
-    pub guard: HashMap<usize, GuardFacts>,
-    /// pc with a primitive def -> classification.
-    pub defs: HashMap<usize, DefKind>,
-    /// Block leader -> constants known at the end of that block (for the
-    /// induction variable's entry value).
-    pub end_consts: HashMap<u32, HashMap<u16, u64>>,
+    /// Per pc: `(index origin, array origin)` of an element access.
+    access: Vec<Option<(u16, u16)>>,
+    /// Resolved guard operands of every I4 `BrCmp`, ascending by pc.
+    guard: Vec<(u32, GuardFacts)>,
+    /// Per pc: the instruction completes `x = x + k` with constant
+    /// `k > 0` — a counted-loop increment (directly, or through the
+    /// stack-cell `mov x, <x+k>` shape).
+    increment: Vec<bool>,
+    /// Constants known at the end of each block (for an induction
+    /// variable's entry value): block `b`'s are
+    /// `end_consts[end_const_start[b]..end_const_start[b + 1]]`.
+    end_const_start: Vec<u32>,
+    end_consts: Vec<(u16, u64)>,
 }
 
-/// One forward scan computing [`LoopFacts`]. Facts reset at block leaders;
-/// the global `len` idiom is promoted exactly as in
-/// [`eliminate_bounds_checks`].
-pub(crate) fn collect_loop_facts(l: &Lowered) -> LoopFacts {
-    let heads = leaders(l);
-    let mut rdef_count: HashMap<u16, u32> = HashMap::new();
-    let mut real_pdefs: HashMap<u16, u32> = HashMap::new();
-    for inst in &l.code {
-        if let Some(d) = def_p(inst) {
-            if !matches!(inst, RInst::ConstP { bits: 0, .. }) {
-                *real_pdefs.entry(d).or_default() += 1;
-            }
-        }
-        if let Some(d) = def_r(inst) {
-            if !matches!(inst, RInst::ConstNull { .. }) {
-                *rdef_count.entry(d).or_default() += 1;
-            }
-        }
+impl LoopFacts {
+    pub fn access(&self, pc: usize) -> Option<(u16, u16)> {
+        self.access[pc]
     }
 
+    pub fn guard(&self, pc: usize) -> Option<&GuardFacts> {
+        let k = self.guard.binary_search_by_key(&(pc as u32), |g| g.0).ok()?;
+        Some(&self.guard[k].1)
+    }
+
+    fn guards(&self) -> impl Iterator<Item = (u32, &GuardFacts)> {
+        self.guard.iter().map(|(pc, g)| (*pc, g))
+    }
+
+    pub fn is_increment(&self, pc: usize) -> bool {
+        self.increment[pc]
+    }
+
+    /// The constant primitive `v` holds when control leaves `block`.
+    pub fn end_const(&self, block: usize, v: u16) -> Option<u64> {
+        let (s, e) = (self.end_const_start[block], self.end_const_start[block + 1]);
+        self.end_consts[s as usize..e as usize]
+            .iter()
+            .find(|c| c.0 == v)
+            .map(|c| c.1)
+    }
+}
+
+/// The forward scan computing [`LoopFacts`]: per block, it tracks copies,
+/// known constants, `x = local + k` facts and `x = arr.Length` facts,
+/// resolved through the naive stack-shuffle lowering. Facts reset at
+/// block boundaries, except the hand-hoisted `int len = arr.Length;`
+/// idiom: a local with a single real definition that copies an `ldlen`
+/// result keeps that fact method-wide.
+fn scan_facts(l: &Lowered, an: &Analysis) -> LoopFacts {
+    let n = l.code.len();
+    let defs = an.defs(l);
     let mut facts = LoopFacts {
-        access: HashMap::new(),
-        guard: HashMap::new(),
-        defs: HashMap::new(),
-        end_consts: HashMap::new(),
+        access: vec![None; n],
+        guard: Vec::new(),
+        increment: vec![false; n],
+        end_const_start: Vec::with_capacity(an.cfg.ranges.len() + 1),
+        end_consts: Vec::new(),
     };
-    let mut copies: HashMap<u16, u16> = HashMap::new();
-    let mut rcopies: HashMap<u16, u16> = HashMap::new();
-    let mut consts: HashMap<u16, u64> = HashMap::new();
-    let mut incof: HashMap<u16, u16> = HashMap::new();
-    let mut lenof: HashMap<u16, u16> = HashMap::new();
-    let mut global_lenof: HashMap<u16, u16> = HashMap::new();
-    let mut cur_leader = 0u32;
+    let mut copies = OriginFacts::new(l.n_pvreg); // vreg -> origin vreg
+    let mut rcopies = OriginFacts::new(l.n_rvreg);
+    let mut consts: BlockFacts<u64> = BlockFacts::new(l.n_pvreg);
+    let mut incof = OriginFacts::new(l.n_pvreg); // vreg -> local (vreg == local + k)
+    let mut lenof = OriginFacts::new(l.n_pvreg); // vreg -> array origin
+    let mut global_lenof: Vec<Option<u16>> = vec![None; l.n_pvreg as usize];
+    let mut pdefs = vec![0u32; l.n_pvreg as usize];
+    let mut rdefs = vec![0u32; l.n_rvreg as usize];
 
-    for i in 0..l.code.len() {
-        if i > 0 && heads.contains(&(i as u32)) {
-            facts.end_consts.insert(cur_leader, consts.clone());
-            cur_leader = i as u32;
-            copies.clear();
-            rcopies.clear();
-            consts.clear();
-            incof.clear();
-            lenof.clear();
-        }
-        let presolve = |v: u16, copies: &HashMap<u16, u16>| *copies.get(&v).unwrap_or(&v);
-        let rresolve = |v: u16, rcopies: &HashMap<u16, u16>| *rcopies.get(&v).unwrap_or(&v);
+    enum NewFact {
+        Const(u64),
+        Copy(u16),
+        IncOf(u16),
+        LenOf(u16),
+        None,
+    }
 
-        // Read-side facts (pre-instruction state).
-        match &l.code[i] {
-            RInst::BrCmp { op, ty: NumTy::I4, a, b, .. } => {
-                let a_res = presolve(*a, &copies);
-                let b_res = match b {
-                    Operand::Slot(s) => Some(presolve(*s, &copies)),
-                    Operand::Imm(_) => None,
-                };
-                let len_fact = |raw: u16, res: u16| -> Option<(u16, bool)> {
-                    lenof
-                        .get(&raw)
-                        .or_else(|| lenof.get(&res))
-                        .map(|&arr| (arr, false))
-                        .or_else(|| {
-                            global_lenof
-                                .get(&raw)
-                                .or_else(|| global_lenof.get(&res))
-                                .map(|&arr| (arr, true))
-                        })
-                };
-                let a_len = len_fact(*a, a_res);
-                let b_len = match b {
-                    Operand::Slot(s) => len_fact(*s, b_res.unwrap()),
-                    Operand::Imm(_) => None,
-                };
-                facts.guard.insert(
-                    i,
-                    GuardFacts { op: *op, a: a_res, b: b_res, a_len, b_len },
-                );
+    for &(start, end) in &an.cfg.ranges {
+        for i in start..end {
+            let presolve = |v: u16| copies.get(v, &pdefs).unwrap_or(v);
+            let rresolve = |v: u16| rcopies.get(v, &rdefs).unwrap_or(v);
+
+            // Read-side facts (pre-instruction state).
+            match &l.code[i] {
+                RInst::BrCmp { op, ty: NumTy::I4, a, b, .. } => {
+                    // (fact through the slot or what it copies, is it
+                    // global; fact about the slot as written).
+                    let len_facts = |raw: u16| -> (Option<(u16, bool)>, Option<u16>) {
+                        let res = presolve(raw);
+                        let local = lenof.get(raw, &rdefs);
+                        let global = global_lenof[raw as usize];
+                        let len = local
+                            .or_else(|| lenof.get(res, &rdefs))
+                            .map(|arr| (arr, false))
+                            .or_else(|| global.or(global_lenof[res as usize]).map(|arr| (arr, true)));
+                        (len, local.or(global))
+                    };
+                    let (a_len, a_len_raw) = len_facts(*a);
+                    let (b, (b_len, b_len_raw)) = match b {
+                        Operand::Slot(s) => (Some(presolve(*s)), len_facts(*s)),
+                        Operand::Imm(_) => (None, (None, None)),
+                    };
+                    let g = GuardFacts {
+                        op: *op,
+                        a: presolve(*a),
+                        b,
+                        a_len,
+                        b_len,
+                        a_len_raw,
+                        b_len_raw,
+                    };
+                    facts.guard.push((i as u32, g));
+                }
+                RInst::LdElem { arr, idx, .. } | RInst::StElem { arr, idx, .. } => {
+                    facts.access[i] = Some((presolve(*idx), rresolve(*arr)));
+                }
+                _ => {}
             }
-            RInst::LdElem { arr, idx, .. } | RInst::StElem { arr, idx, .. } => {
-                facts
-                    .access
-                    .insert(i, (presolve(*idx, &copies), rresolve(*arr, &rcopies)));
-            }
-            _ => {}
-        }
 
-        let dp = def_p(&l.code[i]);
-        let dr = def_r(&l.code[i]);
-        enum NewFact {
-            Const(u64),
-            Copy(u16),
-            IncOf(u16),
-            LenOf(u16),
-            None,
-        }
-        let mut fact = NewFact::None;
-        match &l.code[i] {
-            RInst::ConstP { bits, .. } => fact = NewFact::Const(*bits),
-            RInst::MovP { dst, src } => {
-                if incof.get(src).copied() == Some(*dst) {
-                    facts.defs.insert(i, DefKind::Increment);
-                } else {
-                    fact = NewFact::Copy(presolve(*src, &copies));
-                    if let Some(&arr) = lenof.get(src) {
-                        if real_pdefs.get(dst).copied().unwrap_or(0) == 1 {
-                            global_lenof.insert(*dst, arr);
+            // Compute the new fact before invalidating (it references the
+            // old state).
+            let mut fact = NewFact::None;
+            match &l.code[i] {
+                RInst::ConstP { bits, .. } => fact = NewFact::Const(*bits),
+                RInst::MovP { dst, src } => {
+                    if incof.get(*src, &pdefs) == Some(*dst) {
+                        // `i = <i + k>` — the canonical increment completing.
+                        facts.increment[i] = true;
+                    } else {
+                        fact = NewFact::Copy(presolve(*src));
+                        // `int len = arr.Length;` — promote to a global fact
+                        // when this is the local's only real definition.
+                        if let Some(arr) = lenof.get(*src, &rdefs) {
+                            if defs.real_p_count(*dst) == 1 {
+                                global_lenof[*dst as usize] = Some(arr);
+                            }
                         }
                     }
                 }
-            }
-            RInst::MovR { src, .. } => {
-                fact = NewFact::Copy(rresolve(*src, &rcopies));
-            }
-            RInst::Bin { op: BinOp::Add, ty: NumTy::I4, dst, a, b } => {
-                let k = match b {
-                    Operand::Imm(k) => Some(*k),
-                    Operand::Slot(s) => consts.get(s).copied(),
-                };
-                if let Some(k) = k {
-                    if (k as u32 as i32) > 0 {
-                        let a_res = presolve(*a, &copies);
+                RInst::MovR { src, .. } => fact = NewFact::Copy(rresolve(*src)),
+                RInst::Bin { op: BinOp::Add, ty: NumTy::I4, dst, a, b } => {
+                    let k = match b {
+                        Operand::Imm(k) => Some(*k),
+                        Operand::Slot(s) => consts.get(*s),
+                    };
+                    if k.is_some_and(|k| (k as u32 as i32) > 0) {
+                        let a_res = presolve(*a);
                         if a_res == *dst {
                             // `i = i + k` in one instruction.
-                            facts.defs.insert(i, DefKind::Increment);
+                            facts.increment[i] = true;
                         } else {
                             fact = NewFact::IncOf(a_res);
                         }
                     }
                 }
-            }
-            RInst::LdLen { arr, .. } => {
-                let ao = rresolve(*arr, &rcopies);
-                if rdef_count.get(&ao).copied().unwrap_or(0) <= 1 {
-                    fact = NewFact::LenOf(ao);
+                RInst::LdLen { arr, .. } => {
+                    // An array origin written at most once keeps its
+                    // length (the entry `ConstNull` does not count: a
+                    // null array traps before its length matters).
+                    let ao = rresolve(*arr);
+                    if defs.real_r_count(ao) <= 1 {
+                        fact = NewFact::LenOf(ao);
+                    }
                 }
+                _ => {}
             }
-            _ => {}
-        }
-        if let Some(d) = dp {
-            facts.defs.entry(i).or_insert(DefKind::Other);
-            let _ = d;
-        }
-        if let Some(d) = dp {
-            copies.remove(&d);
-            consts.remove(&d);
-            incof.remove(&d);
-            lenof.remove(&d);
-            copies.retain(|_, o| *o != d);
-            incof.retain(|_, o| *o != d);
-        }
-        if let Some(d) = dr {
-            rcopies.remove(&d);
-            rcopies.retain(|_, o| *o != d);
-            lenof.retain(|_, o| *o != d);
-        }
-        match (fact, dp, dr) {
-            (NewFact::Const(c), Some(d), _) => {
-                consts.insert(d, c);
+
+            // Invalidation: a def of v breaks facts about v and (through
+            // the definition counts) facts that mention v as an origin.
+            let dp = def_p(&l.code[i]);
+            let dr = def_r(&l.code[i]);
+            if let Some(d) = dp {
+                copies.forget(d);
+                consts.forget(d);
+                incof.forget(d);
+                lenof.forget(d);
+                pdefs[d as usize] += 1;
             }
-            (NewFact::Copy(o), Some(d), _) if o != d => {
-                copies.insert(d, o);
-                if let Some(&c) = consts.get(&o) {
-                    consts.insert(d, c);
+            if let Some(d) = dr {
+                rcopies.forget(d);
+                rdefs[d as usize] += 1;
+            }
+            match (fact, dp, dr) {
+                (NewFact::Const(c), Some(d), _) => consts.set(d, c),
+                (NewFact::Copy(o), Some(d), _) if o != d => {
+                    copies.set(d, o, &pdefs);
+                    if let Some(c) = consts.get(o) {
+                        consts.set(d, c);
+                    }
                 }
+                (NewFact::Copy(o), _, Some(d)) if o != d => rcopies.set(d, o, &rdefs),
+                (NewFact::IncOf(o), Some(d), _) if o != d => incof.set(d, o, &pdefs),
+                (NewFact::LenOf(a), Some(d), _) => lenof.set(d, a, &rdefs),
+                _ => {}
             }
-            (NewFact::Copy(o), _, Some(d)) if o != d => {
-                rcopies.insert(d, o);
-            }
-            (NewFact::IncOf(o), Some(d), _) if o != d => {
-                incof.insert(d, o);
-            }
-            (NewFact::LenOf(a), Some(d), _) => {
-                lenof.insert(d, a);
-            }
-            _ => {}
         }
+        facts.end_const_start.push(facts.end_consts.len() as u32);
+        consts.drain(|v, c| facts.end_consts.push((v, c)));
+        copies.clear();
+        rcopies.clear();
+        incof.clear();
+        lenof.clear();
     }
-    facts.end_consts.insert(cur_leader, consts);
+    facts.end_const_start.push(facts.end_consts.len() as u32);
     facts
 }
 
@@ -1016,53 +942,48 @@ pub(crate) fn collect_loop_facts(l: &Lowered) -> LoopFacts {
 /// would expose an unsound match.
 fn loop_aware_bce(
     l: &mut Lowered,
-    cfg: &Cfg,
-    loops: &[NaturalLoop],
+    ctx: &mut MethodCtx,
 ) -> (u64, Vec<(u32, LoopRejectReason)>) {
-    let facts = collect_loop_facts(l);
+    let (an, facts) = ctx.facts(l);
     let mut flips: Vec<(usize, u32, u16, u16)> = Vec::new();
     let mut rejected: Vec<(u32, LoopRejectReason)> = Vec::new();
-    for lp in loops {
-        match analyze_loop(l, cfg, &facts, lp) {
+    for lp in &an.loops {
+        match analyze_loop(l, an, facts, lp) {
             // An accepted loop with no matching accesses is not a
             // rejection — the proof succeeded, there was nothing to drop.
             Ok(e) => flips.extend(e.covered.iter().map(|&pc| (pc, e.guard_pc, e.ivar, e.arr))),
-            Err(reason) => rejected.push((cfg.ranges[lp.header].0 as u32, reason)),
+            Err(reason) => rejected.push((an.cfg.ranges[lp.header].0 as u32, reason)),
         }
     }
     let mut count = 0u64;
     for (pc, guard_pc, ivar, arr) in flips {
-        match &mut l.code[pc] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. }
-                if bounds.is_checked() =>
-            {
-                *bounds = BoundsMode::ElidedIdiom;
-                count += 1;
-                l.certs.push(ElisionCert {
-                    pc: pc as u32,
-                    mechanism: BoundsMode::ElidedIdiom,
-                    kind: CertKind::Loop {
-                        guard_pc,
-                        ivar,
-                        offset: 0,
-                        entry_lo: 0,
-                        sup_arr: arr,
-                        sup_off: -1,
-                    },
-                });
-            }
-            _ => {}
+        match l.code[pc].bounds_mut() {
+            Some(bounds) if bounds.is_checked() => *bounds = BoundsMode::ElidedIdiom,
+            _ => continue,
         }
+        count += 1;
+        l.certs.push(ElisionCert {
+            pc: pc as u32,
+            mechanism: BoundsMode::ElidedIdiom,
+            kind: CertKind::Loop {
+                guard_pc,
+                ivar,
+                offset: 0,
+                entry_lo: 0,
+                sup_arr: arr,
+                sup_off: -1,
+            },
+        });
     }
     (count, rejected)
 }
 
 /// An accepted loop's elision set plus the facts its certificates cite.
-pub(crate) struct LoopElision {
-    pub covered: Vec<usize>,
-    pub guard_pc: u32,
-    pub ivar: u16,
-    pub arr: u16,
+struct LoopElision {
+    covered: Vec<usize>,
+    guard_pc: u32,
+    ivar: u16,
+    arr: u16,
 }
 
 /// Prove one natural loop safe for check elimination: returns the pcs of
@@ -1070,37 +991,24 @@ pub(crate) struct LoopElision {
 /// disqualifier found (the [`LoopRejectReason`] the event trace reports).
 fn analyze_loop(
     l: &Lowered,
-    cfg: &Cfg,
+    an: &Analysis,
     facts: &LoopFacts,
     lp: &NaturalLoop,
 ) -> Result<LoopElision, LoopRejectReason> {
     if !lp.clean {
         return Err(LoopRejectReason::OverlapsEh);
     }
-    // In-loop definition sites.
-    let mut pdefs: HashMap<u16, Vec<usize>> = HashMap::new();
-    let mut rdefs: HashSet<u16> = HashSet::new();
-    for &b in &lp.body {
-        let (s, e) = cfg.ranges[b];
-        for pc in s..e {
-            if let Some(d) = def_p(&l.code[pc]) {
-                pdefs.entry(d).or_default().push(pc);
-            }
-            if let Some(d) = def_r(&l.code[pc]) {
-                rdefs.insert(d);
-            }
-        }
-    }
+    let cfg = &an.cfg;
     let (_, he) = cfg.ranges[lp.header];
     let term = he - 1;
-    let Some(g) = facts.guard.get(&term) else {
+    let Some(g) = facts.guard(term) else {
         return Err(LoopRejectReason::NoHeaderGuard);
     };
     let RInst::BrCmp { t, .. } = l.code[term] else {
         return Err(LoopRejectReason::NoHeaderGuard);
     };
-    let tgt_in = lp.body.contains(&cfg.block_of(t));
-    let fall_in = he < l.code.len() && lp.body.contains(&cfg.block_of(he as u32));
+    let tgt_in = lp.contains(cfg.block_of(t));
+    let fall_in = he < l.code.len() && lp.contains(cfg.block_of(he as u32));
     if tgt_in == fall_in {
         return Err(LoopRejectReason::GuardShape);
     }
@@ -1128,79 +1036,42 @@ fn analyze_loop(
     // `len` local must not be written inside the loop.
     if bound_global {
         if let Some(bs) = bound_slot {
-            if pdefs.contains_key(&bs) {
+            if an.loop_p_defs(l, lp, bs).next().is_some() {
                 return Err(LoopRejectReason::BoundMutated);
             }
         }
     }
     // Array invariance inside the loop.
-    if rdefs.contains(&arr) {
+    if an.loop_r_defs(l, lp, arr).next().is_some() {
         return Err(LoopRejectReason::ArrayMutated);
     }
     // Induction: every in-loop def is a positive increment.
-    let ivar_defs: &[usize] = pdefs.get(&ivar).map(|v| v.as_slice()).unwrap_or(&[]);
-    if ivar_defs
-        .iter()
-        .any(|pc| !matches!(facts.defs.get(pc), Some(DefKind::Increment)))
-    {
+    let ivar_defs: Vec<usize> = an.loop_p_defs(l, lp, ivar).collect();
+    if ivar_defs.iter().any(|&pc| !facts.is_increment(pc)) {
         return Err(LoopRejectReason::IndexStep);
     }
     // Entry value: every edge entering the header from outside must
     // carry a known non-negative constant for the induction variable.
-    let entry_preds: Vec<usize> = cfg.preds[lp.header]
-        .iter()
-        .copied()
-        .filter(|p| !lp.body.contains(p))
-        .collect();
-    if entry_preds.is_empty() {
+    let mut entry_preds = cfg.preds(lp.header).iter().filter(|&&p| !lp.contains(p)).peekable();
+    if entry_preds.peek().is_none() {
         return Err(LoopRejectReason::EntryUnknown);
     }
-    let entry_ok = entry_preds.iter().all(|&p| {
-        facts
-            .end_consts
-            .get(&cfg.heads[p])
-            .and_then(|m| m.get(&ivar))
-            .map_or(false, |&v| v as u32 as i32 >= 0)
-    });
+    let entry_ok = entry_preds
+        .all(|&p| facts.end_const(p, ivar).is_some_and(|v| v as u32 as i32 >= 0));
     if !entry_ok {
         return Err(LoopRejectReason::EntryUnknown);
     }
     // Everything downstream of an increment (without re-passing the
     // guard) is no longer covered by it.
-    let mut post_pcs: HashSet<usize> = HashSet::new();
-    let mut post_blocks: HashSet<usize> = HashSet::new();
-    let mut stack: Vec<usize> = Vec::new();
-    for &ipc in ivar_defs {
-        let b = cfg.block_of(ipc as u32);
-        post_pcs.extend(ipc + 1..cfg.ranges[b].1);
-        stack.extend(
-            cfg.succs[b]
-                .iter()
-                .copied()
-                .filter(|s| lp.body.contains(s) && *s != lp.header),
-        );
-    }
-    while let Some(b) = stack.pop() {
-        if post_blocks.insert(b) {
-            stack.extend(
-                cfg.succs[b]
-                    .iter()
-                    .copied()
-                    .filter(|s| lp.body.contains(s) && *s != lp.header),
-            );
-        }
-    }
+    let post = lp.post_region(cfg, &ivar_defs);
     let mut covered = Vec::new();
     for &b in &lp.body {
-        if b == lp.header || post_blocks.contains(&b) {
+        if b == lp.header || post.blocks.contains(b) {
             continue;
         }
         let (s, e) = cfg.ranges[b];
         for pc in s..e {
-            if post_pcs.contains(&pc) {
-                continue;
-            }
-            if facts.access.get(&pc) == Some(&(ivar, arr)) {
+            if !post.in_tail(pc) && facts.access(pc) == Some((ivar, arr)) {
                 covered.push(pc);
             }
         }
@@ -1224,26 +1095,28 @@ fn analyze_loop(
 ///
 /// Each round hoists one loop's candidates and re-analyzes; hoisted code
 /// lands outside the loop, so nested invariants migrate outward one level
-/// per round until a fixpoint.
-fn loop_invariant_code_motion(l: &mut Lowered) -> u64 {
+/// per round until a fixpoint. (One loop per round is also what fixes the
+/// numbering of the fresh registers.) The first round plans on the
+/// context the bounds-check passes used; each hoist rebuilds it, and the
+/// context of the last, empty-handed round is the one the caller keeps.
+fn loop_invariant_code_motion(l: &mut Lowered, ctx: &mut MethodCtx) -> u64 {
     let mut total = 0u64;
-    'rounds: for _ in 0..64 {
+    let mut marks = HoistMarks::default();
+    for _ in 0..64 {
         // Leave ample headroom below the spill-bit encoding for the fresh
         // registers hoisting allocates.
         if l.n_pvreg as u32 >= 0x4000 {
             break;
         }
-        let cfg = Cfg::build(l);
-        let loops = find_loops(l, &cfg);
-        for lp in loops.iter().filter(|lp| lp.clean) {
-            let plans = plan_hoists(l, &cfg, lp);
-            if !plans.is_empty() {
-                total += plans.len() as u64;
-                hoist(l, &cfg, lp, plans);
-                continue 'rounds;
-            }
-        }
-        break;
+        let an = &ctx.an;
+        let found = an.loops.iter().filter(|lp| lp.clean).find_map(|lp| {
+            let plans = plan_hoists(l, &an.cfg, lp, &mut marks);
+            (!plans.is_empty()).then_some((lp, plans))
+        });
+        let Some((lp, plans)) = found else { break };
+        total += plans.len() as u64;
+        hoist(l, &an.cfg, lp, plans);
+        ctx.rebuild(l);
     }
     total
 }
@@ -1267,6 +1140,45 @@ fn effect_free(inst: &RInst) -> bool {
     ) || matches!(inst, RInst::Bin { op, .. } if !matches!(op, BinOp::Div | BinOp::Rem))
 }
 
+/// One instruction to hoist: the original at `pc` defines `dst`; `clone`
+/// recomputes the value into the fresh register `fresh`.
+struct Hoist {
+    pc: usize,
+    dst: u16,
+    fresh: u16,
+    clone: RInst,
+}
+
+/// Scratch tables for [`plan_hoists`], indexed by vreg and reused across
+/// loops and rounds: an entry counts only while it carries the current
+/// `stamp`, so nothing is ever cleared.
+#[derive(Default)]
+struct HoistMarks {
+    stamp: u32,
+    /// Primitive / reference vreg is written somewhere in the loop.
+    p_in_loop: Vec<u32>,
+    r_in_loop: Vec<u32>,
+    /// Primitive vreg's most recent definition in the current block is a
+    /// candidate, whose fresh register is recorded.
+    fresh: Vec<(u32, u16)>,
+}
+
+/// Apply `f` to the primitive operands of the arithmetic instructions
+/// LICM hoists (`Bin`, `Cmp`, `Un`, `Conv`).
+fn for_arith_operands(inst: &mut RInst, mut f: impl FnMut(&mut u16)) {
+    match inst {
+        RInst::Bin { a, b, .. } | RInst::Cmp { a, b, .. } => {
+            f(a);
+            if let Operand::Slot(s) = b {
+                f(s);
+            }
+        }
+        RInst::Un { a, .. } => f(a),
+        RInst::Conv { src, .. } => f(src),
+        _ => {}
+    }
+}
+
 /// Select the instructions of `lp` that compute loop-invariant values and
 /// prepare their hoisted clones.
 ///
@@ -1276,149 +1188,112 @@ fn effect_free(inst: &RInst) -> bool {
 /// this use, so the clone reads the earlier candidate's fresh register.
 /// Fresh registers are numbered from `l.n_pvreg`; [`hoist`] commits the
 /// allocation.
-fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop) -> Vec<(usize, RInst)> {
-    let mut pdefs: HashSet<u16> = HashSet::new();
-    let mut rdefs: HashSet<u16> = HashSet::new();
+fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, marks: &mut HoistMarks) -> Vec<Hoist> {
+    marks.p_in_loop.resize(l.n_pvreg as usize, 0);
+    marks.r_in_loop.resize(l.n_rvreg as usize, 0);
+    marks.fresh.resize(l.n_pvreg as usize, (0, 0));
+    marks.stamp += 1;
+    let in_loop = marks.stamp;
     for &b in &lp.body {
         let (s, e) = cfg.ranges[b];
-        for pc in s..e {
-            if let Some(d) = def_p(&l.code[pc]) {
-                pdefs.insert(d);
+        for inst in &l.code[s..e] {
+            if let Some(d) = def_p(inst) {
+                marks.p_in_loop[d as usize] = in_loop;
             }
-            if let Some(d) = def_r(&l.code[pc]) {
-                rdefs.insert(d);
+            if let Some(d) = def_r(inst) {
+                marks.r_in_loop[d as usize] = in_loop;
             }
         }
     }
     let (hs, _) = cfg.ranges[lp.header];
-    let mut plans: Vec<(usize, RInst)> = Vec::new();
-    let mut next_fresh = l.n_pvreg;
+    let base = l.n_pvreg;
+    let mut plans: Vec<Hoist> = Vec::new();
     for &b in &lp.body {
-        // Slot -> fresh register of the candidate that is the slot's most
-        // recent definition in this block.
-        let mut cur_fresh: HashMap<u16, u16> = HashMap::new();
+        marks.stamp += 1;
+        let in_block = marks.stamp;
         let (s, e) = cfg.ranges[b];
         for pc in s..e {
             let inst = &l.code[pc];
-            let inv = |s: u16| !pdefs.contains(&s) || cur_fresh.contains_key(&s);
+            let fresh_of = |s: u16| Some(marks.fresh[s as usize]).filter(|f| f.0 == in_block);
+            let inv = |s: u16| marks.p_in_loop[s as usize] != in_loop || fresh_of(s).is_some();
             let inv_op = |o: &Operand| match o {
                 Operand::Imm(_) => true,
                 Operand::Slot(s) => inv(*s),
             };
-            let ok = match inst {
-                RInst::ConstP { .. } => true,
-                RInst::Bin { op, a, b, .. } if !matches!(op, BinOp::Div | BinOp::Rem) => {
-                    inv(*a) && inv_op(b)
+            // A candidate's own destination, or `None`.
+            let candidate = match inst {
+                RInst::ConstP { dst, .. } => Some(*dst),
+                RInst::Bin { op, dst, a, b, .. }
+                    if !matches!(op, BinOp::Div | BinOp::Rem) && inv(*a) && inv_op(b) =>
+                {
+                    Some(*dst)
                 }
-                RInst::Un { a, .. } => inv(*a),
-                RInst::Conv { src, .. } => inv(*src),
-                RInst::Cmp { a, b, .. } => inv(*a) && inv_op(b),
-                RInst::LdLen { arr, .. } => {
-                    b == lp.header
-                        && !rdefs.contains(arr)
-                        && l.code[hs..pc].iter().all(effect_free)
+                RInst::Un { dst, a, .. } if inv(*a) => Some(*dst),
+                RInst::Conv { dst, src, .. } if inv(*src) => Some(*dst),
+                RInst::Cmp { dst, a, b, .. } if inv(*a) && inv_op(b) => Some(*dst),
+                RInst::LdLen { arr, dst }
+                    if b == lp.header
+                        && marks.r_in_loop[*arr as usize] != in_loop
+                        && l.code[hs..pc].iter().all(effect_free) =>
+                {
+                    Some(*dst)
                 }
-                _ => false,
+                _ => None,
             };
-            let d = def_p(inst);
-            if ok {
+            if let Some(dst) = candidate {
                 let mut clone = inst.clone();
                 // Redirect operands defined by earlier candidates to the
                 // fresh registers (at the hoist point the original slots
                 // still hold their pre-loop values).
-                let sub = |s: &mut u16, cf: &HashMap<u16, u16>| {
-                    if let Some(&f) = cf.get(s) {
+                for_arith_operands(&mut clone, |s| {
+                    if let Some((_, f)) = fresh_of(*s) {
                         *s = f;
                     }
-                };
-                match &mut clone {
-                    RInst::Bin { a, b, .. } => {
-                        sub(a, &cur_fresh);
-                        if let Operand::Slot(s) = b {
-                            sub(s, &cur_fresh);
-                        }
-                    }
-                    RInst::Un { a, .. } => sub(a, &cur_fresh),
-                    RInst::Conv { src, .. } => sub(src, &cur_fresh),
-                    RInst::Cmp { a, b, .. } => {
-                        sub(a, &cur_fresh);
-                        if let Operand::Slot(s) = b {
-                            sub(s, &cur_fresh);
-                        }
-                    }
-                    _ => {}
-                }
-                let fresh = next_fresh;
-                next_fresh += 1;
+                });
+                let fresh = base + plans.len() as u16;
                 restore_def_p(&mut clone, fresh);
-                plans.push((pc, clone));
-                if let Some(d) = d {
-                    cur_fresh.insert(d, fresh);
-                }
-            } else if let Some(d) = d {
-                cur_fresh.remove(&d);
+                plans.push(Hoist { pc, dst, fresh, clone });
+                marks.fresh[dst as usize] = (in_block, fresh);
+            } else if let Some(d) = def_p(inst) {
+                marks.fresh[d as usize] = (0, 0);
             }
         }
     }
     // A hoisted constant is live across the whole loop and costs a
     // register, while rematerializing it in the body is free — keep a
     // `ConstP` plan only when a hoisted computation consumes its value.
-    let base = l.n_pvreg;
-    let mut needed: HashSet<u16> = HashSet::new();
+    // (Plan `i` defines fresh register `base + i`.)
+    let mut needed = vec![false; plans.len()];
     let mut keep = vec![false; plans.len()];
     for i in (0..plans.len()).rev() {
-        let clone = &plans[i].1;
-        let fresh = def_p(clone).expect("LICM candidates define a primitive");
-        if !matches!(clone, RInst::ConstP { .. }) || needed.contains(&fresh) {
+        if !matches!(plans[i].clone, RInst::ConstP { .. }) || needed[i] {
             keep[i] = true;
-            let mut mark = |s: u16| {
-                if s >= base {
-                    needed.insert(s);
+            for_arith_operands(&mut plans[i].clone, |s| {
+                if *s >= base {
+                    needed[(*s - base) as usize] = true;
                 }
-            };
-            match clone {
-                RInst::Bin { a, b, .. } | RInst::Cmp { a, b, .. } => {
-                    mark(*a);
-                    if let Operand::Slot(s) = b {
-                        mark(*s);
-                    }
-                }
-                RInst::Un { a, .. } => mark(*a),
-                RInst::Conv { src, .. } => mark(*src),
-                _ => {}
-            }
+            });
         }
     }
     // Renumber the survivors contiguously so the allocator never sees
     // holes in the vreg space.
-    let mut remap: HashMap<u16, u16> = HashMap::new();
+    let mut renumbered = vec![0u16; plans.len()];
     let mut next = base;
     let mut out = Vec::with_capacity(plans.len());
-    for (i, (pc, mut clone)) in plans.into_iter().enumerate() {
+    for (i, mut h) in plans.into_iter().enumerate() {
         if !keep[i] {
             continue;
         }
-        let re = |s: &mut u16, remap: &HashMap<u16, u16>| {
-            if let Some(&n) = remap.get(s) {
-                *s = n;
+        for_arith_operands(&mut h.clone, |s| {
+            if *s >= base {
+                *s = renumbered[(*s - base) as usize];
             }
-        };
-        match &mut clone {
-            RInst::Bin { a, b, .. } | RInst::Cmp { a, b, .. } => {
-                re(a, &remap);
-                if let Operand::Slot(s) = b {
-                    re(s, &remap);
-                }
-            }
-            RInst::Un { a, .. } => re(a, &remap),
-            RInst::Conv { src, .. } => re(src, &remap),
-            _ => {}
-        }
-        let old = def_p(&clone).expect("LICM candidates define a primitive");
-        restore_def_p(&mut clone, next);
-        remap.insert(old, next);
+        });
+        restore_def_p(&mut h.clone, next);
+        h.fresh = next;
+        renumbered[i] = next;
         next += 1;
-        out.push((pc, clone));
+        out.push(h);
     }
     out
 }
@@ -1427,18 +1302,16 @@ fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop) -> Vec<(usize, RInst)> 
 /// originals into register moves, and remap branches and EH ranges.
 /// Entry edges fall into (or retarget to) the hoisted block; back edges
 /// retarget past it.
-fn hoist(l: &mut Lowered, cfg: &Cfg, lp: &NaturalLoop, plans: Vec<(usize, RInst)>) {
+fn hoist(l: &mut Lowered, cfg: &Cfg, lp: &NaturalLoop, plans: Vec<Hoist>) {
     let h = cfg.ranges[lp.header].0;
     let k = plans.len();
     let mut hoisted = Vec::with_capacity(k);
-    for (pc, clone) in plans {
-        let fresh = def_p(&clone).expect("LICM candidates define a primitive");
-        l.n_pvreg = l.n_pvreg.max(fresh + 1);
-        let dst = def_p(&l.code[pc]).expect("LICM candidates define a primitive");
-        hoisted.push(clone);
-        l.code[pc] = RInst::MovP { dst, src: fresh };
+    for p in plans {
+        l.n_pvreg = l.n_pvreg.max(p.fresh + 1);
+        hoisted.push(p.clone);
+        l.code[p.pc] = RInst::MovP { dst: p.dst, src: p.fresh };
     }
-    let in_body = |pc: usize| lp.body.contains(&cfg.block_of(pc as u32));
+    let in_body = |pc: usize| lp.contains_pc(cfg, pc);
     let old = std::mem::take(&mut l.code);
     let mut code: Vec<RInst> = Vec::with_capacity(old.len() + k);
     let mut iter = old.into_iter();
@@ -1465,27 +1338,33 @@ fn hoist(l: &mut Lowered, cfg: &Cfg, lp: &NaturalLoop, plans: Vec<(usize, RInst)
     }
     l.code = code;
     // Hoisting never targets loops overlapping EH, so no region boundary
-    // can fall strictly inside the insertion point's block; inclusive
-    // starts shift when at-or-after `h`, exclusive ends when after `h`.
+    // can fall strictly inside the insertion point's block.
     let k32 = k as u32;
-    for r in &mut l.eh {
-        if r.try_start >= h as u32 {
-            r.try_start += k32;
-        }
-        if r.try_end > h as u32 {
-            r.try_end += k32;
-        }
-        if r.handler_start >= h as u32 {
-            r.handler_start += k32;
-        }
-        if r.handler_end > h as u32 {
-            r.handler_end += k32;
-        }
-    }
+    shift_eh_ranges(&mut l.eh, h as u32, k32);
     // Certificates cite instruction pcs (the access, its guard); every
     // pc at-or-after the insertion point slides down by `k`.
     for c in &mut l.certs {
         c.remap_pcs(&mut |p| if p >= h as u32 { p + k32 } else { p });
+    }
+}
+
+/// `by` instructions were inserted at `at`, in front of a block no EH
+/// region boundary falls strictly inside: inclusive starts shift when
+/// at-or-after `at`, exclusive ends when after it.
+pub(crate) fn shift_eh_ranges(eh: &mut [hpcnet_cil::EhRegion], at: u32, by: u32) {
+    for r in eh {
+        if r.try_start >= at {
+            r.try_start += by;
+        }
+        if r.try_end > at {
+            r.try_end += by;
+        }
+        if r.handler_start >= at {
+            r.handler_start += by;
+        }
+        if r.handler_end > at {
+            r.handler_end += by;
+        }
     }
 }
 
@@ -1498,96 +1377,36 @@ fn hoist(l: &mut Lowered, cfg: &Cfg, lp: &NaturalLoop, plans: Vec<(usize, RInst)
 /// loops the CLR and IBM JITs emit (Tables 6–8). Exception edges are
 /// handled conservatively: every block inside a protected range may
 /// transfer to its handler.
-fn dead_code_elim(l: &mut Lowered) {
-    loop {
-        if !dce_round(l) {
-            break;
-        }
-    }
-}
-
-#[inline]
-fn bit_set(bs: &mut [u64], i: usize) {
-    bs[i / 64] |= 1u64 << (i % 64);
-}
-
-#[inline]
-fn bit_clear(bs: &mut [u64], i: usize) {
-    bs[i / 64] &= !(1u64 << (i % 64));
-}
-
-#[inline]
-fn bit_get(bs: &[u64], i: usize) -> bool {
-    bs[i / 64] >> (i % 64) & 1 != 0
-}
-
-/// One liveness + sweep round; true if anything was removed.
 ///
-/// Liveness state is kept in flat `u64` bitset rows (one row per block)
-/// and the per-instruction use/def sets are recorded once per round into
-/// a shared arena by running the slot rewriter over the instruction with
-/// identity mappings — no per-instruction clones or allocations, which is
-/// what keeps a fixpoint of rounds affordable on heavily-inlined methods.
-fn dce_round(l: &mut Lowered) -> bool {
+/// Liveness state is kept in flat `u64` bitset rows (one row per block).
+/// DCE only blanks instructions to `Nop`, so the block structure and the
+/// per-instruction use/def sets are recorded once — into a shared arena,
+/// by running the slot rewriter over each instruction with identity
+/// mappings — and a blanked instruction simply drops out of them; each
+/// further round of the fixpoint repeats the dataflow alone.
+fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
     let n = l.code.len();
-    if n == 0 {
-        return false;
-    }
-    // Block structure.
-    let mut heads: Vec<u32> = leaders(l).into_iter().filter(|&h| h < n as u32).collect();
-    heads.sort_unstable();
-    let block_of = |pc: u32| -> usize {
-        match heads.binary_search(&pc) {
-            Ok(b) => b,
-            Err(b) => b - 1,
-        }
-    };
-    let nb = heads.len();
-    let block_range = |b: usize| -> (usize, usize) {
-        let start = heads[b] as usize;
-        let end = if b + 1 < nb { heads[b + 1] as usize } else { n };
-        (start, end)
-    };
-    // Successors. Blocks ending in `endfinally` resume at an unknown
-    // continuation (leave target or exception re-dispatch) — they are
-    // treated as fully live below.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    // Exception edges are kept separate from `succ`: a throw can occur at
-    // *any* instruction of a protected block, so everything live into the
-    // handler is live at every point of the block — defs inside the try
-    // must not kill those slots (the handler may observe the pre-store
-    // value). They bypass the kill set below instead of flowing through
-    // live_out.
+    let nb = cfg.ranges.len();
+    // Blocks ending in `endfinally` resume at an unknown continuation
+    // (leave target or exception re-dispatch) — they are treated as fully
+    // live below.
+    //
+    // Exception edges are kept apart from the normal successors: a throw
+    // can occur at *any* instruction of a protected block, so everything
+    // live into the handler is live at every point of the block — defs
+    // inside the try must not kill those slots (the handler may observe
+    // the pre-store value). They bypass the kill set below instead of
+    // flowing through live_out. Conservatively, every block overlapping
+    // a protected range may transfer to its handler.
     let mut eh_succ: Vec<Vec<usize>> = vec![Vec::new(); nb];
     let mut endfinally_blocks: Vec<bool> = vec![false; nb];
-    for b in 0..nb {
-        let (start, end) = block_range(b);
-        let last = &l.code[end - 1];
-        if matches!(last, RInst::EndFinally) {
-            endfinally_blocks[b] = true;
-        }
-        if let Some(t) = last.target() {
-            succ[b].push(block_of(t));
-        }
-        let falls = !matches!(
-            last,
-            RInst::Br { .. }
-                | RInst::Ret { .. }
-                | RInst::Throw { .. }
-                | RInst::Leave { .. }
-                | RInst::EndFinally
-        );
-        if falls && end < n {
-            succ[b].push(block_of(end as u32));
-        }
-        // Conservative exception edges.
+    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+        endfinally_blocks[b] = matches!(l.code[end - 1], RInst::EndFinally);
         for r in &l.eh {
             if (start as u32) < r.try_end && (end as u32) > r.try_start {
-                succ[b].push(block_of(r.handler_start));
-                eh_succ[b].push(block_of(r.handler_start));
+                eh_succ[b].push(cfg.block_of(r.handler_start));
             }
         }
-        let _ = start;
     }
 
     // Per-instruction uses/defs over the combined vreg space (primitive
@@ -1631,126 +1450,140 @@ fn dce_round(l: &mut Lowered) -> bool {
         }
     }
 
-    // Block-level gen/kill, one bitset row per block.
     let mut gen: Vec<u64> = vec![0; nb * words];
     let mut kill: Vec<u64> = vec![0; nb * words];
-    for b in 0..nb {
-        let (start, end) = block_range(b);
-        let g = &mut gen[b * words..(b + 1) * words];
-        let k = &mut kill[b * words..(b + 1) * words];
-        for i in (start..end).rev() {
-            for d in inst_defs[i] {
-                if d != NONE {
-                    bit_clear(g, d as usize);
-                    bit_set(k, d as usize);
-                }
-            }
-            let (us, ue) = inst_uses[i];
-            for &u in &slot_arena[us as usize..ue as usize] {
-                if u != NONE {
-                    bit_set(g, u as usize);
-                }
-            }
-        }
-    }
-    // Iterate to fixpoint: live_in = gen ∪ (live_out − kill).
     let mut live_in: Vec<u64> = vec![0; nb * words];
     let mut live_out: Vec<u64> = vec![0; nb * words];
     let mut out_buf: Vec<u64> = vec![0; words];
     let mut eh_buf: Vec<u64> = vec![0; words];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            out_buf.fill(if endfinally_blocks[b] { u64::MAX } else { 0 });
-            for &s in &succ[b] {
-                for (o, i2) in out_buf.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
-                    *o |= *i2;
-                }
-            }
-            // Handler live-in is live throughout the protected block and
-            // is immune to this block's kills.
-            eh_buf.fill(0);
-            for &s in &eh_succ[b] {
-                for (o, i2) in eh_buf.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
-                    *o |= *i2;
-                }
-            }
-            let mut blk_changed = false;
-            for w in 0..words {
-                let inn =
-                    gen[b * words + w] | (out_buf[w] & !kill[b * words + w]) | eh_buf[w];
-                if inn != live_in[b * words + w] || out_buf[w] != live_out[b * words + w] {
-                    blk_changed = true;
-                }
-                live_in[b * words + w] = inn;
-                live_out[b * words + w] = out_buf[w];
-            }
-            if blk_changed {
-                changed = true;
-            }
-        }
-    }
-
-    // Backward sweep per block: delete pure defs of dead slots. Slots
-    // live into a reachable handler stay live at every pc of the
-    // protected block (a throw may observe the pre-kill value).
-    let mut removed = false;
     let mut live: Vec<u64> = vec![0; words];
-    for b in 0..nb {
-        let (start, end) = block_range(b);
-        live.copy_from_slice(&live_out[b * words..(b + 1) * words]);
-        eh_buf.fill(0);
-        for &s in &eh_succ[b] {
-            for (o, i2) in eh_buf.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
+    let union_live_in = |buf: &mut [u64], live_in: &[u64], blocks: &[usize]| {
+        for &s in blocks {
+            for (o, i2) in buf.iter_mut().zip(&live_in[s * words..(s + 1) * words]) {
                 *o |= *i2;
             }
         }
-        for i in (start..end).rev() {
-            let defs = inst_defs[i];
-            let pure = matches!(
-                &l.code[i],
-                RInst::MovP { .. }
-                    | RInst::MovR { .. }
-                    | RInst::ConstP { .. }
-                    | RInst::ConstNull { .. }
-                    | RInst::ConstStr { .. }
-                    | RInst::Un { .. }
-                    | RInst::Conv { .. }
-                    | RInst::Cmp { .. }
-                    | RInst::CmpRef { .. }
-                    | RInst::IsInst { .. }
-                    | RInst::LdSFld { .. }
-            ) || matches!(
-                &l.code[i],
-                RInst::Bin { op, .. } if !matches!(op, BinOp::Div | BinOp::Rem)
-            );
-            let has_def = defs[0] != NONE || defs[1] != NONE;
-            if pure
-                && has_def
-                && defs.iter().all(|&d| {
-                    d == NONE
-                        || (!bit_get(&live, d as usize) && !bit_get(&eh_buf, d as usize))
-                })
-            {
-                l.code[i] = RInst::Nop;
-                removed = true;
-                continue;
-            }
-            for d in defs {
-                if d != NONE {
-                    bit_clear(&mut live, d as usize);
+    };
+    loop {
+        // Block-level gen/kill, one bitset row per block.
+        gen.fill(0);
+        kill.fill(0);
+        for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+            let g = &mut gen[b * words..(b + 1) * words];
+            let k = &mut kill[b * words..(b + 1) * words];
+            for i in (start..end).rev() {
+                for d in inst_defs[i] {
+                    if d != NONE {
+                        bit_clear(g, d as usize);
+                        bit_set(k, d as usize);
+                    }
                 }
-            }
-            let (us, ue) = inst_uses[i];
-            for &u in &slot_arena[us as usize..ue as usize] {
-                if u != NONE {
-                    bit_set(&mut live, u as usize);
+                let (us, ue) = inst_uses[i];
+                for &u in &slot_arena[us as usize..ue as usize] {
+                    if u != NONE {
+                        bit_set(g, u as usize);
+                    }
                 }
             }
         }
+        // Iterate to fixpoint: live_in = gen ∪ (live_out − kill).
+        live_in.fill(0);
+        live_out.fill(0);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..nb).rev() {
+                out_buf.fill(if endfinally_blocks[b] { u64::MAX } else { 0 });
+                union_live_in(&mut out_buf, &live_in, cfg.succs(b));
+                // Handler live-in is live throughout the protected block
+                // and is immune to this block's kills.
+                eh_buf.fill(0);
+                union_live_in(&mut eh_buf, &live_in, &eh_succ[b]);
+                for w in 0..words {
+                    let out = out_buf[w] | eh_buf[w];
+                    let inn = gen[b * words + w] | (out & !kill[b * words + w]) | eh_buf[w];
+                    if inn != live_in[b * words + w] || out != live_out[b * words + w] {
+                        changed = true;
+                    }
+                    live_in[b * words + w] = inn;
+                    live_out[b * words + w] = out;
+                }
+            }
+        }
+
+        // Backward sweep per block: delete pure defs of dead slots. Slots
+        // live into a reachable handler stay live at every pc of the
+        // protected block (a throw may observe the pre-kill value).
+        let mut removed = false;
+        for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+            live.copy_from_slice(&live_out[b * words..(b + 1) * words]);
+            eh_buf.fill(0);
+            union_live_in(&mut eh_buf, &live_in, &eh_succ[b]);
+            for i in (start..end).rev() {
+                let defs = inst_defs[i];
+                let pure = matches!(
+                    &l.code[i],
+                    RInst::MovP { .. }
+                        | RInst::MovR { .. }
+                        | RInst::ConstP { .. }
+                        | RInst::ConstNull { .. }
+                        | RInst::ConstStr { .. }
+                        | RInst::Un { .. }
+                        | RInst::Conv { .. }
+                        | RInst::Cmp { .. }
+                        | RInst::CmpRef { .. }
+                        | RInst::IsInst { .. }
+                        | RInst::LdSFld { .. }
+                ) || matches!(
+                    &l.code[i],
+                    RInst::Bin { op, .. } if !matches!(op, BinOp::Div | BinOp::Rem)
+                );
+                let has_def = defs[0] != NONE || defs[1] != NONE;
+                if pure
+                    && has_def
+                    && defs.iter().all(|&d| {
+                        d == NONE
+                            || (!bit_get(&live, d as usize) && !bit_get(&eh_buf, d as usize))
+                    })
+                {
+                    l.code[i] = RInst::Nop;
+                    inst_uses[i] = (0, 0);
+                    inst_defs[i] = [NONE, NONE];
+                    removed = true;
+                    continue;
+                }
+                for d in defs {
+                    if d != NONE {
+                        bit_clear(&mut live, d as usize);
+                    }
+                }
+                let (us, ue) = inst_uses[i];
+                for &u in &slot_arena[us as usize..ue as usize] {
+                    if u != NONE {
+                        bit_set(&mut live, u as usize);
+                    }
+                }
+            }
+        }
+        if !removed {
+            break;
+        }
     }
-    removed
+}
+
+#[inline]
+fn bit_set(bs: &mut [u64], i: usize) {
+    bs[i / 64] |= 1u64 << (i % 64);
+}
+
+#[inline]
+fn bit_clear(bs: &mut [u64], i: usize) {
+    bs[i / 64] &= !(1u64 << (i % 64));
+}
+
+#[inline]
+fn bit_get(bs: &[u64], i: usize) -> bool {
+    bs[i / 64] >> (i % 64) & 1 != 0
 }
 
 /// Remove `nop`s, remapping branch targets and EH ranges.
@@ -1794,7 +1627,8 @@ fn compact(l: &mut Lowered) {
 ///
 /// Returns the set of forced-spill virtual registers.
 fn apply_div_const_quirk(l: &mut Lowered) -> HashSet<u16> {
-    let heads = leaders(l);
+    // Block boundaries are only needed once a candidate division shows up.
+    let mut leaders: Option<Vec<bool>> = None;
     let mut force = HashSet::new();
     for i in 0..l.code.len() {
         let (s, is_div) = match &l.code[i] {
@@ -1809,9 +1643,10 @@ fn apply_div_const_quirk(l: &mut Lowered) -> HashSet<u16> {
             continue;
         }
         // Find the in-block reaching definition of the divisor slot.
+        let leaders = leaders.get_or_insert_with(|| leader_mask(l));
         let mut j = i;
         let reach = loop {
-            if j == 0 || heads.contains(&(j as u32)) {
+            if j == 0 || leaders[j] {
                 break None;
             }
             j -= 1;
@@ -2302,5 +2137,122 @@ mod tests {
         );
         let (_, _, vm) = rir_and_vm(VmProfile::mono023(), body);
         assert_eq!(vm.counters.licm_hoisted.load(std::sync::atomic::Ordering::Relaxed), 0);
+    }
+
+    // -- compile-cost model and the incremental checker --------------------
+
+    use super::{optimize, scalar_passes, MethodCtx};
+    use crate::observe::JitOutcome;
+    use crate::rir::audit::{check_cert, CertKind, ElisionCert};
+    use crate::rir::loops::built;
+    use crate::rir::lower::{lower, Lowered};
+    use crate::rir::{BoundsMode, Operand};
+    use hpcnet_cil::NumTy;
+
+    /// Lower `P.F` of a MiniC# source, no passes run.
+    fn lowered_f(src: &str) -> Lowered {
+        let vm = Vm::new(hpcnet_minics::compile(src).unwrap(), VmProfile::clr11()).unwrap();
+        let id = vm.module.find_method("P.F").unwrap();
+        lower(&vm, id, false, 0).unwrap()
+    }
+
+    /// `n` sequential `for (i = 0; i < a.Length; i++) a[i] = i;` loops.
+    fn sequential_loops(n: usize) -> Lowered {
+        let loops: String = (0..n)
+            .map(|k| format!("for (int i{k} = 0; i{k} < a.Length; i{k}++) {{ a[i{k}] = i{k}; }}\n"))
+            .collect();
+        lowered_f(&format!(
+            "class P {{ static int F(int n) {{ int[] a = new int[n];\n{loops} return a[0]; }} }}"
+        ))
+    }
+
+    #[test]
+    fn bce_verifies_every_candidate_on_one_context() {
+        for n in [4usize, 16, 64] {
+            let mut l = sequential_loops(n);
+            let (_, analyses) = built::totals();
+            let mut outcome = JitOutcome::default();
+            scalar_passes(&VmProfile::clr11().passes, &mut l, &mut outcome);
+            assert_eq!(outcome.bce_removed as usize, n, "one store per loop loses its check");
+            assert_eq!(l.certs.len(), n);
+            assert_eq!(
+                built::totals().1 - analyses,
+                1,
+                "{n} candidates must share one checker context"
+            );
+        }
+    }
+
+    #[test]
+    fn analyses_per_compile_grow_linearly_with_loops() {
+        let builds = |n: usize| {
+            let mut l = sequential_loops(n);
+            let (cfgs, _) = built::totals();
+            let res = optimize(&VmProfile::clr11().passes, &mut l);
+            assert_eq!(res.outcome.bce_removed as usize, n);
+            assert_eq!(res.outcome.loops_found as usize, n);
+            built::totals().0 - cfgs
+        };
+        // One block partition for the scalar passes, one for the loop
+        // tier, one per LICM hoisting round (each loop's `ldlen` hoists in
+        // its own round) — and nothing per elision candidate.
+        for n in [4, 16, 64] {
+            assert_eq!(builds(n), n as u64 + 2, "CFG builds for {n} loops");
+        }
+    }
+
+    #[test]
+    fn checker_rejects_the_seed_330_shape_next_to_a_sound_elision() {
+        // The second loop is conform seed 330: `i != al.Length` inside a
+        // ternary looks like a length guard to the block-local matcher,
+        // but `i < 12` is what actually controls `al[i]`.
+        let mut l = lowered_f(
+            "class P { static int F(int n) {
+                int[] b = new int[n]; int[] al = new int[8]; int s = 0;
+                for (int i = 0; i < b.Length; i++) { s = s + b[i]; }
+                for (int j = 0; j < 12; j++) { s = s + ((j != al.Length) ? al[j] : 0); }
+                return s; } }",
+        );
+        let mut outcome = JitOutcome::default();
+        scalar_passes(&VmProfile::clr11().passes, &mut l, &mut outcome);
+        assert_eq!(outcome.bce_removed, 1, "only `b[i]` is provable");
+        let accesses: Vec<usize> =
+            (0..l.code.len()).filter(|&pc| l.code[pc].bounds().is_some()).collect();
+        let [sound, unsound] = accesses[..] else { panic!("two element accesses: {accesses:?}") };
+        assert_eq!(l.code[sound].bounds(), Some(BoundsMode::ElidedIdiom));
+        assert_eq!(l.code[unsound].bounds(), Some(BoundsMode::Checked));
+
+        // Non-vacuity: the pass-side facts *do* propose `al[j]` — a compare
+        // of its index against its array's length exists — and it is the
+        // checker, on the same context that accepted `b[i]`, that refuses.
+        let mut ctx = MethodCtx::new(&l);
+        let (an, facts) = ctx.facts(&l);
+        let (ivar, arr) = facts.access(unsound).unwrap();
+        let proposed: Vec<u32> = facts
+            .guards()
+            .filter(|(_, g)| {
+                (g.a == ivar && g.b_len_raw == Some(arr)) || (g.b == Some(ivar) && g.a_len_raw == Some(arr))
+            })
+            .map(|(pc, _)| pc)
+            .collect();
+        assert!(!proposed.is_empty(), "the matcher no longer sees the ternary compare");
+        let block_guard = |pc: usize, guard_pc: u32, ivar: u16, arr: u16| ElisionCert {
+            pc: pc as u32,
+            mechanism: BoundsMode::ElidedIdiom,
+            kind: CertKind::BlockGuard { guard_pc, ivar, arr },
+        };
+        for &g in &proposed {
+            let verdict = check_cert(&l, an, &block_guard(unsound, g, ivar, arr));
+            assert!(verdict.is_err(), "guard at {g} must not certify al[j]");
+        }
+        // ... and not because it refuses everything: no I4 compare in the
+        // method certifies `al[j]`, while `b[i]`'s own certificate passes.
+        for (g, inst) in l.code.iter().enumerate() {
+            if matches!(inst, RInst::BrCmp { ty: NumTy::I4, b: Operand::Slot(_), .. }) {
+                assert!(check_cert(&l, an, &block_guard(unsound, g as u32, ivar, arr)).is_err());
+            }
+        }
+        assert_eq!(check_cert(&l, an, &l.certs[0]), Ok(()));
+        assert_eq!(l.certs[0].pc as usize, sound);
     }
 }

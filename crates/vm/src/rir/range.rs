@@ -20,20 +20,23 @@
 //!   [`CertKind::Versioned`] certificates cite.
 //!
 //! Both passes are *oracle-filtered*: candidate derivation here is
-//! written independently of [`crate::rir::audit`], and every proposed
-//! transformation is trial-committed — applied, re-verified with
-//! [`audit::check`], and reverted if the independent checker rejects it.
-//! A disagreement between this pass and the checker therefore degrades
-//! to a missed optimization, never to an unsound elision or an
-//! audit-time hard failure.
+//! written independently of [`crate::rir::audit`], and nothing is elided
+//! on this module's word alone. Range ABCE only flips access flags, so it
+//! asks the checker about each candidate certificate against the
+//! analysis context it already holds ([`audit::check_cert`]) and commits
+//! what is accepted. Versioning restructures the code, so each plan is
+//! applied to a copy, judged by the whole-method [`audit::check`] — which
+//! re-analyzes the transformed body and re-verifies every certificate —
+//! and dropped if rejected. A disagreement between this pass and the
+//! checker therefore degrades to a missed optimization, never to an
+//! unsound elision or an audit-time hard failure.
 
 use crate::rir::audit::{self, CertKind, ElisionCert};
-use crate::rir::loops::{Cfg, NaturalLoop};
+use crate::rir::loops::{Analysis, NaturalLoop};
 use crate::rir::lower::Lowered;
-use crate::rir::opt::{collect_loop_facts, def_p, def_r, DefKind, LoopFacts};
+use crate::rir::opt::{shift_eh_ranges, LoopFacts, MethodCtx};
 use crate::rir::{BoundsMode, Operand, RInst};
 use hpcnet_cil::{BinOp, CmpOp, NumTy};
-use std::collections::HashSet;
 
 /// Largest loop region (in instructions) versioning will clone; beyond
 /// this the code-size cost outweighs the per-iteration check savings.
@@ -64,15 +67,15 @@ struct GuardInfo {
     bound_res: Option<u16>,
 }
 
-fn guard_info(l: &Lowered, cfg: &Cfg, facts: &LoopFacts, lp: &NaturalLoop) -> Option<GuardInfo> {
-    let (_, he) = cfg.ranges[lp.header];
+fn guard_info(l: &Lowered, an: &Analysis, facts: &LoopFacts, lp: &NaturalLoop) -> Option<GuardInfo> {
+    let (_, he) = an.cfg.ranges[lp.header];
     let term = he - 1;
-    let g = facts.guard.get(&term)?;
+    let g = facts.guard(term)?;
     let RInst::BrCmp { a, b, t, .. } = l.code[term] else {
         return None;
     };
-    let tgt_in = lp.body.contains(&cfg.block_of(t));
-    let fall_in = he < l.code.len() && lp.body.contains(&cfg.block_of(he as u32));
+    let tgt_in = lp.contains(an.cfg.block_of(t));
+    let fall_in = he < l.code.len() && lp.contains(an.cfg.block_of(he as u32));
     if tgt_in == fall_in {
         return None;
     }
@@ -102,79 +105,24 @@ fn guard_info(l: &Lowered, cfg: &Cfg, facts: &LoopFacts, lp: &NaturalLoop) -> Op
 /// Are all in-loop definitions of `v` positive constant increments?
 fn increments_only(
     l: &Lowered,
-    cfg: &Cfg,
+    an: &Analysis,
     facts: &LoopFacts,
     lp: &NaturalLoop,
     v: u16,
 ) -> bool {
-    lp.body.iter().all(|&b| {
-        let (s, e) = cfg.ranges[b];
-        (s..e).all(|pc| {
-            def_p(&l.code[pc]) != Some(v)
-                || matches!(facts.defs.get(&pc), Some(DefKind::Increment))
-        })
-    })
-}
-
-/// In-loop definition pcs of `v`.
-fn loop_defs(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, v: u16) -> Vec<usize> {
-    let mut out = Vec::new();
-    for &b in &lp.body {
-        let (s, e) = cfg.ranges[b];
-        for pc in s..e {
-            if def_p(&l.code[pc]) == Some(v) {
-                out.push(pc);
-            }
-        }
-    }
-    out
-}
-
-/// Everything downstream of an increment without re-passing the header
-/// guard — the region the guard's bound no longer covers.
-fn post_region(
-    cfg: &Cfg,
-    lp: &NaturalLoop,
-    inc_pcs: &[usize],
-) -> (HashSet<usize>, HashSet<usize>) {
-    let mut post_pcs: HashSet<usize> = HashSet::new();
-    let mut post_blocks: HashSet<usize> = HashSet::new();
-    let mut stack: Vec<usize> = Vec::new();
-    for &ipc in inc_pcs {
-        let b = cfg.block_of(ipc as u32);
-        post_pcs.extend(ipc + 1..cfg.ranges[b].1);
-        stack.extend(
-            cfg.succs[b]
-                .iter()
-                .copied()
-                .filter(|s| lp.body.contains(s) && *s != lp.header),
-        );
-    }
-    while let Some(b) = stack.pop() {
-        if post_blocks.insert(b) {
-            stack.extend(
-                cfg.succs[b]
-                    .iter()
-                    .copied()
-                    .filter(|s| lp.body.contains(s) && *s != lp.header),
-            );
-        }
-    }
-    (post_pcs, post_blocks)
+    an.loop_p_defs(l, lp, v).all(|pc| facts.is_increment(pc))
 }
 
 /// Block-local constant value of an operand before `at`, following move
 /// chains back to a `ConstP`.
-fn const_local(l: &Lowered, bs: usize, at: usize, o: &Operand) -> Option<i64> {
+fn const_local(l: &Lowered, an: &Analysis, bs: usize, at: usize, o: &Operand) -> Option<i64> {
     match o {
         Operand::Imm(v) => Some(*v as u32 as i32 as i64),
         Operand::Slot(s) => {
             let mut cur = *s;
             let mut at = at;
             for _ in 0..16 {
-                let d = (bs..at)
-                    .rev()
-                    .find(|&j| def_p(&l.code[j]) == Some(cur))?;
+                let d = an.defs(l).last_p_in(cur, bs, at)?;
                 match &l.code[d] {
                     RInst::ConstP { bits, .. } => return Some(*bits as u32 as i32 as i64),
                     RInst::MovP { src, .. } => {
@@ -192,29 +140,27 @@ fn const_local(l: &Lowered, bs: usize, at: usize, o: &Operand) -> Option<i64> {
 /// Resolve `slot` at `pc` (same block) to `root + k`, walking backward
 /// through moves and constant add/sub; `root` must stay unredefined
 /// between the rooted read and `pc`.
-fn affine_to(l: &Lowered, cfg: &Cfg, pc: usize, slot: u16, root: u16) -> Option<i64> {
-    let bs = cfg.ranges[cfg.block_of(pc as u32)].0;
+fn affine_to(l: &Lowered, an: &Analysis, pc: usize, slot: u16, root: u16) -> Option<i64> {
+    let bs = an.block_start(pc);
     let mut cur = slot;
     let mut k: i64 = 0;
     let mut at = pc;
     for _ in 0..16 {
         if cur == root {
-            if (at..pc).any(|j| def_p(&l.code[j]) == Some(root)) {
+            if an.defs(l).last_p_in(root, at, pc).is_some() {
                 return None;
             }
             return Some(k);
         }
-        let d = (bs..at)
-            .rev()
-            .find(|&j| def_p(&l.code[j]) == Some(cur))?;
+        let d = an.defs(l).last_p_in(cur, bs, at)?;
         match &l.code[d] {
             RInst::MovP { src, .. } => cur = *src,
             RInst::Bin { op: BinOp::Add, ty: NumTy::I4, a, b, .. } => {
-                k = k.checked_add(const_local(l, bs, d, b)?)?;
+                k = k.checked_add(const_local(l, an, bs, d, b)?)?;
                 cur = *a;
             }
             RInst::Bin { op: BinOp::Sub, ty: NumTy::I4, a, b, .. } => {
-                k = k.checked_sub(const_local(l, bs, d, b)?)?;
+                k = k.checked_sub(const_local(l, an, bs, d, b)?)?;
                 cur = *a;
             }
             _ => return None,
@@ -230,14 +176,13 @@ fn affine_to(l: &Lowered, cfg: &Cfg, pc: usize, slot: u16, root: u16) -> Option<
 /// enclosing counted loop are recognized.
 fn sup_of(
     l: &Lowered,
-    cfg: &Cfg,
+    an: &Analysis,
     facts: &LoopFacts,
-    loops: &[NaturalLoop],
     lp: &NaturalLoop,
     arr: u16,
     depth: u8,
 ) -> Option<i64> {
-    let gi = guard_info(l, cfg, facts, lp)?;
+    let gi = guard_info(l, an, facts, lp)?;
     let adj = if gi.strict { -1 } else { 0 };
     if let Some((a, _)) = gi.len_bound {
         return if a == arr { Some(adj) } else { None };
@@ -248,21 +193,33 @@ fn sup_of(
     // Triangular: the bound is an enclosing loop's counted induction
     // variable, itself guarded below the array length.
     let bs = gi.bound_res?;
-    for olp in loops {
-        if olp.header == lp.header || !olp.clean || !lp.body.is_subset(&olp.body) {
+    for olp in &an.loops {
+        if olp.header == lp.header || !olp.clean || !olp.encloses(lp) {
             continue;
         }
-        let Some(ogi) = guard_info(l, cfg, facts, olp) else {
+        let Some(ogi) = guard_info(l, an, facts, olp) else {
             continue;
         };
-        if ogi.ivar != bs || !increments_only(l, cfg, facts, olp, bs) {
+        if ogi.ivar != bs || !increments_only(l, an, facts, olp, bs) {
             continue;
         }
-        if let Some(os) = sup_of(l, cfg, facts, loops, olp, arr, depth - 1) {
+        if let Some(os) = sup_of(l, an, facts, olp, arr, depth - 1) {
             return Some(os + adj);
         }
     }
     None
+}
+
+/// The raw index slot of a still-checked element access.
+fn checked_index(inst: &RInst) -> Option<u16> {
+    match inst {
+        RInst::LdElem { idx, bounds, .. } | RInst::StElem { idx, bounds, .. }
+            if bounds.is_checked() =>
+        {
+            Some(*idx)
+        }
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,43 +230,35 @@ fn sup_of(
 /// loop's symbolic interval. Returns the number of checks removed; every
 /// removal carries a [`CertKind::Loop`] certificate already accepted by
 /// the independent checker.
-pub(crate) fn range_abce(l: &mut Lowered, cfg: &Cfg, loops: &[NaturalLoop]) -> u64 {
-    if l.code.is_empty() {
-        return 0;
-    }
-    let facts = collect_loop_facts(l);
+pub(crate) fn range_abce(l: &mut Lowered, ctx: &mut MethodCtx) -> u64 {
+    let (an, facts) = ctx.facts(l);
     let mut cands: Vec<(usize, ElisionCert)> = Vec::new();
-    for lp in loops {
+    for lp in &an.loops {
         if !lp.clean {
             continue;
         }
-        let Some(gi) = guard_info(l, cfg, &facts, lp) else {
+        let Some(gi) = guard_info(l, an, facts, lp) else {
             continue;
         };
-        if !increments_only(l, cfg, &facts, lp, gi.ivar) {
+        if !increments_only(l, an, facts, lp, gi.ivar) {
             continue;
         }
         for &b in &lp.body {
             if b == lp.header {
                 continue;
             }
-            let (s, e) = cfg.ranges[b];
+            let (s, e) = an.cfg.ranges[b];
             for pc in s..e {
-                let idx_raw = match &l.code[pc] {
-                    RInst::LdElem { idx, bounds, .. } | RInst::StElem { idx, bounds, .. }
-                        if bounds.is_checked() =>
-                    {
-                        *idx
-                    }
-                    _ => continue,
-                };
-                let Some(&(_, aorigin)) = facts.access.get(&pc) else {
+                let Some(idx_raw) = checked_index(&l.code[pc]) else {
                     continue;
                 };
-                let Some(k) = affine_to(l, cfg, pc, idx_raw, gi.ivar) else {
+                let Some((_, aorigin)) = facts.access(pc) else {
                     continue;
                 };
-                let Some(sup_off) = sup_of(l, cfg, &facts, loops, lp, aorigin, 3) else {
+                let Some(k) = affine_to(l, an, pc, idx_raw, gi.ivar) else {
+                    continue;
+                };
+                let Some(sup_off) = sup_of(l, an, facts, lp, aorigin, 3) else {
                     continue;
                 };
                 // Interval: [entry_lo + k, len + sup_off + k] ⊆ [0, len).
@@ -337,30 +286,29 @@ pub(crate) fn range_abce(l: &mut Lowered, cfg: &Cfg, loops: &[NaturalLoop]) -> u
             }
         }
     }
-    // Trial-commit: flip the access, ask the independent checker, revert
-    // on rejection. A nested loop may propose a pc twice; the `Checked`
-    // test skips anything already won.
+    if cands.is_empty() {
+        return 0;
+    }
+    // The certificates already on the method were issued against the
+    // uncompacted body (structural BCE) or never shown to the checker
+    // (idiom ABCE). Nothing more is elided on top of a certificate this
+    // version of the code does not bear out, so re-verify them — once,
+    // on the shared context, not once per candidate.
+    if l.certs.iter().any(|c| audit::check_cert(l, an, c).is_err()) {
+        return 0;
+    }
+    // A nested loop may propose a pc twice; the `Checked` test skips
+    // anything already won.
     let mut n = 0u64;
     for (pc, cert) in cands {
-        match &mut l.code[pc] {
-            RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. }
-                if bounds.is_checked() =>
-            {
-                *bounds = BoundsMode::ElidedRange;
-            }
-            _ => continue,
+        if checked_index(&l.code[pc]).is_none() || audit::check_cert(l, an, &cert).is_err() {
+            continue;
+        }
+        if let Some(bounds) = l.code[pc].bounds_mut() {
+            *bounds = BoundsMode::ElidedRange;
         }
         l.certs.push(cert);
-        if audit::check(l).is_ok() {
-            n += 1;
-        } else {
-            l.certs.pop();
-            if let RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } =
-                &mut l.code[pc]
-            {
-                *bounds = BoundsMode::Checked;
-            }
-        }
+        n += 1;
     }
     n
 }
@@ -381,28 +329,20 @@ struct Plan {
     bound: Operand,
     /// Distinct array origins the guard length-tests, in first-use order.
     arrs: Vec<u16>,
-    /// `(access pc, array origin)` for every check the clone drops.
-    accesses: Vec<(usize, u16)>,
+    /// `(access pc, index into arrs)` for every check the clone drops.
+    accesses: Vec<(usize, usize)>,
 }
 
 /// Clone almost-provable loops behind an up-front guard and drop the
 /// clone's checks. Returns `(checks removed, loops versioned)`; each
 /// applied transformation has already passed the independent checker.
-pub(crate) fn version_loops(
-    l: &mut Lowered,
-    cfg: &Cfg,
-    loops: &[NaturalLoop],
-) -> (u64, u64) {
-    if l.code.is_empty() {
-        return (0, 0);
-    }
-    let facts = collect_loop_facts(l);
-    let mut plans: Vec<Plan> = Vec::new();
-    for lp in loops {
-        if let Some(p) = plan_version(l, cfg, &facts, lp) {
-            plans.push(p);
-        }
-    }
+///
+/// Consumes the context: every plan is laid against the code as it stands
+/// on entry, and the first one applied makes that analysis history.
+pub(crate) fn version_loops(l: &mut Lowered, mut ctx: MethodCtx) -> (u64, u64) {
+    let (an, facts) = ctx.facts(l);
+    let mut plans: Vec<Plan> =
+        an.loops.iter().filter_map(|lp| plan_version(l, an, facts, lp)).collect();
     // Innermost (highest header pc) first: applying a transformation only
     // moves code at or above its own region, so every lower-pc plan's
     // pcs stay valid. Overlapping regions (nests) are first-come.
@@ -414,8 +354,7 @@ pub(crate) fn version_loops(
         if applied.iter().any(|&(s, e)| p.hs < e && s < p.hi) {
             continue;
         }
-        let mut trial = l.clone();
-        apply_version(&mut trial, &p);
+        let trial = apply_version(l, &p);
         if audit::check(&trial).is_ok() {
             *l = trial;
             removed += p.accesses.len() as u64;
@@ -426,24 +365,16 @@ pub(crate) fn version_loops(
     (removed, versioned)
 }
 
-/// Real (non-`ConstNull`) definition count of a reference slot.
-fn real_r_count(l: &Lowered, v: u16) -> usize {
-    l.code
-        .iter()
-        .filter(|i| def_r(i) == Some(v) && !matches!(i, RInst::ConstNull { .. }))
-        .count()
-}
-
 fn plan_version(
     l: &Lowered,
-    cfg: &Cfg,
+    an: &Analysis,
     facts: &LoopFacts,
     lp: &NaturalLoop,
 ) -> Option<Plan> {
     if !lp.clean {
         return None;
     }
-    let gi = guard_info(l, cfg, facts, lp)?;
+    let gi = guard_info(l, an, facts, lp)?;
     // The clone keeps the original guard, so it must already be a strict
     // upper bound for `bound <= len` to imply `ivar < len`.
     if !gi.strict {
@@ -455,12 +386,12 @@ fn plan_version(
     let mut hi = 0usize;
     let mut size = 0usize;
     for &b in &lp.body {
-        let (s, e) = cfg.ranges[b];
+        let (s, e) = an.cfg.ranges[b];
         hs = hs.min(s);
         hi = hi.max(e);
         size += e - s;
     }
-    if hi - hs != size || cfg.ranges[lp.header].0 != hs || hi - hs > MAX_CLONE_INSTS {
+    if hi - hs != size || an.cfg.ranges[lp.header].0 != hs || hi - hs > MAX_CLONE_INSTS {
         return None;
     }
     if !matches!(
@@ -472,63 +403,61 @@ fn plan_version(
     // The guard re-reads the bound before entry, so it must be loop-
     // invariant (raw and resolved forms both).
     if let Operand::Slot(bs) = gi.raw_bound {
-        if !loop_defs(l, cfg, lp, bs).is_empty() {
+        if an.loop_p_defs(l, lp, bs).next().is_some() {
             return None;
         }
     }
     if let Some(br) = gi.bound_res {
-        if !loop_defs(l, cfg, lp, br).is_empty() {
+        if an.loop_p_defs(l, lp, br).next().is_some() {
             return None;
         }
     }
-    let inc_pcs = loop_defs(l, cfg, lp, gi.ivar);
-    if inc_pcs.is_empty() || !increments_only(l, cfg, facts, lp, gi.ivar) {
+    let inc_pcs: Vec<usize> = an.loop_p_defs(l, lp, gi.ivar).collect();
+    if inc_pcs.is_empty() || !inc_pcs.iter().all(|&pc| facts.is_increment(pc)) {
         return None;
     }
-    let (post_pcs, post_blocks) = post_region(cfg, lp, &inc_pcs);
+    let post = lp.post_region(&an.cfg, &inc_pcs);
     let mut arrs: Vec<u16> = Vec::new();
-    let mut accesses: Vec<(usize, u16)> = Vec::new();
+    let mut accesses: Vec<(usize, usize)> = Vec::new();
     for &b in &lp.body {
-        if b == lp.header || post_blocks.contains(&b) {
+        if b == lp.header || post.blocks.contains(b) {
             continue;
         }
-        let (s, e) = cfg.ranges[b];
+        let (s, e) = an.cfg.ranges[b];
         for pc in s..e {
-            if post_pcs.contains(&pc) {
+            if post.in_tail(pc) {
                 continue;
             }
-            let idx_raw = match &l.code[pc] {
-                RInst::LdElem { idx, bounds, .. } | RInst::StElem { idx, bounds, .. }
-                    if bounds.is_checked() =>
-                {
-                    *idx
-                }
-                _ => continue,
-            };
-            let Some(&(_, aorigin)) = facts.access.get(&pc) else {
+            let Some(idx_raw) = checked_index(&l.code[pc]) else {
                 continue;
             };
-            if affine_to(l, cfg, pc, idx_raw, gi.ivar) != Some(0) {
+            let Some((_, aorigin)) = facts.access(pc) else {
+                continue;
+            };
+            if affine_to(l, an, pc, idx_raw, gi.ivar) != Some(0) {
                 continue;
             }
             // The guard's one length test must stay valid for the whole
             // clone: single-definition array, never written in the loop.
-            if real_r_count(l, aorigin) > 1 {
+            if an.defs(l).real_r_count(aorigin) > 1 {
                 continue;
             }
-            if (hs..hi).any(|p| {
-                def_r(&l.code[p]) == Some(aorigin)
-                    && !matches!(l.code[p], RInst::ConstNull { .. })
-            }) {
+            let written_in_region = an.defs(l).r_sites(aorigin).iter().any(|&p| {
+                (hs..hi).contains(&(p as usize))
+                    && !matches!(l.code[p as usize], RInst::ConstNull { .. })
+            });
+            if written_in_region {
                 continue;
             }
-            if !arrs.contains(&aorigin) {
-                if arrs.len() == MAX_GUARD_ARRAYS {
-                    continue;
+            let j = match arrs.iter().position(|&a| a == aorigin) {
+                Some(j) => j,
+                None if arrs.len() == MAX_GUARD_ARRAYS => continue,
+                None => {
+                    arrs.push(aorigin);
+                    arrs.len() - 1
                 }
-                arrs.push(aorigin);
-            }
-            accesses.push((pc, aorigin));
+            };
+            accesses.push((pc, j));
         }
     }
     if accesses.is_empty() {
@@ -551,7 +480,8 @@ fn plan_version(
     })
 }
 
-/// Rewrite `l` per the plan:
+/// A copy of `l` rewritten per the plan (the caller keeps the original
+/// until the checker has accepted the copy):
 ///
 /// ```text
 ///   [0, hs)            unchanged prefix
@@ -564,7 +494,7 @@ fn plan_version(
 /// with `gk = 3 + 4·|arrs|`. Branches into the old `hs` from outside the
 /// region now enter the guard (and re-select a version); the region's own
 /// back edges keep targeting the shifted original header.
-fn apply_version(l: &mut Lowered, p: &Plan) {
+fn apply_version(l: &Lowered, p: &Plan) -> Lowered {
     let m = p.arrs.len();
     let gk = 3 + 4 * m;
     let old_len = l.code.len();
@@ -679,43 +609,35 @@ fn apply_version(l: &mut Lowered, p: &Plan) {
         }
         code.push(inst);
     }
-    l.code = code;
-    l.n_pvreg += 2 * m as u16;
-    l.n_rvreg += 1;
     // EH ranges shift like the code (the loop itself is clean, and the
     // appended clone ends before any shifted region boundary reappears).
     let gk32 = gk as u32;
-    for r in &mut l.eh {
-        if r.try_start >= hs as u32 {
-            r.try_start += gk32;
-        }
-        if r.try_end > hs as u32 {
-            r.try_end += gk32;
-        }
-        if r.handler_start >= hs as u32 {
-            r.handler_start += gk32;
-        }
-        if r.handler_end > hs as u32 {
-            r.handler_end += gk32;
-        }
-    }
-    for c in &mut l.certs {
+    let mut eh = l.eh.clone();
+    shift_eh_ranges(&mut eh, hs as u32, gk32);
+    let mut certs = l.certs.clone();
+    for c in &mut certs {
         c.remap_pcs(&mut |q| if (q as usize) < hs { q } else { q + gk32 });
     }
-    for &(apc, aorigin) in &p.accesses {
-        let j = p.arrs.iter().position(|&a| a == aorigin).unwrap();
-        l.certs.push(ElisionCert {
-            pc: (nc + (apc - hs)) as u32,
-            mechanism: BoundsMode::ElidedVersioned,
-            kind: CertKind::Versioned {
-                guard_start: hs as u32,
-                guard_pc: (nc + (p.term - hs)) as u32,
-                ivar: p.ivar,
-                arr: aorigin,
-                null_check_pc: (hs + 1 + 2 * j) as u32,
-                lo_check_pc: (hs + 1 + 2 * m) as u32,
-                len_check_pc: (hs + 2 + 2 * m + 2 * j) as u32,
-            },
-        });
+    certs.extend(p.accesses.iter().map(|&(apc, j)| ElisionCert {
+        pc: (nc + (apc - hs)) as u32,
+        mechanism: BoundsMode::ElidedVersioned,
+        kind: CertKind::Versioned {
+            guard_start: hs as u32,
+            guard_pc: (nc + (p.term - hs)) as u32,
+            ivar: p.ivar,
+            arr: p.arrs[j],
+            null_check_pc: (hs + 1 + 2 * j) as u32,
+            lo_check_pc: (hs + 1 + 2 * m) as u32,
+            len_check_pc: (hs + 2 + 2 * m + 2 * j) as u32,
+        },
+    }));
+    Lowered {
+        code,
+        eh,
+        eh_exc_vregs: l.eh_exc_vregs.clone(),
+        arg_locs: l.arg_locs.clone(),
+        n_pvreg: l.n_pvreg + 2 * m as u16,
+        n_rvreg: l.n_rvreg + 1,
+        certs,
     }
 }

@@ -15,14 +15,25 @@ use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::observe::VmPhase;
 use crate::profile::{MultiDimStyle, PassConfig};
+use crate::rir::audit;
 use crate::rir::lower::{self, Lowered};
 use crate::rir::opt::{self, OptResult};
 use hpcnet_cil::module::MethodId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 type Key = (MethodId, PassConfig, MultiDimStyle);
+
+/// One memoized front half. The audit verdict is a pure function of the
+/// immutable `lowered`, so it is computed by the first audited engine that
+/// consumes the entry and reused by every later one (the conform matrix
+/// runs 50 audited engines over a handful of keys).
+struct Entry {
+    lowered: Lowered,
+    res: OptResult,
+    audit: OnceLock<Result<(), String>>,
+}
 
 /// Memoized front-half output shared between engines executing the same
 /// module. Construct one per module (e.g. per conform seed) and attach it
@@ -30,7 +41,7 @@ type Key = (MethodId, PassConfig, MultiDimStyle);
 /// as before.
 #[derive(Default)]
 pub struct OptShare {
-    map: Mutex<HashMap<Key, Arc<(Lowered, OptResult)>>>,
+    map: Mutex<HashMap<Key, Arc<Entry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -45,6 +56,14 @@ impl OptShare {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
+
+    /// The map, even after a thread panicked while holding the lock: every
+    /// update is a single `get` or `entry().or_insert()`, so a panic
+    /// cannot leave it half-written, and one failed job must not take the
+    /// cache down for every other engine sharing it.
+    fn map(&self) -> MutexGuard<'_, HashMap<Key, Arc<Entry>>> {
+        self.map.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 }
 
 /// Lower + optimize `method` under the VM's profile, consulting the VM's
@@ -54,50 +73,54 @@ impl OptShare {
 pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptResult)> {
     let Some(share) = vm.opt_share() else {
         let (l, res) = timed_front(vm, method)?;
-        audit_if_enabled(vm, method, &l)?;
+        if vm.profile.audit {
+            audit_verdict(vm, method, &l, &audit::check(&l))?;
+        }
         opt::apply_outcome_counters(vm, &res.outcome);
         return Ok((l, res));
     };
     let key = (method, vm.profile.passes, vm.profile.multidim);
-    if let Some(e) = share.map.lock().unwrap().get(&key).cloned() {
-        share.hits.fetch_add(1, Ordering::Relaxed);
-        audit_if_enabled(vm, method, &e.0)?;
-        opt::apply_outcome_counters(vm, &e.1.outcome);
-        return Ok((e.0.clone(), e.1.clone()));
+    let cached = share.map().get(&key).cloned();
+    let entry = match cached {
+        Some(e) => {
+            share.hits.fetch_add(1, Ordering::Relaxed);
+            e
+        }
+        None => {
+            let (lowered, res) = timed_front(vm, method)?;
+            share.misses.fetch_add(1, Ordering::Relaxed);
+            let entry = Arc::new(Entry { lowered, res, audit: OnceLock::new() });
+            share.map().entry(key).or_insert(entry).clone()
+        }
+    };
+    if vm.profile.audit {
+        let verdict = entry.audit.get_or_init(|| audit::check(&entry.lowered));
+        audit_verdict(vm, method, &entry.lowered, verdict)?;
     }
-    let (l, res) = timed_front(vm, method)?;
-    audit_if_enabled(vm, method, &l)?;
-    opt::apply_outcome_counters(vm, &res.outcome);
-    share.misses.fetch_add(1, Ordering::Relaxed);
-    let entry = Arc::new((l, res));
-    share
-        .map
-        .lock()
-        .unwrap()
-        .entry(key)
-        .or_insert_with(|| entry.clone());
-    Ok((entry.0.clone(), entry.1.clone()))
+    opt::apply_outcome_counters(vm, &entry.res.outcome);
+    Ok((entry.lowered.clone(), entry.res.clone()))
 }
 
-/// Run the independent elision-certificate checker over the optimized
-/// body when the profile asks for it. An unsound elision is a hard
-/// failure — the method must not run.
-fn audit_if_enabled(vm: &Vm, method: MethodId, l: &Lowered) -> VmResult<()> {
-    if vm.profile.audit {
-        crate::rir::audit::check(l).map_err(|msg| {
-            let name = &vm.module.method(method).name;
-            if std::env::var_os("HPCNET_AUDIT_DUMP").is_some() {
-                for (i, inst) in l.code.iter().enumerate() {
-                    eprintln!("P{i:<4} {inst:?}");
-                }
-                for c in &l.certs {
-                    eprintln!("CERT {c:?}");
-                }
-            }
-            VmError::Internal(format!("elision audit failed in {name}: {msg}"))
-        })?;
+/// Turn the independent elision-certificate checker's verdict on an
+/// optimized body into the compile's outcome. An unsound elision is a
+/// hard failure — the method must not run.
+fn audit_verdict(
+    vm: &Vm,
+    method: MethodId,
+    l: &Lowered,
+    verdict: &Result<(), String>,
+) -> VmResult<()> {
+    let Err(msg) = verdict else { return Ok(()) };
+    let name = &vm.module.method(method).name;
+    if std::env::var_os("HPCNET_AUDIT_DUMP").is_some() {
+        for (i, inst) in l.code.iter().enumerate() {
+            eprintln!("P{i:<4} {inst:?}");
+        }
+        for c in &l.certs {
+            eprintln!("CERT {c:?}");
+        }
     }
-    Ok(())
+    Err(VmError::Internal(format!("elision audit failed in {name}: {msg}")))
 }
 
 /// The actual front-half work, with per-phase observer timing (a no-op
