@@ -16,6 +16,11 @@ use std::thread::ThreadId;
 struct MonState {
     owner: Option<ThreadId>,
     count: u32,
+    /// Threads blocked in [`Monitor::enter`]. Kept under the state mutex,
+    /// so a releasing thread either sees a waiter that is already parked
+    /// on the condvar (`wait` gives up the mutex and parks atomically) or
+    /// the late-comer sees `owner == None` and never parks.
+    waiters: u32,
 }
 
 /// A re-entrant monitor.
@@ -48,7 +53,9 @@ impl Monitor {
             return;
         }
         while st.owner.is_some() {
+            st.waiters += 1;
             self.cv.wait(&mut st);
+            st.waiters -= 1;
         }
         st.owner = Some(me);
         st.count = 1;
@@ -85,8 +92,13 @@ impl Monitor {
         st.count -= 1;
         if st.count == 0 {
             st.owner = None;
+            // A notify is a futex syscall even with nobody to wake; the
+            // uncontended release — every `lock` statement — skips it.
+            let contended = st.waiters != 0;
             drop(st);
-            self.cv.notify_one();
+            if contended {
+                self.cv.notify_one();
+            }
         }
         Ok(())
     }
@@ -132,6 +144,46 @@ mod tests {
         .join()
         .unwrap();
         m.exit().unwrap();
+    }
+
+    #[test]
+    fn exit_hands_off_to_a_blocked_enter() {
+        // Each round the main thread holds the monitor until the other
+        // thread is provably blocked inside `enter`, then releases. A
+        // release that skipped a needed wake-up leaves the waiter parked
+        // and the round times out.
+        const ROUNDS: usize = 1_000;
+        let m = Arc::new(Monitor::new());
+        let (acquired_tx, acquired) = std::sync::mpsc::channel::<usize>();
+        let (released_tx, released) = std::sync::mpsc::channel::<()>();
+        let waiter = {
+            let m = m.clone();
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    m.enter();
+                    acquired_tx.send(round).unwrap();
+                    m.exit().unwrap();
+                    // The next round starts only once main owns the monitor again.
+                    released.recv().unwrap();
+                }
+            })
+        };
+        for round in 0..ROUNDS {
+            m.enter();
+            if round > 0 {
+                released_tx.send(()).unwrap();
+            }
+            // `enter` counts itself as blocked under the state mutex right
+            // before parking, and only the other thread can be in there.
+            while m.state.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            m.exit().unwrap();
+            let got = acquired.recv_timeout(std::time::Duration::from_secs(30));
+            assert_eq!(got, Ok(round), "lost wake-up in round {round}");
+        }
+        released_tx.send(()).unwrap();
+        waiter.join().unwrap();
     }
 
     #[test]

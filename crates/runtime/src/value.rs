@@ -102,6 +102,17 @@ impl Value {
         }
     }
 
+    /// Move the reference payload out, leaving the refcount alone. `None`
+    /// for [`Value::Null`] — and for a numeric value: a caller that must
+    /// tell the two apart checks [`Value::num_ty`] first.
+    #[inline]
+    pub fn into_ref_opt(self) -> Option<Obj> {
+        match self {
+            Value::Ref(o) => Some(o),
+            _ => None,
+        }
+    }
+
     /// Truthiness for `brtrue`/`brfalse`: nonzero numeric or non-null ref.
     #[inline]
     pub fn truthy(&self) -> bool {

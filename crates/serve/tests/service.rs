@@ -86,6 +86,47 @@ fn fuel_exhaustion_is_a_per_job_error_not_worker_death() {
     assert!(report.records.iter().all(|r| r.did_reset && r.leaks == 0));
 }
 
+/// A tenant may name any entry point; one that does not take `(int, int)`
+/// is an `internal` outcome on every tier — not a panic inside the engine
+/// that costs the pool its warmed VM.
+#[test]
+fn an_entry_with_another_signature_is_refused_not_panicked() {
+    let src = "class Gen {
+        static long Run(int a, int b) { return ((long)a + (long)b); }
+        static long One(int a) { return (long)a; }
+        static long Real(double a, int b) { return (long)b; }
+        static long Obj(Gen a, int b) { return (long)b; }
+    }";
+    let mut jobs = Vec::new();
+    for profile in [VmProfile::sscli10(), VmProfile::clr11(), VmProfile::clr11_compiled()] {
+        for entry in ["Gen.One", "Gen.Real", "Gen.Obj", "Gen.Run"] {
+            jobs.push(JobSpec {
+                id: jobs.len() as u64,
+                program: "signatures".into(),
+                payload: JobPayload::MiniCs(src.to_string()),
+                entry: entry.into(),
+                args: (3, 4),
+                profile,
+                fuel: None,
+            });
+        }
+    }
+    let report = run_service(&jobs, &cfg(1));
+    let want = [
+        "internal:argument mismatch calling Gen.One: expected (i4), got (i4, i4)",
+        "internal:argument mismatch calling Gen.Real: expected (r8, i4), got (i4, i4)",
+        "internal:argument mismatch calling Gen.Obj: expected (ref, i4), got (i4, i4)",
+        "i8:7",
+    ];
+    for (tier, records) in report.records.chunks(want.len()).enumerate() {
+        let got: Vec<&str> = records.iter().map(|r| r.outcome.result.as_str()).collect();
+        assert_eq!(got, want, "tier {tier}");
+    }
+    // One warmed VM per profile served all four of its jobs.
+    assert_eq!((report.warmed_vms, report.discarded_vms), (3, 0));
+    assert!(report.records.iter().all(|r| r.did_reset && r.leaks == 0));
+}
+
 /// Static state and console output never cross tenants: repeated runs of
 /// a statics-mutating, printing program all report first-run state, and a
 /// trapping tenant's lines stay in its own harvest.

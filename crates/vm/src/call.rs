@@ -1,0 +1,797 @@
+//! What the two register tiers share: the frame, the dispatch contract,
+//! the run loop with its `leave`/`finally`/exception protocol, and the
+//! managed call edge.
+//!
+//! [`crate::exec`] (decode each [`crate::rir::RInst`] on every execution)
+//! and [`crate::compiled`] (call a pre-resolved closure) differ in how one
+//! instruction is carried out and in nothing else, so each is a `RegTier`:
+//! where its code lives and how one op is stepped. Everything around the
+//! step is written once, here.
+//!
+//! **Dispatch contract.** A step returns a `Step` — one register:
+//! *fall through*, a *taken-branch target*, *returned*, or *exit*. The
+//! loop keeps the successor pc itself (`pc += 1`): an op that handed back
+//! its own successor would make the next `ops[pc]` load wait on a value
+//! loaded from the previous op's captures, a loop-carried chain through
+//! memory. Whatever is larger than a register — the return value, a
+//! `leave` target, `endfinally`, an error — is parked in the `Frame` by
+//! the op and read by the loop only when it sees *returned* or *exit*.
+//!
+//! **Call edge.** `invoke` is the one place a managed call happens on
+//! either tier: receiver check, the guard sequence of `Vm::guarded`,
+//! code lookup, a recycled callee frame, arguments copied slot to slot,
+//! the run, the result stored into the caller. A warm call allocates
+//! nothing and takes no lock. `root` is the host's way in and the only
+//! place a frame is filled from a `Vec<Value>`.
+
+use crate::error::{VmError, VmResult};
+use crate::machine::Vm;
+use crate::observe::EhDispatchKind;
+use crate::rir::{slot_index, ArgSlot, DstSlot, Operand, RirMethod, SPILL_BIT};
+use hpcnet_cil::module::{EhKind, MethodId};
+use hpcnet_cil::Intrinsic;
+use hpcnet_runtime::{Obj, Value};
+use std::sync::Arc;
+
+/// What one executed op tells the dispatch loop. Any value below
+/// [`Step::EXIT`] is the pc of a taken branch.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step(u32);
+
+impl Step {
+    /// Fall through to `pc + 1`.
+    pub(crate) const NEXT: Step = Step(u32::MAX);
+    /// `ret`: the value, if any, is parked in the frame.
+    pub(crate) const RET: Step = Step(u32::MAX - 1);
+    /// Anything else that leaves straight-line flow: an [`Exit`] is parked.
+    pub(crate) const EXIT: Step = Step(u32::MAX - 2);
+
+    #[inline(always)]
+    pub(crate) fn jump(target: u32) -> Step {
+        debug_assert!(target < Step::EXIT.0);
+        Step(target)
+    }
+}
+
+/// The outcome an op parks in its frame before returning [`Step::EXIT`].
+pub(crate) enum Exit {
+    Leave(u32),
+    EndFinally,
+    Err(VmError),
+}
+
+/// A register-tier activation record, split the way the paper's Section 5
+/// describes real JIT frames: an *enregistered* file (`preg`/`rreg`, plain
+/// array slots — the "registers") and a *spill frame* (`pspill`/`rspill`)
+/// accessed through volatile loads/stores, so spilled virtual registers
+/// cost genuine memory traffic on every touch. A profile that enregisters
+/// one value (Mono) therefore pays for every stack-shuffle move twice —
+/// once to dispatch it, once in memory — while a 64-register profile
+/// (CLR 1.1, IBM) runs the same loop entirely out of the register file.
+///
+/// A frame also keeps the frame its last callee ran in, which keeps its
+/// own, so one host-level invocation allocates a frame per call *depth*
+/// it reaches, not per call. The chain hangs off the root frame and dies
+/// with it; nothing outlives `Vm::invoke`.
+#[derive(Default)]
+pub(crate) struct Frame {
+    preg: Vec<u64>,
+    pspill: Vec<u64>,
+    rreg: Vec<Option<Obj>>,
+    rspill: Vec<Option<Obj>>,
+    /// Return value parked by `ret` ([`Step::RET`]).
+    ret: Option<Value>,
+    /// Outcome parked by the op that returned [`Step::EXIT`].
+    parked: Option<Exit>,
+    /// The recycled frame for calls made from this one.
+    callee: Option<Box<Frame>>,
+}
+
+impl Frame {
+    /// Size the frame for `rir`, every primitive slot zero and every
+    /// reference slot null — a recycled frame is indistinguishable from a
+    /// new one. ([`Frame::release`] already emptied the reference files.)
+    fn shape(&mut self, rir: &RirMethod) {
+        debug_assert!(self.rreg.is_empty() && self.rspill.is_empty());
+        self.preg.clear();
+        self.preg.resize(rir.n_preg as usize, 0);
+        self.pspill.clear();
+        self.pspill.resize(rir.n_pspill as usize, 0);
+        self.rreg.resize(rir.n_rreg as usize, None);
+        self.rspill.resize(rir.n_rspill as usize, None);
+    }
+
+    /// The activation is over: drop every reference it held *now* (object
+    /// lifetimes must not depend on when the frame is next used) and hand
+    /// out the parked return value.
+    fn release(&mut self) -> Option<Value> {
+        self.rreg.clear();
+        self.rspill.clear();
+        self.parked = None;
+        self.ret.take()
+    }
+
+    /// Read a primitive slot. Spill slots go through a volatile load —
+    /// genuine memory traffic the optimizer cannot elide.
+    #[inline(always)]
+    pub(crate) fn pget(&self, s: u16) -> u64 {
+        if s & SPILL_BIT == 0 {
+            self.preg[s as usize]
+        } else {
+            let idx = slot_index(s);
+            debug_assert!(idx < self.pspill.len());
+            unsafe { std::ptr::read_volatile(self.pspill.as_ptr().add(idx)) }
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn pset(&mut self, s: u16, v: u64) {
+        if s & SPILL_BIT == 0 {
+            self.preg[s as usize] = v;
+        } else {
+            let idx = slot_index(s);
+            debug_assert!(idx < self.pspill.len());
+            unsafe { std::ptr::write_volatile(self.pspill.as_mut_ptr().add(idx), v) }
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn operand(&self, o: &Operand) -> u64 {
+        match o {
+            Operand::Slot(s) => self.pget(*s),
+            Operand::Imm(v) => *v,
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn rget(&self, s: u16) -> Option<Obj> {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize].clone()
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx].clone()
+        }
+    }
+
+    /// Borrow a reference slot without touching the refcount (hot path
+    /// for array/field access).
+    #[inline(always)]
+    pub(crate) fn rref(&self, s: u16) -> Option<&Obj> {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize].as_ref()
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx].as_ref()
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn rset(&mut self, s: u16, v: Option<Obj>) {
+        if s & SPILL_BIT == 0 {
+            self.rreg[s as usize] = v;
+        } else {
+            let idx = std::hint::black_box(slot_index(s));
+            self.rspill[idx] = v;
+        }
+    }
+
+    #[inline]
+    pub(crate) fn load_value(&self, a: &ArgSlot) -> Value {
+        match a {
+            ArgSlot::P(t, s) => Value::from_bits(*t, self.pget(*s)),
+            ArgSlot::R(s) => match self.rget(*s) {
+                Some(o) => Value::Ref(o),
+                None => Value::Null,
+            },
+        }
+    }
+
+    /// Store a tagged value — a host argument, a return value, an
+    /// intrinsic's result — into the slot verification typed for it.
+    pub(crate) fn store(&mut self, d: DstSlot, v: Value) -> VmResult<()> {
+        match (d, v.num_ty()) {
+            (DstSlot::P(s), Some(_)) => self.pset(s, v.to_bits()),
+            (DstSlot::R(s), None) => self.rset(s, v.into_ref_opt()),
+            (d, _) => {
+                return Err(VmError::Internal(format!(
+                    "value {v:?} does not fit slot {d:?}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Park the return value and leave the loop.
+    #[inline(always)]
+    pub(crate) fn ret(&mut self, v: Option<Value>) -> Step {
+        self.ret = v;
+        Step::RET
+    }
+
+    /// Park `e` and leave the loop.
+    #[inline]
+    pub(crate) fn exit(&mut self, e: Exit) -> Step {
+        self.parked = Some(e);
+        Step::EXIT
+    }
+
+    /// Park an error — a managed exception in flight or an engine fault.
+    #[cold]
+    pub(crate) fn fail(&mut self, e: VmError) -> Step {
+        self.exit(Exit::Err(e))
+    }
+}
+
+/// One way of executing allocated RIR. The two implementations are
+/// [`crate::exec::Exec`] and [`crate::compiled::Threaded`].
+pub(crate) trait RegTier {
+    /// A method as this tier caches it.
+    type Code: 'static;
+    /// One instruction as this tier executes it; `ops(code)[pc]` pairs
+    /// with `rir(code).code[pc]`.
+    type Op;
+
+    /// The method's code, translated on first use, borrowed from the VM's
+    /// cache for as long as the caller likes.
+    fn code(vm: &Arc<Vm>, method: MethodId) -> VmResult<&Self::Code>;
+    fn rir(code: &Self::Code) -> &RirMethod;
+    fn ops(code: &Self::Code) -> &[Self::Op];
+    /// Execute one op at call depth `depth`.
+    fn step(op: &Self::Op, fr: &mut Frame, vm: &Arc<Vm>, depth: u32) -> Step;
+}
+
+/// One method running in one frame.
+struct Activation<'v, T: RegTier> {
+    vm: &'v Arc<Vm>,
+    code: &'v T::Code,
+    fr: &'v mut Frame,
+    depth: u32,
+    /// The observe level is fixed at `Vm` construction, so the check is
+    /// hoisted out of the dispatch loop.
+    observing: bool,
+}
+
+impl<'v, T: RegTier> Activation<'v, T> {
+    fn new(vm: &'v Arc<Vm>, code: &'v T::Code, fr: &'v mut Frame, depth: u32) -> Self {
+        Activation {
+            vm,
+            code,
+            fr,
+            depth,
+            observing: vm.observer.enabled(),
+        }
+    }
+
+    fn internal<X>(&self, msg: &str) -> VmResult<X> {
+        // Same shape as the stack interpreter's internal errors: every tier
+        // must render an identical string for an identical failure.
+        Err(VmError::Internal(format!(
+            "{} in {}",
+            msg,
+            self.vm.module.method(T::rir(self.code).method).name
+        )))
+    }
+
+    /// The dispatch loop. `Ok` means the region ended the way its kind
+    /// ends: the method body (`finally_bound = None`) by `ret`, with the
+    /// value parked in the frame; a finally handler run in-frame
+    /// (`Some(handler range)`) by `endfinally`. Inside a handler, exception
+    /// dispatch is restricted to regions nested in it — anything else
+    /// propagates out so the *enclosing* run performs the dispatch
+    /// (otherwise an enclosing catch would execute inside the finally
+    /// sub-run and a later `ret` would falsely read as "return inside
+    /// finally").
+    fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<()> {
+        let (vm, depth, observing) = (self.vm, self.depth, self.observing);
+        let rir = T::rir(self.code);
+        let ops = T::ops(self.code);
+        let mut pc = entry;
+        loop {
+            if observing {
+                vm.observer
+                    .record_exec_op(rir.method, &rir.code[pc as usize]);
+            }
+            let step = T::step(&ops[pc as usize], self.fr, vm, depth);
+            if step == Step::NEXT {
+                pc += 1;
+            } else if step.0 < Step::EXIT.0 {
+                // Fuel: one unit per taken branch (see `Vm::set_fuel`) —
+                // same charge points as the interpreter tier.
+                vm.charge_fuel()?;
+                pc = step.0;
+            } else if step == Step::RET {
+                if finally_bound.is_some() {
+                    return self.internal("return inside finally");
+                }
+                return Ok(());
+            } else {
+                // Taken before anything below re-enters `run` on this
+                // frame: handlers execute in-frame and park their own.
+                match self.fr.parked.take() {
+                    Some(Exit::Leave(target)) => {
+                        pc = match self.run_leave_finallys(pc, target, finally_bound)? {
+                            Some(handler_pc) => handler_pc,
+                            None => target,
+                        };
+                    }
+                    Some(Exit::EndFinally) => {
+                        if finally_bound.is_some() {
+                            return Ok(());
+                        }
+                        return self.internal("endfinally outside handler");
+                    }
+                    Some(Exit::Err(VmError::Exception(exc))) => {
+                        pc = self.dispatch_exception(pc, exc, finally_bound)?;
+                    }
+                    Some(Exit::Err(other)) => return Err(other),
+                    None => return self.internal("op exited without an outcome"),
+                }
+            }
+        }
+    }
+
+    /// Run the finally handlers exited by `leave pc -> target`, innermost
+    /// first (table order). Returns `Some(handler_pc)` when a finally threw
+    /// and an enclosing catch takes over (the exception search restarts
+    /// from the faulting handler, per CLI semantics: it replaces the leave,
+    /// and outer finallys between the handler and the catch still run as
+    /// part of that dispatch).
+    fn run_leave_finallys(
+        &mut self,
+        pc: u32,
+        target: u32,
+        bound: Option<(u32, u32)>,
+    ) -> VmResult<Option<u32>> {
+        let code: &'v T::Code = self.code;
+        for r in &T::rir(code).eh {
+            let exited = matches!(r.kind, EhKind::Finally)
+                && r.covers(pc)
+                && !(r.try_start <= target && target < r.try_end);
+            if !exited {
+                continue;
+            }
+            match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
+                Ok(()) => {}
+                Err(VmError::Exception(exc)) => {
+                    return self
+                        .dispatch_exception(r.handler_start, exc, bound)
+                        .map(Some)
+                }
+                Err(other) => return Err(other),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Find a handler for `exc` thrown at `pc`; runs intervening finallys.
+    /// With `bound`, only regions nested inside that handler range are
+    /// eligible (dispatch from inside a finally handler must not escape it —
+    /// the caller owns anything further out).
+    fn dispatch_exception(
+        &mut self,
+        pc: u32,
+        mut exc: Obj,
+        bound: Option<(u32, u32)>,
+    ) -> VmResult<u32> {
+        let (vm, observing) = (self.vm, self.observing);
+        let code: &'v T::Code = self.code;
+        let rir = T::rir(code);
+        let note = |kind| {
+            if observing {
+                vm.observer.eh_dispatch(rir.method, kind);
+            }
+        };
+        for (r, &exc_slot) in rir.eh.iter().zip(&rir.eh_exc_slots) {
+            if !r.covers(pc) {
+                continue;
+            }
+            if let Some((lo, hi)) = bound {
+                if r.try_start < lo || r.handler_end > hi {
+                    continue;
+                }
+            }
+            match r.kind {
+                EhKind::Catch(class) => {
+                    if vm.instance_of(&exc, class) {
+                        note(EhDispatchKind::Catch);
+                        self.fr.rset(exc_slot, Some(exc));
+                        return Ok(r.handler_start);
+                    }
+                }
+                EhKind::Finally => {
+                    note(EhDispatchKind::Finally);
+                    match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
+                        Ok(()) => {}
+                        // An exception raised inside the finally replaces
+                        // the one in flight (CLI semantics).
+                        Err(VmError::Exception(newer)) => exc = newer,
+                        Err(other) => return Err(other),
+                    }
+                }
+            }
+        }
+        note(EhDispatchKind::FaultPath);
+        Err(VmError::Exception(exc))
+    }
+}
+
+/// Host entry: run `method` in a fresh root frame filled from `args`
+/// (checked against the signature by [`Vm::invoke`]).
+pub(crate) fn root<T: RegTier>(
+    vm: &Arc<Vm>,
+    method: MethodId,
+    args: Vec<Value>,
+    depth: u32,
+) -> VmResult<Option<Value>> {
+    let code = T::code(vm, method)?;
+    let rir = T::rir(code);
+    let mut fr = Frame::default();
+    fr.shape(rir);
+    for (v, loc) in args.into_iter().zip(&rir.arg_locs) {
+        fr.store(loc.dst(), v)?;
+    }
+    Activation::<T>::new(vm, code, &mut fr, depth).run(0, None)?;
+    Ok(fr.ret.take())
+}
+
+/// Who a managed call is made on.
+pub(crate) enum Receiver {
+    /// A static method: nobody.
+    Static,
+    /// `call` on an instance method: `args[0]`, which must not be null.
+    NonNull,
+    /// `callvirt`: `args[0]`, which must not be null and whose class
+    /// selects the override.
+    Virtual,
+    /// `newobj`: this fresh object, passed in front of `args`.
+    Fresh(Obj),
+}
+
+impl Receiver {
+    /// The receiver of a `call` (`virt == false`) or `callvirt` of a method
+    /// that is or is not static.
+    #[inline]
+    pub(crate) fn of_call(virt: bool, is_static: bool) -> Receiver {
+        match (virt, is_static) {
+            (true, _) => Receiver::Virtual,
+            (false, true) => Receiver::Static,
+            (false, false) => Receiver::NonNull,
+        }
+    }
+}
+
+/// The managed call edge of both register tiers: call `target` from
+/// `caller` (running at `depth`) with the arguments in its slots `args`,
+/// and store the result, if the callee returns one, in its slot `dst`.
+pub(crate) fn invoke<T: RegTier>(
+    vm: &Arc<Vm>,
+    caller: &mut Frame,
+    target: MethodId,
+    recv: Receiver,
+    args: &[ArgSlot],
+    dst: Option<DstSlot>,
+    depth: u32,
+) -> VmResult<()> {
+    let (method, this) = match recv {
+        Receiver::Static => (target, None),
+        Receiver::Fresh(obj) => (target, Some(obj)),
+        Receiver::NonNull => {
+            receiver(vm, caller, args, depth)?;
+            (target, None)
+        }
+        Receiver::Virtual => {
+            let class = receiver(vm, caller, args, depth)?
+                .class_id()
+                .ok_or_else(|| VmError::Internal("callvirt on non-instance".into()))?;
+            (vm.module.resolve_virtual(class, target), None)
+        }
+    };
+    vm.guarded(method, depth + 1, || {
+        let code = T::code(vm, method)?;
+        let rir = T::rir(code);
+        let mut fr = caller.callee.take().unwrap_or_default();
+        fr.shape(rir);
+        pass_args(caller, &mut fr, this, args, &rir.arg_locs)?;
+        let done = Activation::<T>::new(vm, code, &mut fr, depth + 1).run(0, None);
+        let ret = fr.release();
+        caller.callee = Some(fr);
+        done?;
+        if let (Some(d), Some(v)) = (dst, ret) {
+            caller.store(d, v)?;
+        }
+        Ok(())
+    })
+}
+
+/// The object an instance call is made on: the caller's first argument,
+/// or a `NullReferenceException`.
+#[inline]
+fn receiver<'f>(
+    vm: &Arc<Vm>,
+    caller: &'f Frame,
+    args: &[ArgSlot],
+    depth: u32,
+) -> VmResult<&'f Obj> {
+    let Some(ArgSlot::R(s)) = args.first() else {
+        return Err(VmError::Internal("call receiver is not a reference".into()));
+    };
+    caller.rref(*s).ok_or_else(|| vm.raise_null_ref(depth))
+}
+
+/// Copy the caller's argument slots into the callee's parameter slots.
+/// Both sides were typed by the same verified signature, so no tag is
+/// attached on the way.
+#[inline]
+fn pass_args(
+    caller: &Frame,
+    callee: &mut Frame,
+    this: Option<Obj>,
+    args: &[ArgSlot],
+    params: &[ArgSlot],
+) -> VmResult<()> {
+    let mut params = params.iter();
+    if let Some(obj) = this {
+        match params.next() {
+            Some(ArgSlot::R(d)) => callee.rset(*d, Some(obj)),
+            _ => return Err(VmError::Internal("constructor takes no receiver".into())),
+        }
+    }
+    for (a, p) in args.iter().zip(params) {
+        match (a, p) {
+            (ArgSlot::P(_, s), ArgSlot::P(_, d)) => callee.pset(*d, caller.pget(*s)),
+            (ArgSlot::R(s), ArgSlot::R(d)) => callee.rset(*d, caller.rget(*s)),
+            _ => {
+                return Err(VmError::Internal(
+                    "argument kind differs from its parameter".into(),
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// An intrinsic call on either register tier. Its operands sit on the
+/// native stack: no [`Intrinsic`] takes more than two.
+pub(crate) fn intrinsic(
+    vm: &Arc<Vm>,
+    fr: &mut Frame,
+    i: Intrinsic,
+    args: &[ArgSlot],
+    dst: Option<DstSlot>,
+    depth: u32,
+) -> VmResult<()> {
+    let mut vals = [Value::Null, Value::Null];
+    let Some(vals) = vals.get_mut(..args.len()) else {
+        return Err(VmError::Internal(format!(
+            "{} with {} operands",
+            i.name(),
+            args.len()
+        )));
+    };
+    for (v, a) in vals.iter_mut().zip(args) {
+        *v = fr.load_value(a);
+    }
+    if let (Some(d), Some(v)) = (dst, vm.intrinsic(i, vals, depth)?) {
+        fr.store(d, v)?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! Recycled-frame hygiene, driven through [`invoke`] from a hand-made
+    //! caller frame so the test can look at the chain between two calls.
+
+    use super::*;
+    use crate::compiled::Threaded;
+    use crate::exec::Exec;
+    use crate::{declare_prelude, VmProfile};
+    use hpcnet_cil::{BinOp, CilType, MethodKind, ModuleBuilder, NumTy};
+
+    /// A caller with two primitive and two reference registers.
+    fn caller() -> Frame {
+        Frame {
+            preg: vec![0; 2],
+            rreg: vec![None; 2],
+            ..Frame::default()
+        }
+    }
+
+    const INT_OBJ: [ArgSlot; 2] = [ArgSlot::P(NumTy::I4, 0), ArgSlot::R(0)];
+
+    /// `Dirty(int, object)` copies both arguments into locals; `Probe(int,
+    /// object)` has the same frame shape and returns `a + a` of an int
+    /// local it never wrote, and `ProbeRef` the ref local it never wrote.
+    fn dirty_probe_module() -> hpcnet_cil::Module {
+        let mut mb = ModuleBuilder::new();
+        declare_prelude(&mut mb);
+        let c = mb.declare_class("P", None);
+        let params = || vec![CilType::I4, CilType::Object];
+        let mut f = mb.method(c, "Dirty", params(), CilType::Void, MethodKind::Static);
+        let a = f.local(CilType::I4);
+        let o = f.local(CilType::Object);
+        f.ld_arg(0);
+        f.st_loc(a);
+        f.ld_arg(1);
+        f.st_loc(o);
+        f.ret();
+        f.finish();
+        let mut f = mb.method(c, "Probe", params(), CilType::I4, MethodKind::Static);
+        let a = f.local(CilType::I4);
+        let _o = f.local(CilType::Object);
+        f.ld_loc(a);
+        f.ld_loc(a);
+        f.bin(BinOp::Add);
+        f.ret();
+        f.finish();
+        let mut f = mb.method(c, "ProbeRef", params(), CilType::Object, MethodKind::Static);
+        let _a = f.local(CilType::I4);
+        let o = f.local(CilType::Object);
+        f.ld_loc(o);
+        f.ret();
+        f.finish();
+        mb.finish()
+    }
+
+    fn recycled_frame_is_clean<T: RegTier>(profile: VmProfile) {
+        let vm = Vm::new(dirty_probe_module(), profile).unwrap();
+        vm.heap.set_tracking(true);
+        let id = |name: &str| vm.module.find_method(name).unwrap();
+        let mut fr = caller();
+        fr.pset(0, 0xDEAD_BEEF);
+        fr.rset(0, Some(vm.heap.alloc_array(hpcnet_cil::ElemKind::I4, 1)));
+        invoke::<T>(
+            &vm,
+            &mut fr,
+            id("P.Dirty"),
+            Receiver::Static,
+            &INT_OBJ,
+            None,
+            0,
+        )
+        .unwrap();
+        let recycled = fr.callee.as_deref().map(|f| f as *const Frame);
+        assert!(
+            recycled.is_some(),
+            "{}: the callee's frame was not kept",
+            profile.name
+        );
+
+        // Dirty's frame let go of the object when Dirty returned, not when
+        // the frame is next used: ours is the last reference.
+        fr.rset(0, None);
+        assert!(
+            vm.heap.live_tracked().is_empty(),
+            "{}: Dirty's frame kept its argument alive",
+            profile.name
+        );
+
+        fr.pset(0, 0);
+        let to_p1 = Some(DstSlot::P(1));
+        invoke::<T>(
+            &vm,
+            &mut fr,
+            id("P.Probe"),
+            Receiver::Static,
+            &INT_OBJ,
+            to_p1,
+            0,
+        )
+        .unwrap();
+        assert_eq!(fr.pget(1), 0, "{}: Probe read Dirty's int", profile.name);
+        fr.rset(1, Some(vm.heap.alloc_array(hpcnet_cil::ElemKind::I4, 1)));
+        let to_r1 = Some(DstSlot::R(1));
+        invoke::<T>(
+            &vm,
+            &mut fr,
+            id("P.ProbeRef"),
+            Receiver::Static,
+            &INT_OBJ,
+            to_r1,
+            0,
+        )
+        .unwrap();
+        assert!(
+            fr.rref(1).is_none(),
+            "{}: ProbeRef read Dirty's object",
+            profile.name
+        );
+        assert_eq!(
+            fr.callee.as_deref().map(|f| f as *const Frame),
+            recycled,
+            "{}: the probes did not run in Dirty's frame",
+            profile.name
+        );
+    }
+
+    #[test]
+    fn a_recycled_frame_is_indistinguishable_from_a_fresh_one() {
+        // mono023 runs the naive lowering: every local is a slot that is
+        // really read. The CLR profiles may fold the unwritten local.
+        recycled_frame_is_clean::<Exec>(VmProfile::mono023());
+        recycled_frame_is_clean::<Exec>(VmProfile::clr11());
+        recycled_frame_is_clean::<Threaded>(VmProfile::mono023().with_tier(crate::Tier::Compiled));
+        recycled_frame_is_clean::<Threaded>(VmProfile::clr11_compiled());
+    }
+
+    const DEEP: &str = r#"
+        class T {
+            static int Deep(int d, int x) {
+                if (d == 0) {
+                    if (x < 0) throw new Exception();
+                    return x * 2;
+                }
+                return Deep(d - 1, x) + 1;
+            }
+            static int Caught(int d, int x) {
+                try { return Deep(d, x); } catch (Exception e) { return 1000 + d; }
+            }
+        }
+    "#;
+
+    fn chain_survives_unwinds<T: RegTier>(profile: VmProfile) {
+        let module = hpcnet_minics::compile(DEEP).unwrap();
+        let oracle = Vm::new(module.clone(), VmProfile::sscli10()).unwrap();
+        let want = |name: &str, d: i32, x: i32| {
+            let r = oracle.invoke_by_name(name, vec![Value::I4(d), Value::I4(x)]);
+            r.unwrap().unwrap().as_i4()
+        };
+        let vm = Vm::new(module, profile).unwrap();
+        let id = |name: &str| vm.module.find_method(name).unwrap();
+        let two_ints = [ArgSlot::P(NumTy::I4, 0), ArgSlot::P(NumTy::I4, 1)];
+        let mut fr = Frame {
+            preg: vec![0; 3],
+            ..Frame::default()
+        };
+        let call = |fr: &mut Frame, name: &str, d: i32, x: i32| {
+            fr.pset(0, d as u32 as u64);
+            fr.pset(1, x as u32 as u64);
+            let to_p2 = Some(DstSlot::P(2));
+            invoke::<T>(&vm, fr, id(name), Receiver::Static, &two_ints, to_p2, 0)
+                .map(|()| fr.pget(2) as u32 as i32)
+        };
+        let healthy = |fr: &mut Frame| {
+            let got = call(fr, "T.Deep", 3, 21).unwrap();
+            assert_eq!(got, want("T.Deep", 3, 21), "{}", profile.name);
+        };
+        healthy(&mut fr);
+
+        // Thrown three frames below the catch.
+        assert_eq!(
+            call(&mut fr, "T.Caught", 3, -1).unwrap(),
+            want("T.Caught", 3, -1)
+        );
+        healthy(&mut fr);
+        // Thrown through every frame of the chain, out to the host.
+        assert!(matches!(
+            call(&mut fr, "T.Deep", 3, -1),
+            Err(VmError::Exception(_))
+        ));
+        healthy(&mut fr);
+
+        // Two levels down even where the CLR profiles inline every other
+        // `Deep` into its caller.
+        vm.set_max_depth(2);
+        match call(&mut fr, "T.Deep", 3, 21) {
+            Err(VmError::Limit(m)) => assert_eq!(m, "managed call depth exceeded 2 in Deep"),
+            other => panic!("{}: depth limit gave {other:?}", profile.name),
+        }
+        vm.set_max_depth(256);
+        healthy(&mut fr);
+
+        vm.set_fuel(Some(1));
+        match call(&mut fr, "T.Deep", 3, 21) {
+            Err(VmError::Limit(m)) => assert_eq!(m, "fuel budget exhausted"),
+            other => panic!("{}: fuel exhaustion gave {other:?}", profile.name),
+        }
+        vm.set_fuel(None);
+        healthy(&mut fr);
+    }
+
+    #[test]
+    fn the_frame_chain_survives_exceptions_and_limits() {
+        chain_survives_unwinds::<Exec>(VmProfile::clr11());
+        chain_survives_unwinds::<Exec>(VmProfile::mono023());
+        chain_survives_unwinds::<Threaded>(VmProfile::clr11_compiled());
+    }
+}

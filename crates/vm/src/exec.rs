@@ -1,174 +1,57 @@
 //! The register-tier execution engine.
 //!
-//! Runs [`RirMethod`] code produced by [`crate::rir`]. The frame is split
-//! the way the paper's Section 5 describes real JIT frames: an
-//! *enregistered* file (`preg`/`rreg`, plain array slots — the "registers")
-//! and a *spill frame* (`pspill`/`rspill`) accessed through volatile
-//! loads/stores, so spilled virtual registers cost genuine memory traffic
-//! on every touch. A profile that enregisters one value (Mono) therefore
-//! pays for every stack-shuffle move twice — once to dispatch it, once in
-//! memory — while a 64-register profile (CLR 1.1, IBM) runs the same loop
-//! entirely out of the register file.
+//! Runs [`RirMethod`] code produced by [`crate::rir`] by decoding each
+//! [`RInst`] on every execution — a 40-way `match` per operation, the
+//! interpretive dispatch cost the paper's JITs don't pay and
+//! [`crate::compiled`] removes. The frame, the run loop around the decode
+//! and the call edge are [`crate::call`]'s, shared with that tier.
 
+use crate::call::{self, Exit, Frame, Receiver, RegTier, Step};
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::numerics;
-use crate::rir::{slot_index, ArgSlot, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
-use hpcnet_cil::module::{EhKind, MethodId};
+use crate::rir::{ArgSlot, DstSlot, RInst, RirMethod};
+use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{CmpOp, ElemKind, NumTy};
 use hpcnet_runtime::{Obj, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Entry point used by [`Vm::invoke`] for register-tier profiles.
-pub(crate) fn call(
-    vm: &Arc<Vm>,
-    method: MethodId,
-    args: Vec<Value>,
-    depth: u32,
-) -> VmResult<Option<Value>> {
-    let rir = vm.compiled(method)?;
-    let mut fr = Frame::new(&rir);
-    for (v, loc) in args.into_iter().zip(rir.arg_locs.iter().copied()) {
-        fr.store_value(&loc_to_dst(loc), v);
-    }
-    let mut ex = Exec {
-        vm,
-        rir: &rir,
-        fr,
-        depth,
-    };
-    match ex.run(0, None)? {
-        RunEnd::Return(v) => Ok(v),
-        RunEnd::EndFinally => Err(VmError::Internal("endfinally outside handler".into())),
-    }
-}
+/// [`crate::profile::Tier::Rir`]: the allocated RIR itself is the code.
+pub(crate) struct Exec;
 
-pub(crate) fn loc_to_dst(a: ArgSlot) -> DstSlotT {
-    match a {
-        ArgSlot::P(_, s) => DstSlotT::P(s),
-        ArgSlot::R(s) => DstSlotT::R(s),
-    }
-}
+impl RegTier for Exec {
+    type Code = RirMethod;
+    type Op = RInst;
 
-/// Typed destination used when storing a `Value`.
-pub(crate) enum DstSlotT {
-    P(u16),
-    R(u16),
-}
-
-pub(crate) struct Frame {
-    preg: Vec<u64>,
-    pspill: Vec<u64>,
-    rreg: Vec<Option<Obj>>,
-    rspill: Vec<Option<Obj>>,
-}
-
-impl Frame {
-    pub(crate) fn new(rir: &RirMethod) -> Frame {
-        Frame {
-            preg: vec![0; rir.n_preg as usize],
-            pspill: vec![0; rir.n_pspill as usize],
-            rreg: vec![None; rir.n_rreg as usize],
-            rspill: vec![None; rir.n_rspill as usize],
-        }
+    fn code(vm: &Arc<Vm>, method: MethodId) -> VmResult<&RirMethod> {
+        Ok(vm.rir_code(method)?)
     }
 
-    /// Read a primitive slot. Spill slots go through a volatile load —
-    /// genuine memory traffic the optimizer cannot elide.
-    #[inline(always)]
-    pub(crate) fn pget(&self, s: u16) -> u64 {
-        if s & SPILL_BIT == 0 {
-            self.preg[s as usize]
-        } else {
-            let idx = slot_index(s);
-            debug_assert!(idx < self.pspill.len());
-            unsafe { std::ptr::read_volatile(self.pspill.as_ptr().add(idx)) }
-        }
+    fn rir(code: &RirMethod) -> &RirMethod {
+        code
     }
 
-    #[inline(always)]
-    pub(crate) fn pset(&mut self, s: u16, v: u64) {
-        if s & SPILL_BIT == 0 {
-            self.preg[s as usize] = v;
-        } else {
-            let idx = slot_index(s);
-            debug_assert!(idx < self.pspill.len());
-            unsafe { std::ptr::write_volatile(self.pspill.as_mut_ptr().add(idx), v) }
-        }
+    fn ops(code: &RirMethod) -> &[RInst] {
+        &code.code
     }
 
-    #[inline(always)]
-    pub(crate) fn operand(&self, o: &Operand) -> u64 {
-        match o {
-            Operand::Slot(s) => self.pget(*s),
-            Operand::Imm(v) => *v,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn rget(&self, s: u16) -> Option<Obj> {
-        if s & SPILL_BIT == 0 {
-            self.rreg[s as usize].clone()
-        } else {
-            let idx = std::hint::black_box(slot_index(s));
-            self.rspill[idx].clone()
-        }
-    }
-
-    /// Borrow a reference slot without touching the refcount (hot path
-    /// for array/field access).
-    #[inline(always)]
-    pub(crate) fn rref(&self, s: u16) -> Option<&Obj> {
-        if s & SPILL_BIT == 0 {
-            self.rreg[s as usize].as_ref()
-        } else {
-            let idx = std::hint::black_box(slot_index(s));
-            self.rspill[idx].as_ref()
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn rset(&mut self, s: u16, v: Option<Obj>) {
-        if s & SPILL_BIT == 0 {
-            self.rreg[s as usize] = v;
-        } else {
-            let idx = std::hint::black_box(slot_index(s));
-            self.rspill[idx] = v;
-        }
-    }
-
-    pub(crate) fn load_value(&self, a: &ArgSlot) -> Value {
-        match a {
-            ArgSlot::P(t, s) => Value::from_bits(*t, self.pget(*s)),
-            ArgSlot::R(s) => match self.rget(*s) {
-                Some(o) => Value::Ref(o),
-                None => Value::Null,
-            },
-        }
-    }
-
-    pub(crate) fn store_value(&mut self, d: &DstSlotT, v: Value) {
-        match d {
-            DstSlotT::P(s) => self.pset(*s, v.to_bits()),
-            DstSlotT::R(s) => self.rset(*s, v.as_ref_opt().cloned()),
-        }
-    }
-
-    pub(crate) fn store_dst(&mut self, d: &DstSlot, v: Value) {
-        match d {
-            DstSlot::P(s) => self.pset(*s, v.to_bits()),
-            DstSlot::R(s) => self.rset(*s, v.as_ref_opt().cloned()),
+    #[inline]
+    fn step(inst: &RInst, fr: &mut Frame, vm: &Arc<Vm>, depth: u32) -> Step {
+        match Exec::decode(inst, fr, vm, depth) {
+            Ok(Flow::Next) => Step::NEXT,
+            Ok(Flow::Jump(t)) => Step::jump(t),
+            Ok(Flow::Return(v)) => fr.ret(v),
+            Ok(Flow::Leave(t)) => fr.exit(Exit::Leave(t)),
+            Ok(Flow::EndFinally) => fr.exit(Exit::EndFinally),
+            Err(e) => fr.fail(e),
         }
     }
 }
 
-pub(crate) enum RunEnd {
-    Return(Option<Value>),
-    EndFinally,
-}
-
-pub(crate) enum Flow {
+/// What [`Exec::decode`] hands back. Private to this tier: the decode is what
+/// an op costs here, and its result is turned into a [`Step`] at once.
+enum Flow {
     Next,
     Jump(u32),
     Return(Option<Value>),
@@ -176,183 +59,25 @@ pub(crate) enum Flow {
     EndFinally,
 }
 
-struct Exec<'v> {
-    vm: &'v Arc<Vm>,
-    rir: &'v RirMethod,
-    fr: Frame,
-    depth: u32,
-}
-
-impl<'v> Exec<'v> {
-    fn internal<T>(&self, msg: &str) -> VmResult<T> {
-        // Same shape as the stack interpreter's internal errors: both tiers
-        // must render an identical string for an identical failure.
-        Err(VmError::Internal(format!(
-            "{} in {}",
-            msg,
-            self.vm.module.method(self.rir.method).name
-        )))
-    }
-
-    /// Execute starting at `entry`. With `finally_bound = Some(handler
-    /// range)`, the run is executing a finally handler in-frame: an
-    /// `endfinally` terminates it, and exception dispatch is restricted to
-    /// regions nested inside the handler — anything else propagates out so
-    /// the *enclosing* run performs the dispatch (otherwise an enclosing
-    /// catch would execute inside the finally sub-run and a later `ret`
-    /// would falsely read as "return inside finally").
-    fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<RunEnd> {
-        let mut pc = entry;
-        loop {
-            match self.step(pc) {
-                Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Jump(t)) => {
-                    // Fuel: one unit per taken branch (see `Vm::set_fuel`)
-                    // — same charge points as the interpreter tier.
-                    self.vm.charge_fuel()?;
-                    pc = t;
-                }
-                Ok(Flow::Return(v)) => return Ok(RunEnd::Return(v)),
-                Ok(Flow::EndFinally) => {
-                    if finally_bound.is_some() {
-                        return Ok(RunEnd::EndFinally);
-                    }
-                    return self.internal("endfinally outside handler");
-                }
-                Ok(Flow::Leave(target)) => {
-                    match self.run_leave_finallys(pc, target, finally_bound)? {
-                        Some(handler_pc) => pc = handler_pc,
-                        None => pc = target,
-                    }
-                }
-                Err(VmError::Exception(exc)) => {
-                    pc = self.dispatch_exception(pc, exc, finally_bound)?;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// Run the finally handlers exited by `leave pc -> target`. Returns
-    /// `Some(handler_pc)` when a finally threw and an enclosing catch takes
-    /// over (the exception search restarts from the faulting handler, per
-    /// CLI semantics: it replaces the leave, and outer finallys between the
-    /// handler and the catch still run as part of that dispatch).
-    fn run_leave_finallys(
-        &mut self,
-        pc: u32,
-        target: u32,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<Option<u32>> {
-        let regions: Vec<(u32, u32)> = self
-            .rir
-            .eh
-            .iter()
-            .filter(|r| {
-                matches!(r.kind, EhKind::Finally)
-                    && r.covers(pc)
-                    && !(r.try_start <= target && target < r.try_end)
-            })
-            .map(|r| (r.handler_start, r.handler_end))
-            .collect();
-        for (hs, he) in regions {
-            match self.run(hs, Some((hs, he))) {
-                Ok(RunEnd::EndFinally) => {}
-                Ok(RunEnd::Return(_)) => return self.internal("return inside finally"),
-                Err(VmError::Exception(exc)) => {
-                    return self.dispatch_exception(hs, exc, bound).map(Some)
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Find a handler for `exc` thrown at `pc`; runs intervening finallys.
-    /// With `bound`, only regions nested inside that handler range are
-    /// eligible (dispatch from inside a finally handler must not escape it —
-    /// the caller owns anything further out).
-    fn dispatch_exception(
-        &mut self,
-        pc: u32,
-        mut exc: Obj,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<u32> {
-        for (i, r) in self.rir.eh.iter().enumerate() {
-            if !r.covers(pc) {
-                continue;
-            }
-            if let Some((lo, hi)) = bound {
-                if r.try_start < lo || r.handler_end > hi {
-                    continue;
-                }
-            }
-            match r.kind {
-                EhKind::Catch(class) => {
-                    if self.vm.instance_of(&exc, class) {
-                        if self.vm.observer.enabled() {
-                            self.vm
-                                .observer
-                                .eh_dispatch(self.rir.method, crate::observe::EhDispatchKind::Catch);
-                        }
-                        let slot = self.rir.eh_exc_slots[i];
-                        self.fr.rset(slot, Some(exc));
-                        return Ok(r.handler_start);
-                    }
-                }
-                EhKind::Finally => {
-                    if self.vm.observer.enabled() {
-                        self.vm
-                            .observer
-                            .eh_dispatch(self.rir.method, crate::observe::EhDispatchKind::Finally);
-                    }
-                    match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
-                        Ok(RunEnd::EndFinally) => {}
-                        Ok(RunEnd::Return(_)) => return self.internal("return inside finally"),
-                        // An exception raised inside the finally replaces
-                        // the one in flight (CLI semantics).
-                        Err(VmError::Exception(newer)) => exc = newer,
-                        Err(other) => return Err(other),
-                    }
-                }
-            }
-        }
-        if self.vm.observer.enabled() {
-            self.vm
-                .observer
-                .eh_dispatch(self.rir.method, crate::observe::EhDispatchKind::FaultPath);
-        }
-        Err(VmError::Exception(exc))
-    }
-
-    fn ref_or_raise(&self, s: u16) -> VmResult<Obj> {
-        self.fr
-            .rget(s)
-            .ok_or_else(|| self.vm.raise_null_ref(self.depth))
-    }
-
-    fn step(&mut self, pc: u32) -> VmResult<Flow> {
-        let vm = self.vm;
-        let inst = &self.rir.code[pc as usize];
-        if vm.observer.enabled() {
-            vm.observer.record_exec_op(self.rir.method, inst);
-        }
+impl Exec {
+    /// Decode `inst` and carry it out in `fr`.
+    fn decode(inst: &RInst, fr: &mut Frame, vm: &Arc<Vm>, depth: u32) -> VmResult<Flow> {
         match inst {
             RInst::Nop => {}
             RInst::MovP { dst, src } => {
-                let v = self.fr.pget(*src);
-                self.fr.pset(*dst, v);
+                let v = fr.pget(*src);
+                fr.pset(*dst, v);
             }
             RInst::MovR { dst, src } => {
-                let v = self.fr.rget(*src);
-                self.fr.rset(*dst, v);
+                let v = fr.rget(*src);
+                fr.rset(*dst, v);
             }
-            RInst::ConstP { dst, bits } => self.fr.pset(*dst, *bits),
-            RInst::ConstNull { dst } => self.fr.rset(*dst, None),
-            RInst::ConstStr { dst, s } => self.fr.rset(*dst, Some(vm.literal(*s))),
+            RInst::ConstP { dst, bits } => fr.pset(*dst, *bits),
+            RInst::ConstNull { dst } => fr.rset(*dst, None),
+            RInst::ConstStr { dst, s } => fr.rset(*dst, Some(vm.literal(*s))),
             RInst::Bin { op, ty, dst, a, b } => {
-                let av = self.fr.pget(*a);
-                let bv = self.fr.operand(b);
+                let av = fr.pget(*a);
+                let bv = fr.operand(b);
                 let out = match ty {
                     NumTy::I4 => numerics::bin_i4(*op, av as u32 as i32, bv as u32 as i32)
                         .map(|v| v as u32 as u64),
@@ -367,30 +92,30 @@ impl<'v> Exec<'v> {
                         numerics::bin_r8(*op, f64::from_bits(av), f64::from_bits(bv)).to_bits()
                     ),
                 }
-                .map_err(|_| vm.raise_div_zero(self.depth))?;
-                self.fr.pset(*dst, out);
+                .map_err(|_| vm.raise_div_zero(depth))?;
+                fr.pset(*dst, out);
             }
             RInst::Un { op, ty, dst, a } => {
-                let av = self.fr.pget(*a);
+                let av = fr.pget(*a);
                 let out = match ty {
                     NumTy::I4 => numerics::un_i4(*op, av as u32 as i32) as u32 as u64,
                     NumTy::I8 => numerics::un_i8(*op, av as i64) as u64,
                     NumTy::R4 => (-f32::from_bits(av as u32)).to_bits() as u64,
                     NumTy::R8 => (-f64::from_bits(av)).to_bits(),
                 };
-                self.fr.pset(*dst, out);
+                fr.pset(*dst, out);
             }
             RInst::Conv { from, to, dst, src } => {
-                let v = numerics::conv_bits(*from, *to, self.fr.pget(*src));
-                self.fr.pset(*dst, v);
+                let v = numerics::conv_bits(*from, *to, fr.pget(*src));
+                fr.pset(*dst, v);
             }
             RInst::Cmp { op, ty, dst, a, b } => {
-                let r = numerics::cmp_bits(*op, *ty, self.fr.pget(*a), self.fr.operand(b));
-                self.fr.pset(*dst, r as u32 as u64);
+                let r = numerics::cmp_bits(*op, *ty, fr.pget(*a), fr.operand(b));
+                fr.pset(*dst, r as u32 as u64);
             }
             RInst::CmpRef { op, dst, a, b } => {
-                let av = self.fr.rget(*a);
-                let bv = self.fr.rget(*b);
+                let av = fr.rget(*a);
+                let bv = fr.rget(*b);
                 let same = match (&av, &bv) {
                     (Some(x), Some(y)) => Obj::ptr_eq(x, y),
                     (None, None) => true,
@@ -401,60 +126,31 @@ impl<'v> Exec<'v> {
                     CmpOp::Ne => !same,
                     _ => return Err(VmError::Internal("ordered ref compare".into())),
                 };
-                self.fr.pset(*dst, r as u64);
+                fr.pset(*dst, r as u64);
             }
             RInst::Br { t } => return Ok(Flow::Jump(*t)),
             RInst::BrIf { cond, t, negate } => {
-                if (self.fr.pget(*cond) != 0) != *negate {
+                if (fr.pget(*cond) != 0) != *negate {
                     return Ok(Flow::Jump(*t));
                 }
             }
             RInst::BrIfRef { cond, t, negate } => {
-                if self.fr.rget(*cond).is_some() != *negate {
+                if fr.rget(*cond).is_some() != *negate {
                     return Ok(Flow::Jump(*t));
                 }
             }
             RInst::BrCmp { op, ty, a, b, t } => {
-                if numerics::cmp_bits(*op, *ty, self.fr.pget(*a), self.fr.operand(b)) != 0 {
+                if numerics::cmp_bits(*op, *ty, fr.pget(*a), fr.operand(b)) != 0 {
                     return Ok(Flow::Jump(*t));
                 }
             }
             RInst::Call { target, virt, args, dst } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    vals.push(self.fr.load_value(a));
-                }
-                let callee = if *virt {
-                    let recv = vals[0]
-                        .as_ref_opt()
-                        .ok_or_else(|| vm.raise_null_ref(self.depth))?;
-                    let class = recv
-                        .class_id()
-                        .ok_or_else(|| VmError::Internal("callvirt on non-instance".into()))?;
-                    vm.module.resolve_virtual(class, *target)
-                } else {
-                    if !vm.module.method(*target).is_static && vals[0].as_ref_opt().is_none() {
-                        return Err(vm.raise_null_ref(self.depth));
-                    }
-                    *target
-                };
-                let ret = vm.invoke_at_depth(callee, vals, self.depth + 1)?;
-                if let (Some(d), Some(v)) = (dst, ret) {
-                    self.fr.store_dst(d, v);
-                }
+                let recv = Receiver::of_call(*virt, vm.module.method(*target).is_static);
+                call::invoke::<Exec>(vm, fr, *target, recv, args, *dst, depth)?;
             }
-            RInst::CallIntr { i, args, dst } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    vals.push(self.fr.load_value(a));
-                }
-                let ret = vm.intrinsic(*i, &vals, self.depth)?;
-                if let (Some(d), Some(v)) = (dst, ret) {
-                    self.fr.store_dst(d, v);
-                }
-            }
+            RInst::CallIntr { i, args, dst } => call::intrinsic(vm, fr, *i, args, *dst, depth)?,
             RInst::Ret { src } => {
-                return Ok(Flow::Return(src.as_ref().map(|a| self.fr.load_value(a))));
+                return Ok(Flow::Return(src.as_ref().map(|a| fr.load_value(a))));
             }
             RInst::NewObj { ctor, args, dst } => {
                 let ctor_def = vm.module.method(*ctor);
@@ -464,46 +160,41 @@ impl<'v> Exec<'v> {
                     class.n_prim_slots as usize,
                     class.n_ref_slots as usize,
                 );
-                let mut vals = Vec::with_capacity(args.len() + 1);
-                vals.push(Value::Ref(obj.clone()));
-                for a in args.iter() {
-                    vals.push(self.fr.load_value(a));
-                }
-                vm.invoke_at_depth(*ctor, vals, self.depth + 1)?;
-                self.fr.rset(*dst, Some(obj));
+                call::invoke::<Exec>(vm, fr, *ctor, Receiver::Fresh(obj.clone()), args, None, depth)?;
+                fr.rset(*dst, Some(obj));
             }
             RInst::LdFld { obj, slot, dst } => {
                 match dst {
                     DstSlot::P(d) => {
-                        let bits = match self.fr.rref(*obj) {
+                        let bits = match fr.rref(*obj) {
                             Some(o) => o.prim_field(*slot),
-                            None => return Err(vm.raise_null_ref(self.depth)),
+                            None => return Err(vm.raise_null_ref(depth)),
                         };
-                        self.fr.pset(*d, bits);
+                        fr.pset(*d, bits);
                     }
                     DstSlot::R(d) => {
-                        let v = match self.fr.rref(*obj) {
+                        let v = match fr.rref(*obj) {
                             Some(o) => o.ref_field(*slot),
-                            None => return Err(vm.raise_null_ref(self.depth)),
+                            None => return Err(vm.raise_null_ref(depth)),
                         };
-                        self.fr.rset(*d, v);
+                        fr.rset(*d, v);
                     }
                 }
             }
             RInst::StFld { obj, slot, src } => {
                 match src {
                     ArgSlot::P(_, s) => {
-                        let bits = self.fr.pget(*s);
-                        match self.fr.rref(*obj) {
+                        let bits = fr.pget(*s);
+                        match fr.rref(*obj) {
                             Some(o) => o.set_prim_field(*slot, bits),
-                            None => return Err(vm.raise_null_ref(self.depth)),
+                            None => return Err(vm.raise_null_ref(depth)),
                         }
                     }
                     ArgSlot::R(s) => {
-                        let v = self.fr.rget(*s);
-                        match self.fr.rref(*obj) {
+                        let v = fr.rget(*s);
+                        match fr.rref(*obj) {
                             Some(o) => o.set_ref_field(*slot, v),
-                            None => return Err(vm.raise_null_ref(self.depth)),
+                            None => return Err(vm.raise_null_ref(depth)),
                         }
                     }
                 }
@@ -511,80 +202,74 @@ impl<'v> Exec<'v> {
             RInst::LdSFld { slot, dst } => match dst {
                 DstSlot::P(d) => {
                     let bits = vm.statics.prim[*slot as usize].load(Ordering::Relaxed);
-                    self.fr.pset(*d, bits);
+                    fr.pset(*d, bits);
                 }
                 DstSlot::R(d) => {
                     let v = vm.statics.refs[*slot as usize].get();
-                    self.fr.rset(*d, v);
+                    fr.rset(*d, v);
                 }
             },
             RInst::StSFld { slot, src } => match src {
                 ArgSlot::P(_, s) => {
-                    vm.statics.prim[*slot as usize].store(self.fr.pget(*s), Ordering::Relaxed)
+                    vm.statics.prim[*slot as usize].store(fr.pget(*s), Ordering::Relaxed)
                 }
-                ArgSlot::R(s) => vm.statics.refs[*slot as usize].set(self.fr.rget(*s)),
+                ArgSlot::R(s) => vm.statics.refs[*slot as usize].set(fr.rget(*s)),
             },
             RInst::IsInst { class, src, dst } => {
-                let r = match self.fr.rget(*src) {
+                let r = match fr.rget(*src) {
                     Some(o) => vm.instance_of(&o, *class),
                     None => false,
                 };
-                self.fr.pset(*dst, r as u64);
+                fr.pset(*dst, r as u64);
             }
             RInst::CastClass { class, src, dst } => {
-                let v = self.fr.rget(*src);
+                let v = fr.rget(*src);
                 if let Some(o) = &v {
                     if !vm.instance_of(o, *class) {
-                        return Err(vm.raise_invalid_cast(self.depth));
+                        return Err(vm.raise_invalid_cast(depth));
                     }
                 }
-                self.fr.rset(*dst, v);
+                fr.rset(*dst, v);
             }
             RInst::NewArr { kind, len, dst } => {
-                let n = self.fr.pget(*len) as u32 as i32;
+                let n = fr.pget(*len) as u32 as i32;
                 if n < 0 {
-                    return Err(vm.raise_index_oob(self.depth));
+                    return Err(vm.raise_index_oob(depth));
                 }
                 let arr = vm.heap.alloc_array(*kind, n as usize);
-                self.fr.rset(*dst, Some(arr));
+                fr.rset(*dst, Some(arr));
             }
             RInst::LdLen { arr, dst } => {
-                let n = match self.fr.rref(*arr) {
+                let n = match fr.rref(*arr) {
                     Some(o) => o
                         .array_len()
                         .ok_or_else(|| VmError::Internal("ldlen on non-array".into()))?,
-                    None => return Err(vm.raise_null_ref(self.depth)),
+                    None => return Err(vm.raise_null_ref(depth)),
                 };
-                self.fr.pset(*dst, n as u64);
+                fr.pset(*dst, n as u64);
             }
             RInst::LdElem { kind, arr, idx, dst, bounds } => {
-                let i = self.fr.pget(*idx) as u32 as i32;
+                let i = fr.pget(*idx) as u32 as i32;
                 let loaded = {
-                    let o = self
-                        .fr
-                        .rref(*arr)
-                        .ok_or_else(|| vm.raise_null_ref(self.depth))?;
+                    let o = fr.rref(*arr).ok_or_else(|| vm.raise_null_ref(depth))?;
                     if bounds.is_checked() {
                         let len = o.array_len().unwrap_or(0);
                         if i < 0 || i as usize >= len {
-                            return Err(vm.raise_index_oob(self.depth));
+                            return Err(vm.raise_index_oob(depth));
                         }
                     }
                     elem_read(o, *kind, i as usize)?
                 };
-                self.write_loaded(dst, loaded)?;
+                write_loaded(fr, dst, loaded)?;
             }
             RInst::StElem { kind, arr, idx, src, bounds } => {
-                let i = self.fr.pget(*idx) as u32 as i32;
-                let val = self.read_src(src);
-                let o = self
-                    .fr
-                    .rref(*arr)
-                    .ok_or_else(|| vm.raise_null_ref(self.depth))?;
+                let i = fr.pget(*idx) as u32 as i32;
+                let val = read_src(fr, src);
+                let o = fr.rref(*arr).ok_or_else(|| vm.raise_null_ref(depth))?;
                 if bounds.is_checked() {
                     let len = o.array_len().unwrap_or(0);
                     if i < 0 || i as usize >= len {
-                        return Err(vm.raise_index_oob(self.depth));
+                        return Err(vm.raise_index_oob(depth));
                     }
                 }
                 elem_write(o, *kind, i as usize, val)?;
@@ -592,76 +277,67 @@ impl<'v> Exec<'v> {
             RInst::NewMulti { kind, dims, dst } => {
                 let mut lens = Vec::with_capacity(dims.len());
                 for d in dims.iter() {
-                    let n = self.fr.pget(*d) as u32 as i32;
+                    let n = fr.pget(*d) as u32 as i32;
                     if n < 0 {
-                        return Err(vm.raise_index_oob(self.depth));
+                        return Err(vm.raise_index_oob(depth));
                     }
                     lens.push(n as u32);
                 }
                 let arr = vm.heap.alloc_multi(*kind, &lens);
-                self.fr.rset(*dst, Some(arr));
+                fr.rset(*dst, Some(arr));
             }
             RInst::LdElemMulti { kind, arr, idxs, dst, helper } => {
                 let mut vals = [0i32; 3];
                 for (k, s) in idxs.iter().enumerate() {
-                    vals[k] = self.fr.pget(*s) as u32 as i32;
+                    vals[k] = fr.pget(*s) as u32 as i32;
                 }
                 let loaded = {
-                    let o = self
-                        .fr
-                        .rref(*arr)
-                        .ok_or_else(|| vm.raise_null_ref(self.depth))?;
+                    let o = fr.rref(*arr).ok_or_else(|| vm.raise_null_ref(depth))?;
                     let off = multi_offset_of(o, &vals[..idxs.len()], *helper)
-                        .ok_or_else(|| vm.raise_index_oob(self.depth))?;
+                        .ok_or_else(|| vm.raise_index_oob(depth))?;
                     elem_read(o, *kind, off)?
                 };
-                self.write_loaded(dst, loaded)?;
+                write_loaded(fr, dst, loaded)?;
             }
             RInst::StElemMulti { kind, arr, idxs, src, helper } => {
                 let mut vals = [0i32; 3];
                 for (k, s) in idxs.iter().enumerate() {
-                    vals[k] = self.fr.pget(*s) as u32 as i32;
+                    vals[k] = fr.pget(*s) as u32 as i32;
                 }
-                let val = self.read_src(src);
-                let o = self
-                    .fr
-                    .rref(*arr)
-                    .ok_or_else(|| vm.raise_null_ref(self.depth))?;
+                let val = read_src(fr, src);
+                let o = fr.rref(*arr).ok_or_else(|| vm.raise_null_ref(depth))?;
                 let off = multi_offset_of(o, &vals[..idxs.len()], *helper)
-                    .ok_or_else(|| vm.raise_index_oob(self.depth))?;
+                    .ok_or_else(|| vm.raise_index_oob(depth))?;
                 elem_write(o, *kind, off, val)?;
             }
             RInst::LdMultiLen { arr, dim, dst } => {
                 let n = {
-                    let o = self
-                        .fr
-                        .rref(*arr)
-                        .ok_or_else(|| vm.raise_null_ref(self.depth))?;
+                    let o = fr.rref(*arr).ok_or_else(|| vm.raise_null_ref(depth))?;
                     let dims = o
                         .multi_dims()
                         .ok_or_else(|| VmError::Internal("GetLength on non-multi".into()))?;
                     *dims
                         .get(*dim as usize)
-                        .ok_or_else(|| vm.raise_index_oob(self.depth))?
+                        .ok_or_else(|| vm.raise_index_oob(depth))?
                 };
-                self.fr.pset(*dst, n as u64);
+                fr.pset(*dst, n as u64);
             }
             RInst::BoxV { ty, src, dst } => {
-                let o = vm.heap.alloc_boxed(*ty, self.fr.pget(*src));
-                self.fr.rset(*dst, Some(o));
+                let o = vm.heap.alloc_boxed(*ty, fr.pget(*src));
+                fr.rset(*dst, Some(o));
             }
             RInst::UnboxV { ty, src, dst } => {
-                let o = self.ref_or_raise(*src)?;
+                let o = fr.rget(*src).ok_or_else(|| vm.raise_null_ref(depth))?;
                 match &o.body {
                     hpcnet_runtime::ObjBody::Boxed { ty: t2, bits } if t2 == ty => {
-                        self.fr.pset(*dst, *bits);
+                        fr.pset(*dst, *bits);
                     }
-                    _ => return Err(vm.raise_invalid_cast(self.depth)),
+                    _ => return Err(vm.raise_invalid_cast(depth)),
                 }
             }
             RInst::Throw { src } => {
-                let o = self.ref_or_raise(*src)?;
-                vm.note_throw(self.depth);
+                let o = fr.rget(*src).ok_or_else(|| vm.raise_null_ref(depth))?;
+                vm.note_throw(depth);
                 return Err(VmError::Exception(o));
             }
             RInst::Leave { t } => return Ok(Flow::Leave(*t)),
@@ -669,25 +345,25 @@ impl<'v> Exec<'v> {
         }
         Ok(Flow::Next)
     }
+}
 
-    /// Store an element-read result into a destination slot.
-    #[inline]
-    fn write_loaded(&mut self, dst: &DstSlot, l: Loaded) -> VmResult<()> {
-        match (dst, l) {
-            (DstSlot::P(d), Loaded::Bits(b)) => self.fr.pset(*d, b),
-            (DstSlot::R(d), Loaded::Ref(v)) => self.fr.rset(*d, v),
-            _ => return Err(VmError::Internal("elem kind mismatch".into())),
-        }
-        Ok(())
+/// Store an element-read result into a destination slot.
+#[inline]
+fn write_loaded(fr: &mut Frame, dst: &DstSlot, l: Loaded) -> VmResult<()> {
+    match (dst, l) {
+        (DstSlot::P(d), Loaded::Bits(b)) => fr.pset(*d, b),
+        (DstSlot::R(d), Loaded::Ref(v)) => fr.rset(*d, v),
+        _ => return Err(VmError::Internal("elem kind mismatch".into())),
     }
+    Ok(())
+}
 
-    /// Read an element-store source from a slot.
-    #[inline]
-    fn read_src(&self, src: &ArgSlot) -> Loaded {
-        match src {
-            ArgSlot::P(_, s) => Loaded::Bits(self.fr.pget(*s)),
-            ArgSlot::R(s) => Loaded::Ref(self.fr.rget(*s)),
-        }
+/// Read an element-store source from a slot.
+#[inline]
+fn read_src(fr: &Frame, src: &ArgSlot) -> Loaded {
+    match src {
+        ArgSlot::P(_, s) => Loaded::Bits(fr.pget(*s)),
+        ArgSlot::R(s) => Loaded::Ref(fr.rget(*s)),
     }
 }
 
@@ -697,19 +373,25 @@ pub(crate) enum Loaded {
     Ref(Option<Obj>),
 }
 
+/// An elided bounds check that did not hold: the optimizer was unsound,
+/// and both register tiers say so with the same string.
+pub(crate) fn unchecked_oob() -> VmError {
+    VmError::Internal("unchecked access out of bounds".into())
+}
+
 #[inline]
 pub(crate) fn elem_read(o: &Obj, kind: ElemKind, idx: usize) -> VmResult<Loaded> {
     match kind.num_ty() {
         Some(_) => Ok(Loaded::Bits(
             o.prim_data()
                 .get(idx)
-                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .ok_or_else(unchecked_oob)?
                 .load(Ordering::Relaxed),
         )),
         None => Ok(Loaded::Ref(
             o.ref_data()
                 .get(idx)
-                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .ok_or_else(unchecked_oob)?
                 .get(),
         )),
     }
@@ -725,13 +407,13 @@ pub(crate) fn elem_write(o: &Obj, kind: ElemKind, idx: usize, val: Loaded) -> Vm
             }
             o.prim_data()
                 .get(idx)
-                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .ok_or_else(unchecked_oob)?
                 .store(bits, Ordering::Relaxed);
         }
         Loaded::Ref(v) => {
             o.ref_data()
                 .get(idx)
-                .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
+                .ok_or_else(unchecked_oob)?
                 .set(v);
         }
     }

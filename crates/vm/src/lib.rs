@@ -9,10 +9,13 @@
 //! * [`machine::Vm`] — the host: heap, statics, intrinsics, threads.
 //! * [`interp`] — the stack interpreter (Rotor tier).
 //! * [`rir`] — stack→register lowering, optimization passes, allocation.
-//! * [`exec`] — the register-tier dispatch loop with an enregistered file
-//!   and a volatile spill frame.
+//! * [`exec`] — the register tier: allocated RIR, decoded on every
+//!   execution.
 //! * [`compiled`] — the direct-threaded tier: RIR pre-translated to
 //!   closures by [`rir::compile`], linear-scan allocated, no per-op decode.
+//! * [`call`] — what those two share: the frame (an enregistered file and
+//!   a volatile spill frame), the dispatch loop, the EH protocol and the
+//!   managed call edge.
 //!
 //! ```
 //! use hpcnet_cil::{CilType, MethodKind, ModuleBuilder, BinOp};
@@ -33,6 +36,7 @@
 //! assert_eq!(r.unwrap().as_i4(), 42);
 //! ```
 
+pub mod call;
 pub mod compiled;
 pub mod error;
 pub mod exec;
@@ -112,6 +116,44 @@ mod tests {
         {
             let got = r.unwrap().as_r8();
             assert!((got - want).abs() <= tol, "profile {}: {got} vs {want}", p.name);
+        }
+    }
+
+    #[test]
+    fn host_arguments_are_checked_against_the_signature() {
+        let m = build_module(|mb| {
+            let c = mb.declare_class("P", None);
+            let params = vec![CilType::I4, CilType::Object];
+            let mut f = mb.method(c, "F", params, CilType::I4, MethodKind::Static);
+            f.ld_arg(0);
+            f.ret();
+            f.finish();
+            let mut f = mb.method(c, "Get", vec![], CilType::I4, MethodKind::Instance);
+            f.ldc_i4(7);
+            f.ret();
+            f.finish();
+        });
+        let bad: [(&str, Vec<Value>, &str); 5] = [
+            ("P.F", vec![Value::I4(1)], "expected (i4, ref), got (i4)"),
+            ("P.F", vec![Value::I4(1), Value::Null, Value::I4(2)], "expected (i4, ref), got (i4, ref, i4)"),
+            ("P.F", vec![Value::R8(1.0), Value::Null], "expected (i4, ref), got (r8, ref)"),
+            ("P.F", vec![Value::I4(1), Value::I4(2)], "expected (i4, ref), got (i4, i4)"),
+            ("P.Get", vec![], "expected (ref), got ()"),
+        ];
+        for p in [VmProfile::sscli10(), VmProfile::clr11(), VmProfile::clr11_compiled()] {
+            let vm = Vm::new(m.clone(), p).unwrap();
+            for (name, args, detail) in &bad {
+                match vm.invoke_by_name(name, args.clone()) {
+                    Err(VmError::Internal(msg)) => {
+                        assert_eq!(msg, format!("argument mismatch calling {name}: {detail}"))
+                    }
+                    other => panic!("{name} on {}: {other:?}", p.name),
+                }
+            }
+            // Refused before anything ran.
+            assert_eq!(vm.counters.snapshot().calls, 0, "{}", p.name);
+            let ok = vm.invoke_by_name("P.F", vec![Value::I4(5), Value::Null]);
+            assert_eq!(ok.unwrap().unwrap().as_i4(), 5, "{}", p.name);
         }
     }
 

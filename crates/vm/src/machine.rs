@@ -10,6 +10,7 @@ use crate::error::{VmError, VmResult};
 use crate::interp;
 use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
 use crate::profile::{MathKind, Tier, VmProfile};
+use crate::rir::compile::CompiledMethod;
 use crate::rir::RirMethod;
 use hpcnet_cil::{
     verify_module, ClassId, ElemKind, Intrinsic, MethodId, Module, NumTy,
@@ -22,11 +23,11 @@ use hpcnet_runtime::serial::{Reader, Tag, Writer};
 use hpcnet_runtime::snapshot::HeapSnapshot;
 use hpcnet_runtime::threads::ThreadRegistry;
 use hpcnet_runtime::{timer, Obj, Value};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use hpcnet_cil::prelude::{
     declare_prelude, DIV_ZERO_CLASS, EXCEPTION_CLASS, INDEX_OOB_CLASS, INVALID_CAST_CLASS,
@@ -215,8 +216,10 @@ pub struct Vm {
     pub math: MathTable,
     pub counters: Counters,
     pub(crate) threads: ThreadRegistry,
-    code_cache: RwLock<Vec<Option<Arc<RirMethod>>>>,
-    threaded_cache: RwLock<Vec<Option<Arc<crate::rir::compile::CompiledMethod>>>>,
+    /// Per-method code, one write-once cell each: a warm lookup is a load,
+    /// and what it finds can be borrowed for as long as the `Vm` is.
+    code_cache: Box<[OnceLock<Arc<RirMethod>>]>,
+    threaded_cache: Box<[OnceLock<Arc<CompiledMethod>>]>,
     pub(crate) well_known: WellKnown,
     /// Pre-created string literal objects.
     literals: Vec<Obj>,
@@ -246,7 +249,7 @@ pub struct Vm {
     /// profile's [`ObserveLevel`] at construction (see [`crate::observe`]).
     pub(crate) observer: Observer,
     /// Optional shared compile front-half cache (see [`crate::rir::share`]).
-    opt_share: std::sync::OnceLock<Arc<crate::rir::share::OptShare>>,
+    opt_share: OnceLock<Arc<crate::rir::share::OptShare>>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -314,8 +317,8 @@ impl Vm {
             statics,
             counters: Counters::default(),
             threads: ThreadRegistry::new(),
-            code_cache: RwLock::new(vec![None; n_methods]),
-            threaded_cache: RwLock::new(vec![None; n_methods]),
+            code_cache: (0..n_methods).map(|_| OnceLock::new()).collect(),
+            threaded_cache: (0..n_methods).map(|_| OnceLock::new()).collect(),
             literals,
             run_methods,
             console: Mutex::new(Vec::new()),
@@ -327,7 +330,7 @@ impl Vm {
             fuel_on: AtomicBool::new(false),
             fuel: std::sync::atomic::AtomicI64::new(0),
             observer: Observer::new(profile.observe, n_methods),
-            opt_share: std::sync::OnceLock::new(),
+            opt_share: OnceLock::new(),
         })
     }
 
@@ -404,8 +407,11 @@ impl Vm {
     }
 
     /// Invoke a method by id. `args` must match the signature (receiver
-    /// first for instance methods).
+    /// first for instance methods) in number and kind; a list that does
+    /// not is refused with [`VmError::Internal`] before anything runs, the
+    /// same way on every tier.
     pub fn invoke(self: &Arc<Self>, method: MethodId, args: Vec<Value>) -> VmResult<Option<Value>> {
+        self.check_host_args(method, &args)?;
         self.invoke_at_depth(method, args, 0)
     }
 
@@ -422,12 +428,41 @@ impl Vm {
         self.invoke(id, args)
     }
 
-    pub(crate) fn invoke_at_depth(
-        self: &Arc<Self>,
+    /// The host's argument list is outside input: managed callers were
+    /// typed by the verifier, the host was not.
+    fn check_host_args(&self, method: MethodId, args: &[Value]) -> VmResult<()> {
+        let m = self.module.method(method);
+        // A kind is a `NumTy`, or `None` for a reference — `Value::num_ty`.
+        let want = || {
+            let receiver = (!m.is_static).then_some(None);
+            receiver.into_iter().chain(m.params.iter().map(|t| t.num_ty()))
+        };
+        if args.iter().map(Value::num_ty).eq(want()) {
+            return Ok(());
+        }
+        fn show(kinds: impl Iterator<Item = Option<NumTy>>) -> String {
+            let names: Vec<String> =
+                kinds.map(|k| k.map_or("ref".to_string(), |t| t.to_string())).collect();
+            names.join(", ")
+        }
+        Err(VmError::Internal(format!(
+            "argument mismatch calling {}: expected ({}), got ({})",
+            self.method_display_name(method),
+            show(want()),
+            show(args.iter().map(Value::num_ty)),
+        )))
+    }
+
+    /// The sequence every managed call goes through, on every tier, around
+    /// whatever `body` does to run `method` at `depth`: depth guard, one
+    /// unit of fuel, `counters.calls`, and the observer's enter/leave pair.
+    #[inline]
+    pub(crate) fn guarded<R>(
+        &self,
         method: MethodId,
-        args: Vec<Value>,
         depth: u32,
-    ) -> VmResult<Option<Value>> {
+        body: impl FnOnce() -> VmResult<R>,
+    ) -> VmResult<R> {
         let max_depth = self.max_depth.load(Ordering::Relaxed);
         if depth >= max_depth {
             return Err(VmError::Limit(format!(
@@ -437,61 +472,75 @@ impl Vm {
         }
         self.charge_fuel()?;
         self.counters.calls.fetch_add(1, Ordering::Relaxed);
-        if self.observer.enabled() {
-            let before = self.observer.enter(method);
-            let r = match self.profile.tier {
-                Tier::Interpreter => interp::call(self, method, args, depth),
-                Tier::Rir => crate::exec::call(self, method, args, depth),
-                Tier::Compiled => crate::compiled::call(self, method, args, depth),
-            };
+        let entered = self.observer.enabled().then(|| self.observer.enter(method));
+        let r = body();
+        if let Some(before) = entered {
             // Runs on unwinds too: the opcodes a frame executed before
             // faulting stay attributed to it.
             self.observer.leave(method, before);
-            return r;
         }
-        match self.profile.tier {
+        r
+    }
+
+    /// A call that arrives with its arguments in a `Vec`: the host's, at
+    /// depth 0, and every call the stack interpreter makes. (The register
+    /// tiers call each other through [`crate::call::invoke`].)
+    pub(crate) fn invoke_at_depth(
+        self: &Arc<Self>,
+        method: MethodId,
+        args: Vec<Value>,
+        depth: u32,
+    ) -> VmResult<Option<Value>> {
+        self.guarded(method, depth, || match self.profile.tier {
             Tier::Interpreter => interp::call(self, method, args, depth),
-            Tier::Rir => crate::exec::call(self, method, args, depth),
-            Tier::Compiled => crate::compiled::call(self, method, args, depth),
+            Tier::Rir => crate::call::root::<crate::exec::Exec>(self, method, args, depth),
+            Tier::Compiled => {
+                crate::call::root::<crate::compiled::Threaded>(self, method, args, depth)
+            }
+        })
+    }
+
+    /// Look `cell` up, filling it with `translate`'s result on first use.
+    /// Only the translation that wins the publish bumps `jit_compiles`, so
+    /// the counter means "methods compiled", bitwise equal across runs and
+    /// thread schedules.
+    fn cached<'a, C>(
+        &self,
+        cell: &'a OnceLock<Arc<C>>,
+        translate: impl FnOnce() -> VmResult<C>,
+    ) -> VmResult<&'a Arc<C>> {
+        if let Some(code) = cell.get() {
+            return Ok(code);
         }
+        if cell.set(Arc::new(translate()?)).is_ok() {
+            self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(cell.get().expect("set just above, by this thread or the one that won the race"))
+    }
+
+    /// The register-tier code for a method, translated on first use and
+    /// borrowed from its cache cell — what the call edge uses.
+    pub(crate) fn rir_code(self: &Arc<Self>, method: MethodId) -> VmResult<&Arc<RirMethod>> {
+        self.cached(&self.code_cache[method.idx()], || crate::rir::lower::compile(self, method))
+    }
+
+    /// The direct-threaded code for a method, as [`Vm::rir_code`].
+    pub(crate) fn threaded_code(
+        self: &Arc<Self>,
+        method: MethodId,
+    ) -> VmResult<&Arc<CompiledMethod>> {
+        self.cached(&self.threaded_cache[method.idx()], || crate::rir::compile::compile(self, method))
     }
 
     /// Fetch (translating on first use) the register-tier code for a method.
     pub fn compiled(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<RirMethod>> {
-        if let Some(m) = &self.code_cache.read()[method.idx()] {
-            return Ok(m.clone());
-        }
-        let compiled = Arc::new(crate::rir::lower::compile(self, method)?);
-        let mut cache = self.code_cache.write();
-        if let Some(m) = &cache[method.idx()] {
-            return Ok(m.clone()); // lost the race; use the winner
-        }
-        // Count only the translation that wins the cache race, so
-        // `jit_compiles` means "methods compiled", bitwise equal across
-        // runs and thread schedules (a loser used to be counted too).
-        self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
-        cache[method.idx()] = Some(compiled.clone());
-        Ok(compiled)
+        self.rir_code(method).cloned()
     }
 
     /// Fetch (translating on first use) the direct-threaded code for a
-    /// method. Mirrors [`Vm::compiled`], including the race rule: only the
-    /// translation that wins the cache publish bumps `jit_compiles`.
-    pub fn threaded(
-        self: &Arc<Self>,
-        method: MethodId,
-    ) -> VmResult<Arc<crate::rir::compile::CompiledMethod>> {
-        if let Some(m) = &self.threaded_cache.read()[method.idx()] {
-            return Ok(m.clone());
-        }
-        let compiled = Arc::new(crate::rir::compile::compile(self, method)?);
-        let mut cache = self.threaded_cache.write();
-        if let Some(m) = &cache[method.idx()] {
-            return Ok(m.clone()); // lost the race; use the winner
-        }
-        self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
-        cache[method.idx()] = Some(compiled.clone());
-        Ok(compiled)
+    /// method.
+    pub fn threaded(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<CompiledMethod>> {
+        self.threaded_code(method).cloned()
     }
 
     /// Drain the attribution profiler into plain values; `None` when the

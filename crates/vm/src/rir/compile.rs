@@ -53,22 +53,26 @@
 //! assert_eq!(r.unwrap().as_i4(), 45);
 //! ```
 
+use crate::call::{self, Exit, Frame, Receiver, Step};
+use crate::compiled::Threaded;
 use crate::error::{VmError, VmResult};
-use crate::exec::{elem_read, elem_write, multi_offset_of, Flow, Frame, Loaded};
+use crate::exec::{elem_read, elem_write, multi_offset_of, unchecked_oob, Loaded};
 use crate::machine::Vm;
 use crate::numerics;
 use crate::rir::lower::{self, Lowered};
 use crate::rir::{opt, ArgSlot, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, ElemKind, NumTy};
-use hpcnet_runtime::{Obj, ObjBody, Value};
+use hpcnet_runtime::{Obj, ObjBody};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One translated instruction: all decoding already done, only the
-/// dynamic operands (frame slots, the heap, callee dispatch) remain.
-pub(crate) type OpFn = Box<dyn Fn(&mut Frame, &Arc<Vm>, u32) -> VmResult<Flow> + Send + Sync>;
+/// dynamic operands (frame slots, the heap, callee dispatch) remain. It
+/// answers the dispatch loop in a register; anything bigger it parks in
+/// the frame (see [`crate::call`]).
+pub(crate) type OpFn = Box<dyn Fn(&mut Frame, &Arc<Vm>, u32) -> Step + Send + Sync>;
 
 /// A method compiled to direct-threaded code. `rir` is the allocated
 /// register IR the closures were built from — kept for the observer (which
@@ -335,22 +339,37 @@ macro_rules! op_ty_cross {
     };
 }
 
-/// Primitive element load, shared by the specialized array closures.
-/// Identical failure string to the exec tier's `elem_read`.
-#[inline(always)]
-fn prim_elem(o: &Obj, idx: usize) -> VmResult<u64> {
-    Ok(o.prim_data()
-        .get(idx)
-        .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
-        .load(Ordering::Relaxed))
+/// Leave the op with `$e`'s error parked in the frame, or go on with its
+/// value. The ops below produce their [`Step`] directly: an inner
+/// `VmResult` matched after the fact costs every op a result written to
+/// memory and a drop call.
+macro_rules! ok_or_exit {
+    ($fr:ident, $e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(e) => return $fr.fail(e),
+        }
+    };
 }
 
-#[inline(always)]
-fn ref_elem(o: &Obj, idx: usize) -> VmResult<Option<Obj>> {
-    Ok(o.ref_data()
-        .get(idx)
-        .ok_or_else(|| VmError::Internal("unchecked access out of bounds".into()))?
-        .get())
+/// The object in reference slot `$s`, or leave with a
+/// `NullReferenceException`.
+macro_rules! non_null {
+    ($fr:ident, $vm:ident, $depth:ident, $s:expr) => {
+        match $fr.rref($s) {
+            Some(o) => o,
+            None => return $fr.fail($vm.raise_null_ref($depth)),
+        }
+    };
+}
+
+/// Leave with an `IndexOutOfRangeException` unless `$i` indexes `$o`.
+macro_rules! in_bounds {
+    ($fr:ident, $vm:ident, $depth:ident, $o:ident, $i:ident) => {
+        if $i < 0 || $i as usize >= $o.array_len().unwrap_or(0) {
+            return $fr.fail($vm.raise_index_oob($depth));
+        }
+    };
 }
 
 fn build_ops(vm: &Arc<Vm>, rir: &RirMethod) -> Vec<OpFn> {
@@ -364,20 +383,20 @@ fn bin_op(op: BinOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
         ($o:ident) => {
             match ty {
                 NumTy::I4 => Box::new(move |fr: &mut Frame, vm: &Arc<Vm>, depth: u32| {
-                    let out = numerics::bin_i4(
-                        BinOp::$o,
-                        fr.pget(a) as u32 as i32,
-                        fr.operand(&b) as u32 as i32,
-                    )
-                    .map_err(|_| vm.raise_div_zero(depth))? as u32 as u64;
-                    fr.pset(dst, out);
-                    Ok(Flow::Next)
+                    let (x, y) = (fr.pget(a) as u32 as i32, fr.operand(&b) as u32 as i32);
+                    match numerics::bin_i4(BinOp::$o, x, y) {
+                        Ok(v) => fr.pset(dst, v as u32 as u64),
+                        Err(_) => return fr.fail(vm.raise_div_zero(depth)),
+                    }
+                    Step::NEXT
                 }) as OpFn,
                 NumTy::I8 => Box::new(move |fr: &mut Frame, vm: &Arc<Vm>, depth: u32| {
-                    let out = numerics::bin_i8(BinOp::$o, fr.pget(a) as i64, fr.operand(&b) as i64)
-                        .map_err(|_| vm.raise_div_zero(depth))? as u64;
-                    fr.pset(dst, out);
-                    Ok(Flow::Next)
+                    let (x, y) = (fr.pget(a) as i64, fr.operand(&b) as i64);
+                    match numerics::bin_i8(BinOp::$o, x, y) {
+                        Ok(v) => fr.pset(dst, v as u64),
+                        Err(_) => return fr.fail(vm.raise_div_zero(depth)),
+                    }
+                    Step::NEXT
                 }) as OpFn,
                 NumTy::R4 => Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
                     let out = numerics::bin_r4(
@@ -387,7 +406,7 @@ fn bin_op(op: BinOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
                     )
                     .to_bits() as u64;
                     fr.pset(dst, out);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }) as OpFn,
                 NumTy::R8 => Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
                     let out = numerics::bin_r8(
@@ -397,7 +416,7 @@ fn bin_op(op: BinOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
                     )
                     .to_bits();
                     fr.pset(dst, out);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }) as OpFn,
             }
         };
@@ -423,7 +442,7 @@ fn cmp_op(op: CmpOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
             Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
                 let r = numerics::cmp_bits(CmpOp::$o, NumTy::$t, fr.pget(a), fr.operand(&b));
                 fr.pset(dst, r as u32 as u64);
-                Ok(Flow::Next)
+                Step::NEXT
             }) as OpFn
         };
     }
@@ -431,13 +450,14 @@ fn cmp_op(op: CmpOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
 }
 
 fn br_cmp_op(op: CmpOp, ty: NumTy, a: u16, b: Operand, t: u32) -> OpFn {
+    let taken = Step::jump(t);
     macro_rules! arm {
         ($o:ident, $t:ident) => {
             Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
                 if numerics::cmp_bits(CmpOp::$o, NumTy::$t, fr.pget(a), fr.operand(&b)) != 0 {
-                    Ok(Flow::Jump(t))
+                    taken
                 } else {
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }
             }) as OpFn
         };
@@ -451,7 +471,7 @@ fn conv_op(from: NumTy, to: NumTy, dst: u16, src: u16) -> OpFn {
             Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
                 let v = numerics::conv_bits(NumTy::$f, NumTy::$t, fr.pget(src));
                 fr.pset(dst, v);
-                Ok(Flow::Next)
+                Step::NEXT
             }) as OpFn
         };
     }
@@ -476,18 +496,18 @@ fn conv_op(from: NumTy, to: NumTy, dst: u16, src: u16) -> OpFn {
 }
 
 /// Translate one instruction. Every closure mirrors the corresponding
-/// `exec::Exec::step` arm exactly — same evaluation order, same raise
+/// `exec::Exec::decode` arm exactly — same evaluation order, same raise
 /// helpers, same internal-error strings — so the two register tiers stay
 /// bitwise interchangeable under the conformance matrix.
 fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
     match inst {
-        RInst::Nop => Box::new(|_, _, _| Ok(Flow::Next)),
+        RInst::Nop => Box::new(|_, _, _| Step::NEXT),
         RInst::MovP { dst, src } => {
             let (dst, src) = (*dst, *src);
             Box::new(move |fr, _, _| {
                 let v = fr.pget(src);
                 fr.pset(dst, v);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::MovR { dst, src } => {
@@ -495,21 +515,21 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             Box::new(move |fr, _, _| {
                 let v = fr.rget(src);
                 fr.rset(dst, v);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::ConstP { dst, bits } => {
             let (dst, bits) = (*dst, *bits);
             Box::new(move |fr, _, _| {
                 fr.pset(dst, bits);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::ConstNull { dst } => {
             let dst = *dst;
             Box::new(move |fr, _, _| {
                 fr.rset(dst, None);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::ConstStr { dst, s } => {
@@ -519,7 +539,7 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             let lit = vm.literal(*s);
             Box::new(move |fr, _, _| {
                 fr.rset(dst, Some(lit.clone()));
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::Bin { op, ty, dst, a, b } => bin_op(*op, *ty, *dst, *a, *b),
@@ -529,22 +549,22 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 NumTy::I4 => Box::new(move |fr, _, _| {
                     let v = numerics::un_i4(op, fr.pget(a) as u32 as i32) as u32 as u64;
                     fr.pset(dst, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 NumTy::I8 => Box::new(move |fr, _, _| {
                     let v = numerics::un_i8(op, fr.pget(a) as i64) as u64;
                     fr.pset(dst, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 NumTy::R4 => Box::new(move |fr, _, _| {
                     let v = (-f32::from_bits(fr.pget(a) as u32)).to_bits() as u64;
                     fr.pset(dst, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 NumTy::R8 => Box::new(move |fr, _, _| {
                     let v = (-f64::from_bits(fr.pget(a))).to_bits();
                     fr.pset(dst, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
             }
         }
@@ -556,7 +576,9 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 CmpOp::Eq => false,
                 CmpOp::Ne => true,
                 _ => {
-                    return Box::new(|_, _, _| Err(VmError::Internal("ordered ref compare".into())))
+                    return Box::new(|fr, _, _| {
+                        fr.fail(VmError::Internal("ordered ref compare".into()))
+                    })
                 }
             };
             Box::new(move |fr, _, _| {
@@ -568,35 +590,27 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                     _ => false,
                 };
                 fr.pset(dst, (same != negate) as u64);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::Br { t } => {
-            let t = *t;
-            Box::new(move |_, _, _| Ok(Flow::Jump(t)))
+            let taken = Step::jump(*t);
+            Box::new(move |_, _, _| taken)
         }
         RInst::BrIf { cond, t, negate } => {
-            let (cond, t) = (*cond, *t);
+            let (cond, taken) = (*cond, Step::jump(*t));
             if *negate {
-                Box::new(move |fr, _, _| {
-                    Ok(if fr.pget(cond) == 0 { Flow::Jump(t) } else { Flow::Next })
-                })
+                Box::new(move |fr, _, _| if fr.pget(cond) == 0 { taken } else { Step::NEXT })
             } else {
-                Box::new(move |fr, _, _| {
-                    Ok(if fr.pget(cond) != 0 { Flow::Jump(t) } else { Flow::Next })
-                })
+                Box::new(move |fr, _, _| if fr.pget(cond) != 0 { taken } else { Step::NEXT })
             }
         }
         RInst::BrIfRef { cond, t, negate } => {
-            let (cond, t) = (*cond, *t);
+            let (cond, taken) = (*cond, Step::jump(*t));
             if *negate {
-                Box::new(move |fr, _, _| {
-                    Ok(if fr.rref(cond).is_none() { Flow::Jump(t) } else { Flow::Next })
-                })
+                Box::new(move |fr, _, _| if fr.rref(cond).is_none() { taken } else { Step::NEXT })
             } else {
-                Box::new(move |fr, _, _| {
-                    Ok(if fr.rref(cond).is_some() { Flow::Jump(t) } else { Flow::Next })
-                })
+                Box::new(move |fr, _, _| if fr.rref(cond).is_some() { taken } else { Step::NEXT })
             }
         }
         RInst::BrCmp { op, ty, a, b, t } => br_cmp_op(*op, *ty, *a, *b, *t),
@@ -604,54 +618,28 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             let (target, virt, dst) = (*target, *virt, *dst);
             let args = args.clone();
             // Pre-resolved: whether the callee needs a this-null check.
-            let needs_null = !virt && !vm.module.method(target).is_static;
+            let is_static = vm.module.method(target).is_static;
             Box::new(move |fr, vm, depth| {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    vals.push(fr.load_value(a));
-                }
-                let callee = if virt {
-                    let recv = vals[0]
-                        .as_ref_opt()
-                        .ok_or_else(|| vm.raise_null_ref(depth))?;
-                    let class = recv
-                        .class_id()
-                        .ok_or_else(|| VmError::Internal("callvirt on non-instance".into()))?;
-                    vm.module.resolve_virtual(class, target)
-                } else {
-                    if needs_null && vals[0].as_ref_opt().is_none() {
-                        return Err(vm.raise_null_ref(depth));
-                    }
-                    target
-                };
-                let ret = vm.invoke_at_depth(callee, vals, depth + 1)?;
-                if let (Some(d), Some(v)) = (dst, ret) {
-                    fr.store_dst(&d, v);
-                }
-                Ok(Flow::Next)
+                let recv = Receiver::of_call(virt, is_static);
+                ok_or_exit!(fr, call::invoke::<Threaded>(vm, fr, target, recv, &args, dst, depth));
+                Step::NEXT
             })
         }
         RInst::CallIntr { i, args, dst } => {
             let (i, dst) = (*i, *dst);
             let args = args.clone();
             Box::new(move |fr, vm, depth| {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args.iter() {
-                    vals.push(fr.load_value(a));
-                }
-                let ret = vm.intrinsic(i, &vals, depth)?;
-                if let (Some(d), Some(v)) = (dst, ret) {
-                    fr.store_dst(&d, v);
-                }
-                Ok(Flow::Next)
+                ok_or_exit!(fr, call::intrinsic(vm, fr, i, &args, dst, depth));
+                Step::NEXT
             })
         }
-        RInst::Ret { src } => {
-            let src = *src;
-            Box::new(move |fr, _, _| {
-                Ok(Flow::Return(src.as_ref().map(|a| fr.load_value(a))))
-            })
-        }
+        RInst::Ret { src } => match *src {
+            Some(src) => Box::new(move |fr, _, _| {
+                let v = fr.load_value(&src);
+                fr.ret(Some(v))
+            }),
+            None => Box::new(|fr, _, _| fr.ret(None)),
+        },
         RInst::NewObj { ctor, args, dst } => {
             let (ctor, dst) = (*ctor, *dst);
             let args = args.clone();
@@ -661,34 +649,24 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             let (np, nr) = (class.n_prim_slots as usize, class.n_ref_slots as usize);
             Box::new(move |fr, vm, depth| {
                 let obj = vm.heap.alloc_instance(owner, np, nr);
-                let mut vals = Vec::with_capacity(args.len() + 1);
-                vals.push(Value::Ref(obj.clone()));
-                for a in args.iter() {
-                    vals.push(fr.load_value(a));
-                }
-                vm.invoke_at_depth(ctor, vals, depth + 1)?;
+                let this = Receiver::Fresh(obj.clone());
+                ok_or_exit!(fr, call::invoke::<Threaded>(vm, fr, ctor, this, &args, None, depth));
                 fr.rset(dst, Some(obj));
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::LdFld { obj, slot, dst } => {
             let (obj, slot) = (*obj, *slot);
             match *dst {
                 DstSlot::P(d) => Box::new(move |fr, vm, depth| {
-                    let bits = match fr.rref(obj) {
-                        Some(o) => o.prim_field(slot),
-                        None => return Err(vm.raise_null_ref(depth)),
-                    };
+                    let bits = non_null!(fr, vm, depth, obj).prim_field(slot);
                     fr.pset(d, bits);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 DstSlot::R(d) => Box::new(move |fr, vm, depth| {
-                    let v = match fr.rref(obj) {
-                        Some(o) => o.ref_field(slot),
-                        None => return Err(vm.raise_null_ref(depth)),
-                    };
+                    let v = non_null!(fr, vm, depth, obj).ref_field(slot);
                     fr.rset(d, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
             }
         }
@@ -697,19 +675,13 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             match *src {
                 ArgSlot::P(_, s) => Box::new(move |fr, vm, depth| {
                     let bits = fr.pget(s);
-                    match fr.rref(obj) {
-                        Some(o) => o.set_prim_field(slot, bits),
-                        None => return Err(vm.raise_null_ref(depth)),
-                    }
-                    Ok(Flow::Next)
+                    non_null!(fr, vm, depth, obj).set_prim_field(slot, bits);
+                    Step::NEXT
                 }),
                 ArgSlot::R(s) => Box::new(move |fr, vm, depth| {
                     let v = fr.rget(s);
-                    match fr.rref(obj) {
-                        Some(o) => o.set_ref_field(slot, v),
-                        None => return Err(vm.raise_null_ref(depth)),
-                    }
-                    Ok(Flow::Next)
+                    non_null!(fr, vm, depth, obj).set_ref_field(slot, v);
+                    Step::NEXT
                 }),
             }
         }
@@ -719,12 +691,12 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 DstSlot::P(d) => Box::new(move |fr, vm, _| {
                     let bits = vm.statics.prim[slot].load(Ordering::Relaxed);
                     fr.pset(d, bits);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 DstSlot::R(d) => Box::new(move |fr, vm, _| {
                     let v = vm.statics.refs[slot].get();
                     fr.rset(d, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
             }
         }
@@ -733,11 +705,11 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             match *src {
                 ArgSlot::P(_, s) => Box::new(move |fr, vm, _| {
                     vm.statics.prim[slot].store(fr.pget(s), Ordering::Relaxed);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 ArgSlot::R(s) => Box::new(move |fr, vm, _| {
                     vm.statics.refs[slot].set(fr.rget(s));
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
             }
         }
@@ -749,7 +721,7 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                     None => false,
                 };
                 fr.pset(dst, r as u64);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::CastClass { class, src, dst } => {
@@ -758,11 +730,11 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 let v = fr.rget(src);
                 if let Some(o) = &v {
                     if !vm.instance_of(o, class) {
-                        return Err(vm.raise_invalid_cast(depth));
+                        return fr.fail(vm.raise_invalid_cast(depth));
                     }
                 }
                 fr.rset(dst, v);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::NewArr { kind, len, dst } => {
@@ -770,24 +742,21 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             Box::new(move |fr, vm, depth| {
                 let n = fr.pget(len) as u32 as i32;
                 if n < 0 {
-                    return Err(vm.raise_index_oob(depth));
+                    return fr.fail(vm.raise_index_oob(depth));
                 }
                 let arr = vm.heap.alloc_array(kind, n as usize);
                 fr.rset(dst, Some(arr));
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::LdLen { arr, dst } => {
             let (arr, dst) = (*arr, *dst);
             Box::new(move |fr, vm, depth| {
-                let n = match fr.rref(arr) {
-                    Some(o) => o
-                        .array_len()
-                        .ok_or_else(|| VmError::Internal("ldlen on non-array".into()))?,
-                    None => return Err(vm.raise_null_ref(depth)),
+                let Some(n) = non_null!(fr, vm, depth, arr).array_len() else {
+                    return fr.fail(VmError::Internal("ldlen on non-array".into()));
                 };
                 fr.pset(dst, n as u64);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::LdElem { kind, arr, idx, dst, bounds } => {
@@ -795,49 +764,47 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             match (kind.num_ty().is_some(), *dst) {
                 (true, DstSlot::P(d)) if checked => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
-                    let bits = {
-                        let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                        let len = o.array_len().unwrap_or(0);
-                        if i < 0 || i as usize >= len {
-                            return Err(vm.raise_index_oob(depth));
-                        }
-                        prim_elem(o, i as usize)?
+                    let o = non_null!(fr, vm, depth, arr);
+                    in_bounds!(fr, vm, depth, o, i);
+                    let Some(cell) = o.prim_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
                     };
+                    let bits = cell.load(Ordering::Relaxed);
                     fr.pset(d, bits);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 (true, DstSlot::P(d)) => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
-                    let bits = {
-                        let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                        prim_elem(o, i as usize)?
+                    let o = non_null!(fr, vm, depth, arr);
+                    let Some(cell) = o.prim_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
                     };
+                    let bits = cell.load(Ordering::Relaxed);
                     fr.pset(d, bits);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 (false, DstSlot::R(d)) if checked => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
-                    let v = {
-                        let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                        let len = o.array_len().unwrap_or(0);
-                        if i < 0 || i as usize >= len {
-                            return Err(vm.raise_index_oob(depth));
-                        }
-                        ref_elem(o, i as usize)?
+                    let o = non_null!(fr, vm, depth, arr);
+                    in_bounds!(fr, vm, depth, o, i);
+                    let Some(cell) = o.ref_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
                     };
+                    let v = cell.get();
                     fr.rset(d, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
                 (false, DstSlot::R(d)) => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
-                    let v = {
-                        let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                        ref_elem(o, i as usize)?
+                    let o = non_null!(fr, vm, depth, arr);
+                    let Some(cell) = o.ref_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
                     };
+                    let v = cell.get();
                     fr.rset(d, v);
-                    Ok(Flow::Next)
+                    Step::NEXT
                 }),
-                _ => Box::new(|_, _, _| Err(VmError::Internal("elem kind mismatch".into()))),
+                _ => Box::new(|fr, _, _| fr.fail(VmError::Internal("elem kind mismatch".into()))),
             }
         }
         RInst::StElem { kind, arr, idx, src, bounds } => {
@@ -847,68 +814,54 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 ArgSlot::P(_, s) if checked => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
                     let mut bits = fr.pget(s);
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                    let len = o.array_len().unwrap_or(0);
-                    if i < 0 || i as usize >= len {
-                        return Err(vm.raise_index_oob(depth));
-                    }
+                    let o = non_null!(fr, vm, depth, arr);
+                    in_bounds!(fr, vm, depth, o, i);
                     if mask {
                         bits &= 0xFF;
                     }
                     o.mark_dirty();
-                    o.prim_data()
-                        .get(i as usize)
-                        .ok_or_else(|| {
-                            VmError::Internal("unchecked access out of bounds".into())
-                        })?
-                        .store(bits, Ordering::Relaxed);
-                    Ok(Flow::Next)
+                    let Some(cell) = o.prim_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
+                    };
+                    cell.store(bits, Ordering::Relaxed);
+                    Step::NEXT
                 }),
                 ArgSlot::P(_, s) => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
                     let mut bits = fr.pget(s);
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
+                    let o = non_null!(fr, vm, depth, arr);
                     if mask {
                         bits &= 0xFF;
                     }
                     o.mark_dirty();
-                    o.prim_data()
-                        .get(i as usize)
-                        .ok_or_else(|| {
-                            VmError::Internal("unchecked access out of bounds".into())
-                        })?
-                        .store(bits, Ordering::Relaxed);
-                    Ok(Flow::Next)
+                    let Some(cell) = o.prim_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
+                    };
+                    cell.store(bits, Ordering::Relaxed);
+                    Step::NEXT
                 }),
                 ArgSlot::R(s) if checked => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
                     let v = fr.rget(s);
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                    let len = o.array_len().unwrap_or(0);
-                    if i < 0 || i as usize >= len {
-                        return Err(vm.raise_index_oob(depth));
-                    }
+                    let o = non_null!(fr, vm, depth, arr);
+                    in_bounds!(fr, vm, depth, o, i);
                     o.mark_dirty();
-                    o.ref_data()
-                        .get(i as usize)
-                        .ok_or_else(|| {
-                            VmError::Internal("unchecked access out of bounds".into())
-                        })?
-                        .set(v);
-                    Ok(Flow::Next)
+                    let Some(cell) = o.ref_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
+                    };
+                    cell.set(v);
+                    Step::NEXT
                 }),
                 ArgSlot::R(s) => Box::new(move |fr, vm, depth| {
                     let i = fr.pget(idx) as u32 as i32;
                     let v = fr.rget(s);
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
+                    let o = non_null!(fr, vm, depth, arr);
                     o.mark_dirty();
-                    o.ref_data()
-                        .get(i as usize)
-                        .ok_or_else(|| {
-                            VmError::Internal("unchecked access out of bounds".into())
-                        })?
-                        .set(v);
-                    Ok(Flow::Next)
+                    let Some(cell) = o.ref_data().get(i as usize) else {
+                        return fr.fail(unchecked_oob());
+                    };
+                    cell.set(v);
+                    Step::NEXT
                 }),
             }
         }
@@ -920,13 +873,13 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 for d in dims.iter() {
                     let n = fr.pget(*d) as u32 as i32;
                     if n < 0 {
-                        return Err(vm.raise_index_oob(depth));
+                        return fr.fail(vm.raise_index_oob(depth));
                     }
                     lens.push(n as u32);
                 }
                 let arr = vm.heap.alloc_multi(kind, &lens);
                 fr.rset(dst, Some(arr));
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::LdElemMulti { kind, arr, idxs, dst, helper } => {
@@ -937,18 +890,16 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                 for (k, s) in idxs.iter().enumerate() {
                     vals[k] = fr.pget(*s) as u32 as i32;
                 }
-                let loaded = {
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                    let off = multi_offset_of(o, &vals[..idxs.len()], helper)
-                        .ok_or_else(|| vm.raise_index_oob(depth))?;
-                    elem_read(o, kind, off)?
+                let o = non_null!(fr, vm, depth, arr);
+                let Some(off) = multi_offset_of(o, &vals[..idxs.len()], helper) else {
+                    return fr.fail(vm.raise_index_oob(depth));
                 };
-                match (dst, loaded) {
+                match (dst, ok_or_exit!(fr, elem_read(o, kind, off))) {
                     (DstSlot::P(d), Loaded::Bits(b)) => fr.pset(d, b),
                     (DstSlot::R(d), Loaded::Ref(v)) => fr.rset(d, v),
-                    _ => return Err(VmError::Internal("elem kind mismatch".into())),
+                    _ => return fr.fail(VmError::Internal("elem kind mismatch".into())),
                 }
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::StElemMulti { kind, arr, idxs, src, helper } => {
@@ -963,25 +914,25 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
                     ArgSlot::P(_, s) => Loaded::Bits(fr.pget(s)),
                     ArgSlot::R(s) => Loaded::Ref(fr.rget(s)),
                 };
-                let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                let off = multi_offset_of(o, &vals[..idxs.len()], helper)
-                    .ok_or_else(|| vm.raise_index_oob(depth))?;
-                elem_write(o, kind, off, val)?;
-                Ok(Flow::Next)
+                let o = non_null!(fr, vm, depth, arr);
+                let Some(off) = multi_offset_of(o, &vals[..idxs.len()], helper) else {
+                    return fr.fail(vm.raise_index_oob(depth));
+                };
+                ok_or_exit!(fr, elem_write(o, kind, off, val));
+                Step::NEXT
             })
         }
         RInst::LdMultiLen { arr, dim, dst } => {
             let (arr, dim, dst) = (*arr, *dim as usize, *dst);
             Box::new(move |fr, vm, depth| {
-                let n = {
-                    let o = fr.rref(arr).ok_or_else(|| vm.raise_null_ref(depth))?;
-                    let dims = o
-                        .multi_dims()
-                        .ok_or_else(|| VmError::Internal("GetLength on non-multi".into()))?;
-                    *dims.get(dim).ok_or_else(|| vm.raise_index_oob(depth))?
+                let Some(dims) = non_null!(fr, vm, depth, arr).multi_dims() else {
+                    return fr.fail(VmError::Internal("GetLength on non-multi".into()));
+                };
+                let Some(&n) = dims.get(dim) else {
+                    return fr.fail(vm.raise_index_oob(depth));
                 };
                 fr.pset(dst, n as u64);
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::BoxV { ty, src, dst } => {
@@ -989,34 +940,36 @@ fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
             Box::new(move |fr, vm, _| {
                 let o = vm.heap.alloc_boxed(ty, fr.pget(src));
                 fr.rset(dst, Some(o));
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::UnboxV { ty, src, dst } => {
             let (ty, src, dst) = (*ty, *src, *dst);
             Box::new(move |fr, vm, depth| {
-                let o = fr.rget(src).ok_or_else(|| vm.raise_null_ref(depth))?;
-                match &o.body {
+                match &non_null!(fr, vm, depth, src).body {
                     ObjBody::Boxed { ty: t2, bits } if *t2 == ty => {
-                        fr.pset(dst, *bits);
+                        let bits = *bits;
+                        fr.pset(dst, bits);
                     }
-                    _ => return Err(vm.raise_invalid_cast(depth)),
+                    _ => return fr.fail(vm.raise_invalid_cast(depth)),
                 }
-                Ok(Flow::Next)
+                Step::NEXT
             })
         }
         RInst::Throw { src } => {
             let src = *src;
             Box::new(move |fr, vm, depth| {
-                let o = fr.rget(src).ok_or_else(|| vm.raise_null_ref(depth))?;
+                let Some(o) = fr.rget(src) else {
+                    return fr.fail(vm.raise_null_ref(depth));
+                };
                 vm.note_throw(depth);
-                Err(VmError::Exception(o))
+                fr.fail(VmError::Exception(o))
             })
         }
         RInst::Leave { t } => {
             let t = *t;
-            Box::new(move |_, _, _| Ok(Flow::Leave(t)))
+            Box::new(move |fr, _, _| fr.exit(Exit::Leave(t)))
         }
-        RInst::EndFinally => Box::new(|_, _, _| Ok(Flow::EndFinally)),
+        RInst::EndFinally => Box::new(|fr, _, _| fr.exit(Exit::EndFinally)),
     }
 }

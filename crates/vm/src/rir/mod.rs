@@ -88,6 +88,16 @@ pub enum DstSlot {
     R(u16),
 }
 
+impl ArgSlot {
+    /// The same slot, as a place to store into.
+    pub fn dst(self) -> DstSlot {
+        match self {
+            ArgSlot::P(_, s) => DstSlot::P(s),
+            ArgSlot::R(s) => DstSlot::R(s),
+        }
+    }
+}
+
 /// How an element access's bounds check is handled. `Checked` tests the
 /// index against the array length at run time; the elided variants record
 /// *which* elimination mechanism proved (or guarded) the access in range,

@@ -41,7 +41,11 @@ fn counts(id: &str, n: i32, profile: VmProfile) -> String {
 fn register_tier_work_counts_are_pinned() {
     // Both tiers run the same optimized RIR, so one literal serves both.
     let rows = [
-        ("app.fibonacci", 15, "calls=987 fuel=2960 | Fib.Calc:986/11825 Fib.Run:1/13"),
+        (
+            "app.fibonacci",
+            15,
+            "calls=987 fuel=2960 | Fib.Calc:986/11825 Fib.Run:1/13",
+        ),
         (
             "method.virtual",
             1000,
@@ -65,7 +69,10 @@ fn register_tier_work_counts_are_pinned() {
         for profile in [VmProfile::clr11(), VmProfile::clr11_compiled()] {
             let got = counts(id, n, profile);
             if got != want {
-                wrong.push(format!("{id} n={n} on {}:\n  got  {got}\n  want {want}", profile.name));
+                wrong.push(format!(
+                    "{id} n={n} on {}:\n  got  {got}\n  want {want}",
+                    profile.name
+                ));
             }
         }
     }
