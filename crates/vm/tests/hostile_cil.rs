@@ -1,0 +1,235 @@
+//! Verified CIL cannot panic the host.
+//!
+//! Each case is a small hand-built module the MiniC# compiler would never
+//! emit: a field access on a string, a multidimensional access of rank 4,
+//! element access through an `object` reference on an array of another
+//! kind or rank. The verifier either rejects the module, or every engine
+//! raises the same managed exception for it — the interpreter
+//! (`sscli10`), the decoding register tier (`clr11`, and `mono023` for
+//! the helper-call multidimensional path) and the closure tier
+//! (`clr11_compiled`). Nothing here catches an unwind: a host panic fails
+//! the test.
+
+use hpcnet_cil::{CilType, ElemKind, FieldId, MethodBuilder, MethodKind, Module, ModuleBuilder, Op};
+use hpcnet_vm::{declare_prelude, Vm, VmError, VmProfile};
+
+/// How a case must end, on every engine.
+#[derive(Clone, Debug, PartialEq)]
+enum Outcome {
+    /// `Vm::new` refused the module.
+    Rejected,
+    /// `Main` raised a managed exception of this class.
+    Throws(&'static str),
+}
+
+const CAST: Outcome = Outcome::Throws("InvalidCastException");
+const OOB: Outcome = Outcome::Throws("IndexOutOfRangeException");
+
+/// A module with `class Q { int x; }` and `static int Q.Main()` whose body
+/// `body` writes; it gets one `object` local (local 0).
+fn module(body: impl FnOnce(&mut MethodBuilder, FieldId)) -> Module {
+    let mut mb = ModuleBuilder::new();
+    declare_prelude(&mut mb);
+    let q = mb.declare_class("Q", None);
+    let x = mb.add_field(q, "x", CilType::I4, false);
+    let mut f = mb.method(q, "Main", vec![], CilType::I4, MethodKind::Static);
+    f.local(CilType::Object);
+    body(&mut f, x);
+    f.finish();
+    mb.finish()
+}
+
+/// `ldc.i4 v` for each of `vs`.
+fn ints(f: &mut MethodBuilder, vs: &[i32]) {
+    for &v in vs {
+        f.ldc_i4(v);
+    }
+}
+
+/// Store a fresh `int[2]` (or `object[2]` for `Ref`) in the object local.
+fn sz_in_object(f: &mut MethodBuilder, kind: ElemKind) {
+    f.ldc_i4(2);
+    f.emit(Op::NewArr(kind));
+    f.st_loc(0);
+}
+
+/// Store a fresh `int[2,2]` in the object local, with `5` at `[1,1]`.
+fn int_2x2_in_object(f: &mut MethodBuilder) {
+    ints(f, &[2, 2]);
+    f.emit(Op::NewMultiArr { kind: ElemKind::I4, rank: 2 });
+    f.st_loc(0);
+    f.ld_loc(0);
+    ints(f, &[1, 1, 5]);
+    f.emit(Op::StElemMulti { kind: ElemKind::I4, rank: 2 });
+}
+
+fn cases() -> Vec<(&'static str, Module, Outcome)> {
+    let i4 = ElemKind::I4;
+    vec![
+        (
+            "ldfld on a string",
+            module(|f, x| {
+                f.ld_str("s");
+                f.emit(Op::LdFld(x));
+                f.ret();
+            }),
+            Outcome::Rejected,
+        ),
+        (
+            "stfld on a string",
+            module(|f, x| {
+                f.ld_str("s");
+                f.ldc_i4(1);
+                f.emit(Op::StFld(x));
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            Outcome::Rejected,
+        ),
+        (
+            "rank-4 newmarr",
+            module(|f, _| {
+                ints(f, &[1, 1, 1, 1]);
+                f.emit(Op::NewMultiArr { kind: i4, rank: 4 });
+                f.emit(Op::Pop);
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            Outcome::Rejected,
+        ),
+        (
+            "rank-4 ldmelem on null",
+            module(|f, _| {
+                f.emit(Op::LdNull);
+                ints(f, &[0, 0, 0, 0]);
+                f.emit(Op::LdElemMulti { kind: i4, rank: 4 });
+                f.ret();
+            }),
+            Outcome::Rejected,
+        ),
+        (
+            "ldelem.ref on an int[] through object",
+            module(|f, _| {
+                sz_in_object(f, i4);
+                f.ld_loc(0);
+                f.ldc_i4(0);
+                f.emit(Op::LdElem(ElemKind::Ref));
+                f.emit(Op::Pop);
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            CAST,
+        ),
+        (
+            "stelem.ref on an int[] through object",
+            module(|f, _| {
+                sz_in_object(f, i4);
+                f.ld_loc(0);
+                f.ldc_i4(1);
+                f.emit(Op::LdNull);
+                f.emit(Op::StElem(ElemKind::Ref));
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            CAST,
+        ),
+        (
+            "ldelem.i4 on an object[] through object",
+            module(|f, _| {
+                sz_in_object(f, ElemKind::Ref);
+                f.ld_loc(0);
+                f.ldc_i4(1);
+                f.emit(Op::LdElem(i4));
+                f.ret();
+            }),
+            CAST,
+        ),
+        (
+            "stelem.i4 on an object[] through object",
+            module(|f, _| {
+                sz_in_object(f, ElemKind::Ref);
+                f.ld_loc(0);
+                ints(f, &[0, 7]);
+                f.emit(Op::StElem(i4));
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            CAST,
+        ),
+        (
+            "rank-3 ldmelem on an int[,] through object",
+            module(|f, _| {
+                int_2x2_in_object(f);
+                f.ld_loc(0);
+                ints(f, &[1, 1, 0]);
+                f.emit(Op::LdElemMulti { kind: i4, rank: 3 });
+                f.ret();
+            }),
+            OOB,
+        ),
+        (
+            "rank-3 stmelem on an int[,] through object",
+            module(|f, _| {
+                int_2x2_in_object(f);
+                f.ld_loc(0);
+                ints(f, &[1, 1, 0, 9]);
+                f.emit(Op::StElemMulti { kind: i4, rank: 3 });
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            OOB,
+        ),
+        (
+            "ldmelem.ref on an int[,] through object",
+            module(|f, _| {
+                int_2x2_in_object(f);
+                f.ld_loc(0);
+                ints(f, &[1, 1]);
+                f.emit(Op::LdElemMulti { kind: ElemKind::Ref, rank: 2 });
+                f.emit(Op::Pop);
+                f.ldc_i4(0);
+                f.ret();
+            }),
+            CAST,
+        ),
+    ]
+}
+
+fn run(module: Module, profile: VmProfile) -> Result<Outcome, String> {
+    let vm = match Vm::new(module, profile) {
+        Ok(vm) => vm,
+        Err(VmError::Internal(m)) if m.starts_with("module failed verification") => {
+            return Ok(Outcome::Rejected)
+        }
+        Err(e) => return Err(format!("Vm::new: {e}")),
+    };
+    match vm.invoke_by_name("Q.Main", vec![]) {
+        Err(VmError::Exception(o)) => {
+            let class = o.class_id().ok_or("exception object is not an instance")?;
+            let name = &vm.module.class(class).name;
+            ["InvalidCastException", "IndexOutOfRangeException"]
+                .into_iter()
+                .find(|n| n == name)
+                .map(Outcome::Throws)
+                .ok_or_else(|| format!("threw {name}"))
+        }
+        other => Err(format!("ended with {other:?}")),
+    }
+}
+
+#[test]
+fn hostile_cil_ends_the_same_way_on_every_engine() {
+    let profiles = [
+        VmProfile::sscli10(),
+        VmProfile::clr11(),
+        VmProfile::mono023(),
+        VmProfile::clr11_compiled(),
+    ];
+    for (name, module, want) in cases() {
+        for p in profiles {
+            let got = run(module.clone(), p);
+            assert_eq!(got, Ok(want.clone()), "{name} on {}", p.name);
+        }
+    }
+}
+
