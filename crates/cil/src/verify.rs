@@ -9,7 +9,7 @@
 //! (exactly as a real JIT trusts the loader), and the optimizing tiers reuse
 //! the recorded types to drive stack-to-register translation.
 
-use crate::module::{EhKind, MethodId, Module};
+use crate::module::{EhKind, FieldDef, MethodId, Module};
 use crate::op::{BinOp, ElemKind, Intrinsic, Op, UnOp};
 use crate::types::{CilType, NumTy};
 use std::fmt;
@@ -448,7 +448,8 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 if fd.is_static {
                     return v.err("ldfld on static field");
                 }
-                pop_ref!();
+                let recv = pop_ref!();
+                check_receiver(&v, &recv, fd)?;
                 st.push(VerTy::of(&fd.ty));
             }
             Op::StFld(f) => {
@@ -457,7 +458,8 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                     return v.err("stfld on static field");
                 }
                 let val = pop!();
-                pop_ref!();
+                let recv = pop_ref!();
+                check_receiver(&v, &recv, fd)?;
                 if !v.assignable(&val, &fd.ty) {
                     return v.err(format!("cannot store {val} into field {}", fd.name));
                 }
@@ -526,6 +528,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }
             }
             Op::NewMultiArr { kind, rank } => {
+                check_rank(&v, *rank)?;
                 for _ in 0..*rank {
                     pop_i4!();
                 }
@@ -535,6 +538,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }));
             }
             Op::LdElemMulti { kind, rank } => {
+                check_rank(&v, *rank)?;
                 for _ in 0..*rank {
                     pop_i4!();
                 }
@@ -543,6 +547,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 st.push(elem_result(&arr, *kind));
             }
             Op::StElemMulti { kind, rank } => {
+                check_rank(&v, *rank)?;
                 let val = pop!();
                 for _ in 0..*rank {
                     pop_i4!();
@@ -638,6 +643,26 @@ fn elem_result(arr: &VerTy, k: ElemKind) -> VerTy {
             VerTy::Ref(CilType::Array(e)) if e.is_ref() => VerTy::Ref((**e).clone()),
             _ => VerTy::Ref(CilType::Object),
         },
+    }
+}
+
+/// An instance field is read or written through a reference to its
+/// class (or a subclass), or through null.
+fn check_receiver(v: &Verifier, recv: &VerTy, fd: &FieldDef) -> Result<(), VerifyError> {
+    if v.assignable(recv, &CilType::Class(fd.owner)) {
+        Ok(())
+    } else {
+        v.err(format!("field {} accessed on {recv}", fd.name))
+    }
+}
+
+/// Multidimensional arrays have rank 2 or 3, as [`CilType::multi_of`]
+/// requires; the engines size their index buffers by it.
+fn check_rank(v: &Verifier, rank: u8) -> Result<(), VerifyError> {
+    if (2..=3).contains(&rank) {
+        Ok(())
+    } else {
+        v.err(format!("multidimensional rank {rank} outside 2..=3"))
     }
 }
 
@@ -1023,6 +1048,41 @@ mod tests {
         });
         let e = verify_method(&m, id).unwrap_err();
         assert!(e.message.contains("shift"), "{e}");
+    }
+
+    #[test]
+    fn rejects_field_access_on_another_class() {
+        let mut mb = ModuleBuilder::new();
+        let q = mb.declare_class("Q", None);
+        let x = mb.add_field(q, "x", CilType::I4, false);
+        let mut f = mb.method(q, "F", vec![], CilType::I4, MethodKind::Static);
+        f.ld_str("s");
+        f.emit(Op::LdFld(x));
+        f.ret();
+        let id = f.finish();
+        let mut f = mb.method(q, "G", vec![], CilType::I4, MethodKind::Static);
+        f.emit(Op::LdNull);
+        f.emit(Op::LdFld(x));
+        f.ret();
+        let null_ok = f.finish();
+        let m = mb.finish();
+        let e = verify_method(&m, id).unwrap_err();
+        assert!(e.message.contains("field x accessed on string"), "{e}");
+        verify_method(&m, null_ok).unwrap();
+    }
+
+    #[test]
+    fn rejects_multidimensional_rank_outside_2_to_3() {
+        let (m, id) = one_method(|f| {
+            f.emit(Op::LdNull);
+            for _ in 0..4 {
+                f.ldc_i4(0);
+            }
+            f.emit(Op::LdElemMulti { kind: ElemKind::I4, rank: 4 });
+            f.ret();
+        });
+        let e = verify_method(&m, id).unwrap_err();
+        assert!(e.message.contains("rank 4 outside 2..=3"), "{e}");
     }
 
     #[test]

@@ -174,6 +174,97 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The `environment` object every artifact records: where it was produced.
+pub fn environment() -> Json {
+    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    Json::obj(vec![
+        ("os", Json::Str(std::env::consts::OS.to_string())),
+        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
+        ("cpus", Json::num(cpus as f64)),
+        ("package_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
+        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
+    ])
+}
+
+/// The schema-walking accumulator of every artifact validator: it collects
+/// each problem as `"{path}: {what}"` instead of stopping at the first.
+#[derive(Default)]
+pub struct Check {
+    problems: Vec<String>,
+}
+
+impl Check {
+    pub fn new() -> Check {
+        Check::default()
+    }
+
+    /// Every problem found, or `Ok` when there was none.
+    pub fn finish(self) -> Result<(), Vec<String>> {
+        if self.problems.is_empty() {
+            Ok(())
+        } else {
+            Err(self.problems)
+        }
+    }
+
+    pub fn fail(&mut self, path: &str, what: &str) {
+        self.problems.push(format!("{path}: {what}"));
+    }
+
+    /// `$.schema_version` must be one of `accepted`.
+    pub fn schema_version(&mut self, doc: &Json, accepted: &[f64]) {
+        match doc.get("schema_version").and_then(Json::as_f64) {
+            Some(v) if accepted.contains(&v) => {}
+            Some(v) => self.fail("$", &format!("unsupported schema_version {v}")),
+            None => self.fail("$", "missing numeric schema_version"),
+        }
+    }
+
+    pub fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
+        let n = v.get(key).and_then(Json::as_f64);
+        if n.is_none() {
+            self.fail(path, &format!("missing or non-numeric field '{key}'"));
+        }
+        n
+    }
+
+    pub fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
+        let s = v.get(key).and_then(Json::as_str).map(str::to_string);
+        if s.is_none() {
+            self.fail(path, &format!("missing or non-string field '{key}'"));
+        }
+        s
+    }
+
+    pub fn bool_field(&mut self, v: &Json, path: &str, key: &str) {
+        if v.get(key).and_then(Json::as_bool).is_none() {
+            self.fail(path, &format!("missing or non-boolean field '{key}'"));
+        }
+    }
+
+    /// The array at `key`, or an empty one after recording the problem.
+    pub fn arr<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j [Json] {
+        match v.get(key).and_then(Json::as_arr) {
+            Some(a) => a,
+            None => {
+                self.fail(path, &format!("missing or non-array field '{key}'"));
+                &[]
+            }
+        }
+    }
+
+    /// The object at `key`, or `null` after recording the problem.
+    pub fn obj<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j Json {
+        match v.get(key) {
+            Some(o @ Json::Obj(_)) => o,
+            _ => {
+                self.fail(path, &format!("missing or non-object field '{key}'"));
+                &Json::Null
+            }
+        }
+    }
+}
+
 /// Parse failure with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {

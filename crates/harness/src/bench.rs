@@ -19,6 +19,7 @@ use crate::measure::{
 };
 use crate::report::Table;
 use crate::stats::Classification;
+use hpcnet_core::json::{environment, Check};
 use hpcnet_core::{
     lookup_group, run_entry, vm_for, BenchGroup, Entry, ObserveLevel, ResetStats, Unit, Vm,
     VmProfile,
@@ -54,22 +55,6 @@ fn unit_str(u: Unit) -> &'static str {
         Unit::MFlops => "mflops",
         Unit::EventsPerSec => "events/sec",
     }
-}
-
-fn environment() -> Json {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    Json::obj(vec![
-        ("os", Json::Str(std::env::consts::OS.to_string())),
-        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Json::num(cpus as f64)),
-        (
-            "package_version",
-            Json::Str(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
-    ])
 }
 
 fn counters_json(c: hpcnet_core::CountersSnapshot) -> Json {
@@ -294,75 +279,11 @@ pub fn run_bench_groups(cfg: &Config, group_ids: &[&str]) -> Result<BenchRun, Me
 
 // ---- schema validation ----
 
-/// Shared schema-walking accumulator for the bench and profile document
-/// validators: collects every problem instead of stopping at the first.
-pub(crate) struct Check {
-    problems: Vec<String>,
-}
-
-impl Check {
-    pub(crate) fn new() -> Check {
-        Check { problems: Vec::new() }
-    }
-
-    pub(crate) fn finish(self) -> Result<(), Vec<String>> {
-        if self.problems.is_empty() {
-            Ok(())
-        } else {
-            Err(self.problems)
-        }
-    }
-
-    pub(crate) fn fail(&mut self, path: &str, what: &str) {
-        self.problems.push(format!("{path}: {what}"));
-    }
-
-    pub(crate) fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
-        match v.get(key).and_then(Json::as_f64) {
-            Some(n) => Some(n),
-            None => {
-                self.fail(path, &format!("missing or non-numeric field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
-        match v.get(key).and_then(Json::as_str) {
-            Some(s) => Some(s.to_string()),
-            None => {
-                self.fail(path, &format!("missing or non-string field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn bool_field(&mut self, v: &Json, path: &str, key: &str) {
-        if v.get(key).and_then(Json::as_bool).is_none() {
-            self.fail(path, &format!("missing or non-boolean field '{key}'"));
-        }
-    }
-
-    pub(crate) fn arr<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j [Json] {
-        match v.get(key).and_then(Json::as_arr) {
-            Some(a) => a,
-            None => {
-                self.fail(path, &format!("missing or non-array field '{key}'"));
-                &[]
-            }
-        }
-    }
-}
-
 /// Validate a parsed bench document against the schema in
 /// docs/MEASUREMENT.md. Returns every problem found, not just the first.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
+    c.schema_version(doc, &[SCHEMA_VERSION]);
     c.str_field(doc, "$", "suite");
 
     if let Some(env) = doc.get("environment") {

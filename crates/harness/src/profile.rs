@@ -23,10 +23,10 @@
 //! prints the rates, demonstrating that `Off` costs nothing measurable.
 //! Those rates go to stdout only, never into the JSON.
 
-use crate::bench::Check;
 use crate::json::Json;
 use crate::measure::{time_entry, MeasureError};
 use crate::report::Table;
+use hpcnet_core::json::Check;
 use hpcnet_core::{
     find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, Event,
     ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
@@ -487,11 +487,7 @@ pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, Measu
 /// Validate a parsed profile document. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == PROFILE_SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
+    c.schema_version(doc, &[PROFILE_SCHEMA_VERSION]);
     match doc.get("kind").and_then(Json::as_str) {
         Some("profile") => {}
         _ => c.fail("$", "kind must be \"profile\""),

@@ -134,7 +134,7 @@ mod tests {
         let heap = Heap::with_tracking();
         let arr = heap.alloc_array(ElemKind::Ref, 2);
         let leaf = heap.adopt(HeapObj::new_str("x"));
-        arr.ref_data()[1].set(Some(leaf.clone()));
+        arr.ref_data().unwrap()[1].set(Some(leaf.clone()));
         let stats = collect(&heap, &[arr.clone()]);
         assert_eq!(stats.marked, 2);
         assert_eq!(stats.cycles_broken, 0);

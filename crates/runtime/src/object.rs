@@ -93,9 +93,7 @@ pub struct HeapObj {
     pub body: ObjBody,
     /// Set by every mutating accessor since the last snapshot capture or
     /// restore (see [`crate::snapshot`]). Lets a reset rewrite only the
-    /// objects a run actually touched. Callers that write through the raw
-    /// slices ([`HeapObj::prim_data`] / [`HeapObj::ref_data`]) must call
-    /// [`HeapObj::mark_dirty`] themselves.
+    /// objects a run actually touched.
     dirty: AtomicBool,
 }
 
@@ -271,67 +269,89 @@ impl HeapObj {
         }
     }
 
-    // ---- SZ array element access (bounds already checked by caller) ----
+    // ---- array element access ----
+    //
+    // The raw slices are what the register tiers' element ops index
+    // directly. Their contract: the slice is `None` when the body is not an
+    // array of that storage kind — element access through an `object`
+    // reference can name the wrong one, and the caller turns `None` into an
+    // `InvalidCastException`; bounds are the caller's to check; and a
+    // caller that writes through a slice calls [`HeapObj::mark_dirty`]
+    // first, since no accessor sees the write.
 
-    /// Raw primitive slice of any primitive array body.
+    /// Primitive element slice of any primitive array body (SZ or
+    /// multidimensional); `None` for every other body.
     #[inline]
-    pub fn prim_data(&self) -> &[AtomicU64] {
+    pub fn prim_data(&self) -> Option<&[AtomicU64]> {
         match &self.body {
             ObjBody::ArrU1(d)
             | ObjBody::ArrI4(d)
             | ObjBody::ArrI8(d)
             | ObjBody::ArrR4(d)
-            | ObjBody::ArrR8(d) => d,
-            ObjBody::MultiPrim { data, .. } => data,
-            _ => panic!("prim_data on non-primitive array"),
+            | ObjBody::ArrR8(d) => Some(d),
+            ObjBody::MultiPrim { data, .. } => Some(data),
+            _ => None,
         }
     }
 
-    /// Reference slot slice of any reference array body.
+    /// Reference element slice of any reference array body; `None` for
+    /// every other body.
     #[inline]
-    pub fn ref_data(&self) -> &[RefSlot] {
+    pub fn ref_data(&self) -> Option<&[RefSlot]> {
         match &self.body {
-            ObjBody::ArrRef(d) => d,
-            ObjBody::MultiRef { data, .. } => data,
-            _ => panic!("ref_data on non-reference array"),
+            ObjBody::ArrRef(d) => Some(d),
+            ObjBody::MultiRef { data, .. } => Some(data),
+            _ => None,
         }
     }
 
-    /// Element load as a [`Value`] (interpreter path).
+    /// Element load as a [`Value`] (interpreter path; `idx` in bounds).
+    /// `None` when `kind`'s storage is not this array's.
     #[inline]
-    pub fn load_elem(&self, kind: ElemKind, idx: usize) -> Value {
-        match kind.num_ty() {
-            Some(nt) => Value::from_bits(nt, self.prim_data()[idx].load(Ordering::Relaxed)),
-            None => match self.ref_data()[idx].get() {
+    pub fn load_elem(&self, kind: ElemKind, idx: usize) -> Option<Value> {
+        Some(match kind.num_ty() {
+            Some(nt) => Value::from_bits(nt, self.prim_data()?[idx].load(Ordering::Relaxed)),
+            None => match self.ref_data()?[idx].get() {
                 Some(o) => Value::Ref(o),
                 None => Value::Null,
             },
-        }
+        })
     }
 
-    /// Element store from a [`Value`] (interpreter path).
+    /// Element store from a [`Value`] (interpreter path; `idx` in bounds).
+    /// `None`, with nothing written, when `kind`'s storage is not this
+    /// array's.
     #[inline]
-    pub fn store_elem(&self, kind: ElemKind, idx: usize, v: &Value) {
-        self.mark_dirty();
+    pub fn store_elem(&self, kind: ElemKind, idx: usize, v: &Value) -> Option<()> {
         match kind.num_ty() {
             Some(_) => {
+                let data = self.prim_data()?;
                 let bits = match (kind, v) {
                     // u1 stores truncate to the low byte, as `stelem.u1` does.
                     (ElemKind::U1, Value::I4(x)) => (*x as u8) as u64,
                     _ => v.to_bits(),
                 };
-                self.prim_data()[idx].store(bits, Ordering::Relaxed);
+                self.mark_dirty();
+                data[idx].store(bits, Ordering::Relaxed);
             }
-            None => self.ref_data()[idx].set(v.as_ref_opt().cloned()),
+            None => {
+                let data = self.ref_data()?;
+                self.mark_dirty();
+                data[idx].set(v.as_ref_opt().cloned());
+            }
         }
+        Some(())
     }
 
-    /// Row-major flat offset of multidimensional indices; `None` when any
-    /// index is out of its dimension's bounds.
+    /// Row-major flat offset of multidimensional indices; `None` when this
+    /// is not a multidimensional array of rank `idxs.len()` or any index is
+    /// out of its dimension's bounds.
     #[inline]
     pub fn multi_offset(&self, idxs: &[i32]) -> Option<usize> {
         let dims = self.multi_dims()?;
-        debug_assert_eq!(dims.len(), idxs.len());
+        if dims.len() != idxs.len() {
+            return None;
+        }
         let mut off: usize = 0;
         for (&i, &d) in idxs.iter().zip(dims.iter()) {
             if i < 0 || i as u32 >= d {
@@ -437,19 +457,31 @@ mod tests {
     #[test]
     fn array_elem_roundtrip() {
         let a = HeapObj::new_array(ElemKind::R8, 4);
-        a.store_elem(ElemKind::R8, 2, &Value::R8(1.25));
-        assert_eq!(a.load_elem(ElemKind::R8, 2).as_r8(), 1.25);
-        assert_eq!(a.load_elem(ElemKind::R8, 0).as_r8(), 0.0);
+        a.store_elem(ElemKind::R8, 2, &Value::R8(1.25)).unwrap();
+        assert_eq!(a.load_elem(ElemKind::R8, 2).unwrap().as_r8(), 1.25);
+        assert_eq!(a.load_elem(ElemKind::R8, 0).unwrap().as_r8(), 0.0);
         assert_eq!(a.array_len(), Some(4));
+    }
+
+    #[test]
+    fn access_of_the_wrong_storage_kind_is_refused() {
+        let ints = HeapObj::new_array(ElemKind::I4, 2);
+        let objs = HeapObj::new_array(ElemKind::Ref, 2);
+        assert!(ints.ref_data().is_none() && objs.prim_data().is_none());
+        assert!(ints.load_elem(ElemKind::Ref, 0).is_none());
+        assert!(objs.load_elem(ElemKind::I4, 0).is_none());
+        assert!(objs.store_elem(ElemKind::I4, 0, &Value::I4(1)).is_none());
+        assert!(!objs.is_dirty(), "a refused store writes nothing");
+        assert!(HeapObj::new_str("s").prim_data().is_none());
     }
 
     #[test]
     fn u1_store_truncates() {
         let a = HeapObj::new_array(ElemKind::U1, 2);
-        a.store_elem(ElemKind::U1, 0, &Value::I4(0x1FF));
-        assert_eq!(a.load_elem(ElemKind::U1, 0).as_i4(), 0xFF);
-        a.store_elem(ElemKind::U1, 1, &Value::I4(-1));
-        assert_eq!(a.load_elem(ElemKind::U1, 1).as_i4(), 0xFF);
+        a.store_elem(ElemKind::U1, 0, &Value::I4(0x1FF)).unwrap();
+        assert_eq!(a.load_elem(ElemKind::U1, 0).unwrap().as_i4(), 0xFF);
+        a.store_elem(ElemKind::U1, 1, &Value::I4(-1)).unwrap();
+        assert_eq!(a.load_elem(ElemKind::U1, 1).unwrap().as_i4(), 0xFF);
     }
 
     #[test]
@@ -470,6 +502,10 @@ mod tests {
         let m = HeapObj::new_multi(ElemKind::I4, &[2, 3, 4]);
         assert_eq!(m.multi_offset(&[1, 2, 3]), Some(23));
         assert_eq!(m.multi_offset(&[0, 0, 4]), None);
+        // Another rank names no element, even with every index in range.
+        assert_eq!(m.multi_offset(&[1, 2]), None);
+        assert_eq!(m.multi_offset(&[1, 2, 3, 0]), None);
+        assert_eq!(HeapObj::new_array(ElemKind::I4, 4).multi_offset(&[1, 1]), None);
     }
 
     #[test]
@@ -477,8 +513,8 @@ mod tests {
         let a = HeapObj::new_array(ElemKind::Ref, 3);
         let s1 = Arc::new(HeapObj::new_str("a"));
         let s2 = Arc::new(HeapObj::new_str("b"));
-        a.store_elem(ElemKind::Ref, 0, &Value::Ref(s1));
-        a.store_elem(ElemKind::Ref, 2, &Value::Ref(s2));
+        a.store_elem(ElemKind::Ref, 0, &Value::Ref(s1)).unwrap();
+        a.store_elem(ElemKind::Ref, 2, &Value::Ref(s2)).unwrap();
         let mut seen = Vec::new();
         a.for_each_ref(|o| seen.push(o.as_str().unwrap().to_string()));
         assert_eq!(seen, ["a", "b"]);

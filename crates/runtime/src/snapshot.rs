@@ -88,12 +88,12 @@ fn restore_payload(o: &Obj, p: &Payload) {
             }
         }
         (Payload::Prim(bits), _) => {
-            for (cell, &b) in o.prim_data().iter().zip(bits.iter()) {
+            for (cell, &b) in o.prim_data().unwrap_or_default().iter().zip(bits.iter()) {
                 cell.store(b, Ordering::Relaxed);
             }
         }
         (Payload::Refs(vals), _) => {
-            for (slot, v) in o.ref_data().iter().zip(vals.iter()) {
+            for (slot, v) in o.ref_data().unwrap_or_default().iter().zip(vals.iter()) {
                 slot.set(v.clone());
             }
         }
@@ -117,12 +117,12 @@ fn payload_matches(o: &Obj, p: &Payload) -> bool {
                 .all(|(c, &b)| c.load(Ordering::Relaxed) == b)
                 && refs_eq(cr, refs)
         }
-        (Payload::Prim(bits), _) => o
-            .prim_data()
-            .iter()
-            .zip(bits.iter())
-            .all(|(c, &b)| c.load(Ordering::Relaxed) == b),
-        (Payload::Refs(vals), _) => refs_eq(o.ref_data(), vals),
+        (Payload::Prim(bits), _) => o.prim_data().is_some_and(|data| {
+            data.iter()
+                .zip(bits.iter())
+                .all(|(c, &b)| c.load(Ordering::Relaxed) == b)
+        }),
+        (Payload::Refs(vals), _) => o.ref_data().is_some_and(|data| refs_eq(data, vals)),
         _ => false,
     }
 }
@@ -209,16 +209,16 @@ mod tests {
         let heap = Heap::new();
         let a = heap.alloc_array(ElemKind::I4, 4);
         let b = heap.alloc_array(ElemKind::I4, 4);
-        a.store_elem(ElemKind::I4, 0, &crate::Value::I4(7));
+        a.store_elem(ElemKind::I4, 0, &crate::Value::I4(7)).unwrap();
         let snap = HeapSnapshot::capture(&heap, &[a.clone(), b.clone()]);
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.verify(), 0);
 
-        a.store_elem(ElemKind::I4, 0, &crate::Value::I4(99));
+        a.store_elem(ElemKind::I4, 0, &crate::Value::I4(99)).unwrap();
         assert_eq!(snap.verify(), 1);
         let stats = snap.restore(&heap);
         assert_eq!(stats.objects_restored, 1, "only the mutated array");
-        assert_eq!(a.load_elem(ElemKind::I4, 0).as_i4(), 7);
+        assert_eq!(a.load_elem(ElemKind::I4, 0).unwrap().as_i4(), 7);
         assert_eq!(snap.verify(), 0);
 
         // An untouched second restore rewrites nothing.
@@ -255,7 +255,7 @@ mod tests {
         let heap = Heap::new();
         let outer = heap.alloc_array(ElemKind::Ref, 2);
         let inner = heap.alloc_instance(ClassId(1), 1, 0);
-        outer.store_elem(ElemKind::Ref, 1, &crate::Value::Ref(inner.clone()));
+        outer.store_elem(ElemKind::Ref, 1, &crate::Value::Ref(inner.clone())).unwrap();
         let snap = HeapSnapshot::capture(&heap, &[outer]);
         assert_eq!(snap.len(), 2);
         inner.set_prim_field(0, 5);

@@ -15,7 +15,7 @@
 //! [`check_document`] lets CI (or a consumer) re-validate any file.
 
 use crate::{JobRecord, ServiceReport};
-use hpcnet_core::json::Json;
+use hpcnet_core::json::{environment, Check, Json};
 use hpcnet_core::Histogram;
 
 pub const SCHEMA_VERSION: f64 = 1.1;
@@ -26,17 +26,6 @@ pub const ACCEPTED_SCHEMA_VERSIONS: &[f64] = &[1.0, SCHEMA_VERSION];
 
 /// Statuses a job can report; anything else fails validation.
 pub const STATUSES: &[&str] = &["ok", "trap", "limit", "compile-error", "internal", "panic"];
-
-pub(crate) fn environment() -> Json {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    Json::obj(vec![
-        ("os", Json::Str(std::env::consts::OS.to_string())),
-        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Json::num(cpus as f64)),
-        ("package_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
-    ])
-}
 
 fn job_json(r: &JobRecord) -> Json {
     let o = &r.outcome;
@@ -170,50 +159,6 @@ pub fn jobs_fingerprint(doc: &Json) -> Option<String> {
     doc.get("jobs").map(Json::render)
 }
 
-pub(crate) struct Check {
-    pub(crate) problems: Vec<String>,
-}
-
-impl Check {
-    pub(crate) fn new() -> Check {
-        Check { problems: Vec::new() }
-    }
-
-    pub(crate) fn fail(&mut self, path: &str, what: &str) {
-        self.problems.push(format!("{path}: {what}"));
-    }
-
-    pub(crate) fn num(&mut self, v: &Json, path: &str, key: &str) -> Option<f64> {
-        match v.get(key).and_then(Json::as_f64) {
-            Some(n) => Some(n),
-            None => {
-                self.fail(path, &format!("missing or non-numeric field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn str_field(&mut self, v: &Json, path: &str, key: &str) -> Option<String> {
-        match v.get(key).and_then(Json::as_str) {
-            Some(s) => Some(s.to_string()),
-            None => {
-                self.fail(path, &format!("missing or non-string field '{key}'"));
-                None
-            }
-        }
-    }
-
-    pub(crate) fn obj<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j Json {
-        match v.get(key) {
-            Some(o @ Json::Obj(_)) => o,
-            _ => {
-                self.fail(path, &format!("missing or non-object field '{key}'"));
-                &Json::Null
-            }
-        }
-    }
-}
-
 fn validate_split(c: &mut Check, v: &Json, path: &str) {
     for key in ["count", "p50", "p90", "p99", "max"] {
         c.num(v, path, key);
@@ -223,11 +168,7 @@ fn validate_split(c: &mut Check, v: &Json, path: &str) {
 /// Validate a parsed `BENCH_serve.json`. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if ACCEPTED_SCHEMA_VERSIONS.contains(&v) => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
+    c.schema_version(doc, ACCEPTED_SCHEMA_VERSIONS);
     match doc.get("suite").and_then(Json::as_str) {
         Some("serve") => {}
         Some(other) => c.fail("$", &format!("suite must be 'serve', got '{other}'")),
@@ -298,11 +239,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         validate_split(&mut c, split, &format!("$.service.latency_ns.{key}"));
     }
 
-    if c.problems.is_empty() {
-        Ok(())
-    } else {
-        Err(c.problems)
-    }
+    c.finish()
 }
 
 /// Parse + validate document text (the CLI self-check and CI entry).

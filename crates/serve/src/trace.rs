@@ -19,9 +19,8 @@
 //! [`check_document`] re-validates an emitted artifact, mirroring
 //! `BENCH_serve.json`'s self-checking emitter.
 
-use crate::report::{environment, Check};
 use crate::{build_artifact, JobPayload, ServiceReport};
-use hpcnet_core::json::Json;
+use hpcnet_core::json::{environment, Check, Json};
 use hpcnet_core::trace::Span;
 use hpcnet_core::{Histogram, MetricsRegistry, MetricsSnapshot};
 use hpcnet_minics::STARTUP_INIT;
@@ -272,11 +271,7 @@ fn validate_span(c: &mut Check, node: &Json, path: &str, depth: usize) {
 /// Validate a parsed `TRACE_serve.json`. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
-    match doc.get("schema_version").and_then(Json::as_f64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => c.fail("$", &format!("unsupported schema_version {v}")),
-        None => c.fail("$", "missing numeric schema_version"),
-    }
+    c.schema_version(doc, &[SCHEMA_VERSION]);
     match doc.get("suite").and_then(Json::as_str) {
         Some("serve-trace") => {}
         Some(other) => c.fail("$", &format!("suite must be 'serve-trace', got '{other}'")),
@@ -320,11 +315,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         c.fail("$", "missing or non-object field 'metrics'");
     }
 
-    if c.problems.is_empty() {
-        Ok(())
-    } else {
-        Err(c.problems)
-    }
+    c.finish()
 }
 
 /// Parse + validate document text (the CLI self-check and CI entry).

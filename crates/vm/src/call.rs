@@ -1,10 +1,11 @@
-//! What the two register tiers share: the frame, the dispatch contract,
-//! the run loop with its `leave`/`finally`/exception protocol, and the
-//! managed call edge.
+//! What the two register tiers share around an instruction: the frame,
+//! the dispatch contract, the run loop with its `leave`/`finally`/exception
+//! protocol, and the managed call edge. (What they share *inside* one —
+//! its body — is the `ops` module.)
 //!
 //! [`crate::exec`] (decode each [`crate::rir::RInst`] on every execution)
 //! and [`crate::compiled`] (call a pre-resolved closure) differ in how one
-//! instruction is carried out and in nothing else, so each is a `RegTier`:
+//! instruction is dispatched and in nothing else, so each is a `RegTier`:
 //! where its code lives and how one op is stepped. Everything around the
 //! step is written once, here.
 //!

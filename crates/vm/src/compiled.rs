@@ -8,12 +8,13 @@
 //! fetches `ops[pc]` and calls it: operands, immediates, literals and
 //! class layouts were all resolved at translation time, so the per-op work
 //! is the operation itself plus one indirect call that answers in a
-//! register (`call::Step`). Everything around the dispatch — the
-//! split enregistered/spill frame, the run loop, exception dispatch, the
-//! `leave`/`finally` protocol and the call edge — is [`crate::call`]'s,
-//! the same code the exec tier runs, so the two stay bitwise
-//! interchangeable under the conformance matrix while differing *only* in
-//! dispatch and slot-allocation strategy.
+//! register (`call::Step`). The operation itself is the exec tier's: each
+//! closure calls its instruction's body in the shared `ops` module, with
+//! the build-time constants folded in. Everything around the dispatch —
+//! the split enregistered/spill frame, the run loop, exception dispatch,
+//! the `leave`/`finally` protocol and the call edge — is
+//! [`crate::call`]'s, the same code the exec tier runs, so the two differ
+//! *only* in dispatch and slot-allocation strategy.
 //!
 //! Profiles select this engine with [`crate::profile::Tier::Compiled`];
 //! [`crate::profile::VmProfile::clr11_compiled`] is the stock example.

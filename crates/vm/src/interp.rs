@@ -451,7 +451,10 @@ impl<'v> Interp<'v> {
                 if idx < 0 || idx as usize >= len {
                     return Err(vm.raise_index_oob(self.depth));
                 }
-                self.push(arr.load_elem(*kind, idx as usize));
+                let v = arr
+                    .load_elem(*kind, idx as usize)
+                    .ok_or_else(|| vm.raise_invalid_cast(self.depth))?;
+                self.push(v);
             }
             Op::StElem(kind) => {
                 let v = self.pop();
@@ -461,7 +464,8 @@ impl<'v> Interp<'v> {
                 if idx < 0 || idx as usize >= len {
                     return Err(vm.raise_index_oob(self.depth));
                 }
-                arr.store_elem(*kind, idx as usize, &v);
+                arr.store_elem(*kind, idx as usize, &v)
+                    .ok_or_else(|| vm.raise_invalid_cast(self.depth))?;
             }
             Op::NewMultiArr { kind, rank } => {
                 let mut dims = vec![0u32; *rank as usize];
@@ -483,7 +487,10 @@ impl<'v> Interp<'v> {
                 let off = arr
                     .multi_offset(&idxs)
                     .ok_or_else(|| vm.raise_index_oob(self.depth))?;
-                self.push(arr.load_elem(*kind, off));
+                let v = arr
+                    .load_elem(*kind, off)
+                    .ok_or_else(|| vm.raise_invalid_cast(self.depth))?;
+                self.push(v);
             }
             Op::StElemMulti { kind, rank } => {
                 let v = self.pop();
@@ -495,7 +502,8 @@ impl<'v> Interp<'v> {
                 let off = arr
                     .multi_offset(&idxs)
                     .ok_or_else(|| vm.raise_index_oob(self.depth))?;
-                arr.store_elem(*kind, off, &v);
+                arr.store_elem(*kind, off, &v)
+                    .ok_or_else(|| vm.raise_invalid_cast(self.depth))?;
             }
             Op::LdMultiLen { dim } => {
                 let arr = self.pop_obj()?;

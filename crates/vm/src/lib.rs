@@ -44,6 +44,7 @@ pub mod interp;
 pub mod machine;
 pub mod numerics;
 pub mod observe;
+mod ops;
 pub mod profile;
 pub mod rir;
 
@@ -832,7 +833,7 @@ mod tests {
         drop(arr);
         let arr = clr.heap.alloc_array(ElemKind::R8, 8);
         clr.invoke(id, vec![Value::Ref(arr.clone())]).unwrap();
-        assert_eq!(arr.load_elem(ElemKind::R8, 7).as_r8(), 7.0);
+        assert_eq!(arr.load_elem(ElemKind::R8, 7).unwrap().as_r8(), 7.0);
     }
 
     #[test]

@@ -1061,7 +1061,7 @@ impl Vm {
                     ObjBody::ArrR4(_) => ElemKind::R4,
                     _ => ElemKind::R8,
                 };
-                let data = obj.prim_data();
+                let data = obj.prim_data().unwrap_or_default();
                 w.tag(Tag::ArrPrim);
                 w.varint(elem_code(kind) as u64);
                 w.varint(data.len() as u64);
@@ -1136,8 +1136,8 @@ impl Vm {
                 let len = r.varint()? as usize;
                 let o = self.heap.alloc_array(kind, len);
                 table.push(o.clone());
-                for i in 0..len {
-                    o.prim_data()[i].store(r.word()?, Ordering::Relaxed);
+                for cell in o.prim_data().ok_or_else(|| bad("bad elem"))? {
+                    cell.store(r.word()?, Ordering::Relaxed);
                 }
                 Ok(Some(o))
             }
@@ -1145,9 +1145,8 @@ impl Vm {
                 let len = r.varint()? as usize;
                 let o = self.heap.alloc_array(ElemKind::Ref, len);
                 table.push(o.clone());
-                for i in 0..len {
-                    let child = self.de_obj(r, table)?;
-                    o.ref_data()[i].set(child);
+                for slot in o.ref_data().unwrap_or_default() {
+                    slot.set(self.de_obj(r, table)?);
                 }
                 Ok(Some(o))
             }
@@ -1160,9 +1159,8 @@ impl Vm {
                 }
                 let o = self.heap.alloc_multi(kind, &dims);
                 table.push(o.clone());
-                let n = o.prim_data().len();
-                for i in 0..n {
-                    o.prim_data()[i].store(r.word()?, Ordering::Relaxed);
+                for cell in o.prim_data().ok_or_else(|| bad("bad elem"))? {
+                    cell.store(r.word()?, Ordering::Relaxed);
                 }
                 Ok(Some(o))
             }
@@ -1174,10 +1172,8 @@ impl Vm {
                 }
                 let o = self.heap.alloc_multi(ElemKind::Ref, &dims);
                 table.push(o.clone());
-                let n = o.ref_data().len();
-                for i in 0..n {
-                    let child = self.de_obj(r, table)?;
-                    o.ref_data()[i].set(child);
+                for slot in o.ref_data().unwrap_or_default() {
+                    slot.set(self.de_obj(r, table)?);
                 }
                 Ok(Some(o))
             }

@@ -8,10 +8,12 @@
 //! instruction is translated **once** into a pre-resolved closure
 //! (operands, immediates, string literals, class layouts and callee
 //! null-check requirements are all captured at compile time), and the
-//! method body becomes a flat `Vec` of those closures indexed by pc. The
-//! per-`(op, type)` monomorphization happens here, at translation time, so
-//! the Rust compiler constant-folds the type dispatch that the exec tier
-//! performs per execution.
+//! method body becomes a flat `Vec` of those closures indexed by pc. A
+//! closure holds no semantics of its own: it calls the instruction's body
+//! in the `ops` module — the one the exec tier's decode calls — with the
+//! operator, the type, the bounds-check flag and U1 masking passed as
+//! constants, so the Rust compiler folds away the dispatch on them that
+//! the exec tier performs per execution.
 //!
 //! Slot allocation is a **linear scan** over live intervals rather than
 //! the exec tier's static use-count ranking: intervals are the span from
@@ -53,19 +55,16 @@
 //! assert_eq!(r.unwrap().as_i4(), 45);
 //! ```
 
-use crate::call::{self, Exit, Frame, Receiver, Step};
+use crate::call::{Frame, Receiver, Step};
 use crate::compiled::Threaded;
-use crate::error::{VmError, VmResult};
-use crate::exec::{elem_read, elem_write, multi_offset_of, unchecked_oob, Loaded};
+use crate::error::VmResult;
 use crate::machine::Vm;
-use crate::numerics;
+use crate::ops::{self, At, Layout};
 use crate::rir::lower::{self, Lowered};
-use crate::rir::{opt, ArgSlot, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
+use crate::rir::{opt, ArgSlot, DstSlot, RInst, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, ElemKind, NumTy};
-use hpcnet_runtime::{Obj, ObjBody};
 use std::collections::{BTreeSet, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One translated instruction: all decoding already done, only the
@@ -306,68 +305,32 @@ fn scan_assign(intervals: &[(u32, u32)], cap: u16, force: &HashSet<u16>) -> (Vec
 // Closure compilation
 // ---------------------------------------------------------------------------
 
-/// Expand `$m!(op, ty)` for every numeric compare × type combination —
-/// the build-time monomorphization of the compare family.
-macro_rules! op_ty_cross {
-    ($op:expr, $ty:expr, $m:ident) => {
-        match ($op, $ty) {
-            (CmpOp::Eq, NumTy::I4) => $m!(Eq, I4),
-            (CmpOp::Eq, NumTy::I8) => $m!(Eq, I8),
-            (CmpOp::Eq, NumTy::R4) => $m!(Eq, R4),
-            (CmpOp::Eq, NumTy::R8) => $m!(Eq, R8),
-            (CmpOp::Ne, NumTy::I4) => $m!(Ne, I4),
-            (CmpOp::Ne, NumTy::I8) => $m!(Ne, I8),
-            (CmpOp::Ne, NumTy::R4) => $m!(Ne, R4),
-            (CmpOp::Ne, NumTy::R8) => $m!(Ne, R8),
-            (CmpOp::Lt, NumTy::I4) => $m!(Lt, I4),
-            (CmpOp::Lt, NumTy::I8) => $m!(Lt, I8),
-            (CmpOp::Lt, NumTy::R4) => $m!(Lt, R4),
-            (CmpOp::Lt, NumTy::R8) => $m!(Lt, R8),
-            (CmpOp::Le, NumTy::I4) => $m!(Le, I4),
-            (CmpOp::Le, NumTy::I8) => $m!(Le, I8),
-            (CmpOp::Le, NumTy::R4) => $m!(Le, R4),
-            (CmpOp::Le, NumTy::R8) => $m!(Le, R8),
-            (CmpOp::Gt, NumTy::I4) => $m!(Gt, I4),
-            (CmpOp::Gt, NumTy::I8) => $m!(Gt, I8),
-            (CmpOp::Gt, NumTy::R4) => $m!(Gt, R4),
-            (CmpOp::Gt, NumTy::R8) => $m!(Gt, R8),
-            (CmpOp::Ge, NumTy::I4) => $m!(Ge, I4),
-            (CmpOp::Ge, NumTy::I8) => $m!(Ge, I8),
-            (CmpOp::Ge, NumTy::R4) => $m!(Ge, R4),
-            (CmpOp::Ge, NumTy::R8) => $m!(Ge, R8),
-        }
+/// Box `|fr, vm, depth| body` as an [`OpFn`].
+macro_rules! op {
+    (|$fr:pat_param, $vm:pat_param, $depth:pat_param| $body:expr) => {
+        Box::new(move |$fr: &mut Frame, $vm: &Arc<Vm>, $depth: u32| $body) as OpFn
     };
 }
 
-/// Leave the op with `$e`'s error parked in the frame, or go on with its
-/// value. The ops below produce their [`Step`] directly: an inner
-/// `VmResult` matched after the fact costs every op a result written to
-/// memory and a drop call.
-macro_rules! ok_or_exit {
-    ($fr:ident, $e:expr) => {
+/// `$body` with `$c` a *constant* equal to the value of `$e` — one copy of
+/// `$body` per value. Passed to an `#[inline(always)]` op, the constant
+/// folds every branch the op takes on it.
+macro_rules! specialize {
+    ($e:expr => $c:ident: bool in $body:expr) => {
+        if $e {
+            const $c: bool = true;
+            $body
+        } else {
+            const $c: bool = false;
+            $body
+        }
+    };
+    ($e:expr => $c:ident: $T:ident { $($v:ident),+ } in $body:expr) => {
         match $e {
-            Ok(v) => v,
-            Err(e) => return $fr.fail(e),
-        }
-    };
-}
-
-/// The object in reference slot `$s`, or leave with a
-/// `NullReferenceException`.
-macro_rules! non_null {
-    ($fr:ident, $vm:ident, $depth:ident, $s:expr) => {
-        match $fr.rref($s) {
-            Some(o) => o,
-            None => return $fr.fail($vm.raise_null_ref($depth)),
-        }
-    };
-}
-
-/// Leave with an `IndexOutOfRangeException` unless `$i` indexes `$o`.
-macro_rules! in_bounds {
-    ($fr:ident, $vm:ident, $depth:ident, $o:ident, $i:ident) => {
-        if $i < 0 || $i as usize >= $o.array_len().unwrap_or(0) {
-            return $fr.fail($vm.raise_index_oob($depth));
+            $($T::$v => {
+                const $c: $T = $T::$v;
+                $body
+            })+
         }
     };
 }
@@ -376,600 +339,170 @@ fn build_ops(vm: &Arc<Vm>, rir: &RirMethod) -> Vec<OpFn> {
     rir.code.iter().map(|inst| build_op(vm, inst)).collect()
 }
 
-/// `op BinOp, NumTy` monomorphized: the type/op dispatch the exec tier
-/// does per execution happens once, here.
-fn bin_op(op: BinOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
-    macro_rules! arm {
-        ($o:ident) => {
-            match ty {
-                NumTy::I4 => Box::new(move |fr: &mut Frame, vm: &Arc<Vm>, depth: u32| {
-                    let (x, y) = (fr.pget(a) as u32 as i32, fr.operand(&b) as u32 as i32);
-                    match numerics::bin_i4(BinOp::$o, x, y) {
-                        Ok(v) => fr.pset(dst, v as u32 as u64),
-                        Err(_) => return fr.fail(vm.raise_div_zero(depth)),
-                    }
-                    Step::NEXT
-                }) as OpFn,
-                NumTy::I8 => Box::new(move |fr: &mut Frame, vm: &Arc<Vm>, depth: u32| {
-                    let (x, y) = (fr.pget(a) as i64, fr.operand(&b) as i64);
-                    match numerics::bin_i8(BinOp::$o, x, y) {
-                        Ok(v) => fr.pset(dst, v as u64),
-                        Err(_) => return fr.fail(vm.raise_div_zero(depth)),
-                    }
-                    Step::NEXT
-                }) as OpFn,
-                NumTy::R4 => Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
-                    let out = numerics::bin_r4(
-                        BinOp::$o,
-                        f32::from_bits(fr.pget(a) as u32),
-                        f32::from_bits(fr.operand(&b) as u32),
-                    )
-                    .to_bits() as u64;
-                    fr.pset(dst, out);
-                    Step::NEXT
-                }) as OpFn,
-                NumTy::R8 => Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
-                    let out = numerics::bin_r8(
-                        BinOp::$o,
-                        f64::from_bits(fr.pget(a)),
-                        f64::from_bits(fr.operand(&b)),
-                    )
-                    .to_bits();
-                    fr.pset(dst, out);
-                    Step::NEXT
-                }) as OpFn,
-            }
-        };
-    }
-    match op {
-        BinOp::Add => arm!(Add),
-        BinOp::Sub => arm!(Sub),
-        BinOp::Mul => arm!(Mul),
-        BinOp::Div => arm!(Div),
-        BinOp::Rem => arm!(Rem),
-        BinOp::And => arm!(And),
-        BinOp::Or => arm!(Or),
-        BinOp::Xor => arm!(Xor),
-        BinOp::Shl => arm!(Shl),
-        BinOp::Shr => arm!(Shr),
-        BinOp::ShrUn => arm!(ShrUn),
-    }
-}
-
-fn cmp_op(op: CmpOp, ty: NumTy, dst: u16, a: u16, b: Operand) -> OpFn {
-    macro_rules! arm {
-        ($o:ident, $t:ident) => {
-            Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
-                let r = numerics::cmp_bits(CmpOp::$o, NumTy::$t, fr.pget(a), fr.operand(&b));
-                fr.pset(dst, r as u32 as u64);
-                Step::NEXT
-            }) as OpFn
-        };
-    }
-    op_ty_cross!(op, ty, arm)
-}
-
-fn br_cmp_op(op: CmpOp, ty: NumTy, a: u16, b: Operand, t: u32) -> OpFn {
-    let taken = Step::jump(t);
-    macro_rules! arm {
-        ($o:ident, $t:ident) => {
-            Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
-                if numerics::cmp_bits(CmpOp::$o, NumTy::$t, fr.pget(a), fr.operand(&b)) != 0 {
-                    taken
-                } else {
-                    Step::NEXT
-                }
-            }) as OpFn
-        };
-    }
-    op_ty_cross!(op, ty, arm)
-}
-
-fn conv_op(from: NumTy, to: NumTy, dst: u16, src: u16) -> OpFn {
-    macro_rules! arm {
-        ($f:ident, $t:ident) => {
-            Box::new(move |fr: &mut Frame, _: &Arc<Vm>, _: u32| {
-                let v = numerics::conv_bits(NumTy::$f, NumTy::$t, fr.pget(src));
-                fr.pset(dst, v);
-                Step::NEXT
-            }) as OpFn
-        };
-    }
-    match (from, to) {
-        (NumTy::I4, NumTy::I4) => arm!(I4, I4),
-        (NumTy::I4, NumTy::I8) => arm!(I4, I8),
-        (NumTy::I4, NumTy::R4) => arm!(I4, R4),
-        (NumTy::I4, NumTy::R8) => arm!(I4, R8),
-        (NumTy::I8, NumTy::I4) => arm!(I8, I4),
-        (NumTy::I8, NumTy::I8) => arm!(I8, I8),
-        (NumTy::I8, NumTy::R4) => arm!(I8, R4),
-        (NumTy::I8, NumTy::R8) => arm!(I8, R8),
-        (NumTy::R4, NumTy::I4) => arm!(R4, I4),
-        (NumTy::R4, NumTy::I8) => arm!(R4, I8),
-        (NumTy::R4, NumTy::R4) => arm!(R4, R4),
-        (NumTy::R4, NumTy::R8) => arm!(R4, R8),
-        (NumTy::R8, NumTy::I4) => arm!(R8, I4),
-        (NumTy::R8, NumTy::I8) => arm!(R8, I8),
-        (NumTy::R8, NumTy::R4) => arm!(R8, R4),
-        (NumTy::R8, NumTy::R8) => arm!(R8, R8),
-    }
-}
-
-/// Translate one instruction. Every closure mirrors the corresponding
-/// `exec::Exec::decode` arm exactly — same evaluation order, same raise
-/// helpers, same internal-error strings — so the two register tiers stay
-/// bitwise interchangeable under the conformance matrix.
+/// Translate one instruction into a closure over its operands that calls
+/// its body in [`crate::ops`]. What is known now is resolved now: string
+/// literals, constructor layouts and whether a callee is static are
+/// captured, and the op, the type, the bounds check and U1 masking are
+/// specialized into constants.
 fn build_op(vm: &Arc<Vm>, inst: &RInst) -> OpFn {
-    match inst {
-        RInst::Nop => Box::new(|_, _, _| Step::NEXT),
-        RInst::MovP { dst, src } => {
-            let (dst, src) = (*dst, *src);
-            Box::new(move |fr, _, _| {
-                let v = fr.pget(src);
-                fr.pset(dst, v);
-                Step::NEXT
-            })
-        }
-        RInst::MovR { dst, src } => {
-            let (dst, src) = (*dst, *src);
-            Box::new(move |fr, _, _| {
-                let v = fr.rget(src);
-                fr.rset(dst, v);
-                Step::NEXT
-            })
-        }
-        RInst::ConstP { dst, bits } => {
-            let (dst, bits) = (*dst, *bits);
-            Box::new(move |fr, _, _| {
-                fr.pset(dst, bits);
-                Step::NEXT
-            })
-        }
-        RInst::ConstNull { dst } => {
-            let dst = *dst;
-            Box::new(move |fr, _, _| {
-                fr.rset(dst, None);
-                Step::NEXT
-            })
-        }
+    match *inst {
+        RInst::Nop => op!(|_, _, _| Step::NEXT),
+        RInst::MovP { dst, src } => op!(|fr, _, _| ops::mov_p(fr, dst, src)),
+        RInst::MovR { dst, src } => op!(|fr, _, _| ops::mov_r(fr, dst, src)),
+        RInst::ConstP { dst, bits } => op!(|fr, _, _| ops::const_p(fr, dst, bits)),
+        RInst::ConstNull { dst } => op!(|fr, _, _| ops::const_ref(fr, dst, None)),
         RInst::ConstStr { dst, s } => {
-            // Pre-resolved: the interned literal is captured, not looked
-            // up per execution. Identity is stable either way.
-            let dst = *dst;
-            let lit = vm.literal(*s);
-            Box::new(move |fr, _, _| {
-                fr.rset(dst, Some(lit.clone()));
-                Step::NEXT
-            })
+            let lit = vm.literal(s);
+            op!(|fr, _, _| ops::const_ref(fr, dst, Some(lit.clone())))
         }
-        RInst::Bin { op, ty, dst, a, b } => bin_op(*op, *ty, *dst, *a, *b),
-        RInst::Un { op, ty, dst, a } => {
-            let (op, dst, a) = (*op, *dst, *a);
-            match ty {
-                NumTy::I4 => Box::new(move |fr, _, _| {
-                    let v = numerics::un_i4(op, fr.pget(a) as u32 as i32) as u32 as u64;
-                    fr.pset(dst, v);
-                    Step::NEXT
-                }),
-                NumTy::I8 => Box::new(move |fr, _, _| {
-                    let v = numerics::un_i8(op, fr.pget(a) as i64) as u64;
-                    fr.pset(dst, v);
-                    Step::NEXT
-                }),
-                NumTy::R4 => Box::new(move |fr, _, _| {
-                    let v = (-f32::from_bits(fr.pget(a) as u32)).to_bits() as u64;
-                    fr.pset(dst, v);
-                    Step::NEXT
-                }),
-                NumTy::R8 => Box::new(move |fr, _, _| {
-                    let v = (-f64::from_bits(fr.pget(a))).to_bits();
-                    fr.pset(dst, v);
-                    Step::NEXT
-                }),
-            }
-        }
-        RInst::Conv { from, to, dst, src } => conv_op(*from, *to, *dst, *src),
-        RInst::Cmp { op, ty, dst, a, b } => cmp_op(*op, *ty, *dst, *a, *b),
-        RInst::CmpRef { op, dst, a, b } => {
-            let (dst, a, b) = (*dst, *a, *b);
-            let negate = match op {
-                CmpOp::Eq => false,
-                CmpOp::Ne => true,
-                _ => {
-                    return Box::new(|fr, _, _| {
-                        fr.fail(VmError::Internal("ordered ref compare".into()))
-                    })
-                }
-            };
-            Box::new(move |fr, _, _| {
-                let av = fr.rget(a);
-                let bv = fr.rget(b);
-                let same = match (&av, &bv) {
-                    (Some(x), Some(y)) => Obj::ptr_eq(x, y),
-                    (None, None) => true,
-                    _ => false,
-                };
-                fr.pset(dst, (same != negate) as u64);
-                Step::NEXT
-            })
-        }
+        RInst::Bin { op, ty, dst, a, b } => specialize!(
+            op => OP: BinOp { Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, ShrUn } in
+            specialize!(ty => TY: NumTy { I4, I8, R4, R8 } in
+                op!(|fr, vm, depth| ops::bin(fr, vm, depth, OP, TY, dst, a, b)))
+        ),
+        RInst::Un { op, ty, dst, a } => specialize!(
+            ty => TY: NumTy { I4, I8, R4, R8 } in op!(|fr, _, _| ops::un(fr, op, TY, dst, a))
+        ),
+        RInst::Conv { from, to, dst, src } => specialize!(
+            from => FROM: NumTy { I4, I8, R4, R8 } in
+            specialize!(to => TO: NumTy { I4, I8, R4, R8 } in
+                op!(|fr, _, _| ops::conv(fr, FROM, TO, dst, src)))
+        ),
+        RInst::Cmp { op, ty, dst, a, b } => specialize!(
+            op => OP: CmpOp { Eq, Ne, Lt, Le, Gt, Ge } in
+            specialize!(ty => TY: NumTy { I4, I8, R4, R8 } in
+                op!(|fr, _, _| ops::cmp(fr, OP, TY, dst, a, b)))
+        ),
+        RInst::CmpRef { op, dst, a, b } => specialize!(
+            op => OP: CmpOp { Eq, Ne, Lt, Le, Gt, Ge } in
+            op!(|fr, _, _| ops::cmp_ref(fr, OP, dst, a, b))
+        ),
         RInst::Br { t } => {
-            let taken = Step::jump(*t);
-            Box::new(move |_, _, _| taken)
+            let taken = Step::jump(t);
+            op!(|_, _, _| taken)
         }
-        RInst::BrIf { cond, t, negate } => {
-            let (cond, taken) = (*cond, Step::jump(*t));
-            if *negate {
-                Box::new(move |fr, _, _| if fr.pget(cond) == 0 { taken } else { Step::NEXT })
-            } else {
-                Box::new(move |fr, _, _| if fr.pget(cond) != 0 { taken } else { Step::NEXT })
-            }
-        }
-        RInst::BrIfRef { cond, t, negate } => {
-            let (cond, taken) = (*cond, Step::jump(*t));
-            if *negate {
-                Box::new(move |fr, _, _| if fr.rref(cond).is_none() { taken } else { Step::NEXT })
-            } else {
-                Box::new(move |fr, _, _| if fr.rref(cond).is_some() { taken } else { Step::NEXT })
-            }
-        }
-        RInst::BrCmp { op, ty, a, b, t } => br_cmp_op(*op, *ty, *a, *b, *t),
-        RInst::Call { target, virt, args, dst } => {
-            let (target, virt, dst) = (*target, *virt, *dst);
+        RInst::BrIf { cond, t, negate } => specialize!(
+            negate => NEGATE: bool in op!(|fr, _, _| ops::br_if(fr, cond, t, NEGATE))
+        ),
+        RInst::BrIfRef { cond, t, negate } => specialize!(
+            negate => NEGATE: bool in op!(|fr, _, _| ops::br_if_ref(fr, cond, t, NEGATE))
+        ),
+        RInst::BrCmp { op, ty, a, b, t } => specialize!(
+            op => OP: CmpOp { Eq, Ne, Lt, Le, Gt, Ge } in
+            specialize!(ty => TY: NumTy { I4, I8, R4, R8 } in
+                op!(|fr, _, _| ops::br_cmp(fr, OP, TY, a, b, t)))
+        ),
+        RInst::Call { target, virt, ref args, dst } => {
             let args = args.clone();
-            // Pre-resolved: whether the callee needs a this-null check.
             let is_static = vm.module.method(target).is_static;
-            Box::new(move |fr, vm, depth| {
+            op!(|fr, vm, depth| {
                 let recv = Receiver::of_call(virt, is_static);
-                ok_or_exit!(fr, call::invoke::<Threaded>(vm, fr, target, recv, &args, dst, depth));
-                Step::NEXT
+                ops::call::<Threaded>(fr, vm, depth, target, recv, &args, dst)
             })
         }
-        RInst::CallIntr { i, args, dst } => {
-            let (i, dst) = (*i, *dst);
+        RInst::CallIntr { i, ref args, dst } => {
             let args = args.clone();
-            Box::new(move |fr, vm, depth| {
-                ok_or_exit!(fr, call::intrinsic(vm, fr, i, &args, dst, depth));
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::intrinsic(fr, vm, depth, i, &args, dst))
         }
-        RInst::Ret { src } => match *src {
-            Some(src) => Box::new(move |fr, _, _| {
-                let v = fr.load_value(&src);
-                fr.ret(Some(v))
-            }),
-            None => Box::new(|fr, _, _| fr.ret(None)),
+        RInst::Ret { src } => match src {
+            Some(src) => op!(|fr, _, _| ops::ret(fr, Some(src))),
+            None => op!(|fr, _, _| ops::ret(fr, None)),
         },
-        RInst::NewObj { ctor, args, dst } => {
-            let (ctor, dst) = (*ctor, *dst);
+        RInst::NewObj { ctor, ref args, dst } => {
             let args = args.clone();
-            // Pre-resolved: the instance layout of the constructed class.
-            let owner = vm.module.method(ctor).owner;
-            let class = vm.module.class(owner);
-            let (np, nr) = (class.n_prim_slots as usize, class.n_ref_slots as usize);
-            Box::new(move |fr, vm, depth| {
-                let obj = vm.heap.alloc_instance(owner, np, nr);
-                let this = Receiver::Fresh(obj.clone());
-                ok_or_exit!(fr, call::invoke::<Threaded>(vm, fr, ctor, this, &args, None, depth));
-                fr.rset(dst, Some(obj));
-                Step::NEXT
-            })
+            let layout = Layout::of(vm, ctor);
+            op!(|fr, vm, depth| ops::new_obj::<Threaded>(fr, vm, depth, ctor, layout, &args, dst))
         }
-        RInst::LdFld { obj, slot, dst } => {
-            let (obj, slot) = (*obj, *slot);
-            match *dst {
-                DstSlot::P(d) => Box::new(move |fr, vm, depth| {
-                    let bits = non_null!(fr, vm, depth, obj).prim_field(slot);
-                    fr.pset(d, bits);
-                    Step::NEXT
-                }),
-                DstSlot::R(d) => Box::new(move |fr, vm, depth| {
-                    let v = non_null!(fr, vm, depth, obj).ref_field(slot);
-                    fr.rset(d, v);
-                    Step::NEXT
-                }),
+        RInst::LdFld { obj, slot, dst } => match dst {
+            DstSlot::P(d) => {
+                op!(|fr, vm, depth| ops::ld_fld(fr, vm, depth, obj, slot, DstSlot::P(d)))
             }
-        }
-        RInst::StFld { obj, slot, src } => {
-            let (obj, slot) = (*obj, *slot);
-            match *src {
-                ArgSlot::P(_, s) => Box::new(move |fr, vm, depth| {
-                    let bits = fr.pget(s);
-                    non_null!(fr, vm, depth, obj).set_prim_field(slot, bits);
-                    Step::NEXT
-                }),
-                ArgSlot::R(s) => Box::new(move |fr, vm, depth| {
-                    let v = fr.rget(s);
-                    non_null!(fr, vm, depth, obj).set_ref_field(slot, v);
-                    Step::NEXT
-                }),
+            DstSlot::R(d) => {
+                op!(|fr, vm, depth| ops::ld_fld(fr, vm, depth, obj, slot, DstSlot::R(d)))
             }
-        }
-        RInst::LdSFld { slot, dst } => {
-            let slot = *slot as usize;
-            match *dst {
-                DstSlot::P(d) => Box::new(move |fr, vm, _| {
-                    let bits = vm.statics.prim[slot].load(Ordering::Relaxed);
-                    fr.pset(d, bits);
-                    Step::NEXT
-                }),
-                DstSlot::R(d) => Box::new(move |fr, vm, _| {
-                    let v = vm.statics.refs[slot].get();
-                    fr.rset(d, v);
-                    Step::NEXT
-                }),
+        },
+        RInst::StFld { obj, slot, src } => match src {
+            ArgSlot::P(t, s) => {
+                op!(|fr, vm, depth| ops::st_fld(fr, vm, depth, obj, slot, ArgSlot::P(t, s)))
             }
-        }
-        RInst::StSFld { slot, src } => {
-            let slot = *slot as usize;
-            match *src {
-                ArgSlot::P(_, s) => Box::new(move |fr, vm, _| {
-                    vm.statics.prim[slot].store(fr.pget(s), Ordering::Relaxed);
-                    Step::NEXT
-                }),
-                ArgSlot::R(s) => Box::new(move |fr, vm, _| {
-                    vm.statics.refs[slot].set(fr.rget(s));
-                    Step::NEXT
-                }),
+            ArgSlot::R(s) => {
+                op!(|fr, vm, depth| ops::st_fld(fr, vm, depth, obj, slot, ArgSlot::R(s)))
             }
-        }
-        RInst::IsInst { class, src, dst } => {
-            let (class, src, dst) = (*class, *src, *dst);
-            Box::new(move |fr, vm, _| {
-                let r = match fr.rget(src) {
-                    Some(o) => vm.instance_of(&o, class),
-                    None => false,
-                };
-                fr.pset(dst, r as u64);
-                Step::NEXT
-            })
-        }
+        },
+        RInst::LdSFld { slot, dst } => match dst {
+            DstSlot::P(d) => op!(|fr, vm, _| ops::ld_sfld(fr, vm, slot, DstSlot::P(d))),
+            DstSlot::R(d) => op!(|fr, vm, _| ops::ld_sfld(fr, vm, slot, DstSlot::R(d))),
+        },
+        RInst::StSFld { slot, src } => match src {
+            ArgSlot::P(t, s) => op!(|fr, vm, _| ops::st_sfld(fr, vm, slot, ArgSlot::P(t, s))),
+            ArgSlot::R(s) => op!(|fr, vm, _| ops::st_sfld(fr, vm, slot, ArgSlot::R(s))),
+        },
+        RInst::IsInst { class, src, dst } => op!(|fr, vm, _| ops::is_inst(fr, vm, class, src, dst)),
         RInst::CastClass { class, src, dst } => {
-            let (class, src, dst) = (*class, *src, *dst);
-            Box::new(move |fr, vm, depth| {
-                let v = fr.rget(src);
-                if let Some(o) = &v {
-                    if !vm.instance_of(o, class) {
-                        return fr.fail(vm.raise_invalid_cast(depth));
-                    }
-                }
-                fr.rset(dst, v);
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::cast_class(fr, vm, depth, class, src, dst))
         }
         RInst::NewArr { kind, len, dst } => {
-            let (kind, len, dst) = (*kind, *len, *dst);
-            Box::new(move |fr, vm, depth| {
-                let n = fr.pget(len) as u32 as i32;
-                if n < 0 {
-                    return fr.fail(vm.raise_index_oob(depth));
-                }
-                let arr = vm.heap.alloc_array(kind, n as usize);
-                fr.rset(dst, Some(arr));
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::new_arr(fr, vm, depth, kind, len, dst))
         }
-        RInst::LdLen { arr, dst } => {
-            let (arr, dst) = (*arr, *dst);
-            Box::new(move |fr, vm, depth| {
-                let Some(n) = non_null!(fr, vm, depth, arr).array_len() else {
-                    return fr.fail(VmError::Internal("ldlen on non-array".into()));
-                };
-                fr.pset(dst, n as u64);
-                Step::NEXT
-            })
+        RInst::LdLen { arr, dst } => op!(|fr, vm, depth| ops::ld_len(fr, vm, depth, arr, dst)),
+        RInst::LdElem { kind, dst, .. } | RInst::LdElemMulti { kind, dst, .. }
+            if !ops::loads_into(kind, dst) =>
+        {
+            op!(|fr, _, _| ops::elem_kind_mismatch(fr))
         }
-        RInst::LdElem { kind, arr, idx, dst, bounds } => {
-            let (arr, idx, checked) = (*arr, *idx, bounds.is_checked());
-            match (kind.num_ty().is_some(), *dst) {
-                (true, DstSlot::P(d)) if checked => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let o = non_null!(fr, vm, depth, arr);
-                    in_bounds!(fr, vm, depth, o, i);
-                    let Some(cell) = o.prim_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    let bits = cell.load(Ordering::Relaxed);
-                    fr.pset(d, bits);
-                    Step::NEXT
+        RInst::LdElem { arr, idx, dst, bounds, .. } => specialize!(
+            bounds.is_checked() => CHECKED: bool in match dst {
+                DstSlot::P(d) => op!(|fr, vm, depth| {
+                    ops::ld_elem(fr, vm, depth, arr, At::Sz(idx, CHECKED), DstSlot::P(d))
                 }),
-                (true, DstSlot::P(d)) => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let o = non_null!(fr, vm, depth, arr);
-                    let Some(cell) = o.prim_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    let bits = cell.load(Ordering::Relaxed);
-                    fr.pset(d, bits);
-                    Step::NEXT
-                }),
-                (false, DstSlot::R(d)) if checked => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let o = non_null!(fr, vm, depth, arr);
-                    in_bounds!(fr, vm, depth, o, i);
-                    let Some(cell) = o.ref_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    let v = cell.get();
-                    fr.rset(d, v);
-                    Step::NEXT
-                }),
-                (false, DstSlot::R(d)) => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let o = non_null!(fr, vm, depth, arr);
-                    let Some(cell) = o.ref_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    let v = cell.get();
-                    fr.rset(d, v);
-                    Step::NEXT
-                }),
-                _ => Box::new(|fr, _, _| fr.fail(VmError::Internal("elem kind mismatch".into()))),
-            }
-        }
-        RInst::StElem { kind, arr, idx, src, bounds } => {
-            let (arr, idx, checked) = (*arr, *idx, bounds.is_checked());
-            let mask = *kind == ElemKind::U1;
-            match *src {
-                ArgSlot::P(_, s) if checked => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let mut bits = fr.pget(s);
-                    let o = non_null!(fr, vm, depth, arr);
-                    in_bounds!(fr, vm, depth, o, i);
-                    if mask {
-                        bits &= 0xFF;
-                    }
-                    o.mark_dirty();
-                    let Some(cell) = o.prim_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    cell.store(bits, Ordering::Relaxed);
-                    Step::NEXT
-                }),
-                ArgSlot::P(_, s) => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let mut bits = fr.pget(s);
-                    let o = non_null!(fr, vm, depth, arr);
-                    if mask {
-                        bits &= 0xFF;
-                    }
-                    o.mark_dirty();
-                    let Some(cell) = o.prim_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    cell.store(bits, Ordering::Relaxed);
-                    Step::NEXT
-                }),
-                ArgSlot::R(s) if checked => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let v = fr.rget(s);
-                    let o = non_null!(fr, vm, depth, arr);
-                    in_bounds!(fr, vm, depth, o, i);
-                    o.mark_dirty();
-                    let Some(cell) = o.ref_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    cell.set(v);
-                    Step::NEXT
-                }),
-                ArgSlot::R(s) => Box::new(move |fr, vm, depth| {
-                    let i = fr.pget(idx) as u32 as i32;
-                    let v = fr.rget(s);
-                    let o = non_null!(fr, vm, depth, arr);
-                    o.mark_dirty();
-                    let Some(cell) = o.ref_data().get(i as usize) else {
-                        return fr.fail(unchecked_oob());
-                    };
-                    cell.set(v);
-                    Step::NEXT
+                DstSlot::R(d) => op!(|fr, vm, depth| {
+                    ops::ld_elem(fr, vm, depth, arr, At::Sz(idx, CHECKED), DstSlot::R(d))
                 }),
             }
-        }
-        RInst::NewMulti { kind, dims, dst } => {
-            let (kind, dst) = (*kind, *dst);
+        ),
+        RInst::StElem { kind, arr, idx, src, bounds } => specialize!(
+            bounds.is_checked() => CHECKED: bool in match src {
+                ArgSlot::P(t, s) => specialize!(kind == ElemKind::U1 => MASK: bool in op!(
+                    |fr, vm, depth| {
+                        let at = At::Sz(idx, CHECKED);
+                        ops::st_elem(fr, vm, depth, arr, at, ArgSlot::P(t, s), MASK)
+                    }
+                )),
+                ArgSlot::R(s) => op!(|fr, vm, depth| {
+                    ops::st_elem(fr, vm, depth, arr, At::Sz(idx, CHECKED), ArgSlot::R(s), false)
+                }),
+            }
+        ),
+        RInst::NewMulti { kind, ref dims, dst } => {
             let dims = dims.clone();
-            Box::new(move |fr, vm, depth| {
-                let mut lens = Vec::with_capacity(dims.len());
-                for d in dims.iter() {
-                    let n = fr.pget(*d) as u32 as i32;
-                    if n < 0 {
-                        return fr.fail(vm.raise_index_oob(depth));
-                    }
-                    lens.push(n as u32);
-                }
-                let arr = vm.heap.alloc_multi(kind, &lens);
-                fr.rset(dst, Some(arr));
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::new_multi(fr, vm, depth, kind, &dims, dst))
         }
-        RInst::LdElemMulti { kind, arr, idxs, dst, helper } => {
-            let (kind, arr, dst, helper) = (*kind, *arr, *dst, *helper);
+        RInst::LdElemMulti { arr, ref idxs, dst, helper, .. } => {
             let idxs = idxs.clone();
-            Box::new(move |fr, vm, depth| {
-                let mut vals = [0i32; 3];
-                for (k, s) in idxs.iter().enumerate() {
-                    vals[k] = fr.pget(*s) as u32 as i32;
-                }
-                let o = non_null!(fr, vm, depth, arr);
-                let Some(off) = multi_offset_of(o, &vals[..idxs.len()], helper) else {
-                    return fr.fail(vm.raise_index_oob(depth));
-                };
-                match (dst, ok_or_exit!(fr, elem_read(o, kind, off))) {
-                    (DstSlot::P(d), Loaded::Bits(b)) => fr.pset(d, b),
-                    (DstSlot::R(d), Loaded::Ref(v)) => fr.rset(d, v),
-                    _ => return fr.fail(VmError::Internal("elem kind mismatch".into())),
-                }
-                Step::NEXT
-            })
+            match dst {
+                DstSlot::P(d) => op!(|fr, vm, depth| {
+                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), DstSlot::P(d))
+                }),
+                DstSlot::R(d) => op!(|fr, vm, depth| {
+                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), DstSlot::R(d))
+                }),
+            }
         }
-        RInst::StElemMulti { kind, arr, idxs, src, helper } => {
-            let (kind, arr, src, helper) = (*kind, *arr, *src, *helper);
-            let idxs = idxs.clone();
-            Box::new(move |fr, vm, depth| {
-                let mut vals = [0i32; 3];
-                for (k, s) in idxs.iter().enumerate() {
-                    vals[k] = fr.pget(*s) as u32 as i32;
-                }
-                let val = match src {
-                    ArgSlot::P(_, s) => Loaded::Bits(fr.pget(s)),
-                    ArgSlot::R(s) => Loaded::Ref(fr.rget(s)),
-                };
-                let o = non_null!(fr, vm, depth, arr);
-                let Some(off) = multi_offset_of(o, &vals[..idxs.len()], helper) else {
-                    return fr.fail(vm.raise_index_oob(depth));
-                };
-                ok_or_exit!(fr, elem_write(o, kind, off, val));
-                Step::NEXT
+        RInst::StElemMulti { kind, arr, ref idxs, src, helper } => {
+            let (idxs, mask) = (idxs.clone(), kind == ElemKind::U1);
+            op!(|fr, vm, depth| {
+                ops::st_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), src, mask)
             })
         }
         RInst::LdMultiLen { arr, dim, dst } => {
-            let (arr, dim, dst) = (*arr, *dim as usize, *dst);
-            Box::new(move |fr, vm, depth| {
-                let Some(dims) = non_null!(fr, vm, depth, arr).multi_dims() else {
-                    return fr.fail(VmError::Internal("GetLength on non-multi".into()));
-                };
-                let Some(&n) = dims.get(dim) else {
-                    return fr.fail(vm.raise_index_oob(depth));
-                };
-                fr.pset(dst, n as u64);
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::ld_multi_len(fr, vm, depth, arr, dim, dst))
         }
-        RInst::BoxV { ty, src, dst } => {
-            let (ty, src, dst) = (*ty, *src, *dst);
-            Box::new(move |fr, vm, _| {
-                let o = vm.heap.alloc_boxed(ty, fr.pget(src));
-                fr.rset(dst, Some(o));
-                Step::NEXT
-            })
-        }
+        RInst::BoxV { ty, src, dst } => op!(|fr, vm, _| ops::box_v(fr, vm, ty, src, dst)),
         RInst::UnboxV { ty, src, dst } => {
-            let (ty, src, dst) = (*ty, *src, *dst);
-            Box::new(move |fr, vm, depth| {
-                match &non_null!(fr, vm, depth, src).body {
-                    ObjBody::Boxed { ty: t2, bits } if *t2 == ty => {
-                        let bits = *bits;
-                        fr.pset(dst, bits);
-                    }
-                    _ => return fr.fail(vm.raise_invalid_cast(depth)),
-                }
-                Step::NEXT
-            })
+            op!(|fr, vm, depth| ops::unbox_v(fr, vm, depth, ty, src, dst))
         }
-        RInst::Throw { src } => {
-            let src = *src;
-            Box::new(move |fr, vm, depth| {
-                let Some(o) = fr.rget(src) else {
-                    return fr.fail(vm.raise_null_ref(depth));
-                };
-                vm.note_throw(depth);
-                fr.fail(VmError::Exception(o))
-            })
-        }
-        RInst::Leave { t } => {
-            let t = *t;
-            Box::new(move |fr, _, _| fr.exit(Exit::Leave(t)))
-        }
-        RInst::EndFinally => Box::new(|fr, _, _| fr.exit(Exit::EndFinally)),
+        RInst::Throw { src } => op!(|fr, vm, depth| ops::throw(fr, vm, depth, src)),
+        RInst::Leave { t } => op!(|fr, _, _| ops::leave(fr, t)),
+        RInst::EndFinally => op!(|fr, _, _| ops::end_finally(fr)),
     }
 }
