@@ -4,28 +4,37 @@
 //! how long the work takes, never how much of it there is: managed calls
 //! (`counters.calls`), fuel spent (one unit per call and per taken branch)
 //! and the ops each method executes (`ObserveReport`) are a pure function
-//! of the program and the profile. The four rows are the call-, virtual-,
-//! exception- and lock-heavy entries of the Grande registry.
+//! of the program and the profile. The rows are the call-, virtual-,
+//! exception- and lock-heavy entries of the Grande registry, plus a loop
+//! whose fuel is almost all taken branches.
+//!
+//! An observing VM is the only one that can count ops, and it is not the
+//! code that runs unobserved (the compiled tier fuses instruction pairs
+//! only where nobody is watching), so every row also runs on a VM with
+//! observation off and must spend the same calls and fuel there.
 
-use hpcnet::{find_entry, run_entry, vm_for, ObserveLevel, VmProfile};
+use hpcnet::{find_entry, run_entry, vm_for, ObserveLevel, VmError, VmProfile};
 use std::sync::atomic::Ordering;
 
 const FUEL: u64 = 1 << 40;
 
-/// `calls=… fuel=… | Class.Method:invocations/ops_excl …` for one run of
-/// `id` at size `n` on a fresh VM (static initializers excluded).
+/// `calls=… fuel=… |` for one run of `id` at size `n` on a fresh VM
+/// (static initializers excluded), followed when `profile` observes by
+/// ` Class.Method:invocations/ops_excl` for every method that ran.
 fn counts(id: &str, n: i32, profile: VmProfile) -> String {
     let (group, entry) = find_entry(id).expect(id);
-    let vm = vm_for(&group, profile.with_observe(ObserveLevel::Counters));
-    let before = vm.observe_report().expect("observing");
+    let vm = vm_for(&group, profile);
+    let before = vm.observe_report();
     let calls0 = vm.counters.calls.load(Ordering::Relaxed);
     vm.set_fuel(Some(FUEL));
     let r = run_entry(&vm, &entry, n).unwrap();
     (entry.validate)(n, r).unwrap_or_else(|e| panic!("{id}: {e}"));
     let fuel = FUEL - vm.fuel_remaining().expect("armed");
     let calls = vm.counters.calls.load(Ordering::Relaxed) - calls0;
-    let after = vm.observe_report().expect("observing");
     let mut out = format!("calls={calls} fuel={fuel} |");
+    let (Some(before), Some(after)) = (before, vm.observe_report()) else {
+        return out;
+    };
     for m in &after.methods {
         let (inv0, ops0) = before
             .method(m.method)
@@ -37,37 +46,44 @@ fn counts(id: &str, n: i32, profile: VmProfile) -> String {
     out
 }
 
+/// `(id, n, calls/fuel/ops literal)`. Both tiers run the same optimized
+/// RIR, so one literal serves both.
+const ROWS: [(&str, i32, &str); 5] = [
+    (
+        "app.fibonacci",
+        15,
+        "calls=987 fuel=2960 | Fib.Calc:986/11825 Fib.Run:1/13",
+    ),
+    (
+        "method.virtual",
+        1000,
+        "calls=2002 fuel=3003 | MethodBench.VirtualCall:1/9009 \
+         MethodSub.VirtualAdd:2000/6000 MethodSub..ctor:1/1",
+    ),
+    (
+        "exception.method",
+        200,
+        "calls=202 fuel=403 | Exception..ctor:1/1 ExceptionBench.Level2:200/400 \
+         ExceptionBench.Method:1/2007",
+    ),
+    (
+        "lock.uncontended",
+        500,
+        "calls=2 fuel=503 | LWorker..ctor:1/2 LockBench.Uncontended:1/8510",
+    ),
+    ("app.sieve", 5000, "calls=1 fuel=26069 | Sieve.Run:1/140426"),
+];
+
+fn register_profiles() -> [VmProfile; 2] {
+    [VmProfile::clr11(), VmProfile::clr11_compiled()]
+}
+
 #[test]
 fn register_tier_work_counts_are_pinned() {
-    // Both tiers run the same optimized RIR, so one literal serves both.
-    let rows = [
-        (
-            "app.fibonacci",
-            15,
-            "calls=987 fuel=2960 | Fib.Calc:986/11825 Fib.Run:1/13",
-        ),
-        (
-            "method.virtual",
-            1000,
-            "calls=2002 fuel=3003 | MethodBench.VirtualCall:1/9009 \
-             MethodSub.VirtualAdd:2000/6000 MethodSub..ctor:1/1",
-        ),
-        (
-            "exception.method",
-            200,
-            "calls=202 fuel=403 | Exception..ctor:1/1 ExceptionBench.Level2:200/400 \
-             ExceptionBench.Method:1/2007",
-        ),
-        (
-            "lock.uncontended",
-            500,
-            "calls=2 fuel=503 | LWorker..ctor:1/2 LockBench.Uncontended:1/8510",
-        ),
-    ];
     let mut wrong = Vec::new();
-    for (id, n, want) in rows {
-        for profile in [VmProfile::clr11(), VmProfile::clr11_compiled()] {
-            let got = counts(id, n, profile);
+    for (id, n, want) in ROWS {
+        for profile in register_profiles() {
+            let got = counts(id, n, profile.with_observe(ObserveLevel::Counters));
             if got != want {
                 wrong.push(format!(
                     "{id} n={n} on {}:\n  got  {got}\n  want {want}",
@@ -77,4 +93,50 @@ fn register_tier_work_counts_are_pinned() {
         }
     }
     assert!(wrong.is_empty(), "work counts moved:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn unobserved_runs_spend_the_pinned_calls_and_fuel() {
+    let mut wrong = Vec::new();
+    for (id, n, want) in ROWS {
+        let want = &want[..=want.find('|').expect("calls=… fuel=… |")];
+        for profile in register_profiles() {
+            let got = counts(id, n, profile.with_observe(ObserveLevel::Off));
+            if got != want {
+                wrong.push(format!(
+                    "{id} n={n} on {}:\n  got  {got}\n  want {want}",
+                    profile.name
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "unobserved work moved:\n{}", wrong.join("\n"));
+}
+
+/// The pinned fuel is exactly what the compiled tier needs unobserved: one
+/// unit less runs out, the pinned amount does not.
+#[test]
+fn unobserved_compiled_runs_out_of_fuel_at_the_pinned_boundary() {
+    let profile = VmProfile::clr11_compiled().with_observe(ObserveLevel::Off);
+    for (id, n, want) in ROWS {
+        let spent: u64 = want
+            .split_once("fuel=")
+            .and_then(|(_, rest)| rest.split_once(' '))
+            .and_then(|(fuel, _)| fuel.parse().ok())
+            .expect("fuel literal");
+        let (group, entry) = find_entry(id).expect(id);
+        for (budget, enough) in [(spent - 1, false), (spent, true)] {
+            let vm = vm_for(&group, profile);
+            vm.set_fuel(Some(budget));
+            match run_entry(&vm, &entry, n) {
+                Ok(r) if enough => {
+                    (entry.validate)(n, r).unwrap_or_else(|e| panic!("{id}: {e}"))
+                }
+                Err(VmError::Limit(m)) if !enough => {
+                    assert_eq!(m, "fuel budget exhausted", "{id} with {budget} fuel")
+                }
+                other => panic!("{id} with {budget} of {spent} fuel: {other:?}"),
+            }
+        }
+    }
 }
