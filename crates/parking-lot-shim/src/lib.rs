@@ -8,11 +8,19 @@
 //! propagated, matching parking_lot's behaviour of not having poisoning at
 //! all.
 //!
-//! The only intentional difference from the real crate is performance:
-//! std's locks are fair game here because every call site in this workspace
-//! is either cold (JIT code cache) or amortised over a whole benchmark run
-//! (monitor enter/exit microbenchmarks measure the shim instead of
-//! parking_lot, which is fine — the paper's numbers are relative).
+//! The only intentional difference from the real crate is performance, and
+//! it is not confined to cold paths. Two call sites are on the hot path of
+//! managed code: `RefSlot` (`hpcnet-runtime`'s `object.rs`) takes its mutex
+//! on every *reference* field, element and static access — a lock, an
+//! `Arc` clone and an unlock per `ldfld`/`ldelem.ref`/`ldsfld` of an
+//! object — and `Monitor` takes one on every `lock` enter and exit. On the
+//! compiled tier those locks are what remains of a reference-heavy row
+//! once dispatch is cheap (DESIGN.md §3 has the measurement). The other
+//! sites lock once per rarer operation — `Math.random`, an allocation while
+//! snapshot tracking is on, console output, thread start and join — or
+//! are cold. Every engine pays the same locks, so the paper's relative
+//! numbers hold; the absolute time of those rows is the shim's, not
+//! parking_lot's.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

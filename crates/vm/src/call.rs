@@ -18,6 +18,14 @@
 //! `leave` target, `endfinally`, an error — is parked in the `Frame` by
 //! the op and read by the loop only when it sees *returned* or *exit*.
 //!
+//! **Slots.** `pc` indexes a tier's op array, not necessarily the RIR:
+//! the compiled tier fuses adjacent instruction pairs into one closure on
+//! VMs that are not observing, in methods without exception regions, and
+//! remaps every branch target to a slot when it builds them, so `pc += 1`
+//! still names the next op and this loop does not know about fusion.
+//! Where `rir(code).code[pc]` is read — the observer's per-op attribution,
+//! exception dispatch, `leave` — ops and instructions pair one to one.
+//!
 //! **Call edge.** `invoke` is the one place a managed call happens on
 //! either tier: receiver check, the guard sequence of `Vm::guarded`,
 //! code lookup, a recycled callee frame, arguments copied slot to slot,
@@ -228,8 +236,10 @@ impl Frame {
 pub(crate) trait RegTier {
     /// A method as this tier caches it.
     type Code: 'static;
-    /// One instruction as this tier executes it; `ops(code)[pc]` pairs
-    /// with `rir(code).code[pc]`.
+    /// One op as this tier executes it. `ops(code)[pc]` pairs with
+    /// `rir(code).code[pc]` on observing VMs and in methods with exception
+    /// regions; elsewhere the compiled tier's op may carry two
+    /// instructions (see the module docs).
     type Op;
 
     /// The method's code, translated on first use, borrowed from the VM's

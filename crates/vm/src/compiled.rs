@@ -1,8 +1,12 @@
 //! The direct-threaded execution engine.
 //!
 //! Runs [`crate::rir::compile::CompiledMethod`] code: a flat array of
-//! pre-resolved closures, one per RIR instruction, produced by
-//! [`crate::rir::compile`]. Where [`crate::exec`] re-decodes each
+//! pre-resolved closures, one per *slot*, produced by
+//! [`crate::rir::compile`]. A slot is one RIR instruction or, on a VM
+//! that is not observing, in a method without exception regions, a fused
+//! pair of them (a constant and its consumer, a result and its move, a
+//! move and a jump, a jump and the test it lands on), with branch targets
+//! remapped to slots at build time. Where [`crate::exec`] re-decodes each
 //! instruction on every execution (a 40-way `match` per operation — the
 //! interpretive dispatch cost the paper's JITs don't pay), this loop
 //! fetches `ops[pc]` and calls it: operands, immediates, literals and
@@ -50,8 +54,8 @@ use crate::rir::RirMethod;
 use hpcnet_cil::module::MethodId;
 use std::sync::Arc;
 
-/// [`crate::profile::Tier::Compiled`]: one pre-resolved closure per
-/// instruction.
+/// [`crate::profile::Tier::Compiled`]: one pre-resolved closure per slot
+/// (an instruction, or a fused pair of them).
 pub(crate) struct Threaded;
 
 impl RegTier for Threaded {

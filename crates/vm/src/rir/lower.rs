@@ -233,8 +233,10 @@ pub(crate) fn lower(
         };
         ctx.local_locs.push(loc);
     }
-    // Canonical stack-cell virtual registers (both kinds per depth).
-    for _ in 0..=m.body.max_stack {
+    // Canonical stack-cell virtual registers (both kinds per depth). The
+    // depth is the verification's just above: `m.body.max_stack` is only
+    // filled in by `verify_module`, which an unverified VM never ran.
+    for _ in 0..=info.max_stack {
         let p = ctx.pvreg();
         let r = ctx.rvreg();
         ctx.stack_p.push(p);

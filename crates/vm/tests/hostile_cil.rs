@@ -8,7 +8,7 @@
 //! (`sscli10`), the decoding register tier (`clr11`, and `mono023` for
 //! the helper-call multidimensional path) and the closure tier
 //! (`clr11_compiled`). Nothing here catches an unwind: a host panic fails
-//! the test.
+//! the test. The last test binds modules without verifying them first.
 
 use hpcnet_cil::{CilType, ElemKind, FieldId, MethodBuilder, MethodKind, Module, ModuleBuilder, Op};
 use hpcnet_vm::{declare_prelude, Vm, VmError, VmProfile};
@@ -233,3 +233,38 @@ fn hostile_cil_ends_the_same_way_on_every_engine() {
     }
 }
 
+/// A module bound without `verify_module` (`Vm::new_unverified`) carries no
+/// verified stack depth in its bodies. The register tiers lower each method
+/// from the verification they run on it themselves, so a valid program
+/// gives the verified result and an unverifiable body is an error.
+#[test]
+fn unverified_modules_lower_from_their_own_verification() {
+    let register = [
+        VmProfile::clr11(),
+        VmProfile::mono023(),
+        VmProfile::clr11_compiled(),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(dir.join("../grande/src/sources/kernels/smallapps.cs"))
+        .expect("Grande source");
+    let sieve = hpcnet_minics::compile(&src).expect("compiles");
+    let run = |vm: &std::sync::Arc<Vm>| {
+        let r = vm.invoke_by_name("Sieve.Run", vec![hpcnet_runtime::Value::I4(5000)]);
+        format!("{r:?}")
+    };
+    let want = run(&Vm::new(sieve.clone(), VmProfile::clr11()).expect("verifies"));
+    let unverifiable = module(|f, _| {
+        f.emit(Op::Pop);
+        f.ldc_i4(0);
+        f.ret();
+    });
+    for p in register {
+        assert_eq!(run(&Vm::new_unverified(sieve.clone(), p)), want, "{}", p.name);
+        match Vm::new_unverified(unverifiable.clone(), p).invoke_by_name("Q.Main", vec![]) {
+            Err(VmError::Internal(m)) => {
+                assert!(m.starts_with("lowering unverifiable method"), "{}: {m}", p.name)
+            }
+            other => panic!("{}: an unverifiable body ended with {other:?}", p.name),
+        }
+    }
+}
