@@ -1,8 +1,8 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! The workspace builds fully offline with no external crates, so every
-//! schema'd artifact (`BENCH_grande.json`, `PROFILE_*.json`,
-//! `BENCH_serve.json`) is produced and re-validated with this tiny
+//! schema'd artifact (`PROFILE_*.json`, `BENCH_serve.json`,
+//! `TRACE_serve.json`) is produced and re-validated with this tiny
 //! self-contained implementation instead of serde. Numbers are `f64`
 //! (ample for rates, times and counter values); non-finite numbers are
 //! not representable in JSON and serialize as `null`.

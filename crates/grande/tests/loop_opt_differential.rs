@@ -101,8 +101,8 @@ fn jagged_matrix_copy_loses_checks_on_clr_only() {
 /// The headline claim for the range/versioning tiers: the derived-index
 /// kernels — SparseMatMul's row-pointer-bounded inner loop, LU's
 /// partial-pivot row sweeps — must lose checks that idiom matching alone
-/// cannot prove away on the reference CLR. CI asserts the same split on
-/// the emitted BENCH_grande.json counters.
+/// cannot prove away on the reference CLR. CI's `abce-audit` job runs
+/// this test in release.
 #[test]
 fn sparse_and_lu_eliminate_beyond_idiom_on_clr() {
     let group = registry().into_iter().find(|g| g.id == "scimark").unwrap();

@@ -5,11 +5,11 @@
 //! for the experiment index and EXPERIMENTS.md for recorded
 //! paper-vs-measured comparisons.
 
-use crate::bench::cell_note;
-use crate::json::Json;
-use crate::measure::{native_baseline, time_entry, time_native, Measurement};
+use crate::measure::{cell_note, native_baseline, time_entry, time_native, Measurement};
 use crate::report::Table;
-use hpcnet_core::{lookup_entry, lookup_group, vm_for, BenchGroup, Entry, Vm, VmProfile};
+use hpcnet_core::{
+    lookup_entry, lookup_group, run_entry, vm_for, BenchGroup, Entry, Vm, VmProfile,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -475,10 +475,7 @@ pub fn ablation(cfg: &Config) -> Table {
 /// every profile and report how many array bounds checks the JIT removed
 /// (the Section 5 "eliminating array bounds checking" mechanism —
 /// docs/OPTIMIZATIONS.md maps every mechanism to its `PassConfig` knob).
-///
-/// Side effect: writes `BENCH_opt.json` to the working directory with the
-/// per-kernel timings and the full counter set (natural loops found,
-/// checks eliminated, LICM hoists, JIT compiles) per profile.
+/// Counts only: each cell runs its kernel once, untimed.
 pub fn opt_counters(cfg: &Config) -> Table {
     let g = group("scimark");
     let profiles = VmProfile::scimark_lineup();
@@ -491,62 +488,16 @@ pub fn opt_counters(cfg: &Config) -> Table {
     }
     // One fresh VM per (kernel, profile) cell so the counters are
     // attributable to a single kernel's compilation.
-    let mut per_profile: Vec<Vec<Json>> = vec![Vec::new(); profiles.len()];
     for (label, eid) in SCIMARK_ENTRIES {
         let e = entry(&g, eid);
         let n = cfg.n_for(e);
         let mut cells = Vec::new();
-        for (pi, p) in profiles.iter().enumerate() {
+        for p in &profiles {
             let vm = vm_for(&g, *p);
-            let m = timed(&vm, e, n, cfg.min_time);
-            let c = vm.counters.snapshot();
-            cells.push(c.bounds_checks_eliminated as f64);
-            per_profile[pi].push(Json::obj(vec![
-                ("id", Json::Str(eid.to_string())),
-                ("label", Json::Str(label.to_string())),
-                ("mflops", Json::num(m.rate / 1e6)),
-                (
-                    "classification",
-                    Json::Str(m.stats.classification.as_str().to_string()),
-                ),
-                ("loops_found", Json::num(c.loops_found as f64)),
-                (
-                    "bounds_checks_eliminated",
-                    Json::num(c.bounds_checks_eliminated as f64),
-                ),
-                ("licm_hoisted", Json::num(c.licm_hoisted as f64)),
-                ("jit_compiles", Json::num(c.jit_compiles as f64)),
-            ]));
+            run_entry(&vm, e, n).unwrap_or_else(|err| panic!("{eid} on {}: {err}", p.name));
+            cells.push(vm.counters.snapshot().bounds_checks_eliminated as f64);
         }
         table.add_row(label, cells);
-    }
-    let profile_docs: Vec<Json> = profiles
-        .iter()
-        .zip(per_profile)
-        .map(|(p, kernels)| {
-            Json::obj(vec![
-                ("profile", Json::Str(p.name.to_string())),
-                (
-                    "passes",
-                    Json::obj(vec![
-                        ("bce", Json::Bool(p.passes.bce)),
-                        ("abce", Json::Bool(p.passes.abce)),
-                        ("licm", Json::Bool(p.passes.licm)),
-                    ]),
-                ),
-                ("kernels", Json::Arr(kernels)),
-            ])
-        })
-        .collect();
-    let doc = Json::obj(vec![
-        ("suite", Json::Str("scimark".to_string())),
-        ("large", Json::Bool(cfg.large)),
-        ("min_time_ms", Json::num(cfg.min_time.as_millis() as f64)),
-        ("profiles", Json::Arr(profile_docs)),
-    ]);
-    match std::fs::write("BENCH_opt.json", doc.render()) {
-        Ok(()) => eprintln!("wrote BENCH_opt.json"),
-        Err(e) => eprintln!("could not write BENCH_opt.json: {e}"),
     }
     table
 }
@@ -574,33 +525,27 @@ pub fn all_reports() -> Vec<(&'static str, fn(&Config) -> Table)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcnet_core::run_entry;
 
-    /// The acceptance check for the loop-aware tier: the optimizing CLR
-    /// drops bounds checks in the SciMark SOR sweep and the sparse
-    /// matmult, while Mono (no loop passes) keeps every check.
+    /// The acceptance check for the loop-aware tier, read off the `opt`
+    /// report's own table: the optimizing CLR drops bounds checks in the
+    /// SciMark SOR sweep and the sparse matmult, while Mono (no loop
+    /// passes) keeps every check. The table counts the structural BCE
+    /// pass too, so loop detection on CLR is checked on its own counter.
     #[test]
     fn clr_eliminates_scimark_bounds_checks_and_mono_does_not() {
-        use std::sync::atomic::Ordering::Relaxed;
+        let t = opt_counters(&Config::quick());
+        let col = |name: &str| t.columns.iter().position(|c| c == name).unwrap();
+        let (clr, mono) = (col(VmProfile::clr11().name), col(VmProfile::mono023().name));
         let g = group("scimark");
-        for eid in ["scimark.sor", "scimark.sparse"] {
-            let e = entry(&g, eid);
-            let n = e.small_n;
-            let clr = vm_for(&g, VmProfile::clr11());
-            run_entry(&clr, e, n).unwrap();
-            assert!(
-                clr.counters.bounds_checks_eliminated.load(Relaxed) > 0,
-                "{eid}: CLR 1.1 should eliminate bounds checks"
-            );
-            assert!(clr.counters.loops_found.load(Relaxed) > 0, "{eid}");
+        for (label, eid) in [("SOR", "scimark.sor"), ("Sparse", "scimark.sparse")] {
+            let (_, cells) = t.rows.iter().find(|(l, _)| l == label).unwrap();
+            assert!(cells[clr] > 0.0, "{label}: CLR 1.1 should eliminate checks");
+            assert_eq!(cells[mono], 0.0, "{label}: Mono 0.23 has no BCE at all");
 
-            let mono = vm_for(&g, VmProfile::mono023());
-            run_entry(&mono, e, n).unwrap();
-            assert_eq!(
-                mono.counters.bounds_checks_eliminated.load(Relaxed),
-                0,
-                "{eid}: Mono 0.23 has no BCE at all"
-            );
+            let e = entry(&g, eid);
+            let vm = vm_for(&g, VmProfile::clr11());
+            run_entry(&vm, e, e.small_n).unwrap();
+            assert!(vm.counters.snapshot().loops_found > 0, "{label}: CLR 1.1 finds loops");
         }
     }
 }

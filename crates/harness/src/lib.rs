@@ -4,16 +4,13 @@
 //! one generator per graph ([`graphs`]), a warmup-aware statistical
 //! timing protocol ([`measure`] + [`stats`], docs/MEASUREMENT.md) applied
 //! uniformly to all engine profiles and the native baseline, text/CSV
-//! rendering ([`report`]), and the schema'd `BENCH_grande.json` artifact
-//! ([`mod@bench`], emitted via the dependency-free [`json`] writer).
+//! rendering ([`report`]), and the per-method attribution artifact
+//! ([`profile`]).
 //!
 //! Run `cargo run --release -p hpcnet-harness --bin hpcnet-report -- all`
-//! to reproduce the full set (`-- bench` for the JSON artifact); see
-//! EXPERIMENTS.md for recorded results.
+//! to reproduce the full set; see EXPERIMENTS.md for recorded results.
 
-pub mod bench;
 pub mod graphs;
-pub mod json;
 pub mod measure;
 pub mod profile;
 pub mod report;
@@ -21,9 +18,6 @@ pub mod stats;
 
 pub use graphs::{all_reports, Config};
 pub use hpcnet_core::ObserveLevel;
-pub use measure::{native_baseline, time_entry, time_native, MeasureError, Measurement};
-pub use report::Table;
-pub use stats::{Classification, SeriesStats};
 
 #[cfg(test)]
 mod tests {

@@ -9,8 +9,6 @@
 //! hpcnet-report all --relative     # extra baseline-normalized views
 //! hpcnet-report conform            # differential conformance sweep
 //! hpcnet-report conform --programs 50 --seed 1000 --observe trace
-//! hpcnet-report bench --quick      # statistical artifact (BENCH_grande.json)
-//! hpcnet-report bench --check BENCH_grande.json
 //! hpcnet-report profile loop.for   # attribution artifact (PROFILE_loop.for.json)
 //! hpcnet-report profile scimark.fft --overhead
 //! hpcnet-report serve --jobs 120 --workers 2   # job-service artifact (BENCH_serve.json)
@@ -80,12 +78,6 @@ fn main() {
     // divergence, so CI can gate on it directly.
     if args.first().map(String::as_str) == Some("conform") {
         run_conform(&args[1..]);
-        return;
-    }
-    // `bench` runs the full statistical measurement protocol and emits a
-    // schema'd JSON artifact (docs/MEASUREMENT.md).
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
         return;
     }
     // `profile` runs one entry under full observability and emits the
@@ -234,67 +226,8 @@ fn run_profile(args: &[String]) {
     let out = out.unwrap_or_else(|| format!("PROFILE_{entry}.json"));
     let text = run.doc.render();
     write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring `bench`.
+    // Self-check the exact bytes written before declaring success.
     if let Err(problems) = hpcnet_harness::profile::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
-}
-
-fn run_bench(args: &[String]) {
-    let u = bench_usage();
-    let mut cfg = Config::default();
-    let mut out = String::from("BENCH_grande.json");
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => cfg.min_time = Duration::from_millis(30),
-            "--large" => cfg.large = true,
-            "--min-time-ms" => {
-                let ms: u64 = flag_value(&mut it, "--min-time-ms", "a number", &u);
-                cfg.min_time = Duration::from_millis(ms);
-            }
-            "--out" => match it.next() {
-                Some(p) => out = p.clone(),
-                None => fail_usage(&u, "--out needs a path"),
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => fail_usage(&u, "--check needs a path"),
-            },
-            other => fail_usage(&u, &format!("unknown bench flag {other}")),
-        }
-    }
-    // Validation-only mode: parse + schema-check an existing artifact.
-    if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_harness::bench::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid bench document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID bench document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let run = hpcnet_harness::bench::run_bench(&cfg)
-        .unwrap_or_else(|e| fail_run(&format!("bench failed: {e}")));
-    for t in &run.tables {
-        println!("{}", t.render());
-    }
-    let text = run.doc.render();
-    write_or_die(&out, &text);
-    // Self-check: re-validate the exact bytes written before declaring
-    // success, so a schema regression can never ship a bad artifact.
-    if let Err(problems) = hpcnet_harness::bench::check_document(&text) {
         eprintln!("{out}: emitted document FAILED schema validation:");
         for p in problems {
             eprintln!("  - {p}");
@@ -425,7 +358,7 @@ fn run_serve(args: &[String]) {
     }
     let text = doc.render();
     write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring `bench` and `profile`.
+    // Self-check the exact bytes written, mirroring `profile`.
     if let Err(problems) = hpcnet_serve::report::check_document(&text) {
         eprintln!("{out}: emitted document FAILED schema validation:");
         for p in problems {
@@ -590,7 +523,7 @@ fn run_trace(args: &[String]) {
 fn graph_usage() -> String {
     "graphs: g1 g3 g4 g5 g6 g7 g8 g9 g10 g12 t2 t4 ablation opt\n\
        (g10 --large reproduces Graph 11; g1 covers Graphs 1 and 2;\n\
-        opt prints per-profile JIT pass counters and writes BENCH_opt.json)\n\
+        opt prints the bounds checks each profile's JIT eliminated)\n\
      graph flags: [--large] [--quick] [--min-time-ms N] [--csv DIR] [--relative]"
         .to_string()
 }
@@ -598,11 +531,6 @@ fn graph_usage() -> String {
 fn conform_usage() -> String {
     "conform flags: [--programs N] [--seed S] [--no-corpus] [--observe off|counters|trace]\n\
                     [--workers N (0 = all cores)] [--wave N]"
-        .to_string()
-}
-
-fn bench_usage() -> String {
-    "bench flags:   [--quick] [--large] [--min-time-ms N] [--out FILE] | --check FILE"
         .to_string()
 }
 
@@ -640,8 +568,6 @@ fn usage() -> String {
          subcommands:\n\
            conform   differential conformance fuzz sweep over every profile and\n\
                      pass combination; exits non-zero on any divergence\n\
-           bench     warmup-aware statistical measurement protocol; writes a\n\
-                     schema-validated BENCH_grande.json (docs/MEASUREMENT.md)\n\
            profile   per-method attribution profile of one benchmark entry under\n\
                      the CLI lineup; writes PROFILE_<entry>.json (docs/OBSERVABILITY.md)\n\
            serve     multi-tenant compile-and-run job service on warmed snapshot/reset\n\
@@ -654,11 +580,9 @@ fn usage() -> String {
          {}\n\
          {}\n\
          {}\n\
-         {}\n\
          {}",
         graph_usage(),
         conform_usage(),
-        bench_usage(),
         profile_usage(),
         serve_usage(),
         trace_usage(),

@@ -15,7 +15,7 @@
 //! `math.random`, are explicitly exempt).
 
 use crate::stats::{self, SeriesStats};
-use hpcnet_core::{run_entry, Entry, Value, Vm, VmError};
+use hpcnet_core::{run_entry, Entry, Vm, VmError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -84,6 +84,18 @@ impl Measurement {
     }
 }
 
+/// The note rendered next to a table cell: CI half-width percent plus the
+/// classification marker (nothing for the boring flat case).
+pub fn cell_note(m: &Measurement) -> String {
+    let mut note = format!("±{:.0}%", m.ci_half_width_pct());
+    let marker = m.stats.classification.marker();
+    if !marker.is_empty() {
+        note.push(' ');
+        note.push_str(marker);
+    }
+    note
+}
+
 /// Why a measurement could not be produced.
 #[derive(Debug)]
 pub enum MeasureError {
@@ -122,7 +134,7 @@ impl std::error::Error for MeasureError {}
 
 /// Entries whose result is random *by design*; everything else must
 /// return bitwise-identical checksums on every invocation.
-pub(crate) const NONDETERMINISTIC_BY_DESIGN: &[&str] = &["math.random"];
+const NONDETERMINISTIC_BY_DESIGN: &[&str] = &["math.random"];
 
 /// The shared measurement loop.
 ///
@@ -268,18 +280,6 @@ pub fn native_baseline(entry_id: &str, n: i32) -> Option<Box<dyn Fn() -> f64>> {
         "app.raytracer" => Box::new(move || apps::raytracer_run(n_us)),
         _ => return None,
     })
-}
-
-/// Invoke a method once and time it (used by the `Thread`/startup style
-/// one-shot measurements).
-pub fn time_once(vm: &Arc<Vm>, entry: &str, n: i32) -> (f64, f64) {
-    let start = Instant::now();
-    let r = vm
-        .invoke_by_name(entry, vec![Value::I4(n)])
-        .expect("entry failed")
-        .map(|v| v.as_r8())
-        .unwrap_or(0.0);
-    (start.elapsed().as_secs_f64(), r)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The `hpcnet-report profile` artifact: per-method attribution for one
 //! benchmark entry across the CLI lineup.
 //!
-//! Where `bench` answers *how fast* each engine runs an entry, `profile`
-//! answers *why*: every profile executes the entry **once** at a fixed
-//! problem size with the VM's attribution profiler at full level
+//! Where the timing reports answer *how fast* each engine runs an entry,
+//! `profile` answers *why*: every profile executes the entry **once** at a
+//! fixed problem size with the VM's attribution profiler at full level
 //! ([`hpcnet_core::ObserveLevel::Trace`]), and the per-method opcode,
 //! bounds-check, allocation and exception-dispatch counts are written to
 //! a schema'd `PROFILE_<entry>.json` together with the JIT event trace
@@ -23,10 +23,9 @@
 //! prints the rates, demonstrating that `Off` costs nothing measurable.
 //! Those rates go to stdout only, never into the JSON.
 
-use crate::json::Json;
-use crate::measure::{time_entry, MeasureError};
+use crate::measure::{cell_note, time_entry, MeasureError};
 use crate::report::Table;
-use hpcnet_core::json::Check;
+use hpcnet_core::json::{Check, Json};
 use hpcnet_core::{
     find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, Event,
     ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
@@ -475,7 +474,7 @@ pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, Measu
             let vm = vm_for(&group, p.with_observe(level));
             let m = time_entry(&vm, &entry, entry.small_n, min_time)?;
             row.push(m.rate);
-            notes.push(crate::bench::cell_note(&m));
+            notes.push(cell_note(&m));
         }
         t.add_row_noted(p.name, row, notes);
     }
@@ -659,6 +658,15 @@ mod tests {
         assert_eq!(run.hot.columns.len(), 3);
         assert!(!run.hot.rows.is_empty());
         assert!(run.hot.render().contains("Loops.For"), "{}", run.hot.render());
+        // Every engine made managed calls and executed ops; CLR JIT-compiled.
+        for p in run.doc.get("profiles").unwrap().as_arr().unwrap() {
+            let total = |key| p.get("totals").unwrap().get(key).unwrap().as_f64().unwrap();
+            let name = p.get("profile").unwrap().as_str().unwrap();
+            assert!(total("calls") > 0.0 && total("ops") > 0.0, "{name}");
+            if name == VmProfile::clr11().name {
+                assert!(total("jit_compiles") > 0.0, "CLR did not JIT");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Cells are numeric rates; each cell may also carry a *note* — the
 //! `±N%` confidence half-width and steady-state classification marker the
 //! measurement layer produces. Notes appear in the rendered text table
-//! but not in CSV (CSV stays numeric for plotting; the full statistics
-//! live in the `BENCH_*.json` artifacts, see docs/MEASUREMENT.md).
+//! but not in CSV (CSV stays numeric for plotting).
 //!
 //! A cell holding `f64::NAN` means *missing* and renders as an empty
 //! cell in both text and CSV (not the string `NaN`).

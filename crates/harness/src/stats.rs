@@ -34,16 +34,6 @@ pub enum Classification {
 }
 
 impl Classification {
-    /// Stable machine-readable name (the `BENCH_*.json` vocabulary).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Classification::Warmup => "warmup",
-            Classification::Flat => "flat",
-            Classification::Slowdown => "slowdown",
-            Classification::NoSteadyState => "no-steady-state",
-        }
-    }
-
     /// Short marker for table cells ("" for the boring case).
     pub fn marker(self) -> &'static str {
         match self {
@@ -52,16 +42,6 @@ impl Classification {
             Classification::Slowdown => "SLOW",
             Classification::NoSteadyState => "NSS",
         }
-    }
-
-    pub fn from_str(s: &str) -> Option<Classification> {
-        Some(match s {
-            "warmup" => Classification::Warmup,
-            "flat" => Classification::Flat,
-            "slowdown" => Classification::Slowdown,
-            "no-steady-state" => Classification::NoSteadyState,
-            _ => return None,
-        })
     }
 }
 

@@ -14,25 +14,28 @@ fn help_lists_every_subcommand_with_descriptions() {
     let out = report().arg("--help").output().expect("run hpcnet-report");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for sub in ["conform", "bench", "profile", "serve"] {
+    for sub in ["conform", "profile", "serve"] {
         assert!(text.contains(sub), "help must list `{sub}`:\n{text}");
     }
     // One-line descriptions, not just names.
     assert!(text.contains("conformance"), "{text}");
-    assert!(text.contains("BENCH_grande.json"), "{text}");
     assert!(text.contains("PROFILE_<entry>.json"), "{text}");
     assert!(text.contains("BENCH_serve.json"), "{text}");
 }
 
+/// `bench` is not a subcommand: it takes the same path as any other
+/// unknown name.
 #[test]
 fn unknown_subcommand_exits_nonzero_with_usage() {
-    let out = report().arg("frobnicate").output().expect("run hpcnet-report");
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown"), "{err}");
-    assert!(err.contains("usage:"), "stderr must include usage:\n{err}");
-    assert!(err.contains("profile"), "usage must list subcommands:\n{err}");
+    for sub in ["frobnicate", "bench"] {
+        let out = report().arg(sub).output().expect("run hpcnet-report");
+        assert_eq!(out.status.code(), Some(2), "{sub} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown"), "{sub}: {err}");
+        assert!(err.contains("usage:"), "{sub}: stderr lacks usage:\n{err}");
+        assert!(err.contains("profile"), "{sub}: no subcommands:\n{err}");
+        assert!(!err.contains("panicked"), "{sub} panicked:\n{err}");
+    }
 }
 
 #[test]
@@ -51,9 +54,6 @@ fn malformed_flag_values_fail_with_usage_not_panic() {
     let cases: &[&[&str]] = &[
         &["--min-time-ms", "soon"],
         &["--csv"],
-        &["bench", "--min-time-ms"],
-        &["bench", "--out"],
-        &["bench", "--frob"],
         &["profile", "--n", "xyz"],
         &["profile", "--check"],
         &["conform", "--programs", "many"],
@@ -80,7 +80,7 @@ fn malformed_flag_values_fail_with_usage_not_panic() {
 /// Unreadable artifact paths are runtime failures (exit 1), also unpanicked.
 #[test]
 fn unreadable_check_paths_fail_cleanly() {
-    for sub in ["bench", "profile", "serve"] {
+    for sub in ["profile", "serve"] {
         let out = report()
             .args([sub, "--check", "/nonexistent/definitely-missing.json"])
             .output()

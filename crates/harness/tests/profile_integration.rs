@@ -10,7 +10,7 @@
 //!    the delta rows against the reference equal the reference's elided
 //!    count to the access.
 
-use hpcnet_harness::json::Json;
+use hpcnet_core::json::Json;
 use hpcnet_harness::profile::{check_document, run_profile, ProfileConfig};
 
 fn cfg(n: i32) -> ProfileConfig {

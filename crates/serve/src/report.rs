@@ -10,7 +10,7 @@
 //! * `service` — telemetry that legitimately varies run to run: latency
 //!   percentiles, the warm/cold split, cache and pool counters.
 //!
-//! Like the bench and profile artifacts, the emitter self-checks: the CLI
+//! Like the profile and trace artifacts, the emitter self-checks: the CLI
 //! validates the exact bytes it wrote before declaring success, and
 //! [`check_document`] lets CI (or a consumer) re-validate any file.
 

@@ -142,7 +142,7 @@ pub struct Counters {
 }
 
 /// A point-in-time copy of [`Counters`] — the plain-value form reports
-/// and the `BENCH_*.json` artifacts embed.
+/// and artifacts embed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CountersSnapshot {
     pub calls: u64,

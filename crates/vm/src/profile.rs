@@ -209,8 +209,8 @@ impl VmProfile {
     }
 
     /// CLR 1.1 codegen knobs on the direct-threaded compiled tier — the
-    /// "what if the dispatch loop itself disappeared" engine the bench
-    /// harness compares against [`VmProfile::clr11`].
+    /// "what if the dispatch loop itself disappeared" engine to compare
+    /// against [`VmProfile::clr11`].
     pub const fn clr11_compiled() -> VmProfile {
         let mut p = Self::clr11();
         p.name = "C# .NET 1.1 (threaded)";
@@ -378,19 +378,6 @@ impl VmProfile {
         vec![Self::clr11(), Self::mono023(), Self::sscli10()]
     }
 
-    /// The bench-harness lineup: the paper's CLI trio plus the
-    /// direct-threaded compiled tier, so every `BENCH_*.json` artifact
-    /// carries the dispatch-elimination comparison alongside the
-    /// historical engines.
-    pub fn bench_lineup() -> Vec<VmProfile> {
-        vec![
-            Self::clr11(),
-            Self::clr11_compiled(),
-            Self::mono023(),
-            Self::sscli10(),
-        ]
-    }
-
     /// The micro-benchmark lineup: IBM JVM vs the three CLIs (Section 4).
     pub fn micro_lineup() -> Vec<VmProfile> {
         vec![
@@ -431,7 +418,6 @@ mod tests {
     #[test]
     fn lineups_have_expected_sizes() {
         assert_eq!(VmProfile::cli_lineup().len(), 3);
-        assert_eq!(VmProfile::bench_lineup().len(), 4);
         assert_eq!(VmProfile::micro_lineup().len(), 4);
         assert_eq!(VmProfile::scimark_lineup().len(), 7);
     }

@@ -5,10 +5,10 @@
 //! records one [`ElisionCert`] per check it removes: the access pc, the
 //! mechanism, and the facts justifying the elision (which guard, which
 //! induction variable, the index's affine offset and derived interval).
-//! Certificates live in [`Lowered`] and every pass that moves instructions
+//! Certificates live in `Lowered` and every pass that moves instructions
 //! remaps their pcs alongside branch targets and EH ranges.
 //!
-//! [`check`] re-verifies each certificate against the *final* optimized
+//! `check` re-verifies each certificate against the *final* optimized
 //! code with its own resolvers (separate from the pass-side fact
 //! machinery): it re-finds the loop, re-classifies the induction variable's
 //! definitions, re-resolves the guard's bound to an `arr.Length`-relative

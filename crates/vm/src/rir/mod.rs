@@ -13,7 +13,7 @@
 //!    strength reduction, the structural bounds-check matcher, dead-code
 //!    elimination — each gated by a [`crate::profile::PassConfig`] flag.
 //! 3. **Loop-aware tier** (`rir::loops` + [`crate::rir::opt`] +
-//!    [`crate::rir::range`]): basic blocks, dominators and natural loops
+//!    `rir::range`): basic blocks, dominators and natural loops
 //!    are recovered from the compacted code; idiom ABCE proves
 //!    counted-loop indices in range and drops their checks, symbolic
 //!    range analysis extends that to derived indices (`i±k`, triangular,
