@@ -106,3 +106,31 @@ fn bounds_check_counts_differ_exactly_where_the_knobs_predict() {
     assert!(jit_events(mono) > 0, "Mono compiles to RIR too");
     assert_eq!(jit_events(rotor), 0, "the interpreter never JITs");
 }
+
+/// FNV-1a (64-bit) over the rendered document.
+fn fingerprint(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The whole rendered document — every key, its order and every count —
+/// is pinned for one loop entry and one exception entry, so a change to
+/// how counters are declared or emitted cannot alter a byte of it
+/// unnoticed. On a mismatch, diff the rendered text against a run of the
+/// previous commit; update the literal only for an intended schema change.
+#[test]
+fn profile_documents_are_pinned_byte_for_byte() {
+    for (entry, n, expected) in [
+        ("scimark.sor", 24, 0xe165_f899_39f5_96e9),
+        ("exception.throw", 200, 0x3a47_f535_abea_0ae7),
+    ] {
+        let text = run_profile(entry, &cfg(n)).unwrap().doc.render();
+        assert_eq!(
+            fingerprint(&text),
+            expected,
+            "{entry} n={n}: PROFILE document changed ({} bytes)",
+            text.len()
+        );
+    }
+}
