@@ -28,7 +28,7 @@ use crate::report::Table;
 use hpcnet_core::json::{Check, Json};
 use hpcnet_core::{
     find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, Event,
-    ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
+    JitOutcome, MethodProfile, ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,48 +123,52 @@ fn profile_one(
     Ok(ProfiledCell { profile: p, checksum, report, delta, vm })
 }
 
-fn totals_json(cell: &ProfiledCell) -> Json {
-    let r = &cell.report;
-    let d = &cell.delta;
-    Json::obj(vec![
-        ("ops", Json::num(r.total_ops as f64)),
-        ("allocs", Json::num(r.total_allocs as f64)),
-        (
-            "bounds_checks_executed",
-            Json::num(r.total_of(|m| m.bounds_checks_executed) as f64),
-        ),
-        (
-            "bounds_checks_elided",
-            Json::num(r.total_of(|m| m.bounds_checks_elided) as f64),
-        ),
-        (
-            "bounds_checks_elided_idiom",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_idiom) as f64),
-        ),
-        (
-            "bounds_checks_elided_range",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_range) as f64),
-        ),
-        (
-            "bounds_checks_elided_versioned",
-            Json::num(r.total_of(|m| m.bounds_checks_elided_versioned) as f64),
-        ),
-        ("eh_catch", Json::num(r.total_of(|m| m.eh_catch) as f64)),
-        ("eh_finally", Json::num(r.total_of(|m| m.eh_finally) as f64)),
-        ("eh_fault_path", Json::num(r.total_of(|m| m.eh_fault_path) as f64)),
-        ("calls", Json::num(d.calls as f64)),
-        ("throws", Json::num(d.throws as f64)),
-        ("jit_compiles", Json::num(d.jit_compiles as f64)),
-        (
-            "bounds_checks_eliminated_static",
-            Json::num(d.bounds_checks_eliminated as f64),
-        ),
-        ("bce_elided_idiom", Json::num(d.bce_elided_idiom as f64)),
-        ("bce_elided_range", Json::num(d.bce_elided_range as f64)),
-        ("bce_elided_versioned", Json::num(d.bce_elided_versioned as f64)),
-        ("loops_versioned", Json::num(d.loops_versioned as f64)),
-        ("licm_hoisted", Json::num(d.licm_hoisted as f64)),
-    ])
+/// Per-method counts left out of `totals`: `ops` and `allocs` are the
+/// observer's own run totals, and invocations and inclusive ops do not
+/// add up across methods.
+const NOT_TOTALLED: [&str; 4] = ["invocations", "ops_excl", "ops_incl", "allocs"];
+
+/// The `totals` key of a VM-wide counter: `loops_found` is left out (each
+/// `jit` event carries it), and the static elimination total keeps the
+/// name schema 1.0 gave it.
+fn vm_total_key(name: &'static str) -> Option<&'static str> {
+    match name {
+        "loops_found" => None,
+        "bounds_checks_eliminated" => Some("bounds_checks_eliminated_static"),
+        name => Some(name),
+    }
+}
+
+/// Every per-method count summed over the report's methods, in
+/// declaration order.
+fn method_sums(r: &ObserveReport) -> Vec<(&'static str, u64)> {
+    let mut sums: Vec<_> = MethodProfile::NAMES.iter().map(|&name| (name, 0)).collect();
+    for m in &r.methods {
+        for (sum, (_, v)) in sums.iter_mut().zip(m.fields()) {
+            sum.1 += v;
+        }
+    }
+    sums
+}
+
+/// The `totals` object's `(key, value)` rows in document order: the run's
+/// ops and allocations, the per-method counts summed, then the VM-wide
+/// counters of the profiled invocation. The validator takes its keys
+/// from a zeroed call.
+fn totals_rows(
+    ops: u64,
+    allocs: u64,
+    sums: &[(&'static str, u64)],
+    vm: &CountersSnapshot,
+) -> Vec<(&'static str, u64)> {
+    let summed = sums.iter().copied().filter(|(k, _)| !NOT_TOTALLED.contains(k));
+    let vm = vm.fields().into_iter().filter_map(|(k, v)| Some((vm_total_key(k)?, v)));
+    [("ops", ops), ("allocs", allocs)].into_iter().chain(summed).chain(vm).collect()
+}
+
+/// `(key, count)` rows as the fields of a JSON object.
+fn count_fields(rows: impl IntoIterator<Item = (&'static str, u64)>) -> Vec<(&'static str, Json)> {
+    rows.into_iter().map(|(k, v)| (k, Json::num(v as f64))).collect()
 }
 
 fn passes_json(p: &VmProfile) -> Json {
@@ -180,7 +184,7 @@ fn passes_json(p: &VmProfile) -> Json {
 
 /// Hot methods of a report: invoked methods by descending exclusive
 /// opcode count, method id as the deterministic tie-break.
-fn hot_methods(report: &ObserveReport) -> Vec<&hpcnet_core::MethodProfile> {
+fn hot_methods(report: &ObserveReport) -> Vec<&MethodProfile> {
     let mut ms: Vec<_> = report.methods.iter().filter(|m| m.invocations > 0).collect();
     ms.sort_by(|a, b| b.ops_excl.cmp(&a.ops_excl).then(a.method.0.cmp(&b.method.0)));
     ms
@@ -204,37 +208,10 @@ fn methods_json(cell: &ProfiledCell) -> (Json, usize) {
                     Json::Arr(vec![Json::Str(name.to_string()), Json::num(n as f64)])
                 })
                 .collect();
-            Json::obj(vec![
-                ("name", Json::Str(m.name.clone())),
-                ("invocations", Json::num(m.invocations as f64)),
-                ("ops_excl", Json::num(m.ops_excl as f64)),
-                ("ops_incl", Json::num(m.ops_incl as f64)),
-                (
-                    "bounds_checks_executed",
-                    Json::num(m.bounds_checks_executed as f64),
-                ),
-                (
-                    "bounds_checks_elided",
-                    Json::num(m.bounds_checks_elided as f64),
-                ),
-                (
-                    "bounds_checks_elided_idiom",
-                    Json::num(m.bounds_checks_elided_idiom as f64),
-                ),
-                (
-                    "bounds_checks_elided_range",
-                    Json::num(m.bounds_checks_elided_range as f64),
-                ),
-                (
-                    "bounds_checks_elided_versioned",
-                    Json::num(m.bounds_checks_elided_versioned as f64),
-                ),
-                ("allocs", Json::num(m.allocs as f64)),
-                ("eh_catch", Json::num(m.eh_catch as f64)),
-                ("eh_finally", Json::num(m.eh_finally as f64)),
-                ("eh_fault_path", Json::num(m.eh_fault_path as f64)),
-                ("kinds", Json::Arr(kinds)),
-            ])
+            let mut doc = vec![("name", Json::Str(m.name.clone()))];
+            doc.extend(count_fields(m.fields()));
+            doc.push(("kinds", Json::Arr(kinds)));
+            Json::obj(doc)
         })
         .collect();
     (Json::Arr(docs), total)
@@ -247,21 +224,11 @@ fn events_json(cell: &ProfiledCell) -> Json {
     let mut alloc_milestones = 0u64;
     for ev in &cell.report.events {
         match ev {
-            Event::JitCompile { method, outcome } => jit.push(Json::obj(vec![
-                ("method", Json::Str(cell.vm.method_display_name(*method))),
-                ("rir_len", Json::num(outcome.rir_len as f64)),
-                ("loops_found", Json::num(outcome.loops_found as f64)),
-                ("bce_removed", Json::num(outcome.bce_removed as f64)),
-                ("abce_removed", Json::num(outcome.abce_removed as f64)),
-                ("range_removed", Json::num(outcome.range_removed as f64)),
-                ("versioned_removed", Json::num(outcome.versioned_removed as f64)),
-                ("loops_versioned", Json::num(outcome.loops_versioned as f64)),
-                ("licm_hoisted", Json::num(outcome.licm_hoisted as f64)),
-                ("enreg_prim", Json::num(outcome.enreg_prim as f64)),
-                ("spill_prim", Json::num(outcome.spill_prim as f64)),
-                ("enreg_ref", Json::num(outcome.enreg_ref as f64)),
-                ("spill_ref", Json::num(outcome.spill_ref as f64)),
-            ])),
+            Event::JitCompile { method, outcome } => {
+                let mut doc = vec![("method", Json::Str(cell.vm.method_display_name(*method)))];
+                doc.extend(count_fields(outcome.fields()));
+                jit.push(Json::obj(doc));
+            }
             Event::LoopRejected { method, header_pc, reason } => {
                 rejections.push(Json::obj(vec![
                     ("method", Json::Str(cell.vm.method_display_name(*method))),
@@ -282,17 +249,22 @@ fn events_json(cell: &ProfiledCell) -> Json {
     ])
 }
 
+/// The per-mechanism splits of elided bounds checks,
+/// `bounds_checks_elided_<mechanism>`, as the attribution rows carry them.
+fn elided_split(sums: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    sums.iter().copied().filter(|(k, _)| k.starts_with("bounds_checks_elided_")).collect()
+}
+
 /// The docs/OPTIMIZATIONS.md mechanisms explaining a delta row.
-/// `elided` is the profile's dynamic elided-access split
-/// `(idiom, range, versioned)`, so a bounds-check delta is attributed to
-/// the specific elision mechanism(s) that produced it, not just to the
-/// aggregate pass family.
+/// `elided` is the profile's dynamic elided-access split, so a
+/// bounds-check delta is attributed to the specific elision mechanism(s)
+/// that produced it, not just to the aggregate pass family.
 fn mechanisms_for(
     reference: &VmProfile,
     p: &VmProfile,
     bc_delta: i64,
     calls_delta: i64,
-    elided: (u64, u64, u64),
+    elided: &[(&'static str, u64)],
 ) -> Vec<String> {
     let mut out = Vec::new();
     if p.tier == Tier::Interpreter {
@@ -313,15 +285,14 @@ fn mechanisms_for(
             "bounds-check elimination (`{}`) — mechanism 4",
             knobs.join("`, `")
         ));
-        let (idiom, range, versioned) = elided;
-        if idiom > 0 {
-            out.push(format!("idiom guard elision (`bce`, `abce`) — {idiom} accesses"));
-        }
-        if range > 0 {
-            out.push(format!("symbolic range analysis (`range_abce`) — {range} accesses"));
-        }
-        if versioned > 0 {
-            out.push(format!("guarded loop versioning (`loop_versioning`) — {versioned} accesses"));
+        for &(key, n) in elided.iter().filter(|(_, n)| *n > 0) {
+            let how = match key.trim_start_matches("bounds_checks_elided_") {
+                "idiom" => "idiom guard elision (`bce`, `abce`)",
+                "range" => "symbolic range analysis (`range_abce`)",
+                "versioned" => "guarded loop versioning (`loop_versioning`)",
+                other => other,
+            };
+            out.push(format!("{how} — {n} accesses"));
         }
     }
     if calls_delta != 0 && (reference.passes.inline != p.passes.inline || p.tier == Tier::Interpreter)
@@ -391,29 +362,22 @@ pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, St
     for c in cells.iter().skip(1) {
         let bc = c.report.total_of(|m| m.bounds_checks_executed) as i64 - ref_bc;
         let calls = c.delta.calls as i64 - ref_calls;
-        let elided = (
-            c.report.total_of(|m| m.bounds_checks_elided_idiom),
-            c.report.total_of(|m| m.bounds_checks_elided_range),
-            c.report.total_of(|m| m.bounds_checks_elided_versioned),
-        );
-        let mechanisms = mechanisms_for(&cells[0].profile, &c.profile, bc, calls, elided);
+        let sums = method_sums(&c.report);
+        let elided = elided_split(&sums);
+        let mechanisms = mechanisms_for(&cells[0].profile, &c.profile, bc, calls, &elided);
         attribution.add_row_noted(
             c.profile.name,
             vec![bc as f64, calls as f64],
             vec![mechanisms.join("; "), String::new()],
         );
-        delta_docs.push(Json::obj(vec![
+        let mut doc = vec![
             ("profile", Json::Str(c.profile.name.to_string())),
             ("bounds_checks_executed_delta", Json::num(bc as f64)),
-            ("bounds_checks_elided_idiom", Json::num(elided.0 as f64)),
-            ("bounds_checks_elided_range", Json::num(elided.1 as f64)),
-            ("bounds_checks_elided_versioned", Json::num(elided.2 as f64)),
-            ("calls_delta", Json::num(calls as f64)),
-            (
-                "mechanisms",
-                Json::Arr(mechanisms.into_iter().map(Json::Str).collect()),
-            ),
-        ]));
+        ];
+        doc.extend(count_fields(elided));
+        doc.push(("calls_delta", Json::num(calls as f64)));
+        doc.push(("mechanisms", Json::Arr(mechanisms.into_iter().map(Json::Str).collect())));
+        delta_docs.push(Json::obj(doc));
     }
 
     let profile_docs = cells
@@ -425,7 +389,15 @@ pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, St
                 ("tier", Json::Str(tier_str(c.profile.tier).to_string())),
                 ("passes", passes_json(&c.profile)),
                 ("checksum", Json::num(c.checksum)),
-                ("totals", totals_json(c)),
+                (
+                    "totals",
+                    Json::obj(count_fields(totals_rows(
+                        c.report.total_ops,
+                        c.report.total_allocs,
+                        &method_sums(&c.report),
+                        &c.delta,
+                    ))),
+                ),
                 ("methods", methods),
                 ("methods_total", Json::num(methods_total as f64)),
                 ("events", events_json(c)),
@@ -486,6 +458,9 @@ pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, Measu
 /// Validate a parsed profile document. Returns every problem found.
 pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
     let mut c = Check::new();
+    // The emitters run over zeroed counts give every key they write.
+    let zeros: Vec<_> = MethodProfile::NAMES.iter().map(|&k| (k, 0)).collect();
+    let tiers = [Tier::Interpreter, Tier::Rir, Tier::Compiled].map(tier_str);
     c.schema_version(doc, &[PROFILE_SCHEMA_VERSION]);
     match doc.get("kind").and_then(Json::as_str) {
         Some("profile") => {}
@@ -507,8 +482,8 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         let path = format!("$.profiles[{pi}]");
         c.str_field(p, &path, "profile");
         match p.get("tier").and_then(Json::as_str) {
-            Some("interpreter" | "register") => {}
-            _ => c.fail(&path, "tier must be interpreter|register"),
+            Some(t) if tiers.contains(&t) => {}
+            _ => c.fail(&path, &format!("tier must be {}", tiers.join("|"))),
         }
         if let Some(passes) = p.get("passes") {
             for key in ["bce", "abce", "range_abce", "loop_versioning", "licm", "inline"] {
@@ -520,27 +495,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         c.num(p, &path, "checksum");
         if let Some(totals) = p.get("totals") {
             let tpath = format!("{path}.totals");
-            for key in [
-                "ops",
-                "allocs",
-                "bounds_checks_executed",
-                "bounds_checks_elided",
-                "bounds_checks_elided_idiom",
-                "bounds_checks_elided_range",
-                "bounds_checks_elided_versioned",
-                "eh_catch",
-                "eh_finally",
-                "eh_fault_path",
-                "calls",
-                "throws",
-                "jit_compiles",
-                "bounds_checks_eliminated_static",
-                "bce_elided_idiom",
-                "bce_elided_range",
-                "bce_elided_versioned",
-                "loops_versioned",
-                "licm_hoisted",
-            ] {
+            for (key, _) in totals_rows(0, 0, &zeros, &CountersSnapshot::default()) {
                 c.num(totals, &tpath, key);
             }
         } else {
@@ -554,30 +509,18 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         for (mi, m) in methods.iter().enumerate() {
             let mpath = format!("{path}.methods[{mi}]");
             c.str_field(m, &mpath, "name");
-            match c.num(m, &mpath, "invocations") {
-                Some(v) if v <= 0.0 => c.fail(&mpath, "non-positive invocations"),
-                _ => {}
+            for key in MethodProfile::NAMES {
+                c.num(m, &mpath, key);
             }
-            let excl = c.num(m, &mpath, "ops_excl");
-            let incl = c.num(m, &mpath, "ops_incl");
-            if let (Some(e), Some(i)) = (excl, incl) {
+            let num = |key| m.get(key).and_then(Json::as_f64);
+            if num("invocations").is_some_and(|v| v <= 0.0) {
+                c.fail(&mpath, "non-positive invocations");
+            }
+            if let (Some(e), Some(i)) = (num("ops_excl"), num("ops_incl")) {
                 ops_sum += e;
                 if i < e {
                     c.fail(&mpath, &format!("ops_incl {i} < ops_excl {e}"));
                 }
-            }
-            for key in [
-                "bounds_checks_executed",
-                "bounds_checks_elided",
-                "bounds_checks_elided_idiom",
-                "bounds_checks_elided_range",
-                "bounds_checks_elided_versioned",
-                "allocs",
-                "eh_catch",
-                "eh_finally",
-                "eh_fault_path",
-            ] {
-                c.num(m, &mpath, key);
             }
             for (ki, kind) in c.arr(m, &mpath, "kinds").iter().enumerate() {
                 match kind.as_arr() {
@@ -596,7 +539,13 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
         c.num(p, &path, "methods_total");
         if let Some(ev) = p.get("events") {
             let epath = format!("{path}.events");
-            c.arr(ev, &epath, "jit");
+            for (ji, j) in c.arr(ev, &epath, "jit").iter().enumerate() {
+                let jpath = format!("{epath}.jit[{ji}]");
+                c.str_field(j, &jpath, "method");
+                for key in JitOutcome::NAMES {
+                    c.num(j, &jpath, key);
+                }
+            }
             for (ri, r) in c.arr(ev, &epath, "loop_rejections").to_vec().iter().enumerate() {
                 let rpath = format!("{epath}.loop_rejections[{ri}]");
                 c.str_field(r, &rpath, "method");
@@ -621,9 +570,9 @@ pub fn validate(doc: &Json) -> Result<(), Vec<String>> {
             let dpath = format!("$.attribution.deltas[{di}]");
             c.str_field(d, &dpath, "profile");
             c.num(d, &dpath, "bounds_checks_executed_delta");
-            c.num(d, &dpath, "bounds_checks_elided_idiom");
-            c.num(d, &dpath, "bounds_checks_elided_range");
-            c.num(d, &dpath, "bounds_checks_elided_versioned");
+            for (key, _) in elided_split(&zeros) {
+                c.num(d, &dpath, key);
+            }
             c.num(d, &dpath, "calls_delta");
             c.arr(d, &dpath, "mechanisms");
         }

@@ -134,6 +134,31 @@ fn serve_writes_a_schema_valid_artifact_and_rechecks_it() {
     assert!(String::from_utf8_lossy(&reject.stderr).contains("INVALID"));
 }
 
+/// The profile subcommand end to end: write the artifact, then
+/// re-validate the written file via `--check`.
+#[test]
+fn profile_writes_a_schema_valid_artifact_and_rechecks_it() {
+    let dir = std::env::temp_dir().join("hpcnet-cli-profile-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("PROFILE_exception.throw.json");
+    let out = report()
+        .args(["profile", "exception.throw", "--n", "100", "--out", path.to_str().unwrap()])
+        .output()
+        .expect("run hpcnet-report");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "profile failed:\n{err}");
+    assert!(err.contains("schema-valid"), "{err}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"kind\": \"profile\""), "artifact written");
+
+    let check = report()
+        .args(["profile", "--check", path.to_str().unwrap()])
+        .output()
+        .expect("run hpcnet-report");
+    assert_eq!(check.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&check.stdout).contains("schema-valid"));
+}
+
 #[test]
 fn profile_check_rejects_a_bench_document_shape() {
     // A syntactically valid JSON that is not a profile document.

@@ -38,6 +38,7 @@
 
 pub mod call;
 pub mod compiled;
+mod counters;
 pub mod error;
 pub mod exec;
 pub mod interp;
@@ -54,7 +55,7 @@ pub use machine::{
 };
 pub use observe::{
     EhDispatchKind, Event, JitOutcome, LoopRejectReason, MethodProfile, ObserveLevel,
-    ObserveReport, PhaseTiming, VmPhase, VM_PHASE_COUNT,
+    ObserveReport, PhaseTiming, VmPhase,
 };
 pub use profile::{MathKind, MultiDimStyle, PassConfig, Tier, VmProfile};
 pub use rir::compile::CompiledMethod;
@@ -1367,38 +1368,30 @@ mod tests {
 
     #[test]
     fn counters_snapshot_delta_is_saturating() {
-        let a = CountersSnapshot {
-            calls: 10,
-            throws: 1,
-            jit_compiles: 3,
-            loops_found: 2,
-            bounds_checks_eliminated: 5,
-            bce_elided_idiom: 5,
-            bce_elided_range: 0,
-            bce_elided_versioned: 0,
-            loops_versioned: 0,
-            licm_hoisted: 4,
-        };
-        let b = CountersSnapshot {
-            calls: 25,
-            throws: 1,
-            jit_compiles: 3,
-            loops_found: 7,
-            bounds_checks_eliminated: 5,
-            bce_elided_idiom: 5,
-            bce_elided_range: 0,
-            bce_elided_versioned: 0,
-            loops_versioned: 0,
-            licm_hoisted: 9,
-        };
-        let d = b.delta(&a);
-        assert_eq!(d.calls, 15);
-        assert_eq!(d.throws, 0);
-        assert_eq!(d.loops_found, 5);
-        assert_eq!(d.licm_hoisted, 5);
-        // Mismatched order saturates to zero instead of wrapping.
-        let z = a.delta(&b);
-        assert_eq!(z, CountersSnapshot { throws: 0, ..CountersSnapshot::default() });
+        // A run that moves calls, throws, JIT and loop counters; every
+        // declared counter is checked through the generated view.
+        let src = "class P {
+            static int G(int[] a) { int s = 0; for (int i = 0; i < a.Length; i++) { s += a[i]; } return s; }
+            static int F(int n) {
+                int s = G(new int[n]);
+                try { throw new Exception(); } catch (Exception e) { s++; }
+                return s;
+            }
+        }";
+        let vm = Vm::new(hpcnet_minics::compile(src).unwrap(), VmProfile::clr11()).unwrap();
+        let a = vm.counters.snapshot();
+        vm.invoke_by_name("P.F", vec![Value::I4(8)]).unwrap();
+        let b = vm.counters.snapshot();
+        let (forward, backward) = (b.delta(&a).fields(), a.delta(&b).fields());
+        let (a, b) = (a.fields(), b.fields());
+        for (i, &name) in CountersSnapshot::NAMES.iter().enumerate() {
+            assert_eq!(forward[i], (name, b[i].1 - a[i].1));
+            // Mismatched order saturates to zero instead of wrapping.
+            assert_eq!(backward[i], (name, 0));
+        }
+        for moved in ["calls", "throws", "jit_compiles", "loops_found"] {
+            assert!(forward.iter().any(|&(n, d)| n == moved && d > 0), "{moved} did not move");
+        }
     }
 
     #[test]

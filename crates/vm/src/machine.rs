@@ -6,6 +6,7 @@
 //! [`crate::exec`]), which is precisely the experimental isolation the
 //! paper aims for by running one CIL image on several runtimes.
 
+use crate::counters::counters;
 use crate::error::{VmError, VmResult};
 use crate::interp;
 use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
@@ -111,93 +112,41 @@ pub struct Statics {
     pub refs: Box<[RefSlot]>,
 }
 
-/// Execution counters (observable effects for tests and the harness).
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Managed method invocations (all tiers, excluding inlined calls —
-    /// inlining visibly reduces this, as it should).
-    pub calls: AtomicU64,
-    /// Managed exceptions thrown (by `throw` or by runtime faults).
-    pub throws: AtomicU64,
-    /// Methods translated to RIR.
-    pub jit_compiles: AtomicU64,
-    /// Natural loops discovered by the loop-aware optimizer (counted once
-    /// per compiled method, only when a loop pass is enabled).
-    pub loops_found: AtomicU64,
-    /// Array bounds checks removed at compile time — total across every
-    /// mechanism (the three `bce_elided_*` counters below sum to this).
-    pub bounds_checks_eliminated: AtomicU64,
-    /// Checks removed by the structural/idiom matchers (block-guard BCE
-    /// plus the loop-aware ABCE `i < arr.Length` idiom).
-    pub bce_elided_idiom: AtomicU64,
-    /// Checks removed by symbolic range analysis (derived indices such as
-    /// `a[i+k]`, hoisted-length and triangular bounds).
-    pub bce_elided_range: AtomicU64,
-    /// Checks removed in guarded loop-version fast clones.
-    pub bce_elided_versioned: AtomicU64,
-    /// Loops given a guarded check-free version.
-    pub loops_versioned: AtomicU64,
-    /// Instructions hoisted out of loops by LICM.
-    pub licm_hoisted: AtomicU64,
-}
+counters! {
+    /// Execution counters (observable effects for tests and the harness).
+    #[derive(Debug, Default)]
+    pub struct Counters;
 
-/// A point-in-time copy of [`Counters`] — the plain-value form reports
-/// and artifacts embed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    pub calls: u64,
-    pub throws: u64,
-    pub jit_compiles: u64,
-    pub loops_found: u64,
-    pub bounds_checks_eliminated: u64,
-    pub bce_elided_idiom: u64,
-    pub bce_elided_range: u64,
-    pub bce_elided_versioned: u64,
-    pub loops_versioned: u64,
-    pub licm_hoisted: u64,
-}
-
-impl Counters {
-    /// Snapshot every counter (relaxed loads; counters are monotonic
-    /// event counts, not synchronization).
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            calls: self.calls.load(Ordering::Relaxed),
-            throws: self.throws.load(Ordering::Relaxed),
-            jit_compiles: self.jit_compiles.load(Ordering::Relaxed),
-            loops_found: self.loops_found.load(Ordering::Relaxed),
-            bounds_checks_eliminated: self.bounds_checks_eliminated.load(Ordering::Relaxed),
-            bce_elided_idiom: self.bce_elided_idiom.load(Ordering::Relaxed),
-            bce_elided_range: self.bce_elided_range.load(Ordering::Relaxed),
-            bce_elided_versioned: self.bce_elided_versioned.load(Ordering::Relaxed),
-            loops_versioned: self.loops_versioned.load(Ordering::Relaxed),
-            licm_hoisted: self.licm_hoisted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl CountersSnapshot {
-    /// Counter activity since `earlier`: field-wise saturating
-    /// subtraction. Saturating because consumers diff snapshots from
-    /// before/after a measured region and a mismatched pair (or a
-    /// restarted VM) must degrade to zero, not wrap to 2^64.
-    pub fn delta(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
-        CountersSnapshot {
-            calls: self.calls.saturating_sub(earlier.calls),
-            throws: self.throws.saturating_sub(earlier.throws),
-            jit_compiles: self.jit_compiles.saturating_sub(earlier.jit_compiles),
-            loops_found: self.loops_found.saturating_sub(earlier.loops_found),
-            bounds_checks_eliminated: self
-                .bounds_checks_eliminated
-                .saturating_sub(earlier.bounds_checks_eliminated),
-            bce_elided_idiom: self.bce_elided_idiom.saturating_sub(earlier.bce_elided_idiom),
-            bce_elided_range: self.bce_elided_range.saturating_sub(earlier.bce_elided_range),
-            bce_elided_versioned: self
-                .bce_elided_versioned
-                .saturating_sub(earlier.bce_elided_versioned),
-            loops_versioned: self.loops_versioned.saturating_sub(earlier.loops_versioned),
-            licm_hoisted: self.licm_hoisted.saturating_sub(earlier.licm_hoisted),
-        }
+    /// A point-in-time copy of [`Counters`] — the plain-value form reports
+    /// and artifacts embed.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct CountersSnapshot
+    counts {
+        /// Managed method invocations (all tiers, excluding inlined calls —
+        /// inlining visibly reduces this, as it should).
+        calls,
+        /// Managed exceptions thrown (by `throw` or by runtime faults).
+        throws,
+        /// Methods translated to RIR.
+        jit_compiles,
+        /// Natural loops discovered by the loop-aware optimizer (counted once
+        /// per compiled method, only when a loop pass is enabled).
+        loops_found,
+        /// Array bounds checks removed at compile time — total across every
+        /// mechanism (the three `bce_elided_*` counters below sum to this).
+        bounds_checks_eliminated,
+        /// Checks removed by the structural/idiom matchers (block-guard BCE
+        /// plus the loop-aware ABCE `i < arr.Length` idiom).
+        bce_elided_idiom,
+        /// Checks removed by symbolic range analysis (derived indices such as
+        /// `a[i+k]`, hoisted-length and triangular bounds).
+        bce_elided_range,
+        /// Checks removed in guarded loop-version fast clones.
+        bce_elided_versioned,
+        /// Loops given a guarded check-free version.
+        loops_versioned,
+        /// Instructions hoisted out of loops by LICM.
+        licm_hoisted,
     }
 }
 

@@ -39,6 +39,7 @@
 //!   caller frame; recursive methods therefore count their own subtree
 //!   once per live activation, the standard inclusive-profile caveat.
 
+use crate::counters::counters;
 use crate::rir::{BoundsMode, RInst};
 use hpcnet_cil::{MethodId, Op, OP_KIND_NAMES};
 use parking_lot::Mutex;
@@ -110,12 +111,10 @@ pub enum VmPhase {
     EhUnwind,
 }
 
-/// Number of [`VmPhase`] variants.
-pub const VM_PHASE_COUNT: usize = 4;
-
 impl VmPhase {
-    /// All phases, in the order reports list them.
-    pub const ALL: [VmPhase; VM_PHASE_COUNT] = [
+    /// All phases, in declaration order (the order reports list them, and
+    /// each phase's discriminant indexes its timing cells).
+    pub const ALL: &'static [VmPhase] = &[
         VmPhase::JitLower,
         VmPhase::JitOptimize,
         VmPhase::JitAllocate,
@@ -129,15 +128,6 @@ impl VmPhase {
             VmPhase::JitOptimize => "jit-optimize",
             VmPhase::JitAllocate => "jit-allocate",
             VmPhase::EhUnwind => "eh-unwind",
-        }
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            VmPhase::JitLower => 0,
-            VmPhase::JitOptimize => 1,
-            VmPhase::JitAllocate => 2,
-            VmPhase::EhUnwind => 3,
         }
     }
 }
@@ -235,33 +225,37 @@ impl EhDispatchKind {
     }
 }
 
-/// Per-pass outcome of one JIT compilation (register-tier profiles only).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JitOutcome {
-    /// Final RIR instruction count.
-    pub rir_len: u32,
-    /// Checks removed by the structural (block-local) BCE matcher.
-    pub bce_removed: u32,
-    /// Natural loops the loop tier found (0 when both loop passes are
-    /// off — the tier does not even build the CFG then).
-    pub loops_found: u32,
-    /// Checks removed by the loop-aware ABCE pass.
-    pub abce_removed: u32,
-    /// Checks removed by symbolic range analysis (derived indices).
-    pub range_removed: u32,
-    /// Checks removed in guarded loop-version fast clones.
-    pub versioned_removed: u32,
-    /// Loops given a guarded check-free version.
-    pub loops_versioned: u32,
-    /// Instructions hoisted by LICM.
-    pub licm_hoisted: u32,
-    /// Primitive virtual registers that won a register-file slot.
-    pub enreg_prim: u16,
-    /// Primitive virtual registers spilled to the (volatile) frame.
-    pub spill_prim: u16,
-    /// Reference registers enregistered / spilled.
-    pub enreg_ref: u16,
-    pub spill_ref: u16,
+counters! {
+    /// Per-pass outcome of one JIT compilation (register-tier profiles only).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct JitOutcome
+    counts {
+        /// Final RIR instruction count.
+        rir_len,
+        /// Natural loops the loop tier found (0 when both loop passes are
+        /// off — the tier does not even build the CFG then).
+        loops_found,
+        /// Checks removed by the structural (block-local) BCE matcher.
+        bce_removed,
+        /// Checks removed by the loop-aware ABCE pass.
+        abce_removed,
+        /// Checks removed by symbolic range analysis (derived indices).
+        range_removed,
+        /// Checks removed in guarded loop-version fast clones.
+        versioned_removed,
+        /// Loops given a guarded check-free version.
+        loops_versioned,
+        /// Instructions hoisted by LICM.
+        licm_hoisted,
+        /// Primitive virtual registers that won a register-file slot.
+        enreg_prim,
+        /// Primitive virtual registers spilled to the (volatile) frame.
+        spill_prim,
+        /// Reference registers enregistered.
+        enreg_ref,
+        /// Reference registers spilled.
+        spill_ref,
+    }
 }
 
 /// A typed trace record. Drained via [`ObserveReport::events`]; never a
@@ -278,48 +272,53 @@ pub enum Event {
     AllocMilestone { total: u64 },
 }
 
-/// Per-method atomic accumulation cells.
-#[derive(Debug)]
-struct MethodCell {
-    invocations: AtomicU64,
-    /// Opcodes executed in this method's own frames.
-    ops_excl: AtomicU64,
-    /// Opcodes executed in this method's frames plus everything its
-    /// calls executed (single-threaded attribution).
-    ops_incl: AtomicU64,
-    /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`]. The
-    /// register tier maps each `RInst` to its closest CIL kind.
-    kinds: Box<[AtomicU64]>,
-    bc_executed: AtomicU64,
-    bc_elided: AtomicU64,
-    /// `bc_elided` split by elision mechanism (idiom / range / versioned),
-    /// matching [`BoundsMode::mechanism`] order; the three sum to it.
-    bc_elided_idiom: AtomicU64,
-    bc_elided_range: AtomicU64,
-    bc_elided_versioned: AtomicU64,
-    allocs: AtomicU64,
-    eh_catch: AtomicU64,
-    eh_finally: AtomicU64,
-    eh_fault: AtomicU64,
-}
+counters! {
+    /// Per-method atomic accumulation cells.
+    #[derive(Debug, Default)]
+    struct MethodCell;
 
-impl MethodCell {
-    fn new() -> MethodCell {
-        MethodCell {
-            invocations: AtomicU64::new(0),
-            ops_excl: AtomicU64::new(0),
-            ops_incl: AtomicU64::new(0),
-            kinds: (0..Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            bc_executed: AtomicU64::new(0),
-            bc_elided: AtomicU64::new(0),
-            bc_elided_idiom: AtomicU64::new(0),
-            bc_elided_range: AtomicU64::new(0),
-            bc_elided_versioned: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            eh_catch: AtomicU64::new(0),
-            eh_finally: AtomicU64::new(0),
-            eh_fault: AtomicU64::new(0),
-        }
+    /// Plain-value attribution for one method (all counts; no times).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MethodProfile {
+        pub method: MethodId,
+        /// `"Class.Method"`.
+        pub name: String,
+        /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`]. The
+        /// register tier maps each `RInst` to its closest CIL kind.
+        pub op_kinds: Vec<u64>,
+    }
+    counts {
+        /// Frames of this method entered.
+        invocations,
+        /// Opcodes executed in this method's own frames.
+        ops_excl,
+        /// Opcodes executed in this method's frames plus everything its
+        /// calls executed (single-threaded attribution).
+        ops_incl,
+        /// One-dimensional element accesses that ran their bounds check.
+        bounds_checks_executed,
+        /// Accesses whose check the JIT elided, every mechanism: the sum of
+        /// the three splits below.
+        bounds_checks_elided = bounds_checks_elided_idiom
+            + bounds_checks_elided_range
+            + bounds_checks_elided_versioned,
+        /// Elided by the structural/idiom guard matchers.
+        bounds_checks_elided_idiom,
+        /// Elided by symbolic range analysis.
+        bounds_checks_elided_range,
+        /// Elided in a guarded loop-version fast clone.
+        bounds_checks_elided_versioned,
+        /// Allocation opcodes executed (`newobj`, `newarr`, `newmultiarr`,
+        /// `box`).
+        allocs,
+        /// Exception dispatch steps in this method's frames that a catch
+        /// handler took.
+        eh_catch,
+        /// Dispatch steps that ran a finally handler.
+        eh_finally,
+        /// Dispatch steps where no handler in the frame took the
+        /// exception and it propagated out.
+        eh_fault_path,
     }
 }
 
@@ -331,6 +330,10 @@ pub(crate) struct Observer {
     level: ObserveLevel,
     /// One cell per module method; empty when `Off`.
     cells: Box<[MethodCell]>,
+    /// Executed-opcode histograms, [`Op::KIND_COUNT`] cells per method
+    /// (method-major, kinds indexed like [`OP_KIND_NAMES`]); empty when
+    /// `Off`.
+    kinds: Box<[AtomicU64]>,
     /// Total opcodes executed across all methods (the exclusive counts
     /// sum to this; enter/leave deltas derive inclusive counts from it).
     ops_total: AtomicU64,
@@ -340,20 +343,18 @@ pub(crate) struct Observer {
     /// Per-[`VmPhase`] run counts and total nanoseconds; only written at
     /// `Trace` level (below it [`Observer::phase_start`] never reads the
     /// clock).
-    phase_counts: [AtomicU64; VM_PHASE_COUNT],
-    phase_ns: [AtomicU64; VM_PHASE_COUNT],
+    phase_counts: [AtomicU64; VmPhase::ALL.len()],
+    phase_ns: [AtomicU64; VmPhase::ALL.len()],
     clock: OnceLock<PhaseClock>,
 }
 
 impl Observer {
     pub(crate) fn new(level: ObserveLevel, n_methods: usize) -> Observer {
-        let cells = match level {
-            ObserveLevel::Off => Box::from([]),
-            _ => (0..n_methods).map(|_| MethodCell::new()).collect(),
-        };
+        let n_cells = if level == ObserveLevel::Off { 0 } else { n_methods };
         Observer {
             level,
-            cells,
+            cells: (0..n_cells).map(|_| MethodCell::default()).collect(),
+            kinds: (0..n_cells * Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
             ops_total: AtomicU64::new(0),
             allocs_total: AtomicU64::new(0),
             events: Mutex::new(Vec::new()),
@@ -399,11 +400,11 @@ impl Observer {
         self.ops_total.fetch_add(1, Ordering::Relaxed);
         let cell = &self.cells[method.idx()];
         cell.ops_excl.fetch_add(1, Ordering::Relaxed);
-        cell.kinds[op.kind_index()].fetch_add(1, Ordering::Relaxed);
+        self.kind(method, op.kind_index());
         match op {
             // The interpreter bounds-checks every element access inline.
             Op::LdElem(_) | Op::StElem(_) => {
-                cell.bc_executed.fetch_add(1, Ordering::Relaxed);
+                cell.bounds_checks_executed.fetch_add(1, Ordering::Relaxed);
             }
             Op::NewObj(_) | Op::NewArr(_) | Op::NewMultiArr { .. } | Op::BoxVal(_) => {
                 self.alloc(cell);
@@ -418,23 +419,20 @@ impl Observer {
         self.ops_total.fetch_add(1, Ordering::Relaxed);
         let cell = &self.cells[method.idx()];
         cell.ops_excl.fetch_add(1, Ordering::Relaxed);
-        cell.kinds[rinst_kind_index(inst)].fetch_add(1, Ordering::Relaxed);
+        self.kind(method, rinst_kind_index(inst));
         match inst {
             RInst::LdElem { bounds, .. } | RInst::StElem { bounds, .. } => match bounds {
                 BoundsMode::Checked => {
-                    cell.bc_executed.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_executed.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedIdiom => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_idiom.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_idiom.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedRange => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_range.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_range.fetch_add(1, Ordering::Relaxed);
                 }
                 BoundsMode::ElidedVersioned => {
-                    cell.bc_elided.fetch_add(1, Ordering::Relaxed);
-                    cell.bc_elided_versioned.fetch_add(1, Ordering::Relaxed);
+                    cell.bounds_checks_elided_versioned.fetch_add(1, Ordering::Relaxed);
                 }
             },
             RInst::NewObj { .. }
@@ -443,6 +441,11 @@ impl Observer {
             | RInst::BoxV { .. } => self.alloc(cell),
             _ => {}
         }
+    }
+
+    #[inline]
+    fn kind(&self, method: MethodId, kind: usize) {
+        self.kinds[method.idx() * Op::KIND_COUNT + kind].fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -461,7 +464,7 @@ impl Observer {
         match kind {
             EhDispatchKind::Catch => cell.eh_catch.fetch_add(1, Ordering::Relaxed),
             EhDispatchKind::Finally => cell.eh_finally.fetch_add(1, Ordering::Relaxed),
-            EhDispatchKind::FaultPath => cell.eh_fault.fetch_add(1, Ordering::Relaxed),
+            EhDispatchKind::FaultPath => cell.eh_fault_path.fetch_add(1, Ordering::Relaxed),
         };
         if self.tracing() {
             self.push_event(Event::EhDispatch { method, kind });
@@ -486,8 +489,8 @@ impl Observer {
     pub(crate) fn phase_end(&self, phase: VmPhase, start: Option<u64>) {
         let Some(s) = start else { return };
         let dur = self.clock_now().saturating_sub(s);
-        self.phase_counts[phase.idx()].fetch_add(1, Ordering::Relaxed);
-        self.phase_ns[phase.idx()].fetch_add(dur, Ordering::Relaxed);
+        self.phase_counts[phase as usize].fetch_add(1, Ordering::Relaxed);
+        self.phase_ns[phase as usize].fetch_add(dur, Ordering::Relaxed);
     }
 
     fn clock_now(&self) -> u64 {
@@ -508,14 +511,14 @@ impl Observer {
         VmPhase::ALL
             .iter()
             .filter_map(|&phase| {
-                let count = self.phase_counts[phase.idx()].load(Ordering::Relaxed);
+                let count = self.phase_counts[phase as usize].load(Ordering::Relaxed);
                 if count == 0 {
                     return None;
                 }
                 Some(PhaseTiming {
                     phase,
                     count,
-                    total_ns: self.phase_ns[phase.idx()].load(Ordering::Relaxed),
+                    total_ns: self.phase_ns[phase as usize].load(Ordering::Relaxed),
                 })
             })
             .collect()
@@ -537,33 +540,15 @@ impl Observer {
         let methods = self
             .cells
             .iter()
+            .zip(self.kinds.chunks(Op::KIND_COUNT))
             .enumerate()
-            .filter_map(|(i, c)| {
-                let invocations = c.invocations.load(Ordering::Relaxed);
-                let ops_excl = c.ops_excl.load(Ordering::Relaxed);
-                if invocations == 0 && ops_excl == 0 {
-                    return None;
-                }
+            .filter(|(_, (c, _))| {
+                c.invocations.load(Ordering::Relaxed) != 0 || c.ops_excl.load(Ordering::Relaxed) != 0
+            })
+            .map(|(i, (c, kinds))| {
                 let method = MethodId(i as u32);
-                Some(MethodProfile {
-                    method,
-                    name: name_of(method),
-                    invocations,
-                    ops_excl,
-                    ops_incl: c.ops_incl.load(Ordering::Relaxed),
-                    op_kinds: c.kinds.iter().map(|k| k.load(Ordering::Relaxed)).collect(),
-                    bounds_checks_executed: c.bc_executed.load(Ordering::Relaxed),
-                    bounds_checks_elided: c.bc_elided.load(Ordering::Relaxed),
-                    bounds_checks_elided_idiom: c.bc_elided_idiom.load(Ordering::Relaxed),
-                    bounds_checks_elided_range: c.bc_elided_range.load(Ordering::Relaxed),
-                    bounds_checks_elided_versioned: c
-                        .bc_elided_versioned
-                        .load(Ordering::Relaxed),
-                    allocs: c.allocs.load(Ordering::Relaxed),
-                    eh_catch: c.eh_catch.load(Ordering::Relaxed),
-                    eh_finally: c.eh_finally.load(Ordering::Relaxed),
-                    eh_fault_path: c.eh_fault.load(Ordering::Relaxed),
-                })
+                let op_kinds = kinds.iter().map(|k| k.load(Ordering::Relaxed)).collect();
+                c.snapshot(method, name_of(method), op_kinds)
             })
             .collect();
         ObserveReport {
@@ -575,32 +560,6 @@ impl Observer {
             events_dropped: self.events_dropped.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Plain-value attribution for one method (all counts; no times).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MethodProfile {
-    pub method: MethodId,
-    /// `"Class.Method"`.
-    pub name: String,
-    pub invocations: u64,
-    /// Opcodes executed in this method's own frames.
-    pub ops_excl: u64,
-    /// Opcodes executed in this method's frames plus its callees'.
-    pub ops_incl: u64,
-    /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`].
-    pub op_kinds: Vec<u64>,
-    pub bounds_checks_executed: u64,
-    /// Dynamic count of elided checks crossed, total and per mechanism
-    /// (the three splits sum to the total).
-    pub bounds_checks_elided: u64,
-    pub bounds_checks_elided_idiom: u64,
-    pub bounds_checks_elided_range: u64,
-    pub bounds_checks_elided_versioned: u64,
-    pub allocs: u64,
-    pub eh_catch: u64,
-    pub eh_finally: u64,
-    pub eh_fault_path: u64,
 }
 
 impl MethodProfile {
@@ -830,7 +789,7 @@ mod tests {
         let names: Vec<_> = VmPhase::ALL.iter().map(|p| p.as_str()).collect();
         assert_eq!(names, ["jit-lower", "jit-optimize", "jit-allocate", "eh-unwind"]);
         for (i, p) in VmPhase::ALL.iter().enumerate() {
-            assert_eq!(p.idx(), i);
+            assert_eq!(*p as usize, i);
         }
     }
 }

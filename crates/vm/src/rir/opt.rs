@@ -98,22 +98,22 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
         passes.abce || passes.licm || passes.range_abce || passes.loop_versioning;
     if loop_tier && !l.code.is_empty() {
         let mut ctx = MethodCtx::new(l);
-        outcome.loops_found = ctx.an.loops.len() as u32;
+        outcome.loops_found = ctx.an.loops.len() as u64;
         if passes.abce {
             let (n, rej) = loop_aware_bce(l, &mut ctx);
-            outcome.abce_removed = n as u32;
+            outcome.abce_removed = n;
             rejections = rej;
         }
         if passes.range_abce {
-            outcome.range_removed = crate::rir::range::range_abce(l, &mut ctx) as u32;
+            outcome.range_removed = crate::rir::range::range_abce(l, &mut ctx);
         }
         if passes.licm {
-            outcome.licm_hoisted = loop_invariant_code_motion(l, &mut ctx) as u32;
+            outcome.licm_hoisted = loop_invariant_code_motion(l, &mut ctx);
         }
         if passes.loop_versioning {
             let (n, lv) = crate::rir::range::version_loops(l, ctx);
-            outcome.versioned_removed = n as u32;
-            outcome.loops_versioned = lv as u32;
+            outcome.versioned_removed = n;
+            outcome.loops_versioned = lv;
         }
     }
     let force_spill_p = if passes.div_const_temp_quirk {
@@ -146,7 +146,7 @@ fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome)
     }
     if passes.bce && l.code.iter().any(|i| i.bounds().is_some()) {
         let mut ctx = MethodCtx { an: Analysis::with_cfg(l, cfg), facts: None };
-        outcome.bce_removed = eliminate_bounds_checks(l, &mut ctx) as u32;
+        outcome.bce_removed = eliminate_bounds_checks(l, &mut ctx);
         cfg = ctx.an.cfg;
     }
     if passes.dce {
@@ -158,29 +158,16 @@ fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome)
 /// [`optimize`] so a memoized front half (cache hit) bumps the consuming
 /// VM's counters exactly as a fresh compile would.
 pub(crate) fn apply_outcome_counters(vm: &Vm, o: &JitOutcome) {
-    let idiom = o.bce_removed as u64 + o.abce_removed as u64;
-    vm.counters.bounds_checks_eliminated.fetch_add(
-        idiom + o.range_removed as u64 + o.versioned_removed as u64,
-        Ordering::Relaxed,
-    );
-    vm.counters
-        .bce_elided_idiom
-        .fetch_add(idiom, Ordering::Relaxed);
-    vm.counters
-        .bce_elided_range
-        .fetch_add(o.range_removed as u64, Ordering::Relaxed);
-    vm.counters
-        .bce_elided_versioned
-        .fetch_add(o.versioned_removed as u64, Ordering::Relaxed);
-    vm.counters
-        .loops_versioned
-        .fetch_add(o.loops_versioned as u64, Ordering::Relaxed);
-    vm.counters
-        .loops_found
-        .fetch_add(o.loops_found as u64, Ordering::Relaxed);
-    vm.counters
-        .licm_hoisted
-        .fetch_add(o.licm_hoisted as u64, Ordering::Relaxed);
+    let c = &vm.counters;
+    let idiom = o.bce_removed + o.abce_removed;
+    let eliminated = idiom + o.range_removed + o.versioned_removed;
+    c.bounds_checks_eliminated.fetch_add(eliminated, Ordering::Relaxed);
+    c.bce_elided_idiom.fetch_add(idiom, Ordering::Relaxed);
+    c.bce_elided_range.fetch_add(o.range_removed, Ordering::Relaxed);
+    c.bce_elided_versioned.fetch_add(o.versioned_removed, Ordering::Relaxed);
+    c.loops_versioned.fetch_add(o.loops_versioned, Ordering::Relaxed);
+    c.loops_found.fetch_add(o.loops_found, Ordering::Relaxed);
+    c.licm_hoisted.fetch_add(o.licm_hoisted, Ordering::Relaxed);
 }
 
 /// Emit the typed compile trace for a finished method: the `JitCompile`
@@ -195,11 +182,11 @@ pub(crate) fn push_compile_events(
     if !vm.observer.tracing() {
         return;
     }
-    opt.outcome.rir_len = compiled.code.len() as u32;
-    opt.outcome.enreg_prim = compiled.n_preg;
-    opt.outcome.spill_prim = compiled.n_pspill;
-    opt.outcome.enreg_ref = compiled.n_rreg;
-    opt.outcome.spill_ref = compiled.n_rspill;
+    opt.outcome.rir_len = compiled.code.len() as u64;
+    opt.outcome.enreg_prim = compiled.n_preg.into();
+    opt.outcome.spill_prim = compiled.n_pspill.into();
+    opt.outcome.enreg_ref = compiled.n_rreg.into();
+    opt.outcome.spill_ref = compiled.n_rspill.into();
     vm.observer
         .push_event(Event::JitCompile { method, outcome: opt.outcome });
     for (header_pc, reason) in opt.rejections {
