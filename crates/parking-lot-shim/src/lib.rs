@@ -9,18 +9,19 @@
 //! all.
 //!
 //! The only intentional difference from the real crate is performance, and
-//! it is not confined to cold paths. Two call sites are on the hot path of
+//! it is not confined to cold paths. One call site is on the hot path of
 //! managed code: `RefSlot` (`hpcnet-runtime`'s `object.rs`) takes its mutex
 //! on every *reference* field, element and static access — a lock, an
 //! `Arc` clone and an unlock per `ldfld`/`ldelem.ref`/`ldsfld` of an
-//! object — and `Monitor` takes one on every `lock` enter and exit. On the
-//! compiled tier those locks are what remains of a reference-heavy row
-//! once dispatch is cheap (DESIGN.md §3 has the measurement). The other
-//! sites lock once per rarer operation — `Math.random`, an allocation while
-//! snapshot tracking is on, console output, thread start and join — or
-//! are cold. Every engine pays the same locks, so the paper's relative
-//! numbers hold; the absolute time of those rows is the shim's, not
-//! parking_lot's.
+//! object. On the compiled tier that lock is what remains of a
+//! reference-heavy row once dispatch is cheap (DESIGN.md §3 has the
+//! measurement). `Monitor` no longer takes a mutex on a `lock` statement:
+//! it is a thin lock word, and only a monitor inflated by contention
+//! parks on a shim mutex and condvar. The other sites lock once per rarer
+//! operation — `Math.random`, an allocation while snapshot tracking is on,
+//! console output, thread start and join — or are cold. Every engine pays
+//! the same locks, so the paper's relative numbers hold; the absolute time
+//! of those rows is the shim's, not parking_lot's.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

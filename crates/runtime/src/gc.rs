@@ -74,7 +74,6 @@ pub fn collect(heap: &Heap, roots: &[Obj]) -> GcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::HeapObj;
     use hpcnet_cil::{ClassId, ElemKind};
     use std::sync::Arc;
 
@@ -133,7 +132,7 @@ mod tests {
     fn mark_traverses_arrays() {
         let heap = Heap::with_tracking();
         let arr = heap.alloc_array(ElemKind::Ref, 2);
-        let leaf = heap.adopt(HeapObj::new_str("x"));
+        let leaf = heap.alloc_str("x");
         arr.ref_data().unwrap()[1].set(Some(leaf.clone()));
         let stats = collect(&heap, &[arr.clone()]);
         assert_eq!(stats.marked, 2);

@@ -6,6 +6,14 @@
 //! registry is optional — benchmark runs that allocate millions of objects
 //! (the `Create` micro-benchmark) can run with tracking disabled, exactly
 //! like running a real VM with the collector parked.
+//!
+//! Accounting works like the per-thread allocation contexts of the paper's
+//! runtimes: an allocation counts into a plain [`AllocCount`] its caller
+//! owns — a register-tier frame, an interpreter activation, one host
+//! helper — and the owner settles that into the heap's shared totals once,
+//! when it is done. An allocation takes no locked instruction, and
+//! [`Heap::stats`] is exact whenever no managed code is running, the only
+//! time anything reads it.
 
 use crate::object::{HeapObj, ObjBody};
 use crate::value::Obj;
@@ -23,6 +31,14 @@ pub struct HeapStats {
     pub bytes_allocated: u64,
     /// Objects currently tracked by the registry (0 when tracking is off).
     pub tracked: u64,
+}
+
+/// Allocations one owner has made and not yet settled into its heap with
+/// [`Heap::settle`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AllocCount {
+    pub allocs: u64,
+    pub bytes: u64,
 }
 
 /// The managed heap.
@@ -63,11 +79,12 @@ impl Heap {
         self.track.store(on, Ordering::Relaxed);
     }
 
-    /// Wrap an object body into a tracked handle.
-    pub fn adopt(&self, obj: HeapObj) -> Obj {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(obj.size_bytes() as u64, Ordering::Relaxed);
+    /// Wrap an object body into a handle, counting it into `count`, which
+    /// the caller settles later.
+    #[inline]
+    pub fn adopt(&self, obj: HeapObj, count: &mut AllocCount) -> Obj {
+        count.allocs += 1;
+        count.bytes += obj.size_bytes() as u64;
         let arc = Arc::new(obj);
         if self.track.load(Ordering::Relaxed) {
             self.registry.lock().push(Arc::downgrade(&arc));
@@ -75,29 +92,48 @@ impl Heap {
         arc
     }
 
-    // Convenience constructors mirroring `HeapObj`.
+    /// Add `count` to the heap's totals and zero it.
+    #[inline]
+    pub fn settle(&self, count: &mut AllocCount) {
+        if count.allocs != 0 {
+            let AllocCount { allocs, bytes } = std::mem::take(count);
+            self.allocations.fetch_add(allocs, Ordering::Relaxed);
+            self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// One allocation, settled at once: a host's, outside any count.
+    fn adopt_settled(&self, obj: HeapObj) -> Obj {
+        let mut count = AllocCount::default();
+        let o = self.adopt(obj, &mut count);
+        self.settle(&mut count);
+        o
+    }
+
+    // Convenience constructors mirroring `HeapObj`, each settled at once.
 
     pub fn alloc_instance(&self, class: ClassId, n_prim: usize, n_ref: usize) -> Obj {
-        self.adopt(HeapObj::new_instance(class, n_prim, n_ref))
+        self.adopt_settled(HeapObj::new_instance(class, n_prim, n_ref))
     }
 
     pub fn alloc_array(&self, kind: ElemKind, len: usize) -> Obj {
-        self.adopt(HeapObj::new_array(kind, len))
+        self.adopt_settled(HeapObj::new_array(kind, len))
     }
 
     pub fn alloc_multi(&self, kind: ElemKind, dims: &[u32]) -> Obj {
-        self.adopt(HeapObj::new_multi(kind, dims))
+        self.adopt_settled(HeapObj::new_multi(kind, dims))
     }
 
     pub fn alloc_str(&self, s: impl Into<String>) -> Obj {
-        self.adopt(HeapObj::new_str(s))
+        self.adopt_settled(HeapObj::new_str(s))
     }
 
     pub fn alloc_boxed(&self, ty: NumTy, bits: u64) -> Obj {
-        self.adopt(HeapObj::new_boxed(ty, bits))
+        self.adopt_settled(HeapObj::new_boxed(ty, bits))
     }
 
-    /// Current statistics.
+    /// Current statistics. Exact while no managed code runs: an
+    /// activation settles its [`AllocCount`] when it ends.
     pub fn stats(&self) -> HeapStats {
         HeapStats {
             allocations: self.allocations.load(Ordering::Relaxed),
@@ -147,6 +183,21 @@ mod tests {
         assert_eq!(s.allocations, 2);
         assert!(s.bytes_allocated >= 128 * 8);
         assert_eq!(s.tracked, 0); // tracking off by default
+    }
+
+    #[test]
+    fn counts_reach_the_totals_when_settled() {
+        let h = Heap::new();
+        let mut count = AllocCount::default();
+        let _a = h.adopt(HeapObj::new_boxed(NumTy::I4, 7), &mut count);
+        let _b = h.adopt(HeapObj::new_array(ElemKind::I4, 2), &mut count);
+        assert_eq!(h.stats().allocations, 0, "not settled yet");
+        h.settle(&mut count);
+        assert_eq!(count, AllocCount::default());
+        assert_eq!(h.stats().allocations, 2);
+        assert_eq!(h.stats().bytes_allocated, 80 + 96);
+        h.settle(&mut count);
+        assert_eq!(h.stats().allocations, 2, "settling twice counts once");
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! * [`object`] — the object model: instances with split primitive/reference
 //!   field spaces, SZ arrays, true multidimensional arrays, boxed value
 //!   types, strings; every object carries a monitor for `lock`/`Monitor.*`.
-//! * [`heap`] — allocation with accounting and an optional weak registry.
+//! * [`heap`] — allocation, counted by whoever allocates and settled into
+//!   the heap's totals once per activation, and an optional weak registry.
 //! * [`gc`] — a safepoint cycle collector over the registry (reference
 //!   counting via `Arc` reclaims acyclic garbage immediately; the collector
 //!   breaks cycles, the job a tracing GC does in the paper's runtimes).
-//! * [`monitor`] — recursive monitors (the CLI `Monitor.Enter/Exit` model).
+//! * [`monitor`] — recursive monitors (the CLI `Monitor.Enter/Exit` model):
+//!   thin locks that inflate under contention.
 //! * [`barrier`] — the two barrier algorithms the Java Grande multithreaded
 //!   suite benchmarks: a shared-counter *Simple* barrier and a lock-free
 //!   4-ary-tree *Tournament* barrier.
@@ -36,7 +38,7 @@ pub mod threads;
 pub mod timer;
 pub mod value;
 
-pub use heap::{Heap, HeapStats};
+pub use heap::{AllocCount, Heap, HeapStats};
 pub use snapshot::{HeapSnapshot, RestoreStats};
 pub use jrandom::JRandom;
 pub use monitor::Monitor;

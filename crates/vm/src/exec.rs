@@ -12,9 +12,9 @@ use crate::call::{Frame, Receiver, RegTier, Step};
 use crate::error::VmResult;
 use crate::machine::Vm;
 use crate::ops::{self, At, Layout};
-use crate::rir::{RInst, RirMethod};
+use crate::rir::{ArgSlot, RInst, RirMethod};
 use hpcnet_cil::module::MethodId;
-use hpcnet_cil::ElemKind;
+use hpcnet_cil::{ElemKind, Intrinsic};
 use std::sync::Arc;
 
 /// [`crate::profile::Tier::Rir`]: the allocated RIR itself is the code.
@@ -60,7 +60,11 @@ impl RegTier for Exec {
                 let recv = Receiver::of_call(virt, vm.module.method(target).is_static);
                 ops::call::<Exec>(fr, vm, depth, target, recv, args, dst)
             }
-            RInst::CallIntr { i, ref args, dst } => ops::intrinsic(fr, vm, depth, i, args, dst),
+            RInst::CallIntr { i, ref args, dst } => match (i, &args[..]) {
+                (Intrinsic::MonitorEnter, &[ArgSlot::R(s)]) => ops::monitor(fr, vm, depth, true, s),
+                (Intrinsic::MonitorExit, &[ArgSlot::R(s)]) => ops::monitor(fr, vm, depth, false, s),
+                _ => ops::intrinsic(fr, vm, depth, i, args, dst),
+            },
             RInst::Ret { src } => ops::ret(fr, src),
             RInst::NewObj { ctor, ref args, dst } => {
                 let layout = Layout::of(vm, ctor);

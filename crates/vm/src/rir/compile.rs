@@ -78,7 +78,7 @@ use crate::rir::{
     is_spill, opt, ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod, SPILL_BIT,
 };
 use hpcnet_cil::module::MethodId;
-use hpcnet_cil::{BinOp, CmpOp, ElemKind, NumTy};
+use hpcnet_cil::{BinOp, CmpOp, ElemKind, Intrinsic, NumTy};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -573,10 +573,18 @@ fn build_op(build: &Build, inst: &RInst) -> OpFn {
                 ops::call::<Threaded>(fr, vm, depth, target, recv, &args, dst)
             })
         }
-        RInst::CallIntr { i, ref args, dst } => {
-            let args = args.clone();
-            op!(|fr, vm, depth| ops::intrinsic(fr, vm, depth, i, &args, dst))
-        }
+        RInst::CallIntr { i, ref args, dst } => match (i, &args[..]) {
+            (Intrinsic::MonitorEnter, &[ArgSlot::R(s)]) => {
+                op!(|fr, vm, depth| ops::monitor(fr, vm, depth, true, s))
+            }
+            (Intrinsic::MonitorExit, &[ArgSlot::R(s)]) => {
+                op!(|fr, vm, depth| ops::monitor(fr, vm, depth, false, s))
+            }
+            _ => {
+                let args = args.clone();
+                op!(|fr, vm, depth| ops::intrinsic(fr, vm, depth, i, &args, dst))
+            }
+        },
         RInst::Ret { src } => match src {
             Some(src) => op!(|fr, _, _| ops::ret(fr, Some(src))),
             None => op!(|fr, _, _| ops::ret(fr, None)),
