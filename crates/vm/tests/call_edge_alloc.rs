@@ -1,8 +1,8 @@
 //! A warm managed call on the register tiers allocates nothing.
 //!
 //! A counting global allocator watches loops of N static, instance,
-//! virtual and recursive calls and N `Math.Sin` calls on warm `clr11`
-//! (`exec.rs`) and `clr11_compiled` (`compiled.rs`) VMs: whatever one
+//! virtual and recursive calls and N `Math.Sin` and `Math.Pow` calls on
+//! warm `clr11` (`exec.rs`) and `clr11_compiled` (`compiled.rs`) VMs: whatever one
 //! host-level `Vm::invoke` allocates — its argument list, the root frame,
 //! one recycled frame per call depth reached — is the same for N = 100 and
 //! N = 10,000. N constructor calls allocate what N `Heap::alloc_instance`
@@ -105,6 +105,11 @@ const SRC: &str = r#"
             for (int i = 0; i < n; i++) s += Math.Sin(i);
             return (int) s;
         }
+        static int Pow(int n) {
+            double s = 0.0;
+            for (int i = 0; i < n; i++) s += Math.Pow(1.0001, i);
+            return (int) s;
+        }
         static int Ctor(int n) {
             int s = 0;
             for (int i = 0; i < n; i++) { Shape p = new Shape(i); s += 1; }
@@ -139,6 +144,7 @@ fn warm_calls_allocate_nothing() {
             ("Virtual", 1),
             ("Recursive", 4),
             ("Sin", 0),
+            ("Pow", 0),
         ];
         for (entry, per_iter) in rows {
             measure(&vm, entry, 3); // warm: JIT everything the row reaches

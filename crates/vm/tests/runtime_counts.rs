@@ -9,6 +9,7 @@
 //!   joined, and a `Serial.Write`/`Serial.Read` round trip. The numbers
 //!   are a function of the program alone, so they are one literal for
 //!   every engine, however an engine batches its accounting.
+//! * `counters.calls` after the two joined threads, the same way.
 //! * A nested `lock` re-enters, `lock (null)` is a catchable
 //!   `NullReferenceException`, and `Monitor.Exit` on an object the thread
 //!   does not own fails with one string everywhere.
@@ -18,6 +19,7 @@
 
 use hpcnet_runtime::Value;
 use hpcnet_vm::{Vm, VmProfile};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const SRC: &str = r#"
@@ -187,6 +189,15 @@ fn a_callee_that_allocates_then_throws_is_counted() {
 fn joined_managed_threads_are_counted() {
     // Two Workers, then each thread's Cells and double[3]s.
     pinned("Threads", 10, (10, 44, 4_544));
+    // The managed calls of both threads are in `counters.calls` once they
+    // are joined: `P.Threads`, two `Worker` constructors, two `Run`s and
+    // 21 `Cell` constructors.
+    for profile in engines() {
+        let vm = vm(profile);
+        vm.invoke_by_name("P.Threads", vec![Value::I4(10)]).unwrap();
+        let calls = vm.counters.calls.load(Ordering::Relaxed);
+        assert_eq!(calls, 26, "calls on {}", profile.name);
+    }
 }
 
 #[test]

@@ -5,8 +5,10 @@
 //! (`counters.calls`), fuel spent (one unit per call and per taken branch)
 //! and the ops each method executes (`ObserveReport`) are a pure function
 //! of the program and the profile. The rows are the call-, virtual-,
-//! exception- and lock-heavy entries of the Grande registry, plus a loop
-//! whose fuel is almost all taken branches.
+//! exception-, lock-, allocation- and math-heavy entries of the Grande
+//! registry, plus a loop whose fuel is almost all taken branches. Two runs
+//! stopped by a limit, the depth guard and fuel running out mid-recursion,
+//! pin the calls counted up to the limit.
 //!
 //! An observing VM is the only one that can count ops, and it is not the
 //! code that runs unobserved (the compiled tier fuses instruction pairs
@@ -48,7 +50,7 @@ fn counts(id: &str, n: i32, profile: VmProfile) -> String {
 
 /// `(id, n, calls/fuel/ops literal)`. Both tiers run the same optimized
 /// RIR, so one literal serves both.
-const ROWS: [(&str, i32, &str); 5] = [
+const ROWS: [(&str, i32, &str); 9] = [
     (
         "app.fibonacci",
         15,
@@ -72,6 +74,26 @@ const ROWS: [(&str, i32, &str); 5] = [
         "calls=2 fuel=503 | LWorker..ctor:1/2 LockBench.Uncontended:1/8510",
     ),
     ("app.sieve", 5000, "calls=1 fuel=26069 | Sieve.Run:1/140426"),
+    (
+        "app.hanoi",
+        8,
+        "calls=171 fuel=767 | Hanoi.Move:170/3560 Hanoi.Run:1/18",
+    ),
+    (
+        "create.objects",
+        100,
+        "calls=201 fuel=302 | Small..ctor:200/200 Create.Objects:1/809",
+    ),
+    (
+        "math.sin",
+        200,
+        "calls=1 fuel=202 | MathBench.SinDouble:1/2205",
+    ),
+    (
+        "math.pow",
+        200,
+        "calls=1 fuel=402 | MathBench.PowDouble:1/2605",
+    ),
 ];
 
 fn register_profiles() -> [VmProfile; 2] {
@@ -111,6 +133,43 @@ fn unobserved_runs_spend_the_pinned_calls_and_fuel() {
         }
     }
     assert!(wrong.is_empty(), "unobserved work moved:\n{}", wrong.join("\n"));
+}
+
+/// `(limit, max depth, fuel, error, calls)`: `app.fibonacci` at n = 15
+/// stopped by the depth guard, or by a budget that runs out in the middle
+/// of the recursion. A call is counted once it passed both guards, so the
+/// calls made before the limit count, and the one refused does not.
+const LIMITS: [(&str, u32, Option<u64>, &str, u64); 2] = [
+    ("depth", 6, None, "managed call depth exceeded 6 in Calc", 6),
+    ("fuel", 256, Some(1000), "fuel budget exhausted", 335),
+];
+
+#[test]
+fn a_run_stopped_by_a_limit_counts_the_calls_it_made() {
+    let (group, entry) = find_entry("app.fibonacci").expect("app.fibonacci");
+    let mut wrong = Vec::new();
+    for (limit, depth, fuel, error, want) in LIMITS {
+        for profile in register_profiles() {
+            for level in [ObserveLevel::Counters, ObserveLevel::Off] {
+                let vm = vm_for(&group, profile.with_observe(level));
+                let calls0 = vm.counters.calls.load(Ordering::Relaxed);
+                vm.set_max_depth(depth);
+                vm.set_fuel(fuel);
+                match run_entry(&vm, &entry, 15) {
+                    Err(VmError::Limit(m)) => assert_eq!(m, error, "{limit} on {}", profile.name),
+                    other => panic!("{limit} on {}: {other:?}", profile.name),
+                }
+                let calls = vm.counters.calls.load(Ordering::Relaxed) - calls0;
+                if calls != want {
+                    wrong.push(format!(
+                        "{limit} on {} ({level:?}): calls={calls}, want {want}",
+                        profile.name
+                    ));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "calls before a limit moved:\n{}", wrong.join("\n"));
 }
 
 /// The pinned fuel is exactly what the compiled tier needs unobserved: one
