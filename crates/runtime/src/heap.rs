@@ -10,8 +10,10 @@
 //! Accounting works like the per-thread allocation contexts of the paper's
 //! runtimes: an allocation counts into a plain [`AllocCount`] its caller
 //! owns — a register-tier frame, an interpreter activation, one host
-//! helper — and the owner settles that into the heap's shared totals once,
-//! when it is done. An allocation takes no locked instruction, and
+//! helper — and the count is settled into the heap's shared totals once:
+//! by the helper or the interpreter activation when it is done, and for a
+//! register-tier frame by the host call its count was passed up to. An
+//! allocation takes no locked instruction, and
 //! [`Heap::stats`] is exact whenever no managed code is running, the only
 //! time anything reads it.
 

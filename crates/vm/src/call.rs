@@ -30,14 +30,18 @@
 //! either tier: receiver check, the guard sequence of `Vm::guarded`,
 //! code lookup, a recycled callee frame, arguments copied slot to slot,
 //! the run, the result stored into the caller. A warm call allocates
-//! nothing and takes no lock. `root` is the host's way in and the only
+//! nothing and takes no locked instruction (passing a reference argument
+//! still moves its refcount). `root` is the host's way in and the only
 //! place a frame is filled from a `Vec<Value>`.
 //!
-//! **Allocation counts.** An op that allocates counts into its frame's
-//! [`AllocCount`]; the frame settles it into the heap in
-//! `Frame::release`, which every way out of an activation passes
-//! through, so an allocation takes no locked instruction and the heap's
-//! totals are exact once the host's call returns.
+//! **Counts.** What an activation does that the VM counts — the managed
+//! calls it makes and the objects it allocates — goes into its frame's
+//! `Tally` with plain adds. A callee's frame adds its tally to its
+//! caller's when it is released, which every way out of an activation
+//! passes through, and `root` settles the sum into `counters.calls` and
+//! the heap's totals once. So neither a call nor an allocation takes a
+//! locked instruction, and both counts are exact once the host's call
+//! returns.
 
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
@@ -45,7 +49,7 @@ use crate::observe::EhDispatchKind;
 use crate::rir::{slot_index, ArgSlot, DstSlot, Operand, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::{EhKind, MethodId};
 use hpcnet_cil::Intrinsic;
-use hpcnet_runtime::{AllocCount, Heap, Obj, Value};
+use hpcnet_runtime::{AllocCount, Obj, Value};
 use std::sync::Arc;
 
 /// What one executed op tells the dispatch loop. Any value below
@@ -98,31 +102,76 @@ pub(crate) struct Frame {
     ret: Option<Value>,
     /// Outcome parked by the op that returned [`Step::EXIT`].
     parked: Option<Exit>,
-    /// What this activation allocated, settled in [`Frame::release`].
-    pub(crate) allocs: AllocCount,
+    /// What this activation and its released callees counted.
+    pub(crate) tally: Tally,
     /// The recycled frame for calls made from this one.
     callee: Option<Box<Frame>>,
+}
+
+/// What an activation counts without a locked instruction: the managed
+/// calls it made and the objects it allocated, its released callees'
+/// included. [`Vm::settle`] adds it to the VM's totals.
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub(crate) calls: u64,
+    pub(crate) allocs: AllocCount,
+}
+
+impl Tally {
+    /// Move `other` into this tally: plain adds.
+    #[inline(always)]
+    fn absorb(&mut self, other: &mut Tally) {
+        let Tally { calls, allocs } = std::mem::take(other);
+        self.calls += calls;
+        self.allocs.allocs += allocs.allocs;
+        self.allocs.bytes += allocs.bytes;
+    }
+}
+
+impl AsMut<Tally> for Tally {
+    fn as_mut(&mut self) -> &mut Tally {
+        self
+    }
+}
+
+impl AsMut<Tally> for Frame {
+    #[inline(always)]
+    fn as_mut(&mut self) -> &mut Tally {
+        &mut self.tally
+    }
+}
+
+/// Fill the empty reference file `v` with `n` nulls. A `resize` would
+/// leave the call edge for `extend_with`; this loop stays inline.
+#[inline(always)]
+fn nulls(v: &mut Vec<Option<Obj>>, n: usize) {
+    v.reserve(n);
+    for _ in 0..n {
+        v.push(None);
+    }
 }
 
 impl Frame {
     /// Size the frame for `rir`, every primitive slot zero and every
     /// reference slot null — a recycled frame is indistinguishable from a
     /// new one. ([`Frame::release`] already emptied the reference files.)
+    #[inline(always)]
     fn shape(&mut self, rir: &RirMethod) {
         debug_assert!(self.rreg.is_empty() && self.rspill.is_empty());
         self.preg.clear();
         self.preg.resize(rir.n_preg as usize, 0);
         self.pspill.clear();
         self.pspill.resize(rir.n_pspill as usize, 0);
-        self.rreg.resize(rir.n_rreg as usize, None);
-        self.rspill.resize(rir.n_rspill as usize, None);
+        nulls(&mut self.rreg, rir.n_rreg as usize);
+        nulls(&mut self.rspill, rir.n_rspill as usize);
     }
 
-    /// The activation is over: settle its allocations into `heap`, drop
-    /// every reference it held *now* (object lifetimes must not depend on
-    /// when the frame is next used) and hand out the parked return value.
-    fn release(&mut self, heap: &Heap) -> Option<Value> {
-        heap.settle(&mut self.allocs);
+    /// The activation is over: add its tally to `caller`'s, drop every
+    /// reference it held *now* (object lifetimes must not depend on when
+    /// the frame is next used) and hand out the parked return value.
+    #[inline(always)]
+    fn release(&mut self, caller: &mut Tally) -> Option<Value> {
+        caller.absorb(&mut self.tally);
         self.rreg.clear();
         self.rspill.clear();
         self.parked = None;
@@ -206,15 +255,12 @@ impl Frame {
 
     /// Store a tagged value — a host argument, a return value, an
     /// intrinsic's result — into the slot verification typed for it.
+    #[inline(always)]
     pub(crate) fn store(&mut self, d: DstSlot, v: Value) -> VmResult<()> {
         match (d, v.num_ty()) {
             (DstSlot::P(s), Some(_)) => self.pset(s, v.to_bits()),
             (DstSlot::R(s), None) => self.rset(s, v.into_ref_opt()),
-            (d, _) => {
-                return Err(VmError::Internal(format!(
-                    "value {v:?} does not fit slot {d:?}"
-                )))
-            }
+            (d, _) => return Err(misfit(d, v)),
         }
         Ok(())
     }
@@ -238,6 +284,12 @@ impl Frame {
     pub(crate) fn fail(&mut self, e: VmError) -> Step {
         self.exit(Exit::Err(e))
     }
+}
+
+#[cold]
+#[inline(never)]
+fn misfit(d: DstSlot, v: Value) -> VmError {
+    VmError::Internal(format!("value {v:?} does not fit slot {d:?}"))
 }
 
 /// One way of executing allocated RIR. The two implementations are
@@ -451,7 +503,9 @@ pub(crate) fn root<T: RegTier>(
         fr.store(loc.dst(), v)?;
     }
     let done = Activation::<T>::new(vm, code, &mut fr, depth).run(0, None);
-    let ret = fr.release(&vm.heap);
+    let mut tally = Tally::default();
+    let ret = fr.release(&mut tally);
+    vm.settle(&mut tally);
     done.map(|()| ret)
 }
 
@@ -507,14 +561,14 @@ pub(crate) fn invoke<T: RegTier>(
             (vm.module.resolve_virtual(class, target), None)
         }
     };
-    vm.guarded(method, depth + 1, || {
+    vm.guarded(method, depth + 1, caller, |caller| {
         let code = T::code(vm, method)?;
         let rir = T::rir(code);
         let mut fr = caller.callee.take().unwrap_or_default();
         fr.shape(rir);
         pass_args(caller, &mut fr, this, args, &rir.arg_locs)?;
         let done = Activation::<T>::new(vm, code, &mut fr, depth + 1).run(0, None);
-        let ret = fr.release(&vm.heap);
+        let ret = fr.release(&mut caller.tally);
         caller.callee = Some(fr);
         done?;
         if let (Some(d), Some(v)) = (dst, ret) {
@@ -542,7 +596,7 @@ fn receiver<'f>(
 /// Copy the caller's argument slots into the callee's parameter slots.
 /// Both sides were typed by the same verified signature, so no tag is
 /// attached on the way.
-#[inline]
+#[inline(always)]
 fn pass_args(
     caller: &Frame,
     callee: &mut Frame,
@@ -554,21 +608,23 @@ fn pass_args(
     if let Some(obj) = this {
         match params.next() {
             Some(ArgSlot::R(d)) => callee.rset(*d, Some(obj)),
-            _ => return Err(VmError::Internal("constructor takes no receiver".into())),
+            _ => return Err(mismatch("constructor takes no receiver")),
         }
     }
     for (a, p) in args.iter().zip(params) {
         match (a, p) {
             (ArgSlot::P(_, s), ArgSlot::P(_, d)) => callee.pset(*d, caller.pget(*s)),
             (ArgSlot::R(s), ArgSlot::R(d)) => callee.rset(*d, caller.rget(*s)),
-            _ => {
-                return Err(VmError::Internal(
-                    "argument kind differs from its parameter".into(),
-                ))
-            }
+            _ => return Err(mismatch("argument kind differs from its parameter")),
         }
     }
     Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn mismatch(what: &str) -> VmError {
+    VmError::Internal(what.into())
 }
 
 /// An intrinsic call on either register tier. Its operands sit on the

@@ -63,7 +63,10 @@ impl RegTier for Exec {
             RInst::CallIntr { i, ref args, dst } => match (i, &args[..]) {
                 (Intrinsic::MonitorEnter, &[ArgSlot::R(s)]) => ops::monitor(fr, vm, depth, true, s),
                 (Intrinsic::MonitorExit, &[ArgSlot::R(s)]) => ops::monitor(fr, vm, depth, false, s),
-                _ => ops::intrinsic(fr, vm, depth, i, args, dst),
+                _ => match ops::math_slots(vm, i, args, dst) {
+                    Some((f, x, y, d)) => ops::math(fr, f, x, y, d),
+                    None => ops::intrinsic(fr, vm, depth, i, args, dst),
+                },
             },
             RInst::Ret { src } => ops::ret(fr, src),
             RInst::NewObj { ctor, ref args, dst } => {

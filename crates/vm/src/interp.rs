@@ -12,15 +12,16 @@
 //! The interpreter is also the semantic reference: differential tests
 //! compare every optimizing tier against it.
 //!
-//! An activation counts what it allocates and settles the count into the
-//! heap when it ends, as a register-tier frame does.
+//! An activation counts the calls it makes and what it allocates into its
+//! own `Tally` and settles it into the VM's totals when it ends.
 
+use crate::call::Tally;
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::numerics;
 use hpcnet_cil::module::{EhKind, MethodId};
 use hpcnet_cil::{BinOp, CilType, CmpOp, Op, UnOp};
-use hpcnet_runtime::{AllocCount, HeapObj, Value};
+use hpcnet_runtime::{HeapObj, Value};
 use std::sync::Arc;
 
 /// Entry point used by [`Vm::invoke`] for interpreter-tier profiles.
@@ -48,10 +49,10 @@ pub(crate) fn call(
         locals,
         stack: Vec::with_capacity(m.body.max_stack as usize),
         depth,
-        allocs: AllocCount::default(),
+        tally: Tally::default(),
     };
     let end = frame.run(0, None);
-    vm.heap.settle(&mut frame.allocs);
+    vm.settle(&mut frame.tally);
     match end? {
         RunEnd::Return(v) => Ok(v),
         RunEnd::EndFinally => Err(VmError::Internal("endfinally outside handler".into())),
@@ -70,7 +71,7 @@ struct Interp<'v> {
     locals: Vec<Value>,
     stack: Vec<Value>,
     depth: u32,
-    allocs: AllocCount,
+    tally: Tally,
 }
 
 impl<'v> Interp<'v> {
@@ -96,7 +97,7 @@ impl<'v> Interp<'v> {
                 Ok(Flow::Next) => pc += 1,
                 Ok(Flow::Jump(t)) => {
                     // Fuel is charged on taken branches (plus managed
-                    // calls, in `invoke_at_depth`): any runaway program
+                    // calls, in `Vm::guarded`): any runaway program
                     // must do one or the other, and charging here keeps
                     // straight-line code free of per-op accounting.
                     self.vm.charge_fuel()?;
@@ -366,14 +367,14 @@ impl<'v> Interp<'v> {
                     class.n_prim_slots as usize,
                     class.n_ref_slots as usize,
                 );
-                let obj = vm.heap.adopt(body, &mut self.allocs);
+                let obj = vm.heap.adopt(body, &mut self.tally.allocs);
                 let n = ctor.params.len();
                 let mut call_args = vec![Value::Null; n + 1];
                 for k in (1..=n).rev() {
                     call_args[k] = self.pop();
                 }
                 call_args[0] = Value::Ref(obj.clone());
-                vm.invoke_at_depth(*ctor_id, call_args, self.depth + 1)?;
+                vm.invoke_at_depth(*ctor_id, call_args, self.depth + 1, &mut self.tally)?;
                 self.push(Value::Ref(obj));
             }
             Op::LdFld(fid) => {
@@ -444,7 +445,7 @@ impl<'v> Interp<'v> {
                     return Err(vm.raise_index_oob(self.depth));
                 }
                 let body = HeapObj::new_array(*kind, len as usize);
-                let arr = vm.heap.adopt(body, &mut self.allocs);
+                let arr = vm.heap.adopt(body, &mut self.tally.allocs);
                 self.push(Value::Ref(arr));
             }
             Op::LdLen => {
@@ -487,7 +488,7 @@ impl<'v> Interp<'v> {
                     dims[k] = d as u32;
                 }
                 let body = HeapObj::new_multi(*kind, &dims);
-                let arr = vm.heap.adopt(body, &mut self.allocs);
+                let arr = vm.heap.adopt(body, &mut self.tally.allocs);
                 self.push(Value::Ref(arr));
             }
             Op::LdElemMulti { kind, rank } => {
@@ -530,7 +531,7 @@ impl<'v> Interp<'v> {
             Op::BoxVal(nt) => {
                 let v = self.pop();
                 let body = HeapObj::new_boxed(*nt, v.to_bits());
-                let o = vm.heap.adopt(body, &mut self.allocs);
+                let o = vm.heap.adopt(body, &mut self.tally.allocs);
                 self.push(Value::Ref(o));
             }
             Op::UnboxVal(nt) => {
@@ -640,7 +641,7 @@ impl<'v> Interp<'v> {
             }
             decl
         };
-        vm.invoke_at_depth(target, call_args, self.depth + 1)
+        vm.invoke_at_depth(target, call_args, self.depth + 1, &mut self.tally)
     }
 }
 

@@ -14,14 +14,18 @@
 //!
 //! Faults leave through two cold paths: [`trap`] raises a managed
 //! exception, [`internal`] reports an engine invariant that failed (both
-//! tiers render the same string for the same failure). Allocations count
-//! into the frame's `allocs` (see [`crate::call`]).
+//! tiers render the same string for the same failure). Allocations and
+//! calls count into the frame's `Tally` (see [`crate::call`]).
 //!
-//! `Monitor.Enter`/`Exit` on a reference slot, the `lock` statement's two
-//! intrinsics, have a body of their own, [`monitor`]: it borrows the
-//! receiver where the generic [`intrinsic`] would copy it into a `Value`.
-//! Both tiers pick it where they pick a body, so no other intrinsic pays
-//! for the distinction.
+//! Two kinds of intrinsic have a body of their own, which both tiers pick
+//! where they pick a body, so no other intrinsic pays for the distinction:
+//! * `Monitor.Enter`/`Exit` on a reference slot, the `lock` statement's
+//!   two intrinsics: [`monitor`] borrows the receiver where the generic
+//!   [`intrinsic`] would copy it into a `Value`;
+//! * a routine of the profile's math table whose operands and result sit
+//!   in `float64` slots ([`math_slots`]): [`math`] applies it to the slot
+//!   bits, with no `Value` built and no `Vm::intrinsic` match. The closure
+//!   tier captures the routine's function pointer when it builds the op.
 //!
 //! [`crate::interp`] keeps its own bodies on purpose: it is the oracle the
 //! conformance matrix holds these against, and a bug shared with it would
@@ -34,6 +38,7 @@ use crate::numerics;
 use crate::rir::{ArgSlot, DstSlot, Operand};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, ClassId, CmpOp, ElemKind, Intrinsic, NumTy, UnOp};
+use hpcnet_runtime::math::Routine;
 use hpcnet_runtime::{HeapObj, Obj, ObjBody};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -260,6 +265,40 @@ pub(crate) fn monitor(fr: &mut Frame, vm: &Arc<Vm>, depth: u32, enter: bool, obj
     }
 }
 
+/// The routine of `vm`'s math table that carries out `i`, with its operand
+/// slots `(x, y)` and destination slot — if the operands and the result
+/// sit in `float64` slots. A unary routine's `y` is its `x`.
+#[inline]
+pub(crate) fn math_slots(
+    vm: &Vm,
+    i: Intrinsic,
+    args: &[ArgSlot],
+    dst: Option<DstSlot>,
+) -> Option<(Routine, u16, u16, u16)> {
+    let f = vm.math.routine(i)?;
+    let (x, y) = match (f, args) {
+        (Routine::Unary(_), &[ArgSlot::P(NumTy::R8, x)]) => (x, x),
+        (Routine::Binary(_), &[ArgSlot::P(NumTy::R8, x), ArgSlot::P(NumTy::R8, y)]) => (x, y),
+        _ => return None,
+    };
+    match dst {
+        Some(DstSlot::P(d)) => Some((f, x, y, d)),
+        _ => None,
+    }
+}
+
+/// A math routine on the bits of slots `x` (and `y`) into slot `dst`.
+#[inline(always)]
+pub(crate) fn math(fr: &mut Frame, f: Routine, x: u16, y: u16, dst: u16) -> Step {
+    let x = f64::from_bits(fr.pget(x));
+    let r = match f {
+        Routine::Unary(f) => f(x),
+        Routine::Binary(f) => f(x, f64::from_bits(fr.pget(y))),
+    };
+    fr.pset(dst, r.to_bits());
+    Step::NEXT
+}
+
 /// The instance layout of the class a constructor builds.
 #[derive(Clone, Copy)]
 pub(crate) struct Layout {
@@ -292,7 +331,7 @@ pub(crate) fn new_obj<T: RegTier>(
     dst: u16,
 ) -> Step {
     let body = HeapObj::new_instance(layout.class, layout.n_prim, layout.n_ref);
-    let obj = vm.heap.adopt(body, &mut fr.allocs);
+    let obj = vm.heap.adopt(body, &mut fr.tally.allocs);
     let this = Receiver::Fresh(obj.clone());
     if let Err(e) = call::invoke::<T>(vm, fr, ctor, this, args, None, depth) {
         return fr.fail(e);
@@ -425,7 +464,7 @@ pub(crate) fn cast_class(
 #[inline(always)]
 pub(crate) fn box_v(fr: &mut Frame, vm: &Arc<Vm>, ty: NumTy, src: u16, dst: u16) -> Step {
     let body = HeapObj::new_boxed(ty, fr.pget(src));
-    let o = vm.heap.adopt(body, &mut fr.allocs);
+    let o = vm.heap.adopt(body, &mut fr.tally.allocs);
     fr.rset(dst, Some(o));
     Step::NEXT
 }
@@ -468,7 +507,7 @@ pub(crate) fn new_arr(
         return trap(fr, vm, depth, Trap::IndexOob);
     }
     let body = HeapObj::new_array(kind, n as usize);
-    let arr = vm.heap.adopt(body, &mut fr.allocs);
+    let arr = vm.heap.adopt(body, &mut fr.tally.allocs);
     fr.rset(dst, Some(arr));
     Step::NEXT
 }
@@ -500,7 +539,7 @@ pub(crate) fn new_multi(
         lens.push(n as u32);
     }
     let body = HeapObj::new_multi(kind, &lens);
-    let arr = vm.heap.adopt(body, &mut fr.allocs);
+    let arr = vm.heap.adopt(body, &mut fr.tally.allocs);
     fr.rset(dst, Some(arr));
     Step::NEXT
 }

@@ -79,6 +79,7 @@ use crate::rir::{
 };
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, ElemKind, Intrinsic, NumTy};
+use hpcnet_runtime::math::Routine;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
@@ -580,10 +581,18 @@ fn build_op(build: &Build, inst: &RInst) -> OpFn {
             (Intrinsic::MonitorExit, &[ArgSlot::R(s)]) => {
                 op!(|fr, vm, depth| ops::monitor(fr, vm, depth, false, s))
             }
-            _ => {
-                let args = args.clone();
-                op!(|fr, vm, depth| ops::intrinsic(fr, vm, depth, i, &args, dst))
-            }
+            _ => match ops::math_slots(vm, i, args, dst) {
+                Some((Routine::Unary(f), x, _, d)) => {
+                    op!(|fr, _, _| ops::math(fr, Routine::Unary(f), x, x, d))
+                }
+                Some((Routine::Binary(f), x, y, d)) => {
+                    op!(|fr, _, _| ops::math(fr, Routine::Binary(f), x, y, d))
+                }
+                None => {
+                    let args = args.clone();
+                    op!(|fr, vm, depth| ops::intrinsic(fr, vm, depth, i, &args, dst))
+                }
+            },
         },
         RInst::Ret { src } => match src {
             Some(src) => op!(|fr, _, _| ops::ret(fr, Some(src))),
