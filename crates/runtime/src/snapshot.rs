@@ -244,8 +244,8 @@ mod tests {
 
         let stats = snap.restore(&heap);
         assert_eq!(stats.objects_restored, 1);
-        assert!(Obj::ptr_eq(&holder.ref_field(0).unwrap(), &leaf));
-        assert_eq!(holder.prim_field(0), 42);
+        assert!(Obj::ptr_eq(&holder.ref_field(0).flatten().unwrap(), &leaf));
+        assert_eq!(holder.prim_field(0), Some(42));
         assert_eq!(heap.stats().allocations, base_stats.allocations);
         assert_eq!(heap.stats().bytes_allocated, base_stats.bytes_allocated);
     }
@@ -260,6 +260,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         inner.set_prim_field(0, 5);
         assert_eq!(snap.restore(&heap).objects_restored, 1);
-        assert_eq!(inner.prim_field(0), 0);
+        assert_eq!(inner.prim_field(0), Some(0));
     }
 }

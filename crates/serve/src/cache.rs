@@ -23,7 +23,7 @@ use hpcnet_cil::Module;
 use hpcnet_vm::OptShare;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// FNV-1a over a byte stream; dependency-free and stable across runs.
 #[derive(Clone, Copy)]
@@ -98,6 +98,15 @@ struct Slot {
     ready: OnceLock<Compiled>,
 }
 
+/// `m`'s guard, even after a thread panicked while holding it. Neither lock
+/// here guards a half-written update: the map takes one `entry().or_default()`,
+/// and a compile that panics under its key's lock has published nothing,
+/// so the next submission of that key compiles it again. One failed job
+/// must not take the cache down for every tenant.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Service-wide artifact cache. See the module docs for the locking
 /// discipline.
 #[derive(Default)]
@@ -123,14 +132,14 @@ impl CodeCache {
         compile: impl FnOnce() -> Result<ModuleArtifact, String>,
     ) -> (Compiled, bool) {
         let slot = {
-            let mut map = self.slots.lock().unwrap();
+            let mut map = lock(&self.slots);
             map.entry(key).or_default().clone()
         };
         if let Some(r) = slot.ready.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (r.clone(), false);
         }
-        let _compiling = slot.compile.lock().unwrap();
+        let _compiling = lock(&slot.compile);
         // Re-check: another worker may have compiled while we waited.
         if let Some(r) = slot.ready.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -151,7 +160,7 @@ impl CodeCache {
     /// artifact's [`OptShare`] — how much lower+optimize work the VMs
     /// riding each module actually shared.
     pub fn front_stats(&self) -> (u64, u64) {
-        let map = self.slots.lock().unwrap();
+        let map = lock(&self.slots);
         let mut hits = 0;
         let mut misses = 0;
         for slot in map.values() {
@@ -216,6 +225,19 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(misses, 1);
         assert_eq!(hits, 7);
+    }
+
+    #[test]
+    fn a_compile_that_panicked_is_retried_by_the_next_submission() {
+        let cache = CodeCache::new();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compile(5, || panic!("compiler bug"))
+        }));
+        assert!(first.is_err());
+        let (r, cold) = cache.get_or_compile(5, artifact);
+        assert!(r.is_ok() && cold);
+        assert_eq!(cache.stats(), (0, 1));
+        assert_eq!(cache.front_stats(), (0, 0));
     }
 
     #[test]

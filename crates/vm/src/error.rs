@@ -29,5 +29,9 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
+/// The internal error of `ldfld`/`stfld` on an object without that
+/// instance field, the same on every tier. Verified code never raises it.
+pub(crate) const NOT_AN_INSTANCE: &str = "instance field access on a non-instance";
+
 /// Shorthand used throughout the engines.
 pub type VmResult<T> = Result<T, VmError>;

@@ -32,7 +32,7 @@
 //! go unseen.
 
 use crate::call::{self, Exit, Frame, Receiver, RegTier, Step};
-use crate::error::VmError;
+use crate::error::{VmError, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
 use crate::rir::{ArgSlot, DstSlot, Operand};
@@ -378,14 +378,14 @@ pub(crate) fn ld_fld(
 ) -> Step {
     let o = non_null!(fr, vm, depth, obj);
     match dst {
-        DstSlot::P(d) => {
-            let bits = o.prim_field(slot);
-            fr.pset(d, bits);
-        }
-        DstSlot::R(d) => {
-            let v = o.ref_field(slot);
-            fr.rset(d, v);
-        }
+        DstSlot::P(d) => match o.prim_field(slot) {
+            Some(bits) => fr.pset(d, bits),
+            None => return internal(fr, NOT_AN_INSTANCE),
+        },
+        DstSlot::R(d) => match o.ref_field(slot) {
+            Some(v) => fr.rset(d, v),
+            None => return internal(fr, NOT_AN_INSTANCE),
+        },
     }
     Step::NEXT
 }
@@ -400,17 +400,20 @@ pub(crate) fn st_fld(
     slot: u32,
     src: ArgSlot,
 ) -> Step {
-    match src {
+    let stored = match src {
         ArgSlot::P(_, s) => {
             let bits = fr.pget(s);
-            non_null!(fr, vm, depth, obj).set_prim_field(slot, bits);
+            non_null!(fr, vm, depth, obj).set_prim_field(slot, bits)
         }
         ArgSlot::R(s) => {
             let v = fr.rget(s);
-            non_null!(fr, vm, depth, obj).set_ref_field(slot, v);
+            non_null!(fr, vm, depth, obj).set_ref_field(slot, v)
         }
+    };
+    match stored {
+        Some(()) => Step::NEXT,
+        None => internal(fr, NOT_AN_INSTANCE),
     }
-    Step::NEXT
 }
 
 #[inline(always)]

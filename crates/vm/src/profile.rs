@@ -153,9 +153,10 @@ pub struct VmProfile {
     pub passes: PassConfig,
     /// How many primitive virtual registers may live in the register file;
     /// the rest spill to the (slower) frame arena. CLR 1.1's documented
-    /// limit is 64.
+    /// limit is 64, which is also the size of the frame's register file:
+    /// a larger cap acts as 64, and the values beyond it spill.
     pub max_enreg_prim: u16,
-    /// Same cap for reference registers.
+    /// Same cap for reference registers, on a file of the same 64 entries.
     pub max_enreg_ref: u16,
     /// Interpreter tier: emulate `cdq` with loads and shifts before every
     /// signed division (the SSCLI 1.0 JIT behavior in Table 8).
