@@ -1,9 +1,9 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The workspace builds fully offline with no external crates, so every
-//! schema'd artifact (`PROFILE_*.json`, `BENCH_serve.json`,
-//! `TRACE_serve.json`) is produced and re-validated with this tiny
-//! self-contained implementation instead of serde. Numbers are `f64`
+//! The workspace builds fully offline with no external crates, so the
+//! schema'd `PROFILE_*.json` artifact and the repo benchmark's outputs are
+//! produced and re-validated with this tiny self-contained implementation
+//! instead of serde. Numbers are `f64`
 //! (ample for rates, times and counter values); non-finite numbers are
 //! not representable in JSON and serialize as `null`.
 //!
@@ -174,18 +174,6 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The `environment` object every artifact records: where it was produced.
-pub fn environment() -> Json {
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    Json::obj(vec![
-        ("os", Json::Str(std::env::consts::OS.to_string())),
-        ("arch", Json::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Json::num(cpus as f64)),
-        ("package_version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
-        ("debug_assertions", Json::Bool(cfg!(debug_assertions))),
-    ])
-}
-
 /// The schema-walking accumulator of every artifact validator: it collects
 /// each problem as `"{path}: {what}"` instead of stopping at the first.
 #[derive(Default)]
@@ -249,17 +237,6 @@ impl Check {
             None => {
                 self.fail(path, &format!("missing or non-array field '{key}'"));
                 &[]
-            }
-        }
-    }
-
-    /// The object at `key`, or `null` after recording the problem.
-    pub fn obj<'j>(&mut self, v: &'j Json, path: &str, key: &str) -> &'j Json {
-        match v.get(key) {
-            Some(o @ Json::Obj(_)) => o,
-            _ => {
-                self.fail(path, &format!("missing or non-object field '{key}'"));
-                &Json::Null
             }
         }
     }

@@ -24,10 +24,8 @@ use std::sync::Arc;
 
 pub mod json;
 pub mod metrics;
-pub mod trace;
 
-pub use metrics::{percentile, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
-pub use trace::{Clock, CountingClock, Span, VirtualClock, WallClock};
+pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 pub use hpcnet_cil::{disasm, MethodId, Module};
 pub use hpcnet_grande::{

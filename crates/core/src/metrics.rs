@@ -1,14 +1,9 @@
-//! A unified metrics surface: counters, gauges, and log2-bucket
-//! histograms with canonical JSON snapshots.
+//! A metrics surface: counters, gauges, and log2-bucket histograms.
 //!
-//! Before this module every artifact emitter rolled its own statistics —
-//! the serve layer sorted cloned latency vectors once per percentile
-//! split, the conform fleet kept bespoke reset/coverage counters, and
-//! none of them shared a rendering. A [`MetricsRegistry`] is the one
-//! place such run statistics accumulate; a [`MetricsSnapshot`] is the
-//! plain-value form reports embed, with a *canonical* JSON encoding
-//! (keys sorted, shapes fixed) so two runs that observed the same events
-//! render byte-identical snapshots.
+//! The conform sweep accumulates its run statistics in a
+//! [`MetricsRegistry`]; a [`MetricsSnapshot`] is the plain-value,
+//! name-ordered form its report prints, so two runs that observed the
+//! same events render identical text.
 //!
 //! Determinism contract: everything in here is a pure function of the
 //! sequence of `inc`/`set_gauge`/`record` calls. Nothing reads a clock —
@@ -17,34 +12,18 @@
 //!
 //! The [`Histogram`] uses power-of-two buckets (bucket *i* holds values
 //! whose bit length is *i*), so recording is one `leading_zeros` and one
-//! add — no allocation, no sorting, mergeable across shards. Quantiles
-//! are nearest-rank over the buckets, reported as the bucket's upper
-//! bound clamped into the observed `[min, max]`: an estimate with ≤ 2×
-//! relative error by construction, which is the right trade for service
-//! latency splits (the old exact path re-sorted the full vector for
-//! every split; see docs/OBSERVABILITY.md).
+//! add — no allocation, no sorting. Quantiles are nearest-rank over the
+//! buckets, reported as the bucket's upper bound clamped into the
+//! observed `[min, max]`: an estimate with ≤ 2× relative error by
+//! construction.
 
-use crate::json::Json;
 use std::collections::BTreeMap;
-
-/// Nearest-rank percentile over an ascending-sorted slice; `p` in
-/// `[0, 100]`. The exact-path helper (tests cross-check [`Histogram`]
-/// quantiles against it); prefer the histogram when values arrive one at
-/// a time.
-pub fn percentile(sorted: &[u64], p: u32) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p as usize * sorted.len() + 99) / 100).max(1);
-    sorted[rank - 1]
-}
 
 /// Bucket count: one per possible bit length of a `u64` (0..=64).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log2-bucket histogram of `u64` samples (latencies in ns, sizes,
-/// counts). Recording is O(1) and allocation-free; merging is bucket-wise
-/// addition, so shards can record independently and combine exactly.
+/// counts). Recording is O(1) and allocation-free.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
@@ -95,23 +74,8 @@ impl Histogram {
         self.buckets[bucket_of(v)] += 1;
     }
 
-    /// Fold another histogram in (exact: bucket-wise addition).
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-    }
-
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Smallest recorded sample; 0 when empty.
@@ -155,42 +119,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Nonzero buckets as `(bucket-index, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
-            .collect()
-    }
-
-    /// Canonical JSON: summary stats plus the sparse bucket list. A pure
-    /// function of the recorded multiset.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("count", Json::num(self.count as f64)),
-            ("sum", Json::num(self.sum as f64)),
-            ("min", Json::num(self.min() as f64)),
-            ("max", Json::num(self.max as f64)),
-            ("mean", Json::num(self.mean() as f64)),
-            ("p50", Json::num(self.quantile(0.50) as f64)),
-            ("p90", Json::num(self.quantile(0.90) as f64)),
-            ("p99", Json::num(self.quantile(0.99) as f64)),
-            (
-                "buckets",
-                Json::Arr(
-                    self.nonzero_buckets()
-                        .into_iter()
-                        .map(|(i, n)| {
-                            Json::Arr(vec![Json::num(i as f64), Json::num(n as f64)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// One named metric's value.
@@ -215,8 +143,8 @@ impl MetricValue {
 }
 
 /// A single-writer registry of named metrics. Names are dotted paths
-/// (`serve.phase.execute.ns`); iteration order is always name order, so
-/// snapshots and their JSON are canonical.
+/// (`fleet.wave_size`); iteration order is always name order, so
+/// snapshots are canonical.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, MetricValue>,
@@ -294,9 +222,7 @@ impl MetricsRegistry {
     }
 }
 
-/// A frozen, name-ordered view of a [`MetricsRegistry`] — the type every
-/// report subcommand prints and every artifact embeds, so metric output
-/// looks the same whether it came from serve, conform, or the tracer.
+/// A frozen, name-ordered view of a [`MetricsRegistry`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)`, ascending by name.
@@ -304,46 +230,11 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.entries
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
-    }
-
-    /// Canonical JSON object: one key per metric, `{"type": ..., ...}`
-    /// values, keys in name order.
-    pub fn to_json(&self) -> Json {
-        Json::obj(
-            self.entries
-                .iter()
-                .map(|(name, v)| {
-                    let body = match v {
-                        MetricValue::Counter(c) => Json::obj(vec![
-                            ("type", Json::Str("counter".into())),
-                            ("value", Json::num(*c as f64)),
-                        ]),
-                        MetricValue::Gauge(g) => Json::obj(vec![
-                            ("type", Json::Str("gauge".into())),
-                            ("value", Json::num(*g)),
-                        ]),
-                        MetricValue::Histogram(h) => {
-                            let mut fields =
-                                vec![("type".to_string(), Json::Str("histogram".into()))];
-                            if let Json::Obj(inner) = h.to_json() {
-                                fields.extend(inner);
-                            }
-                            Json::Obj(fields)
-                        }
-                    };
-                    (name.as_str(), body)
-                })
-                .collect::<Vec<_>>(),
-        )
     }
 
     /// Aligned text rendering for CLI reports: one line per metric.
@@ -384,7 +275,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1000);
-        assert_eq!(h.sum(), 1011);
         assert_eq!(h.mean(), 202);
         assert_eq!(h.quantile(1.0), 1000, "q=1.0 must be the exact max");
     }
@@ -396,13 +286,12 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
-        assert!(h.nonzero_buckets().is_empty());
     }
 
     #[test]
     fn quantile_estimate_within_2x_of_exact() {
-        // Cross-check the bucketed estimate against the exact nearest-rank
-        // path on a deterministic pseudo-random sample.
+        // Cross-check the bucketed estimate against exact nearest-rank
+        // percentiles of a deterministic pseudo-random sample.
         let mut h = Histogram::new();
         let mut sorted = Vec::new();
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -417,30 +306,13 @@ mod tests {
         sorted.sort_unstable();
         for (q, p) in [(0.5, 50), (0.9, 90), (0.99, 99)] {
             let est = h.quantile(q);
-            let exact = percentile(&sorted, p).max(1);
+            let exact = sorted[(p * sorted.len()).div_ceil(100) - 1].max(1);
             assert!(
                 est >= exact && est < exact * 2 + 2,
                 "q={q}: estimate {est} not in [{exact}, {})",
                 exact * 2 + 2
             );
         }
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in 0..100u64 {
-            if v % 2 == 0 {
-                a.record(v * 31)
-            } else {
-                b.record(v * 31)
-            }
-            all.record(v * 31);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]
@@ -455,16 +327,14 @@ mod tests {
         let names: Vec<&str> = s.entries.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a.lat", "m.rate", "z.count"]);
         assert_eq!(s.get("z.count"), Some(&MetricValue::Counter(3)));
-        // Same calls, different interleaving: identical snapshot bytes.
+        // Same calls, different interleaving: identical snapshot.
         let mut r2 = MetricsRegistry::new();
         r2.set_gauge("m.rate", 0.5);
         r2.inc("z.count", 3);
         r2.record("a.lat", 5);
         r2.record("a.lat", 9);
-        assert_eq!(s.to_json().render(), r2.snapshot().to_json().render());
-        // The JSON round-trips through the parser.
-        assert!(Json::parse(&s.to_json().render()).is_ok());
-        // And the text rendering mentions every metric.
+        assert_eq!(s, r2.snapshot());
+        // The text rendering mentions every metric.
         let text = s.render();
         for n in names {
             assert!(text.contains(n), "{text}");

@@ -11,11 +11,6 @@
 //! hpcnet-report conform --programs 50 --seed 1000 --observe trace
 //! hpcnet-report profile loop.for   # attribution artifact (PROFILE_loop.for.json)
 //! hpcnet-report profile scimark.fft --overhead
-//! hpcnet-report serve --jobs 120 --workers 2   # job-service artifact (BENCH_serve.json)
-//! hpcnet-report serve --check BENCH_serve.json
-//! hpcnet-report trace --jobs 60 --workers 2    # span-trace artifact (TRACE_serve.json)
-//! hpcnet-report trace --check TRACE_serve.json
-//! hpcnet-report trace --overhead               # tracing-off vs tracing-on cost
 //! ```
 //!
 //! Error discipline: a bad flag, a missing value, or an unreadable path is
@@ -84,19 +79,6 @@ fn main() {
     // per-method attribution artifact (docs/OBSERVABILITY.md).
     if args.first().map(String::as_str) == Some("profile") {
         run_profile(&args[1..]);
-        return;
-    }
-    // `serve` runs the multi-tenant job service over a deterministic mixed
-    // workload and emits BENCH_serve.json (docs/ARCHITECTURE.md).
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-        return;
-    }
-    // `trace` runs the same service with span tracing on and emits
-    // TRACE_serve.json plus a Chrome trace-event export
-    // (docs/OBSERVABILITY.md).
-    if args.first().map(String::as_str) == Some("trace") {
-        run_trace(&args[1..]);
         return;
     }
     let mut cfg = Config::default();
@@ -270,256 +252,6 @@ fn run_conform(args: &[String]) {
     }
 }
 
-fn run_serve(args: &[String]) {
-    let u = serve_usage();
-    let mut jobs = 120usize;
-    let mut workers = 2usize;
-    let mut seed = 7u64;
-    let mut hog_fuel = 4096u64;
-    let mut default_fuel: Option<u64> = None;
-    let mut verify = true;
-    let mut check_determinism = false;
-    let mut out = String::from("BENCH_serve.json");
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => jobs = flag_value(&mut it, "--jobs", "a number", &u),
-            "--workers" => {
-                workers = flag_value(&mut it, "--workers", "a number (0 = all cores)", &u);
-            }
-            "--seed" => seed = flag_value(&mut it, "--seed", "a number", &u),
-            "--hog-fuel" => hog_fuel = flag_value(&mut it, "--hog-fuel", "a number", &u),
-            "--fuel" => {
-                let f: u64 = flag_value(&mut it, "--fuel", "a number (0 = unlimited)", &u);
-                default_fuel = if f == 0 { None } else { Some(f) };
-            }
-            "--no-verify" => verify = false,
-            "--check-determinism" => check_determinism = true,
-            "--out" => match it.next() {
-                Some(p) => out = p.clone(),
-                None => fail_usage(&u, "--out needs a path"),
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => fail_usage(&u, "--check needs a path"),
-            },
-            other => fail_usage(&u, &format!("unknown serve flag {other}")),
-        }
-    }
-    // Validation-only mode: parse + schema-check an existing artifact.
-    if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_serve::report::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid serve document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID serve document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if jobs == 0 {
-        fail_usage(&u, "--jobs must be at least 1");
-    }
-    if workers == 0 {
-        workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    }
-    let workload = hpcnet_serve::workload::mixed_workload(jobs, seed, hog_fuel);
-    let cfg = hpcnet_serve::ServeConfig { workers, default_fuel, verify, trace: false };
-    let report = hpcnet_serve::run_service(&workload, &cfg);
-    print!("{}", hpcnet_serve::report::summary(&report));
-    let doc = hpcnet_serve::report::document(&report);
-    if report.total_leaks() > 0 {
-        fail_run(&format!(
-            "cross-tenant isolation FAILED: {} leaked locations",
-            report.total_leaks()
-        ));
-    }
-    // `--check-determinism`: re-run the identical workload on one worker
-    // and require a byte-identical per-job subtree (scheduling freedom
-    // must never reach tenant-visible results).
-    if check_determinism {
-        let solo = hpcnet_serve::run_service(
-            &workload,
-            &hpcnet_serve::ServeConfig { workers: 1, ..cfg },
-        );
-        let a = hpcnet_serve::report::jobs_fingerprint(&doc);
-        let b = hpcnet_serve::report::jobs_fingerprint(&hpcnet_serve::report::document(&solo));
-        if a != b {
-            fail_run(&format!(
-                "per-job outcomes differ between {workers} worker(s) and 1 worker"
-            ));
-        }
-        eprintln!("determinism: per-job outcomes identical at {workers} worker(s) and 1");
-    }
-    let text = doc.render();
-    write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring `profile`.
-    if let Err(problems) = hpcnet_serve::report::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
-}
-
-fn run_trace(args: &[String]) {
-    let u = trace_usage();
-    let mut jobs = 60usize;
-    let mut workers = 2usize;
-    let mut seed = 7u64;
-    let mut hog_fuel = 4096u64;
-    let mut default_fuel: Option<u64> = None;
-    let mut check_determinism = false;
-    let mut overhead = false;
-    let mut out = String::from("TRACE_serve.json");
-    let mut chrome = String::from("TRACE_serve.chrome.json");
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => jobs = flag_value(&mut it, "--jobs", "a number", &u),
-            "--workers" => {
-                workers = flag_value(&mut it, "--workers", "a number (0 = all cores)", &u);
-            }
-            "--seed" => seed = flag_value(&mut it, "--seed", "a number", &u),
-            "--hog-fuel" => hog_fuel = flag_value(&mut it, "--hog-fuel", "a number", &u),
-            "--fuel" => {
-                let f: u64 = flag_value(&mut it, "--fuel", "a number (0 = unlimited)", &u);
-                default_fuel = if f == 0 { None } else { Some(f) };
-            }
-            "--check-determinism" => check_determinism = true,
-            "--overhead" => overhead = true,
-            "--out" => match it.next() {
-                Some(p) => out = p.clone(),
-                None => fail_usage(&u, "--out needs a path"),
-            },
-            "--chrome" => match it.next() {
-                Some(p) => chrome = p.clone(),
-                None => fail_usage(&u, "--chrome needs a path"),
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => fail_usage(&u, "--check needs a path"),
-            },
-            other => fail_usage(&u, &format!("unknown trace flag {other}")),
-        }
-    }
-    // Validation-only mode: parse + schema-check an existing artifact.
-    if let Some(path) = check {
-        let text = read_or_die(&path);
-        match hpcnet_serve::trace::check_document(&text) {
-            Ok(()) => println!("{path}: schema-valid trace document"),
-            Err(problems) => {
-                eprintln!("{path}: INVALID trace document:");
-                for p in problems {
-                    eprintln!("  - {p}");
-                }
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if jobs == 0 {
-        fail_usage(&u, "--jobs must be at least 1");
-    }
-    if workers == 0 {
-        workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    }
-    let workload = hpcnet_serve::workload::mixed_workload(jobs, seed, hog_fuel);
-    let cfg = hpcnet_serve::ServeConfig { workers, default_fuel, verify: true, trace: true };
-
-    // `--overhead`: run the identical workload with tracing off and on and
-    // compare wall time. The off run uses a counting clock to *prove* the
-    // untraced path performs zero span clock reads.
-    if overhead {
-        let counting = hpcnet_core::CountingClock::new();
-        let off_cfg = hpcnet_serve::ServeConfig { trace: false, ..cfg };
-        let t0 = std::time::Instant::now();
-        let off = hpcnet_serve::run_service_with_clock(&workload, &off_cfg, &counting);
-        let off_wall = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let on = hpcnet_serve::run_service(&workload, &cfg);
-        let on_wall = t1.elapsed();
-        let mean = |r: &hpcnet_serve::ServiceReport| {
-            r.records.iter().map(|j| j.latency_ns).sum::<u64>() / r.records.len().max(1) as u64
-        };
-        let spans: usize = on
-            .records
-            .iter()
-            .filter_map(|r| r.spans.as_ref())
-            .map(|s| s.span_count())
-            .sum();
-        println!(
-            "trace overhead over {jobs} jobs on {workers} worker(s):\n\
-             \x20 trace off: {:>8.2} ms wall, mean job {:>6} µs, span clock reads: {}\n\
-             \x20 trace on : {:>8.2} ms wall, mean job {:>6} µs, spans recorded: {}",
-            off_wall.as_secs_f64() * 1e3,
-            mean(&off) / 1_000,
-            counting.reads(),
-            on_wall.as_secs_f64() * 1e3,
-            mean(&on) / 1_000,
-            spans,
-        );
-        if counting.reads() != 0 {
-            fail_run(&format!(
-                "untraced run performed {} span clock reads; expected 0",
-                counting.reads()
-            ));
-        }
-        return;
-    }
-
-    let report = hpcnet_serve::run_service(&workload, &cfg);
-    print!("{}", hpcnet_serve::report::summary(&report));
-    if report.total_leaks() > 0 {
-        fail_run(&format!(
-            "cross-tenant isolation FAILED: {} leaked locations",
-            report.total_leaks()
-        ));
-    }
-    let probe = hpcnet_serve::trace::vm_phase_probe(hpcnet_core::VmProfile::clr11_compiled());
-    let doc = hpcnet_serve::trace::document(&report, probe);
-    // `--check-determinism`: re-run on one worker and require a
-    // byte-identical structural subtree — span structure must be as
-    // scheduling-independent as the job outcomes themselves.
-    if check_determinism {
-        let solo = hpcnet_serve::run_service(
-            &workload,
-            &hpcnet_serve::ServeConfig { workers: 1, ..cfg },
-        );
-        let solo_doc = hpcnet_serve::trace::document(&solo, hpcnet_core::json::Json::Null);
-        let a = hpcnet_serve::trace::structural_fingerprint(&doc);
-        let b = hpcnet_serve::trace::structural_fingerprint(&solo_doc);
-        if a != b {
-            fail_run(&format!(
-                "structural span trees differ between {workers} worker(s) and 1 worker"
-            ));
-        }
-        eprintln!("determinism: structural spans identical at {workers} worker(s) and 1");
-    }
-    let text = doc.render();
-    write_or_die(&out, &text);
-    // Self-check the exact bytes written, mirroring the other emitters.
-    if let Err(problems) = hpcnet_serve::trace::check_document(&text) {
-        eprintln!("{out}: emitted document FAILED schema validation:");
-        for p in problems {
-            eprintln!("  - {p}");
-        }
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out} ({} bytes, schema-valid)", text.len());
-    let chrome_text = hpcnet_serve::trace::chrome_trace(&report).render();
-    write_or_die(&chrome, &chrome_text);
-    eprintln!("wrote {chrome} ({} bytes, chrome://tracing format)", chrome_text.len());
-}
-
 fn graph_usage() -> String {
     "graphs: g1 g3 g4 g5 g6 g7 g8 g9 g10 g12 t2 t4 ablation opt\n\
        (g10 --large reproduces Graph 11; g1 covers Graphs 1 and 2;\n\
@@ -542,23 +274,6 @@ fn profile_usage() -> String {
         .to_string()
 }
 
-fn serve_usage() -> String {
-    "serve flags:   [--jobs N] [--workers N (0 = all cores)] [--seed S]\n\
-                    [--fuel N (default per-job budget, 0 = unlimited)] [--hog-fuel N]\n\
-                    [--no-verify] [--check-determinism] [--out FILE] | --check FILE"
-        .to_string()
-}
-
-fn trace_usage() -> String {
-    "trace flags:   [--jobs N] [--workers N (0 = all cores)] [--seed S]\n\
-                    [--fuel N (default per-job budget, 0 = unlimited)] [--hog-fuel N]\n\
-                    [--check-determinism] [--out FILE] [--chrome FILE]\n\
-                    [--overhead] | --check FILE\n\
-       (--overhead compares wall time with tracing off and on and proves the\n\
-        untraced path performs zero span clock reads)"
-        .to_string()
-}
-
 fn usage() -> String {
     format!(
         "hpcnet-report — regenerate the paper's evaluation tables/figures\n\
@@ -570,22 +285,14 @@ fn usage() -> String {
                      pass combination; exits non-zero on any divergence\n\
            profile   per-method attribution profile of one benchmark entry under\n\
                      the CLI lineup; writes PROFILE_<entry>.json (docs/OBSERVABILITY.md)\n\
-           serve     multi-tenant compile-and-run job service on warmed snapshot/reset\n\
-                     VMs and the shared code cache; writes BENCH_serve.json\n\
-           trace     the same service with per-job span tracing on; writes\n\
-                     TRACE_serve.json + a Chrome trace-event export\n\
          \n\
          {}\n\
          \n\
-         {}\n\
-         {}\n\
          {}\n\
          {}",
         graph_usage(),
         conform_usage(),
         profile_usage(),
-        serve_usage(),
-        trace_usage(),
     )
 }
 

@@ -14,20 +14,19 @@ fn help_lists_every_subcommand_with_descriptions() {
     let out = report().arg("--help").output().expect("run hpcnet-report");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for sub in ["conform", "profile", "serve"] {
+    for sub in ["conform", "profile"] {
         assert!(text.contains(sub), "help must list `{sub}`:\n{text}");
     }
     // One-line descriptions, not just names.
     assert!(text.contains("conformance"), "{text}");
     assert!(text.contains("PROFILE_<entry>.json"), "{text}");
-    assert!(text.contains("BENCH_serve.json"), "{text}");
 }
 
-/// `bench` is not a subcommand: it takes the same path as any other
-/// unknown name.
+/// `bench`, `serve` and `trace` are not subcommands: they take the same
+/// path as any other unknown name.
 #[test]
 fn unknown_subcommand_exits_nonzero_with_usage() {
-    for sub in ["frobnicate", "bench"] {
+    for sub in ["frobnicate", "bench", "serve", "trace"] {
         let out = report().arg(sub).output().expect("run hpcnet-report");
         assert_eq!(out.status.code(), Some(2), "{sub} must exit 2");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -59,10 +58,6 @@ fn malformed_flag_values_fail_with_usage_not_panic() {
         &["conform", "--programs", "many"],
         &["conform", "--observe", "loudly"],
         &["conform", "--workers"],
-        &["serve", "--jobs", "abc"],
-        &["serve", "--workers", "-3"],
-        &["serve", "--fuel"],
-        &["serve", "--what"],
     ];
     for args in cases {
         let out = report().args(*args).output().expect("run hpcnet-report");
@@ -80,58 +75,14 @@ fn malformed_flag_values_fail_with_usage_not_panic() {
 /// Unreadable artifact paths are runtime failures (exit 1), also unpanicked.
 #[test]
 fn unreadable_check_paths_fail_cleanly() {
-    for sub in ["profile", "serve"] {
-        let out = report()
-            .args([sub, "--check", "/nonexistent/definitely-missing.json"])
-            .output()
-            .expect("run hpcnet-report");
-        assert_eq!(out.status.code(), Some(1), "{sub} --check must exit 1");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("cannot read"), "{sub}: {err}");
-        assert!(!err.contains("panicked"), "{sub} panicked:\n{err}");
-    }
-}
-
-/// The serve subcommand end to end: run a small workload, self-check the
-/// artifact, re-validate it via `--check`, and reject a non-serve shape.
-#[test]
-fn serve_writes_a_schema_valid_artifact_and_rechecks_it() {
-    let dir = std::env::temp_dir().join("hpcnet-cli-serve-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_serve.json");
     let out = report()
-        .args([
-            "serve",
-            "--jobs",
-            "26",
-            "--workers",
-            "2",
-            "--out",
-            path.to_str().unwrap(),
-        ])
+        .args(["profile", "--check", "/nonexistent/definitely-missing.json"])
         .output()
         .expect("run hpcnet-report");
+    assert_eq!(out.status.code(), Some(1), "profile --check must exit 1");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "serve failed:\n{err}");
-    assert!(err.contains("schema-valid"), "{err}");
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("\"suite\": \"serve\""), "artifact written");
-
-    let check = report()
-        .args(["serve", "--check", path.to_str().unwrap()])
-        .output()
-        .expect("run hpcnet-report");
-    assert!(check.status.success());
-    assert!(String::from_utf8_lossy(&check.stdout).contains("schema-valid"));
-
-    let bad = dir.join("not-serve.json");
-    std::fs::write(&bad, "{\"schema_version\": 1.0, \"suite\": \"grande\"}\n").unwrap();
-    let reject = report()
-        .args(["serve", "--check", bad.to_str().unwrap()])
-        .output()
-        .expect("run hpcnet-report");
-    assert_eq!(reject.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&reject.stderr).contains("INVALID"));
+    assert!(err.contains("cannot read"), "{err}");
+    assert!(!err.contains("panicked"), "profile panicked:\n{err}");
 }
 
 /// The profile subcommand end to end: write the artifact, then

@@ -734,8 +734,18 @@ impl<'a, 'm> Gen<'a, 'm> {
     }
 
     fn infer_builtin(&self, class: &str, name: &str, args: &[Expr], pos: Pos) -> Result<Ty> {
+        // The arity errors `gen_builtin` reports, for the builtins whose
+        // type is read off their first argument.
+        let want = |n: usize| {
+            if args.len() == n {
+                Ok(())
+            } else {
+                err(pos, format!("{class}.{name} takes {n} argument(s)"))
+            }
+        };
         Ok(match (class, name) {
             ("Math", "Abs" | "Max" | "Min") => {
+                want(if name == "Abs" { 1 } else { 2 })?;
                 let mut t = self.infer(&args[0])?;
                 for a in &args[1..] {
                     let at = self.infer(a)?;
@@ -745,10 +755,13 @@ impl<'a, 'm> Gen<'a, 'm> {
                 }
                 t
             }
-            ("Math", "Round") => match self.infer(&args[0])? {
-                Ty::Float => Ty::Int,
-                _ => Ty::Long,
-            },
+            ("Math", "Round") => {
+                want(1)?;
+                match self.infer(&args[0])? {
+                    Ty::Float => Ty::Int,
+                    _ => Ty::Long,
+                }
+            }
             ("Math", _) => Ty::Double,
             ("Console", "WriteLine") => Ty::Void,
             ("Sys", "Millis" | "Nanos") => Ty::Long,

@@ -95,3 +95,24 @@ fn length_only_exists_on_arrays() {
         "no field Length",
     );
 }
+
+#[test]
+fn builtins_typed_by_their_first_argument_check_arity_first() {
+    for (expr, needle) in [
+        ("int x = Math.Abs() + 1;", "Math.Abs takes 1 argument(s)"),
+        (
+            "int x = Math.Max(Math.Abs(), 1);",
+            "Math.Abs takes 1 argument(s)",
+        ),
+        ("long y = Math.Min() * 2;", "Math.Min takes 2 argument(s)"),
+        (
+            "double z = 1.0 + Math.Round();",
+            "Math.Round takes 1 argument(s)",
+        ),
+    ] {
+        rejects(
+            &format!("class C {{ static void F() {{ {expr} }} }}"),
+            needle,
+        );
+    }
+}

@@ -22,24 +22,24 @@
 //!
 //! Job lifecycle: `submit → cache lookup (compile once) → warm-VM lookup
 //! (build + init + snapshot once) → arm fuel → run → harvest console +
-//! counters → reset → verify`. The per-job *outcome* (status, normalized
-//! result, console, counter deltas, fuel spent) is a pure function of the
-//! job, so outcomes are byte-identical across worker counts; only the
-//! *service* telemetry (latencies, warm/cold split) depends on
-//! scheduling. [`report`] keeps the two in separate schema sections so a
-//! determinism check can compare exactly the part that must not move.
+//! counters → reset → verify`. The per-job [`JobOutcome`] (status,
+//! normalized result, console, counter deltas, fuel spent) is a pure
+//! function of the job, so outcomes are identical across worker counts;
+//! only the rest of a [`JobRecord`] (latency, cold/warm) depends on
+//! scheduling.
+//!
+//! The service writes no artifact of its own: the repo benchmark's `cold`
+//! workload drives [`run_service`] and reports its throughput, median job
+//! latency and cache hit ratio.
 
 pub mod cache;
-pub mod report;
-pub mod trace;
 pub mod workload;
 
 use crate::cache::{hash_module, hash_source, CodeCache, ModuleArtifact};
 use hpcnet_cil::{verify_module, Module};
-use hpcnet_core::trace::{Clock, Span, WallClock};
 use hpcnet_minics::STARTUP_INIT;
 use hpcnet_runtime::Value;
-use hpcnet_vm::{ResetStats, Vm, VmError, VmProfile, VmSnapshot};
+use hpcnet_vm::{Vm, VmError, VmProfile, VmSnapshot};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -84,7 +84,7 @@ pub struct JobSpec {
     pub entry: String,
     pub args: (i32, i32),
     pub profile: VmProfile,
-    /// Per-job fuel budget; `None` falls back to the service default.
+    /// Per-job fuel budget; `None` runs unmetered.
     pub fuel: Option<u64>,
 }
 
@@ -93,19 +93,11 @@ pub struct JobSpec {
 pub struct ServeConfig {
     /// Worker threads; clamped to at least 1.
     pub workers: usize,
-    /// Fuel budget applied to jobs that don't set their own.
-    pub default_fuel: Option<u64>,
-    /// Audit heap + statics against the snapshot after every job.
-    pub verify: bool,
-    /// Record a per-job span tree (see [`trace`]). When false the job
-    /// path performs no span allocation and no clock reads beyond the
-    /// existing latency stamp.
-    pub trace: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig { workers: 2, default_fuel: None, verify: true, trace: false }
+        ServeConfig { workers: 2 }
     }
 }
 
@@ -146,33 +138,19 @@ pub struct JobRecord {
     pub latency_ns: u64,
     /// This job performed the module compilation (first of its content).
     pub cold_compile: bool,
-    /// This job built and warmed a fresh VM (first of its content ×
-    /// profile on its worker).
-    pub cold_vm: bool,
     /// A snapshot reset ran after this job (false only for jobs that
     /// never reached a VM, or whose VM was discarded after a panic).
     pub did_reset: bool,
-    pub reset: ResetStats,
     /// Locations diverging from the snapshot after reset (0 = isolated).
     pub leaks: usize,
-    /// Worker lane that executed the job (scheduling-dependent).
-    pub lane: usize,
-    /// The job's span tree when [`ServeConfig::trace`] was set. The
-    /// tree's *structure* (names, args, children) is a pure function of
-    /// the outcome; its times and notes are telemetry.
-    pub spans: Option<Span>,
 }
 
 /// Everything one service run produced.
 pub struct ServiceReport {
-    pub workers: usize,
     /// Per-job records, in submission order regardless of scheduling.
     pub records: Vec<JobRecord>,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Compile front-half (lower+optimize) sharing across all artifacts.
-    pub front_hits: u64,
-    pub front_misses: u64,
     /// Warm VMs built across all workers.
     pub warmed_vms: u64,
     /// Warm VMs discarded (panic, reset failure, or isolation leak).
@@ -180,11 +158,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Total snapshot resets performed.
-    pub fn resets(&self) -> u64 {
-        self.records.iter().filter(|r| r.did_reset).count() as u64
-    }
-
     /// Sum of isolation leaks across jobs (must be 0 for a clean run).
     pub fn total_leaks(&self) -> usize {
         self.records.iter().map(|r| r.leaks).sum()
@@ -240,17 +213,6 @@ struct WarmVm {
 /// slot, so `records` is scheduling-independent even though assignment of
 /// jobs to workers is not.
 pub fn run_service(jobs: &[JobSpec], cfg: &ServeConfig) -> ServiceReport {
-    run_service_with_clock(jobs, cfg, &WallClock::new())
-}
-
-/// [`run_service`] with an explicit span-timing clock. Tests drive this
-/// with a virtual or counting clock; the clock is only read when
-/// [`ServeConfig::trace`] is set.
-pub fn run_service_with_clock(
-    jobs: &[JobSpec],
-    cfg: &ServeConfig,
-    clock: &dyn Clock,
-) -> ServiceReport {
     let workers = cfg.workers.max(1).min(jobs.len().max(1));
     let cache = CodeCache::new();
     let warmed = AtomicU64::new(0);
@@ -260,7 +222,7 @@ pub fn run_service_with_clock(
         (0..jobs.len()).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|s| {
-        for lane in 0..workers {
+        for _ in 0..workers {
             let (cache, warmed, discarded, next, slots) =
                 (&cache, &warmed, &discarded, &next, &slots);
             s.spawn(move || {
@@ -270,9 +232,7 @@ pub fn run_service_with_clock(
                     if i >= jobs.len() {
                         break;
                     }
-                    let rec = execute_job(
-                        cache, &mut pool, &jobs[i], cfg, warmed, discarded, lane, clock,
-                    );
+                    let rec = execute_job(cache, &mut pool, &jobs[i], warmed, discarded);
                     *slots[i].lock().unwrap() = Some(rec);
                 }
             });
@@ -284,64 +244,27 @@ pub fn run_service_with_clock(
         .map(|s| s.into_inner().unwrap().expect("every slot filled"))
         .collect();
     let (cache_hits, cache_misses) = cache.stats();
-    let (front_hits, front_misses) = cache.front_stats();
     ServiceReport {
-        workers,
         records,
         cache_hits,
         cache_misses,
-        front_hits,
-        front_misses,
         warmed_vms: warmed.load(Ordering::Relaxed),
         discarded_vms: discarded.load(Ordering::Relaxed),
     }
 }
 
-/// Run `f` as a child span of `root` when tracing is on; otherwise run
-/// it bare. Keeps the job path free of span allocation and clock reads
-/// when [`ServeConfig::trace`] is off.
-fn spanned<T>(
-    root: &mut Option<Span>,
-    clock: &dyn Clock,
-    name: &str,
-    f: impl FnOnce(Option<&mut Span>) -> T,
-) -> T {
-    match root {
-        Some(r) => r.child(clock, name, |s| f(Some(s))),
-        None => f(None),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn execute_job(
     cache: &CodeCache,
     pool: &mut HashMap<(u64, String), WarmVm>,
     job: &JobSpec,
-    cfg: &ServeConfig,
     warmed: &AtomicU64,
     discarded: &AtomicU64,
-    lane: usize,
-    clock: &dyn Clock,
 ) -> JobRecord {
     let t0 = Instant::now();
-    let kind = job.payload.kind();
-    // Root span args are facts of the *submission* — deterministic by
-    // construction. Scheduling facts (lane, cold-vs-hit) go in notes.
-    let mut root = if cfg.trace {
-        let mut s = Span::begin(clock, "job");
-        s.arg("id", job.id.to_string());
-        s.arg("program", job.program.clone());
-        s.arg("kind", kind);
-        s.arg("profile", job.profile.name);
-        s.note("lane", lane.to_string());
-        Some(s)
-    } else {
-        None
-    };
     let base = |status: &'static str, result: String, console: Vec<String>| JobOutcome {
         id: job.id,
         program: job.program.clone(),
-        kind,
+        kind: job.payload.kind(),
         profile: job.profile.name.to_string(),
         status,
         result,
@@ -350,39 +273,20 @@ fn execute_job(
         throws: 0,
         fuel_used: None,
     };
-    let fail = |outcome: JobOutcome, cold_compile: bool, mut root: Option<Span>| {
-        if let Some(r) = root.as_mut() {
-            r.arg("status", outcome.status);
-            r.arg("result", outcome.result.clone());
-            r.finish(clock);
-        }
-        JobRecord {
-            outcome,
-            latency_ns: t0.elapsed().as_nanos() as u64,
-            cold_compile,
-            cold_vm: false,
-            did_reset: false,
-            reset: ResetStats::default(),
-            leaks: 0,
-            lane,
-            spans: root,
-        }
+    let fail = |outcome: JobOutcome, cold_compile: bool| JobRecord {
+        outcome,
+        latency_ns: t0.elapsed().as_nanos() as u64,
+        cold_compile,
+        did_reset: false,
+        leaks: 0,
     };
 
     // 1. Cache lookup: compile once per content, under that key's lock.
     let key = job.payload.content_key();
-    let (compiled, cold_compile) = spanned(&mut root, clock, "cache-lookup", |sp| {
-        let (compiled, cold) = cache.get_or_compile(key, || build_artifact(&job.payload));
-        if let Some(s) = sp {
-            // Which job wins the compile race depends on scheduling, so
-            // cold-vs-hit is a note, never an arg.
-            s.note("cold_compile", if cold { "true" } else { "false" });
-        }
-        (compiled, cold)
-    });
+    let (compiled, cold_compile) = cache.get_or_compile(key, || build_artifact(&job.payload));
     let artifact = match compiled {
         Ok(a) => a,
-        Err(e) => return fail(base("compile-error", e, Vec::new()), cold_compile, root),
+        Err(e) => return fail(base("compile-error", e, Vec::new()), cold_compile),
     };
 
     // 2. Warm-VM lookup. The pool key pairs the content hash with the full
@@ -390,66 +294,51 @@ fn execute_job(
     //    two jobs sharing a module but differing in any execution knob must
     //    not share a VM.
     let pool_key = (key, format!("{:?}", job.profile));
-    let mut cold_vm = false;
-    let acquired: Result<(), (String, Vec<String>)> =
-        spanned(&mut root, clock, "acquire-vm", |sp| {
-            if !pool.contains_key(&pool_key) {
-                let vm = Vm::new_shared(artifact.module.clone(), job.profile);
-                vm.set_opt_share(artifact.share.clone());
-                if vm.module.find_method(STARTUP_INIT).is_some() {
-                    if let Err(e) = vm.invoke_by_name(STARTUP_INIT, vec![]) {
-                        // Static init is per-module state, so its failure is
-                        // the same for every tenant of this content; don't
-                        // pool a VM whose baseline never materialized.
-                        let msg = match e {
-                            VmError::Exception(obj) => {
-                                format!("init-trap:{}", class_name(&vm, &obj))
-                            }
-                            VmError::Limit(m) => format!("init-limit:{m}"),
-                            VmError::Internal(m) => format!("init-internal:{m}"),
-                        };
-                        return Err((msg, vm.take_console()));
-                    }
-                }
-                // Isolation hinges on this drain: the snapshot must capture
-                // an empty console, or init-time lines would replay into
-                // every tenant's harvest.
-                let _ = vm.take_console();
-                let snap = vm.snapshot();
-                warmed.fetch_add(1, Ordering::Relaxed);
-                pool.insert(pool_key.clone(), WarmVm { vm, snap });
-                cold_vm = true;
+    if !pool.contains_key(&pool_key) {
+        let vm = Vm::new_shared(artifact.module.clone(), job.profile);
+        vm.set_opt_share(artifact.share.clone());
+        if vm.module.find_method(STARTUP_INIT).is_some() {
+            if let Err(e) = vm.invoke_by_name(STARTUP_INIT, vec![]) {
+                // Static init is per-module state, so its failure is the
+                // same for every tenant of this content; don't pool a VM
+                // whose baseline never materialized.
+                let msg = match e {
+                    VmError::Exception(obj) => format!("init-trap:{}", class_name(&vm, &obj)),
+                    VmError::Limit(m) => format!("init-limit:{m}"),
+                    VmError::Internal(m) => format!("init-internal:{m}"),
+                };
+                return fail(base("internal", msg, vm.take_console()), cold_compile);
             }
-            if let Some(s) = sp {
-                s.note("cold_vm", if cold_vm { "true" } else { "false" });
-            }
-            Ok(())
-        });
-    if let Err((msg, console)) = acquired {
-        return fail(base("internal", msg, console), cold_compile, root);
+        }
+        // Isolation hinges on this drain: the snapshot must capture an
+        // empty console, or init-time lines would replay into every
+        // tenant's harvest.
+        let _ = vm.take_console();
+        let snap = vm.snapshot();
+        warmed.fetch_add(1, Ordering::Relaxed);
+        pool.insert(pool_key.clone(), WarmVm { vm, snap });
     }
     let warm = pool.get(&pool_key).expect("just ensured");
 
     // 3. Arm the fuel budget and run. The unwind guard keeps a panicking
     //    intrinsic (e.g. a managed thread body dying inside ThreadStart)
     //    from taking the whole worker down with it.
-    let budget = job.fuel.or(cfg.default_fuel);
-    warm.vm.set_fuel(budget);
+    warm.vm.set_fuel(job.fuel);
     let before = warm.vm.counters.snapshot();
     let vm = warm.vm.clone();
     let entry = job.entry.clone();
     let (a, b) = job.args;
-    let run = spanned(&mut root, clock, "execute", |_| {
-        catch_unwind(AssertUnwindSafe(move || {
-            let r = vm.invoke_by_name(&entry, vec![Value::I4(a), Value::I4(b)]);
-            // Managed threads share the VM's fuel meter, so a runaway
-            // spawned thread exhausts the same budget; join before
-            // harvesting so the console is quiescent.
-            vm.join_all_threads();
-            r
-        }))
-    });
-    let fuel_used = budget.map(|b| b.saturating_sub(warm.vm.fuel_remaining().unwrap_or(0)));
+    let run = catch_unwind(AssertUnwindSafe(move || {
+        let r = vm.invoke_by_name(&entry, vec![Value::I4(a), Value::I4(b)]);
+        // Managed threads share the VM's fuel meter, so a runaway spawned
+        // thread exhausts the same budget; join before harvesting so the
+        // console is quiescent.
+        vm.join_all_threads();
+        r
+    }));
+    let fuel_used = job
+        .fuel
+        .map(|b| b.saturating_sub(warm.vm.fuel_remaining().unwrap_or(0)));
     warm.vm.set_fuel(None);
 
     // 4. Harvest — on every path, *before* the reset, so trap output stays
@@ -476,30 +365,16 @@ fn execute_job(
 
     // 5. Reset to the warm baseline and audit isolation. A VM that
     //    panicked, failed its reset, or leaked is discarded — the next
-    //    job of its pool key warms a fresh one. Span structure here only
-    //    branches on deterministic facts (`poisoned` follows from the
-    //    job's status; reset/verify outcomes are a function of the job's
-    //    own mutations because every pooled VM starts at its baseline).
-    let mut reset = ResetStats::default();
+    //    job of its pool key warms a fresh one.
     let mut leaks = 0usize;
     let mut did_reset = false;
     let mut drop_vm = poisoned;
     if !poisoned {
-        let reset_ok = spanned(&mut root, clock, "reset", |_| warm.vm.reset_to(&warm.snap));
-        match reset_ok {
-            Ok(r) => {
-                reset = r;
+        match warm.vm.reset_to(&warm.snap) {
+            Ok(_) => {
                 did_reset = true;
-                if cfg.verify {
-                    leaks = spanned(&mut root, clock, "verify", |sp| {
-                        let leaks = warm.vm.verify_snapshot(&warm.snap);
-                        if let Some(s) = sp {
-                            s.arg("leaks", leaks.to_string());
-                        }
-                        leaks
-                    });
-                    drop_vm = leaks > 0;
-                }
+                leaks = warm.vm.verify_snapshot(&warm.snap);
+                drop_vm = leaks > 0;
             }
             Err(_) => drop_vm = true,
         }
@@ -509,12 +384,6 @@ fn execute_job(
         discarded.fetch_add(1, Ordering::Relaxed);
     }
 
-    let spans = root.map(|mut r| {
-        r.arg("status", status);
-        r.arg("result", result.clone());
-        r.finish(clock);
-        r
-    });
     JobRecord {
         outcome: JobOutcome {
             calls: delta.calls,
@@ -524,12 +393,8 @@ fn execute_job(
         },
         latency_ns: t0.elapsed().as_nanos() as u64,
         cold_compile,
-        cold_vm,
         did_reset,
-        reset,
         leaks,
-        lane,
-        spans,
     }
 }
 

@@ -6,7 +6,7 @@ use hpcnet_serve::{run_service, JobOutcome, JobPayload, JobSpec, ServeConfig};
 use hpcnet_vm::VmProfile;
 
 fn cfg(workers: usize) -> ServeConfig {
-    ServeConfig { workers, default_fuel: None, verify: true, trace: false }
+    ServeConfig { workers }
 }
 
 /// The per-job outcomes are a pure function of the workload: 1, 2 and 8
@@ -176,8 +176,18 @@ fn tenants_are_isolated_on_statics_and_console() {
 fn mixed_workload_surfaces_fuel_limits_and_traps() {
     let jobs = mixed_workload(24, 3, 4096);
     let report = run_service(&jobs, &cfg(2));
-    let results: Vec<&str> = report.records.iter().map(|r| r.outcome.result.as_str()).collect();
-    assert!(results.contains(&"limit:fuel budget exhausted"), "{results:?}");
-    assert!(results.iter().any(|r| r.starts_with("trap:")), "{results:?}");
+    let results: Vec<&str> = report
+        .records
+        .iter()
+        .map(|r| r.outcome.result.as_str())
+        .collect();
+    assert!(
+        results.contains(&"limit:fuel budget exhausted"),
+        "{results:?}"
+    );
+    assert!(
+        results.iter().any(|r| r.starts_with("trap:")),
+        "{results:?}"
+    );
     assert_eq!(report.total_leaks(), 0);
 }
