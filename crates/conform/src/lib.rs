@@ -104,10 +104,10 @@ pub struct ConformReport {
     /// Snapshot-reset reuse and compile-sharing totals across the sweep.
     pub resets: ResetAgg,
     /// Sweep facts (run counts, coverage kinds, reset reuse, compile
-    /// sharing) as one canonical metrics snapshot — the same type serve
-    /// and the tracer print. Every entry is a pure function of the seed
-    /// range alone: [`ConformReport::render`] includes it, and CI
-    /// byte-compares that rendering across worker counts AND wave sizes.
+    /// sharing) as one canonical metrics snapshot. Every entry is a
+    /// pure function of the seed range alone: [`ConformReport::render`]
+    /// includes it, and CI byte-compares that rendering across worker
+    /// counts AND wave sizes.
     pub metrics: MetricsSnapshot,
     /// Fleet schedule metrics (wave count, wave sizes, scheduled-seed
     /// novelty). Worker-count-independent but deliberately wave-shaped,

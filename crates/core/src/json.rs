@@ -3,9 +3,9 @@
 //! The workspace builds fully offline with no external crates, so the
 //! schema'd `PROFILE_*.json` artifact and the repo benchmark's outputs are
 //! produced and re-validated with this tiny self-contained implementation
-//! instead of serde. Numbers are `f64`
-//! (ample for rates, times and counter values); non-finite numbers are
-//! not representable in JSON and serialize as `null`.
+//! instead of serde. Numbers are `f64` (ample for rates, times and counter
+//! values); non-finite numbers are not representable in JSON and serialize
+//! as `null`.
 //!
 //! Rendering is canonical enough to round-trip: `render → parse → render`
 //! reproduces the exact same string (object key order is preserved, and

@@ -155,23 +155,6 @@ impl CodeCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
-
-    /// Aggregate compile front-half `(hits, misses)` across every cached
-    /// artifact's [`OptShare`] — how much lower+optimize work the VMs
-    /// riding each module actually shared.
-    pub fn front_stats(&self) -> (u64, u64) {
-        let map = lock(&self.slots);
-        let mut hits = 0;
-        let mut misses = 0;
-        for slot in map.values() {
-            if let Some(Ok(a)) = slot.ready.get() {
-                let (h, m) = a.share.stats();
-                hits += h;
-                misses += m;
-            }
-        }
-        (hits, misses)
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +220,6 @@ mod tests {
         let (r, cold) = cache.get_or_compile(5, artifact);
         assert!(r.is_ok() && cold);
         assert_eq!(cache.stats(), (0, 1));
-        assert_eq!(cache.front_stats(), (0, 0));
     }
 
     #[test]

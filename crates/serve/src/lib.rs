@@ -25,8 +25,8 @@
 //! counters → reset → verify`. The per-job [`JobOutcome`] (status,
 //! normalized result, console, counter deltas, fuel spent) is a pure
 //! function of the job, so outcomes are identical across worker counts;
-//! only the rest of a [`JobRecord`] (latency, cold/warm) depends on
-//! scheduling.
+//! of a [`JobRecord`], only the latency and the cold-compile flag depend
+//! on scheduling.
 //!
 //! The service writes no artifact of its own: the repo benchmark's `cold`
 //! workload drives [`run_service`] and reports its throughput, median job
@@ -75,7 +75,7 @@ impl JobPayload {
 /// One tenant job.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// Tenant-visible job id; echoed in the report.
+    /// Tenant-visible job id; echoed in its [`JobOutcome`].
     pub id: u64,
     /// Human label for the program (not part of any cache key).
     pub program: String,
