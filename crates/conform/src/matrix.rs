@@ -231,7 +231,7 @@ pub fn compile_verified(src: &str) -> Result<Module, String> {
 /// Scan the instruction stream of the generated classes (`Gen` and the
 /// synthesized `$Startup`) and count opcode kinds. Prelude bodies are
 /// excluded: they are not generator-emitted code.
-pub(crate) fn scan_emitted(module: &Module, cov: &mut Coverage) {
+fn scan_emitted(module: &Module, cov: &mut Coverage) {
     for (ci, class) in module.classes.iter().enumerate() {
         if class.name != "Gen" && class.name != "$Startup" {
             continue;
@@ -347,9 +347,15 @@ pub fn program_diverges(p: &Program) -> bool {
 /// Run one seed end to end. `Err` means the generator produced a program
 /// the front end rejected — a bug in `gen`, surfaced loudly.
 pub fn run_seed(seed: u64) -> Result<(Program, ProgramResult), String> {
+    run_seed_at(seed, ObserveLevel::Off)
+}
+
+/// [`run_seed`] with every engine's attribution profiler raised to
+/// `observe` (see [`run_matrix_at`]).
+pub fn run_seed_at(seed: u64, observe: ObserveLevel) -> Result<(Program, ProgramResult), String> {
     let p = generate(seed);
     let module = compile_verified(&render(&p)).map_err(|e| format!("seed {seed}: {e}"))?;
-    let res = run_matrix(&Arc::new(module), &p.inputs);
+    let res = run_matrix_at(&Arc::new(module), &p.inputs, observe);
     Ok((p, res))
 }
 

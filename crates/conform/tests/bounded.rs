@@ -28,7 +28,6 @@ fn bounded_sweep_no_divergence_and_full_opcode_coverage() {
         corpus_dir: Some(conform::default_corpus_dir()),
         observe: hpcnet_vm::ObserveLevel::Off,
         workers: 0,
-        wave: 0,
     });
 
     assert!(

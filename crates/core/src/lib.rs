@@ -23,9 +23,6 @@
 use std::sync::Arc;
 
 pub mod json;
-pub mod metrics;
-
-pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 
 pub use hpcnet_cil::{disasm, MethodId, Module};
 pub use hpcnet_grande::{

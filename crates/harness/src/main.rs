@@ -231,7 +231,6 @@ fn run_conform(args: &[String]) {
             "--workers" => {
                 cfg.workers = flag_value(&mut it, "--workers", "a number (0 = all cores)", &u);
             }
-            "--wave" => cfg.wave = flag_value(&mut it, "--wave", "a number (0 = default)", &u),
             "--observe" => {
                 let level = match it.next() {
                     Some(l) => l,
@@ -246,7 +245,6 @@ fn run_conform(args: &[String]) {
     }
     let report = conform::run_conformance(&cfg);
     println!("{}", report.render());
-    println!("{}", report.render_schedule());
     if !report.ok() {
         std::process::exit(1);
     }
@@ -262,7 +260,7 @@ fn graph_usage() -> String {
 
 fn conform_usage() -> String {
     "conform flags: [--programs N] [--seed S] [--no-corpus] [--observe off|counters|trace]\n\
-                    [--workers N (0 = all cores)] [--wave N]"
+                    [--workers N (0 = all cores)]"
         .to_string()
 }
 

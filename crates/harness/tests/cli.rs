@@ -58,6 +58,8 @@ fn malformed_flag_values_fail_with_usage_not_panic() {
         &["conform", "--programs", "many"],
         &["conform", "--observe", "loudly"],
         &["conform", "--workers"],
+        // A retired flag is an unknown flag like any other.
+        &["conform", "--wave", "64"],
     ];
     for args in cases {
         let out = report().args(*args).output().expect("run hpcnet-report");
