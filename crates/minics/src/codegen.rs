@@ -236,6 +236,12 @@ pub fn emit(prog: &Program) -> Result<Module> {
         let cid = st.classes[&c.name];
         let mut has_ctor = false;
         for m in &c.methods {
+            // MiniC# has no overloading: one name, one method. Checked
+            // before the builder sees the name, which asserts uniqueness.
+            let key = (c.name.clone(), m.name.clone());
+            if st.methods.contains_key(&key) {
+                return err(m.pos, format!("duplicate method {}.{}", c.name, m.name));
+            }
             let kind = match m.kind {
                 MKind::Static => MethodKind::Static,
                 MKind::Instance => MethodKind::Instance,
@@ -269,8 +275,8 @@ pub fn emit(prog: &Program) -> Result<Module> {
                 }
             }
             let id = mb.method(cid, &m.name, params, ret, kind).finish();
-            let prev = st.methods.insert(
-                (c.name.clone(), m.name.clone()),
+            st.methods.insert(
+                key,
                 MethodInfo {
                     id,
                     params: m.params.iter().map(|(t, _)| t.clone()).collect(),
@@ -279,9 +285,6 @@ pub fn emit(prog: &Program) -> Result<Module> {
                     is_virtual: matches!(m.kind, MKind::Virtual | MKind::Override),
                 },
             );
-            if prev.is_some() {
-                return err(m.pos, format!("duplicate method {}.{}", c.name, m.name));
-            }
         }
         if !has_ctor {
             // Synthesize the default constructor.

@@ -451,6 +451,11 @@ fn compile_errors_are_helpful() {
             "class P { static void F() { double[,] m = new double[2,2]; int x = m[1]; } }",
             "bad index",
         ),
+        (
+            "class T { static int F(int a) { return a; }\n static int F(double a) { return 0; } }",
+            "duplicate method t.f",
+        ),
+        ("class T { T() { }\n T() { } }", "duplicate method t..ctor"),
     ];
     for (src, needle) in cases {
         match compile(src) {
@@ -464,6 +469,17 @@ fn compile_errors_are_helpful() {
                 panic!("{src}: expected failure containing {needle:?}")
             }
         }
+    }
+}
+
+#[test]
+fn duplicate_methods_are_reported_at_the_second_declaration() {
+    for src in [
+        "class T { static int F(int a) { return a; }\n static int F(double a) { return 0; } }",
+        "class T { T() { }\n T() { } }",
+    ] {
+        let e = compile(src).expect_err(src);
+        assert_eq!((e.pos.line, e.pos.col), (2, 2), "{src}: {e}");
     }
 }
 
