@@ -1,4 +1,4 @@
-//! Exact work counts of the two register tiers, pinned as literals.
+//! Exact work counts of the register-tier profiles, pinned as literals.
 //!
 //! A change to how the executors dispatch an op or make a call may change
 //! how long the work takes, never how much of it there is: managed calls
@@ -6,13 +6,14 @@
 //! and the ops each method executes (`ObserveReport`) are a pure function
 //! of the program and the profile. The rows are the call-, virtual-,
 //! exception-, lock-, allocation- and math-heavy entries of the Grande
-//! registry, plus a loop whose fuel is almost all taken branches. Two runs
+//! registry, plus a loop whose fuel is almost all taken branches, on the
+//! CLR 1.1 knobs under both register allocators and on Mono 0.23's. Two runs
 //! stopped by a limit, the depth guard and fuel running out mid-recursion,
 //! pin the calls counted up to the limit.
 //!
 //! An observing VM is the only one that can count ops, and it is not the
-//! code that runs unobserved (the compiled tier fuses instruction pairs
-//! only where nobody is watching), so every row also runs on a VM with
+//! code that runs unobserved (closure code fuses instruction pairs only
+//! where nobody is watching), so every row also runs on a VM with
 //! observation off and must spend the same calls and fuel there.
 
 use hpcnet::{find_entry, run_entry, vm_for, ObserveLevel, VmError, VmProfile};
@@ -48,8 +49,9 @@ fn counts(id: &str, n: i32, profile: VmProfile) -> String {
     out
 }
 
-/// `(id, n, calls/fuel/ops literal)`. Both tiers run the same optimized
-/// RIR, so one literal serves both.
+/// `(id, n, calls/fuel/ops literal)` under the CLR 1.1 knobs. Both of
+/// its register allocations run the same optimized RIR, so one literal
+/// serves both.
 const ROWS: [(&str, i32, &str); 9] = [
     (
         "app.fibonacci",
@@ -96,15 +98,73 @@ const ROWS: [(&str, i32, &str); 9] = [
     ),
 ];
 
+/// [`ROWS`] under Mono 0.23's knobs: no inlining, no loop optimizer, one
+/// register of each kind, so the same entries run more ops and calls.
+const MONO_ROWS: [(&str, i32, &str); 9] = [
+    (
+        "app.fibonacci",
+        15,
+        "calls=1974 fuel=2960 | Fib.Calc:1973/17753 Fib.Run:1/4",
+    ),
+    (
+        "method.virtual",
+        1000,
+        "calls=2002 fuel=3003 | MethodBench.VirtualCall:1/16017 \
+         MethodSub.VirtualAdd:2000/8000 MethodSub..ctor:1/1",
+    ),
+    (
+        "exception.method",
+        200,
+        "calls=602 fuel=803 | Exception..ctor:1/1 ExceptionBench.Level3:200/400 \
+         ExceptionBench.Level2:200/200 ExceptionBench.Level1:200/200 \
+         ExceptionBench.Method:1/3015",
+    ),
+    (
+        "lock.uncontended",
+        500,
+        "calls=2 fuel=503 | LWorker..ctor:1/4 LockBench.Uncontended:1/10017",
+    ),
+    ("app.sieve", 5000, "calls=1 fuel=26067 | Sieve.Run:1/260165"),
+    (
+        "app.hanoi",
+        8,
+        "calls=512 fuel=767 | Hanoi.Move:511/5104 Hanoi.Run:1/7",
+    ),
+    (
+        "create.objects",
+        100,
+        "calls=201 fuel=302 | Small..ctor:200/200 Create.Objects:1/1216",
+    ),
+    (
+        "math.sin",
+        200,
+        "calls=1 fuel=202 | MathBench.SinDouble:1/3414",
+    ),
+    (
+        "math.pow",
+        200,
+        "calls=1 fuel=402 | MathBench.PowDouble:1/4214",
+    ),
+];
+
 fn register_profiles() -> [VmProfile; 2] {
     [VmProfile::clr11(), VmProfile::clr11_compiled()]
+}
+
+/// Every register-tier profile with its pinned rows.
+fn pinned() -> [(VmProfile, [(&'static str, i32, &'static str); 9]); 3] {
+    [
+        (VmProfile::clr11(), ROWS),
+        (VmProfile::clr11_compiled(), ROWS),
+        (VmProfile::mono023(), MONO_ROWS),
+    ]
 }
 
 #[test]
 fn register_tier_work_counts_are_pinned() {
     let mut wrong = Vec::new();
-    for (id, n, want) in ROWS {
-        for profile in register_profiles() {
+    for (profile, rows) in pinned() {
+        for (id, n, want) in rows {
             let got = counts(id, n, profile.with_observe(ObserveLevel::Counters));
             if got != want {
                 wrong.push(format!(
@@ -120,9 +180,9 @@ fn register_tier_work_counts_are_pinned() {
 #[test]
 fn unobserved_runs_spend_the_pinned_calls_and_fuel() {
     let mut wrong = Vec::new();
-    for (id, n, want) in ROWS {
-        let want = &want[..=want.find('|').expect("calls=… fuel=… |")];
-        for profile in register_profiles() {
+    for (profile, rows) in pinned() {
+        for (id, n, want) in rows {
+            let want = &want[..=want.find('|').expect("calls=… fuel=… |")];
             let got = counts(id, n, profile.with_observe(ObserveLevel::Off));
             if got != want {
                 wrong.push(format!(
@@ -172,29 +232,33 @@ fn a_run_stopped_by_a_limit_counts_the_calls_it_made() {
     assert!(wrong.is_empty(), "calls before a limit moved:\n{}", wrong.join("\n"));
 }
 
-/// The pinned fuel is exactly what the compiled tier needs unobserved: one
-/// unit less runs out, the pinned amount does not.
+/// The pinned fuel is exactly what each register profile needs unobserved,
+/// where closure code may fuse instruction pairs: one unit less runs out,
+/// the pinned amount does not.
 #[test]
 fn unobserved_compiled_runs_out_of_fuel_at_the_pinned_boundary() {
-    let profile = VmProfile::clr11_compiled().with_observe(ObserveLevel::Off);
-    for (id, n, want) in ROWS {
-        let spent: u64 = want
-            .split_once("fuel=")
-            .and_then(|(_, rest)| rest.split_once(' '))
-            .and_then(|(fuel, _)| fuel.parse().ok())
-            .expect("fuel literal");
-        let (group, entry) = find_entry(id).expect(id);
-        for (budget, enough) in [(spent - 1, false), (spent, true)] {
-            let vm = vm_for(&group, profile);
-            vm.set_fuel(Some(budget));
-            match run_entry(&vm, &entry, n) {
-                Ok(r) if enough => {
-                    (entry.validate)(n, r).unwrap_or_else(|e| panic!("{id}: {e}"))
+    for (profile, rows) in pinned() {
+        let profile = profile.with_observe(ObserveLevel::Off);
+        for (id, n, want) in rows {
+            let spent: u64 = want
+                .split_once("fuel=")
+                .and_then(|(_, rest)| rest.split_once(' '))
+                .and_then(|(fuel, _)| fuel.parse().ok())
+                .expect("fuel literal");
+            let (group, entry) = find_entry(id).expect(id);
+            let on = profile.name;
+            for (budget, enough) in [(spent - 1, false), (spent, true)] {
+                let vm = vm_for(&group, profile);
+                vm.set_fuel(Some(budget));
+                match run_entry(&vm, &entry, n) {
+                    Ok(r) if enough => {
+                        (entry.validate)(n, r).unwrap_or_else(|e| panic!("{id} on {on}: {e}"))
+                    }
+                    Err(VmError::Limit(m)) if !enough => {
+                        assert_eq!(m, "fuel budget exhausted", "{id} on {on} with {budget} fuel")
+                    }
+                    other => panic!("{id} on {on} with {budget} of {spent} fuel: {other:?}"),
                 }
-                Err(VmError::Limit(m)) if !enough => {
-                    assert_eq!(m, "fuel budget exhausted", "{id} with {budget} fuel")
-                }
-                other => panic!("{id} with {budget} of {spent} fuel: {other:?}"),
             }
         }
     }
