@@ -70,9 +70,9 @@ pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
                         label: format!("{} [abce={} licm={}]", base.name, abce as u8, licm as u8),
                         profile: p,
                     });
-                    // The same knobs again on the direct-threaded tier:
-                    // closure dispatch and linear-scan allocation must be
-                    // observationally identical to the exec tier.
+                    // The same knobs again under the linear-scan allocator:
+                    // both tiers run closure code, so this twin
+                    // cross-checks the two allocations of the same RIR.
                     let threaded = p.with_tier(Tier::Compiled);
                     out.push(Engine {
                         label: format!(
@@ -367,7 +367,7 @@ mod tests {
     fn matrix_has_oracle_plus_expanded_lineup() {
         let m = engine_matrix();
         // oracle + Rotor + 6 register profiles × 4 pass combos × 2 tiers
-        // (exec and direct-threaded)
+        // (use-count and linear-scan allocation)
         assert_eq!(m.len(), 1 + 1 + 6 * 4 * 2);
         assert_eq!(m[0].label, "oracle");
         assert_eq!(m[0].profile.tier, Tier::Interpreter);

@@ -5,8 +5,9 @@
 //! cannot see a change that keeps answers but alters the generated code
 //! (a check no longer elided, a hoist lost, a different spill split).
 //! This test pins the code itself: FNV-1a over [`print_rir`] of every
-//! method on both register tiers ([`Vm::compiled`] and
-//! [`Vm::threaded`]`.rir`) plus the per-VM pass counters, for
+//! method under both register allocators ([`Vm::compiled`] on a
+//! [`Tier::Rir`] and on a [`Tier::Compiled`] VM) plus the pass counters,
+//! for
 //!
 //! * every Grande group × every stock profile constructor, and
 //! * conform seeds `0..300` × {`clr11`, `clr11_compiled`, `jvm_ibm131`},
@@ -21,7 +22,7 @@
 use conform::gen::{generate, render};
 use conform::matrix::compile_verified;
 use hpcnet_cil::{MethodId, Module};
-use hpcnet_vm::{print_rir, RirMethod, Vm, VmProfile};
+use hpcnet_vm::{print_rir, RirMethod, Tier, Vm, VmProfile};
 use std::sync::Arc;
 
 /// The fingerprint of the optimizer's output, pinned on the commit before
@@ -62,11 +63,14 @@ fn stock_profiles() -> [VmProfile; 8] {
     ]
 }
 
-/// JIT every method with a body on both register tiers of a fresh audited
-/// VM (no `OptShare`: the two tiers run the front half independently, so
-/// a nondeterministic pass would also show) and hash listings + counters.
+/// JIT every method with a body on a fresh audited VM of each register
+/// tier — the use-count allocation ([`Tier::Rir`]) and the linear scan
+/// ([`Tier::Compiled`]) — and hash listings + both VMs' counters. (No
+/// `OptShare`: the two VMs run the front half independently, so a
+/// nondeterministic pass would also show.)
 fn fingerprint(module: &Arc<Module>, profile: VmProfile) -> u64 {
-    let vm = Vm::new_shared(module.clone(), profile.with_audit(true));
+    let vm = |tier| Vm::new_shared(module.clone(), profile.with_audit(true).with_tier(tier));
+    let (use_count, linear) = (vm(Tier::Rir), vm(Tier::Compiled));
     let mut h = Fnv::new();
     let mut spills = 0u64;
     let mut method = |h: &mut Fnv, rir: &RirMethod| {
@@ -79,22 +83,20 @@ fn fingerprint(module: &Arc<Module>, profile: VmProfile) -> u64 {
         }
         let name = &module.method(m).name;
         h.bytes(name.as_bytes());
-        let exec = vm
-            .compiled(m)
-            .unwrap_or_else(|e| panic!("{} / {name}: exec-tier JIT: {e}", profile.name));
-        method(&mut h, &exec);
-        let threaded = vm
-            .threaded(m)
-            .unwrap_or_else(|e| panic!("{} / {name}: threaded-tier JIT: {e}", profile.name));
-        method(&mut h, &threaded.rir);
+        for (vm, allocator) in [(&use_count, "use-count"), (&linear, "linear-scan")] {
+            let rir = vm
+                .compiled(m)
+                .unwrap_or_else(|e| panic!("{} / {name}: {allocator} JIT: {e}", profile.name));
+            method(&mut h, &rir);
+        }
     }
-    let c = vm.counters.snapshot();
+    let (a, b) = (use_count.counters.snapshot(), linear.counters.snapshot());
     for n in [
-        c.bce_elided_idiom,
-        c.bce_elided_range,
-        c.bce_elided_versioned,
-        c.loops_versioned,
-        c.licm_hoisted,
+        a.bce_elided_idiom + b.bce_elided_idiom,
+        a.bce_elided_range + b.bce_elided_range,
+        a.bce_elided_versioned + b.bce_elided_versioned,
+        a.loops_versioned + b.loops_versioned,
+        a.licm_hoisted + b.licm_hoisted,
         spills,
     ] {
         h.num(n);

@@ -1,13 +1,12 @@
-//! What the two register tiers share around an instruction: the frame,
-//! the dispatch contract, the run loop with its `leave`/`finally`/exception
-//! protocol, and the managed call edge. (What they share *inside* one —
-//! its body — is the `ops` module.)
+//! What a register-tier VM runs around an instruction: the frame, the
+//! dispatch loop with its `leave`/`finally`/exception protocol, and the
+//! managed call edge. (What runs *inside* one — its body — is the `ops`
+//! module, called from the closures of a
+//! [`crate::compiled::CompiledMethod`].)
 //!
-//! [`crate::exec`] (decode each [`crate::rir::RInst`] on every execution)
-//! and [`crate::compiled`] (call a pre-resolved closure) differ in how one
-//! instruction is dispatched and in nothing else, so each is a `RegTier`:
-//! where its code lives and how one op is stepped. Everything around the
-//! step is written once, here.
+//! Both register tiers run this one loop over closure code; they differ
+//! only in the allocator [`crate::rir::compile`] ran before building the
+//! closures, so nothing here depends on the tier.
 //!
 //! **Dispatch contract.** A step returns a `Step` — one register:
 //! *fall through*, a *taken-branch target*, *returned*, or *exit*. The
@@ -18,18 +17,18 @@
 //! `leave` target, `endfinally`, an error — is parked in the `Frame` by
 //! the op and read by the loop only when it sees *returned* or *exit*.
 //!
-//! **Slots.** `pc` indexes a tier's op array, not necessarily the RIR:
-//! the compiled tier fuses adjacent instruction pairs into one closure on
+//! **Slots.** `pc` indexes the op array, not necessarily the RIR: the
+//! closure builder fuses adjacent instruction pairs into one closure on
 //! VMs that are not observing, in methods without exception regions, and
 //! remaps every branch target to a slot when it builds them, so `pc += 1`
 //! still names the next op and this loop does not know about fusion.
-//! Where `rir(code).code[pc]` is read — the observer's per-op attribution,
+//! Where `code.rir.code[pc]` is read — the observer's per-op attribution,
 //! exception dispatch, `leave` — ops and instructions pair one to one.
 //!
-//! **Call edge.** `invoke` is the one place a managed call happens on
-//! either tier: receiver check, the guard sequence of `Vm::guarded`,
-//! code lookup, a recycled callee frame, arguments copied slot to slot,
-//! the run, the result stored into the caller. A warm call allocates
+//! **Call edge.** `invoke` is the one place a managed call between
+//! register-tier methods happens: receiver check, the guard sequence of
+//! `Vm::guarded`, code lookup, a recycled callee frame, arguments copied
+//! slot to slot, the run, the result stored into the caller. A warm call allocates
 //! nothing and takes no locked instruction (passing a reference argument
 //! still moves its refcount). A call depth reached for the first time
 //! gets its frame from the cold `new_frame`, so the frame is never built
@@ -52,6 +51,7 @@
 //! locked instruction, and both counts are exact once the host's call
 //! returns.
 
+use crate::compiled::CompiledMethod;
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::observe::EhDispatchKind;
@@ -362,30 +362,10 @@ fn misfit(d: DstSlot, v: Value) -> VmError {
     VmError::Internal(format!("value {v:?} does not fit slot {d:?}"))
 }
 
-/// One way of executing allocated RIR. The two implementations are
-/// [`crate::exec::Exec`] and [`crate::compiled::Threaded`].
-pub(crate) trait RegTier {
-    /// A method as this tier caches it.
-    type Code: 'static;
-    /// One op as this tier executes it. `ops(code)[pc]` pairs with
-    /// `rir(code).code[pc]` on observing VMs and in methods with exception
-    /// regions; elsewhere the compiled tier's op may carry two
-    /// instructions (see the module docs).
-    type Op;
-
-    /// The method's code, translated on first use, borrowed from the VM's
-    /// cache for as long as the caller likes.
-    fn code(vm: &Arc<Vm>, method: MethodId) -> VmResult<&Self::Code>;
-    fn rir(code: &Self::Code) -> &RirMethod;
-    fn ops(code: &Self::Code) -> &[Self::Op];
-    /// Execute one op at call depth `depth`.
-    fn step(op: &Self::Op, fr: &mut Frame, vm: &Arc<Vm>, depth: u32) -> Step;
-}
-
 /// One method running in one frame.
-struct Activation<'v, T: RegTier> {
+struct Activation<'v> {
     vm: &'v Arc<Vm>,
-    code: &'v T::Code,
+    code: &'v CompiledMethod,
     fr: &'v mut Frame,
     depth: u32,
     /// The observe level is fixed at `Vm` construction, so the check is
@@ -393,8 +373,8 @@ struct Activation<'v, T: RegTier> {
     observing: bool,
 }
 
-impl<'v, T: RegTier> Activation<'v, T> {
-    fn new(vm: &'v Arc<Vm>, code: &'v T::Code, fr: &'v mut Frame, depth: u32) -> Self {
+impl<'v> Activation<'v> {
+    fn new(vm: &'v Arc<Vm>, code: &'v CompiledMethod, fr: &'v mut Frame, depth: u32) -> Self {
         Activation {
             vm,
             code,
@@ -410,7 +390,7 @@ impl<'v, T: RegTier> Activation<'v, T> {
         Err(VmError::Internal(format!(
             "{} in {}",
             msg,
-            self.vm.module.method(T::rir(self.code).method).name
+            self.vm.module.method(self.code.rir.method).name
         )))
     }
 
@@ -425,15 +405,14 @@ impl<'v, T: RegTier> Activation<'v, T> {
     /// finally").
     fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<()> {
         let (vm, depth, observing) = (self.vm, self.depth, self.observing);
-        let rir = T::rir(self.code);
-        let ops = T::ops(self.code);
+        let (rir, ops) = (&*self.code.rir, &*self.code.ops);
         let mut pc = entry;
         loop {
             if observing {
                 vm.observer
                     .record_exec_op(rir.method, &rir.code[pc as usize]);
             }
-            let step = T::step(&ops[pc as usize], self.fr, vm, depth);
+            let step = ops[pc as usize](self.fr, vm, depth);
             if step == Step::NEXT {
                 pc += 1;
             } else if step.0 < Step::EXIT.0 {
@@ -484,8 +463,8 @@ impl<'v, T: RegTier> Activation<'v, T> {
         target: u32,
         bound: Option<(u32, u32)>,
     ) -> VmResult<Option<u32>> {
-        let code: &'v T::Code = self.code;
-        for r in &T::rir(code).eh {
+        let code: &'v CompiledMethod = self.code;
+        for r in &code.rir.eh {
             let exited = matches!(r.kind, EhKind::Finally)
                 && r.covers(pc)
                 && !(r.try_start <= target && target < r.try_end);
@@ -516,8 +495,7 @@ impl<'v, T: RegTier> Activation<'v, T> {
         bound: Option<(u32, u32)>,
     ) -> VmResult<u32> {
         let (vm, observing) = (self.vm, self.observing);
-        let code: &'v T::Code = self.code;
-        let rir = T::rir(code);
+        let rir: &'v RirMethod = &self.code.rir;
         let note = |kind| {
             if observing {
                 vm.observer.eh_dispatch(rir.method, kind);
@@ -559,20 +537,19 @@ impl<'v, T: RegTier> Activation<'v, T> {
 
 /// Host entry: run `method` in a fresh root frame filled from `args`
 /// (checked against the signature by [`Vm::invoke`]).
-pub(crate) fn root<T: RegTier>(
+pub(crate) fn root(
     vm: &Arc<Vm>,
     method: MethodId,
     args: Vec<Value>,
     depth: u32,
 ) -> VmResult<Option<Value>> {
-    let code = T::code(vm, method)?;
-    let rir = T::rir(code);
+    let code = vm.code(method)?;
     let mut fr = Frame::default();
-    fr.shape(rir);
-    for (v, loc) in args.into_iter().zip(&rir.arg_locs) {
+    fr.shape(&code.rir);
+    for (v, loc) in args.into_iter().zip(&code.rir.arg_locs) {
         fr.store(loc.dst(), v)?;
     }
-    let done = Activation::<T>::new(vm, code, &mut fr, depth).run(0, None);
+    let done = Activation::new(vm, code, &mut fr, depth).run(0, None);
     let mut tally = Tally::default();
     let ret = fr.release(&mut tally);
     vm.settle(&mut tally);
@@ -605,10 +582,10 @@ impl Receiver {
     }
 }
 
-/// The managed call edge of both register tiers: call `target` from
+/// The managed call edge of the register tiers: call `target` from
 /// `caller` (running at `depth`) with the arguments in its slots `args`,
 /// and store the result, if the callee returns one, in its slot `dst`.
-pub(crate) fn invoke<T: RegTier>(
+pub(crate) fn invoke(
     vm: &Arc<Vm>,
     caller: &mut Frame,
     target: MethodId,
@@ -632,12 +609,11 @@ pub(crate) fn invoke<T: RegTier>(
         }
     };
     vm.guarded(method, depth + 1, caller, |caller| {
-        let code = T::code(vm, method)?;
-        let rir = T::rir(code);
+        let code = vm.code(method)?;
         let mut fr = caller.callee.take().unwrap_or_else(new_frame);
-        fr.shape(rir);
-        pass_args(caller, &mut fr, this, args, &rir.arg_locs)?;
-        let done = Activation::<T>::new(vm, code, &mut fr, depth + 1).run(0, None);
+        fr.shape(&code.rir);
+        pass_args(caller, &mut fr, this, args, &code.rir.arg_locs)?;
+        let done = Activation::new(vm, code, &mut fr, depth + 1).run(0, None);
         let ret = fr.release(&mut caller.tally);
         caller.callee = Some(fr);
         done?;
@@ -697,7 +673,7 @@ fn mismatch(what: &str) -> VmError {
     VmError::Internal(what.into())
 }
 
-/// An intrinsic call on either register tier. Its operands sit on the
+/// An intrinsic call from register-tier code. Its operands sit on the
 /// native stack: no [`Intrinsic`] takes more than two.
 pub(crate) fn intrinsic(
     vm: &Arc<Vm>,
@@ -730,9 +706,7 @@ mod tests {
     //! caller frame so the test can look at the chain between two calls.
 
     use super::*;
-    use crate::compiled::Threaded;
-    use crate::exec::Exec;
-    use crate::{declare_prelude, VmProfile};
+    use crate::{declare_prelude, Tier, VmProfile};
     use hpcnet_cil::{BinOp, CilType, ClassId, ElemKind, MethodKind, ModuleBuilder, NumTy, Op};
 
     const INT_OBJ: [ArgSlot; 2] = [ArgSlot::P(NumTy::I4, 0), ArgSlot::R(0)];
@@ -777,14 +751,14 @@ mod tests {
         mb.finish()
     }
 
-    fn recycled_frame_is_clean<T: RegTier>(profile: VmProfile) {
+    fn recycled_frame_is_clean(profile: VmProfile) {
         let vm = Vm::new(dirty_probe_module(), profile).unwrap();
         vm.heap.set_tracking(true);
         let id = |name: &str| vm.module.find_method(name).unwrap();
         let mut fr = Frame::default();
         fr.pset(0, 0xDEAD_BEEF);
         fr.rset(0, Some(vm.heap.alloc_array(hpcnet_cil::ElemKind::I4, 1)));
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.Dirty"),
@@ -812,7 +786,7 @@ mod tests {
 
         fr.pset(0, 0);
         let to_p1 = Some(DstSlot::P(1));
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.Probe"),
@@ -825,7 +799,7 @@ mod tests {
         assert_eq!(fr.pget(1), 0, "{}: Probe read Dirty's int", profile.name);
         fr.rset(1, Some(vm.heap.alloc_array(hpcnet_cil::ElemKind::I4, 1)));
         let to_r1 = Some(DstSlot::R(1));
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.ProbeRef"),
@@ -912,7 +886,7 @@ mod tests {
         spilled.get()
     }
 
-    fn a_full_register_file_runs_and_is_released<T: RegTier>(profile: VmProfile) {
+    fn a_full_register_file_runs_and_is_released(profile: VmProfile) {
         let module = full_file_module();
         let oracle = Vm::new(module.clone(), VmProfile::sscli10()).unwrap();
         let want = oracle
@@ -925,8 +899,8 @@ mod tests {
         let vm = Vm::new(module, profile).unwrap();
         vm.heap.set_tracking(true);
         let id = |name: &str| vm.module.find_method(name).unwrap();
-        let code = T::code(&vm, id("P.Full")).unwrap();
-        let rir = T::rir(code);
+        let code = vm.code(id("P.Full")).unwrap();
+        let rir = &code.rir;
         assert_eq!(
             (rir.n_preg, rir.n_rreg),
             (64, 64),
@@ -942,7 +916,7 @@ mod tests {
 
         let mut fr = Frame::default();
         fr.pset(0, 3);
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.Full"),
@@ -964,7 +938,7 @@ mod tests {
         );
 
         // Two-register callees in the frame Full filled.
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.Probe"),
@@ -976,7 +950,7 @@ mod tests {
         .unwrap();
         assert_eq!(fr.pget(1), 0, "{}: Probe read Full's int", profile.name);
         fr.rset(1, Some(vm.heap.alloc_array(ElemKind::I4, 1)));
-        invoke::<T>(
+        invoke(
             &vm,
             &mut fr,
             id("P.ProbeRef"),
@@ -1001,18 +975,18 @@ mod tests {
 
     #[test]
     fn a_full_64_entry_register_file_holds_without_spilling() {
-        a_full_register_file_runs_and_is_released::<Threaded>(VmProfile::clr11_compiled());
-        a_full_register_file_runs_and_is_released::<Exec>(VmProfile::clr11());
+        a_full_register_file_runs_and_is_released(VmProfile::clr11_compiled());
+        a_full_register_file_runs_and_is_released(VmProfile::clr11());
     }
 
     #[test]
     fn a_recycled_frame_is_indistinguishable_from_a_fresh_one() {
         // mono023 runs the naive lowering: every local is a slot that is
         // really read. The CLR profiles may fold the unwritten local.
-        recycled_frame_is_clean::<Exec>(VmProfile::mono023());
-        recycled_frame_is_clean::<Exec>(VmProfile::clr11());
-        recycled_frame_is_clean::<Threaded>(VmProfile::mono023().with_tier(crate::Tier::Compiled));
-        recycled_frame_is_clean::<Threaded>(VmProfile::clr11_compiled());
+        recycled_frame_is_clean(VmProfile::mono023());
+        recycled_frame_is_clean(VmProfile::clr11());
+        recycled_frame_is_clean(VmProfile::mono023().with_tier(Tier::Compiled));
+        recycled_frame_is_clean(VmProfile::clr11_compiled());
     }
 
     const DEEP: &str = r#"
@@ -1030,7 +1004,7 @@ mod tests {
         }
     "#;
 
-    fn chain_survives_unwinds<T: RegTier>(profile: VmProfile) {
+    fn chain_survives_unwinds(profile: VmProfile) {
         let module = hpcnet_minics::compile(DEEP).unwrap();
         let oracle = Vm::new(module.clone(), VmProfile::sscli10()).unwrap();
         let want = |name: &str, d: i32, x: i32| {
@@ -1045,7 +1019,7 @@ mod tests {
             fr.pset(0, d as u32 as u64);
             fr.pset(1, x as u32 as u64);
             let to_p2 = Some(DstSlot::P(2));
-            invoke::<T>(&vm, fr, id(name), Receiver::Static, &two_ints, to_p2, 0)
+            invoke(&vm, fr, id(name), Receiver::Static, &two_ints, to_p2, 0)
                 .map(|()| fr.pget(2) as u32 as i32)
         };
         let healthy = |fr: &mut Frame| {
@@ -1088,8 +1062,8 @@ mod tests {
 
     #[test]
     fn the_frame_chain_survives_exceptions_and_limits() {
-        chain_survives_unwinds::<Exec>(VmProfile::clr11());
-        chain_survives_unwinds::<Exec>(VmProfile::mono023());
-        chain_survives_unwinds::<Threaded>(VmProfile::clr11_compiled());
+        chain_survives_unwinds(VmProfile::clr11());
+        chain_survives_unwinds(VmProfile::mono023());
+        chain_survives_unwinds(VmProfile::clr11_compiled());
     }
 }

@@ -1,27 +1,26 @@
-//! The direct-threaded execution engine.
+//! The code a register-tier VM runs.
 //!
-//! Runs [`crate::rir::compile::CompiledMethod`] code: a flat array of
-//! pre-resolved closures, one per *slot*, produced by
-//! [`crate::rir::compile`]. A slot is one RIR instruction or, on a VM
-//! that is not observing, in a method without exception regions, a fused
-//! pair of them (a constant and its consumer, a result and its move, a
-//! move and a jump, a jump and the test it lands on), with branch targets
-//! remapped to slots at build time. Where [`crate::exec`] re-decodes each
-//! instruction on every execution (a 40-way `match` per operation — the
-//! interpretive dispatch cost the paper's JITs don't pay), this loop
-//! fetches `ops[pc]` and calls it: operands, immediates, literals and
-//! class layouts were all resolved at translation time, so the per-op work
-//! is the operation itself plus one indirect call that answers in a
-//! register (`call::Step`). The operation itself is the exec tier's: each
-//! closure calls its instruction's body in the shared `ops` module, with
-//! the build-time constants folded in. Everything around the dispatch —
-//! the split enregistered/spill frame, the run loop, exception dispatch,
-//! the `leave`/`finally` protocol and the call edge — is
-//! [`crate::call`]'s, the same code the exec tier runs, so the two differ
-//! *only* in dispatch and slot-allocation strategy.
+//! A [`CompiledMethod`] is a flat array of pre-resolved closures, one per
+//! *slot*, produced by [`crate::rir::compile`] from allocated RIR. A slot
+//! is one RIR instruction or, on a VM that is not observing, in a method
+//! without exception regions, a fused pair of them (a constant and its
+//! consumer, a result and its move, a move and a jump, a jump and the test
+//! it lands on), with branch targets remapped to slots at build time. The
+//! dispatch loop in [`crate::call`] fetches `ops[pc]` and calls it:
+//! operands, immediates, literals and class layouts were all resolved at
+//! translation time, so the per-op work is the operation itself plus one
+//! indirect call that answers in a register (`call::Step`). Each closure
+//! calls its instruction's body in the shared `ops` module, with the
+//! build-time constants folded in — the stand-in for the machine code the
+//! paper's JITs emit.
 //!
-//! Profiles select this engine with [`crate::profile::Tier::Compiled`];
-//! [`crate::profile::VmProfile::clr11_compiled`] is the stock example.
+//! Both register tiers run this code; they differ only in the allocator
+//! that placed the RIR's values in registers and spill slots before the
+//! closures were built. [`crate::profile::Tier::Rir`] (`clr11`, `mono023`
+//! and the JVM profiles) ranks values by static use count, the reference-
+//! count enregistration of CLR 1.x; [`crate::profile::Tier::Compiled`]
+//! ([`crate::profile::VmProfile::clr11_compiled`]) runs a linear scan over
+//! live intervals.
 //!
 //! ```
 //! use hpcnet_cil::{BinOp, CilType, MethodKind, ModuleBuilder};
@@ -38,44 +37,42 @@
 //! f.ret();
 //! f.finish();
 //!
-//! // Any profile can be moved onto the threaded tier; the answer is the
-//! // same as on every other engine, only the dispatch differs.
+//! // Any profile can be moved onto the linear-scan allocator; the answer
+//! // is the same as on every other engine, only the allocation differs.
 //! let profile = VmProfile::mono023().with_tier(Tier::Compiled);
 //! let vm = Vm::new(mb.finish(), profile).unwrap();
 //! let r = vm.invoke_by_name("P.Twice", vec![Value::I4(21)]).unwrap();
 //! assert_eq!(r.unwrap().as_i4(), 42);
 //! ```
 
-use crate::call::{Frame, RegTier, Step};
-use crate::error::VmResult;
+use crate::call::{Frame, Step};
 use crate::machine::Vm;
-use crate::rir::compile::{CompiledMethod, OpFn};
 use crate::rir::RirMethod;
-use hpcnet_cil::module::MethodId;
 use std::sync::Arc;
 
-/// [`crate::profile::Tier::Compiled`]: one pre-resolved closure per slot
-/// (an instruction, or a fused pair of them).
-pub(crate) struct Threaded;
+/// One translated instruction: all decoding already done, only the
+/// dynamic operands (frame slots, the heap, callee dispatch) remain. It
+/// answers the dispatch loop in a register; anything bigger it parks in
+/// the frame (see [`crate::call`]).
+pub(crate) type OpFn = Box<dyn Fn(&mut Frame, &Arc<Vm>, u32) -> Step + Send + Sync>;
 
-impl RegTier for Threaded {
-    type Code = CompiledMethod;
-    type Op = OpFn;
+/// A method compiled to closure code. `rir` is the allocated register IR
+/// the closures were built from — kept for the observer (which records
+/// per-opcode attribution from it), for exception dispatch and `leave`,
+/// for [`crate::rir::print_rir`] listings, and for frame construction.
+/// `ops` has one closure per slot: fewer than `rir.code` has instructions
+/// where pairs fused.
+pub struct CompiledMethod {
+    /// The allocated RIR backing the closures.
+    pub rir: Arc<RirMethod>,
+    pub(crate) ops: Box<[OpFn]>,
+}
 
-    fn code(vm: &Arc<Vm>, method: MethodId) -> VmResult<&CompiledMethod> {
-        Ok(vm.threaded_code(method)?)
-    }
-
-    fn rir(code: &CompiledMethod) -> &RirMethod {
-        &code.rir
-    }
-
-    fn ops(code: &CompiledMethod) -> &[OpFn] {
-        &code.ops
-    }
-
-    #[inline(always)]
-    fn step(op: &OpFn, fr: &mut Frame, vm: &Arc<Vm>, depth: u32) -> Step {
-        op(fr, vm, depth)
+impl std::fmt::Debug for CompiledMethod {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompiledMethod")
+            .field("rir", &self.rir)
+            .field("ops", &self.ops.len())
+            .finish()
     }
 }

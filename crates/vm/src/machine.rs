@@ -3,16 +3,16 @@
 //! A [`Vm`] binds a verified [`Module`] to a [`VmProfile`]. All profiles
 //! share this host — heap, statics, monitors, threads, math dispatch — and
 //! differ only in how method bodies are executed (see [`crate::interp`] and
-//! [`crate::exec`]), which is precisely the experimental isolation the
+//! [`crate::compiled`]), which is precisely the experimental isolation the
 //! paper aims for by running one CIL image on several runtimes.
 
 use crate::call::Tally;
+use crate::compiled::CompiledMethod;
 use crate::counters::counters;
 use crate::error::{VmError, VmResult};
 use crate::interp;
 use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
 use crate::profile::{MathKind, Tier, VmProfile};
-use crate::rir::compile::CompiledMethod;
 use crate::rir::RirMethod;
 use hpcnet_cil::{
     verify_module, ClassId, ElemKind, Intrinsic, MethodId, Module, NumTy,
@@ -61,7 +61,7 @@ impl WellKnown {
 /// A capture of a VM's mutable program state, taken by [`Vm::snapshot`]
 /// (typically right after static initialization) and replayed by
 /// [`Vm::reset_to`]. Holding one keeps every captured heap object alive,
-/// so a warmed VM — loaded module, compiled and threaded code — can be
+/// so a warmed VM — loaded module, compiled code — can be
 /// reused across thousands of isolated runs at microsecond cost.
 ///
 /// A snapshot is bound to the VM that took it: it carries that VM's
@@ -170,10 +170,10 @@ pub struct Vm {
     /// Managed threads, each keeping what its `Run()` ended with for
     /// `Sys.Join`.
     pub(crate) threads: ThreadRegistry<VmResult<()>>,
-    /// Per-method code, one write-once cell each: a warm lookup is a load,
-    /// and what it finds can be borrowed for as long as the `Vm` is.
-    code_cache: Box<[OnceLock<Arc<RirMethod>>]>,
-    threaded_cache: Box<[OnceLock<Arc<CompiledMethod>>]>,
+    /// Per-method register-tier code, one write-once cell each: a warm
+    /// lookup is a load, and what it finds can be borrowed for as long as
+    /// the `Vm` is.
+    code: Box<[OnceLock<Arc<CompiledMethod>>]>,
     pub(crate) well_known: WellKnown,
     /// Pre-created string literal objects.
     literals: Vec<Obj>,
@@ -273,8 +273,7 @@ impl Vm {
             statics,
             counters: Counters::default(),
             threads: ThreadRegistry::new(),
-            code_cache: (0..n_methods).map(|_| OnceLock::new()).collect(),
-            threaded_cache: (0..n_methods).map(|_| OnceLock::new()).collect(),
+            code: (0..n_methods).map(|_| OnceLock::new()).collect(),
             literals,
             run_methods,
             console: Mutex::new(Vec::new()),
@@ -475,23 +474,18 @@ impl Vm {
     ) -> VmResult<Option<Value>> {
         self.guarded(method, depth, tally, |_| match self.profile.tier {
             Tier::Interpreter => interp::call(self, method, args, depth),
-            Tier::Rir => crate::call::root::<crate::exec::Exec>(self, method, args, depth),
-            Tier::Compiled => {
-                crate::call::root::<crate::compiled::Threaded>(self, method, args, depth)
-            }
+            Tier::Rir | Tier::Compiled => crate::call::root(self, method, args, depth),
         })
     }
 
-    /// Look `cell` up, filling it with `translate`'s result on first use.
+    /// The register-tier code for a method, compiled on first use and
+    /// borrowed from its cache cell — what the call edge uses.
     #[inline(always)]
-    fn cached<'a, C>(
-        &self,
-        cell: &'a OnceLock<Arc<C>>,
-        translate: impl FnOnce() -> VmResult<C>,
-    ) -> VmResult<&'a Arc<C>> {
+    pub(crate) fn code(self: &Arc<Self>, method: MethodId) -> VmResult<&Arc<CompiledMethod>> {
+        let cell = &self.code[method.idx()];
         match cell.get() {
             Some(code) => Ok(code),
-            None => self.translate(cell, translate),
+            None => self.translate(cell, method),
         }
     }
 
@@ -500,42 +494,29 @@ impl Vm {
     /// compiled", bitwise equal across runs and thread schedules.
     #[cold]
     #[inline(never)]
-    fn translate<'a, C>(
-        &self,
-        cell: &'a OnceLock<Arc<C>>,
-        translate: impl FnOnce() -> VmResult<C>,
-    ) -> VmResult<&'a Arc<C>> {
-        if cell.set(Arc::new(translate()?)).is_ok() {
+    fn translate<'a>(
+        self: &Arc<Self>,
+        cell: &'a OnceLock<Arc<CompiledMethod>>,
+        method: MethodId,
+    ) -> VmResult<&'a Arc<CompiledMethod>> {
+        let code = crate::rir::compile::compile(self, method)?;
+        if cell.set(Arc::new(code)).is_ok() {
             self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
         }
         Ok(cell.get().expect("set just above, by this thread or the one that won the race"))
     }
 
-    /// The register-tier code for a method, translated on first use and
-    /// borrowed from its cache cell — what the call edge uses.
-    #[inline(always)]
-    pub(crate) fn rir_code(self: &Arc<Self>, method: MethodId) -> VmResult<&Arc<RirMethod>> {
-        self.cached(&self.code_cache[method.idx()], || crate::rir::lower::compile(self, method))
-    }
-
-    /// The direct-threaded code for a method, as [`Vm::rir_code`].
-    #[inline(always)]
-    pub(crate) fn threaded_code(
-        self: &Arc<Self>,
-        method: MethodId,
-    ) -> VmResult<&Arc<CompiledMethod>> {
-        self.cached(&self.threaded_cache[method.idx()], || crate::rir::compile::compile(self, method))
-    }
-
-    /// Fetch (translating on first use) the register-tier code for a method.
+    /// Fetch (compiling on first use) the allocated RIR of the code this
+    /// VM runs for a method: use-count allocated unless the profile's tier
+    /// is [`Tier::Compiled`], which runs the linear scan.
     pub fn compiled(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<RirMethod>> {
-        self.rir_code(method).cloned()
+        self.code(method).map(|code| code.rir.clone())
     }
 
-    /// Fetch (translating on first use) the direct-threaded code for a
+    /// Fetch (compiling on first use) the closure code this VM runs for a
     /// method.
     pub fn threaded(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<CompiledMethod>> {
-        self.threaded_code(method).cloned()
+        self.code(method).cloned()
     }
 
     /// Drain the attribution profiler into plain values; `None` when the

@@ -1,37 +1,37 @@
-//! One body per RIR instruction, shared by both register tiers.
+//! One body per RIR instruction, run by both register tiers.
 //!
 //! Each function carries one [`crate::rir::RInst`] out on a [`Frame`]:
 //! decoded operands in, a [`Step`] out, faults parked with
-//! [`Frame::fail`]. [`crate::exec`] calls them from a `match` it runs on
-//! every execution; [`crate::rir::compile`] calls them from closures built
+//! [`Frame::fail`]. [`crate::rir::compile`] calls them from closures built
 //! once per method, with what it could resolve then — the op, the type,
 //! checked or not, U1 masking, a literal, a class layout — passed as
 //! constants. Every function is `#[inline(always)]`, so in such a closure
 //! the branches on those constants fold away and the closure is the code
-//! of its one case; in the decode they are ordinary runtime branches.
-//! Either way it is the same body, so the tiers differ in dispatch alone.
-//! `nop` and `br` have no body: they are [`Step::NEXT`] and [`Step::jump`].
+//! of its one case. `nop` and `br` have no body: they are [`Step::NEXT`]
+//! and [`Step::jump`].
 //!
 //! Faults leave through two cold paths: [`trap`] raises a managed
 //! exception, [`internal`] reports an engine invariant that failed (both
-//! tiers render the same string for the same failure). Allocations and
-//! calls count into the frame's `Tally` (see [`crate::call`]).
+//! render the same string the interpreter does for the same failure).
+//! Allocations and calls count into the frame's `Tally` (see
+//! [`crate::call`]).
 //!
-//! Two kinds of intrinsic have a body of their own, which both tiers pick
-//! where they pick a body, so no other intrinsic pays for the distinction:
+//! Two kinds of intrinsic have a body of their own, which the closure
+//! builder picks when it builds the op, so no other intrinsic pays for the
+//! distinction:
 //! * `Monitor.Enter`/`Exit` on a reference slot, the `lock` statement's
 //!   two intrinsics: [`monitor`] borrows the receiver where the generic
 //!   [`intrinsic`] would copy it into a `Value`;
 //! * a routine of the profile's math table whose operands and result sit
 //!   in `float64` slots ([`math_slots`]): [`math`] applies it to the slot
-//!   bits, with no `Value` built and no `Vm::intrinsic` match. The closure
-//!   tier captures the routine's function pointer when it builds the op.
+//!   bits, with no `Value` built and no `Vm::intrinsic` match; the closure
+//!   captures the routine's function pointer.
 //!
 //! [`crate::interp`] keeps its own bodies on purpose: it is the oracle the
 //! conformance matrix holds these against, and a bug shared with it would
 //! go unseen.
 
-use crate::call::{self, Exit, Frame, Receiver, RegTier, Step};
+use crate::call::{self, Exit, Frame, Receiver, Step};
 use crate::error::{VmError, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
@@ -220,7 +220,7 @@ pub(crate) fn br_cmp(fr: &mut Frame, op: CmpOp, ty: NumTy, a: u16, b: Operand, t
 
 /// `call`/`callvirt` through the shared call edge.
 #[inline(always)]
-pub(crate) fn call<T: RegTier>(
+pub(crate) fn call(
     fr: &mut Frame,
     vm: &Arc<Vm>,
     depth: u32,
@@ -229,7 +229,7 @@ pub(crate) fn call<T: RegTier>(
     args: &[ArgSlot],
     dst: Option<DstSlot>,
 ) -> Step {
-    match call::invoke::<T>(vm, fr, target, recv, args, dst, depth) {
+    match call::invoke(vm, fr, target, recv, args, dst, depth) {
         Ok(()) => Step::NEXT,
         Err(e) => fr.fail(e),
     }
@@ -321,7 +321,7 @@ impl Layout {
 
 /// `newobj`: allocate, run the constructor on the fresh object, store it.
 #[inline(always)]
-pub(crate) fn new_obj<T: RegTier>(
+pub(crate) fn new_obj(
     fr: &mut Frame,
     vm: &Arc<Vm>,
     depth: u32,
@@ -333,7 +333,7 @@ pub(crate) fn new_obj<T: RegTier>(
     let body = HeapObj::new_instance(layout.class, layout.n_prim, layout.n_ref);
     let obj = vm.heap.adopt(body, &mut fr.tally.allocs);
     let this = Receiver::Fresh(obj.clone());
-    if let Err(e) = call::invoke::<T>(vm, fr, ctor, this, args, None, depth) {
+    if let Err(e) = call::invoke(vm, fr, ctor, this, args, None, depth) {
         return fr.fail(e);
     }
     fr.rset(dst, Some(obj));
@@ -567,7 +567,7 @@ pub(crate) fn ld_multi_len(
 }
 
 /// Can a load of `kind` write `dst`? The RIR lowering makes it so; the
-/// tiers check it where they pick the body, and take
+/// closure builder checks it where it picks the body, and takes
 /// [`elem_kind_mismatch`] otherwise.
 #[inline(always)]
 pub(crate) fn loads_into(kind: ElemKind, dst: DstSlot) -> bool {

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | Rotor: portability JIT, every local in memory, emulated `cdq` | `tier = Interpreter`, `emulate_cdq` |
 //! | Mono 0.23: near-1:1 CIL lowering, one register, rest memory | `tier = Rir`, all passes off, `max_enreg_prim = 1` |
-//! | CLR 1.1: registers + constants, 64-local enregistration cap | full passes, `max_enreg_prim = 64` |
+//! | CLR 1.1: registers + constants, 64-local enregistration cap | `tier = Rir` (use-count ranking), full passes, `max_enreg_prim = 64` |
 //! | CLR 1.1: "something weird by temporarily storing the constant" in the division loop | `div_const_temp_quirk` |
 //! | IBM JVM: "registers and constants throughout the loop" | `imm_fusion` |
 //! | CLR: faster multiplication (Graph 1) | `mul_strength_reduction` |
@@ -24,6 +24,13 @@
 //! (`hpcnet-report opt`) prints the per-profile pass counters these knobs
 //! gate. Profiles feed the pipeline described in [`crate::rir`]: CIL →
 //! lower → scalar passes → loop-aware tier → allocate → execute.
+//!
+//! The two register tiers run the same closure code ([`crate::compiled`],
+//! the stand-in for the machine code a JIT emits) and differ only in the
+//! allocator. [`Tier::Rir`] ranks values by static use count, the
+//! reference-count enregistration of CLR 1.x, and backs every paper
+//! profile but Rotor; [`Tier::Compiled`] runs a linear scan and backs
+//! [`VmProfile::clr11_compiled`].
 
 use crate::observe::ObserveLevel;
 
@@ -32,13 +39,14 @@ use crate::observe::ObserveLevel;
 pub enum Tier {
     /// Direct stack interpretation (the SSCLI/Rotor portability tier).
     Interpreter,
-    /// Stack-to-register translation with per-profile optimization passes.
+    /// Stack-to-register translation with per-profile optimization passes,
+    /// run as closure code (see [`crate::compiled`]). Slots come from the
+    /// use-count allocator: the `max_enreg` most-used values of a method
+    /// get registers for its whole body, as CLR 1.x's JIT did.
     Rir,
-    /// Direct-threaded execution of the same optimized RIR: each
-    /// instruction is pre-resolved to a closure at compile time and the
-    /// per-opcode dispatch match disappears (see [`crate::compiled`]).
-    /// Slots come from a linear-scan allocator, so the enregistration cap
-    /// bounds *simultaneously live* values rather than total locals.
+    /// The same optimized RIR and the same closure code, but slots come
+    /// from a linear-scan allocator, so the enregistration cap bounds
+    /// *simultaneously live* values rather than total locals.
     Compiled,
 }
 
@@ -202,16 +210,16 @@ impl VmProfile {
 
     /// The same profile running on a different [`Tier`] (builder-style,
     /// usable in consts). The conform matrix uses this to run every
-    /// register-tier profile's pass configuration through the compiled
-    /// tier as well.
+    /// register-tier profile's pass configuration under the linear-scan
+    /// allocator as well.
     pub const fn with_tier(mut self, tier: Tier) -> VmProfile {
         self.tier = tier;
         self
     }
 
-    /// CLR 1.1 codegen knobs on the direct-threaded compiled tier — the
-    /// "what if the dispatch loop itself disappeared" engine to compare
-    /// against [`VmProfile::clr11`].
+    /// CLR 1.1 codegen knobs under the linear-scan allocator — the "what
+    /// if registers were reused as values die" engine to compare against
+    /// [`VmProfile::clr11`]'s use-count allocation.
     pub const fn clr11_compiled() -> VmProfile {
         let mut p = Self::clr11();
         p.name = "C# .NET 1.1 (threaded)";

@@ -19,7 +19,7 @@ use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::profile::MultiDimStyle;
 use crate::rir::audit::ElisionCert;
-use crate::rir::{opt, ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod};
+use crate::rir::{ArgSlot, BoundsMode, DstSlot, Operand, RInst};
 use hpcnet_cil::module::{EhKind, MethodId};
 use hpcnet_cil::verify::{verify_method, VerTy};
 use hpcnet_cil::{CilType, Intrinsic, NumTy, Op};
@@ -37,19 +37,6 @@ pub(crate) struct Lowered {
     /// One certificate per elided bounds check, kept in sync with `code`
     /// pcs by every pass that moves instructions (see [`crate::rir::audit`]).
     pub certs: Vec<ElisionCert>,
-}
-
-/// Compile a method for the register tier under the VM's profile. The
-/// front half (lower + optimize) may be served from the VM's shared cache
-/// (see [`crate::rir::share`]); allocation always runs under this VM's
-/// register caps.
-pub fn compile(vm: &Arc<Vm>, method: MethodId) -> VmResult<RirMethod> {
-    let (lowered, res) = crate::rir::share::front(vm, method)?;
-    let t = vm.observer.phase_start();
-    let compiled = opt::allocate(vm, method, lowered, &res.force_spill_p);
-    vm.observer.phase_end(crate::observe::VmPhase::JitAllocate, t);
-    opt::push_compile_events(vm, method, &compiled, res);
-    Ok(compiled)
 }
 
 /// One stack cell's kind at a program point.

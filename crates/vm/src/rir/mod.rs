@@ -22,14 +22,18 @@
 //!    almost-provable loops behind an up-front guard. Every elision
 //!    carries a certificate re-verified by [`crate::rir::audit`].
 //!    Per-method results are tallied on [`crate::machine::Counters`].
-//! 4. **Allocate** ([`crate::rir::opt`]): virtual registers are ranked by
-//!    static use count and the top `max_enreg` live in the register file
-//!    (plain array access at run time); the rest spill to a frame arena
-//!    (volatile memory traffic) — the enregistration mechanism Section 5
-//!    of the paper identifies as dominating low-level performance.
-//! 5. **Execute** ([`crate::exec`]): the allocated code runs; an
-//!    "unchecked" element access that is out of range is an engine error,
-//!    so unsound eliminations fail loudly in differential tests.
+//! 4. **Allocate** ([`crate::rir::compile`]): virtual registers are placed
+//!    in the register file (plain array access at run time) up to the
+//!    profile's `max_enreg` cap; the rest spill to a frame arena (volatile
+//!    memory traffic) — the enregistration mechanism Section 5 of the
+//!    paper identifies as dominating low-level performance. `Tier::Rir`
+//!    ranks them by static use count ([`crate::rir::opt`], CLR 1.x's
+//!    model), `Tier::Compiled` runs a linear scan over live intervals.
+//! 5. **Execute** ([`crate::compiled`]): the allocated code is translated
+//!    once into closures, the same on both tiers, and runs in
+//!    [`crate::call`]'s dispatch loop; an "unchecked" element access that
+//!    is out of range is an engine error, so unsound eliminations fail
+//!    loudly in differential tests.
 //!
 //! [`print_rir`] renders the allocated code in an assembly-like listing;
 //! `examples/jit_compare.rs` uses it to reproduce the paper's Tables 6–8

@@ -70,10 +70,11 @@ impl MethodCtx {
 }
 
 /// Run a pass configuration over lowered code in place. Both register
-/// tiers share this pipeline — the exec tier hands the result to the
-/// use-count allocator below, the compiled tier to the linear-scan
-/// allocator in [`crate::rir::compile`] — so a pass combination means the
-/// same thing on either tier.
+/// tiers share this pipeline — [`crate::profile::Tier::Rir`] hands the
+/// result to the use-count allocator below,
+/// [`crate::profile::Tier::Compiled`] to the linear-scan allocator in
+/// [`crate::rir::compile`] — so a pass combination means the same thing on
+/// either tier.
 ///
 /// The code goes through a short series of structural versions: the
 /// lowered body (scalar passes; they rewrite and blank instructions but

@@ -2,10 +2,10 @@
 //!
 //! A counting global allocator watches loops of N static, instance,
 //! virtual and recursive calls and N `Math.Sin` and `Math.Pow` calls on
-//! warm `clr11` (`exec.rs`) and `clr11_compiled` (`compiled.rs`) VMs: whatever one
-//! host-level `Vm::invoke` allocates — its argument list, the root frame,
-//! one recycled frame per call depth reached — is the same for N = 100 and
-//! N = 10,000. N constructor calls allocate what N `Heap::alloc_instance`
+//! warm `clr11` (use-count allocation) and `clr11_compiled` (linear scan)
+//! VMs: whatever one host-level `Vm::invoke` allocates — its argument
+//! list, the root frame, one recycled frame per call depth reached — is
+//! the same for N = 100 and N = 10,000. N constructor calls allocate what N `Heap::alloc_instance`
 //! calls allocate and nothing more. The count is per thread, so the test
 //! harness's own threads do not disturb it.
 

@@ -5,8 +5,8 @@
 //! element access through an `object` reference on an array of another
 //! kind or rank. The verifier either rejects the module, or every engine
 //! raises the same managed exception for it — the interpreter
-//! (`sscli10`), the decoding register tier (`clr11`, and `mono023` for
-//! the helper-call multidimensional path) and the closure tier
+//! (`sscli10`), the use-count register tier (`clr11`, and `mono023` for
+//! the helper-call multidimensional path) and the linear-scan tier
 //! (`clr11_compiled`). Nothing here catches an unwind: a host panic fails
 //! the test. The last test binds modules without verifying them first.
 

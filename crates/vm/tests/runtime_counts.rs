@@ -1,7 +1,7 @@
 //! What the runtime counts and how monitors behave, pinned as literals on
-//! the four engine kinds: the interpreter (`sscli10`), the decoding
+//! the four engine kinds: the interpreter (`sscli10`), the use-count
 //! register tier (`clr11`, and `mono023` for its naive lowering) and the
-//! closure tier (`clr11_compiled`).
+//! linear-scan tier (`clr11_compiled`).
 //!
 //! * `heap.stats()` — allocations and bytes — after a loop of `new`,
 //!   boxing and array allocations, a callee that allocates and then

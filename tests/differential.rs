@@ -107,8 +107,8 @@ fn profiles() -> Vec<VmProfile> {
         VmProfile::clr11(),
         VmProfile::jvm_ibm131(),
         VmProfile::jvm_sun14(),
-        // The direct-threaded tier: same CLR knobs, closure dispatch and
-        // linear-scan allocation instead of the exec tier's decode loop.
+        // The linear-scan tier: same knobs, the same closure code over a
+        // different register allocation.
         VmProfile::clr11_compiled(),
         VmProfile::mono023().with_tier(Tier::Compiled),
     ]
