@@ -413,8 +413,11 @@ impl Observer {
         }
     }
 
-    /// Record one executed RIR instruction (register tier).
-    #[inline]
+    /// Record one executed RIR instruction (register tier). Never inlined:
+    /// its one caller is the dispatch loop, which calls it only on observing
+    /// VMs, and inlined there it takes the registers the unobserved path
+    /// keeps `vm` and the op array in.
+    #[inline(never)]
     pub(crate) fn record_exec_op(&self, method: MethodId, inst: &RInst) {
         self.ops_total.fetch_add(1, Ordering::Relaxed);
         let cell = &self.cells[method.idx()];
