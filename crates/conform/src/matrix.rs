@@ -137,7 +137,8 @@ pub struct Divergence {
 }
 
 /// Aggregated per-opcode coverage: how many instructions of each kind the
-/// generated modules contain, and how many the interpreter tier executed.
+/// generated modules contain, and how many the oracle executed (its
+/// observer's opcode histogram).
 #[derive(Clone, Debug)]
 pub struct Coverage {
     pub emitted: Vec<u64>,
@@ -277,12 +278,12 @@ pub fn run_matrix_at(
     let mut outcomes: Vec<Vec<RunOutcome>> = Vec::with_capacity(engines.len());
     let mut runs = 0usize;
     for (ei, eng) in engines.iter().enumerate() {
-        let vm = Vm::new_shared(module.clone(), eng.profile.with_observe(observe));
+        // The oracle observes at least its counters: its opcode histogram
+        // is the sweep's executed coverage.
+        let level = if ei == 0 { observe.max(ObserveLevel::Counters) } else { observe };
+        let vm = Vm::new_shared(module.clone(), eng.profile.with_observe(level));
         vm.set_opt_share(share.clone());
         resets.fresh_builds += 1;
-        if ei == 0 {
-            vm.set_op_coverage(true);
-        }
         // Statics are per-VM: run the synthesized initializer once.
         let init = if vm.module.find_method(STARTUP_INIT).is_some() {
             vm.invoke_by_name(STARTUP_INIT, vec![]).map(|_| ())
@@ -309,8 +310,11 @@ pub fn run_matrix_at(
             resets.absorb(reset);
         }
         if ei == 0 {
-            for (i, n) in vm.op_coverage_counts().into_iter().enumerate() {
-                coverage.executed[i] += n;
+            let report = vm.observe_report().expect("the oracle observes");
+            for m in &report.methods {
+                for (total, n) in coverage.executed.iter_mut().zip(&m.op_kinds) {
+                    *total += n;
+                }
             }
         }
         outcomes.push(per_input);

@@ -423,30 +423,34 @@ pub fn t4_apps(cfg: &Config) -> Table {
     table
 }
 
+/// The ablation's columns: CLR 1.1, then CLR 1.1 with one Section-5
+/// mechanism removed per column.
+fn ablation_profiles() -> [VmProfile; 5] {
+    let clr = VmProfile::clr11();
+    // Every bounds-check elision mechanism: any one left on removes the
+    // checks the others would have.
+    let mut no_bce = clr;
+    no_bce.name = "CLR - BCE";
+    no_bce.passes.bce = false;
+    no_bce.passes.abce = false;
+    no_bce.passes.range_abce = false;
+    no_bce.passes.loop_versioning = false;
+    let mut no_inline = clr;
+    no_inline.name = "CLR - inlining";
+    no_inline.passes.inline = false;
+    let mut no_enreg = clr;
+    no_enreg.name = "CLR 4 regs";
+    no_enreg.max_enreg = 4;
+    let mut no_passes = clr;
+    no_passes.name = "CLR no passes";
+    no_passes.passes = hpcnet_core::vm_profile_pass_none();
+    [clr, no_bce, no_inline, no_enreg, no_passes]
+}
+
 /// Ablation study: CLR 1.1 with each optimization mechanism removed, on
 /// the SciMark kernels — how much each Section-5 mechanism contributes.
 pub fn ablation(cfg: &Config) -> Table {
-    use hpcnet_core::VmProfile;
-    let mut no_bce = VmProfile::clr11();
-    no_bce.name = "CLR - BCE";
-    no_bce.passes.bce = false;
-    let mut no_inline = VmProfile::clr11();
-    no_inline.name = "CLR - inlining";
-    no_inline.passes.inline = false;
-    let mut no_enreg = VmProfile::clr11();
-    no_enreg.name = "CLR 4 regs";
-    no_enreg.max_enreg_prim = 4;
-    no_enreg.max_enreg_ref = 4;
-    let mut no_passes = VmProfile::clr11();
-    no_passes.name = "CLR no passes";
-    no_passes.passes = hpcnet_core::vm_profile_pass_none();
-    let profiles = [
-        VmProfile::clr11(),
-        no_bce,
-        no_inline,
-        no_enreg,
-        no_passes,
-    ];
+    let profiles = ablation_profiles();
     let g = group("scimark");
     let mut table = Table::new(
         "Ablation: CLR 1.1 with mechanisms removed (SciMark, MFlops)",
@@ -546,6 +550,27 @@ mod tests {
             let vm = vm_for(&g, VmProfile::clr11());
             run_entry(&vm, e, e.small_n).unwrap();
             assert!(vm.counters.snapshot().loops_found > 0, "{label}: CLR 1.1 finds loops");
+        }
+    }
+
+    /// The ablation's "CLR - BCE" column really has no bounds-check
+    /// elision: one untimed run of each SciMark kernel eliminates no check
+    /// there, while full CLR 1.1 eliminates some on SOR, Sparse and LU.
+    #[test]
+    fn ablation_without_bce_eliminates_no_bounds_checks() {
+        let [clr, no_bce, ..] = ablation_profiles();
+        let g = group("scimark");
+        let eliminated = |p: VmProfile, eid: &str| {
+            let e = entry(&g, eid);
+            let vm = vm_for(&g, p);
+            run_entry(&vm, e, e.small_n).unwrap_or_else(|err| panic!("{eid}: {err}"));
+            vm.counters.snapshot().bounds_checks_eliminated
+        };
+        for (label, eid) in SCIMARK_ENTRIES {
+            assert_eq!(eliminated(no_bce, eid), 0, "{label}: {} elides a check", no_bce.name);
+        }
+        for eid in ["scimark.sor", "scimark.sparse", "scimark.lu"] {
+            assert!(eliminated(clr, eid) > 0, "{eid}: CLR 1.1 elides no check");
         }
     }
 }

@@ -5,8 +5,9 @@
 //! [`crate::compiled::CompiledMethod`].)
 //!
 //! Both register tiers run this one loop over closure code; they differ
-//! only in the allocator [`crate::rir::compile`] ran before building the
-//! closures, so nothing here depends on the tier.
+//! only in how `rir::alloc` ranked registers before
+//! [`crate::rir::compile`] built the closures, so nothing here depends on
+//! the tier.
 //!
 //! **Dispatch contract.** A step returns a `Step` — one register:
 //! *fall through*, a *taken-branch target*, *returned*, or *exit*. The
@@ -36,7 +37,7 @@
 //! place a frame is filled from a `Vec<Value>`.
 //!
 //! **Registers.** A frame's register files are two fixed 64-entry arrays
-//! (CLR 1.1's cap; both allocators clamp every profile's cap to it with
+//! (CLR 1.1's cap; `rir::alloc` clamps every profile's cap to it with
 //! `enreg_cap`), so a register operand is one load at a fixed offset from
 //! the frame with no bounds check. The files sit after the bookkeeping fields
 //! (`repr(C)`), which a call touches; a method touches only its own
@@ -92,7 +93,7 @@ pub(crate) enum Exit {
 /// enregistration cap, the largest `max_enreg_*` of any profile.
 const REG_FILE: usize = 64;
 
-/// How many registers of one kind a slot allocator may hand out under a
+/// How many registers of one kind `rir::alloc` may hand out under a
 /// profile's enregistration cap `cap`: no more than the file holds, so a
 /// larger cap spills the rest.
 pub(crate) fn enreg_cap(cap: u16) -> u16 {
@@ -348,7 +349,7 @@ impl Frame {
 }
 
 /// The register-file index of register slot `s`: the identity, since the
-/// allocators never hand out a register at or above [`REG_FILE`]. The
+/// allocation never hands out a register at or above [`REG_FILE`]. The
 /// modulo is what lets the compiler drop the bounds check.
 #[inline(always)]
 fn reg(s: u16) -> usize {

@@ -14,8 +14,8 @@
 //! build-time constants folded in — the stand-in for the machine code the
 //! paper's JITs emit.
 //!
-//! Both register tiers run this code; they differ only in the allocator
-//! that placed the RIR's values in registers and spill slots before the
+//! Both register tiers run this code; they differ only in how `rir::alloc`
+//! ranked the RIR's values for registers and spill slots before the
 //! closures were built. [`crate::profile::Tier::Rir`] (`clr11`, `mono023`
 //! and the JVM profiles) ranks values by static use count, the reference-
 //! count enregistration of CLR 1.x; [`crate::profile::Tier::Compiled`]

@@ -243,7 +243,6 @@ impl<'v> Interp<'v> {
         }
         let module = &vm.module;
         let op = &module.method(self.method).body.code[pc as usize];
-        vm.record_op(op);
         if vm.observer.enabled() {
             vm.observer.record_interp_op(self.method, op);
         }

@@ -11,7 +11,7 @@
 //! * [`rir`] — stack→register lowering, optimization passes, allocation.
 //! * [`compiled`] — the code both register tiers run: allocated RIR
 //!   translated once into closures by [`rir::compile`], no per-op decode.
-//!   The tiers differ only in the allocator: use-count ranking
+//!   The tiers differ only in `rir::alloc`'s ranking: use count
 //!   ([`Tier::Rir`]) or linear scan ([`Tier::Compiled`]).
 //! * [`call`] — what runs around that code: the frame (an enregistered
 //!   file and a volatile spill frame), the dispatch loop, the EH protocol
@@ -57,7 +57,7 @@ pub use observe::{
     EhDispatchKind, Event, JitOutcome, LoopRejectReason, MethodProfile, ObserveLevel,
     ObserveReport, PhaseTiming, VmPhase,
 };
-pub use profile::{MathKind, MultiDimStyle, PassConfig, Tier, VmProfile};
+pub use profile::{MathKind, PassConfig, Tier, VmProfile};
 pub use rir::share::OptShare;
 pub use rir::{print_rir, RirMethod};
 
@@ -1498,7 +1498,7 @@ mod tests {
 
     #[test]
     fn spill_pressure_over_the_clr_register_file() {
-        // 70 simultaneously live values against max_enreg_prim = 64: the
+        // 70 simultaneously live values against max_enreg = 64: the
         // linear scan must take real spills, and the spilled code must
         // still compute the same answer as every other tier.
         let n = 70usize;
@@ -1517,11 +1517,11 @@ mod tests {
             code.rir.n_pspill
         );
         assert!(
-            code.rir.n_preg <= vm.profile.max_enreg_prim,
+            code.rir.n_preg <= vm.profile.max_enreg,
             "register file over cap"
         );
         // The same method under the use-count allocator spills too — both
-        // allocators honor the profile cap.
+        // rankings honor the profile cap.
         let vm2 = Vm::new(wide_module(n), VmProfile::clr11()).unwrap();
         let rir = vm2.compiled(id).unwrap();
         assert!(rir.n_pspill > 0);
@@ -1530,7 +1530,7 @@ mod tests {
     #[test]
     fn a_cap_above_the_register_file_spills() {
         // The frame's register files have 64 entries; a profile that asks
-        // for more gets 64 and spills the rest, on both allocators.
+        // for more gets 64 and spills the rest, under both rankings.
         let m = wide_module(70);
         let oracle = Vm::new(m.clone(), VmProfile::sscli10()).unwrap();
         let want = oracle
@@ -1539,8 +1539,7 @@ mod tests {
             .unwrap()
             .as_i4();
         let mut wide = VmProfile::clr11();
-        wide.max_enreg_prim = 200;
-        wide.max_enreg_ref = 200;
+        wide.max_enreg = 200;
         for tier in [Tier::Compiled, Tier::Rir] {
             let vm = Vm::new(m.clone(), wide.with_tier(tier)).unwrap();
             let got = vm.invoke_by_name("P.Wide", vec![Value::I4(3)]).unwrap();

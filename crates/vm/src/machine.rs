@@ -186,12 +186,6 @@ pub struct Vm {
     serial_sink: Mutex<Vec<u8>>,
     /// Maximum managed call depth (soft stack-overflow guard).
     max_depth: std::sync::atomic::AtomicU32,
-    /// Executed-opcode coverage, one counter per [`hpcnet_cil::Op`] kind
-    /// (see `Op::kind_index`). Recorded by the interpreter tier only when
-    /// [`Vm::set_op_coverage`] enabled it — the conformance fuzzer's
-    /// per-opcode "executed at least once" accounting.
-    op_coverage: Box<[AtomicU64]>,
-    op_coverage_on: AtomicBool,
     /// Fuel (step-budget) guard: when `fuel_on`, every managed call and
     /// every taken branch decrements `fuel`; hitting zero aborts the run
     /// with [`VmError::Limit`]. The deterministic per-job timeout of the
@@ -280,8 +274,6 @@ impl Vm {
             echo_console: AtomicBool::new(false),
             serial_sink: Mutex::new(Vec::new()),
             max_depth: std::sync::atomic::AtomicU32::new(256),
-            op_coverage: (0..hpcnet_cil::Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            op_coverage_on: AtomicBool::new(false),
             fuel_on: AtomicBool::new(false),
             fuel: std::sync::atomic::AtomicI64::new(0),
             observer: Observer::new(profile.observe, n_methods),
@@ -576,7 +568,7 @@ impl Vm {
     ///
     /// Must be called at a safepoint: no managed code running, all
     /// `Sys.Start` threads joined (this method joins them). Telemetry
-    /// (counters, opcode coverage, observer events) is deliberately
+    /// (counters, the observer's histograms and events) is deliberately
     /// *not* part of the snapshot: it keeps accumulating across resets,
     /// and callers diff [`CountersSnapshot`]s around each run instead.
     /// Code caches are likewise untouched — keeping warmed compiled code
@@ -710,28 +702,6 @@ impl Vm {
     /// Drain captured console output.
     pub fn take_console(&self) -> Vec<String> {
         std::mem::take(&mut *self.console.lock())
-    }
-
-    // ---- executed-opcode coverage ----
-
-    /// Enable or disable per-opcode execution recording. Only the
-    /// interpreter tier records (the register tiers execute RIR, not CIL);
-    /// coverage consumers run an interpreter profile over the module.
-    pub fn set_op_coverage(&self, on: bool) {
-        self.op_coverage_on.store(on, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_op(&self, op: &hpcnet_cil::Op) {
-        if self.op_coverage_on.load(Ordering::Relaxed) {
-            self.op_coverage[op.kind_index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Executed count per opcode kind, indexed like
-    /// [`hpcnet_cil::OP_KIND_NAMES`].
-    pub fn op_coverage_counts(&self) -> Vec<u64> {
-        self.op_coverage.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
     // ---- managed exception construction ----

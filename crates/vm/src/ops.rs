@@ -584,14 +584,14 @@ pub(crate) fn elem_kind_mismatch(fr: &mut Frame) -> Step {
 pub(crate) enum At<'a> {
     /// An SZ index slot, and whether its bounds check survived.
     Sz(u16, bool),
-    /// Multidimensional index slots, and whether the helper accessor runs.
-    Multi(&'a [u16], bool),
+    /// Multidimensional index slots, located by the helper accessor.
+    Multi(&'a [u16]),
 }
 
 /// The indices an [`At`] names, read before the array is touched.
 enum Index {
     Sz(i32, bool),
-    Multi([i32; 3], usize, bool),
+    Multi([i32; 3], usize),
 }
 
 impl At<'_> {
@@ -599,12 +599,12 @@ impl At<'_> {
     fn read(self, fr: &Frame) -> Index {
         match self {
             At::Sz(idx, checked) => Index::Sz(fr.pget(idx) as u32 as i32, checked),
-            At::Multi(idxs, helper) => {
+            At::Multi(idxs) => {
                 let mut vals = [0i32; 3];
                 for (v, &s) in vals.iter_mut().zip(idxs) {
                     *v = fr.pget(s) as u32 as i32;
                 }
-                Index::Multi(vals, idxs.len(), helper)
+                Index::Multi(vals, idxs.len())
             }
         }
     }
@@ -623,14 +623,7 @@ impl Index {
                 }
                 Some(i as usize)
             }
-            Index::Multi(ref vals, rank, helper) => {
-                let idxs = vals.get(..rank)?;
-                if helper {
-                    multi_helper(o, idxs)
-                } else {
-                    o.multi_offset(idxs)
-                }
-            }
+            Index::Multi(ref vals, rank) => multi_helper(o, vals.get(..rank)?),
         }
     }
 }

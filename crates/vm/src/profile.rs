@@ -8,8 +8,8 @@
 //! | Paper observation | Knob |
 //! |---|---|
 //! | Rotor: portability JIT, every local in memory, emulated `cdq` | `tier = Interpreter`, `emulate_cdq` |
-//! | Mono 0.23: near-1:1 CIL lowering, one register, rest memory | `tier = Rir`, all passes off, `max_enreg_prim = 1` |
-//! | CLR 1.1: registers + constants, 64-local enregistration cap | `tier = Rir` (use-count ranking), full passes, `max_enreg_prim = 64` |
+//! | Mono 0.23: near-1:1 CIL lowering, one register, rest memory | `tier = Rir`, all passes off, `max_enreg = 1` |
+//! | CLR 1.1: registers + constants, 64-local enregistration cap | `tier = Rir` (use-count ranking), full passes, `max_enreg = 64` |
 //! | CLR 1.1: "something weird by temporarily storing the constant" in the division loop | `div_const_temp_quirk` |
 //! | IBM JVM: "registers and constants throughout the loop" | `imm_fusion` |
 //! | CLR: faster multiplication (Graph 1) | `mul_strength_reduction` |
@@ -17,7 +17,7 @@
 //! | Optimizing JITs keep loop-invariant work out of the body | `licm` |
 //! | CLI exceptions ≫ JVM exceptions (Graph 5) | `exception_cost_units` |
 //! | CLR math library faster than JVM's (Graphs 6–8) | `math` |
-//! | True multidim accessors miss the optimizations even on CLR (Graph 12) | `multidim` (`FlatOffset` kept for ablation) |
+//! | True multidim accessors miss the optimizations even on CLR (Graph 12) | none: every register-tier profile runs the helper accessor (`ldmelem.helper`) |
 //!
 //! docs/OPTIMIZATIONS.md expands this table into a mechanism-by-mechanism
 //! map with the RIR listings each knob produces; the `opt` report
@@ -26,10 +26,11 @@
 //! lower → scalar passes → loop-aware tier → allocate → execute.
 //!
 //! The two register tiers run the same closure code ([`crate::compiled`],
-//! the stand-in for the machine code a JIT emits) and differ only in the
-//! allocator. [`Tier::Rir`] ranks values by static use count, the
-//! reference-count enregistration of CLR 1.x, and backs every paper
-//! profile but Rotor; [`Tier::Compiled`] runs a linear scan and backs
+//! the stand-in for the machine code a JIT emits) and differ only in how
+//! `rir::alloc` ranks values for the `max_enreg` registers of each file.
+//! [`Tier::Rir`] ranks them by static use count, the reference-count
+//! enregistration of CLR 1.x, and backs every paper profile but Rotor;
+//! [`Tier::Compiled`] runs a linear scan and backs
 //! [`VmProfile::clr11_compiled`].
 
 use crate::observe::ObserveLevel;
@@ -57,16 +58,6 @@ pub enum MathKind {
     Fast,
     /// Software strict implementations (JVM-style).
     Strict,
-}
-
-/// How true multidimensional element accesses are compiled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MultiDimStyle {
-    /// Inline flat-offset computation (CLR 1.1's optimized accessors).
-    FlatOffset,
-    /// Helper-call lowering: per-access dimension walk with redundant
-    /// re-validation, as unoptimized runtimes did.
-    HelperCall,
 }
 
 /// Optimization-pass configuration for the register tier.
@@ -159,13 +150,12 @@ pub struct VmProfile {
     pub name: &'static str,
     pub tier: Tier,
     pub passes: PassConfig,
-    /// How many primitive virtual registers may live in the register file;
-    /// the rest spill to the (slower) frame arena. CLR 1.1's documented
-    /// limit is 64, which is also the size of the frame's register file:
-    /// a larger cap acts as 64, and the values beyond it spill.
-    pub max_enreg_prim: u16,
-    /// Same cap for reference registers, on a file of the same 64 entries.
-    pub max_enreg_ref: u16,
+    /// How many virtual registers of each kind (primitive, reference) may
+    /// live in the register file; the rest spill to the (slower) frame
+    /// arena. CLR 1.1's documented limit is 64, which is also the size of
+    /// the frame's register files: a larger cap acts as 64, and the values
+    /// beyond it spill.
+    pub max_enreg: u16,
     /// Interpreter tier: emulate `cdq` with loads and shifts before every
     /// signed division (the SSCLI 1.0 JIT behavior in Table 8).
     pub emulate_cdq: bool,
@@ -179,7 +169,6 @@ pub struct VmProfile {
     /// cheap (Graph 5).
     pub exception_cost_units: u32,
     pub math: MathKind,
-    pub multidim: MultiDimStyle,
     /// How much the VM records while executing (docs/OBSERVABILITY.md).
     /// `Off` in every stock profile; not part of the modeled platform, so
     /// it must never change execution results — the conform fuzzer runs
@@ -236,17 +225,11 @@ impl VmProfile {
             name: "C# .NET 1.1",
             tier: Tier::Rir,
             passes: p,
-            max_enreg_prim: 64,
-            max_enreg_ref: 64,
+            max_enreg: 64,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 8,
             math: MathKind::Fast,
-            // Graph 12's irony: even on CLR 1.1 the multidimensional
-            // accessors miss the optimizations jagged code enjoys — they
-            // run at ~25% of jagged throughput. The `FlatOffset` style
-            // exists for ablation (what optimized accessors would do).
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -263,13 +246,11 @@ impl VmProfile {
             name: "J# .NET 1.1",
             tier: Tier::Rir,
             passes: p,
-            max_enreg_prim: 32,
-            max_enreg_ref: 32,
+            max_enreg: 32,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 8,
             math: MathKind::Fast,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -281,13 +262,11 @@ impl VmProfile {
             name: "Mono-0.23",
             tier: Tier::Rir,
             passes: PassConfig::none(),
-            max_enreg_prim: 1,
-            max_enreg_ref: 1,
+            max_enreg: 1,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 10,
             math: MathKind::Fast,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -299,13 +278,11 @@ impl VmProfile {
             name: "Rotor 1.0",
             tier: Tier::Interpreter,
             passes: PassConfig::none(),
-            max_enreg_prim: 0,
-            max_enreg_ref: 0,
+            max_enreg: 0,
             emulate_cdq: true,
             portability_shim: true,
             exception_cost_units: 12,
             math: MathKind::Fast,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -319,13 +296,11 @@ impl VmProfile {
             name: "Java IBM 1.3.1",
             tier: Tier::Rir,
             passes: p,
-            max_enreg_prim: 64,
-            max_enreg_ref: 64,
+            max_enreg: 64,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -344,13 +319,11 @@ impl VmProfile {
             name: "Java BEA JRockit 8.1",
             tier: Tier::Rir,
             passes: p,
-            max_enreg_prim: 48,
-            max_enreg_ref: 48,
+            max_enreg: 48,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -370,13 +343,11 @@ impl VmProfile {
             name: "Java Sun 1.4",
             tier: Tier::Rir,
             passes: p,
-            max_enreg_prim: 24,
-            max_enreg_ref: 24,
+            max_enreg: 24,
             emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
-            multidim: MultiDimStyle::HelperCall,
             observe: ObserveLevel::Off,
             audit: false,
         }
@@ -437,7 +408,7 @@ mod tests {
         let compiled = VmProfile::clr11_compiled();
         assert_eq!(compiled.tier, Tier::Compiled);
         assert_eq!(compiled.passes, base.passes);
-        assert_eq!(compiled.max_enreg_prim, base.max_enreg_prim);
+        assert_eq!(compiled.max_enreg, base.max_enreg);
         assert_ne!(compiled.name, base.name, "artifact keys must differ");
         // with_tier only changes the tier.
         let t = base.with_tier(Tier::Compiled);
@@ -461,8 +432,8 @@ mod tests {
 
     #[test]
     fn clr_enregisters_64_locals() {
-        assert_eq!(VmProfile::clr11().max_enreg_prim, 64);
-        assert_eq!(VmProfile::mono023().max_enreg_prim, 1);
+        assert_eq!(VmProfile::clr11().max_enreg, 64);
+        assert_eq!(VmProfile::mono023().max_enreg, 1);
     }
 
     #[test]

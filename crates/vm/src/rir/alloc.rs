@@ -1,0 +1,197 @@
+//! Register placement for both register tiers: the one place virtual
+//! registers become register-file or spill slots ([`SPILL_BIT`] set; the
+//! volatile frame arena).
+//!
+//! One walk records each virtual register's use count and its first and
+//! last occurrence (arguments at pc 0, exception slots at their handler's
+//! start). The tier picks the ranking that fills each file's `max_enreg`
+//! registers, clamped to the frame's 64 by `call::enreg_cap`: the static
+//! use count of CLR 1.x on [`Tier::Rir`] (and on an interpreter VM asked
+//! for register code), a linear scan over live intervals on
+//! [`Tier::Compiled`]. One rewrite of the code, the argument locations and
+//! the exception slots builds the [`RirMethod`]. Placement is
+//! deterministic: same input, same slots, on every run and thread.
+
+use crate::call::enreg_cap;
+use crate::machine::Vm;
+use crate::profile::Tier;
+use crate::rir::lower::{rewrite_slots, Lowered};
+use crate::rir::{ArgSlot, RirMethod, SPILL_BIT};
+use hpcnet_cil::module::MethodId;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashSet};
+
+/// Where one virtual register occurs: how often, and the span from its
+/// first to its last occurrence (its live interval once widened).
+#[derive(Clone, Copy)]
+struct Occ {
+    count: u32,
+    first: u32,
+    last: u32,
+}
+
+impl Occ {
+    const NEVER: Occ = Occ { count: 0, first: u32::MAX, last: 0 };
+
+    fn dead(&self) -> bool {
+        self.count == 0
+    }
+}
+
+/// Record an occurrence of `v` at pc `at`; hands `v` back unchanged.
+fn touch(file: &mut [Occ], v: u16, at: u32) -> u16 {
+    let o = &mut file[v as usize];
+    o.count += 1;
+    o.first = o.first.min(at);
+    o.last = o.last.max(at);
+    v
+}
+
+/// One file's placement: the vreg → slot map and the sizes it needs.
+struct Placement {
+    map: Vec<u16>,
+    n_reg: u16,
+    n_spill: u16,
+}
+
+impl Placement {
+    fn new(n_vregs: usize) -> Placement {
+        Placement { map: vec![0; n_vregs], n_reg: 0, n_spill: 0 }
+    }
+
+    fn reg(&mut self, v: usize, r: u16) {
+        self.map[v] = r;
+        self.n_reg = self.n_reg.max(r + 1);
+    }
+
+    fn spill(&mut self, v: usize) {
+        self.map[v] = SPILL_BIT | self.n_spill;
+        self.n_spill += 1;
+    }
+}
+
+/// Place `l`'s virtual registers with the ranking of the profile's tier.
+/// `force_spill_p` names primitive vregs that must live in memory.
+pub(crate) fn allocate(
+    vm: &Vm,
+    method: MethodId,
+    mut l: Lowered,
+    force_spill_p: &HashSet<u16>,
+) -> RirMethod {
+    let mut pocc = vec![Occ::NEVER; l.n_pvreg as usize];
+    let mut rocc = vec![Occ::NEVER; l.n_rvreg as usize];
+    for (pc, inst) in l.code.iter_mut().enumerate() {
+        let at = pc as u32;
+        rewrite_slots(inst, &mut |v| touch(&mut pocc, v, at), &mut |v| touch(&mut rocc, v, at));
+    }
+    for a in &l.arg_locs {
+        match *a {
+            ArgSlot::P(_, v) => touch(&mut pocc, v, 0),
+            ArgSlot::R(v) => touch(&mut rocc, v, 0),
+        };
+    }
+    for (region, &v) in l.eh.iter().zip(&l.eh_exc_vregs) {
+        if v != u16::MAX {
+            touch(&mut rocc, v, region.handler_start);
+        }
+    }
+
+    let cap = enreg_cap(vm.profile.max_enreg);
+    let place = |file: &mut [Occ], force: &HashSet<u16>| match vm.profile.tier {
+        Tier::Compiled => by_live_interval(&l, file, cap, force),
+        Tier::Rir | Tier::Interpreter => by_use_count(file, cap, force),
+    };
+    let (p, r) = (place(&mut pocc, force_spill_p), place(&mut rocc, &HashSet::new()));
+
+    for inst in &mut l.code {
+        rewrite_slots(inst, &mut |v| p.map[v as usize], &mut |v| r.map[v as usize]);
+    }
+    let arg_locs = l
+        .arg_locs
+        .iter()
+        .map(|a| match *a {
+            ArgSlot::P(t, v) => ArgSlot::P(t, p.map[v as usize]),
+            ArgSlot::R(v) => ArgSlot::R(r.map[v as usize]),
+        })
+        .collect();
+    let eh_exc_slots = l
+        .eh_exc_vregs
+        .iter()
+        .map(|&v| if v == u16::MAX { u16::MAX } else { r.map[v as usize] })
+        .collect();
+
+    let (n_preg, n_pspill, n_rreg, n_rspill) = (p.n_reg, p.n_spill, r.n_reg, r.n_spill);
+    let (code, eh) = (l.code, l.eh);
+    RirMethod { method, code, eh, eh_exc_slots, arg_locs, n_preg, n_pspill, n_rreg, n_rspill }
+}
+
+/// The use-count ranking: a stable sort by descending count; the first
+/// `cap` live, unforced values get registers, and spill slots are numbered
+/// in ranking order.
+fn by_use_count(file: &[Occ], cap: u16, force: &HashSet<u16>) -> Placement {
+    let mut out = Placement::new(file.len());
+    let mut order: Vec<usize> = (0..file.len()).collect();
+    order.sort_by_key(|&v| Reverse(file[v].count));
+    for v in order {
+        if !force.contains(&(v as u16)) && out.n_reg < cap && !file[v].dead() {
+            out.reg(v, out.n_reg);
+        } else {
+            out.spill(v);
+        }
+    }
+    out
+}
+
+/// The linear scan. Occurrence spans first become live intervals: a value
+/// live across a backward branch is live for the whole loop (branches in
+/// pc order reach the fixpoint in one pass), and since exception dispatch
+/// enters handlers along edges linear order cannot see, every live value
+/// of a method with exception regions spans the whole body. Dead and
+/// forced values take spill slots first, in vreg order; the rest go in
+/// `(start, vreg)` order to the lowest free register. When the file is
+/// full, the interval with the furthest end is evicted to memory if it
+/// outlives the new one; otherwise the new one spills.
+fn by_live_interval(l: &Lowered, file: &mut [Occ], cap: u16, force: &HashSet<u16>) -> Placement {
+    let len = l.code.len() as u32;
+    let back: Vec<(u32, u32)> = (0..len)
+        .filter_map(|j| l.code[j as usize].target().filter(|&t| t <= j).map(|t| (j, t)))
+        .collect();
+    for o in file.iter_mut().filter(|o| !o.dead()) {
+        if !l.eh.is_empty() {
+            (o.first, o.last) = (0, len);
+        }
+        for &(j, t) in &back {
+            if o.first <= j && o.last >= t && o.last < j {
+                o.last = j;
+            }
+        }
+    }
+
+    let mut out = Placement::new(file.len());
+    let (spilled, mut order): (Vec<usize>, Vec<usize>) =
+        (0..file.len()).partition(|&v| file[v].dead() || force.contains(&(v as u16)));
+    spilled.into_iter().for_each(|v| out.spill(v));
+    order.sort_by_key(|&v| (file[v].first, v));
+    let mut free: BTreeSet<u16> = (0..cap).collect();
+    let mut active: Vec<(u32, usize, u16)> = Vec::new(); // (end, vreg, reg)
+    for v in order {
+        let Occ { first: start, last: end, .. } = file[v];
+        free.extend(active.iter().filter(|a| a.0 < start).map(|a| a.2));
+        active.retain(|a| a.0 >= start);
+        if let Some(r) = free.pop_first() {
+            out.reg(v, r);
+            active.push((end, v, r));
+            continue;
+        }
+        match (0..active.len()).max_by_key(|&i| active[i]) {
+            Some(i) if active[i].0 > end => {
+                let (_, w, r) = active[i];
+                out.spill(w);
+                out.reg(v, r);
+                active[i] = (end, v, r);
+            }
+            _ => out.spill(v),
+        }
+    }
+    out
+}

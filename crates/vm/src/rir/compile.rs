@@ -1,5 +1,4 @@
-//! RIR → closure code: register allocation and closure compilation for
-//! both register tiers ([`crate::compiled`]).
+//! RIR → closure code for both register tiers ([`crate::compiled`]).
 //!
 //! A JIT emits machine code once; executing it decodes nothing. This
 //! module gets the same shape the way direct-threaded VMs do: each
@@ -12,12 +11,12 @@
 //! and U1 masking passed as constants, so the Rust compiler folds away
 //! every branch on them.
 //!
-//! **Two allocators, one code.** Before the closures are built, the
-//! optimized RIR's virtual registers are placed in the frame's register
-//! files or spill slots by the allocator of the profile's tier: the
-//! static use-count ranking of `opt::allocate` on [`Tier::Rir`] (CLR
-//! 1.x's reference-count enregistration, the one `jit_compare`'s Tables
-//! 6–8 print), or the linear scan below on [`Tier::Compiled`]. Nothing
+//! **One allocation, two rankings, one code.** Before the closures are
+//! built, `rir::alloc` places the optimized RIR's virtual registers in the
+//! frame's register files or spill slots, ranking them by static use count
+//! on [`Tier::Rir`](crate::profile::Tier::Rir) (CLR 1.x's reference-count
+//! enregistration, the one `jit_compare`'s Tables 6–8 print) or by linear
+//! scan on [`Tier::Compiled`](crate::profile::Tier::Compiled). Nothing
 //! after allocation depends on the tier.
 //!
 //! **Superinstructions.** A closure call per instruction still pays one
@@ -32,17 +31,6 @@
 //! counters and the dispatch loop are untouched. An observing VM keeps one
 //! slot per instruction, so `ops[pc]` pairs with `rir.code[pc]` for the
 //! observer's attribution, as it does in methods with exception regions.
-//!
-//! The **linear scan** works over live intervals rather than static use
-//! counts: intervals are the span from first to last occurrence (extended
-//! across backward branches, and pessimized to whole-method spans when
-//! exception regions make linear order a lie), registers are reused as
-//! intervals expire, and when the profile's enregistration cap
-//! (`max_enreg_prim` / `max_enreg_ref`, clamped to the frame's 64-entry
-//! register files by `call::enreg_cap`) is exhausted the value staying
-//! live longest is evicted to the volatile spill frame. Under the CLR profile's 64-register file a method with
-//! more than 64 simultaneously live values takes genuine spills — the
-//! paper's Section 5 enregistration limit as a real allocation decision.
 //!
 //! ```
 //! use hpcnet_cil::{BinOp, CilType, CmpOp, MethodKind, ModuleBuilder};
@@ -73,234 +61,29 @@
 //! assert_eq!(r.unwrap().as_i4(), 45);
 //! ```
 
-use crate::call::{enreg_cap, Frame, Receiver, Step};
+use crate::call::{Frame, Receiver, Step};
 use crate::compiled::{CompiledMethod, OpFn};
 use crate::error::VmResult;
 use crate::machine::Vm;
 use crate::ops::{self, At, Layout};
-use crate::profile::Tier;
-use crate::rir::lower::{self, Lowered};
-use crate::rir::{
-    is_spill, opt, ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod, SPILL_BIT,
-};
+use crate::rir::{alloc, is_spill, opt, ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, ElemKind, Intrinsic, NumTy};
 use hpcnet_runtime::math::Routine;
-use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Compile a method for a register tier: lower, run the shared
-/// optimization pipeline, allocate with the tier's allocator — the
-/// use-count ranking on [`Tier::Rir`] (and on an interpreter VM asked for
-/// its register code), the linear scan on [`Tier::Compiled`] — then close
-/// over every instruction. Both emit the same `JitCompile` trace events.
+/// optimization pipeline, place registers with the ranking of the
+/// profile's tier (`rir::alloc`), then close over every instruction. Both
+/// tiers emit the same `JitCompile` trace events.
 pub(crate) fn compile(vm: &Arc<Vm>, method: MethodId) -> VmResult<CompiledMethod> {
     let (lowered, res) = crate::rir::share::front(vm, method)?;
     let t = vm.observer.phase_start();
-    let rir = match vm.profile.tier {
-        Tier::Compiled => linear_scan(vm, method, lowered, &res.force_spill_p),
-        Tier::Rir | Tier::Interpreter => opt::allocate(vm, method, lowered, &res.force_spill_p),
-    };
+    let rir = alloc::allocate(vm, method, lowered, &res.force_spill_p);
     vm.observer.phase_end(crate::observe::VmPhase::JitAllocate, t);
     opt::push_compile_events(vm, method, &rir, res);
     let ops = build_ops(vm, &rir);
     Ok(CompiledMethod { rir: Arc::new(rir), ops })
-}
-
-// ---------------------------------------------------------------------------
-// Linear-scan slot allocation
-// ---------------------------------------------------------------------------
-
-/// Record an occurrence of vreg `v` at instruction index `at`.
-fn touch(iv: &mut [(u32, u32)], v: u16, at: u32) {
-    let e = &mut iv[v as usize];
-    if e.0 == u32::MAX {
-        *e = (at, at);
-    } else {
-        if at < e.0 {
-            e.0 = at;
-        }
-        if at > e.1 {
-            e.1 = at;
-        }
-    }
-}
-
-/// Allocate virtual registers to the profile-capped register file by
-/// linear scan over live intervals, spilling the rest. Shares the
-/// `SPILL_BIT` slot encoding (and therefore [`Frame`]) with the use-count
-/// allocator, so closure code reads either allocation's slots the same way.
-fn linear_scan(
-    vm: &Arc<Vm>,
-    method: MethodId,
-    mut l: Lowered,
-    force_spill_p: &HashSet<u16>,
-) -> RirMethod {
-    let len = l.code.len() as u32;
-    // (first, last) occurrence per vreg; first == u32::MAX means dead.
-    let mut pint = vec![(u32::MAX, 0u32); l.n_pvreg as usize];
-    let mut rint = vec![(u32::MAX, 0u32); l.n_rvreg as usize];
-    for (i, inst) in l.code.iter_mut().enumerate() {
-        let at = i as u32;
-        lower::rewrite_slots(
-            inst,
-            &mut |v| {
-                touch(&mut pint, v, at);
-                v
-            },
-            &mut |v| {
-                touch(&mut rint, v, at);
-                v
-            },
-        );
-    }
-    // Arguments are written before the first instruction executes.
-    for a in &l.arg_locs {
-        match a {
-            ArgSlot::P(_, v) => touch(&mut pint, *v, 0),
-            ArgSlot::R(v) => touch(&mut rint, *v, 0),
-        }
-    }
-    // Exception slots are written by dispatch on handler entry.
-    for (r, &v) in l.eh.iter().zip(&l.eh_exc_vregs) {
-        if v != u16::MAX {
-            touch(&mut rint, v, r.handler_start);
-        }
-    }
-
-    // A value live across a backward branch is live for the whole loop:
-    // extend any interval overlapping [target, branch] to the branch.
-    // Processing branches in increasing pc order reaches the fixpoint in
-    // one pass (extension only grows ends, and later edges sit later).
-    let mut back: Vec<(u32, u32)> = Vec::new();
-    for (j, inst) in l.code.iter().enumerate() {
-        if let Some(t) = inst.target() {
-            if t <= j as u32 {
-                back.push((j as u32, t));
-            }
-        }
-    }
-    for ints in [&mut pint, &mut rint] {
-        for &(j, t) in &back {
-            for e in ints.iter_mut() {
-                if e.0 != u32::MAX && e.0 <= j && e.1 >= t && e.1 < j {
-                    e.1 = j;
-                }
-            }
-        }
-    }
-    // Exception dispatch enters handlers from any pc inside the protected
-    // region — edges linear order cannot see. Methods with EH regions keep
-    // every live value in its slot for the whole body (no interval reuse);
-    // the hot loop kernels this tier exists for have no EH.
-    if !l.eh.is_empty() {
-        for ints in [&mut pint, &mut rint] {
-            for e in ints.iter_mut() {
-                if e.0 != u32::MAX {
-                    *e = (0, len);
-                }
-            }
-        }
-    }
-
-    let (pmap, n_preg, n_pspill) =
-        scan_assign(&pint, enreg_cap(vm.profile.max_enreg_prim), force_spill_p);
-    let empty = HashSet::new();
-    let (rmap, n_rreg, n_rspill) = scan_assign(&rint, enreg_cap(vm.profile.max_enreg_ref), &empty);
-
-    for inst in &mut l.code {
-        lower::rewrite_slots(inst, &mut |v| pmap[v as usize], &mut |v| rmap[v as usize]);
-    }
-    let arg_locs = l
-        .arg_locs
-        .iter()
-        .map(|a| match a {
-            ArgSlot::P(t, v) => ArgSlot::P(*t, pmap[*v as usize]),
-            ArgSlot::R(v) => ArgSlot::R(rmap[*v as usize]),
-        })
-        .collect();
-    let eh_exc_slots = l
-        .eh_exc_vregs
-        .iter()
-        .map(|&v| if v == u16::MAX { u16::MAX } else { rmap[v as usize] })
-        .collect();
-
-    RirMethod {
-        method,
-        code: l.code,
-        eh: l.eh,
-        eh_exc_slots,
-        arg_locs,
-        n_preg,
-        n_pspill,
-        n_rreg,
-        n_rspill,
-    }
-}
-
-/// The scan itself: intervals in `(start, vreg)` order, lowest free
-/// register first, furthest-end eviction when the file is full. Returns
-/// `(vreg → slot map, registers used, spill slots used)`. Fully
-/// deterministic — same input, same allocation, on every run and thread.
-fn scan_assign(intervals: &[(u32, u32)], cap: u16, force: &HashSet<u16>) -> (Vec<u16>, u16, u16) {
-    let n_vregs = intervals.len();
-    let mut map = vec![0u16; n_vregs];
-    let mut decided = vec![false; n_vregs];
-    let mut n_spill: u16 = 0;
-    let mut n_reg: u16 = 0;
-    // Dead and force-spilled vregs take spill slots up front — same
-    // convention as the use-count allocator: only live values compete for
-    // the register file.
-    for v in 0..n_vregs {
-        if intervals[v].0 == u32::MAX || force.contains(&(v as u16)) {
-            map[v] = SPILL_BIT | n_spill;
-            n_spill += 1;
-            decided[v] = true;
-        }
-    }
-    let mut order: Vec<usize> = (0..n_vregs).filter(|&v| !decided[v]).collect();
-    order.sort_by_key(|&v| (intervals[v].0, v));
-    let mut free: BTreeSet<u16> = (0..cap).collect();
-    let mut active: Vec<(u32, usize, u16)> = Vec::new(); // (end, vreg, reg)
-    for &v in &order {
-        let (start, end) = intervals[v];
-        active.retain(|&(e, _, r)| {
-            if e < start {
-                free.insert(r);
-                false
-            } else {
-                true
-            }
-        });
-        if let Some(&r) = free.iter().next() {
-            free.remove(&r);
-            map[v] = r;
-            n_reg = n_reg.max(r + 1);
-            active.push((end, v, r));
-        } else {
-            // File full: evict the value staying live longest, if it
-            // outlives the new one; otherwise the new one spills.
-            let victim = active
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &(e, vr, _))| (e, vr))
-                .map(|(i, _)| i);
-            match victim {
-                Some(i) if active[i].0 > end => {
-                    let (_, victim_v, r) = active[i];
-                    map[victim_v] = SPILL_BIT | n_spill;
-                    n_spill += 1;
-                    map[v] = r;
-                    active[i] = (end, v, r);
-                }
-                _ => {
-                    map[v] = SPILL_BIT | n_spill;
-                    n_spill += 1;
-                }
-            }
-        }
-    }
-    (map, n_reg, n_spill)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,21 +431,21 @@ fn build_op(build: &Build, inst: &RInst) -> OpFn {
             let dims = dims.clone();
             op!(|fr, vm, depth| ops::new_multi(fr, vm, depth, kind, &dims, dst))
         }
-        RInst::LdElemMulti { arr, ref idxs, dst, helper, .. } => {
+        RInst::LdElemMulti { arr, ref idxs, dst, .. } => {
             let idxs = idxs.clone();
             match dst {
                 DstSlot::P(d) => op!(|fr, vm, depth| {
-                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), DstSlot::P(d))
+                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs), DstSlot::P(d))
                 }),
                 DstSlot::R(d) => op!(|fr, vm, depth| {
-                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), DstSlot::R(d))
+                    ops::ld_elem(fr, vm, depth, arr, At::Multi(&idxs), DstSlot::R(d))
                 }),
             }
         }
-        RInst::StElemMulti { kind, arr, ref idxs, src, helper } => {
+        RInst::StElemMulti { kind, arr, ref idxs, src } => {
             let (idxs, mask) = (idxs.clone(), kind == ElemKind::U1);
             op!(|fr, vm, depth| {
-                ops::st_elem(fr, vm, depth, arr, At::Multi(&idxs, helper), src, mask)
+                ops::st_elem(fr, vm, depth, arr, At::Multi(&idxs), src, mask)
             })
         }
         RInst::LdMultiLen { arr, dim, dst } => {

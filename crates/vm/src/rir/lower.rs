@@ -17,7 +17,6 @@
 
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
-use crate::profile::MultiDimStyle;
 use crate::rir::audit::ElisionCert;
 use crate::rir::{ArgSlot, BoundsMode, DstSlot, Operand, RInst};
 use hpcnet_cil::module::{EhKind, MethodId};
@@ -532,7 +531,6 @@ pub(crate) fn lower(
                     arr: ctx.r(base),
                     idxs,
                     dst,
-                    helper: vm.profile.multidim == MultiDimStyle::HelperCall,
                 });
             }
             Op::StElemMulti { kind, rank } => {
@@ -544,7 +542,6 @@ pub(crate) fn lower(
                     arr: ctx.r(base),
                     idxs,
                     src,
-                    helper: vm.profile.multidim == MultiDimStyle::HelperCall,
                 });
             }
             Op::LdMultiLen { dim } => ctx.emit(RInst::LdMultiLen {

@@ -22,13 +22,13 @@
 //!    almost-provable loops behind an up-front guard. Every elision
 //!    carries a certificate re-verified by [`crate::rir::audit`].
 //!    Per-method results are tallied on [`crate::machine::Counters`].
-//! 4. **Allocate** ([`crate::rir::compile`]): virtual registers are placed
-//!    in the register file (plain array access at run time) up to the
-//!    profile's `max_enreg` cap; the rest spill to a frame arena (volatile
-//!    memory traffic) — the enregistration mechanism Section 5 of the
-//!    paper identifies as dominating low-level performance. `Tier::Rir`
-//!    ranks them by static use count ([`crate::rir::opt`], CLR 1.x's
-//!    model), `Tier::Compiled` runs a linear scan over live intervals.
+//! 4. **Allocate** (`rir::alloc`): virtual registers are placed in the
+//!    register file (plain array access at run time) up to the profile's
+//!    `max_enreg` cap; the rest spill to a frame arena (volatile memory
+//!    traffic) — the enregistration mechanism Section 5 of the paper
+//!    identifies as dominating low-level performance. `Tier::Rir` ranks
+//!    them by static use count (CLR 1.x's model), `Tier::Compiled` runs a
+//!    linear scan over live intervals.
 //! 5. **Execute** ([`crate::compiled`]): the allocated code is translated
 //!    once into closures, the same on both tiers, and runs in
 //!    [`crate::call`]'s dispatch loop; an "unchecked" element access that
@@ -42,6 +42,7 @@
 //! length-bounded loop. docs/OPTIMIZATIONS.md maps every optimization
 //! mechanism to its profile knob.
 
+pub(crate) mod alloc;
 pub mod audit;
 pub mod compile;
 pub mod lower;
@@ -210,10 +211,11 @@ pub enum RInst {
     LdElem { kind: ElemKind, arr: u16, idx: u16, dst: DstSlot, bounds: BoundsMode },
     StElem { kind: ElemKind, arr: u16, idx: u16, src: ArgSlot, bounds: BoundsMode },
     NewMulti { kind: ElemKind, dims: Box<[u16]>, dst: u16 },
-    /// `helper: true` models the helper-call lowering of runtimes without
-    /// optimized multidimensional accessors (Graph 12's effect).
-    LdElemMulti { kind: ElemKind, arr: u16, idxs: Box<[u16]>, dst: DstSlot, helper: bool },
-    StElemMulti { kind: ElemKind, arr: u16, idxs: Box<[u16]>, src: ArgSlot, helper: bool },
+    /// Every multidimensional access runs the helper-call accessor that
+    /// runtimes without optimized multidimensional accessors used (Graph
+    /// 12's effect); listings print it as `.helper`.
+    LdElemMulti { kind: ElemKind, arr: u16, idxs: Box<[u16]>, dst: DstSlot },
+    StElemMulti { kind: ElemKind, arr: u16, idxs: Box<[u16]>, src: ArgSlot },
     LdMultiLen { arr: u16, dim: u8, dst: u16 },
     BoxV { ty: NumTy, src: u16, dst: u16 },
     UnboxV { ty: NumTy, src: u16, dst: u16 },
@@ -472,18 +474,16 @@ pub fn print_rir(r: &RirMethod) -> String {
                 fmt_slot('o', *dst),
                 dims.iter().map(|d| fmt_slot('p', *d)).collect::<Vec<_>>().join(", ")
             ),
-            RInst::LdElemMulti { kind, arr, idxs, dst, helper } => format!(
-                "ldmelem.{}{} {}, {}[{}]",
+            RInst::LdElemMulti { kind, arr, idxs, dst } => format!(
+                "ldmelem.{}.helper {}, {}[{}]",
                 kind.suffix(),
-                if *helper { ".helper" } else { "" },
                 fmt_dst(dst),
                 fmt_slot('o', *arr),
                 idxs.iter().map(|d| fmt_slot('p', *d)).collect::<Vec<_>>().join(", ")
             ),
-            RInst::StElemMulti { kind, arr, idxs, src, helper } => format!(
-                "stmelem.{}{} {}[{}], {}",
+            RInst::StElemMulti { kind, arr, idxs, src } => format!(
+                "stmelem.{}.helper {}[{}], {}",
                 kind.suffix(),
-                if *helper { ".helper" } else { "" },
                 fmt_slot('o', *arr),
                 idxs.iter().map(|d| fmt_slot('p', *d)).collect::<Vec<_>>().join(", "),
                 fmt_arg(src)

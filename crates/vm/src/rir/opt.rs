@@ -1,25 +1,18 @@
-//! RIR optimization passes and register allocation.
+//! RIR optimization passes.
 //!
 //! Each pass corresponds to a codegen capability the paper attributes to a
 //! specific JIT (see [`crate::profile`]). Passes run under the profile's
 //! [`PassConfig`]; Mono 0.23 runs none of them and keeps the naive lowering.
-//!
-//! Register allocation then models *enregistration*: virtual registers are
-//! ranked by static use count and the top `max_enreg` live in the register
-//! file (plain array access at run time); the rest — and anything in the
-//! force-spill set — live in the spill frame, accessed through volatile
-//! loads/stores (real memory traffic). CLR 1.0/1.1 "only consider a maximum
-//! of 64 local variables for enregistration"; that cap is exactly this
-//! parameter.
+//! Their output still holds virtual registers: `rir::alloc` places them,
+//! honoring the force-spill set the pipeline returns.
 
-use crate::call::enreg_cap;
 use crate::machine::Vm;
 use crate::observe::{Event, JitOutcome, LoopRejectReason};
 use crate::profile::PassConfig;
 use crate::rir::audit::{self, CertKind, ElisionCert};
 use crate::rir::loops::{leader_mask, Analysis, Cfg, NaturalLoop};
 use crate::rir::lower::{rewrite_slots, Lowered};
-use crate::rir::{ArgSlot, BoundsMode, DstSlot, Operand, RInst, RirMethod, SPILL_BIT};
+use crate::rir::{BoundsMode, DstSlot, Operand, RInst, RirMethod};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, NumTy, UnOp};
 use std::collections::{HashMap, HashSet};
@@ -27,8 +20,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What the pass pipeline did to a method, before allocation: the partial
-/// [`JitOutcome`] (enreg/spill filled in by the allocator's caller), the
-/// loop-rejection trace, and the force-spill set the allocator must honor.
+/// [`JitOutcome`] (enreg/spill filled in after allocation), the
+/// loop-rejection trace, and the force-spill set `rir::alloc` must honor.
 #[derive(Clone)]
 pub(crate) struct OptResult {
     pub outcome: JitOutcome,
@@ -70,11 +63,10 @@ impl MethodCtx {
 }
 
 /// Run a pass configuration over lowered code in place. Both register
-/// tiers share this pipeline — [`crate::profile::Tier::Rir`] hands the
-/// result to the use-count allocator below,
-/// [`crate::profile::Tier::Compiled`] to the linear-scan allocator in
-/// [`crate::rir::compile`] — so a pass combination means the same thing on
-/// either tier.
+/// tiers share this pipeline and hand its result to `rir::alloc`, which
+/// ranks by use count on [`crate::profile::Tier::Rir`] and by linear scan
+/// on [`crate::profile::Tier::Compiled`] — so a pass combination means the
+/// same thing on either tier.
 ///
 /// The code goes through a short series of structural versions: the
 /// lowered body (scalar passes; they rewrite and blank instructions but
@@ -1676,108 +1668,6 @@ fn apply_div_const_quirk(l: &mut Lowered) -> HashSet<u16> {
     }
     force
 }
-
-/// Use-count-ranked register allocation under the profile's caps.
-pub(crate) fn allocate(
-    vm: &Arc<Vm>,
-    method: MethodId,
-    mut l: Lowered,
-    force_spill_p: &HashSet<u16>,
-) -> RirMethod {
-    let mut pcount: HashMap<u16, u32> = HashMap::new();
-    let mut rcount: HashMap<u16, u32> = HashMap::new();
-    for inst in &mut l.code {
-        rewrite_slots(
-            inst,
-            &mut |v| {
-                *pcount.entry(v).or_default() += 1;
-                v
-            },
-            &mut |v| {
-                *rcount.entry(v).or_default() += 1;
-                v
-            },
-        );
-    }
-    // Argument registers are written at entry; count that use.
-    for a in &l.arg_locs {
-        match a {
-            ArgSlot::P(_, v) => *pcount.entry(*v).or_default() += 1,
-            ArgSlot::R(v) => *rcount.entry(*v).or_default() += 1,
-        }
-    }
-    for &v in &l.eh_exc_vregs {
-        if v != u16::MAX {
-            *rcount.entry(v).or_default() += 1;
-        }
-    }
-
-    let assign = |count: &HashMap<u16, u32>,
-                  n_vregs: u16,
-                  cap: u16,
-                  force: &HashSet<u16>|
-     -> (Vec<u16>, u16, u16) {
-        let mut order: Vec<u16> = (0..n_vregs).collect();
-        order.sort_by_key(|v| std::cmp::Reverse(count.get(v).copied().unwrap_or(0)));
-        let mut map = vec![0u16; n_vregs as usize];
-        let mut n_reg = 0u16;
-        let mut n_spill = 0u16;
-        for v in order {
-            if !force.contains(&v) && n_reg < cap && count.get(&v).copied().unwrap_or(0) > 0 {
-                map[v as usize] = n_reg;
-                n_reg += 1;
-            } else {
-                map[v as usize] = SPILL_BIT | n_spill;
-                n_spill += 1;
-            }
-        }
-        (map, n_reg, n_spill)
-    };
-
-    let (pmap, n_preg, n_pspill) = assign(
-        &pcount,
-        l.n_pvreg,
-        enreg_cap(vm.profile.max_enreg_prim),
-        force_spill_p,
-    );
-    let empty = HashSet::new();
-    let (rmap, n_rreg, n_rspill) =
-        assign(&rcount, l.n_rvreg, enreg_cap(vm.profile.max_enreg_ref), &empty);
-
-    for inst in &mut l.code {
-        rewrite_slots(
-            inst,
-            &mut |v| pmap[v as usize],
-            &mut |v| rmap[v as usize],
-        );
-    }
-    let arg_locs = l
-        .arg_locs
-        .iter()
-        .map(|a| match a {
-            ArgSlot::P(t, v) => ArgSlot::P(*t, pmap[*v as usize]),
-            ArgSlot::R(v) => ArgSlot::R(rmap[*v as usize]),
-        })
-        .collect();
-    let eh_exc_slots = l
-        .eh_exc_vregs
-        .iter()
-        .map(|&v| if v == u16::MAX { u16::MAX } else { rmap[v as usize] })
-        .collect();
-
-    RirMethod {
-        method,
-        code: l.code,
-        eh: l.eh,
-        eh_exc_slots,
-        arg_locs,
-        n_preg,
-        n_pspill,
-        n_rreg,
-        n_rspill,
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

@@ -1,20 +1,20 @@
 //! Cross-engine sharing of the profile-invariant compile front half.
 //!
 //! Lowering and the optimization pipeline are pure functions of the
-//! module, the [`PassConfig`], and the multidimensional-access style —
-//! register caps and the execution tier only matter to the allocators
-//! that run afterwards. The conform matrix executes every pass
-//! combination on both register tiers, so without sharing each engine
-//! pair lowers and optimizes the same methods twice. An [`OptShare`]
-//! attached to every VM of a sweep cell memoizes the front half keyed by
-//! `(method, passes, multidim)`; per-VM counters stay bitwise identical
-//! because the pass outcome (loops found, checks eliminated, hoists) is
-//! replayed onto each VM that consumes a cached entry.
+//! module and the [`PassConfig`] — the register cap and the execution
+//! tier only matter to the allocation that runs afterwards. The conform
+//! matrix executes every pass combination on both register tiers, so
+//! without sharing each engine pair lowers and optimizes the same methods
+//! twice. An [`OptShare`] attached to every VM of a sweep cell memoizes
+//! the front half keyed by `(method, passes)`; per-VM counters stay
+//! bitwise identical because the pass outcome (loops found, checks
+//! eliminated, hoists) is replayed onto each VM that consumes a cached
+//! entry.
 
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
 use crate::observe::VmPhase;
-use crate::profile::{MultiDimStyle, PassConfig};
+use crate::profile::PassConfig;
 use crate::rir::audit;
 use crate::rir::lower::{self, Lowered};
 use crate::rir::opt::{self, OptResult};
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-type Key = (MethodId, PassConfig, MultiDimStyle);
+type Key = (MethodId, PassConfig);
 
 /// One memoized front half. The audit verdict is a pure function of the
 /// immutable `lowered`, so it is computed by the first audited engine that
@@ -79,7 +79,7 @@ pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptRes
         opt::apply_outcome_counters(vm, &res.outcome);
         return Ok((l, res));
     };
-    let key = (method, vm.profile.passes, vm.profile.multidim);
+    let key = (method, vm.profile.passes);
     let cached = share.map().get(&key).cloned();
     let entry = match cached {
         Some(e) => {
