@@ -11,7 +11,7 @@
 //!    count to the access.
 
 use hpcnet_core::json::Json;
-use hpcnet_harness::profile::{check_document, run_profile, ProfileConfig};
+use hpcnet_harness::profile::{check_document, run_profile, validate, ProfileConfig};
 
 fn cfg(n: i32) -> ProfileConfig {
     ProfileConfig { n: Some(n), large: false, quick: false }
@@ -132,5 +132,111 @@ fn profile_documents_are_pinned_byte_for_byte() {
             "{entry} n={n}: PROFILE document changed ({} bytes)",
             text.len()
         );
+    }
+}
+
+/// One step from a value to a child: an object key or an array's first
+/// element.
+#[derive(Clone)]
+enum Step {
+    Key(String),
+    First,
+}
+
+/// Every location under `v`: each object key, and the first element of
+/// each non-empty array, recursively.
+fn locations(v: &Json, at: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    let children: Vec<(Step, &Json)> = match v {
+        Json::Obj(fields) => fields.iter().map(|(k, c)| (Step::Key(k.clone()), c)).collect(),
+        Json::Arr(items) => items.first().map(|c| (Step::First, c)).into_iter().collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        at.push(step);
+        out.push(at.clone());
+        locations(child, at, out);
+        at.pop();
+    }
+}
+
+fn at_mut<'j>(mut v: &'j mut Json, steps: &[Step]) -> &'j mut Json {
+    for step in steps {
+        v = match (v, step) {
+            (Json::Obj(fields), Step::Key(k)) => &mut fields.iter_mut().find(|(f, _)| f == k).unwrap().1,
+            (Json::Arr(items), Step::First) => &mut items[0],
+            _ => unreachable!("location does not match the document"),
+        };
+    }
+    v
+}
+
+/// The key a location is reported under — its last object key — and the
+/// path of the object holding that key, as the validator writes paths.
+fn reported_as(steps: &[Step]) -> (String, String) {
+    let last_key = steps.iter().rposition(|s| matches!(s, Step::Key(_))).unwrap();
+    let mut holder = String::from("$");
+    for s in &steps[..last_key] {
+        match s {
+            Step::Key(k) => holder += &format!(".{k}"),
+            Step::First => holder += "[0]",
+        }
+    }
+    let Step::Key(key) = &steps[last_key] else { unreachable!() };
+    (holder, key.clone())
+}
+
+/// `problem` mentions `key` as a whole word, not inside a longer name.
+fn names_key(problem: &str, key: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    problem.match_indices(key).any(|(i, _)| {
+        !problem[..i].ends_with(ident) && !problem[i + key.len()..].starts_with(ident)
+    })
+}
+
+/// A value of another kind than `v`.
+fn other_kind(v: &Json) -> Json {
+    match v {
+        Json::Num(_) => Json::Str("x".to_string()),
+        _ => Json::Num(1.0),
+    }
+}
+
+/// The validator misses no part of either pinned document: deleting any
+/// object key, or giving any leaf a value of another kind, yields a
+/// problem under the holding object's path that names the key.
+#[test]
+fn validator_names_every_deleted_key_and_every_mistyped_leaf() {
+    for (entry, n) in [("scimark.sor", 24), ("exception.throw", 200)] {
+        let doc = run_profile(entry, &cfg(n)).unwrap().doc;
+        validate(&doc).unwrap_or_else(|p| panic!("{entry}: {p:#?}"));
+        let mut all = Vec::new();
+        locations(&doc, &mut Vec::new(), &mut all);
+        let mut checked = 0;
+        for steps in &all {
+            let (holder, key) = reported_as(steps);
+            let mut broken = Vec::new();
+            if let Some(Step::Key(k)) = steps.last() {
+                let mut d = doc.clone();
+                if let Json::Obj(fields) = at_mut(&mut d, &steps[..steps.len() - 1]) {
+                    fields.retain(|(f, _)| f != k);
+                }
+                broken.push(("deleted", d));
+            }
+            if !matches!(at_mut(&mut doc.clone(), steps), Json::Obj(_) | Json::Arr(_)) {
+                let mut d = doc.clone();
+                let leaf = at_mut(&mut d, steps);
+                *leaf = other_kind(leaf);
+                broken.push(("retyped", d));
+            }
+            for (how, d) in broken {
+                let problems = validate(&d).err().unwrap_or_default();
+                assert!(
+                    problems.iter().any(|p| p.contains(&holder) && names_key(p, &key)),
+                    "{entry}: {how} {holder} / {key} not reported: {problems:#?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "{entry}: only {checked} mutations");
     }
 }
