@@ -82,20 +82,19 @@ fn loop_passes_do_not_change_any_kernel_bits() {
 /// the optimizing CLR, and Mono (no loop passes) must report nothing.
 #[test]
 fn jagged_matrix_copy_loses_checks_on_clr_only() {
-    use std::sync::atomic::Ordering::Relaxed;
     let group = registry().into_iter().find(|g| g.id == "matrix").unwrap();
     let entry = group.entries.iter().find(|e| e.id == "matrix.jagged.value").unwrap();
 
     let clr = vm_for(&group, VmProfile::clr11());
     run_entry(&clr, entry, 8).unwrap();
     assert!(
-        clr.counters.bounds_checks_eliminated.load(Relaxed) > 0,
+        clr.counters.snapshot().bounds_checks_eliminated > 0,
         "CLR 1.1 should drop the jagged copy's inner-loop checks"
     );
 
     let mono = vm_for(&group, VmProfile::mono023());
     run_entry(&mono, entry, 8).unwrap();
-    assert_eq!(mono.counters.bounds_checks_eliminated.load(Relaxed), 0);
+    assert_eq!(mono.counters.snapshot().bounds_checks_eliminated, 0);
 }
 
 /// The headline claim for the range/versioning tiers: the derived-index

@@ -136,8 +136,8 @@ counters! {
         /// per compiled method, only when a loop pass is enabled).
         loops_found,
         /// Array bounds checks removed at compile time — total across every
-        /// mechanism (the three `bce_elided_*` counters below sum to this).
-        bounds_checks_eliminated,
+        /// mechanism: the sum of the three `bce_elided_*` counters below.
+        bounds_checks_eliminated = bce_elided_idiom + bce_elided_range + bce_elided_versioned,
         /// Checks removed by the structural/idiom matchers (block-guard BCE
         /// plus the loop-aware ABCE `i < arr.Length` idiom).
         bce_elided_idiom,

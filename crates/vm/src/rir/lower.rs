@@ -616,6 +616,10 @@ fn elem_dst_kind(k: hpcnet_cil::ElemKind) -> Kind {
     }
 }
 
+/// The largest callee inlined, in CIL instructions and again in RIR
+/// instructions once lowered; the same on every profile with `inline` on.
+const INLINE_MAX_OPS: usize = 24;
+
 /// Attempt to inline a static callee at the current emission point.
 /// Returns true when the call was replaced by the spliced body.
 fn try_inline(
@@ -630,12 +634,11 @@ fn try_inline(
         return Ok(false);
     }
     // A quick size gate on the CIL before paying for a lowering.
-    let max_ops = ctx.vm.profile.passes.inline_max_ops;
-    if callee.body.code.len() > max_ops {
+    if callee.body.code.len() > INLINE_MAX_OPS {
         return Ok(false);
     }
     let sub = lower(ctx.vm, callee_id, false, ctx.inline_depth + 1)?;
-    if sub.code.len() > max_ops {
+    if sub.code.len() > INLINE_MAX_OPS {
         return Ok(false);
     }
     let pbase = ctx.n_pvreg;

@@ -123,17 +123,13 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
 /// (folding rewrites in place, DCE blanks to `Nop`), so one block
 /// partition serves them all.
 fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome) {
-    let any = passes.const_prop
-        || passes.copy_prop
-        || passes.mul_strength_reduction
-        || passes.bce
-        || passes.dce;
+    let any = passes.propagate || passes.mul_strength_reduction || passes.bce;
     if !any || l.code.is_empty() {
         return;
     }
     let mut cfg = Cfg::build(l);
-    if passes.const_prop || passes.copy_prop {
-        const_and_copy_prop(l, &cfg, passes);
+    if passes.propagate {
+        const_and_copy_prop(l, &cfg, passes.imm_fusion);
     }
     if passes.mul_strength_reduction {
         strength_reduce(l, &cfg);
@@ -143,7 +139,7 @@ fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome)
         outcome.bce_removed = eliminate_bounds_checks(l, &mut ctx);
         cfg = ctx.an.cfg;
     }
-    if passes.dce {
+    if passes.propagate {
         dead_code_elim(l, &cfg);
     }
 }
@@ -153,10 +149,7 @@ fn scalar_passes(passes: &PassConfig, l: &mut Lowered, outcome: &mut JitOutcome)
 /// VM's counters exactly as a fresh compile would.
 pub(crate) fn apply_outcome_counters(vm: &Vm, o: &JitOutcome) {
     let c = &vm.counters;
-    let idiom = o.bce_removed + o.abce_removed;
-    let eliminated = idiom + o.range_removed + o.versioned_removed;
-    c.bounds_checks_eliminated.fetch_add(eliminated, Ordering::Relaxed);
-    c.bce_elided_idiom.fetch_add(idiom, Ordering::Relaxed);
+    c.bce_elided_idiom.fetch_add(o.bce_removed + o.abce_removed, Ordering::Relaxed);
     c.bce_elided_range.fetch_add(o.range_removed, Ordering::Relaxed);
     c.bce_elided_versioned.fetch_add(o.versioned_removed, Ordering::Relaxed);
     c.loops_versioned.fetch_add(o.loops_versioned, Ordering::Relaxed);
@@ -378,7 +371,7 @@ impl OriginFacts {
 /// * constants: after `mov d, #k`, `d` is known; const-const operations
 ///   fold, and with `imm_fusion` a known right operand becomes an
 ///   immediate (IBM's "constants throughout the loop").
-fn const_and_copy_prop(l: &mut Lowered, cfg: &Cfg, passes: &PassConfig) {
+fn const_and_copy_prop(l: &mut Lowered, cfg: &Cfg, imm_fusion: bool) {
     let mut pconst: BlockFacts<u64> = BlockFacts::new(l.n_pvreg);
     let mut pcopy = OriginFacts::new(l.n_pvreg);
     let mut rcopy = OriginFacts::new(l.n_rvreg);
@@ -391,19 +384,14 @@ fn const_and_copy_prop(l: &mut Lowered, cfg: &Cfg, passes: &PassConfig) {
         rcopy.clear();
         for i in start..end {
             // Rewrite uses through the copy maps.
-            if passes.copy_prop {
-                rewrite_uses(
-                    &mut l.code[i],
-                    &mut |v| pcopy.get(v, &pdefs).unwrap_or(v),
-                    &mut |v| rcopy.get(v, &rdefs).unwrap_or(v),
-                );
-            }
+            rewrite_uses(
+                &mut l.code[i],
+                &mut |v| pcopy.get(v, &pdefs).unwrap_or(v),
+                &mut |v| rcopy.get(v, &rdefs).unwrap_or(v),
+            );
             // Constant folding / fusion.
-            if passes.const_prop {
-                let folded = fold_inst(&l.code[i], &pconst, passes.imm_fusion);
-                if let Some(new) = folded {
-                    l.code[i] = new;
-                }
+            if let Some(new) = fold_inst(&l.code[i], &pconst, imm_fusion) {
+                l.code[i] = new;
             }
             // Update the dataflow state from the (possibly rewritten) inst.
             let inst = &l.code[i];
@@ -1865,14 +1853,14 @@ mod tests {
         let (clr, _, vm) = rir_and_vm(VmProfile::clr11(), sum_over_length_loop);
         assert!(clr.contains(".nobound"), "CLR must drop the in-range check:\n{clr}");
         assert!(
-            vm.counters.bounds_checks_eliminated.load(std::sync::atomic::Ordering::Relaxed) > 0
+            vm.counters.snapshot().bounds_checks_eliminated > 0
         );
         assert!(vm.counters.loops_found.load(std::sync::atomic::Ordering::Relaxed) > 0);
 
         let (mono, _, vm) = rir_and_vm(VmProfile::mono023(), sum_over_length_loop);
         assert!(!mono.contains(".nobound"), "Mono has no ABCE:\n{mono}");
         assert_eq!(
-            vm.counters.bounds_checks_eliminated.load(std::sync::atomic::Ordering::Relaxed),
+            vm.counters.snapshot().bounds_checks_eliminated,
             0
         );
     }
@@ -1928,7 +1916,7 @@ mod tests {
         let (clr, _, vm) = rir_and_vm(VmProfile::clr11(), mutated_bound_loop);
         assert!(!clr.contains(".nobound"), "mutated bound must stay checked:\n{clr}");
         assert_eq!(
-            vm.counters.bounds_checks_eliminated.load(std::sync::atomic::Ordering::Relaxed),
+            vm.counters.snapshot().bounds_checks_eliminated,
             0
         );
     }
