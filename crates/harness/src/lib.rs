@@ -1,11 +1,12 @@
 //! # hpcnet-harness — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation section:
-//! one generator per graph ([`graphs`]), a warmup-aware statistical
-//! timing protocol ([`measure`] + [`stats`], docs/MEASUREMENT.md) applied
-//! uniformly to all engine profiles and the native baseline, text/CSV
-//! rendering ([`report`]), and the per-method attribution artifact
-//! ([`profile`]).
+//! each one a declared table that one runner times ([`graphs`]), a
+//! warmup-aware statistical timing protocol ([`measure`] + [`stats`],
+//! docs/MEASUREMENT.md) applied uniformly to all engine profiles and the
+//! native baseline, text/CSV rendering ([`report`]), and the per-method
+//! attribution artifact ([`profile`]), whose validator reads its schema
+//! off the document's builders.
 //!
 //! Run `cargo run --release -p hpcnet-harness --bin hpcnet-report -- all`
 //! to reproduce the full set; see EXPERIMENTS.md for recorded results.
@@ -25,7 +26,7 @@ mod tests {
 
     #[test]
     fn quick_g4_has_expected_shape() {
-        let t = graphs::g4_loops(&Config::quick());
+        let t = graphs::run("g4", &Config::quick());
         assert_eq!(t.rows.len(), 3);
         assert_eq!(t.columns.len(), 4);
         for (_, cells) in &t.rows {
@@ -42,7 +43,7 @@ mod tests {
         // paper's ordering violated.
         let mut last = (0.0, 0.0);
         for _ in 0..3 {
-            let t = graphs::g12_matrix(&Config::quick());
+            let t = graphs::run("g12", &Config::quick());
             // Column 0 is CLR 1.1. Row 0 multidim value, row 1 jagged value.
             let multi = t.rows[0].1[0];
             let jagged = t.rows[1].1[0];
@@ -55,13 +56,5 @@ mod tests {
             "paper: jagged beats true multidim on CLR ({} vs {})",
             last.0, last.1
         );
-    }
-
-    #[test]
-    fn report_registry_is_complete() {
-        let names: Vec<&str> = all_reports().iter().map(|(n, _)| *n).collect();
-        for want in ["g1", "g3", "g4", "g5", "g6", "g7", "g8", "g9", "g10", "g12", "t2", "t4"] {
-            assert!(names.contains(&want), "missing report {want}");
-        }
     }
 }

@@ -18,7 +18,7 @@
 //! usage and a non-zero exit — never a panic. The only panics left in this
 //! binary are genuine internal bugs.
 
-use hpcnet_harness::{all_reports, Config};
+use hpcnet_harness::{all_reports, graphs, Config};
 use std::time::Duration;
 
 /// Report a usage error: message + the failing subcommand's usage text on
@@ -108,11 +108,11 @@ fn main() {
     let reports = all_reports();
     let run_all = wanted.iter().any(|w| w == "all");
     let mut ran = 0;
-    for (name, gen) in &reports {
+    for name in reports {
         if !run_all && !wanted.iter().any(|w| w == name) {
             continue;
         }
-        let table = gen(&cfg);
+        let table = graphs::run(name, &cfg);
         println!("{}", table.render());
         if relative && table.columns.len() > 1 {
             if let Some(rel) = table.relative_to_first() {
@@ -137,7 +137,7 @@ fn main() {
             &format!(
                 "unknown subcommand or report {:?}; known: all {}",
                 wanted.join(" "),
-                reports.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
+                reports.join(" ")
             ),
         );
     }
