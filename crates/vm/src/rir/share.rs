@@ -68,7 +68,7 @@ impl OptShare {
 
 /// Lower + optimize `method` under the VM's profile, consulting the VM's
 /// [`OptShare`] when present. The pass-outcome counters (`loops_found`,
-/// `bounds_checks_eliminated`, `licm_hoisted`) are applied to this VM on
+/// the `bce_elided_*` splits, `licm_hoisted`) are applied to this VM on
 /// both the hit and miss path, exactly as the unshared pipeline did.
 pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptResult)> {
     let Some(share) = vm.opt_share() else {
