@@ -538,7 +538,7 @@ impl<'m> MethodBuilder<'m> {
             locals,
             code,
             eh,
-            max_stack: 0,
+            ..MethodBody::default()
         };
         id
     }

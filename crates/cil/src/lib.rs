@@ -20,7 +20,7 @@
 //! * [`builder`] — ergonomic construction of classes and method bodies with
 //!   label patching (what a compiler back-end targets).
 //! * [`verify`] — a stack-effect verifier enforcing CLI-style type safety of
-//!   method bodies before execution.
+//!   method bodies before execution, recording each body's stack shapes.
 //! * [`disasm`] — textual disassembly (used by the paper-style JIT-output
 //!   comparison in `examples/jit_compare.rs`).
 
@@ -40,4 +40,4 @@ pub use module::{
 pub use op::{BinOp, CmpOp, ElemKind, Intrinsic, Op, UnOp, OP_KIND_NAMES};
 pub use prelude::declare_prelude;
 pub use types::{CilType, NumTy};
-pub use verify::{verify_method, verify_module, VerifyError};
+pub use verify::{verify_method, verify_module, StackShapes, VerifyError};

@@ -8,6 +8,7 @@
 
 use crate::op::Op;
 use crate::types::CilType;
+use crate::verify::StackShapes;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -96,7 +97,12 @@ impl EhRegion {
     }
 }
 
-/// A method body: locals, code, exception regions.
+/// A method body: locals, code, exception regions, and what verification
+/// recorded about the code.
+///
+/// `max_stack` and `stack_shapes` describe the code as
+/// [`verify_module`](crate::verify::verify_module) saw it: a body edited
+/// after verification must be verified again.
 #[derive(Clone, Debug, Default)]
 pub struct MethodBody {
     pub locals: Vec<CilType>,
@@ -104,6 +110,9 @@ pub struct MethodBody {
     pub eh: Vec<EhRegion>,
     /// Maximum evaluation-stack depth, filled in by verification.
     pub max_stack: u32,
+    /// Every instruction's entry-stack shape, filled in by verification
+    /// (`None` before it); the register tiers lower from it.
+    pub stack_shapes: Option<StackShapes>,
 }
 
 /// A method definition.

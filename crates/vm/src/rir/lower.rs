@@ -20,7 +20,7 @@ use crate::machine::Vm;
 use crate::rir::audit::ElisionCert;
 use crate::rir::{ArgSlot, BoundsMode, DstSlot, Operand, RInst};
 use hpcnet_cil::module::{EhKind, MethodId};
-use hpcnet_cil::verify::{verify_method, VerTy};
+use hpcnet_cil::verify::verify_method;
 use hpcnet_cil::{CilType, Intrinsic, NumTy, Op};
 use std::sync::Arc;
 
@@ -45,11 +45,18 @@ enum Kind {
     R,
 }
 
-fn kind_of(t: &VerTy) -> Kind {
-    match t.num() {
+/// The kind of a recorded stack cell (`None` is a reference).
+fn kind_of(cell: Option<NumTy>) -> Kind {
+    match cell {
         Some(n) => Kind::P(n),
         None => Kind::R,
     }
+}
+
+/// The numeric kind of an arithmetic operand's cell; verification never
+/// records a reference there.
+fn operand_num(cell: Option<NumTy>, op: &str) -> VmResult<NumTy> {
+    cell.ok_or_else(|| VmError::Internal(format!("lowering {op} of a reference operand")))
 }
 
 fn kind_of_ty(t: &CilType) -> Kind {
@@ -181,8 +188,18 @@ pub(crate) fn lower(
 ) -> VmResult<Lowered> {
     let module = vm.module.clone();
     let m = module.method(method);
-    let info = verify_method(&module, method)
-        .map_err(|e| VmError::Internal(format!("lowering unverifiable method: {e}")))?;
+    // Lower from the stack shapes `verify_module` recorded. A body bound
+    // without them, or whose table is not for this code, is verified here.
+    let fresh;
+    let shapes = match &m.body.stack_shapes {
+        Some(shapes) if shapes.len() == m.body.code.len() => shapes,
+        _ => {
+            fresh = verify_method(&module, method)
+                .map_err(|e| VmError::Internal(format!("lowering unverifiable method: {e}")))?
+                .shapes();
+            &fresh
+        }
+    };
 
     let mut ctx = Ctx {
         vm,
@@ -219,10 +236,10 @@ pub(crate) fn lower(
         };
         ctx.local_locs.push(loc);
     }
-    // Canonical stack-cell virtual registers (both kinds per depth). The
-    // depth is the verification's just above: `m.body.max_stack` is only
-    // filled in by `verify_module`, which an unverified VM never ran.
-    for _ in 0..=info.max_stack {
+    // Canonical stack-cell virtual registers (both kinds per depth), sized
+    // from the shapes just above rather than `m.body.max_stack`, so a body
+    // verified here needs nothing `verify_module` fills in.
+    for _ in 0..=shapes.max_depth() {
         let p = ctx.pvreg();
         let r = ctx.rvreg();
         ctx.stack_p.push(p);
@@ -238,14 +255,13 @@ pub(crate) fn lower(
         let _ = t;
     }
 
-    for (pc, op) in m.body.code.iter().enumerate() {
+    for (op, st) in m.body.code.iter().zip(shapes.iter()) {
         ctx.cil_start.push(ctx.code.len() as u32);
-        let st = match &info.stack_in[pc] {
-            Some(s) => s,
-            None => continue, // unreachable instruction
+        let Some(st) = st else {
+            continue; // unreachable instruction
         };
         let d = st.len();
-        let kind_at = |i: usize| kind_of(&st[i]);
+        let kind_at = |i: usize| kind_of(st[i]);
         match op {
             Op::Nop => {}
             Op::LdcI4(v) => ctx.emit(RInst::ConstP {
@@ -294,12 +310,12 @@ pub(crate) fn lower(
             }
             Op::Pop => {}
             Op::Bin(b) => {
-                let ty = st[d - 2].num().expect("verified bin");
+                let ty = operand_num(st[d - 2], "bin")?;
                 let (dst, a, bop) = (ctx.p(d - 2), ctx.p(d - 2), Operand::Slot(ctx.p(d - 1)));
                 ctx.emit(RInst::Bin { op: *b, ty, dst, a, b: bop });
             }
             Op::Un(u) => {
-                let ty = st[d - 1].num().expect("verified un");
+                let ty = operand_num(st[d - 1], "un")?;
                 ctx.emit(RInst::Un {
                     op: *u,
                     ty,
@@ -307,7 +323,7 @@ pub(crate) fn lower(
                     a: ctx.p(d - 1),
                 });
             }
-            Op::Cmp(c) => match st[d - 2].num() {
+            Op::Cmp(c) => match st[d - 2] {
                 Some(ty) => ctx.emit(RInst::Cmp {
                     op: *c,
                     ty,
@@ -323,7 +339,7 @@ pub(crate) fn lower(
                 }),
             },
             Op::Conv(to) => {
-                let from = st[d - 1].num().expect("verified conv");
+                let from = operand_num(st[d - 1], "conv")?;
                 ctx.emit(RInst::Conv {
                     from,
                     to: *to,
@@ -348,7 +364,7 @@ pub(crate) fn lower(
                 };
                 ctx.emit_branch(inst, *t);
             }
-            Op::BrCmp(c, t) => match st[d - 2].num() {
+            Op::BrCmp(c, t) => match st[d - 2] {
                 Some(ty) => ctx.emit_branch(
                     RInst::BrCmp {
                         op: *c,

@@ -8,7 +8,8 @@
 //! (`sscli10`), the use-count register tier (`clr11`, and `mono023` for
 //! the helper-call multidimensional path) and the linear-scan tier
 //! (`clr11_compiled`). Nothing here catches an unwind: a host panic fails
-//! the test. The last test binds modules without verifying them first.
+//! the test. The last two tests bind modules without verifying them first,
+//! or edit a body after verification.
 
 use hpcnet_cil::{CilType, ElemKind, FieldId, MethodBuilder, MethodKind, Module, ModuleBuilder, Op};
 use hpcnet_vm::{declare_prelude, Vm, VmError, VmProfile};
@@ -234,8 +235,8 @@ fn hostile_cil_ends_the_same_way_on_every_engine() {
 }
 
 /// A module bound without `verify_module` (`Vm::new_unverified`) carries no
-/// verified stack depth in its bodies. The register tiers lower each method
-/// from the verification they run on it themselves, so a valid program
+/// recorded stack shapes or depth in its bodies. The register tiers then
+/// verify each method themselves when they lower it, so a valid program
 /// gives the verified result and an unverifiable body is an error.
 #[test]
 fn unverified_modules_lower_from_their_own_verification() {
@@ -265,6 +266,36 @@ fn unverified_modules_lower_from_their_own_verification() {
                 assert!(m.starts_with("lowering unverifiable method"), "{}: {m}", p.name)
             }
             other => panic!("{}: an unverifiable body ended with {other:?}", p.name),
+        }
+    }
+}
+
+/// A body edited after `verify_module` keeps the stack shapes recorded for
+/// the old code. The register tiers lower from a table only when it
+/// describes as many instructions as the body has, so an unverifiable body
+/// of another length is verified afresh and is an error, not a panic.
+#[test]
+fn a_body_edited_after_verification_is_verified_again() {
+    let mut verified = module(|f, _| {
+        f.ldc_i4(1);
+        f.ldc_i4(2);
+        f.emit(Op::Pop);
+        f.ret();
+    });
+    hpcnet_cil::verify_module(&mut verified).expect("verifies");
+    let main = verified.find_method("Q.Main").expect("Q.Main");
+    verified.methods[main.idx()].body.code = vec![Op::Pop, Op::LdcI4(0), Op::Ret];
+    let verified = std::sync::Arc::new(verified);
+    for p in [
+        VmProfile::clr11(),
+        VmProfile::mono023(),
+        VmProfile::clr11_compiled(),
+    ] {
+        match Vm::new_shared(verified.clone(), p).invoke_by_name("Q.Main", vec![]) {
+            Err(VmError::Internal(m)) => {
+                assert!(m.starts_with("lowering unverifiable method"), "{}: {m}", p.name)
+            }
+            other => panic!("{}: an edited body ended with {other:?}", p.name),
         }
     }
 }
