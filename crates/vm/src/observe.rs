@@ -99,7 +99,9 @@ pub const ALLOC_MILESTONE_EVERY: u64 = 1024;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VmPhase {
     /// CIL → RIR lowering (front-half cache misses only; a shared-cache
-    /// hit performs no lowering and records nothing).
+    /// hit performs no lowering and records nothing). It reads the stack
+    /// shapes `verify_module` recorded; only a body bound without them
+    /// is verified here, inside this phase.
     JitLower,
     /// The optimization pipeline over lowered RIR (misses only).
     JitOptimize,
