@@ -24,9 +24,9 @@ use crate::rir::opt::{def_p, def_r};
 use crate::rir::RInst;
 use std::cell::OnceCell;
 
-/// How many structures this thread has built, so tests can pin the
-/// optimizer's compile-cost model (one context per structural version,
-/// never one per candidate).
+/// How many structures this thread has built and how many liveness
+/// problems it has solved, so tests can pin the optimizer's compile-cost
+/// model (one context per structural version, never one per candidate).
 #[cfg(test)]
 pub(crate) mod built {
     use std::cell::Cell;
@@ -34,6 +34,7 @@ pub(crate) mod built {
     thread_local! {
         static CFGS: Cell<u64> = const { Cell::new(0) };
         static ANALYSES: Cell<u64> = const { Cell::new(0) };
+        static LIVENESS: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(crate) fn count_cfg() {
@@ -44,9 +45,19 @@ pub(crate) mod built {
         ANALYSES.with(|c| c.set(c.get() + 1));
     }
 
+    pub(crate) fn count_liveness() {
+        LIVENESS.with(|c| c.set(c.get() + 1));
+    }
+
     /// `(Cfg::build calls, Analysis::new calls)` on this thread so far.
     pub(crate) fn totals() -> (u64, u64) {
         (CFGS.with(Cell::get), ANALYSES.with(Cell::get))
+    }
+
+    /// Liveness fixpoints dead-code elimination has solved on this thread
+    /// so far.
+    pub(crate) fn liveness_solves() -> u64 {
+        LIVENESS.with(Cell::get)
     }
 }
 
@@ -480,8 +491,8 @@ pub(crate) struct Analysis {
     pub cfg: Cfg,
     /// Natural loops, headers ascending.
     pub loops: Vec<NaturalLoop>,
-    /// Collected on first use: LICM re-analyzes after every hoist and
-    /// never asks where anything is defined.
+    /// Collected on first use: LICM re-analyzes after each hoisting round
+    /// and never asks where anything is defined.
     defs: OnceCell<Defs>,
 }
 
