@@ -108,6 +108,9 @@ pub enum VmPhase {
     /// Register/slot allocation (runs per VM on both register tiers,
     /// hit or miss).
     JitAllocate,
+    /// Building the op records a register tier runs from the allocated
+    /// RIR (per VM, hit or miss).
+    JitBuild,
     /// The per-throw unwind/stack-trace cost model
     /// (`exception_cost_units`).
     EhUnwind,
@@ -120,6 +123,7 @@ impl VmPhase {
         VmPhase::JitLower,
         VmPhase::JitOptimize,
         VmPhase::JitAllocate,
+        VmPhase::JitBuild,
         VmPhase::EhUnwind,
     ];
 
@@ -129,6 +133,7 @@ impl VmPhase {
             VmPhase::JitLower => "jit-lower",
             VmPhase::JitOptimize => "jit-optimize",
             VmPhase::JitAllocate => "jit-allocate",
+            VmPhase::JitBuild => "jit-build",
             VmPhase::EhUnwind => "eh-unwind",
         }
     }
@@ -792,7 +797,8 @@ mod tests {
     #[test]
     fn phase_names_are_stable() {
         let names: Vec<_> = VmPhase::ALL.iter().map(|p| p.as_str()).collect();
-        assert_eq!(names, ["jit-lower", "jit-optimize", "jit-allocate", "eh-unwind"]);
+        let want = ["jit-lower", "jit-optimize", "jit-allocate", "jit-build", "eh-unwind"];
+        assert_eq!(names, want);
         for (i, p) in VmPhase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i);
         }

@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hpcnet::{compile_and_load, ObserveLevel, Value, VmPhase, VmProfile};
+use hpcnet::{compile_and_load, ObserveLevel, Tier, Value, VmPhase, VmProfile};
 
 /// Counted loop taking an exception on every third iteration: exercises
 /// JIT lowering (on compiled tiers) and EH unwind dispatch everywhere.
@@ -64,7 +64,7 @@ fn below_trace_the_clock_is_never_read() {
 
 /// At `Trace` the same run reads the clock and reports per-phase
 /// accounting: every profile dispatches one EH unwind per throw, and
-/// compiled tiers additionally time their JIT passes.
+/// register tiers additionally time their JIT passes and op build.
 #[test]
 fn trace_level_times_eh_dispatch_and_jit_passes() {
     for profile in profiles() {
@@ -76,6 +76,10 @@ fn trace_level_times_eh_dispatch_and_jit_passes() {
             .find(|t| t.phase == VmPhase::EhUnwind)
             .unwrap_or_else(|| panic!("{}: no EH unwind timing", profile.name));
         assert_eq!(eh.count, THROWS, "{}: one unwind per throw", profile.name);
+        // A register tier times building each compiled method's op
+        // records; the interpreter builds none.
+        let builds = timings.iter().any(|t| t.phase == VmPhase::JitBuild);
+        assert_eq!(builds, profile.tier != Tier::Interpreter, "{}: jit-build", profile.name);
         // The counting clock is strictly increasing, so every recorded
         // phase has a positive duration.
         assert!(timings.iter().all(|t| t.total_ns > 0));
