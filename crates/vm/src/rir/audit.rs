@@ -517,16 +517,13 @@ pub(crate) fn check(l: &Lowered) -> Result<(), String> {
     let mut certified = vec![false; l.code.len()];
     for c in &l.certs {
         let Some(m) = elided(c.pc as usize) else {
-            return Err(format!("certificate at pc {} has no matching elided access", c.pc));
+            return Err(format!("{c:?} has no matching elided access"));
         };
         if std::mem::replace(&mut certified[c.pc as usize], true) {
-            return Err(format!("duplicate certificate for pc {}", c.pc));
+            return Err(format!("duplicate certificate {c:?}"));
         }
         if m != c.mechanism {
-            return Err(format!(
-                "certificate at pc {} claims {:?} but access is {:?}",
-                c.pc, c.mechanism, m
-            ));
+            return Err(format!("{c:?} claims {:?} but access is {m:?}", c.mechanism));
         }
     }
     for pc in 0..l.code.len() {
@@ -539,7 +536,7 @@ pub(crate) fn check(l: &Lowered) -> Result<(), String> {
     }
     let an = Analysis::new(l);
     for c in &l.certs {
-        check_cert(l, &an, c).map_err(|e| format!("cert at pc {}: {}", c.pc, e))?;
+        check_cert(l, &an, c).map_err(|e| format!("{c:?}: {e}"))?;
     }
     Ok(())
 }
@@ -1058,8 +1055,10 @@ mod tests {
         if let CertKind::Loop { offset, .. } = &mut cert.kind {
             *offset = 1;
         }
-        let l = counted_loop(BoundsMode::ElidedIdiom, cert);
-        assert!(check(&l).unwrap_err().contains("offset"));
+        let l = counted_loop(BoundsMode::ElidedIdiom, cert.clone());
+        let msg = check(&l).unwrap_err();
+        assert!(msg.contains("offset"), "{msg}");
+        assert!(msg.contains(&format!("{cert:?}")), "the message names the certificate: {msg}");
     }
 
     #[test]

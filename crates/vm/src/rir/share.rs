@@ -74,7 +74,7 @@ pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptRes
     let Some(share) = vm.opt_share() else {
         let (l, res) = timed_front(vm, method)?;
         if vm.profile.audit {
-            audit_verdict(vm, method, &l, &audit::check(&l))?;
+            audit_verdict(vm, method, &audit::check(&l))?;
         }
         opt::apply_outcome_counters(vm, &res.outcome);
         return Ok((l, res));
@@ -95,7 +95,7 @@ pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptRes
     };
     if vm.profile.audit {
         let verdict = entry.audit.get_or_init(|| audit::check(&entry.lowered));
-        audit_verdict(vm, method, &entry.lowered, verdict)?;
+        audit_verdict(vm, method, verdict)?;
     }
     opt::apply_outcome_counters(vm, &entry.res.outcome);
     Ok((entry.lowered.clone(), entry.res.clone()))
@@ -103,23 +103,11 @@ pub(crate) fn front(vm: &Arc<Vm>, method: MethodId) -> VmResult<(Lowered, OptRes
 
 /// Turn the independent elision-certificate checker's verdict on an
 /// optimized body into the compile's outcome. An unsound elision is a
-/// hard failure — the method must not run.
-fn audit_verdict(
-    vm: &Vm,
-    method: MethodId,
-    l: &Lowered,
-    verdict: &Result<(), String>,
-) -> VmResult<()> {
+/// hard failure — the method must not run. The checker's message names
+/// the failing certificate.
+fn audit_verdict(vm: &Vm, method: MethodId, verdict: &Result<(), String>) -> VmResult<()> {
     let Err(msg) = verdict else { return Ok(()) };
     let name = &vm.module.method(method).name;
-    if std::env::var_os("HPCNET_AUDIT_DUMP").is_some() {
-        for (i, inst) in l.code.iter().enumerate() {
-            eprintln!("P{i:<4} {inst:?}");
-        }
-        for c in &l.certs {
-            eprintln!("CERT {c:?}");
-        }
-    }
     Err(VmError::Internal(format!("elision audit failed in {name}: {msg}")))
 }
 
