@@ -1,26 +1,21 @@
 //! The code a register-tier VM runs.
 //!
-//! A [`CompiledMethod`] is a flat array of pre-resolved closures, one per
-//! *slot*, produced by [`crate::rir::compile`] from allocated RIR. A slot
-//! is one RIR instruction or, on a VM that is not observing, in a method
-//! without exception regions, a fused pair of them (a constant and its
-//! consumer, a result and its move, a move and a jump, a jump and the test
-//! it lands on), with branch targets remapped to slots at build time. The
-//! dispatch loop in [`crate::call`] fetches `ops[pc]` and calls it:
-//! operands, immediates, literals and class layouts were all resolved at
-//! translation time, so the per-op work is the operation itself plus one
-//! indirect call that answers in a register (`call::Step`). Each closure
-//! calls its instruction's body in the shared `ops` module, with the
-//! build-time constants folded in — the stand-in for the machine code the
-//! paper's JITs emit.
+//! A [`CompiledMethod`] is one flat array of fixed-width op records, one
+//! per *slot*, built by [`crate::rir::compile`] from allocated RIR: a `fn`
+//! pointer and the operands it runs on, all resolved at translation time.
+//! A slot is one RIR instruction or, on a VM that is not observing, in a
+//! method without exception regions, a fused pair of them whose record
+//! carries both operand sets. The dispatch loop in [`crate::call`] calls
+//! `ops[pc].run` with the record itself, so the per-op work is the
+//! operation plus one indirect call that answers in a register
+//! (`call::Step`). Each `run` calls its instruction's body in the shared
+//! `ops` module with the build-time constants folded in — the stand-in for
+//! the machine code the paper's JITs emit.
 //!
 //! Both register tiers run this code; they differ only in how `rir::alloc`
-//! ranked the RIR's values for registers and spill slots before the
-//! closures were built. [`crate::profile::Tier::Rir`] (`clr11`, `mono023`
-//! and the JVM profiles) ranks values by static use count, the reference-
-//! count enregistration of CLR 1.x; [`crate::profile::Tier::Compiled`]
-//! ([`crate::profile::VmProfile::clr11_compiled`]) runs a linear scan over
-//! live intervals.
+//! ranked values for registers before the build: by static use count on
+//! [`crate::profile::Tier::Rir`] (`clr11`, `mono023`, the JVMs), by linear
+//! scan on [`crate::profile::Tier::Compiled`] (`clr11_compiled`).
 //!
 //! ```
 //! use hpcnet_cil::{BinOp, CilType, MethodKind, ModuleBuilder};
@@ -47,32 +42,50 @@
 
 use crate::call::{Frame, Step};
 use crate::machine::Vm;
-use crate::rir::RirMethod;
+use crate::rir::{ArgSlot, RirMethod};
+use hpcnet_cil::Intrinsic;
 use std::sync::Arc;
 
-/// One translated instruction: all decoding already done, only the
-/// dynamic operands (frame slots, the heap, callee dispatch) remain. It
-/// answers the dispatch loop in a register; anything bigger it parks in
-/// the frame (see [`crate::call`]).
-pub(crate) type OpFn = Box<dyn Fn(&mut Frame, &Arc<Vm>, u32) -> Step + Send + Sync>;
+/// What runs one op, given its own record. It answers the dispatch loop in
+/// a register; anything bigger it parks in the frame (see [`crate::call`]).
+pub(crate) type Run = fn(&mut Frame, &Arc<Vm>, &Op, u32) -> Step;
 
-/// A method compiled to closure code. `rir` is the allocated register IR
-/// the closures were built from — kept for the observer (which records
-/// per-opcode attribution from it), for exception dispatch and `leave`,
-/// for [`crate::rir::print_rir`] listings, and for frame construction.
-/// `ops` has one closure per slot: fewer than `rir.code` has instructions
-/// where pairs fused.
-pub struct CompiledMethod {
-    /// The allocated RIR backing the closures.
-    pub rir: Arc<RirMethod>,
-    pub(crate) ops: Box<[OpFn]>,
+/// One translated slot. The builder that picked `run` fixes which field
+/// holds which operand: frame slots in `s`, branch targets and ids in `n`,
+/// an immediate or a [`Side`] span (`start | len << 32`) in `imm`.
+#[derive(Clone, Copy)]
+pub(crate) struct Op {
+    pub(crate) run: Run,
+    pub(crate) s: [u16; 4],
+    pub(crate) n: [u32; 2],
+    pub(crate) imm: u64,
 }
 
-impl std::fmt::Debug for CompiledMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledMethod")
-            .field("rir", &self.rir)
-            .field("ops", &self.ops.len())
-            .finish()
-    }
+/// What a method's records have no room for: call, `newobj` and intrinsic
+/// argument lists, multidimensional index and dimension slots, the
+/// intrinsic a fallback call runs. A method without them allocates none.
+#[derive(Default)]
+pub(crate) struct Side {
+    pub(crate) args: Vec<ArgSlot>,
+    pub(crate) slots: Vec<u16>,
+    pub(crate) intrinsics: Vec<Intrinsic>,
+}
+
+/// The items of `pool` the span `span` names.
+#[inline(always)]
+pub(crate) fn list<T>(pool: &[T], span: u64) -> &[T] {
+    &pool[span as u32 as usize..][..(span >> 32) as usize]
+}
+
+/// A method compiled to op records. `rir` is the allocated register IR
+/// the records were built from — kept for the observer (which records
+/// per-opcode attribution from it), for exception dispatch and `leave`,
+/// for [`crate::rir::print_rir`] listings, and for frame construction.
+/// `ops` has one record per slot: fewer than `rir.code` has instructions
+/// where pairs fused.
+pub struct CompiledMethod {
+    /// The allocated RIR backing the records.
+    pub rir: Arc<RirMethod>,
+    pub(crate) ops: Box<[Op]>,
+    pub(crate) side: Side,
 }
