@@ -10,7 +10,8 @@
 //! * [`interp`] — the stack interpreter (Rotor tier).
 //! * [`rir`] — stack→register lowering, optimization passes, allocation.
 //! * [`compiled`] — the code both register tiers run: allocated RIR
-//!   translated once into closures by [`rir::compile`], no per-op decode.
+//!   translated once into `fn`-pointer op records by [`rir::compile`], no
+//!   per-op decode.
 //!   The tiers differ only in `rir::alloc`'s ranking: use count
 //!   ([`Tier::Rir`]) or linear scan ([`Tier::Compiled`]).
 //! * [`call`] — what runs around that code: the frame (an enregistered

@@ -505,7 +505,7 @@ impl Vm {
         self.code(method).map(|code| code.rir.clone())
     }
 
-    /// Fetch (compiling on first use) the closure code this VM runs for a
+    /// Fetch (compiling on first use) the op records this VM runs for a
     /// method.
     pub fn threaded(self: &Arc<Self>, method: MethodId) -> VmResult<Arc<CompiledMethod>> {
         self.code(method).cloned()

@@ -2,12 +2,12 @@
 //!
 //! Each function carries one [`crate::rir::RInst`] out on a [`Frame`]:
 //! decoded operands in, a [`Step`] out, faults parked with
-//! [`Frame::fail`]. [`crate::rir::compile`] calls them from closures built
-//! once per method, with what it could resolve then — the op, the type,
-//! checked or not, U1 masking, a literal, a class layout — passed as
-//! constants. Every function is `#[inline(always)]`, so in such a closure
-//! the branches on those constants fold away and the closure is the code
-//! of its one case. `nop` and `br` have no body: they are [`Step::NEXT`]
+//! [`Frame::fail`]. [`crate::rir::compile`] calls them from the `run` of
+//! op records built once per method, with what it could resolve then —
+//! the op, the type, the operand kinds, checked or not, U1 masking —
+//! passed as constants and the operands read from the record. Every
+//! function is `#[inline(always)]`, so in such a `run` the branches on
+//! those constants fold away and it is the code of its one case. `nop` and `br` have no body: they are [`Step::NEXT`]
 //! and [`Step::jump`].
 //!
 //! Faults leave through two cold paths: [`trap`] raises a managed
@@ -16,7 +16,7 @@
 //! Allocations and calls count into the frame's `Tally` (see
 //! [`crate::call`]).
 //!
-//! Two kinds of intrinsic have a body of their own, which the closure
+//! Two kinds of intrinsic have a body of their own, which the record
 //! builder picks when it builds the op, so no other intrinsic pays for the
 //! distinction:
 //! * `Monitor.Enter`/`Exit` on a reference slot, the `lock` statement's
@@ -24,8 +24,9 @@
 //!   [`intrinsic`] would copy it into a `Value`;
 //! * a routine of the profile's math table whose operands and result sit
 //!   in `float64` slots ([`math_slots`]): [`math`] applies it to the slot
-//!   bits, with no `Value` built and no `Vm::intrinsic` match; the closure
-//!   captures the routine's function pointer.
+//!   bits, with no `Value` built and no `Vm::intrinsic` match; the op's
+//!   `run` is specialized to the intrinsic and loads the routine from the
+//!   VM's math table.
 //!
 //! [`crate::interp`] keeps its own bodies on purpose: it is the oracle the
 //! conformance matrix holds these against, and a bug shared with it would
@@ -567,7 +568,7 @@ pub(crate) fn ld_multi_len(
 }
 
 /// Can a load of `kind` write `dst`? The RIR lowering makes it so; the
-/// closure builder checks it where it picks the body, and takes
+/// record builder checks it where it picks the body, and takes
 /// [`elem_kind_mismatch`] otherwise.
 #[inline(always)]
 pub(crate) fn loads_into(kind: ElemKind, dst: DstSlot) -> bool {
