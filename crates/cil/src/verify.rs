@@ -4,21 +4,32 @@
 //! be verified as type safe". This module implements that for our subset: an
 //! abstract interpretation over evaluation-stack types that rejects
 //! underflow, operand-kind mismatches, inconsistent merge states and
-//! signature violations — and, as a by-product, records the inferred stack
-//! state at every instruction. The execution engines *trust* verified code
-//! (exactly as a real JIT trusts the loader), and the optimizing tiers reuse
-//! the recorded types to drive stack-to-register translation.
+//! signature violations — and, as a by-product, records the stack shape at
+//! every instruction. The execution engines *trust* verified code (exactly
+//! as a real JIT trusts the loader), and the optimizing tiers reuse the
+//! recorded shapes to drive stack-to-register translation.
+//!
+//! [`verify_method`] keeps a full abstract stack only at block entries:
+//! pc 0, every in-bounds branch or `leave` target, and every handler start.
+//! It pops an entry off a LIFO worklist and walks the straight-line run
+//! from it with one stack, changed in place, until control leaves the run
+//! or falls into the next entry. Arriving at an entry merges into its
+//! state; an entry whose state is new or widened goes back on the
+//! worklist, and its run is walked again with the wider state, so each
+//! instruction is checked against every stack that reaches it. A merge
+//! never changes a depth or a numeric kind (it rejects the code instead),
+//! so the shape an instruction gets the first time a walk reaches it — its
+//! depth and each cell's numeric kind, `None` for a reference — is its
+//! shape for good; later walks only check it again.
 //!
 //! [`verify_module`] is the one verification of a module. Next to each
-//! body's `max_stack` it stores the body's [`StackShapes`] — per
-//! instruction: reachable or not, the entry depth, and each cell's numeric
-//! kind (`None` for a reference), [`VerifyInfo::stack_in`] reduced to what
-//! stack-to-register translation reads. The register tiers lower from that
-//! table; they call [`verify_method`] themselves only for a body that has
-//! no table, or one of another length than its code (a module bound
-//! without `verify_module`, or a body edited after it).
+//! body's `max_stack` (its deepest shape) it stores the body's
+//! [`StackShapes`]. The register tiers lower from that table; they call
+//! [`verify_method`] themselves only for a body that has no table, or one
+//! of another length than its code (a module bound without
+//! `verify_module`, or a body edited after it).
 
-use crate::module::{EhKind, FieldDef, MethodId, Module};
+use crate::module::{EhKind, FieldDef, MethodDef, MethodId, Module};
 use crate::op::{BinOp, ElemKind, Intrinsic, Op, UnOp};
 use crate::types::{CilType, NumTy};
 use std::fmt;
@@ -81,16 +92,6 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Result of verifying one method.
-#[derive(Debug, Clone)]
-pub struct VerifyInfo {
-    /// Inferred stack state at the *entry* of each instruction (`None` for
-    /// unreachable instructions).
-    pub stack_in: Vec<Option<Vec<VerTy>>>,
-    /// Maximum evaluation-stack depth.
-    pub max_stack: u32,
-}
-
 /// Entry depth of an instruction verification never reached.
 const UNREACHED: u32 = u32::MAX;
 
@@ -139,31 +140,19 @@ impl StackShapes {
     }
 }
 
-impl VerifyInfo {
-    /// Reduce [`VerifyInfo::stack_in`] to its [`StackShapes`].
-    pub fn shapes(&self) -> StackShapes {
-        let n_cells = self.stack_in.iter().flatten().map(Vec::len).sum();
-        let mut shapes = StackShapes {
-            depths: Vec::with_capacity(self.stack_in.len()),
-            cells: Vec::with_capacity(n_cells),
-        };
-        for st in &self.stack_in {
-            match st {
-                Some(st) => {
-                    shapes.depths.push(st.len() as u32);
-                    shapes.cells.extend(st.iter().map(VerTy::num));
-                }
-                None => shapes.depths.push(UNREACHED),
-            }
-        }
-        shapes
-    }
-}
-
 struct Verifier<'m> {
     module: &'m Module,
     method: MethodId,
+    def: &'m MethodDef,
+    /// The receiver's type: argument 0 of an instance method.
+    this: CilType,
     pc: u32,
+}
+
+/// Where control goes after one instruction.
+struct Flow {
+    fallthrough: bool,
+    branch: Option<u32>,
 }
 
 impl<'m> Verifier<'m> {
@@ -173,6 +162,17 @@ impl<'m> Verifier<'m> {
             pc: self.pc,
             message: msg.into(),
         })
+    }
+
+    /// Declared type of argument `i`, the receiver first for instance
+    /// methods.
+    fn arg(&self, i: u16) -> Option<&CilType> {
+        let i = usize::from(i);
+        match (self.def.is_static, i) {
+            (true, _) => self.def.params.get(i),
+            (false, 0) => Some(&self.this),
+            (false, _) => self.def.params.get(i - 1),
+        }
     }
 
     /// May a value of type `from` be stored where `to` is expected?
@@ -223,94 +223,53 @@ impl<'m> Verifier<'m> {
             _ => self.err(format!("inconsistent merge: {a} vs {b}")),
         }
     }
-}
 
-/// Verify a single method, returning the per-instruction stack states.
-pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, VerifyError> {
-    let method = module.method(id);
-    let code = &method.body.code;
-    let mut v = Verifier {
-        module,
-        method: id,
-        pc: 0,
-    };
-
-    // Argument types (receiver first for instance methods).
-    let mut arg_tys: Vec<CilType> = Vec::with_capacity(method.arg_count());
-    if !method.is_static {
-        arg_tys.push(CilType::Class(method.owner));
-    }
-    arg_tys.extend(method.params.iter().cloned());
-
-    let n = code.len();
-    if n == 0 {
-        return if method.ret == CilType::Void {
-            Ok(VerifyInfo {
-                stack_in: Vec::new(),
-                max_stack: 0,
-            })
-        } else {
-            v.err("empty body for non-void method")
+    /// Bring `st` to the block entry `pc`: the first arrival records it,
+    /// later ones merge into it cell by cell. `pc` goes on the worklist
+    /// when its state is new or widened.
+    fn arrive(
+        &self,
+        states: &mut [Option<Vec<VerTy>>],
+        work: &mut Vec<u32>,
+        pc: u32,
+        st: &[VerTy],
+    ) -> Result<(), VerifyError> {
+        let Some(slot) = states.get_mut(pc as usize) else {
+            return self.err(format!("branch target {pc} out of bounds"));
         };
-    }
-
-    let mut stack_in: Vec<Option<Vec<VerTy>>> = vec![None; n];
-    let mut work: Vec<u32> = Vec::new();
-    let push_state =
-        |work: &mut Vec<u32>,
-         stack_in: &mut Vec<Option<Vec<VerTy>>>,
-         v: &Verifier,
-         pc: u32,
-         st: Vec<VerTy>|
-         -> Result<(), VerifyError> {
-            if pc as usize >= n {
-                return v.err(format!("branch target {pc} out of bounds"));
+        match slot {
+            None => {
+                *slot = Some(st.to_vec());
+                work.push(pc);
             }
-            match &mut stack_in[pc as usize] {
-                slot @ None => {
-                    *slot = Some(st);
+            Some(existing) => {
+                if existing.len() != st.len() {
+                    return self.err(format!(
+                        "stack depth mismatch at {pc}: {} vs {}",
+                        existing.len(),
+                        st.len()
+                    ));
+                }
+                let mut changed = false;
+                for (e, s) in existing.iter_mut().zip(st) {
+                    let m = self.merge(e, s)?;
+                    if m != *e {
+                        *e = m;
+                        changed = true;
+                    }
+                }
+                if changed {
                     work.push(pc);
                 }
-                Some(existing) => {
-                    if existing.len() != st.len() {
-                        return v.err(format!(
-                            "stack depth mismatch at {pc}: {} vs {}",
-                            existing.len(),
-                            st.len()
-                        ));
-                    }
-                    let mut changed = false;
-                    for (e, s) in existing.iter_mut().zip(st.iter()) {
-                        let m = v.merge(e, s)?;
-                        if m != *e {
-                            *e = m;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push(pc);
-                    }
-                }
             }
-            Ok(())
-        };
-
-    push_state(&mut work, &mut stack_in, &v, 0, Vec::new())?;
-    // Handler entries are reachable with a synthetic stack.
-    for region in &method.body.eh {
-        let st = match region.kind {
-            EhKind::Catch(c) => vec![VerTy::Ref(CilType::Class(c))],
-            EhKind::Finally => Vec::new(),
-        };
-        push_state(&mut work, &mut stack_in, &v, region.handler_start, st)?;
+        }
+        Ok(())
     }
 
-    let mut max_stack = 0u32;
-    while let Some(pc) = work.pop() {
-        v.pc = pc;
-        let mut st = stack_in[pc as usize].clone().expect("queued with state");
-        max_stack = max_stack.max(st.len() as u32);
-        let op = &code[pc as usize];
+    /// Apply one instruction to the running stack `st` and say where
+    /// control goes next.
+    fn step(&self, op: &Op, st: &mut Vec<VerTy>) -> Result<Flow, VerifyError> {
+        let (v, module, method) = (self, self.module, self.def);
 
         macro_rules! pop {
             () => {
@@ -348,7 +307,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
         }
 
         let mut fallthrough = true;
-        let mut branches: Vec<u32> = Vec::new();
+        let mut branch = None;
 
         match op {
             Op::Nop => {}
@@ -359,42 +318,32 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
             Op::LdNull => st.push(VerTy::Null),
             Op::LdStr(_) => st.push(VerTy::Ref(CilType::Str)),
             Op::LdLoc(i) => {
-                let ty = method
-                    .body
-                    .locals
-                    .get(*i as usize)
-                    .ok_or(())
-                    .or_else(|_| v.err(format!("local {i} out of range")))?;
+                let Some(ty) = method.body.locals.get(*i as usize) else {
+                    return v.err(format!("local {i} out of range"));
+                };
                 st.push(VerTy::of(ty));
             }
             Op::StLoc(i) => {
-                let ty = method
-                    .body
-                    .locals
-                    .get(*i as usize)
-                    .cloned()
-                    .ok_or(())
-                    .or_else(|_| v.err(format!("local {i} out of range")))?;
+                let Some(ty) = method.body.locals.get(*i as usize) else {
+                    return v.err(format!("local {i} out of range"));
+                };
                 let t = pop!();
-                if !v.assignable(&t, &ty) {
+                if !v.assignable(&t, ty) {
                     return v.err(format!("cannot store {t} into local of type {ty}"));
                 }
             }
             Op::LdArg(i) => {
-                let ty = arg_tys
-                    .get(*i as usize)
-                    .ok_or(())
-                    .or_else(|_| v.err(format!("arg {i} out of range")))?;
+                let Some(ty) = v.arg(*i) else {
+                    return v.err(format!("arg {i} out of range"));
+                };
                 st.push(VerTy::of(ty));
             }
             Op::StArg(i) => {
-                let ty = arg_tys
-                    .get(*i as usize)
-                    .cloned()
-                    .ok_or(())
-                    .or_else(|_| v.err(format!("arg {i} out of range")))?;
+                let Some(ty) = v.arg(*i) else {
+                    return v.err(format!("arg {i} out of range"));
+                };
                 let t = pop!();
-                if !v.assignable(&t, &ty) {
+                if !v.assignable(&t, ty) {
                     return v.err(format!("cannot store {t} into arg of type {ty}"));
                 }
             }
@@ -448,14 +397,14 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
             }
             Op::Br(t) => {
                 fallthrough = false;
-                branches.push(*t);
+                branch = Some(*t);
             }
             Op::BrTrue(t) | Op::BrFalse(t) => {
                 let c = pop!();
                 if c.num() != Some(NumTy::I4) && !c.is_ref() {
                     return v.err(format!("branch condition must be int32 or ref, got {c}"));
                 }
-                branches.push(*t);
+                branch = Some(*t);
             }
             Op::BrCmp(_, t) => {
                 let a = pop!();
@@ -465,7 +414,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                     (x, y) if x.is_ref() && y.is_ref() => {}
                     _ => return v.err(format!("fused compare on {b} vs {a}")),
                 }
-                branches.push(*t);
+                branch = Some(*t);
             }
             Op::Call(mid) | Op::CallVirt(mid) => {
                 let callee = module.method(*mid);
@@ -490,7 +439,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }
             }
             Op::CallIntrinsic(i) => {
-                verify_intrinsic(&v, *i, &mut st)?;
+                verify_intrinsic(v, *i, st)?;
             }
             Op::Ret => {
                 fallthrough = false;
@@ -527,7 +476,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                     return v.err("ldfld on static field");
                 }
                 let recv = pop_ref!();
-                check_receiver(&v, &recv, fd)?;
+                check_receiver(v, &recv, fd)?;
                 st.push(VerTy::of(&fd.ty));
             }
             Op::StFld(f) => {
@@ -537,7 +486,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }
                 let val = pop!();
                 let recv = pop_ref!();
-                check_receiver(&v, &recv, fd)?;
+                check_receiver(v, &recv, fd)?;
                 if !v.assignable(&val, &fd.ty) {
                     return v.err(format!("cannot store {val} into field {}", fd.name));
                 }
@@ -584,14 +533,14 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
             Op::LdElem(k) => {
                 pop_i4!();
                 let arr = pop_ref!();
-                check_array(&v, &arr, *k)?;
-                st.push(elem_result(&arr, *k));
+                check_array(v, &arr, *k)?;
+                st.push(elem_result(arr, *k));
             }
             Op::StElem(k) => {
                 let val = pop!();
                 pop_i4!();
                 let arr = pop_ref!();
-                check_array(&v, &arr, *k)?;
+                check_array(v, &arr, *k)?;
                 match k.num_ty() {
                     Some(nt) => {
                         if val.num() != Some(nt) {
@@ -606,7 +555,7 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }
             }
             Op::NewMultiArr { kind, rank } => {
-                check_rank(&v, *rank)?;
+                check_rank(v, *rank)?;
                 for _ in 0..*rank {
                     pop_i4!();
                 }
@@ -616,22 +565,22 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 }));
             }
             Op::LdElemMulti { kind, rank } => {
-                check_rank(&v, *rank)?;
+                check_rank(v, *rank)?;
                 for _ in 0..*rank {
                     pop_i4!();
                 }
                 let arr = pop_ref!();
-                check_multi(&v, &arr, *kind, *rank)?;
-                st.push(elem_result(&arr, *kind));
+                check_multi(v, &arr, *kind, *rank)?;
+                st.push(elem_result(arr, *kind));
             }
             Op::StElemMulti { kind, rank } => {
-                check_rank(&v, *rank)?;
+                check_rank(v, *rank)?;
                 let val = pop!();
                 for _ in 0..*rank {
                     pop_i4!();
                 }
                 let arr = pop_ref!();
-                check_multi(&v, &arr, *kind, *rank)?;
+                check_multi(v, &arr, *kind, *rank)?;
                 match kind.num_ty() {
                     Some(nt) => {
                         if val.num() != Some(nt) {
@@ -674,28 +623,124 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<VerifyInfo, Verify
                 // Leave empties the evaluation stack.
                 fallthrough = false;
                 st.clear();
-                branches.push(*t);
+                branch = Some(*t);
             }
             Op::EndFinally => {
                 fallthrough = false;
             }
         }
+        Ok(Flow {
+            fallthrough,
+            branch,
+        })
+    }
+}
 
-        for b in branches {
-            push_state(&mut work, &mut stack_in, &v, b, st.clone())?;
+/// Verify a single method, returning the entry-stack shape of every
+/// instruction.
+pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, VerifyError> {
+    let method = module.method(id);
+    let code = &method.body.code;
+    let mut v = Verifier {
+        module,
+        method: id,
+        def: method,
+        this: CilType::Class(method.owner),
+        pc: 0,
+    };
+
+    let n = code.len();
+    if n == 0 {
+        return if method.ret == CilType::Void {
+            Ok(StackShapes {
+                depths: Vec::new(),
+                cells: Vec::new(),
+            })
+        } else {
+            v.err("empty body for non-void method")
+        };
+    }
+
+    // Block entries: pc 0, every in-bounds branch or `leave` target, and
+    // every handler start. Only these keep a state; an out-of-bounds
+    // target is rejected when control reaches its branch.
+    let mut leader = vec![false; n];
+    leader[0] = true;
+    for t in code.iter().filter_map(Op::branch_target) {
+        if let Some(l) = leader.get_mut(t as usize) {
+            *l = true;
         }
-        if fallthrough {
-            if pc as usize + 1 >= n {
-                return v.err("control falls off the end of the method");
-            }
-            push_state(&mut work, &mut stack_in, &v, pc + 1, st)?;
+    }
+    for region in &method.body.eh {
+        if let Some(l) = leader.get_mut(region.handler_start as usize) {
+            *l = true;
         }
     }
 
-    Ok(VerifyInfo {
-        stack_in,
-        max_stack,
-    })
+    let mut states: Vec<Option<Vec<VerTy>>> = vec![None; n];
+    let mut work: Vec<u32> = Vec::new();
+    v.arrive(&mut states, &mut work, 0, &[])?;
+    // Handler entries are reachable with a synthetic stack.
+    for region in &method.body.eh {
+        let caught;
+        let st: &[VerTy] = match region.kind {
+            EhKind::Catch(c) => {
+                caught = [VerTy::Ref(CilType::Class(c))];
+                &caught
+            }
+            EhKind::Finally => &[],
+        };
+        v.arrive(&mut states, &mut work, region.handler_start, st)?;
+    }
+
+    // Each pc's shape, written the first time a walk reaches it: its
+    // depth, and where its cells start in `seen` (in visit order).
+    let mut depths = vec![UNREACHED; n];
+    let mut starts = vec![0u32; n];
+    let mut seen: Vec<Option<NumTy>> = Vec::new();
+    let mut st: Vec<VerTy> = Vec::new();
+    while let Some(entry) = work.pop() {
+        let Some(state) = &states[entry as usize] else {
+            continue;
+        };
+        st.clone_from(state);
+        // Walk the straight-line run from `entry` with one stack, until
+        // control leaves it or falls into the next block entry.
+        let mut pc = entry;
+        loop {
+            v.pc = pc;
+            let at = pc as usize;
+            if depths[at] == UNREACHED {
+                depths[at] = st.len() as u32;
+                starts[at] = seen.len() as u32;
+                seen.extend(st.iter().map(VerTy::num));
+            }
+            let flow = v.step(&code[at], &mut st)?;
+            if let Some(b) = flow.branch {
+                v.arrive(&mut states, &mut work, b, &st)?;
+            }
+            if !flow.fallthrough {
+                break;
+            }
+            if at + 1 >= n {
+                return v.err("control falls off the end of the method");
+            }
+            pc += 1;
+            if leader[pc as usize] {
+                v.arrive(&mut states, &mut work, pc, &st)?;
+                break;
+            }
+        }
+    }
+
+    // Lay the cells out in instruction order.
+    let mut cells = Vec::with_capacity(seen.len());
+    for (&d, &s) in depths.iter().zip(&starts) {
+        if d != UNREACHED {
+            cells.extend_from_slice(&seen[s as usize..(s + d) as usize]);
+        }
+    }
+    Ok(StackShapes { depths, cells })
 }
 
 fn array_ty_of(k: ElemKind) -> CilType {
@@ -714,11 +759,11 @@ fn elem_cil_ty(k: ElemKind) -> CilType {
 }
 
 /// What a load of element kind `k` from array-typed `arr` pushes.
-fn elem_result(arr: &VerTy, k: ElemKind) -> VerTy {
+fn elem_result(arr: VerTy, k: ElemKind) -> VerTy {
     match k.num_ty() {
         Some(nt) => VerTy::Num(nt),
         None => match arr {
-            VerTy::Ref(CilType::Array(e)) if e.is_ref() => VerTy::Ref((**e).clone()),
+            VerTy::Ref(CilType::Array(e)) if e.is_ref() => VerTy::Ref(*e),
             _ => VerTy::Ref(CilType::Object),
         },
     }
@@ -795,42 +840,44 @@ fn verify_intrinsic(
     st: &mut Vec<VerTy>,
 ) -> Result<(), VerifyError> {
     use Intrinsic::*;
+    const I4: VerTy = VerTy::Num(NumTy::I4);
+    const I8: VerTy = VerTy::Num(NumTy::I8);
+    const R4: VerTy = VerTy::Num(NumTy::R4);
+    const R8: VerTy = VerTy::Num(NumTy::R8);
+    const STR: VerTy = VerTy::Ref(CilType::Str);
+    const OBJ: VerTy = VerTy::Ref(CilType::Object);
     // (argument kinds, result kind)
-    let num = |n: NumTy| VerTy::Num(n);
-    let (args, ret): (Vec<VerTy>, Option<VerTy>) = match i {
-        AbsI4 => (vec![num(NumTy::I4)], Some(num(NumTy::I4))),
-        AbsI8 => (vec![num(NumTy::I8)], Some(num(NumTy::I8))),
-        AbsR4 => (vec![num(NumTy::R4)], Some(num(NumTy::R4))),
-        AbsR8 => (vec![num(NumTy::R8)], Some(num(NumTy::R8))),
-        MaxI4 | MinI4 => (vec![num(NumTy::I4); 2], Some(num(NumTy::I4))),
-        MaxI8 | MinI8 => (vec![num(NumTy::I8); 2], Some(num(NumTy::I8))),
-        MaxR4 | MinR4 => (vec![num(NumTy::R4); 2], Some(num(NumTy::R4))),
-        MaxR8 | MinR8 => (vec![num(NumTy::R8); 2], Some(num(NumTy::R8))),
+    let (args, ret): (&[VerTy], Option<VerTy>) = match i {
+        AbsI4 => (&[I4], Some(I4)),
+        AbsI8 => (&[I8], Some(I8)),
+        AbsR4 => (&[R4], Some(R4)),
+        AbsR8 => (&[R8], Some(R8)),
+        MaxI4 | MinI4 => (&[I4, I4], Some(I4)),
+        MaxI8 | MinI8 => (&[I8, I8], Some(I8)),
+        MaxR4 | MinR4 => (&[R4, R4], Some(R4)),
+        MaxR8 | MinR8 => (&[R8, R8], Some(R8)),
         Sin | Cos | Tan | Asin | Acos | Atan | Floor | Ceil | Sqrt | Exp | Log | Rint => {
-            (vec![num(NumTy::R8)], Some(num(NumTy::R8)))
+            (&[R8], Some(R8))
         }
-        Atan2 | Pow => (vec![num(NumTy::R8); 2], Some(num(NumTy::R8))),
-        Random => (vec![], Some(num(NumTy::R8))),
-        RoundR4 => (vec![num(NumTy::R4)], Some(num(NumTy::I4))),
-        RoundR8 => (vec![num(NumTy::R8)], Some(num(NumTy::I8))),
-        ConsoleWriteLineStr => (vec![VerTy::Ref(CilType::Str)], None),
-        ConsoleWriteLineI4 => (vec![num(NumTy::I4)], None),
-        ConsoleWriteLineR8 => (vec![num(NumTy::R8)], None),
-        CurrentTimeMillis | NanoTime => (vec![], Some(num(NumTy::I8))),
-        ThreadStart => (vec![VerTy::Ref(CilType::Object)], Some(num(NumTy::I4))),
-        ThreadJoin => (vec![num(NumTy::I4)], None),
-        ThreadYield => (vec![], None),
-        MonitorEnter | MonitorExit => (vec![VerTy::Ref(CilType::Object)], None),
-        StrConcat => (
-            vec![VerTy::Ref(CilType::Str); 2],
-            Some(VerTy::Ref(CilType::Str)),
-        ),
-        StrFromI4 => (vec![num(NumTy::I4)], Some(VerTy::Ref(CilType::Str))),
-        StrFromI8 => (vec![num(NumTy::I8)], Some(VerTy::Ref(CilType::Str))),
-        StrFromR8 => (vec![num(NumTy::R8)], Some(VerTy::Ref(CilType::Str))),
-        StrLen => (vec![VerTy::Ref(CilType::Str)], Some(num(NumTy::I4))),
-        SerializeObj => (vec![VerTy::Ref(CilType::Object)], Some(num(NumTy::I4))),
-        DeserializeObj => (vec![], Some(VerTy::Ref(CilType::Object))),
+        Atan2 | Pow => (&[R8, R8], Some(R8)),
+        Random => (&[], Some(R8)),
+        RoundR4 => (&[R4], Some(I4)),
+        RoundR8 => (&[R8], Some(I8)),
+        ConsoleWriteLineStr => (&[STR], None),
+        ConsoleWriteLineI4 => (&[I4], None),
+        ConsoleWriteLineR8 => (&[R8], None),
+        CurrentTimeMillis | NanoTime => (&[], Some(I8)),
+        ThreadStart => (&[OBJ], Some(I4)),
+        ThreadJoin => (&[I4], None),
+        ThreadYield => (&[], None),
+        MonitorEnter | MonitorExit => (&[OBJ], None),
+        StrConcat => (&[STR, STR], Some(STR)),
+        StrFromI4 => (&[I4], Some(STR)),
+        StrFromI8 => (&[I8], Some(STR)),
+        StrFromR8 => (&[R8], Some(STR)),
+        StrLen => (&[STR], Some(I4)),
+        SerializeObj => (&[OBJ], Some(I4)),
+        DeserializeObj => (&[], Some(OBJ)),
     };
     for expect in args.iter().rev() {
         let got = match st.pop() {
@@ -857,10 +904,10 @@ fn verify_intrinsic(
 pub fn verify_module(module: &mut Module) -> Result<(), VerifyError> {
     let ids: Vec<MethodId> = (0..module.methods.len() as u32).map(MethodId).collect();
     for id in ids {
-        let info = verify_method(module, id)?;
+        let shapes = verify_method(module, id)?;
         let body = &mut module.methods[id.idx()].body;
-        body.max_stack = info.max_stack;
-        body.stack_shapes = Some(info.shapes());
+        body.max_stack = shapes.max_depth();
+        body.stack_shapes = Some(shapes);
     }
     Ok(())
 }
@@ -901,10 +948,15 @@ mod tests {
             f.ld_loc(s);
             f.ret();
         });
-        let info = verify_method(&m, id).unwrap();
-        assert_eq!(info.max_stack, 2);
-        // Entry of the loop head has an empty stack.
-        assert_eq!(info.stack_in[2].as_deref(), Some(&[][..]));
+        let shapes = verify_method(&m, id).unwrap();
+        assert_eq!(shapes.max_depth(), 2);
+        let entries: Vec<_> = shapes.iter().collect();
+        assert_eq!(entries.len(), 12);
+        // The loop head is entered with an empty stack from both edges;
+        // the fused compare sees two int32 cells.
+        assert_eq!(entries[2], Some(&[][..]));
+        assert_eq!(entries[4], Some(&[Some(NumTy::I4); 2][..]));
+        assert!(entries.iter().all(Option::is_some), "every pc is reachable");
     }
 
     #[test]
@@ -1031,16 +1083,19 @@ mod tests {
         verify_method(&m, id).unwrap();
     }
 
-    #[test]
-    fn catch_handler_gets_exception_on_stack() {
+    /// A static `F` catching `Exception` whose handler reads `field` off
+    /// the caught object; `field` is chosen from (`Exception.code`,
+    /// `P.x`) by `of_caught`.
+    fn handler_reading(of_caught: bool) -> (Module, MethodId) {
         let mut mb = ModuleBuilder::new();
         let exc = mb.declare_class("Exception", None);
+        let code = mb.add_field(exc, "code", CilType::I4, false);
         let c = mb.declare_class("P", None);
+        let x = mb.add_field(c, "x", CilType::I4, false);
         let ctor = mb
             .method(exc, ".ctor", vec![], CilType::Void, MethodKind::Ctor)
             .finish();
-        // give ctor a trivial body: just ret (receiver ignored)
-        // (bodies are written via builder; rebuild with body)
+        mb.methods_mut_for_test(ctor).body.code = vec![Op::Ret];
         let mut f = mb.method(c, "F", vec![CilType::I4], CilType::I4, MethodKind::Static);
         let (ts, te, hs, he) = (f.new_label(), f.new_label(), f.new_label(), f.new_label());
         let done = f.new_label();
@@ -1050,8 +1105,7 @@ mod tests {
         f.emit(Op::Throw);
         f.place(te);
         f.place(hs);
-        f.emit(Op::Pop); // discard exception object
-        f.ldc_i4(7);
+        f.emit(Op::LdFld(if of_caught { code } else { x }));
         f.st_loc(r);
         f.leave(done);
         f.place(he);
@@ -1060,18 +1114,62 @@ mod tests {
         f.ret();
         f.eh_catch(ts, te, hs, he, exc);
         let id = f.finish();
-        // ctor body: ret
-        {
-            let m = &mut mb;
-            m.methods_mut_for_test(ctor).body.code = vec![Op::Ret];
+        (mb.finish(), id)
+    }
+
+    #[test]
+    fn catch_handler_gets_exception_on_stack() {
+        let (m, id) = handler_reading(true);
+        let shapes = verify_method(&m, id).unwrap();
+        // The handler (pc 2) is entered with one reference cell.
+        assert_eq!(shapes.iter().nth(2), Some(Some(&[None][..])));
+        // It is typed as the caught class: a field of another class is
+        // rejected on it.
+        let (m, id) = handler_reading(false);
+        let e = verify_method(&m, id).unwrap_err();
+        assert_eq!(e.pc, 2, "{e}");
+        assert!(e.message == "field x accessed on class#0", "{e}");
+    }
+
+    /// Two paths join at a `nop`, one bringing a `Derived`, the other a
+    /// `Base`; the instruction after the join reads a field only `Derived`
+    /// has. With `derived_first`, the `Derived` path reaches the join
+    /// first and the `Base` path widens it afterwards.
+    fn join_then_derived_field(derived_first: bool) -> (Module, MethodId) {
+        let mut mb = ModuleBuilder::new();
+        let base = mb.declare_class("Base", None);
+        let derived = mb.declare_class("Derived", Some("Base"));
+        let d = mb.add_field(derived, "d", CilType::I4, false);
+        let params = vec![CilType::I4, CilType::Class(derived), CilType::Class(base)];
+        let mut f = mb.method(base, "F", params, CilType::I4, MethodKind::Static);
+        let (other, join) = (f.new_label(), f.new_label());
+        // The fall-through path is walked, and so reaches the join, first.
+        let (first, second) = if derived_first { (1, 2) } else { (2, 1) };
+        f.ld_arg(0);
+        f.br_true(other);
+        f.ld_arg(first);
+        f.br(join);
+        f.place(other);
+        f.ld_arg(second);
+        f.place(join);
+        f.emit(Op::Nop);
+        f.emit(Op::LdFld(d));
+        f.ret();
+        let id = f.finish();
+        (mb.finish(), id)
+    }
+
+    #[test]
+    fn a_widened_join_is_checked_again_past_its_entry() {
+        for derived_first in [true, false] {
+            let (m, id) = join_then_derived_field(derived_first);
+            let e = verify_method(&m, id).unwrap_err();
+            assert_eq!(e.pc, 6, "derived_first={derived_first}: {e}");
+            assert!(
+                e.message == "field d accessed on class#0",
+                "derived_first={derived_first}: {e}"
+            );
         }
-        let m = mb.finish();
-        let info = verify_method(&m, id).unwrap();
-        // handler entry (index 2) has the exception ref on the stack
-        assert_eq!(
-            info.stack_in[2].as_deref(),
-            Some(&[VerTy::Ref(CilType::Class(exc))][..])
-        );
     }
 
     // Rejection cases the conform generator is constrained to never

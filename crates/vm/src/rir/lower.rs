@@ -195,8 +195,7 @@ pub(crate) fn lower(
         Some(shapes) if shapes.len() == m.body.code.len() => shapes,
         _ => {
             fresh = verify_method(&module, method)
-                .map_err(|e| VmError::Internal(format!("lowering unverifiable method: {e}")))?
-                .shapes();
+                .map_err(|e| VmError::Internal(format!("lowering unverifiable method: {e}")))?;
             &fresh
         }
     };
