@@ -51,12 +51,19 @@ impl Parser {
         self.tokens[self.at].pos
     }
 
+    /// Consume the token at the cursor, moving it out: the parser never
+    /// reads a consumed token again. The final `Eof` is never passed, so
+    /// it reads as `Eof` however often it is consumed.
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.at].tok.clone();
+        let t = std::mem::replace(&mut self.tokens[self.at].tok, Tok::Eof);
+        self.advance();
+        t
+    }
+
+    fn advance(&mut self) {
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
-        t
     }
 
     fn check(&self, t: &Tok) -> bool {
@@ -88,13 +95,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        if let Tok::Ident(s) = &mut self.tokens[self.at].tok {
+            let s = std::mem::take(s);
+            self.advance();
+            return Ok(s);
         }
+        Err(self.err(format!("expected identifier, found {}", self.peek())))
     }
 
     // ---- declarations ----
@@ -318,7 +324,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
             Tok::If => {
                 self.bump();
@@ -586,11 +592,11 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
                 // `-literal` folds so i32::MIN is writable.
-                match self.peek().clone() {
+                match *self.peek() {
                     Tok::Int(v) => {
                         self.bump();
                         return Ok(Expr::Int(v.wrapping_neg()));
