@@ -399,6 +399,36 @@ impl<'m> MethodBuilder<'m> {
         self.code.push(op);
     }
 
+    /// Move the ops emitted since instruction index `mark` back to the
+    /// earlier index `to`, shifting the code from `to` on after them.
+    /// Labels placed after `to` and branch sites at or after it move with
+    /// that code; a label placed exactly at `to` stays, so it reaches the
+    /// moved ops. The moved ops must place no label and not branch.
+    pub fn move_since(&mut self, mark: u32, to: u32) {
+        let (mark, to) = (mark as usize, to as usize);
+        debug_assert!(to <= mark && mark <= self.code.len());
+        debug_assert!(
+            self.patches.iter().all(|&(at, _)| at < mark),
+            "moved ops do not branch"
+        );
+        debug_assert!(
+            self.labels.iter().flatten().all(|&p| p as usize <= mark),
+            "moved ops place no label"
+        );
+        let n = self.code.len() - mark;
+        self.code[to..].rotate_right(n);
+        for p in self.labels.iter_mut().flatten() {
+            if *p as usize > to {
+                *p += n as u32;
+            }
+        }
+        for (at, _) in &mut self.patches {
+            if *at >= to {
+                *at += n;
+            }
+        }
+    }
+
     fn emit_branch(&mut self, op: Op, target: Label) {
         self.patches.push((self.code.len(), target));
         self.code.push(op);
@@ -662,6 +692,57 @@ mod tests {
         let mut mb = ModuleBuilder::new();
         mb.declare_class("X", None);
         mb.declare_class("X", None);
+    }
+
+    #[test]
+    fn move_since_carries_later_labels_branches_and_regions() {
+        let mut mb = ModuleBuilder::new();
+        let c = mb.declare_class("P", None);
+        let mut f = mb.method(c, "F", vec![], CilType::Void, MethodKind::Static);
+        let (at_mark, after, exit) = (f.new_label(), f.new_label(), f.new_label());
+        let (ts, te, hs, he) = (f.new_label(), f.new_label(), f.new_label(), f.new_label());
+        f.ldc_i4(1); // 0
+        f.place(at_mark);
+        let to = f.here();
+        f.place(ts);
+        f.ldc_i4(2); // 1
+        f.place(after);
+        f.leave(exit); // 2
+        f.place(te);
+        f.place(hs);
+        f.emit(Op::EndFinally); // 3
+        f.place(he);
+        f.place(exit);
+        let mark = f.here();
+        f.conv(NumTy::I8); // 4, moved to 1
+        f.emit(Op::Pop);
+        f.move_since(mark, to);
+        f.br(at_mark);
+        f.br(after);
+        f.eh_finally(ts, te, hs, he);
+        let id = f.finish();
+        let m = mb.finish();
+        let body = &m.method(id).body;
+        assert_eq!(
+            body.code,
+            vec![
+                Op::LdcI4(1),
+                Op::Conv(NumTy::I8),
+                Op::Pop,
+                Op::LdcI4(2),
+                Op::Leave(6),
+                Op::EndFinally,
+                Op::Br(1),
+                Op::Br(4),
+            ]
+        );
+        // `ts` was placed at `to` itself, so it stays on the moved ops;
+        // the other region bounds move with the code after them.
+        let r = &body.eh[0];
+        assert_eq!(
+            (r.try_start, r.try_end, r.handler_start, r.handler_end),
+            (1, 5, 5, 6)
+        );
     }
 
     #[test]

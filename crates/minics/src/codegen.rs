@@ -1,5 +1,14 @@
 //! MiniC# type checking and CIL emission (one pass over bodies).
 //!
+//! Each expression is typed by emitting it: `gen_expr` returns the type
+//! of the code it just emitted, and no other walk types an expression.
+//! Where an operand's conversion depends on the operand after it (the
+//! left side of a binary operator, a comparison or `Math.Max/Min`, the
+//! `then` arm of `?:`), the conversion is emitted once both types are
+//! known and then moved back to the end of its operand
+//! ([`MethodBuilder::move_since`]), so the code reads as if it had been
+//! emitted in place.
+//!
 //! Two-phase: all class/field/method signatures are declared first so
 //! forward references resolve, then bodies are emitted. The generated
 //! shapes are deliberately canonical (fused compare-branches, explicit
@@ -150,6 +159,19 @@ fn promote(a: &Ty, b: &Ty) -> Option<Ty> {
         Ty::Long
     } else {
         Ty::Int
+    })
+}
+
+/// The CIL comparison a comparison operator emits.
+fn cmp_op(op: BinKind) -> Option<CmpOp> {
+    Some(match op {
+        BinKind::Lt => CmpOp::Lt,
+        BinKind::Le => CmpOp::Le,
+        BinKind::Gt => CmpOp::Gt,
+        BinKind::Ge => CmpOp::Ge,
+        BinKind::Eq => CmpOp::Eq,
+        BinKind::Ne => CmpOp::Ne,
+        _ => return None,
     })
 }
 
@@ -543,109 +565,6 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(())
     }
 
-    // ---- type inference (no emission) ----
-
-    fn infer(&self, e: &Expr) -> Result<Ty> {
-        Ok(match e {
-            Expr::Int(_) => Ty::Int,
-            Expr::Long(_) => Ty::Long,
-            Expr::Float(_) => Ty::Float,
-            Expr::Double(_) => Ty::Double,
-            Expr::Bool(_) => Ty::Bool,
-            Expr::Str(_) => Ty::Str,
-            Expr::Null => Ty::Null,
-            Expr::This(p) => {
-                if self.is_static {
-                    return err(*p, "this in static context");
-                }
-                Ty::Class(self.class.clone())
-            }
-            Expr::Ident(name, p) => {
-                if let Some((_, ty)) = self.lookup_local(name) {
-                    ty
-                } else if let Some((_, ty)) = self.lookup_param(name) {
-                    ty
-                } else if let Some(fi) = self.st.resolve_field(&self.class, name) {
-                    fi.ty.clone()
-                } else {
-                    return err(*p, format!("unknown name {name}"));
-                }
-            }
-            Expr::Field { obj, name, pos } => {
-                if let Expr::Ident(cname, _) = obj.as_ref() {
-                    if cname == "Math" && (name == "PI" || name == "E") {
-                        return Ok(Ty::Double);
-                    }
-                    if self.lookup_local(cname).is_none()
-                        && self.lookup_param(cname).is_none()
-                        && self.st.classes.contains_key(cname)
-                    {
-                        return match self.st.resolve_field(cname, name) {
-                            Some(fi) if fi.is_static => Ok(fi.ty.clone()),
-                            _ => err(*pos, format!("no static field {cname}.{name}")),
-                        };
-                    }
-                }
-                let oty = self.infer(obj)?;
-                match (&oty, name.as_str()) {
-                    (Ty::Array(_), "Length") | (Ty::Str, "Length") => Ty::Int,
-                    (Ty::Multi(..), "Length") => Ty::Int,
-                    (Ty::Class(c), _) => match self.st.resolve_field(c, name) {
-                        Some(fi) => fi.ty.clone(),
-                        None => return err(*pos, format!("no field {name} on {c}")),
-                    },
-                    _ => return err(*pos, format!("no field {name} on {oty:?}")),
-                }
-            }
-            Expr::Index { arr, idxs, pos } => {
-                let aty = self.infer(arr)?;
-                match (&aty, idxs.len()) {
-                    (Ty::Array(e), 1) => (**e).clone(),
-                    (Ty::Multi(e, r), n) if n == *r as usize => (**e).clone(),
-                    _ => return err(*pos, format!("bad index on {aty:?}")),
-                }
-            }
-            Expr::Call { target, name, args, pos } => self.infer_call(target, name, args, *pos)?,
-            Expr::New { class, pos, .. } => {
-                if !self.st.classes.contains_key(class) {
-                    return err(*pos, format!("unknown class {class}"));
-                }
-                Ty::Class(class.clone())
-            }
-            Expr::NewArray { elem, dims, extra_ranks, .. } => {
-                let mut t = elem.clone();
-                for _ in 0..*extra_ranks {
-                    t = t.array_of();
-                }
-                if dims.len() == 1 {
-                    t.array_of()
-                } else {
-                    Ty::Multi(Box::new(t), dims.len() as u8)
-                }
-            }
-            Expr::Cast { ty, .. } => ty.clone(),
-            Expr::Un { op, expr, pos } => {
-                let t = self.infer(expr)?;
-                match op {
-                    UnKind::Neg if is_numeric(&t) => t,
-                    UnKind::Not if t == Ty::Bool => Ty::Bool,
-                    UnKind::BitNot if matches!(t, Ty::Int | Ty::Long) => t,
-                    _ => return err(*pos, format!("bad operand {t:?} for {op:?}")),
-                }
-            }
-            Expr::Bin { op, lhs, rhs, pos } => {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
-                self.bin_result(*op, &lt, &rt, *pos)?
-            }
-            Expr::Cond { then, els, pos, .. } => {
-                let tt = self.infer(then)?;
-                let et = self.infer(els)?;
-                self.unify(&tt, &et, *pos)?
-            }
-        })
-    }
-
     fn unify(&self, a: &Ty, b: &Ty, pos: Pos) -> Result<Ty> {
         if a == b {
             return Ok(a.clone());
@@ -671,143 +590,6 @@ impl<'a, 'm> Gen<'a, 'm> {
             return Ok(Ty::Object);
         }
         err(pos, format!("incompatible branches {a:?} / {b:?}"))
-    }
-
-    fn bin_result(&self, op: BinKind, lt: &Ty, rt: &Ty, pos: Pos) -> Result<Ty> {
-        use BinKind::*;
-        Ok(match op {
-            Add if *lt == Ty::Str || *rt == Ty::Str => Ty::Str,
-            Add | Sub | Mul | Div | Rem => match promote(lt, rt) {
-                Some(t) => t,
-                None => return err(pos, format!("arithmetic on {lt:?} and {rt:?}")),
-            },
-            And | Or | Xor => {
-                if *lt == Ty::Bool && *rt == Ty::Bool {
-                    Ty::Bool
-                } else {
-                    match promote(lt, rt) {
-                        Some(t @ (Ty::Int | Ty::Long)) => t,
-                        _ => return err(pos, format!("bitwise on {lt:?} and {rt:?}")),
-                    }
-                }
-            }
-            Shl | Shr => {
-                if matches!(lt, Ty::Int | Ty::Long) && *rt == Ty::Int {
-                    lt.clone()
-                } else {
-                    return err(pos, format!("shift on {lt:?} by {rt:?}"));
-                }
-            }
-            Lt | Le | Gt | Ge => {
-                if promote(lt, rt).is_some() {
-                    Ty::Bool
-                } else {
-                    return err(pos, format!("ordered compare on {lt:?} and {rt:?}"));
-                }
-            }
-            Eq | Ne => {
-                if promote(lt, rt).is_some()
-                    || (*lt == Ty::Bool && *rt == Ty::Bool)
-                    || (is_ref(lt) && is_ref(rt))
-                {
-                    Ty::Bool
-                } else {
-                    return err(pos, format!("equality on {lt:?} and {rt:?}"));
-                }
-            }
-            AndAnd | OrOr => {
-                if *lt == Ty::Bool && *rt == Ty::Bool {
-                    Ty::Bool
-                } else {
-                    return err(pos, "&& / || need bool operands");
-                }
-            }
-        })
-    }
-
-    fn infer_call(
-        &self,
-        target: &Option<Box<Expr>>,
-        name: &str,
-        args: &[Expr],
-        pos: Pos,
-    ) -> Result<Ty> {
-        if let Some(t) = target {
-            if let Expr::Ident(cname, _) = t.as_ref() {
-                if BUILTIN_CLASSES.contains(&cname.as_str()) {
-                    return self.infer_builtin(cname, name, args, pos);
-                }
-                if self.lookup_local(cname).is_none()
-                    && self.lookup_param(cname).is_none()
-                    && self.st.classes.contains_key(cname)
-                {
-                    return match self.st.resolve_method(cname, name) {
-                        Some((_, mi)) if mi.is_static => Ok(mi.ret.clone()),
-                        _ => err(pos, format!("no static method {cname}.{name}")),
-                    };
-                }
-            }
-            let oty = self.infer(t)?;
-            if name == "GetLength" {
-                if matches!(oty, Ty::Multi(..)) {
-                    return Ok(Ty::Int);
-                }
-                return err(pos, "GetLength on non-multidimensional array");
-            }
-            match &oty {
-                Ty::Class(c) => match self.st.resolve_method(c, name) {
-                    Some((_, mi)) if !mi.is_static => Ok(mi.ret.clone()),
-                    _ => err(pos, format!("no method {name} on {c}")),
-                },
-                _ => err(pos, format!("no method {name} on {oty:?}")),
-            }
-        } else {
-            match self.st.resolve_method(&self.class, name) {
-                Some((_, mi)) => Ok(mi.ret.clone()),
-                None => err(pos, format!("unknown method {name}")),
-            }
-        }
-    }
-
-    fn infer_builtin(&self, class: &str, name: &str, args: &[Expr], pos: Pos) -> Result<Ty> {
-        // The arity errors `gen_builtin` reports, for the builtins whose
-        // type is read off their first argument.
-        let want = |n: usize| {
-            if args.len() == n {
-                Ok(())
-            } else {
-                err(pos, format!("{class}.{name} takes {n} argument(s)"))
-            }
-        };
-        Ok(match (class, name) {
-            ("Math", "Abs" | "Max" | "Min") => {
-                want(if name == "Abs" { 1 } else { 2 })?;
-                let mut t = self.infer(&args[0])?;
-                for a in &args[1..] {
-                    let at = self.infer(a)?;
-                    t = promote(&t, &at)
-                        .ok_or(())
-                        .or_else(|_| err(pos, "Math args must be numeric"))?;
-                }
-                t
-            }
-            ("Math", "Round") => {
-                want(1)?;
-                match self.infer(&args[0])? {
-                    Ty::Float => Ty::Int,
-                    _ => Ty::Long,
-                }
-            }
-            ("Math", _) => Ty::Double,
-            ("Console", "WriteLine") => Ty::Void,
-            ("Sys", "Millis" | "Nanos") => Ty::Long,
-            ("Sys", "Start") => Ty::Int,
-            ("Sys", "Join" | "Yield") => Ty::Void,
-            ("Monitor", "Enter" | "Exit") => Ty::Void,
-            ("Serial", "Write") => Ty::Int,
-            ("Serial", "Read") => Ty::Object,
-            _ => return err(pos, format!("unknown builtin {class}.{name}")),
-        })
     }
 
     // ---- expression emission ----
@@ -969,18 +751,17 @@ impl<'a, 'm> Gen<'a, 'm> {
             }
             Expr::Bin { op, lhs, rhs, pos } => self.gen_bin(*op, lhs, rhs, *pos),
             Expr::Cond { cond, then, els, pos } => {
-                let tt = self.infer(then)?;
-                let et = self.infer(els)?;
-                let ty = self.unify(&tt, &et, *pos)?;
                 let l_else = self.f.new_label();
                 let l_end = self.f.new_label();
                 self.gen_branch(cond, l_else, false)?;
-                let t2 = self.gen_expr(then)?;
-                self.convert(&t2, &ty, then.pos())?;
+                let tt = self.gen_expr(then)?;
+                let then_end = self.f.here();
                 self.f.br(l_end);
                 self.f.place(l_else);
-                let e2 = self.gen_expr(els)?;
-                self.convert(&e2, &ty, els.pos())?;
+                let et = self.gen_expr(els)?;
+                let ty = self.unify(&tt, &et, *pos)?;
+                self.at_left(then_end, |g| g.convert(&tt, &ty, then.pos()))?;
+                self.convert(&et, &ty, els.pos())?;
                 self.f.place(l_end);
                 Ok(ty)
             }
@@ -1031,121 +812,118 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(())
     }
 
+    /// Run `emit` after the right operand and move the code it emits
+    /// back to `left_end`, the end of the left operand: a conversion of
+    /// the left operand is known only once both operands are typed.
+    fn at_left(
+        &mut self,
+        left_end: u32,
+        emit: impl FnOnce(&mut Self) -> Result<()>,
+    ) -> Result<()> {
+        let mark = self.f.here();
+        emit(self)?;
+        self.f.move_since(mark, left_end);
+        Ok(())
+    }
+
     fn gen_bin(&mut self, op: BinKind, lhs: &Expr, rhs: &Expr, pos: Pos) -> Result<Ty> {
         use BinKind::*;
-        let lt = self.infer(lhs)?;
-        let rt = self.infer(rhs)?;
+        if matches!(op, AndAnd | OrOr) {
+            // Value form via short-circuit branches: `&&` jumps to 0 when
+            // its left side is false, `||` to 1 when it is true.
+            let or = op == OrOr;
+            let l_short = self.f.new_label();
+            let l_end = self.f.new_label();
+            self.gen_branch(lhs, l_short, or)?;
+            if self.gen_expr(rhs)? != Ty::Bool {
+                let name = if or { "||" } else { "&&" };
+                return err(pos, format!("{name} needs bool operands"));
+            }
+            self.f.br(l_end);
+            self.f.place(l_short);
+            self.f.ldc_i4(or as i32);
+            self.f.place(l_end);
+            return Ok(Ty::Bool);
+        }
+        let lt = self.gen_expr(lhs)?;
+        let left_end = self.f.here();
+        let rt = self.gen_expr(rhs)?;
         // String concatenation.
         if op == Add && (lt == Ty::Str || rt == Ty::Str) {
-            let a = self.gen_expr(lhs)?;
-            self.to_string_on_stack(&a, lhs.pos())?;
-            let b = self.gen_expr(rhs)?;
-            self.to_string_on_stack(&b, rhs.pos())?;
+            self.at_left(left_end, |g| g.to_string_on_stack(&lt, lhs.pos()))?;
+            self.to_string_on_stack(&rt, rhs.pos())?;
             self.f.intrinsic(Intrinsic::StrConcat);
             return Ok(Ty::Str);
         }
-        match op {
-            AndAnd | OrOr => {
-                // Value form via short-circuit branches.
-                let l_short = self.f.new_label();
-                let l_end = self.f.new_label();
-                if op == AndAnd {
-                    self.gen_branch(lhs, l_short, false)?; // false -> 0
-                    let t = self.gen_expr(rhs)?;
-                    if t != Ty::Bool {
-                        return err(pos, "&& needs bool operands");
-                    }
-                    self.f.br(l_end);
-                    self.f.place(l_short);
-                    self.f.ldc_i4(0);
-                } else {
-                    self.gen_branch(lhs, l_short, true)?; // true -> 1
-                    let t = self.gen_expr(rhs)?;
-                    if t != Ty::Bool {
-                        return err(pos, "|| needs bool operands");
-                    }
-                    self.f.br(l_end);
-                    self.f.place(l_short);
-                    self.f.ldc_i4(1);
-                }
-                self.f.place(l_end);
-                Ok(Ty::Bool)
-            }
-            Lt | Le | Gt | Ge | Eq | Ne => {
-                let cmp = match op {
-                    Lt => CmpOp::Lt,
-                    Le => CmpOp::Le,
-                    Gt => CmpOp::Gt,
-                    Ge => CmpOp::Ge,
-                    Eq => CmpOp::Eq,
-                    _ => CmpOp::Ne,
-                };
-                if is_ref(&lt) && is_ref(&rt) {
-                    if !matches!(op, Eq | Ne) {
-                        return err(pos, "ordered compare on references");
-                    }
-                    self.gen_expr(lhs)?;
-                    self.gen_expr(rhs)?;
-                } else if lt == Ty::Bool && rt == Ty::Bool {
-                    self.gen_expr(lhs)?;
-                    self.gen_expr(rhs)?;
-                } else {
-                    let t = promote(&lt, &rt)
-                        .ok_or(())
-                        .or_else(|_| err(pos, format!("compare on {lt:?} and {rt:?}")))?;
-                    let a = self.gen_expr(lhs)?;
-                    self.convert(&a, &t, lhs.pos())?;
-                    let b = self.gen_expr(rhs)?;
-                    self.convert(&b, &t, rhs.pos())?;
-                }
-                self.f.cmp(cmp);
-                Ok(Ty::Bool)
-            }
+        if let Some(cmp) = cmp_op(op) {
+            self.cmp_operands(op, &lt, &rt, left_end, pos)?;
+            self.f.cmp(cmp);
+            return Ok(Ty::Bool);
+        }
+        let (bin, t) = match op {
             Shl | Shr => {
-                let t = self.gen_expr(lhs)?;
-                if !matches!(t, Ty::Int | Ty::Long) {
-                    return err(pos, "shift on non-integer");
-                }
-                let rt2 = self.gen_expr(rhs)?;
-                if rt2 != Ty::Int {
-                    return err(pos, "shift count must be int");
+                if !matches!(lt, Ty::Int | Ty::Long) || rt != Ty::Int {
+                    return err(pos, format!("shift on {lt:?} by {rt:?}"));
                 }
                 self.f.bin(if op == Shl { BinOp::Shl } else { BinOp::Shr });
-                Ok(t)
+                return Ok(lt);
             }
-            And | Or | Xor if lt == Ty::Bool && rt == Ty::Bool => {
-                self.gen_expr(lhs)?;
-                self.gen_expr(rhs)?;
-                self.f.bin(match op {
+            And | Or | Xor => {
+                let t = match promote(&lt, &rt) {
+                    Some(t @ (Ty::Int | Ty::Long)) => t,
+                    _ if lt == Ty::Bool && rt == Ty::Bool => Ty::Bool,
+                    _ => return err(pos, format!("bitwise on {lt:?} and {rt:?}")),
+                };
+                let bin = match op {
                     And => BinOp::And,
                     Or => BinOp::Or,
                     _ => BinOp::Xor,
-                });
-                Ok(Ty::Bool)
+                };
+                (bin, t)
             }
             _ => {
-                let t = self
-                    .bin_result(op, &lt, &rt, pos)?;
-                let a = self.gen_expr(lhs)?;
-                self.convert(&a, &t, lhs.pos())?;
-                let b = self.gen_expr(rhs)?;
-                self.convert(&b, &t, rhs.pos())?;
-                self.f.bin(match op {
+                let Some(t) = promote(&lt, &rt) else {
+                    return err(pos, format!("arithmetic on {lt:?} and {rt:?}"));
+                };
+                let bin = match op {
                     Add => BinOp::Add,
                     Sub => BinOp::Sub,
                     Mul => BinOp::Mul,
                     Div => BinOp::Div,
-                    Rem => BinOp::Rem,
-                    And => BinOp::And,
-                    Or => BinOp::Or,
-                    Xor => BinOp::Xor,
-                    // The arms above take `&&`, `||`, the comparisons and
-                    // the shifts: only the eight operators listed get here.
-                    _ => unreachable!(),
-                });
-                Ok(t)
+                    // The returns above take `&&`, `||`, the comparisons,
+                    // the shifts and the bitwise operators: only `%` is left.
+                    _ => BinOp::Rem,
+                };
+                (bin, t)
             }
+        };
+        self.at_left(left_end, |g| g.convert(&lt, &t, lhs.pos()))?;
+        self.convert(&rt, &t, rhs.pos())?;
+        self.f.bin(bin);
+        Ok(t)
+    }
+
+    /// Check a comparison of two emitted operands, the left one ending at
+    /// `left_end`, and convert numeric operands to their common type.
+    /// Only `==` and `!=` compare `bool`s or references, as in C#.
+    fn cmp_operands(
+        &mut self,
+        op: BinKind,
+        lt: &Ty,
+        rt: &Ty,
+        left_end: u32,
+        pos: Pos,
+    ) -> Result<()> {
+        if let Some(t) = promote(lt, rt) {
+            self.at_left(left_end, |g| g.convert(lt, &t, pos))?;
+            return self.convert(rt, &t, pos);
         }
+        let equality = matches!(op, BinKind::Eq | BinKind::Ne);
+        if equality && ((*lt == Ty::Bool && *rt == Ty::Bool) || (is_ref(lt) && is_ref(rt))) {
+            return Ok(());
+        }
+        let rule = if equality { "equality" } else { "ordered compare" };
+        err(pos, format!("{rule} on {lt:?} and {rt:?}"))
     }
 
     fn to_string_on_stack(&mut self, ty: &Ty, pos: Pos) -> Result<()> {
@@ -1176,46 +954,18 @@ impl<'a, 'm> Gen<'a, 'm> {
     /// to `jump_if_true`. Emits fused compare-branches for comparisons —
     /// the canonical loop shape the engines' BCE pattern expects.
     fn gen_branch(&mut self, cond: &Expr, target: Label, jump_if_true: bool) -> Result<()> {
-        match cond {
-            Expr::Bin { op, lhs, rhs, pos } if matches!(
-                op,
-                BinKind::Lt | BinKind::Le | BinKind::Gt | BinKind::Ge | BinKind::Eq | BinKind::Ne
-            ) =>
-            {
-                let lt = self.infer(lhs)?;
-                let rt = self.infer(rhs)?;
-                let mut cmp = match op {
-                    BinKind::Lt => CmpOp::Lt,
-                    BinKind::Le => CmpOp::Le,
-                    BinKind::Gt => CmpOp::Gt,
-                    BinKind::Ge => CmpOp::Ge,
-                    BinKind::Eq => CmpOp::Eq,
-                    _ => CmpOp::Ne,
-                };
-                if is_ref(&lt) && is_ref(&rt) {
-                    if !matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
-                        return err(*pos, "ordered compare on references");
-                    }
-                    self.gen_expr(lhs)?;
-                    self.gen_expr(rhs)?;
-                } else if lt == Ty::Bool && rt == Ty::Bool {
-                    self.gen_expr(lhs)?;
-                    self.gen_expr(rhs)?;
-                } else {
-                    let t = promote(&lt, &rt)
-                        .ok_or(())
-                        .or_else(|_| err(*pos, format!("compare on {lt:?} and {rt:?}")))?;
-                    let a = self.gen_expr(lhs)?;
-                    self.convert(&a, &t, lhs.pos())?;
-                    let b = self.gen_expr(rhs)?;
-                    self.convert(&b, &t, rhs.pos())?;
-                }
-                if !jump_if_true {
-                    cmp = cmp.negate();
-                }
-                self.f.br_cmp(cmp, target);
-                Ok(())
+        if let Expr::Bin { op, lhs, rhs, pos } = cond {
+            if let Some(cmp) = cmp_op(*op) {
+                let lt = self.gen_expr(lhs)?;
+                let left_end = self.f.here();
+                let rt = self.gen_expr(rhs)?;
+                self.cmp_operands(*op, &lt, &rt, left_end, *pos)?;
+                self.f
+                    .br_cmp(if jump_if_true { cmp } else { cmp.negate() }, target);
+                return Ok(());
             }
+        }
+        match cond {
             Expr::Un { op: UnKind::Not, expr, .. } => self.gen_branch(expr, target, !jump_if_true),
             Expr::Bin { op: BinKind::AndAnd, lhs, rhs, .. } => {
                 if jump_if_true {
@@ -1335,59 +1085,54 @@ impl<'a, 'm> Gen<'a, 'm> {
                         Some((_, mi)) if mi.is_static => mi.clone(),
                         _ => return err(pos, format!("no static method {cname}.{name}")),
                     };
-                    return self.emit_invocation(&mi, None, args, pos);
+                    return self.emit_invocation(&mi, false, args, pos);
                 }
             }
+            let oty = self.gen_expr(t)?;
             // GetLength(d) on multi arrays.
-            let oty = self.infer(t)?;
             if name == "GetLength" {
                 if let Ty::Multi(_, rank) = oty {
                     let dim = match args {
                         [Expr::Int(d)] if *d >= 0 && (*d as u8) < rank => *d as u8,
                         _ => return err(pos, "GetLength takes a constant in-range dimension"),
                     };
-                    self.gen_expr(t)?;
                     self.f.emit(Op::LdMultiLen { dim });
                     return Ok(Ty::Int);
                 }
                 return err(pos, "GetLength on non-multidimensional array");
             }
-            let c = match &oty {
-                Ty::Class(c) => c.clone(),
-                _ => return err(pos, format!("no method {name} on {oty:?}")),
+            let Ty::Class(c) = &oty else {
+                return err(pos, format!("no method {name} on {oty:?}"));
             };
-            let mi = match self.st.resolve_method(&c, name) {
+            let mi = match self.st.resolve_method(c, name) {
                 Some((_, mi)) if !mi.is_static => mi.clone(),
                 _ => return err(pos, format!("no method {name} on {c}")),
             };
-            self.emit_invocation(&mi, Some(t), args, pos)
+            self.emit_invocation(&mi, true, args, pos)
         } else {
             let mi = match self.st.resolve_method(&self.class, name) {
                 Some((_, mi)) => mi.clone(),
                 None => return err(pos, format!("unknown method {name}")),
             };
-            if mi.is_static {
-                self.emit_invocation(&mi, None, args, pos)
-            } else {
+            if !mi.is_static {
                 if self.is_static {
                     return err(pos, format!("instance method {name} in static context"));
                 }
-                let this = Expr::This(pos);
-                self.emit_invocation(&mi, Some(&Box::new(this)), args, pos)
+                self.f.ld_arg(0);
             }
+            self.emit_invocation(&mi, !mi.is_static, args, pos)
         }
     }
 
+    /// Emit the arguments and the call; `has_receiver` says whether a
+    /// receiver was emitted before them.
     fn emit_invocation(
         &mut self,
         mi: &MethodInfo,
-        receiver: Option<&Expr>,
+        has_receiver: bool,
         args: &[Expr],
         pos: Pos,
     ) -> Result<Ty> {
-        if let Some(r) = receiver {
-            self.gen_expr(r)?;
-        }
         if mi.params.len() != args.len() {
             return err(pos, format!("expected {} arguments", mi.params.len()));
         }
@@ -1395,7 +1140,7 @@ impl<'a, 'm> Gen<'a, 'm> {
             let at = self.gen_expr(a)?;
             self.convert(&at, pt, a.pos())?;
         }
-        if receiver.is_some() && mi.is_virtual {
+        if has_receiver && mi.is_virtual {
             self.f.call_virt(mi.id);
         } else {
             self.f.call(mi.id);
@@ -1436,15 +1181,14 @@ impl<'a, 'm> Gen<'a, 'm> {
             }
             ("Math", "Max" | "Min") => {
                 want!(2);
-                let lt = self.infer(&args[0])?;
-                let rt = self.infer(&args[1])?;
-                let t = promote(&lt, &rt)
-                    .ok_or(())
-                    .or_else(|_| err(pos, "Math.Max/Min need numeric arguments"))?;
-                let a = self.gen_expr(&args[0])?;
-                self.convert(&a, &t, args[0].pos())?;
-                let b = self.gen_expr(&args[1])?;
-                self.convert(&b, &t, args[1].pos())?;
+                let lt = self.gen_expr(&args[0])?;
+                let left_end = self.f.here();
+                let rt = self.gen_expr(&args[1])?;
+                let Some(t) = promote(&lt, &rt) else {
+                    return err(pos, "Math.Max/Min need numeric arguments");
+                };
+                self.at_left(left_end, |g| g.convert(&lt, &t, args[0].pos()))?;
+                self.convert(&rt, &t, args[1].pos())?;
                 let i = match (name, &t) {
                     ("Max", Ty::Int) => MaxI4,
                     ("Max", Ty::Long) => MaxI8,
@@ -1790,13 +1534,14 @@ impl<'a, 'm> Gen<'a, 'm> {
             }
             Stmt::Try { body, catch, finally } => self.gen_try(body, catch, finally),
             Stmt::Lock { obj, body, pos } => {
-                let oty = self.infer(obj)?;
+                let oty = self.gen_expr(obj)?;
                 if !is_ref(&oty) {
                     return err(*pos, "lock needs a reference");
                 }
+                // Allocated after the object's code, which is what types
+                // it: expressions declare no locals, so the temp's slot is
+                // the next one either way.
                 let tmp = self.hidden_temp(&oty, *pos)?;
-                let t = self.gen_expr(obj)?;
-                let _ = t;
                 self.f.st_loc(tmp);
                 self.f.ld_loc(tmp);
                 self.f.intrinsic(Intrinsic::MonitorEnter);
@@ -2058,9 +1803,9 @@ impl<'a, 'm> Gen<'a, 'm> {
                                 && self.lookup_param(c).is_none()
                                 && self.st.classes.contains_key(c)) =>
                     {
-                        let oty = self.infer(obj)?;
+                        // Temps follow their operand's code; see `Stmt::Lock`.
+                        let oty = self.gen_expr(obj)?;
                         let tmp = self.hidden_temp(&oty, *fp)?;
-                        self.gen_expr(obj)?;
                         self.f.st_loc(tmp);
                         let obj2 = self.temp_expr(tmp, &oty);
                         let new_target = Expr::Field {
@@ -2089,16 +1834,13 @@ impl<'a, 'm> Gen<'a, 'm> {
             }
             Expr::Index { arr, idxs, pos: ip } => {
                 // Evaluate the array and indices once into temps.
-                let aty = self.infer(arr)?;
+                let aty = self.gen_expr(arr)?;
                 let atmp = self.hidden_temp(&aty, *ip)?;
-                self.gen_expr(arr)?;
                 self.f.st_loc(atmp);
                 let mut idx_exprs = Vec::new();
                 for idx in idxs {
-                    let it = self.infer(idx)?;
                     let t = self.hidden_temp(&Ty::Int, *ip)?;
                     let got = self.gen_expr(idx)?;
-                    let _ = it;
                     self.convert_index(&got, idx.pos())?;
                     self.f.st_loc(t);
                     idx_exprs.push(self.temp_expr(t, &Ty::Int));

@@ -512,6 +512,27 @@ fn an_inheritance_cycle_is_reported_at_a_class_on_it() {
 }
 
 #[test]
+fn ordered_compare_on_bools_is_rejected_in_every_position() {
+    for body in [
+        "return a < b;",
+        "if (a <= b) { return true; } return false;",
+        "return (a > b) == c;",
+        "while (a >= b) { } return c;",
+    ] {
+        let src = format!("class P {{ static bool F(bool a, bool b, bool c) {{ {body} }} }}");
+        let e = compile(&src).expect_err(&src);
+        assert!(
+            e.message.starts_with("ordered compare on Bool and Bool"),
+            "{src}: {e}"
+        );
+    }
+    // Equality on bools stays legal, in value and in branch form.
+    let src = "class P { static bool F(bool a, bool b) {
+        if (a == b) { return a != b; } return (a == b) == true; } }";
+    compile(src).unwrap_or_else(|e| panic!("{e}"));
+}
+
+#[test]
 fn instance_vs_static_context_checks() {
     assert!(compile("class P { int x; static int F() { return x; } }").is_err());
     assert!(compile("class P { int x; static int F() { return this.x; } }").is_err());
