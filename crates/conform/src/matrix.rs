@@ -37,12 +37,7 @@ pub fn oracle_profile() -> VmProfile {
 }
 
 /// Every profile × every `abce`/`licm` combination, oracle first, with the
-/// elision-cert audit enabled on every engine. See [`engine_matrix_with`].
-pub fn engine_matrix() -> Vec<Engine> {
-    engine_matrix_with(true)
-}
-
-/// Every profile × every `abce`/`licm` combination, oracle first.
+/// elision-cert audit enabled on every engine.
 ///
 /// Interpreter-tier profiles have no optimization passes, so they appear
 /// once; each register-tier profile of the SciMark lineup is expanded into
@@ -50,18 +45,18 @@ pub fn engine_matrix() -> Vec<Engine> {
 /// range-analysis and loop-versioning elision mechanisms (where the base
 /// profile enables them), so the matrix stays pinned at 50 engines while
 /// still exercising every `BoundsMode` under audit.
-pub fn engine_matrix_with(audit: bool) -> Vec<Engine> {
+pub fn engine_matrix() -> Vec<Engine> {
     let mut out =
-        vec![Engine { label: "oracle".into(), profile: oracle_profile().with_audit(audit) }];
+        vec![Engine { label: "oracle".into(), profile: oracle_profile().with_audit(true) }];
     for base in VmProfile::scimark_lineup() {
         match base.tier {
             Tier::Interpreter => out.push(Engine {
                 label: base.name.to_string(),
-                profile: base.with_audit(audit),
+                profile: base.with_audit(true),
             }),
             Tier::Rir | Tier::Compiled => {
                 for (abce, licm) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let mut p = base.with_audit(audit);
+                    let mut p = base.with_audit(true);
                     p.passes.abce = abce;
                     p.passes.licm = licm;
                     p.passes.range_abce = abce && base.passes.range_abce;

@@ -17,9 +17,9 @@
 //! [`Heap::stats`] is exact whenever no managed code is running, the only
 //! time anything reads it.
 
-use crate::object::{HeapObj, ObjBody};
+use crate::object::HeapObj;
 use crate::value::Obj;
-use hpcnet_cil::{ClassId, ElemKind, NumTy};
+use hpcnet_cil::{ClassId, ElemKind};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -122,16 +122,8 @@ impl Heap {
         self.adopt_settled(HeapObj::new_array(kind, len))
     }
 
-    pub fn alloc_multi(&self, kind: ElemKind, dims: &[u32]) -> Obj {
-        self.adopt_settled(HeapObj::new_multi(kind, dims))
-    }
-
     pub fn alloc_str(&self, s: impl Into<String>) -> Obj {
         self.adopt_settled(HeapObj::new_str(s))
-    }
-
-    pub fn alloc_boxed(&self, ty: NumTy, bits: u64) -> Obj {
-        self.adopt_settled(HeapObj::new_boxed(ty, bits))
     }
 
     /// Current statistics. Exact while no managed code runs: an
@@ -165,16 +157,12 @@ impl Heap {
         });
         live
     }
-
-    /// Is this object a string? (helper for hosts)
-    pub fn is_str(o: &Obj) -> bool {
-        matches!(o.body, ObjBody::Str(_))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcnet_cil::NumTy;
 
     #[test]
     fn accounting_counts_allocations() {

@@ -69,16 +69,6 @@ impl JRandom {
         (hi + lo) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// `nextFloat()` — uniform in `[0, 1)`.
-    pub fn next_float(&mut self) -> f32 {
-        self.next(24) as f32 / (1 << 24) as f32
-    }
-
-    /// `nextBoolean()`.
-    pub fn next_boolean(&mut self) -> bool {
-        self.next(1) != 0
-    }
-
     /// `nextGaussian()` — Marsaglia polar method with the cached pair,
     /// exactly as `java.util.Random` implements it.
     pub fn next_gaussian(&mut self) -> f64 {

@@ -19,6 +19,7 @@ use crate::monitor::Monitor;
 use crate::value::{Obj, Value};
 use hpcnet_cil::{ClassId, ElemKind, NumTy};
 use parking_lot::Mutex;
+use std::alloc::Layout;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A mutable, thread-safe reference cell (object field, `object[]` /
@@ -158,25 +159,34 @@ impl HeapObj {
         }
     }
 
-    /// Allocate a true multidimensional array.
-    pub fn new_multi(kind: ElemKind, dims: &[u32]) -> HeapObj {
-        let total: usize = dims.iter().map(|&d| d as usize).product();
+    /// Allocate a true multidimensional array, or `None` when its element
+    /// count overflows `usize` or its payload exceeds `isize::MAX` bytes.
+    pub fn new_multi(kind: ElemKind, dims: &[u32]) -> Option<HeapObj> {
+        let total = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d as usize))?;
         let body = match kind {
-            ElemKind::Ref => ObjBody::MultiRef {
-                dims: dims.into(),
-                data: ref_slots(total),
-            },
-            k => ObjBody::MultiPrim {
-                kind: k,
-                dims: dims.into(),
-                data: zeroed(total),
-            },
+            ElemKind::Ref => {
+                Layout::array::<RefSlot>(total).ok()?;
+                ObjBody::MultiRef {
+                    dims: dims.into(),
+                    data: ref_slots(total),
+                }
+            }
+            k => {
+                Layout::array::<AtomicU64>(total).ok()?;
+                ObjBody::MultiPrim {
+                    kind: k,
+                    dims: dims.into(),
+                    data: zeroed(total),
+                }
+            }
         };
-        HeapObj {
+        Some(HeapObj {
             monitor: Monitor::new(),
             body,
             dirty: AtomicBool::new(false),
-        }
+        })
     }
 
     // ---- snapshot dirty tracking ----
@@ -531,7 +541,7 @@ mod tests {
 
     #[test]
     fn multi_offsets_row_major() {
-        let m = HeapObj::new_multi(ElemKind::R8, &[3, 4]);
+        let m = HeapObj::new_multi(ElemKind::R8, &[3, 4]).unwrap();
         assert_eq!(m.multi_offset(&[0, 0]), Some(0));
         assert_eq!(m.multi_offset(&[0, 3]), Some(3));
         assert_eq!(m.multi_offset(&[1, 0]), Some(4));
@@ -544,7 +554,7 @@ mod tests {
 
     #[test]
     fn multi_rank3() {
-        let m = HeapObj::new_multi(ElemKind::I4, &[2, 3, 4]);
+        let m = HeapObj::new_multi(ElemKind::I4, &[2, 3, 4]).unwrap();
         assert_eq!(m.multi_offset(&[1, 2, 3]), Some(23));
         assert_eq!(m.multi_offset(&[0, 0, 4]), None);
         // Another rank names no element, even with every index in range.
@@ -591,7 +601,7 @@ mod tests {
         assert_eq!(size(HeapObj::new_array(ElemKind::R8, 100)), 80 + 800);
         assert_eq!(size(HeapObj::new_array(ElemKind::U1, 3)), 80 + 24);
         assert_eq!(size(HeapObj::new_array(ElemKind::Ref, 2)), 80 + 32);
-        assert_eq!(size(HeapObj::new_multi(ElemKind::I4, &[2, 3])), 80 + 48);
+        assert_eq!(size(HeapObj::new_multi(ElemKind::I4, &[2, 3]).unwrap()), 80 + 48);
         assert_eq!(size(HeapObj::new_str("hello")), 80 + 5);
     }
 }

@@ -418,8 +418,9 @@ impl<'v> Activation<'v> {
             if step == Step::NEXT {
                 pc += 1;
             } else if step.0 < Step::EXIT.0 {
-                // Fuel: one unit per taken branch (see `Vm::set_fuel`) —
-                // same charge points as the interpreter tier.
+                // Fuel: one unit per taken branch and per `leave` (see
+                // `Vm::set_fuel`) — same charge points as the interpreter
+                // tier.
                 vm.charge_fuel()?;
                 pc = step.0;
             } else if step == Step::RET {
@@ -432,6 +433,7 @@ impl<'v> Activation<'v> {
                 // frame: handlers execute in-frame and park their own.
                 match self.fr.parked.take() {
                     Some(Exit::Leave(target)) => {
+                        vm.charge_fuel()?;
                         pc = match self.run_leave_finallys(pc, target, finally_bound)? {
                             Some(handler_pc) => handler_pc,
                             None => target,
@@ -1060,6 +1062,49 @@ mod tests {
         }
         vm.set_fuel(None);
         healthy(&mut fr);
+    }
+
+    /// A loop closed by `leave` alone (a `continue` inside `try`) takes no
+    /// branch and makes no call, so it is stopped only if `leave` costs
+    /// fuel, on every tier. Each run has its own thread: one that ignores
+    /// fuel fails the test at the deadline instead of hanging it.
+    #[test]
+    fn a_loop_closed_by_leave_runs_out_of_fuel() {
+        const SRC: &str = "class Gen { static int Run(int a, int b) { int i = 0;
+            while (i >= 0) { try { i = i + 0; continue; } finally { b = b + 1; } }
+            return i; } }";
+        let module = hpcnet_minics::compile(SRC).expect("compiles");
+        let runs: Vec<_> = [
+            VmProfile::clr11_compiled(),
+            VmProfile::clr11(),
+            VmProfile::jsharp11(),
+            VmProfile::mono023(),
+            VmProfile::sscli10(),
+            VmProfile::jvm_ibm131(),
+            VmProfile::jvm_bea81(),
+            VmProfile::jvm_sun14(),
+        ]
+        .into_iter()
+        .map(|profile| {
+            let (module, (done, result)) = (module.clone(), std::sync::mpsc::channel());
+            let name = profile.name;
+            let run = std::thread::spawn(move || {
+                let vm = Vm::new(module, profile).expect("binds");
+                vm.set_fuel(Some(10_000));
+                let _ = done.send(vm.invoke_by_name("Gen.Run", vec![Value::I4(1), Value::I4(2)]));
+            });
+            (name, run, result)
+        })
+        .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        for (name, run, result) in runs {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            match result.recv_timeout(left) {
+                Ok(Err(VmError::Limit(m))) => assert_eq!(m, "fuel budget exhausted", "{name}"),
+                other => panic!("{name}: a leave-closed loop under 10,000 fuel gave {other:?}"),
+            }
+            run.join().expect("the run thread returns once it has sent");
+        }
     }
 
     #[test]

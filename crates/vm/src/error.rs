@@ -33,5 +33,9 @@ impl std::error::Error for VmError {}
 /// instance field, the same on every tier. Verified code never raises it.
 pub(crate) const NOT_AN_INSTANCE: &str = "instance field access on a non-instance";
 
+/// The limit error of a multidimensional allocation whose size overflows
+/// (see `HeapObj::new_multi`), the same on every tier.
+pub(crate) const MULTI_TOO_LARGE: &str = "multidimensional array size overflows";
+
 /// Shorthand used throughout the engines.
 pub type VmResult<T> = Result<T, VmError>;

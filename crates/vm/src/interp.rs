@@ -16,7 +16,7 @@
 //! own `Tally` and settles it into the VM's totals when it ends.
 
 use crate::call::Tally;
-use crate::error::{VmError, VmResult, NOT_AN_INSTANCE};
+use crate::error::{VmError, VmResult, MULTI_TOO_LARGE, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
 use hpcnet_cil::module::{EhKind, MethodId};
@@ -96,9 +96,9 @@ impl<'v> Interp<'v> {
             match self.step(pc) {
                 Ok(Flow::Next) => pc += 1,
                 Ok(Flow::Jump(t)) => {
-                    // Fuel is charged on taken branches (plus managed
-                    // calls, in `Vm::guarded`): any runaway program
-                    // must do one or the other, and charging here keeps
+                    // Fuel is charged on taken branches and `leave`s (plus
+                    // managed calls, in `Vm::guarded`): any runaway
+                    // program must do one of them, and charging here keeps
                     // straight-line code free of per-op accounting.
                     self.vm.charge_fuel()?;
                     pc = t;
@@ -111,6 +111,7 @@ impl<'v> Interp<'v> {
                     return self.internal("endfinally outside handler");
                 }
                 Ok(Flow::Leave(target)) => {
+                    self.vm.charge_fuel()?;
                     match self.run_leave_finallys(pc, target, finally_bound)? {
                         Some(handler_pc) => pc = handler_pc,
                         None => {
@@ -488,7 +489,8 @@ impl<'v> Interp<'v> {
                     }
                     dims[k] = d as u32;
                 }
-                let body = HeapObj::new_multi(*kind, &dims);
+                let body = HeapObj::new_multi(*kind, &dims)
+                    .ok_or_else(|| VmError::Limit(MULTI_TOO_LARGE.into()))?;
                 let arr = vm.heap.adopt(body, &mut self.tally.allocs);
                 self.push(Value::Ref(arr));
             }

@@ -678,6 +678,46 @@ mod tests {
         assert!(matches!(e, VmError::Limit(_)), "{e}");
     }
 
+    /// A multidimensional array whose element count overflows is a limit
+    /// error on every tier, not a host panic or a wrapped size, and the
+    /// same dimensions in a serialized stream are a decode error.
+    #[test]
+    fn an_overflowing_multidim_allocation_is_a_limit() {
+        const HUGE: u32 = 2_000_000_000;
+        let m = build_module(|mb| {
+            let c = mb.declare_class("P", None);
+            let mut f = mb.method(c, "Huge", vec![], CilType::Object, MethodKind::Static);
+            for _ in 0..3 {
+                f.ldc_i4(HUGE as i32);
+            }
+            f.emit(Op::NewMultiArr { kind: ElemKind::I4, rank: 3 });
+            f.ret();
+            f.finish();
+        });
+        for p in all_profiles() {
+            let vm = Vm::new(m.clone(), p).unwrap();
+            match vm.invoke_by_name("P.Huge", vec![]) {
+                Err(VmError::Limit(msg)) => {
+                    assert_eq!(msg, "multidimensional array size overflows", "{}", p.name)
+                }
+                other => panic!("{}: new int[{HUGE}, {HUGE}, {HUGE}] gave {other:?}", p.name),
+            }
+        }
+        // `int[1,1,1]`'s encoding up to its rank, then the huge dimensions.
+        let vm = Vm::new(m, VmProfile::clr11()).unwrap();
+        let small = hpcnet_runtime::HeapObj::new_multi(ElemKind::I4, &[1, 1, 1]).unwrap();
+        let mut count = hpcnet_runtime::heap::AllocCount::default();
+        let bytes = vm.serialize(&vm.heap.adopt(small, &mut count));
+        vm.heap.settle(&mut count);
+        let mut w = hpcnet_runtime::serial::Writer::new();
+        for _ in 0..3 {
+            w.varint(u64::from(HUGE));
+        }
+        let huge = [&bytes[..3], &w.into_bytes()].concat();
+        let e = vm.deserialize(&huge).unwrap_err();
+        assert!(e.contains("multidimensional array size overflows"), "{e}");
+    }
+
     #[test]
     fn strings_and_console() {
         let m = build_module(|mb| {

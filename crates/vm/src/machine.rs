@@ -9,7 +9,7 @@
 use crate::call::Tally;
 use crate::compiled::CompiledMethod;
 use crate::counters::counters;
-use crate::error::{VmError, VmResult};
+use crate::error::{VmError, VmResult, MULTI_TOO_LARGE};
 use crate::interp;
 use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
 use crate::profile::{MathKind, Tier, VmProfile};
@@ -186,8 +186,8 @@ pub struct Vm {
     serial_sink: Mutex<Vec<u8>>,
     /// Maximum managed call depth (soft stack-overflow guard).
     max_depth: std::sync::atomic::AtomicU32,
-    /// Fuel (step-budget) guard: when `fuel_on`, every managed call and
-    /// every taken branch decrements `fuel`; hitting zero aborts the run
+    /// Fuel (step-budget) guard: when `fuel_on`, every managed call,
+    /// taken branch and `leave` decrements `fuel`; hitting zero aborts the run
     /// with [`VmError::Limit`]. The deterministic per-job timeout of the
     /// serve layer — wall clocks vary across machines, branch counts do
     /// not (see [`Vm::set_fuel`]).
@@ -291,7 +291,7 @@ impl Vm {
     // ---- fuel (deterministic step budget) ----
 
     /// Arm or disarm the fuel guard. `Some(n)` grants a budget of `n`
-    /// steps — one step per managed call and per taken branch, across
+    /// steps — one step per managed call, taken branch and `leave`, across
     /// every execution tier — after which the running job aborts with
     /// [`VmError::Limit`]. `None` disarms the guard (the default; the
     /// only cost when disarmed is one relaxed load per branch).
@@ -325,8 +325,9 @@ impl Vm {
     }
 
     /// Spend one unit of fuel (no-op when disarmed). Called by every
-    /// tier's dispatch loop on taken branches and by [`Vm::guarded`] on
-    /// managed calls — any runaway program must do one or the other.
+    /// tier's dispatch loop on taken branches and on `leave` (a loop can
+    /// be closed by a `leave` alone), and by [`Vm::guarded`] on managed
+    /// calls — any runaway program must do one of the three.
     #[inline]
     pub(crate) fn charge_fuel(&self) -> VmResult<()> {
         if !self.fuel_on.load(Ordering::Relaxed) {
@@ -1121,7 +1122,9 @@ impl Vm {
                 for _ in 0..rank {
                     dims.push(r.varint()? as u32);
                 }
-                let o = self.heap.adopt(HeapObj::new_multi(kind, &dims), count);
+                let body =
+                    HeapObj::new_multi(kind, &dims).ok_or_else(|| bad(MULTI_TOO_LARGE))?;
+                let o = self.heap.adopt(body, count);
                 table.push(o.clone());
                 for cell in o.prim_data().ok_or_else(|| bad("bad elem"))? {
                     cell.store(r.word()?, Ordering::Relaxed);
@@ -1134,7 +1137,8 @@ impl Vm {
                 for _ in 0..rank {
                     dims.push(r.varint()? as u32);
                 }
-                let body = HeapObj::new_multi(ElemKind::Ref, &dims);
+                let body = HeapObj::new_multi(ElemKind::Ref, &dims)
+                    .ok_or_else(|| bad(MULTI_TOO_LARGE))?;
                 let o = self.heap.adopt(body, count);
                 table.push(o.clone());
                 for slot in o.ref_data().unwrap_or_default() {

@@ -33,7 +33,7 @@
 //! go unseen.
 
 use crate::call::{self, Exit, Frame, Receiver, Step};
-use crate::error::{VmError, NOT_AN_INSTANCE};
+use crate::error::{VmError, MULTI_TOO_LARGE, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
 use crate::rir::{ArgSlot, DstSlot, Operand};
@@ -542,7 +542,9 @@ pub(crate) fn new_multi(
         }
         lens.push(n as u32);
     }
-    let body = HeapObj::new_multi(kind, &lens);
+    let Some(body) = HeapObj::new_multi(kind, &lens) else {
+        return fr.fail(VmError::Limit(MULTI_TOO_LARGE.into()));
+    };
     let arr = vm.heap.adopt(body, &mut fr.tally.allocs);
     fr.rset(dst, Some(arr));
     Step::NEXT

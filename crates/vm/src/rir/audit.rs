@@ -47,6 +47,14 @@ use hpcnet_cil::{BinOp, CmpOp, NumTy};
 /// interval arithmetic stays far away from `i32` wrap.
 const K_CAP: i64 = 1 << 20;
 
+/// Is `k` a loop step the audit accepts: positive and at most [`K_CAP`]?
+/// A larger step can carry a counter past `i32::MAX` on a long enough
+/// array. The optimizer's fact scan marks increments by this same rule,
+/// so no elision mechanism certifies a loop the audit rejects.
+pub(crate) fn is_loop_step(k: i64) -> bool {
+    (1..=K_CAP).contains(&k)
+}
+
 /// One elided bounds check and the facts that justify it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ElisionCert {
@@ -344,9 +352,7 @@ impl Ck<'_> {
             RInst::MovP { dst, src } if *dst == v => self.affine_of(pc, *src, v)?,
             _ => return None,
         };
-        // Any positive `i32` step keeps the counter monotone; only the
-        // offsets that enter interval arithmetic are `K_CAP`-bounded.
-        if k >= 1 && k <= i32::MAX as i64 { Some(k) } else { None }
+        if is_loop_step(k) { Some(k) } else { None }
     }
 
     /// Every in-loop definition of `v` must be a positive constant

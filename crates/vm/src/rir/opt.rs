@@ -829,7 +829,7 @@ fn scan_facts(l: &Lowered, an: &Analysis) -> LoopFacts {
                         Operand::Imm(k) => Some(*k),
                         Operand::Slot(s) => consts.get(*s),
                     };
-                    if k.is_some_and(|k| (k as u32 as i32) > 0) {
+                    if k.is_some_and(|k| audit::is_loop_step(i64::from(k as u32 as i32))) {
                         let a_res = presolve(*a);
                         if a_res == *dst {
                             // `i = i + k` in one instruction.

@@ -2,7 +2,7 @@
 //!
 //! A change to how the executors dispatch an op or make a call may change
 //! how long the work takes, never how much of it there is: managed calls
-//! (`counters.calls`), fuel spent (one unit per call and per taken branch)
+//! (`counters.calls`), fuel spent (one unit per call, taken branch and `leave`)
 //! and the ops each method executes (`ObserveReport`) are a pure function
 //! of the program and the profile. The rows are the call-, virtual-,
 //! exception-, lock-, allocation- and math-heavy entries of the Grande
@@ -67,13 +67,13 @@ const ROWS: [(&str, i32, &str); 9] = [
     (
         "exception.method",
         200,
-        "calls=202 fuel=403 | Exception..ctor:1/1 ExceptionBench.Level2:200/400 \
+        "calls=202 fuel=603 | Exception..ctor:1/1 ExceptionBench.Level2:200/400 \
          ExceptionBench.Method:1/2007",
     ),
     (
         "lock.uncontended",
         500,
-        "calls=2 fuel=503 | LWorker..ctor:1/2 LockBench.Uncontended:1/8510",
+        "calls=2 fuel=1003 | LWorker..ctor:1/2 LockBench.Uncontended:1/8510",
     ),
     ("app.sieve", 5000, "calls=1 fuel=26069 | Sieve.Run:1/140426"),
     (
@@ -115,14 +115,14 @@ const MONO_ROWS: [(&str, i32, &str); 9] = [
     (
         "exception.method",
         200,
-        "calls=602 fuel=803 | Exception..ctor:1/1 ExceptionBench.Level3:200/400 \
+        "calls=602 fuel=1003 | Exception..ctor:1/1 ExceptionBench.Level3:200/400 \
          ExceptionBench.Level2:200/200 ExceptionBench.Level1:200/200 \
          ExceptionBench.Method:1/3015",
     ),
     (
         "lock.uncontended",
         500,
-        "calls=2 fuel=503 | LWorker..ctor:1/4 LockBench.Uncontended:1/10017",
+        "calls=2 fuel=1003 | LWorker..ctor:1/4 LockBench.Uncontended:1/10017",
     ),
     ("app.sieve", 5000, "calls=1 fuel=26067 | Sieve.Run:1/260165"),
     (
