@@ -303,12 +303,6 @@ impl ModuleBuilder {
 
         // Assign vtable slots on the method defs.
         let mut method_defs: Vec<MethodDef> = methods.into_iter().map(|p| p.def).collect();
-        for (c, slots) in vslots.iter().enumerate() {
-            let _ = c;
-            for (_name, &slot) in slots {
-                let _ = slot;
-            }
-        }
         // A method's vtable_slot is findable from its owner's slot map.
         for m in method_defs.iter_mut() {
             if let Some(&slot) = vslots[m.owner.idx()].get(&m.name) {

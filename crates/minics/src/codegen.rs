@@ -1650,10 +1650,6 @@ impl<'a, 'm> Gen<'a, 'm> {
             self.push_scope();
             let slot = self.declare_local(var, Ty::Class(class.clone()), self.pos)?;
             self.f.st_loc(slot);
-            if finally.is_some() {
-                self.try_depth += 1; // handler still inside the finally
-                self.try_depth -= 1;
-            }
             for s in handler {
                 self.gen_stmt(s)?;
             }

@@ -879,15 +879,11 @@ mod tests {
 
     /// Does any operand of `rir`'s code name a spill slot?
     fn spills_an_operand(rir: &RirMethod) -> bool {
-        let spilled = std::cell::Cell::new(false);
-        let mut seen = |s: u16| {
-            spilled.set(spilled.get() || crate::rir::is_spill(s));
-            s
-        };
+        let mut spilled = false;
         for inst in &rir.code {
-            crate::rir::lower::rewrite_slots(&mut inst.clone(), &mut seen.clone(), &mut seen);
+            inst.slots(|_, s| spilled |= crate::rir::is_spill(s));
         }
-        spilled.get()
+        spilled
     }
 
     fn a_full_register_file_runs_and_is_released(profile: VmProfile) {

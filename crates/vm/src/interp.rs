@@ -19,7 +19,7 @@ use crate::call::Tally;
 use crate::error::{VmError, VmResult, MULTI_TOO_LARGE, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
-use hpcnet_cil::module::{EhKind, MethodId};
+use hpcnet_cil::module::{EhKind, EhRegion, MethodId};
 use hpcnet_cil::{BinOp, CilType, CmpOp, Op, UnOp};
 use hpcnet_runtime::{HeapObj, Value};
 use std::sync::Arc;
@@ -139,20 +139,15 @@ impl<'v> Interp<'v> {
         target: u32,
         bound: Option<(u32, u32)>,
     ) -> VmResult<Option<u32>> {
-        // Regions are ordered innermost-first by construction.
-        let method = self.vm.module.method(self.method);
-        let regions: Vec<(u32, u32)> = method
-            .body
-            .eh
-            .iter()
-            .filter(|r| {
-                matches!(r.kind, EhKind::Finally)
-                    && r.covers(pc)
-                    && !(r.try_start <= target && target < r.try_end)
-            })
-            .map(|r| (r.handler_start, r.handler_end))
-            .collect();
-        for (hs, he) in regions {
+        // Regions are ordered innermost-first by construction. They are
+        // borrowed through the VM, not `self`, so handlers can run.
+        let vm: &'v Arc<Vm> = self.vm;
+        let regions = vm.module.method(self.method).body.eh.iter().filter(|r| {
+            matches!(r.kind, EhKind::Finally)
+                && r.covers(pc)
+                && !(r.try_start <= target && target < r.try_end)
+        });
+        for &EhRegion { handler_start: hs, handler_end: he, .. } in regions {
             self.stack.clear();
             match self.run(hs, Some((hs, he))) {
                 Ok(RunEnd::EndFinally) => {}
@@ -177,9 +172,8 @@ impl<'v> Interp<'v> {
         mut exc: hpcnet_runtime::Obj,
         bound: Option<(u32, u32)>,
     ) -> VmResult<u32> {
-        let method = self.vm.module.method(self.method);
-        let regions = method.body.eh.clone();
-        for r in &regions {
+        let vm: &'v Arc<Vm> = self.vm;
+        for r in &vm.module.method(self.method).body.eh {
             if !r.covers(pc) {
                 continue;
             }

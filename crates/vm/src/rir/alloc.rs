@@ -15,7 +15,7 @@
 use crate::call::enreg_cap;
 use crate::machine::Vm;
 use crate::profile::Tier;
-use crate::rir::lower::{rewrite_slots, Lowered};
+use crate::rir::lower::Lowered;
 use crate::rir::{ArgSlot, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
 use std::cmp::Reverse;
@@ -38,13 +38,12 @@ impl Occ {
     }
 }
 
-/// Record an occurrence of `v` at pc `at`; hands `v` back unchanged.
-fn touch(file: &mut [Occ], v: u16, at: u32) -> u16 {
+/// Record an occurrence of `v` at pc `at`.
+fn touch(file: &mut [Occ], v: u16, at: u32) {
     let o = &mut file[v as usize];
     o.count += 1;
     o.first = o.first.min(at);
     o.last = o.last.max(at);
-    v
 }
 
 /// One file's placement: the vreg → slot map and the sizes it needs.
@@ -80,15 +79,15 @@ pub(crate) fn allocate(
 ) -> RirMethod {
     let mut pocc = vec![Occ::NEVER; l.n_pvreg as usize];
     let mut rocc = vec![Occ::NEVER; l.n_rvreg as usize];
-    for (pc, inst) in l.code.iter_mut().enumerate() {
+    for (pc, inst) in l.code.iter().enumerate() {
         let at = pc as u32;
-        rewrite_slots(inst, &mut |v| touch(&mut pocc, v, at), &mut |v| touch(&mut rocc, v, at));
+        inst.slots(|role, v| touch(if role.is_prim() { &mut pocc } else { &mut rocc }, v, at));
     }
     for a in &l.arg_locs {
         match *a {
             ArgSlot::P(_, v) => touch(&mut pocc, v, 0),
             ArgSlot::R(v) => touch(&mut rocc, v, 0),
-        };
+        }
     }
     for (region, &v) in l.eh.iter().zip(&l.eh_exc_vregs) {
         if v != u16::MAX {
@@ -104,7 +103,9 @@ pub(crate) fn allocate(
     let (p, r) = (place(&mut pocc, force_spill_p), place(&mut rocc, &HashSet::new()));
 
     for inst in &mut l.code {
-        rewrite_slots(inst, &mut |v| p.map[v as usize], &mut |v| r.map[v as usize]);
+        inst.slots_mut(|role, v| {
+            *v = if role.is_prim() { p.map[*v as usize] } else { r.map[*v as usize] }
+        });
     }
     let arg_locs = l
         .arg_locs

@@ -39,8 +39,7 @@
 
 use crate::rir::loops::{Analysis, BitSet, Cfg, Defs, NaturalLoop};
 use crate::rir::lower::Lowered;
-use crate::rir::opt::{def_p, def_r};
-use crate::rir::{BoundsMode, Operand, RInst};
+use crate::rir::{BoundsMode, DstSlot, Operand, RInst};
 use hpcnet_cil::{BinOp, CmpOp, NumTy};
 
 /// Offsets and constants beyond this magnitude are rejected outright so
@@ -884,11 +883,12 @@ fn check_versioned(
         if !guard_whitelisted(inst) {
             return Err("guard region contains a non-whitelisted instruction".into());
         }
-        if def_p(inst) == Some(ivar) || def_r(inst) == Some(arr) {
+        let def = inst.def();
+        if def == Some(DstSlot::P(ivar)) || def == Some(DstSlot::R(arr)) {
             return Err("guard region redefines a certified slot".into());
         }
         if let Operand::Slot(bs) = bound {
-            if def_p(inst) == Some(bs) {
+            if def == Some(DstSlot::P(bs)) {
                 return Err("guard region redefines the bound slot".into());
             }
         }

@@ -20,8 +20,7 @@
 //! and every Grande/SciMark kernel body is EH-free.
 
 use crate::rir::lower::Lowered;
-use crate::rir::opt::{def_p, def_r};
-use crate::rir::RInst;
+use crate::rir::{DstSlot, RInst};
 use std::cell::OnceCell;
 
 /// How many structures this thread has built and how many liveness
@@ -438,18 +437,18 @@ impl Defs {
         let mut p = SiteTable::sized(l.n_pvreg);
         let mut r = SiteTable::sized(l.n_rvreg);
         for inst in &l.code {
-            if let Some(v) = def_p(inst) {
-                p.count(v, matches!(inst, RInst::ConstP { bits: 0, .. }));
-            } else if let Some(v) = def_r(inst) {
-                r.count(v, matches!(inst, RInst::ConstNull { .. }));
+            match inst.def() {
+                Some(DstSlot::P(v)) => p.count(v, matches!(inst, RInst::ConstP { bits: 0, .. })),
+                Some(DstSlot::R(v)) => r.count(v, matches!(inst, RInst::ConstNull { .. })),
+                None => {}
             }
         }
         let (mut p_cursor, mut r_cursor) = (p.offsets(), r.offsets());
         for (pc, inst) in l.code.iter().enumerate() {
-            if let Some(v) = def_p(inst) {
-                p.place(&mut p_cursor, v, pc);
-            } else if let Some(v) = def_r(inst) {
-                r.place(&mut r_cursor, v, pc);
+            match inst.def() {
+                Some(DstSlot::P(v)) => p.place(&mut p_cursor, v, pc),
+                Some(DstSlot::R(v)) => r.place(&mut r_cursor, v, pc),
+                None => {}
             }
         }
         Defs { p, r }

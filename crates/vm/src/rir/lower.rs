@@ -670,7 +670,6 @@ fn try_inline(
         ctx.mov(dst_loc, *arg);
     }
 
-    let splice_at = ctx.code.len() as u32;
     let mut idx_map: Vec<u32> = Vec::with_capacity(sub.code.len() + 1);
     let mut inner_branches: Vec<(usize, u32)> = Vec::new();
     let mut exit_branches: Vec<usize> = Vec::new();
@@ -681,7 +680,7 @@ fn try_inline(
                 if let (Some(s), Some(dloc)) = (src, dst) {
                     let s2 = offset_arg(s, pbase, rbase);
                     match dloc {
-                        DstSlot::P(dp) => ctx.mov(ArgSlot::P(NumTy::I8, dp), s2_as_p(s2, dp)),
+                        DstSlot::P(dp) => ctx.mov(ArgSlot::P(NumTy::I8, dp), s2),
                         DstSlot::R(dr) => ctx.mov(ArgSlot::R(dr), s2),
                     }
                 }
@@ -690,7 +689,7 @@ fn try_inline(
             }
             mut other => {
                 let old_target = other.target();
-                offset_slots(&mut other, pbase, rbase);
+                other.slots_mut(|role, v| *v += if role.is_prim() { pbase } else { rbase });
                 if let Some(t) = old_target {
                     inner_branches.push((ctx.code.len(), t));
                     other.set_target(u32::MAX);
@@ -700,7 +699,6 @@ fn try_inline(
         }
     }
     idx_map.push(ctx.code.len() as u32);
-    let _ = splice_at;
     for (at, old_t) in inner_branches {
         ctx.code[at].set_target(idx_map[old_t as usize]);
     }
@@ -711,171 +709,9 @@ fn try_inline(
     Ok(true)
 }
 
-// `mov` requires matching kinds; for primitive returns the NumTy is
-// irrelevant to the move itself.
-fn s2_as_p(s: ArgSlot, _dst: u16) -> ArgSlot {
-    s
-}
-
 fn offset_arg(a: ArgSlot, pbase: u16, rbase: u16) -> ArgSlot {
     match a {
         ArgSlot::P(t, v) => ArgSlot::P(t, v + pbase),
         ArgSlot::R(v) => ArgSlot::R(v + rbase),
     }
-}
-
-/// Rewrite every slot id in an instruction (inlining renumber; also reused
-/// by register allocation).
-pub(crate) fn rewrite_slots(
-    inst: &mut RInst,
-    pf: &mut dyn FnMut(u16) -> u16,
-    rf: &mut dyn FnMut(u16) -> u16,
-) {
-    let map_arg = |a: &mut ArgSlot, pf: &mut dyn FnMut(u16) -> u16, rf: &mut dyn FnMut(u16) -> u16| match a {
-        ArgSlot::P(_, v) => *v = pf(*v),
-        ArgSlot::R(v) => *v = rf(*v),
-    };
-    let map_dst = |d: &mut DstSlot, pf: &mut dyn FnMut(u16) -> u16, rf: &mut dyn FnMut(u16) -> u16| match d {
-        DstSlot::P(v) => *v = pf(*v),
-        DstSlot::R(v) => *v = rf(*v),
-    };
-    let map_operand = |o: &mut Operand, pf: &mut dyn FnMut(u16) -> u16| {
-        if let Operand::Slot(v) = o {
-            *v = pf(*v);
-        }
-    };
-    match inst {
-        RInst::Nop | RInst::Br { .. } | RInst::EndFinally | RInst::Leave { .. } => {}
-        RInst::MovP { dst, src } => {
-            *dst = pf(*dst);
-            *src = pf(*src);
-        }
-        RInst::MovR { dst, src } => {
-            *dst = rf(*dst);
-            *src = rf(*src);
-        }
-        RInst::ConstP { dst, .. } => *dst = pf(*dst),
-        RInst::ConstNull { dst } | RInst::ConstStr { dst, .. } => *dst = rf(*dst),
-        RInst::Bin { dst, a, b, .. } => {
-            *dst = pf(*dst);
-            *a = pf(*a);
-            map_operand(b, pf);
-        }
-        RInst::Un { dst, a, .. } => {
-            *dst = pf(*dst);
-            *a = pf(*a);
-        }
-        RInst::Conv { dst, src, .. } => {
-            *dst = pf(*dst);
-            *src = pf(*src);
-        }
-        RInst::Cmp { dst, a, b, .. } => {
-            *dst = pf(*dst);
-            *a = pf(*a);
-            map_operand(b, pf);
-        }
-        RInst::CmpRef { dst, a, b, .. } => {
-            *dst = pf(*dst);
-            *a = rf(*a);
-            *b = rf(*b);
-        }
-        RInst::BrIf { cond, .. } => *cond = pf(*cond),
-        RInst::BrIfRef { cond, .. } => *cond = rf(*cond),
-        RInst::BrCmp { a, b, .. } => {
-            *a = pf(*a);
-            map_operand(b, pf);
-        }
-        RInst::Call { args, dst, .. } | RInst::CallIntr { args, dst, .. } => {
-            for a in args.iter_mut() {
-                map_arg(a, pf, rf);
-            }
-            if let Some(d) = dst {
-                map_dst(d, pf, rf);
-            }
-        }
-        RInst::Ret { src } => {
-            if let Some(a) = src {
-                map_arg(a, pf, rf);
-            }
-        }
-        RInst::NewObj { args, dst, .. } => {
-            for a in args.iter_mut() {
-                map_arg(a, pf, rf);
-            }
-            *dst = rf(*dst);
-        }
-        RInst::LdFld { obj, dst, .. } => {
-            *obj = rf(*obj);
-            map_dst(dst, pf, rf);
-        }
-        RInst::StFld { obj, src, .. } => {
-            *obj = rf(*obj);
-            map_arg(src, pf, rf);
-        }
-        RInst::LdSFld { dst, .. } => map_dst(dst, pf, rf),
-        RInst::StSFld { src, .. } => map_arg(src, pf, rf),
-        RInst::IsInst { src, dst, .. } => {
-            *src = rf(*src);
-            *dst = pf(*dst);
-        }
-        RInst::CastClass { src, dst, .. } => {
-            *src = rf(*src);
-            *dst = rf(*dst);
-        }
-        RInst::NewArr { len, dst, .. } => {
-            *len = pf(*len);
-            *dst = rf(*dst);
-        }
-        RInst::LdLen { arr, dst } => {
-            *arr = rf(*arr);
-            *dst = pf(*dst);
-        }
-        RInst::LdElem { arr, idx, dst, .. } => {
-            *arr = rf(*arr);
-            *idx = pf(*idx);
-            map_dst(dst, pf, rf);
-        }
-        RInst::StElem { arr, idx, src, .. } => {
-            *arr = rf(*arr);
-            *idx = pf(*idx);
-            map_arg(src, pf, rf);
-        }
-        RInst::NewMulti { dims, dst, .. } => {
-            for d in dims.iter_mut() {
-                *d = pf(*d);
-            }
-            *dst = rf(*dst);
-        }
-        RInst::LdElemMulti { arr, idxs, dst, .. } => {
-            *arr = rf(*arr);
-            for i in idxs.iter_mut() {
-                *i = pf(*i);
-            }
-            map_dst(dst, pf, rf);
-        }
-        RInst::StElemMulti { arr, idxs, src, .. } => {
-            *arr = rf(*arr);
-            for i in idxs.iter_mut() {
-                *i = pf(*i);
-            }
-            map_arg(src, pf, rf);
-        }
-        RInst::LdMultiLen { arr, dst, .. } => {
-            *arr = rf(*arr);
-            *dst = pf(*dst);
-        }
-        RInst::BoxV { src, dst, .. } => {
-            *src = pf(*src);
-            *dst = rf(*dst);
-        }
-        RInst::UnboxV { src, dst, .. } => {
-            *src = rf(*src);
-            *dst = pf(*dst);
-        }
-        RInst::Throw { src } => *src = rf(*src),
-    }
-}
-
-fn offset_slots(inst: &mut RInst, pbase: u16, rbase: u16) {
-    rewrite_slots(inst, &mut |v| v + pbase, &mut |v| v + rbase);
 }

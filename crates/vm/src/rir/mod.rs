@@ -224,7 +224,176 @@ pub enum RInst {
     EndFinally,
 }
 
+/// What an instruction does with one slot it names: reads (`Use`) or
+/// writes (`Def`) it, in the primitive (`P`) or reference (`R`) file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SlotRole {
+    UseP,
+    UseR,
+    DefP,
+    DefR,
+}
+
+impl SlotRole {
+    /// Is the slot in the primitive file?
+    pub(crate) fn is_prim(self) -> bool {
+        matches!(self, SlotRole::UseP | SlotRole::DefP)
+    }
+}
+
+/// The operand layout of every [`RInst`], written once: `$f(role, slot)`
+/// for each slot the instruction names, its uses before its def, with
+/// `$iter` (`iter` or `iter_mut`) walking the slot lists. It is the body
+/// of both [`RInst::slots`] and [`RInst::slots_mut`].
+macro_rules! slot_table {
+    ($inst:expr, $f:ident, $iter:ident) => {{
+        use SlotRole::{DefP, DefR, UseP, UseR};
+        macro_rules! operand {
+            ($o:expr) => {
+                if let Operand::Slot(v) = $o {
+                    $f(UseP, v)
+                }
+            };
+        }
+        macro_rules! arg {
+            ($a:expr) => {
+                match $a {
+                    ArgSlot::P(_, v) => $f(UseP, v),
+                    ArgSlot::R(v) => $f(UseR, v),
+                }
+            };
+        }
+        macro_rules! dst {
+            ($d:expr) => {
+                match $d {
+                    DstSlot::P(v) => $f(DefP, v),
+                    DstSlot::R(v) => $f(DefR, v),
+                }
+            };
+        }
+        match $inst {
+            RInst::Nop | RInst::Br { .. } | RInst::Leave { .. } | RInst::EndFinally => {}
+            RInst::MovP { dst, src }
+            | RInst::Conv { dst, src, .. }
+            | RInst::Un { dst, a: src, .. } => {
+                $f(UseP, src);
+                $f(DefP, dst);
+            }
+            RInst::MovR { dst, src } | RInst::CastClass { src, dst, .. } => {
+                $f(UseR, src);
+                $f(DefR, dst);
+            }
+            RInst::ConstP { dst, .. } => $f(DefP, dst),
+            RInst::ConstNull { dst } | RInst::ConstStr { dst, .. } => $f(DefR, dst),
+            RInst::Bin { dst, a, b, .. } | RInst::Cmp { dst, a, b, .. } => {
+                $f(UseP, a);
+                operand!(b);
+                $f(DefP, dst);
+            }
+            RInst::CmpRef { dst, a, b, .. } => {
+                $f(UseR, a);
+                $f(UseR, b);
+                $f(DefP, dst);
+            }
+            RInst::BrIf { cond, .. } => $f(UseP, cond),
+            RInst::BrIfRef { cond, .. } | RInst::Throw { src: cond } => $f(UseR, cond),
+            RInst::BrCmp { a, b, .. } => {
+                $f(UseP, a);
+                operand!(b);
+            }
+            RInst::Call { args, dst, .. } | RInst::CallIntr { args, dst, .. } => {
+                args.$iter().for_each(|a| arg!(a));
+                if let Some(d) = dst {
+                    dst!(d);
+                }
+            }
+            RInst::Ret { src } => {
+                if let Some(a) = src {
+                    arg!(a);
+                }
+            }
+            RInst::NewObj { args, dst, .. } => {
+                args.$iter().for_each(|a| arg!(a));
+                $f(DefR, dst);
+            }
+            RInst::LdFld { obj, dst, .. } => {
+                $f(UseR, obj);
+                dst!(dst);
+            }
+            RInst::StFld { obj, src, .. } => {
+                $f(UseR, obj);
+                arg!(src);
+            }
+            RInst::LdSFld { dst, .. } => dst!(dst),
+            RInst::StSFld { src, .. } => arg!(src),
+            RInst::IsInst { src, dst, .. }
+            | RInst::LdLen { arr: src, dst }
+            | RInst::LdMultiLen { arr: src, dst, .. }
+            | RInst::UnboxV { src, dst, .. } => {
+                $f(UseR, src);
+                $f(DefP, dst);
+            }
+            RInst::NewArr { len: src, dst, .. } | RInst::BoxV { src, dst, .. } => {
+                $f(UseP, src);
+                $f(DefR, dst);
+            }
+            RInst::LdElem { arr, idx, dst, .. } => {
+                $f(UseR, arr);
+                $f(UseP, idx);
+                dst!(dst);
+            }
+            RInst::StElem { arr, idx, src, .. } => {
+                $f(UseR, arr);
+                $f(UseP, idx);
+                arg!(src);
+            }
+            RInst::NewMulti { dims, dst, .. } => {
+                dims.$iter().for_each(|v| $f(UseP, v));
+                $f(DefR, dst);
+            }
+            RInst::LdElemMulti { arr, idxs, dst, .. } => {
+                $f(UseR, arr);
+                idxs.$iter().for_each(|v| $f(UseP, v));
+                dst!(dst);
+            }
+            RInst::StElemMulti { arr, idxs, src, .. } => {
+                $f(UseR, arr);
+                idxs.$iter().for_each(|v| $f(UseP, v));
+                arg!(src);
+            }
+        }
+    }};
+}
+
 impl RInst {
+    /// Hand every slot the instruction names to `f`, with its role, for
+    /// `f` to rewrite: the one description of the operand layout that
+    /// renumbering, register placement and the optimizer's passes share.
+    /// An instruction defines at most one slot.
+    #[inline]
+    pub(crate) fn slots_mut(&mut self, mut f: impl FnMut(SlotRole, &mut u16)) {
+        slot_table!(self, f, iter_mut)
+    }
+
+    /// [`RInst::slots_mut`], reading.
+    #[inline]
+    pub(crate) fn slots(&self, mut f: impl FnMut(SlotRole, u16)) {
+        let mut f = |role, v: &u16| f(role, *v);
+        slot_table!(self, f, iter)
+    }
+
+    /// The slot the instruction writes, if any.
+    #[inline]
+    pub(crate) fn def(&self) -> Option<DstSlot> {
+        let mut def = None;
+        self.slots(|role, v| match role {
+            SlotRole::DefP => def = Some(DstSlot::P(v)),
+            SlotRole::DefR => def = Some(DstSlot::R(v)),
+            SlotRole::UseP | SlotRole::UseR => {}
+        });
+        def
+    }
+
     /// How an element access handles its bounds check; `None` for every
     /// other instruction.
     pub fn bounds(&self) -> Option<BoundsMode> {
@@ -513,4 +682,142 @@ pub fn print_rir(r: &RirMethod) -> String {
         let _ = writeln!(out, "L{i:<4} {text}");
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// A sample of the variant declared after `inst`'s, or `None` after
+    /// the last. The match has no wildcard, so a new variant does not
+    /// compile until it has a sample here. Every slot is `S`, so a def
+    /// that is also read tests whether the visitor tells the two apart.
+    fn next_sample(inst: &RInst) -> Option<RInst> {
+        const S: u16 = 7;
+        let (ty, kind, bounds) = (NumTy::I4, ElemKind::I4, BoundsMode::Checked);
+        let args = || -> Box<[ArgSlot]> { Box::new([ArgSlot::P(ty, S), ArgSlot::R(S)]) };
+        Some(match inst {
+            RInst::Nop => RInst::MovP { dst: S, src: S },
+            RInst::MovP { .. } => RInst::MovR { dst: S, src: S },
+            RInst::MovR { .. } => RInst::ConstP { dst: S, bits: 1 },
+            RInst::ConstP { .. } => RInst::ConstNull { dst: S },
+            RInst::ConstNull { .. } => RInst::ConstStr { dst: S, s: StrId(0) },
+            RInst::ConstStr { .. } => {
+                RInst::Bin { op: BinOp::Add, ty, dst: S, a: S, b: Operand::Slot(S) }
+            }
+            RInst::Bin { .. } => RInst::Un { op: UnOp::Neg, ty, dst: S, a: S },
+            RInst::Un { .. } => RInst::Conv { from: ty, to: NumTy::I8, dst: S, src: S },
+            RInst::Conv { .. } => {
+                RInst::Cmp { op: CmpOp::Lt, ty, dst: S, a: S, b: Operand::Slot(S) }
+            }
+            RInst::Cmp { .. } => RInst::CmpRef { op: CmpOp::Eq, dst: S, a: S, b: S },
+            RInst::CmpRef { .. } => RInst::Br { t: 0 },
+            RInst::Br { .. } => RInst::BrIf { cond: S, t: 0, negate: false },
+            RInst::BrIf { .. } => RInst::BrIfRef { cond: S, t: 0, negate: true },
+            RInst::BrIfRef { .. } => {
+                RInst::BrCmp { op: CmpOp::Lt, ty, a: S, b: Operand::Slot(S), t: 0 }
+            }
+            RInst::BrCmp { .. } => RInst::Call {
+                target: MethodId(0),
+                virt: false,
+                args: args(),
+                dst: Some(DstSlot::P(S)),
+            },
+            RInst::Call { .. } => {
+                RInst::CallIntr { i: Intrinsic::AbsI4, args: args(), dst: Some(DstSlot::R(S)) }
+            }
+            RInst::CallIntr { .. } => RInst::Ret { src: Some(ArgSlot::P(ty, S)) },
+            RInst::Ret { .. } => RInst::NewObj { ctor: MethodId(0), args: args(), dst: S },
+            RInst::NewObj { .. } => RInst::LdFld { obj: S, slot: 0, dst: DstSlot::R(S) },
+            RInst::LdFld { .. } => RInst::StFld { obj: S, slot: 0, src: ArgSlot::P(ty, S) },
+            RInst::StFld { .. } => RInst::LdSFld { slot: 0, dst: DstSlot::P(S) },
+            RInst::LdSFld { .. } => RInst::StSFld { slot: 0, src: ArgSlot::R(S) },
+            RInst::StSFld { .. } => RInst::IsInst { class: ClassId(0), src: S, dst: S },
+            RInst::IsInst { .. } => RInst::CastClass { class: ClassId(0), src: S, dst: S },
+            RInst::CastClass { .. } => RInst::NewArr { kind, len: S, dst: S },
+            RInst::NewArr { .. } => RInst::LdLen { arr: S, dst: S },
+            RInst::LdLen { .. } => {
+                RInst::LdElem { kind, arr: S, idx: S, dst: DstSlot::P(S), bounds }
+            }
+            RInst::LdElem { .. } => {
+                RInst::StElem { kind, arr: S, idx: S, src: ArgSlot::R(S), bounds }
+            }
+            RInst::StElem { .. } => RInst::NewMulti { kind, dims: Box::new([S, S]), dst: S },
+            RInst::NewMulti { .. } => RInst::LdElemMulti {
+                kind,
+                arr: S,
+                idxs: Box::new([S, S]),
+                dst: DstSlot::R(S),
+            },
+            RInst::LdElemMulti { .. } => RInst::StElemMulti {
+                kind,
+                arr: S,
+                idxs: Box::new([S, S]),
+                src: ArgSlot::P(ty, S),
+            },
+            RInst::StElemMulti { .. } => RInst::LdMultiLen { arr: S, dim: 1, dst: S },
+            RInst::LdMultiLen { .. } => RInst::BoxV { ty, src: S, dst: S },
+            RInst::BoxV { .. } => RInst::UnboxV { ty, src: S, dst: S },
+            RInst::UnboxV { .. } => RInst::Throw { src: S },
+            RInst::Throw { .. } => RInst::Leave { t: 0 },
+            RInst::Leave { .. } => RInst::EndFinally,
+            RInst::EndFinally => return None,
+        })
+    }
+
+    #[test]
+    fn every_instruction_names_at_most_one_def_and_its_uses_apart() {
+        let samples: Vec<RInst> = std::iter::successors(Some(RInst::Nop), next_sample).collect();
+        let kinds: HashSet<_> = samples.iter().map(std::mem::discriminant).collect();
+        assert_eq!(kinds.len(), samples.len(), "one sample per variant");
+        let is_use = |role| matches!(role, SlotRole::UseP | SlotRole::UseR);
+        for inst in &samples {
+            let mut seen = Vec::new();
+            inst.slots(|role, v| seen.push((role, v)));
+            let mut seen_mut = Vec::new();
+            inst.clone().slots_mut(|role, v| seen_mut.push((role, *v)));
+            assert_eq!(seen, seen_mut, "{inst:?}");
+            // The listing, written apart from the table, names the same
+            // slots in the same files.
+            let listing = print_rir(&RirMethod {
+                method: MethodId(0),
+                code: vec![inst.clone()],
+                eh: Vec::new(),
+                eh_exc_slots: Vec::new(),
+                arg_locs: Vec::new(),
+                n_preg: 0,
+                n_pspill: 0,
+                n_rreg: 0,
+                n_rspill: 0,
+            });
+            let prim = seen.iter().filter(|(role, _)| role.is_prim()).count();
+            assert_eq!(listing.matches("pr7").count(), prim, "{listing}");
+            assert_eq!(listing.matches("or7").count(), seen.len() - prim, "{listing}");
+
+            let defs: Vec<DstSlot> = seen
+                .iter()
+                .filter_map(|&(role, v)| match role {
+                    SlotRole::DefP => Some(DstSlot::P(v)),
+                    SlotRole::DefR => Some(DstSlot::R(v)),
+                    SlotRole::UseP | SlotRole::UseR => None,
+                })
+                .collect();
+            assert!(defs.len() <= 1, "{inst:?} defines {defs:?}");
+            assert_eq!(defs.first().copied(), inst.def(), "{inst:?}");
+
+            // Renaming only the uses moves every use and leaves the def.
+            let mut renamed = inst.clone();
+            renamed.slots_mut(|role, v| {
+                if is_use(role) {
+                    *v += 100;
+                }
+            });
+            assert_eq!(renamed.def(), inst.def(), "{inst:?}");
+            let mut after = Vec::new();
+            renamed.slots(|role, v| after.push((role, v)));
+            let moved = |&(role, v): &(SlotRole, u16)| (role, v + if is_use(role) { 100 } else { 0 });
+            assert_eq!(after, seen.iter().map(moved).collect::<Vec<_>>(), "{inst:?}");
+        }
+    }
 }

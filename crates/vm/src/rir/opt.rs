@@ -11,8 +11,8 @@ use crate::observe::{Event, JitOutcome, LoopRejectReason};
 use crate::profile::PassConfig;
 use crate::rir::audit::{self, CertKind, ElisionCert};
 use crate::rir::loops::{leader_mask, Analysis, Cfg, NaturalLoop};
-use crate::rir::lower::{rewrite_slots, Lowered};
-use crate::rir::{BoundsMode, DstSlot, Operand, RInst, RirMethod};
+use crate::rir::lower::Lowered;
+use crate::rir::{BoundsMode, DstSlot, Operand, RInst, RirMethod, SlotRole};
 use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, NumTy, UnOp};
 use std::collections::{HashMap, HashSet};
@@ -184,112 +184,6 @@ pub(crate) fn push_compile_events(
     }
 }
 
-/// The primitive slot an instruction defines, if any.
-pub(crate) fn def_p(inst: &RInst) -> Option<u16> {
-    match inst {
-        RInst::MovP { dst, .. }
-        | RInst::ConstP { dst, .. }
-        | RInst::Bin { dst, .. }
-        | RInst::Un { dst, .. }
-        | RInst::Conv { dst, .. }
-        | RInst::Cmp { dst, .. }
-        | RInst::CmpRef { dst, .. }
-        | RInst::IsInst { dst, .. }
-        | RInst::LdLen { dst, .. }
-        | RInst::LdMultiLen { dst, .. }
-        | RInst::UnboxV { dst, .. } => Some(*dst),
-        RInst::Call { dst: Some(DstSlot::P(d)), .. }
-        | RInst::CallIntr { dst: Some(DstSlot::P(d)), .. }
-        | RInst::LdFld { dst: DstSlot::P(d), .. }
-        | RInst::LdSFld { dst: DstSlot::P(d), .. }
-        | RInst::LdElem { dst: DstSlot::P(d), .. }
-        | RInst::LdElemMulti { dst: DstSlot::P(d), .. } => Some(*d),
-        _ => None,
-    }
-}
-
-/// The reference slot an instruction defines, if any.
-pub(crate) fn def_r(inst: &RInst) -> Option<u16> {
-    match inst {
-        RInst::MovR { dst, .. }
-        | RInst::ConstNull { dst }
-        | RInst::ConstStr { dst, .. }
-        | RInst::NewObj { dst, .. }
-        | RInst::CastClass { dst, .. }
-        | RInst::NewArr { dst, .. }
-        | RInst::NewMulti { dst, .. }
-        | RInst::BoxV { dst, .. } => Some(*dst),
-        RInst::Call { dst: Some(DstSlot::R(d)), .. }
-        | RInst::CallIntr { dst: Some(DstSlot::R(d)), .. }
-        | RInst::LdFld { dst: DstSlot::R(d), .. }
-        | RInst::LdSFld { dst: DstSlot::R(d), .. }
-        | RInst::LdElem { dst: DstSlot::R(d), .. }
-        | RInst::LdElemMulti { dst: DstSlot::R(d), .. } => Some(*d),
-        _ => None,
-    }
-}
-
-/// Rewrite only the *use* (read) positions of an instruction.
-fn rewrite_uses(
-    inst: &mut RInst,
-    pf: &mut dyn FnMut(u16) -> u16,
-    rf: &mut dyn FnMut(u16) -> u16,
-) {
-    // Save defs, apply the uniform rewrite, restore defs.
-    let dp = def_p(inst);
-    let dr = def_r(inst);
-    rewrite_slots(inst, pf, rf);
-    if let Some(d) = dp {
-        restore_def_p(inst, d);
-    }
-    if let Some(d) = dr {
-        restore_def_r(inst, d);
-    }
-}
-
-fn restore_def_p(inst: &mut RInst, d: u16) {
-    match inst {
-        RInst::MovP { dst, .. }
-        | RInst::ConstP { dst, .. }
-        | RInst::Bin { dst, .. }
-        | RInst::Un { dst, .. }
-        | RInst::Conv { dst, .. }
-        | RInst::Cmp { dst, .. }
-        | RInst::CmpRef { dst, .. }
-        | RInst::IsInst { dst, .. }
-        | RInst::LdLen { dst, .. }
-        | RInst::LdMultiLen { dst, .. }
-        | RInst::UnboxV { dst, .. } => *dst = d,
-        RInst::Call { dst: Some(DstSlot::P(x)), .. }
-        | RInst::CallIntr { dst: Some(DstSlot::P(x)), .. }
-        | RInst::LdFld { dst: DstSlot::P(x), .. }
-        | RInst::LdSFld { dst: DstSlot::P(x), .. }
-        | RInst::LdElem { dst: DstSlot::P(x), .. }
-        | RInst::LdElemMulti { dst: DstSlot::P(x), .. } => *x = d,
-        _ => {}
-    }
-}
-
-fn restore_def_r(inst: &mut RInst, d: u16) {
-    match inst {
-        RInst::MovR { dst, .. }
-        | RInst::ConstNull { dst }
-        | RInst::ConstStr { dst, .. }
-        | RInst::NewObj { dst, .. }
-        | RInst::CastClass { dst, .. }
-        | RInst::NewArr { dst, .. }
-        | RInst::NewMulti { dst, .. }
-        | RInst::BoxV { dst, .. } => *dst = d,
-        RInst::Call { dst: Some(DstSlot::R(x)), .. }
-        | RInst::CallIntr { dst: Some(DstSlot::R(x)), .. }
-        | RInst::LdFld { dst: DstSlot::R(x), .. }
-        | RInst::LdSFld { dst: DstSlot::R(x), .. }
-        | RInst::LdElem { dst: DstSlot::R(x), .. }
-        | RInst::LdElemMulti { dst: DstSlot::R(x), .. } => *x = d,
-        _ => {}
-    }
-}
-
 /// Block-local facts about virtual registers: a dense table, indexed by
 /// vreg, that is emptied at every block boundary in time proportional to
 /// what the block put in it.
@@ -386,25 +280,28 @@ fn const_and_copy_prop(l: &mut Lowered, cfg: &Cfg, imm_fusion: bool) {
         rcopy.clear();
         for i in start..end {
             // Rewrite uses through the copy maps.
-            rewrite_uses(
-                &mut l.code[i],
-                &mut |v| pcopy.get(v, &pdefs).unwrap_or(v),
-                &mut |v| rcopy.get(v, &rdefs).unwrap_or(v),
-            );
+            l.code[i].slots_mut(|role, v| match role {
+                SlotRole::UseP => *v = pcopy.get(*v, &pdefs).unwrap_or(*v),
+                SlotRole::UseR => *v = rcopy.get(*v, &rdefs).unwrap_or(*v),
+                SlotRole::DefP | SlotRole::DefR => {}
+            });
             // Constant folding / fusion.
             if let Some(new) = fold_inst(&l.code[i], &pconst, imm_fusion) {
                 l.code[i] = new;
             }
             // Update the dataflow state from the (possibly rewritten) inst.
             let inst = &l.code[i];
-            if let Some(d) = def_p(inst) {
-                pconst.forget(d);
-                pcopy.forget(d);
-                pdefs[d as usize] += 1;
-            }
-            if let Some(d) = def_r(inst) {
-                rcopy.forget(d);
-                rdefs[d as usize] += 1;
+            match inst.def() {
+                Some(DstSlot::P(d)) => {
+                    pconst.forget(d);
+                    pcopy.forget(d);
+                    pdefs[d as usize] += 1;
+                }
+                Some(DstSlot::R(d)) => {
+                    rcopy.forget(d);
+                    rdefs[d as usize] += 1;
+                }
+                None => {}
             }
             match inst {
                 RInst::ConstP { dst, bits } => pconst.set(*dst, *bits),
@@ -569,7 +466,7 @@ fn strength_reduce(l: &mut Lowered, cfg: &Cfg) {
             match &l.code[i] {
                 RInst::ConstP { dst, bits } => consts.set(*dst, *bits),
                 inst => {
-                    if let Some(d) = def_p(inst) {
+                    if let Some(DstSlot::P(d)) = inst.def() {
                         consts.forget(d);
                     }
                 }
@@ -606,7 +503,7 @@ fn eliminate_bounds_checks(l: &mut Lowered, ctx: &mut MethodCtx) -> u64 {
     }
     let mut counters = vec![Counter::default(); l.n_pvreg as usize];
     for (pc, inst) in l.code.iter().enumerate() {
-        let Some(d) = def_p(inst) else { continue };
+        let Some(DstSlot::P(d)) = inst.def() else { continue };
         let c = &mut counters[d as usize];
         match inst {
             RInst::ConstP { bits: 0, .. } => c.zero = true,
@@ -853,30 +750,32 @@ fn scan_facts(l: &Lowered, an: &Analysis) -> LoopFacts {
 
             // Invalidation: a def of v breaks facts about v and (through
             // the definition counts) facts that mention v as an origin.
-            let dp = def_p(&l.code[i]);
-            let dr = def_r(&l.code[i]);
-            if let Some(d) = dp {
-                copies.forget(d);
-                consts.forget(d);
-                incof.forget(d);
-                lenof.forget(d);
-                pdefs[d as usize] += 1;
+            let def = l.code[i].def();
+            match def {
+                Some(DstSlot::P(d)) => {
+                    copies.forget(d);
+                    consts.forget(d);
+                    incof.forget(d);
+                    lenof.forget(d);
+                    pdefs[d as usize] += 1;
+                }
+                Some(DstSlot::R(d)) => {
+                    rcopies.forget(d);
+                    rdefs[d as usize] += 1;
+                }
+                None => {}
             }
-            if let Some(d) = dr {
-                rcopies.forget(d);
-                rdefs[d as usize] += 1;
-            }
-            match (fact, dp, dr) {
-                (NewFact::Const(c), Some(d), _) => consts.set(d, c),
-                (NewFact::Copy(o), Some(d), _) if o != d => {
+            match (fact, def) {
+                (NewFact::Const(c), Some(DstSlot::P(d))) => consts.set(d, c),
+                (NewFact::Copy(o), Some(DstSlot::P(d))) if o != d => {
                     copies.set(d, o, &pdefs);
                     if let Some(c) = consts.get(o) {
                         consts.set(d, c);
                     }
                 }
-                (NewFact::Copy(o), _, Some(d)) if o != d => rcopies.set(d, o, &rdefs),
-                (NewFact::IncOf(o), Some(d), _) if o != d => incof.set(d, o, &pdefs),
-                (NewFact::LenOf(a), Some(d), _) => lenof.set(d, a, &rdefs),
+                (NewFact::Copy(o), Some(DstSlot::R(d))) if o != d => rcopies.set(d, o, &rdefs),
+                (NewFact::IncOf(o), Some(DstSlot::P(d))) if o != d => incof.set(d, o, &pdefs),
+                (NewFact::LenOf(a), Some(DstSlot::P(d))) => lenof.set(d, a, &rdefs),
                 _ => {}
             }
         }
@@ -1148,12 +1047,12 @@ fn splice_may_feed_other_loops(
     let Some(before) = lp.header.checked_sub(1) else { return false };
     let (s, e) = an.cfg.ranges[before];
     let constant_in_block = |v: u16| {
-        let last_def = l.code[s..e].iter().rev().find(|i| def_p(i) == Some(v));
+        let last_def = l.code[s..e].iter().rev().find(|i| i.def() == Some(DstSlot::P(v)));
         matches!(last_def, Some(RInst::ConstP { .. }))
     };
     clones.iter().any(|c| {
         let mut reads_constant = false;
-        for_arith_operands(&mut c.clone(), |v| reads_constant |= constant_in_block(*v));
+        c.slots(|role, v| reads_constant |= role == SlotRole::UseP && constant_in_block(v));
         reads_constant
             || (matches!(c, RInst::LdLen { .. }) && clean().any(|o| o.header == before))
     })
@@ -1201,22 +1100,6 @@ struct HoistMarks {
     fresh: Vec<(u32, u16)>,
 }
 
-/// Apply `f` to the primitive operands of the arithmetic instructions
-/// LICM hoists (`Bin`, `Cmp`, `Un`, `Conv`).
-fn for_arith_operands(inst: &mut RInst, mut f: impl FnMut(&mut u16)) {
-    match inst {
-        RInst::Bin { a, b, .. } | RInst::Cmp { a, b, .. } => {
-            f(a);
-            if let Operand::Slot(s) = b {
-                f(s);
-            }
-        }
-        RInst::Un { a, .. } => f(a),
-        RInst::Conv { src, .. } => f(src),
-        _ => {}
-    }
-}
-
 /// Select the instructions of `lp` that compute loop-invariant values and
 /// prepare their hoisted clones.
 ///
@@ -1235,11 +1118,10 @@ fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, marks: &mut HoistMarks)
     for &b in &lp.body {
         let (s, e) = cfg.ranges[b];
         for inst in &l.code[s..e] {
-            if let Some(d) = def_p(inst) {
-                marks.p_in_loop[d as usize] = in_loop;
-            }
-            if let Some(d) = def_r(inst) {
-                marks.r_in_loop[d as usize] = in_loop;
+            match inst.def() {
+                Some(DstSlot::P(d)) => marks.p_in_loop[d as usize] = in_loop,
+                Some(DstSlot::R(d)) => marks.r_in_loop[d as usize] = in_loop,
+                None => {}
             }
         }
     }
@@ -1279,20 +1161,19 @@ fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, marks: &mut HoistMarks)
                 _ => None,
             };
             if let Some(dst) = candidate {
-                let mut clone = inst.clone();
-                // Redirect operands defined by earlier candidates to the
-                // fresh registers (at the hoist point the original slots
-                // still hold their pre-loop values).
-                for_arith_operands(&mut clone, |s| {
-                    if let Some((_, f)) = fresh_of(*s) {
-                        *s = f;
-                    }
-                });
                 let fresh = base + plans.len() as u16;
-                restore_def_p(&mut clone, fresh);
+                let mut clone = inst.clone();
+                // The clone writes the fresh register and reads those of
+                // earlier candidates (at the hoist point the original
+                // slots still hold their pre-loop values).
+                clone.slots_mut(|role, s| match role {
+                    SlotRole::UseP => *s = fresh_of(*s).map_or(*s, |(_, f)| f),
+                    SlotRole::DefP => *s = fresh,
+                    SlotRole::UseR | SlotRole::DefR => {}
+                });
                 plans.push(Hoist { pc, dst, fresh, clone });
                 marks.fresh[dst as usize] = (in_block, fresh);
-            } else if let Some(d) = def_p(inst) {
+            } else if let Some(DstSlot::P(d)) = inst.def() {
                 marks.fresh[d as usize] = (0, 0);
             }
         }
@@ -1306,9 +1187,9 @@ fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, marks: &mut HoistMarks)
     for i in (0..plans.len()).rev() {
         if !matches!(plans[i].clone, RInst::ConstP { .. }) || needed[i] {
             keep[i] = true;
-            for_arith_operands(&mut plans[i].clone, |s| {
-                if *s >= base {
-                    needed[(*s - base) as usize] = true;
+            plans[i].clone.slots(|role, s| {
+                if role == SlotRole::UseP && s >= base {
+                    needed[(s - base) as usize] = true;
                 }
             });
         }
@@ -1322,12 +1203,11 @@ fn plan_hoists(l: &Lowered, cfg: &Cfg, lp: &NaturalLoop, marks: &mut HoistMarks)
         if !keep[i] {
             continue;
         }
-        for_arith_operands(&mut h.clone, |s| {
-            if *s >= base {
-                *s = renumbered[(*s - base) as usize];
-            }
+        h.clone.slots_mut(|role, s| match role {
+            SlotRole::UseP if *s >= base => *s = renumbered[(*s - base) as usize],
+            SlotRole::DefP => *s = next,
+            _ => {}
         });
-        restore_def_p(&mut h.clone, next);
         h.fresh = next;
         renumbered[i] = next;
         next += 1;
@@ -1464,8 +1344,8 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
         }
     }
 
-    // Per-instruction uses/defs over the combined vreg space (primitive
-    // slots first, then reference slots), recorded once into a flat arena.
+    // Per-instruction uses (into a flat arena) and def over the combined
+    // vreg space: primitive slots first, then reference slots.
     let np = l.n_pvreg as usize;
     let nr = l.n_rvreg as usize;
     let total = np + nr;
@@ -1473,36 +1353,18 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
     const NONE: u32 = u32::MAX;
     let mut slot_arena: Vec<u32> = Vec::with_capacity(n * 3);
     let mut inst_uses: Vec<(u32, u32)> = Vec::with_capacity(n);
-    let mut inst_defs: Vec<[u32; 2]> = Vec::with_capacity(n);
-    {
-        let arena = std::cell::RefCell::new(&mut slot_arena);
-        for inst in l.code.iter_mut() {
-            let dp = def_p(inst).map(|d| d as u32);
-            let dr = def_r(inst).map(|d| np as u32 + d as u32);
-            let start = arena.borrow().len() as u32;
-            rewrite_slots(
-                inst,
-                &mut |v| {
-                    arena.borrow_mut().push(v as u32);
-                    v
-                },
-                &mut |v| {
-                    arena.borrow_mut().push(np as u32 + v as u32);
-                    v
-                },
-            );
-            let mut a = arena.borrow_mut();
-            let end = a.len() as u32;
-            // One occurrence of each def slot was recorded as a use;
-            // blank it so `x = x` still keeps `x` live.
-            for d in [dp, dr].into_iter().flatten() {
-                if let Some(p) = a[start as usize..end as usize].iter().position(|&x| x == d) {
-                    a[start as usize + p] = NONE;
-                }
-            }
-            inst_uses.push((start, end));
-            inst_defs.push([dp.unwrap_or(NONE), dr.unwrap_or(NONE)]);
-        }
+    let mut inst_defs: Vec<u32> = Vec::with_capacity(n);
+    for inst in &l.code {
+        let start = slot_arena.len() as u32;
+        let mut def = NONE;
+        inst.slots(|role, v| match role {
+            SlotRole::UseP => slot_arena.push(v as u32),
+            SlotRole::UseR => slot_arena.push(np as u32 + v as u32),
+            SlotRole::DefP => def = v as u32,
+            SlotRole::DefR => def = np as u32 + v as u32,
+        });
+        inst_uses.push((start, slot_arena.len() as u32));
+        inst_defs.push(def);
     }
 
     // The slots block `range` reads before writing them (`gen`) and the
@@ -1510,7 +1372,7 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
     fn gen_kill(
         (start, end): (usize, usize),
         inst_uses: &[(u32, u32)],
-        inst_defs: &[[u32; 2]],
+        inst_defs: &[u32],
         slot_arena: &[u32],
         g: &mut [u64],
         k: &mut [u64],
@@ -1518,17 +1380,14 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
         g.fill(0);
         k.fill(0);
         for i in (start..end).rev() {
-            for d in inst_defs[i] {
-                if d != NONE {
-                    bit_clear(g, d as usize);
-                    bit_set(k, d as usize);
-                }
+            let d = inst_defs[i];
+            if d != NONE {
+                bit_clear(g, d as usize);
+                bit_set(k, d as usize);
             }
             let (us, ue) = inst_uses[i];
             for &u in &slot_arena[us as usize..ue as usize] {
-                if u != NONE {
-                    bit_set(g, u as usize);
-                }
+                bit_set(g, u as usize);
             }
         }
     }
@@ -1590,7 +1449,7 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
             eh_buf.fill(0);
             union_live_in(&mut eh_buf, &live_in, &eh_succ[b]);
             for i in (start..end).rev() {
-                let defs = inst_defs[i];
+                let d = inst_defs[i];
                 let pure = matches!(
                     &l.code[i],
                     RInst::MovP { .. }
@@ -1608,32 +1467,25 @@ fn dead_code_elim(l: &mut Lowered, cfg: &Cfg) {
                     &l.code[i],
                     RInst::Bin { op, .. } if !matches!(op, BinOp::Div | BinOp::Rem)
                 );
-                let has_def = defs[0] != NONE || defs[1] != NONE;
                 if pure
-                    && has_def
-                    && defs.iter().all(|&d| {
-                        d == NONE
-                            || (!bit_get(&live, d as usize) && !bit_get(&eh_buf, d as usize))
-                    })
+                    && d != NONE
+                    && !bit_get(&live, d as usize)
+                    && !bit_get(&eh_buf, d as usize)
                 {
                     l.code[i] = RInst::Nop;
                     inst_uses[i] = (0, 0);
-                    inst_defs[i] = [NONE, NONE];
+                    inst_defs[i] = NONE;
                     if swept.last() != Some(&b) {
                         swept.push(b);
                     }
                     continue;
                 }
-                for d in defs {
-                    if d != NONE {
-                        bit_clear(&mut live, d as usize);
-                    }
+                if d != NONE {
+                    bit_clear(&mut live, d as usize);
                 }
                 let (us, ue) = inst_uses[i];
                 for &u in &slot_arena[us as usize..ue as usize] {
-                    if u != NONE {
-                        bit_set(&mut live, u as usize);
-                    }
+                    bit_set(&mut live, u as usize);
                 }
             }
         }
@@ -1736,7 +1588,7 @@ fn apply_div_const_quirk(l: &mut Lowered) -> HashSet<u16> {
                 break None;
             }
             j -= 1;
-            if def_p(&l.code[j]) == Some(s) {
+            if l.code[j].def() == Some(DstSlot::P(s)) {
                 break Some(j);
             }
         };
@@ -1744,23 +1596,12 @@ fn apply_div_const_quirk(l: &mut Lowered) -> HashSet<u16> {
         let RInst::ConstP { bits, .. } = l.code[j] else { continue };
         // The slot must be untouched between the constant load and the
         // division (other than by the division itself).
-        let mut clean = true;
-        for inst in &mut l.code[j + 1..i] {
+        let touches = |inst: &RInst| {
             let mut seen = false;
-            rewrite_slots(
-                inst,
-                &mut |v| {
-                    seen |= v == s;
-                    v
-                },
-                &mut |v| v,
-            );
-            if seen {
-                clean = false;
-                break;
-            }
-        }
-        if !clean {
+            inst.slots(|role, v| seen |= role.is_prim() && v == s);
+            seen
+        };
+        if l.code[j + 1..i].iter().any(touches) {
             continue;
         }
         let tmp = l.n_pvreg;
