@@ -4,7 +4,7 @@
 //! [`verify_module`] (an unverifiable program is a generator bug, never a
 //! test case), then executed under every [`VmProfile`] in the paper's
 //! lineup — with each register-tier profile additionally expanded over the
-//! four `abce`/`licm` pass combinations — plus a clean direct-interpretation
+//! four `bce`/`licm` pass combinations — plus a clean direct-interpretation
 //! oracle. Results are normalized to strings that preserve bit identity
 //! (`f64` results compare by bit pattern, traps by exception class name)
 //! and every engine is compared against the oracle.
@@ -30,21 +30,20 @@ pub struct Engine {
 pub fn oracle_profile() -> VmProfile {
     let mut p = VmProfile::sscli10();
     p.name = "oracle";
-    p.emulate_cdq = false;
     p.portability_shim = false;
     p.exception_cost_units = 0;
     p
 }
 
-/// Every profile × every `abce`/`licm` combination, oracle first, with the
+/// Every profile × every `bce`/`licm` combination, oracle first, with the
 /// elision-cert audit enabled on every engine.
 ///
 /// Interpreter-tier profiles have no optimization passes, so they appear
 /// once; each register-tier profile of the SciMark lineup is expanded into
-/// the four loop-pass combinations. The `abce` toggle also gates the
-/// range-analysis and loop-versioning elision mechanisms (where the base
-/// profile enables them), so the matrix stays pinned at 50 engines while
-/// still exercising every `BoundsMode` under audit.
+/// the four `bce`/`licm` combinations. `bce` gates every elision
+/// mechanism (structural, idiom, range analysis and loop versioning), so
+/// the matrix stays pinned at 50 engines while still exercising every
+/// `BoundsMode` under audit.
 pub fn engine_matrix() -> Vec<Engine> {
     let mut out =
         vec![Engine { label: "oracle".into(), profile: oracle_profile().with_audit(true) }];
@@ -55,24 +54,22 @@ pub fn engine_matrix() -> Vec<Engine> {
                 profile: base.with_audit(true),
             }),
             Tier::Rir | Tier::Compiled => {
-                for (abce, licm) in [(false, false), (true, false), (false, true), (true, true)] {
+                for (bce, licm) in [(false, false), (true, false), (false, true), (true, true)] {
                     let mut p = base.with_audit(true);
-                    p.passes.abce = abce;
+                    p.passes.bce = bce;
                     p.passes.licm = licm;
-                    p.passes.range_abce = abce && base.passes.range_abce;
-                    p.passes.loop_versioning = abce && base.passes.loop_versioning;
                     out.push(Engine {
-                        label: format!("{} [abce={} licm={}]", base.name, abce as u8, licm as u8),
+                        label: format!("{} [bce={} licm={}]", base.name, bce as u8, licm as u8),
                         profile: p,
                     });
                     // The same knobs again under the linear-scan allocator:
-                    // both tiers run closure code, so this twin
+                    // both tiers run op records, so this twin
                     // cross-checks the two allocations of the same RIR.
                     let threaded = p.with_tier(Tier::Compiled);
                     out.push(Engine {
                         label: format!(
-                            "{} [threaded abce={} licm={}]",
-                            base.name, abce as u8, licm as u8
+                            "{} [threaded bce={} licm={}]",
+                            base.name, bce as u8, licm as u8
                         ),
                         profile: threaded,
                     });
@@ -361,6 +358,8 @@ pub fn run_seed_at(seed: u64, observe: ObserveLevel) -> Result<(Program, Program
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcnet_vm::PassConfig;
+    use std::collections::HashMap;
 
     #[test]
     fn matrix_has_oracle_plus_expanded_lineup() {
@@ -370,17 +369,49 @@ mod tests {
         assert_eq!(m.len(), 1 + 1 + 6 * 4 * 2);
         assert_eq!(m[0].label, "oracle");
         assert_eq!(m[0].profile.tier, Tier::Interpreter);
-        assert!(!m[0].profile.emulate_cdq);
+        assert!(!m[0].profile.portability_shim);
         let labels: Vec<&str> = m.iter().map(|e| e.label.as_str()).collect();
-        assert!(labels.contains(&"C# .NET 1.1 [abce=1 licm=1]"), "{labels:?}");
-        assert!(labels.contains(&"Java Sun 1.4 [abce=0 licm=0]"));
-        assert!(labels.contains(&"C# .NET 1.1 [threaded abce=1 licm=1]"));
+        assert!(labels.contains(&"C# .NET 1.1 [bce=1 licm=1]"), "{labels:?}");
+        assert!(labels.contains(&"Java Sun 1.4 [bce=0 licm=0]"));
+        assert!(labels.contains(&"C# .NET 1.1 [threaded bce=1 licm=1]"));
         assert!(labels.contains(&"Rotor 1.0"));
         let threaded = m
             .iter()
             .filter(|e| e.profile.tier == Tier::Compiled)
             .count();
         assert_eq!(threaded, 6 * 4);
+        // Every register-tier base once per (bce, licm, ranking).
+        let register: Vec<&Engine> =
+            m.iter().filter(|e| e.profile.tier != Tier::Interpreter).collect();
+        let bases = VmProfile::scimark_lineup().into_iter();
+        for base in bases.filter(|b| b.tier != Tier::Interpreter) {
+            for bce in [false, true] {
+                for licm in [false, true] {
+                    for tier in [Tier::Rir, Tier::Compiled] {
+                        let n = register
+                            .iter()
+                            .filter(|e| {
+                                let p = &e.profile;
+                                p.name == base.name
+                                    && (p.passes.bce, p.passes.licm, p.tier) == (bce, licm, tier)
+                            })
+                            .count();
+                        assert_eq!(n, 1, "{} bce={bce} licm={licm} {tier:?}", base.name);
+                    }
+                }
+            }
+        }
+        // 24 distinct pass configurations, each run by exactly its two
+        // ranking twins: the conform report's `share.front_hits` (one
+        // shared optimizer front half per configuration) rests on this.
+        let mut by_passes: HashMap<PassConfig, Vec<Tier>> = HashMap::new();
+        for e in &register {
+            by_passes.entry(e.profile.passes).or_default().push(e.profile.tier);
+        }
+        assert_eq!(by_passes.len(), 24);
+        for tiers in by_passes.values() {
+            assert_eq!(tiers, &[Tier::Rir, Tier::Compiled]);
+        }
     }
 
     #[test]

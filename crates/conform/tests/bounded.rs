@@ -2,7 +2,7 @@
 //!
 //! Fixed seed range, 5000 programs, every program executed under every
 //! engine of the matrix (oracle + Rotor + 6 register-tier profiles × 4
-//! `abce`/`licm` combinations × 2 register tiers). Runs as part of
+//! `bce`/`licm` combinations × 2 register tiers). Runs as part of
 //! `cargo test -q` — tractable because the fleet shards seeds across
 //! cores, engine VMs share one `Arc<Module>` plus a compile front-half
 //! cache per seed, and inputs replay via snapshot/reset instead of

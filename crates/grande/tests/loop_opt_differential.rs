@@ -1,6 +1,7 @@
-//! The loop-aware tier must be a pure optimization: turning ABCE, the
-//! range analysis, loop versioning and LICM off cannot change a single
-//! bit of any kernel's checksum. This is the differential guard for the
+//! Bounds-check elision and the loop-aware tier must be pure
+//! optimizations: turning `bce` (the structural matcher, ABCE, the range
+//! analysis and loop versioning) and LICM off cannot change a single bit
+//! of any kernel's checksum. This is the differential guard for the
 //! unchecked element accesses the passes emit — the engine still traps
 //! an unchecked out-of-range access as an internal error, so an unsound
 //! elimination fails loudly here rather than reading stray memory.
@@ -46,10 +47,8 @@ fn validation_n(entry_id: &str, small_n: i32) -> i32 {
 #[test]
 fn loop_passes_do_not_change_any_kernel_bits() {
     let mut off = VmProfile::clr11();
-    off.name = "CLR - loop passes";
-    off.passes.abce = false;
-    off.passes.range_abce = false;
-    off.passes.loop_versioning = false;
+    off.name = "CLR - elision and LICM";
+    off.passes.bce = false;
     off.passes.licm = false;
     for group in registry() {
         let on_vm = vm_for(&group, VmProfile::clr11());

@@ -146,14 +146,10 @@ const SCIMARK_ENTRIES: &[(&str, &str)] = &[
 /// mechanism removed per column.
 fn ablation_profiles() -> [VmProfile; 5] {
     let clr = VmProfile::clr11();
-    // Every bounds-check elision mechanism: any one left on removes the
-    // checks the others would have.
+    // `bce` gates every bounds-check elision mechanism.
     let mut no_bce = clr;
     no_bce.name = "CLR - BCE";
     no_bce.passes.bce = false;
-    no_bce.passes.abce = false;
-    no_bce.passes.range_abce = false;
-    no_bce.passes.loop_versioning = false;
     let mut no_inline = clr;
     no_inline.name = "CLR - inlining";
     no_inline.passes.inline = false;

@@ -14,7 +14,7 @@
 //! integration tests assert this. Per-profile deltas against the
 //! reference engine (the first of the lineup, CLR 1.1) are annotated with
 //! the docs/OPTIMIZATIONS.md mechanism knobs that explain them:
-//! bounds-checks-executed maps to mechanism 4 (`bce`/`abce`), managed
+//! bounds-checks-executed maps to mechanism 4 (`bce`), managed
 //! calls map to the `inline` knob, and interpreter-tier rows are marked
 //! as executing every check with no JIT passes at all.
 //!
@@ -45,7 +45,9 @@ use std::time::Duration;
 /// by mechanism (idiom guard / symbolic range / loop versioning), the
 /// passes object carries the `range_abce`/`loop_versioning` knobs, and
 /// attribution deltas include the per-mechanism dynamic split.
-pub const PROFILE_SCHEMA_VERSION: f64 = 1.1;
+/// 1.2: the passes object drops `abce`, `range_abce` and
+/// `loop_versioning`; `bce` alone gates every elision mechanism.
+pub const PROFILE_SCHEMA_VERSION: f64 = 1.2;
 
 /// Hot methods kept per profile (the rest are summarized by
 /// `methods_total` so the cap is never silent).
@@ -229,9 +231,6 @@ fn profile_json(
 ) -> Json {
     let passes = [
         ("bce", p.passes.bce),
-        ("abce", p.passes.abce),
-        ("range_abce", p.passes.range_abce),
-        ("loop_versioning", p.passes.loop_versioning),
         ("licm", p.passes.licm),
         ("inline", p.passes.inline),
     ];
@@ -371,22 +370,17 @@ fn mechanisms_for(
         );
     }
     if bc_delta != 0 {
-        let mut knobs = Vec::new();
-        if reference.passes.bce != p.passes.bce || p.tier == Tier::Interpreter {
-            knobs.push("bce");
-        }
-        if reference.passes.abce != p.passes.abce || p.tier == Tier::Interpreter {
-            knobs.push("abce");
-        }
-        out.push(format!(
-            "bounds-check elimination (`{}`) — mechanism 4",
-            knobs.join("`, `")
-        ));
+        let knob = if reference.passes.bce != p.passes.bce || p.tier == Tier::Interpreter {
+            "bce"
+        } else {
+            ""
+        };
+        out.push(format!("bounds-check elimination (`{knob}`) — mechanism 4"));
         for &(key, n) in elided.iter().filter(|(_, n)| *n > 0) {
             let how = match key.trim_start_matches("bounds_checks_elided_") {
-                "idiom" => "idiom guard elision (`bce`, `abce`)",
-                "range" => "symbolic range analysis (`range_abce`)",
-                "versioned" => "guarded loop versioning (`loop_versioning`)",
+                "idiom" => "idiom guard elision (`bce`)",
+                "range" => "symbolic range analysis (`bce`)",
+                "versioned" => "guarded loop versioning (`bce`)",
                 other => other,
             };
             out.push(format!("{how} — {n} accesses"));

@@ -4,7 +4,7 @@
 //!    times, no environment probes), so two consecutive runs of the same
 //!    build must produce byte-identical JSON.
 //! 2. **Mechanism attribution** — per-profile bounds-checks-executed
-//!    counts differ *exactly* where the `bce`/`abce` knobs predict: the
+//!    counts differ *exactly* where the `bce` knob predicts: the
 //!    dynamic access total (executed + elided) is invariant across
 //!    profiles, profiles without elimination passes elide nothing, and
 //!    the delta rows against the reference equal the reference's elided
@@ -48,12 +48,12 @@ fn profile_document_is_bit_identical_across_consecutive_runs() {
 #[test]
 fn bounds_check_counts_differ_exactly_where_the_knobs_predict() {
     // FFT is dominated by 1-D `data.Length`-guarded loops, the exact
-    // shape the structural (`bce`) and loop-aware (`abce`) passes target.
+    // shape the structural and loop-aware elision passes (`bce`) target.
     let run = run_profile("scimark.fft", &cfg(256)).unwrap();
     let doc = &run.doc;
     check_document(&doc.render()).unwrap();
 
-    let clr = "C# .NET 1.1"; // bce + abce + licm on (reference profile)
+    let clr = "C# .NET 1.1"; // bce + licm on (reference profile)
     let mono = "Mono-0.23"; // register tier, every pass off
     let rotor = "Rotor 1.0"; // interpreter tier
 
@@ -122,8 +122,8 @@ fn fingerprint(text: &str) -> u64 {
 #[test]
 fn profile_documents_are_pinned_byte_for_byte() {
     for (entry, n, expected) in [
-        ("scimark.sor", 24, 0xe165_f899_39f5_96e9),
-        ("exception.throw", 200, 0x3a47_f535_abea_0ae7),
+        ("scimark.sor", 24, 0xcf81_c85c_e11c_39df),
+        ("exception.throw", 200, 0xdae7_1438_d92e_9615),
     ] {
         let text = run_profile(entry, &cfg(n)).unwrap().doc.render();
         assert_eq!(

@@ -565,14 +565,14 @@ impl<'v> Interp<'v> {
         let div_zero = || vm.raise_div_zero(self.depth);
         Ok(match (lhs, rhs) {
             (Value::I4(a), Value::I4(b)) => {
-                if vm.profile.emulate_cdq && matches!(op, BinOp::Div | BinOp::Rem) {
-                    emulate_cdq_i4(a);
+                if vm.profile.portability_shim && matches!(op, BinOp::Div | BinOp::Rem) {
+                    cdq_emulation_i4(a);
                 }
                 Value::I4(numerics::bin_i4(op, a, b).map_err(|_| div_zero())?)
             }
             (Value::I8(a), Value::I8(b)) => {
-                if vm.profile.emulate_cdq && matches!(op, BinOp::Div | BinOp::Rem) {
-                    emulate_cdq_i8(a);
+                if vm.profile.portability_shim && matches!(op, BinOp::Div | BinOp::Rem) {
+                    cdq_emulation_i8(a);
                 }
                 Value::I8(numerics::bin_i8(op, a, b).map_err(|_| div_zero())?)
             }
@@ -686,7 +686,7 @@ fn pal_shim(pc: u32) {
 /// shifts" — do the equivalent futile work so signed division costs what it
 /// cost there.
 #[inline(never)]
-fn emulate_cdq_i4(a: i32) {
+fn cdq_emulation_i4(a: i32) {
     let lo = a as u32;
     let hi = ((a as i64) >> 31) as u32;
     let merged = ((hi as u64) << 32) | lo as u64;
@@ -695,7 +695,7 @@ fn emulate_cdq_i4(a: i32) {
 }
 
 #[inline(never)]
-fn emulate_cdq_i8(a: i64) {
+fn cdq_emulation_i8(a: i64) {
     let lo = a as u64;
     let hi = (a >> 63) as u64;
     std::hint::black_box(hi.wrapping_shl(1) | (lo >> 63));

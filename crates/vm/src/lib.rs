@@ -1202,17 +1202,14 @@ mod tests {
     }
 
     #[test]
-    fn observe_bounds_checks_follow_the_abce_knob() {
-        // Same module, same entry: abce on ⇒ in-loop accesses run
-        // unchecked; abce off ⇒ every access checks. The *sum*
+    fn observe_bounds_checks_follow_the_bce_knob() {
+        // Same module, same entry: bce on ⇒ in-loop accesses run
+        // unchecked; bce off ⇒ every access checks. The *sum*
         // executed+elided is the access count and must not move.
         let m = array_loop_module();
-        let count = |abce: bool| {
+        let count = |bce: bool| {
             let mut p = VmProfile::clr11();
-            p.passes.abce = abce;
-            p.passes.bce = false; // isolate the idiom loop-aware pass
-            p.passes.range_abce = false; // (range analysis would elide
-            p.passes.loop_versioning = false; // these accesses on its own)
+            p.passes.bce = bce;
             let vm = Vm::new(m.clone(), p.with_observe(ObserveLevel::Counters)).unwrap();
             vm.invoke_by_name("P.Fill", vec![Value::I4(50)]).unwrap();
             let r = vm.observe_report().unwrap();

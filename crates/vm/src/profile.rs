@@ -7,7 +7,7 @@
 //!
 //! | Paper observation | Knob |
 //! |---|---|
-//! | Rotor: portability JIT, every local in memory, emulated `cdq` | `tier = Interpreter`, `emulate_cdq` |
+//! | Rotor: portability JIT, every local in memory, emulated `cdq` | `tier = Interpreter`, `portability_shim` |
 //! | Mono 0.23: near-1:1 CIL lowering, one register, rest memory | `tier = Rir`, all passes off, `max_enreg = 1` |
 //! | CLR 1.1: registers + constants, 64-local enregistration cap | `tier = Rir` (use-count ranking), full passes, `max_enreg = 64` |
 //! | CLR 1.1: "something weird by temporarily storing the constant" in the division loop | `div_const_temp_quirk` |
@@ -15,7 +15,7 @@
 //! | Optimizing JITs erase the stack shuffle of a naive lowering | `propagate` (constant and copy propagation, then DCE) |
 //! | CLR and the JVMs inline small static callees | `inline` (callees of at most 24 instructions) |
 //! | CLR: faster multiplication (Graph 1) | `mul_strength_reduction` |
-//! | CLR: bounds check eliminated when the bound is `arr.Length` (+15 % on Sparse) | `bce` (structural), `abce` (loop-aware) |
+//! | CLR: bounds check eliminated when the bound is `arr.Length` (+15 % on Sparse) | `bce` (structural matcher, loop-aware idiom, range analysis, loop versioning) |
 //! | Optimizing JITs keep loop-invariant work out of the body | `licm` |
 //! | CLI exceptions ≫ JVM exceptions (Graph 5) | `exception_cost_units` |
 //! | CLR math library faster than JVM's (Graphs 6–8) | `math` |
@@ -27,7 +27,7 @@
 //! gate. Profiles feed the pipeline described in [`crate::rir`]: CIL →
 //! lower → scalar passes → loop-aware tier → allocate → execute.
 //!
-//! The two register tiers run the same closure code ([`crate::compiled`],
+//! The two register tiers run the same op records ([`crate::compiled`],
 //! the stand-in for the machine code a JIT emits) and differ only in how
 //! `rir::alloc` ranks values for the `max_enreg` registers of each file.
 //! [`Tier::Rir`] ranks them by static use count, the reference-count
@@ -43,11 +43,11 @@ pub enum Tier {
     /// Direct stack interpretation (the SSCLI/Rotor portability tier).
     Interpreter,
     /// Stack-to-register translation with per-profile optimization passes,
-    /// run as closure code (see [`crate::compiled`]). Slots come from the
+    /// run as op records (see [`crate::compiled`]). Slots come from the
     /// use-count allocator: the `max_enreg` most-used values of a method
     /// get registers for its whole body, as CLR 1.x's JIT did.
     Rir,
-    /// The same optimized RIR and the same closure code, but slots come
+    /// The same optimized RIR and the same op records, but slots come
     /// from a linear-scan allocator, so the enregistration cap bounds
     /// *simultaneously live* values rather than total locals.
     Compiled,
@@ -77,26 +77,19 @@ pub struct PassConfig {
     /// Reproduce CLR 1.1's quirk of spilling the divisor constant to a
     /// temporary before `idiv` (Table 6).
     pub div_const_temp_quirk: bool,
-    /// Eliminate array bounds checks when the loop bound is provably the
-    /// array's length (`for (i = 0; i < a.Length; i++)`). This is the
-    /// structural (block-local) matcher.
+    /// Bounds-check elision, every mechanism of it: the structural
+    /// (block-local) matcher for `for (i = 0; i < a.Length; i++)`;
+    /// loop-aware idiom elision, which proves counted-loop indices in
+    /// range over the natural loops of the RIR CFG (see `rir::opt`);
+    /// symbolic range analysis, which proves derived indices (`a[i+k]`,
+    /// hoisted-length and triangular bounds) in `[0, arr.Length)` (see
+    /// `rir::range`); and guarded loop versioning, which clones
+    /// almost-provable loops into a check-free fast version behind an
+    /// up-front null/range guard, with the checked loop as fallback.
     pub bce: bool,
-    /// Loop-aware bounds-check elimination: natural-loop detection over
-    /// the RIR CFG proves counted-loop indices in range and drops the
-    /// checks the structural matcher cannot (see `rir::opt`).
-    pub abce: bool,
     /// Loop-invariant code motion: hoist invariant arithmetic and the
     /// guard's `ldlen` out of natural loops into the preheader.
     pub licm: bool,
-    /// Symbolic range analysis over natural loops: per-block intervals for
-    /// integer locals prove derived indices (`a[i+k]`, hoisted-length and
-    /// triangular bounds) in `[0, arr.Length)` and drop their checks
-    /// (see `rir::range`).
-    pub range_abce: bool,
-    /// Guarded loop versioning: clone almost-provable loops into a
-    /// check-free fast version selected by an up-front null/range guard,
-    /// with the original checked loop as the fallback.
-    pub loop_versioning: bool,
     /// Inline small static/final callees (at most
     /// `rir::lower::INLINE_MAX_OPS` instructions).
     pub inline: bool,
@@ -111,10 +104,7 @@ impl PassConfig {
             mul_strength_reduction: false,
             div_const_temp_quirk: false,
             bce: false,
-            abce: false,
             licm: false,
-            range_abce: false,
-            loop_versioning: false,
             inline: false,
         }
     }
@@ -127,10 +117,7 @@ impl PassConfig {
             mul_strength_reduction: true,
             div_const_temp_quirk: false,
             bce: true,
-            abce: true,
             licm: true,
-            range_abce: true,
-            loop_versioning: true,
             inline: true,
         }
     }
@@ -149,13 +136,12 @@ pub struct VmProfile {
     /// the frame's register files: a larger cap acts as 64, and the values
     /// beyond it spill.
     pub max_enreg: u16,
-    /// Interpreter tier: emulate `cdq` with loads and shifts before every
-    /// signed division (the SSCLI 1.0 JIT behavior in Table 8).
-    pub emulate_cdq: bool,
     /// Interpreter tier: route every instruction through the portability
     /// abstraction layer (an uninlinable helper call with memory traffic)
     /// — SSCLI trades performance for portability by calling through PAL
-    /// helpers where the commercial JIT inlines.
+    /// helpers where the commercial JIT inlines — and emulate `cdq` with
+    /// loads and shifts before every signed division (the SSCLI 1.0 JIT
+    /// behavior in Table 8).
     pub portability_shim: bool,
     /// Units of stack-trace/unwind work performed per managed throw. The
     /// CLI's two-pass SEH-style unwind makes this large; the JVM's is
@@ -219,7 +205,6 @@ impl VmProfile {
             tier: Tier::Rir,
             passes: p,
             max_enreg: 64,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 8,
             math: MathKind::Fast,
@@ -240,7 +225,6 @@ impl VmProfile {
             tier: Tier::Rir,
             passes: p,
             max_enreg: 32,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 8,
             math: MathKind::Fast,
@@ -256,7 +240,6 @@ impl VmProfile {
             tier: Tier::Rir,
             passes: PassConfig::none(),
             max_enreg: 1,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 10,
             math: MathKind::Fast,
@@ -272,7 +255,6 @@ impl VmProfile {
             tier: Tier::Interpreter,
             passes: PassConfig::none(),
             max_enreg: 0,
-            emulate_cdq: true,
             portability_shim: true,
             exception_cost_units: 12,
             math: MathKind::Fast,
@@ -290,7 +272,6 @@ impl VmProfile {
             tier: Tier::Rir,
             passes: p,
             max_enreg: 64,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
@@ -305,15 +286,11 @@ impl VmProfile {
         p.mul_strength_reduction = false;
         p.imm_fusion = false;
         p.bce = false;
-        p.abce = false;
-        p.range_abce = false;
-        p.loop_versioning = false;
         VmProfile {
             name: "Java BEA JRockit 8.1",
             tier: Tier::Rir,
             passes: p,
             max_enreg: 48,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
@@ -328,16 +305,12 @@ impl VmProfile {
         p.mul_strength_reduction = false;
         p.imm_fusion = false;
         p.bce = false;
-        p.abce = false;
-        p.range_abce = false;
-        p.loop_versioning = false;
         p.inline = false;
         VmProfile {
             name: "Java Sun 1.4",
             tier: Tier::Rir,
             passes: p,
             max_enreg: 24,
-            emulate_cdq: false,
             portability_shim: false,
             exception_cost_units: 1,
             math: MathKind::Strict,
@@ -374,14 +347,6 @@ impl VmProfile {
             Self::sscli10(),
         ]
     }
-
-    /// Is this one of the CLI implementations (vs a JVM)?
-    pub fn is_cli(&self) -> bool {
-        matches!(
-            self.name,
-            "C# .NET 1.1" | "J# .NET 1.1" | "Mono-0.23" | "Rotor 1.0"
-        )
-    }
 }
 
 #[cfg(test)]
@@ -412,7 +377,7 @@ mod tests {
     #[test]
     fn rotor_is_the_interpreter() {
         assert_eq!(VmProfile::sscli10().tier, Tier::Interpreter);
-        assert!(VmProfile::sscli10().emulate_cdq);
+        assert!(VmProfile::sscli10().portability_shim);
         assert_eq!(VmProfile::clr11().tier, Tier::Rir);
     }
 
@@ -427,13 +392,6 @@ mod tests {
     fn clr_enregisters_64_locals() {
         assert_eq!(VmProfile::clr11().max_enreg, 64);
         assert_eq!(VmProfile::mono023().max_enreg, 1);
-    }
-
-    #[test]
-    fn cli_classification() {
-        assert!(VmProfile::clr11().is_cli());
-        assert!(VmProfile::mono023().is_cli());
-        assert!(!VmProfile::jvm_ibm131().is_cli());
     }
 
     #[test]

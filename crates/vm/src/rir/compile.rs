@@ -609,7 +609,7 @@ mod tests {
     use hpcnet_cil::{BinOp, CilType, MethodKind, ModuleBuilder, Module, Op};
     use hpcnet_runtime::Value;
 
-    /// `(slots, instructions)` of `name`'s closure code on `vm`.
+    /// `(slots, instructions)` of `name`'s op records on `vm`.
     fn slots(vm: &Arc<Vm>, name: &str) -> (usize, usize) {
         let code = vm.threaded(vm.module.find_method(name).unwrap()).unwrap();
         (code.ops.len(), code.rir.code.len())
@@ -726,7 +726,7 @@ mod tests {
         }
     }
 
-    /// Every instruction the closure builder translates and every pair
+    /// Every instruction the op-record builder translates and every pair
     /// shape it fuses: constants before `Bin`, `brcmp` and `stelem`, a
     /// `Bin` before the move of its result, a move before a `br`, a `br`
     /// onto its loop test, a ternary joining into a `const; add` pair, a

@@ -19,8 +19,10 @@
 //!    range analysis extends that to derived indices (`i±k`, triangular,
 //!    strided), LICM hoists invariant arithmetic and the guard's `ldlen`
 //!    into the preheader, and guarded loop versioning clones
-//!    almost-provable loops behind an up-front guard. Every elision
-//!    carries a certificate re-verified by [`crate::rir::audit`].
+//!    almost-provable loops behind an up-front guard. The three elision
+//!    mechanisms and step 2's structural matcher are gated by the one
+//!    `bce` flag, LICM by `licm`. Every elision carries a certificate
+//!    re-verified by [`crate::rir::audit`].
 //!    Per-method results are tallied on [`crate::machine::Counters`].
 //! 4. **Allocate** (`rir::alloc`): virtual registers are placed in the
 //!    register file (plain array access at run time) up to the profile's
@@ -30,7 +32,7 @@
 //!    them by static use count (CLR 1.x's model), `Tier::Compiled` runs a
 //!    linear scan over live intervals.
 //! 5. **Execute** ([`crate::compiled`]): the allocated code is translated
-//!    once into closures, the same on both tiers, and runs in
+//!    once into op records, the same on both tiers, and runs in
 //!    [`crate::call`]'s dispatch loop; an "unchecked" element access that
 //!    is out of range is an engine error, so unsound eliminations fail
 //!    loudly in differential tests.

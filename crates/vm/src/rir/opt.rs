@@ -90,23 +90,19 @@ pub(crate) fn optimize(passes: &PassConfig, l: &mut Lowered) -> OptResult {
     // erased by copy-prop + DCE), where the guard compare reads the named
     // locals directly.
     let mut rejections: Vec<(u32, LoopRejectReason)> = Vec::new();
-    let loop_tier =
-        passes.abce || passes.licm || passes.range_abce || passes.loop_versioning;
-    if loop_tier && !l.code.is_empty() {
+    if (passes.bce || passes.licm) && !l.code.is_empty() {
         let mut ctx = MethodCtx::new(l);
         outcome.loops_found = ctx.an.loops.len() as u64;
-        if passes.abce {
+        if passes.bce {
             let (n, rej) = loop_aware_bce(l, &mut ctx);
             outcome.abce_removed = n;
             rejections = rej;
-        }
-        if passes.range_abce {
             outcome.range_removed = crate::rir::range::range_abce(l, &mut ctx);
         }
         if passes.licm {
             outcome.licm_hoisted = loop_invariant_code_motion(l, &mut ctx);
         }
-        if passes.loop_versioning {
+        if passes.bce {
             let (n, lv) = crate::rir::range::version_loops(l, ctx);
             outcome.versioned_removed = n;
             outcome.loops_versioned = lv;

@@ -1,11 +1,11 @@
-//! Shows what the loop-aware tier adds over the structural matcher: the
-//! same MiniC# sums compiled by CLR 1.1 with the loop passes off and on.
+//! Shows what bounds-check elision and the loop-aware tier do: the same
+//! MiniC# sums compiled by CLR 1.1 with `bce` and `licm` off and on.
 //!
-//! `RowSum` (a clean counted loop) is simple enough for the structural
-//! BCE matcher, so both configs uncheck it — but only the loop-aware
-//! config hoists the `ldlen` out of the loop. `SumThenPeek` reuses the
-//! index variable after the loop (`j = row.Length - 1`), which taints it
-//! for the whole-method structural matcher; the loop-aware ABCE reasons
+//! With both off every access stays checked and `ldlen` runs every
+//! iteration. With them on, `RowSum` (a clean counted loop) loses its
+//! check and its `ldlen` is hoisted out of the loop. `SumThenPeek` reuses
+//! the index variable after the loop (`j = row.Length - 1`), which taints
+//! it for the whole-method structural matcher; the loop-aware ABCE reasons
 //! per natural loop, so it still unchecks the in-loop access while
 //! leaving the post-loop peek checked. docs/OPTIMIZATIONS.md embeds this
 //! output.
@@ -42,11 +42,9 @@ fn main() {
     let module = compile(source).expect("compile");
 
     let mut off = VmProfile::clr11();
-    off.name = "CLR 1.1 (loop passes off)";
-    off.passes.abce = false;
+    off.name = "CLR 1.1 (elision and LICM off)";
+    off.passes.bce = false;
     off.passes.licm = false;
-    off.passes.range_abce = false;
-    off.passes.loop_versioning = false;
     let on = VmProfile::clr11();
 
     for profile in [off, on] {
