@@ -103,8 +103,35 @@ pub enum VmPhase {
     /// shapes `verify_module` recorded; only a body bound without them
     /// is verified here, inside this phase.
     JitLower,
-    /// The optimization pipeline over lowered RIR (misses only).
+    /// The optimization pipeline over lowered RIR (misses only). The
+    /// `opt-*` phases below nest inside it: each times one pass of
+    /// `rir::opt::optimize`, and `jit-optimize` stays their total.
     JitOptimize,
+    /// The block partitions and natural loops the passes share: the
+    /// lowered body's for the scalar passes, the compacted body's for the
+    /// loop tier.
+    OptAnalyze,
+    /// Block-local constant and copy propagation with folding.
+    OptPropagate,
+    /// Multiply-by-power-of-two strength reduction.
+    OptStrength,
+    /// Structural (block-local) bounds-check elision on the lowered body,
+    /// its fact scan and certificate checks included.
+    OptBce,
+    /// Liveness-based dead-code elimination.
+    OptDce,
+    /// Removing the `nop`s the scalar passes left.
+    OptCompact,
+    /// Loop-aware idiom bounds-check elision, its fact scan included.
+    OptAbce,
+    /// Symbolic range bounds-check elision.
+    OptRangeAbce,
+    /// Loop-invariant code motion, its per-round re-analyses included.
+    OptLicm,
+    /// Guarded loop versioning, its trial audits included.
+    OptVersion,
+    /// CLR 1.1's divisor-constant spill quirk.
+    OptDivQuirk,
     /// Register/slot allocation (runs per VM on both register tiers,
     /// hit or miss).
     JitAllocate,
@@ -122,6 +149,17 @@ impl VmPhase {
     pub const ALL: &'static [VmPhase] = &[
         VmPhase::JitLower,
         VmPhase::JitOptimize,
+        VmPhase::OptAnalyze,
+        VmPhase::OptPropagate,
+        VmPhase::OptStrength,
+        VmPhase::OptBce,
+        VmPhase::OptDce,
+        VmPhase::OptCompact,
+        VmPhase::OptAbce,
+        VmPhase::OptRangeAbce,
+        VmPhase::OptLicm,
+        VmPhase::OptVersion,
+        VmPhase::OptDivQuirk,
         VmPhase::JitAllocate,
         VmPhase::JitBuild,
         VmPhase::EhUnwind,
@@ -132,6 +170,17 @@ impl VmPhase {
         match self {
             VmPhase::JitLower => "jit-lower",
             VmPhase::JitOptimize => "jit-optimize",
+            VmPhase::OptAnalyze => "opt-analyze",
+            VmPhase::OptPropagate => "opt-propagate",
+            VmPhase::OptStrength => "opt-strength",
+            VmPhase::OptBce => "opt-bce",
+            VmPhase::OptDce => "opt-dce",
+            VmPhase::OptCompact => "opt-compact",
+            VmPhase::OptAbce => "opt-abce",
+            VmPhase::OptRangeAbce => "opt-range-abce",
+            VmPhase::OptLicm => "opt-licm",
+            VmPhase::OptVersion => "opt-version",
+            VmPhase::OptDivQuirk => "opt-div-quirk",
             VmPhase::JitAllocate => "jit-allocate",
             VmPhase::JitBuild => "jit-build",
             VmPhase::EhUnwind => "eh-unwind",
@@ -797,7 +846,24 @@ mod tests {
     #[test]
     fn phase_names_are_stable() {
         let names: Vec<_> = VmPhase::ALL.iter().map(|p| p.as_str()).collect();
-        let want = ["jit-lower", "jit-optimize", "jit-allocate", "jit-build", "eh-unwind"];
+        let want = [
+            "jit-lower",
+            "jit-optimize",
+            "opt-analyze",
+            "opt-propagate",
+            "opt-strength",
+            "opt-bce",
+            "opt-dce",
+            "opt-compact",
+            "opt-abce",
+            "opt-range-abce",
+            "opt-licm",
+            "opt-version",
+            "opt-div-quirk",
+            "jit-allocate",
+            "jit-build",
+            "eh-unwind",
+        ];
         assert_eq!(names, want);
         for (i, p) in VmPhase::ALL.iter().enumerate() {
             assert_eq!(*p as usize, i);

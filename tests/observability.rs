@@ -86,6 +86,61 @@ fn trace_level_times_eh_dispatch_and_jit_passes() {
     }
 }
 
+/// A counted loop over an array, an invariant product and a division by
+/// a constant: on `clr11` it runs every optimizer pass.
+const PASSES_SRC: &str = r#"
+    class Passes {
+        static int Sum(int n) {
+            int[] a = new int[n];
+            int s = 0;
+            for (int i = 0; i < a.Length; i++) { a[i] = i * 4; s = s + a[i] + n * 3; }
+            return s / 7;
+        }
+    }
+"#;
+
+/// The phases `rir::opt::optimize` times, one per pass, nested inside
+/// `jit-optimize`.
+const PASS_PHASES: [VmPhase; 11] = [
+    VmPhase::OptAnalyze,
+    VmPhase::OptPropagate,
+    VmPhase::OptStrength,
+    VmPhase::OptBce,
+    VmPhase::OptDce,
+    VmPhase::OptCompact,
+    VmPhase::OptAbce,
+    VmPhase::OptRangeAbce,
+    VmPhase::OptLicm,
+    VmPhase::OptVersion,
+    VmPhase::OptDivQuirk,
+];
+
+/// At `Trace` a CLR compile times every optimizer pass as its own phase,
+/// inside `jit-optimize`, on both register tiers.
+#[test]
+fn trace_level_times_every_optimizer_pass() {
+    for profile in [VmProfile::clr11(), VmProfile::clr11_compiled()] {
+        let vm = compile_and_load(PASSES_SRC, profile.with_observe(ObserveLevel::Trace)).unwrap();
+        let reads = Arc::new(AtomicU64::new(0));
+        let r = reads.clone();
+        vm.set_trace_clock(Arc::new(move || r.fetch_add(1, Ordering::Relaxed) * 50));
+        let out = vm.invoke_by_name("Passes.Sum", vec![Value::I4(10)]).unwrap().unwrap();
+        assert_eq!(out.as_i4(), (0..10).map(|i| i * 4 + 30).sum::<i32>() / 7);
+        let timings = vm.phase_timings();
+        let ns = |phase: VmPhase| {
+            let t = timings.iter().find(|t| t.phase == phase);
+            t.unwrap_or_else(|| panic!("{}: no {} timing", profile.name, phase.as_str())).total_ns
+        };
+        let nested: u64 = PASS_PHASES.iter().map(|&p| ns(p)).sum();
+        assert!(nested > 0);
+        assert!(
+            nested < ns(VmPhase::JitOptimize),
+            "{}: the pass phases nest inside jit-optimize",
+            profile.name
+        );
+    }
+}
+
 /// Observation level never changes what a program computes: all three
 /// levels agree with each other on every profile.
 #[test]
