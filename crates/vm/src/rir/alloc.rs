@@ -19,7 +19,7 @@ use crate::rir::lower::Lowered;
 use crate::rir::{ArgSlot, RirMethod, SPILL_BIT};
 use hpcnet_cil::module::MethodId;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// Where one virtual register occurs: how often, and the span from its
 /// first to its last occurrence (its live interval once widened).
@@ -74,7 +74,7 @@ impl Placement {
 pub(crate) fn allocate(
     vm: &Vm,
     method: MethodId,
-    mut l: Lowered,
+    l: &Lowered,
     force_spill_p: &HashSet<u16>,
 ) -> RirMethod {
     let mut pocc = vec![Occ::NEVER; l.n_pvreg as usize];
@@ -97,16 +97,22 @@ pub(crate) fn allocate(
 
     let cap = enreg_cap(vm.profile.max_enreg);
     let place = |file: &mut [Occ], force: &HashSet<u16>| match vm.profile.tier {
-        Tier::Compiled => by_live_interval(&l, file, cap, force),
+        Tier::Compiled => by_live_interval(l, file, cap, force),
         Tier::Rir | Tier::Interpreter => by_use_count(file, cap, force),
     };
     let (p, r) = (place(&mut pocc, force_spill_p), place(&mut rocc, &HashSet::new()));
 
-    for inst in &mut l.code {
-        inst.slots_mut(|role, v| {
-            *v = if role.is_prim() { p.map[*v as usize] } else { r.map[*v as usize] }
-        });
-    }
+    let code = l
+        .code
+        .iter()
+        .map(|inst| {
+            let mut inst = inst.clone();
+            inst.slots_mut(|role, v| {
+                *v = if role.is_prim() { p.map[*v as usize] } else { r.map[*v as usize] }
+            });
+            inst
+        })
+        .collect();
     let arg_locs = l
         .arg_locs
         .iter()
@@ -122,7 +128,7 @@ pub(crate) fn allocate(
         .collect();
 
     let (n_preg, n_pspill, n_rreg, n_rspill) = (p.n_reg, p.n_spill, r.n_reg, r.n_spill);
-    let (code, eh) = (l.code, l.eh);
+    let eh = l.eh.clone();
     RirMethod { method, code, eh, eh_exc_slots, arg_locs, n_preg, n_pspill, n_rreg, n_rspill }
 }
 
@@ -161,8 +167,10 @@ fn by_live_interval(l: &Lowered, file: &mut [Occ], cap: u16, force: &HashSet<u16
         if !l.eh.is_empty() {
             (o.first, o.last) = (0, len);
         }
-        for &(j, t) in &back {
-            if o.first <= j && o.last >= t && o.last < j {
+        // Only a branch past the interval's end can widen it.
+        let past = back.partition_point(|&(j, _)| j <= o.last);
+        for &(j, t) in &back[past..] {
+            if o.last >= t && o.last < j {
                 o.last = j;
             }
         }
@@ -173,23 +181,35 @@ fn by_live_interval(l: &Lowered, file: &mut [Occ], cap: u16, force: &HashSet<u16
         (0..file.len()).partition(|&v| file[v].dead() || force.contains(&(v as u16)));
     spilled.into_iter().for_each(|v| out.spill(v));
     order.sort_by_key(|&v| (file[v].first, v));
-    let mut free: BTreeSet<u16> = (0..cap).collect();
-    let mut active: Vec<(u32, usize, u16)> = Vec::new(); // (end, vreg, reg)
+    // Free registers as bits: `cap` is at most 64, and the lowest set bit
+    // is the lowest free register.
+    let mut free: u64 = if cap >= 64 { u64::MAX } else { (1u64 << cap) - 1 };
+    // The intervals holding a register as (end, vreg, reg), ascending:
+    // the first expire first, the last is the one to evict.
+    let mut active: Vec<(u32, usize, u16)> = Vec::new();
+    let enter = |active: &mut Vec<(u32, usize, u16)>, a| {
+        let at = active.partition_point(|b| *b < a);
+        active.insert(at, a);
+    };
     for v in order {
         let Occ { first: start, last: end, .. } = file[v];
-        free.extend(active.iter().filter(|a| a.0 < start).map(|a| a.2));
-        active.retain(|a| a.0 >= start);
-        if let Some(r) = free.pop_first() {
+        let expired = active.partition_point(|a| a.0 < start);
+        for a in active.drain(..expired) {
+            free |= 1u64 << a.2;
+        }
+        if free != 0 {
+            let r = free.trailing_zeros() as u16;
+            free &= free - 1;
             out.reg(v, r);
-            active.push((end, v, r));
+            enter(&mut active, (end, v, r));
             continue;
         }
-        match (0..active.len()).max_by_key(|&i| active[i]) {
-            Some(i) if active[i].0 > end => {
-                let (_, w, r) = active[i];
+        match active.last() {
+            Some(&(last_end, w, r)) if last_end > end => {
                 out.spill(w);
                 out.reg(v, r);
-                active[i] = (end, v, r);
+                active.pop();
+                enter(&mut active, (end, v, r));
             }
             _ => out.spill(v),
         }

@@ -68,11 +68,11 @@ use std::sync::Arc;
 /// profile's tier (`rir::alloc`), then build the op records. Both tiers
 /// emit the same `JitCompile` trace events.
 pub(crate) fn compile(vm: &Arc<Vm>, method: MethodId) -> VmResult<CompiledMethod> {
-    let (lowered, res) = crate::rir::share::front(vm, method)?;
+    let front = crate::rir::share::front(vm, method)?;
     let t = vm.observer.phase_start();
-    let rir = alloc::allocate(vm, method, lowered, &res.force_spill_p);
+    let rir = alloc::allocate(vm, method, &front.lowered, &front.res.force_spill_p);
     vm.observer.phase_end(VmPhase::JitAllocate, t);
-    opt::push_compile_events(vm, method, &rir, res);
+    opt::push_compile_events(vm, method, &rir, &front.res);
     let t = vm.observer.phase_start();
     let (ops, side) = build_ops(vm, &rir);
     vm.observer.phase_end(VmPhase::JitBuild, t);
