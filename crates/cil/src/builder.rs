@@ -398,9 +398,14 @@ impl<'m> MethodBuilder<'m> {
     /// Labels placed after `to` and branch sites at or after it move with
     /// that code; a label placed exactly at `to` stays, so it reaches the
     /// moved ops. The moved ops must place no label and not branch.
+    /// With nothing emitted since `mark` it returns at once, so a caller
+    /// that only sometimes emits pays no walk over labels and patches.
     pub fn move_since(&mut self, mark: u32, to: u32) {
         let (mark, to) = (mark as usize, to as usize);
         debug_assert!(to <= mark && mark <= self.code.len());
+        if mark == self.code.len() {
+            return;
+        }
         debug_assert!(
             self.patches.iter().all(|&(at, _)| at < mark),
             "moved ops do not branch"
@@ -737,6 +742,25 @@ mod tests {
             (r.try_start, r.try_end, r.handler_start, r.handler_end),
             (1, 5, 5, 6)
         );
+    }
+
+    #[test]
+    fn move_since_with_nothing_emitted_changes_nothing() {
+        let mut mb = ModuleBuilder::new();
+        let c = mb.declare_class("P", None);
+        let mut f = mb.method(c, "F", vec![], CilType::Void, MethodKind::Static);
+        let (back, ahead) = (f.new_label(), f.new_label());
+        f.ldc_i4(1);
+        let to = f.here();
+        f.place(back);
+        f.ldc_i4(2);
+        f.br(ahead);
+        f.br(back);
+        f.place(ahead);
+        let before = (f.code.clone(), f.labels.clone(), f.patches.clone());
+        let mark = f.here();
+        f.move_since(mark, to);
+        assert_eq!((f.code.clone(), f.labels.clone(), f.patches.clone()), before);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! MiniC# abstract syntax tree.
+//!
+//! Every name in the tree — class, base, field, method, parameter, local
+//! and referenced identifier — borrows the source text it was parsed
+//! from, so a tree lives no longer than that text.
 
 use crate::lexer::Pos;
 
 /// A surface type.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Ty {
+pub enum Ty<'src> {
     Void,
     /// The type of the `null` literal (internal to the checker; no
     /// surface syntax produces it).
@@ -17,15 +21,15 @@ pub enum Ty {
     Str,
     Object,
     /// A user class, by name (resolved at codegen).
-    Class(String),
+    Class(&'src str),
     /// `T[]`.
-    Array(Box<Ty>),
+    Array(Box<Ty<'src>>),
     /// `T[,]` / `T[,,]`.
-    Multi(Box<Ty>, u8),
+    Multi(Box<Ty<'src>>, u8),
 }
 
-impl Ty {
-    pub fn array_of(self) -> Ty {
+impl<'src> Ty<'src> {
+    pub fn array_of(self) -> Ty<'src> {
         Ty::Array(Box::new(self))
     }
 }
@@ -73,7 +77,7 @@ pub enum UnKind {
 
 /// Expressions.
 #[derive(Clone, Debug)]
-pub enum Expr {
+pub enum Expr<'src> {
     Int(i32),
     Long(i64),
     Float(f32),
@@ -84,66 +88,73 @@ pub enum Expr {
     This(Pos),
     /// Unqualified name: local, parameter, field of `this`, or static
     /// field of the enclosing class — resolved at codegen.
-    Ident(String, Pos),
+    Ident(&'src str, Pos),
     /// `expr.name` — instance field, `arr.Length`, or `Class.staticField`
     /// when `obj` is a class name.
     Field {
-        obj: Box<Expr>,
-        name: String,
+        obj: Box<Expr<'src>>,
+        name: &'src str,
         pos: Pos,
     },
     /// `a[i]` (SZ) or `a[i,j]` (multidimensional).
     Index {
-        arr: Box<Expr>,
-        idxs: Vec<Expr>,
+        arr: Box<Expr<'src>>,
+        idxs: Vec<Expr<'src>>,
         pos: Pos,
     },
     /// `name(args)`, `expr.name(args)`, `Class.Name(args)`.
     Call {
-        target: Option<Box<Expr>>,
-        name: String,
-        args: Vec<Expr>,
+        target: Option<Box<Expr<'src>>>,
+        name: &'src str,
+        args: Vec<Expr<'src>>,
         pos: Pos,
     },
     New {
-        class: String,
-        args: Vec<Expr>,
+        class: &'src str,
+        args: Vec<Expr<'src>>,
         pos: Pos,
     },
     /// `new T[n]`, `new T[n][]` (jagged spine), `new T[n,m]`.
     NewArray {
-        elem: Ty,
-        dims: Vec<Expr>,
+        elem: Ty<'src>,
+        dims: Vec<Expr<'src>>,
         /// Trailing `[]` pairs: `new int[n][]` has 1.
         extra_ranks: u8,
         pos: Pos,
     },
     Cast {
-        ty: Ty,
-        expr: Box<Expr>,
+        ty: Ty<'src>,
+        expr: Box<Expr<'src>>,
         pos: Pos,
     },
     Un {
         op: UnKind,
-        expr: Box<Expr>,
+        expr: Box<Expr<'src>>,
         pos: Pos,
     },
     Bin {
         op: BinKind,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Box<Expr<'src>>,
+        rhs: Box<Expr<'src>>,
         pos: Pos,
     },
     /// Ternary `c ? a : b`.
     Cond {
-        cond: Box<Expr>,
-        then: Box<Expr>,
-        els: Box<Expr>,
+        cond: Box<Expr<'src>>,
+        then: Box<Expr<'src>>,
+        els: Box<Expr<'src>>,
         pos: Pos,
+    },
+    /// A hidden local of codegen's own, holding an address part that the
+    /// compound-assignment desugaring evaluates once; the parser never
+    /// produces one.
+    Temp {
+        slot: u16,
+        ty: Ty<'src>,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     pub fn pos(&self) -> Pos {
         match self {
             Expr::This(p) | Expr::Ident(_, p) => *p,
@@ -163,101 +174,101 @@ impl Expr {
 
 /// Statements.
 #[derive(Clone, Debug)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     Local {
-        ty: Ty,
-        name: String,
-        init: Option<Expr>,
+        ty: Ty<'src>,
+        name: &'src str,
+        init: Option<Expr<'src>>,
         pos: Pos,
     },
     /// Expression statement (a call).
-    Expr(Expr),
+    Expr(Expr<'src>),
     Assign {
-        target: Expr,
+        target: Expr<'src>,
         /// `Some(op)` for compound assignment (`+=` etc.).
         op: Option<BinKind>,
-        value: Expr,
+        value: Expr<'src>,
         pos: Pos,
     },
     /// `i++;` / `--i;` (value unused).
     IncDec {
-        target: Expr,
+        target: Expr<'src>,
         inc: bool,
         pos: Pos,
     },
     If {
-        cond: Expr,
-        then: Vec<Stmt>,
-        els: Option<Vec<Stmt>>,
+        cond: Expr<'src>,
+        then: Vec<Stmt<'src>>,
+        els: Option<Vec<Stmt<'src>>>,
     },
     While {
-        cond: Expr,
-        body: Vec<Stmt>,
+        cond: Expr<'src>,
+        body: Vec<Stmt<'src>>,
     },
     DoWhile {
-        body: Vec<Stmt>,
-        cond: Expr,
+        body: Vec<Stmt<'src>>,
+        cond: Expr<'src>,
     },
     For {
-        init: Option<Box<Stmt>>,
-        cond: Option<Expr>,
-        update: Option<Box<Stmt>>,
-        body: Vec<Stmt>,
+        init: Option<Box<Stmt<'src>>>,
+        cond: Option<Expr<'src>>,
+        update: Option<Box<Stmt<'src>>>,
+        body: Vec<Stmt<'src>>,
     },
     Break(Pos),
     Continue(Pos),
-    Return(Option<Expr>, Pos),
-    Throw(Expr, Pos),
+    Return(Option<Expr<'src>>, Pos),
+    Throw(Expr<'src>, Pos),
     Try {
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'src>>,
         /// `(exception class, binding name, handler)`
-        catch: Option<(String, String, Vec<Stmt>)>,
-        finally: Option<Vec<Stmt>>,
+        catch: Option<(&'src str, &'src str, Vec<Stmt<'src>>)>,
+        finally: Option<Vec<Stmt<'src>>>,
     },
     /// `lock (expr) { ... }` — sugar for Monitor.Enter/try/finally/Exit.
     Lock {
-        obj: Expr,
-        body: Vec<Stmt>,
+        obj: Expr<'src>,
+        body: Vec<Stmt<'src>>,
         pos: Pos,
     },
-    Block(Vec<Stmt>),
+    Block(Vec<Stmt<'src>>),
 }
 
 /// A field declaration.
 #[derive(Clone, Debug)]
-pub struct FieldDecl {
-    pub name: String,
-    pub ty: Ty,
+pub struct FieldDecl<'src> {
+    pub name: &'src str,
+    pub ty: Ty<'src>,
     pub is_static: bool,
     /// Static-field initializer (collected into the synthetic
     /// `$Startup.Init` method).
-    pub init: Option<Expr>,
+    pub init: Option<Expr<'src>>,
     pub pos: Pos,
 }
 
 /// A method declaration.
 #[derive(Clone, Debug)]
-pub struct MethodDecl {
-    pub name: String,
-    pub params: Vec<(Ty, String)>,
-    pub ret: Ty,
+pub struct MethodDecl<'src> {
+    pub name: &'src str,
+    pub params: Vec<(Ty<'src>, &'src str)>,
+    pub ret: Ty<'src>,
     pub kind: MKind,
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
     pub pos: Pos,
 }
 
 /// A class declaration.
 #[derive(Clone, Debug)]
-pub struct ClassDecl {
-    pub name: String,
-    pub base: Option<String>,
-    pub fields: Vec<FieldDecl>,
-    pub methods: Vec<MethodDecl>,
+pub struct ClassDecl<'src> {
+    pub name: &'src str,
+    pub base: Option<&'src str>,
+    pub fields: Vec<FieldDecl<'src>>,
+    pub methods: Vec<MethodDecl<'src>>,
     pub pos: Pos,
 }
 
 /// A compilation unit.
 #[derive(Clone, Debug, Default)]
-pub struct Program {
-    pub classes: Vec<ClassDecl>,
+pub struct Program<'src> {
+    pub classes: Vec<ClassDecl<'src>>,
 }

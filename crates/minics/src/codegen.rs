@@ -39,52 +39,60 @@ fn err<T>(pos: Pos, message: impl Into<String>) -> Result<T> {
 /// Builtin static classes whose methods map to runtime intrinsics.
 const BUILTIN_CLASSES: &[&str] = &["Math", "Console", "Sys", "Monitor", "Serial"];
 
-#[derive(Clone, Debug)]
-struct MethodInfo {
+#[derive(Debug)]
+struct MethodInfo<'src> {
     id: MethodId,
-    params: Vec<Ty>,
-    ret: Ty,
+    params: Vec<Ty<'src>>,
+    ret: Ty<'src>,
     is_static: bool,
     is_virtual: bool,
 }
 
-#[derive(Clone, Debug)]
-struct FieldInfo {
+#[derive(Debug)]
+struct FieldInfo<'src> {
     id: FieldId,
-    ty: Ty,
+    ty: Ty<'src>,
     is_static: bool,
 }
 
+/// Declared names, keyed by the source's own text: a lookup builds no
+/// key. Member lookups take the member name as `&'src str`, so the
+/// `(class, member)` key is made of two borrows of the source.
 #[derive(Default)]
-struct SymTab {
-    classes: HashMap<String, ClassId>,
-    bases: HashMap<String, Option<String>>,
-    methods: HashMap<(String, String), MethodInfo>,
-    fields: HashMap<(String, String), FieldInfo>,
+struct SymTab<'src> {
+    classes: HashMap<&'src str, ClassId>,
+    bases: HashMap<&'src str, Option<&'src str>>,
+    methods: HashMap<(&'src str, &'src str), MethodInfo<'src>>,
+    fields: HashMap<(&'src str, &'src str), FieldInfo<'src>>,
 }
 
-impl SymTab {
-    fn resolve_method<'s>(&'s self, class: &str, name: &str) -> Option<(&'s str, &'s MethodInfo)> {
-        let mut cur: Option<&'s str> = self.bases.get_key_value(class).map(|(k, _)| k.as_str());
-        if cur.is_none() {
-            return None;
-        }
+impl<'src> SymTab<'src> {
+    fn base_of(&self, class: &str) -> Option<&'src str> {
+        self.bases.get(class).copied().flatten()
+    }
+
+    fn resolve_method(
+        &self,
+        class: &str,
+        name: &'src str,
+    ) -> Option<(&'src str, &MethodInfo<'src>)> {
+        let mut cur = self.bases.get_key_value(class).map(|(k, _)| *k);
         while let Some(c) = cur {
-            if let Some(mi) = self.methods.get(&(c.to_string(), name.to_string())) {
+            if let Some(mi) = self.methods.get(&(c, name)) {
                 return Some((c, mi));
             }
-            cur = self.bases.get(c).and_then(|b| b.as_deref());
+            cur = self.base_of(c);
         }
         None
     }
 
-    fn resolve_field(&self, class: &str, name: &str) -> Option<&FieldInfo> {
+    fn resolve_field(&self, class: &'src str, name: &'src str) -> Option<&FieldInfo<'src>> {
         let mut cur = Some(class);
         while let Some(c) = cur {
-            if let Some(fi) = self.fields.get(&(c.to_string(), name.to_string())) {
+            if let Some(fi) = self.fields.get(&(c, name)) {
                 return Some(fi);
             }
-            cur = self.bases.get(c).and_then(|b| b.as_deref());
+            cur = self.base_of(c);
         }
         None
     }
@@ -95,7 +103,7 @@ impl SymTab {
             if c == sup {
                 return true;
             }
-            cur = self.bases.get(c).and_then(|b| b.as_deref());
+            cur = self.base_of(c);
         }
         false
     }
@@ -147,7 +155,7 @@ fn is_ref(ty: &Ty) -> bool {
 }
 
 /// C# "usual arithmetic conversions".
-fn promote(a: &Ty, b: &Ty) -> Option<Ty> {
+fn promote<'src>(a: &Ty<'src>, b: &Ty<'src>) -> Option<Ty<'src>> {
     if !is_numeric(a) || !is_numeric(b) {
         return None;
     }
@@ -192,17 +200,17 @@ pub fn emit(prog: &Program) -> Result<Module> {
         // `.ctor`, into this builder just above, and no user class is
         // declared yet: neither lookup can miss.
         let id = mb.class_id(name).expect("the prelude declares it");
-        st.classes.insert(name.to_string(), id);
+        st.classes.insert(name, id);
         st.bases.insert(
-            name.to_string(),
+            name,
             if name == EXCEPTION_CLASS {
                 None
             } else {
-                Some(EXCEPTION_CLASS.to_string())
+                Some(EXCEPTION_CLASS)
             },
         );
         st.methods.insert(
-            (name.to_string(), ".ctor".to_string()),
+            (name, ".ctor"),
             MethodInfo {
                 id: mb
                     .method_id(&format!("{name}..ctor"))
@@ -217,18 +225,18 @@ pub fn emit(prog: &Program) -> Result<Module> {
 
     // Phase A1: declare classes.
     for c in &prog.classes {
-        if BUILTIN_CLASSES.contains(&c.name.as_str()) {
+        if BUILTIN_CLASSES.contains(&c.name) {
             return err(c.pos, format!("{} is a reserved builtin class", c.name));
         }
-        if st.classes.contains_key(&c.name) {
+        if st.classes.contains_key(c.name) {
             return err(c.pos, format!("duplicate class {}", c.name));
         }
-        let id = mb.declare_class(&c.name, c.base.as_deref());
-        st.classes.insert(c.name.clone(), id);
-        st.bases.insert(c.name.clone(), c.base.clone());
+        let id = mb.declare_class(c.name, c.base);
+        st.classes.insert(c.name, id);
+        st.bases.insert(c.name, c.base);
     }
     for c in &prog.classes {
-        if let Some(b) = &c.base {
+        if let Some(b) = c.base {
             if !st.classes.contains_key(b) {
                 return err(c.pos, format!("unknown base class {b}"));
             }
@@ -237,8 +245,8 @@ pub fn emit(prog: &Program) -> Result<Module> {
     // Every base chain must end; reported at the first class met twice,
     // the one `ModuleBuilder::finish` would name.
     for c in &prog.classes {
-        let mut chain = vec![c.name.as_str()];
-        let mut base = c.base.as_deref();
+        let mut chain = vec![c.name];
+        let mut base = c.base;
         while let Some(b) = base {
             if chain.contains(&b) {
                 let at = prog.classes.iter().find(|k| k.name == b);
@@ -248,23 +256,23 @@ pub fn emit(prog: &Program) -> Result<Module> {
                 );
             }
             chain.push(b);
-            base = st.bases.get(b).and_then(|b| b.as_deref());
+            base = st.base_of(b);
         }
     }
 
     // Phase A2: fields.
     for c in &prog.classes {
-        let cid = st.classes[&c.name];
+        let cid = st.classes[c.name];
         for f in &c.fields {
             let cty = st.cil_ty(&f.ty, f.pos)?;
             if cty == CilType::Void {
                 return err(f.pos, "field cannot be void");
             }
-            let fid = mb.add_field(cid, &f.name, cty, f.is_static);
+            let fid = mb.add_field(cid, f.name, cty, f.is_static);
             if st
                 .fields
                 .insert(
-                    (c.name.clone(), f.name.clone()),
+                    (c.name, f.name),
                     FieldInfo {
                         id: fid,
                         ty: f.ty.clone(),
@@ -280,12 +288,12 @@ pub fn emit(prog: &Program) -> Result<Module> {
 
     // Phase A3: method signatures (empty bodies for now).
     for c in &prog.classes {
-        let cid = st.classes[&c.name];
+        let cid = st.classes[c.name];
         let mut has_ctor = false;
         for m in &c.methods {
             // MiniC# has no overloading: one name, one method. Checked
             // before the builder sees the name, which asserts uniqueness.
-            let key = (c.name.clone(), m.name.clone());
+            let key = (c.name, m.name);
             if st.methods.contains_key(&key) {
                 return err(m.pos, format!("duplicate method {}.{}", c.name, m.name));
             }
@@ -310,7 +318,7 @@ pub fn emit(prog: &Program) -> Result<Module> {
             let ret = st.cil_ty(&m.ret, m.pos)?;
             // Override signature checks against the base virtual.
             if m.kind == MKind::Override {
-                match st.resolve_method(c.base.as_deref().unwrap_or(""), &m.name) {
+                match st.resolve_method(c.base.unwrap_or(""), m.name) {
                     Some((_, base)) if base.is_virtual => {
                         if base.params != m.params.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>()
                             || base.ret != m.ret
@@ -321,7 +329,7 @@ pub fn emit(prog: &Program) -> Result<Module> {
                     _ => return err(m.pos, format!("override {} has no base virtual", m.name)),
                 }
             }
-            let id = mb.method(cid, &m.name, params, ret, kind).finish();
+            let id = mb.method(cid, m.name, params, ret, kind).finish();
             st.methods.insert(
                 key,
                 MethodInfo {
@@ -339,7 +347,7 @@ pub fn emit(prog: &Program) -> Result<Module> {
             f.ret();
             let id = f.finish();
             st.methods.insert(
-                (c.name.clone(), ".ctor".to_string()),
+                (c.name, ".ctor"),
                 MethodInfo {
                     id,
                     params: vec![],
@@ -357,15 +365,15 @@ pub fn emit(prog: &Program) -> Result<Module> {
     let init_id = mb
         .method(startup, "Init", vec![], CilType::Void, MethodKind::Static)
         .finish();
-    st.classes.insert("$Startup".into(), startup);
-    st.bases.insert("$Startup".into(), None);
+    st.classes.insert("$Startup", startup);
+    st.bases.insert("$Startup", None);
 
     // Phase B: bodies.
     for c in &prog.classes {
         for m in &c.methods {
-            let id = st.methods[&(c.name.clone(), m.name.clone())].id;
+            let id = st.methods[&(c.name, m.name)].id;
             let f = mb.rebuild_method(id);
-            let g = Gen::new(f, &st, &c.name, m)?;
+            let g = Gen::new(f, &st, c.name, m)?;
             g.gen_body()?;
         }
     }
@@ -373,7 +381,7 @@ pub fn emit(prog: &Program) -> Result<Module> {
     {
         let f = mb.rebuild_method(init_id);
         let synthetic = MethodDecl {
-            name: "Init".into(),
+            name: "Init",
             params: vec![],
             ret: Ty::Void,
             kind: MKind::Static,
@@ -384,11 +392,11 @@ pub fn emit(prog: &Program) -> Result<Module> {
         for c in &prog.classes {
             for fd in &c.fields {
                 if let Some(init) = &fd.init {
-                    g.class = c.name.clone();
+                    g.class = c.name;
                     let ty = g.gen_expr(init)?;
                     g.convert(&ty, &fd.ty, fd.pos)?;
-                    let fi = g.st.fields[&(c.name.clone(), fd.name.clone())].clone();
-                    g.f.emit(Op::StSFld(fi.id));
+                    let id = g.st.fields[&(c.name, fd.name)].id;
+                    g.f.emit(Op::StSFld(id));
                 }
             }
         }
@@ -399,47 +407,55 @@ pub fn emit(prog: &Program) -> Result<Module> {
     Ok(mb.finish())
 }
 
+/// The value side of an assignment: an expression, or the `target op
+/// value` a compound assignment stands for, read from the tree in place.
+#[derive(Clone, Copy)]
+enum Value<'e, 'src> {
+    Expr(&'e Expr<'src>),
+    Bin(BinKind, &'e Expr<'src>, &'e Expr<'src>, Pos),
+}
+
 /// Per-method code generator.
-struct Gen<'a, 'm> {
+struct Gen<'a, 'm, 'src> {
     f: MethodBuilder<'m>,
-    st: &'a SymTab,
-    class: String,
+    st: &'a SymTab<'src>,
+    class: &'src str,
     is_static: bool,
-    ret: Ty,
+    ret: Ty<'src>,
     /// name → (arg index, type); receiver occupies index 0 for instance.
-    params: Vec<(String, u16, Ty)>,
+    params: Vec<(&'src str, u16, Ty<'src>)>,
     /// lexical scopes of locals.
-    scopes: Vec<Vec<(String, u16, Ty)>>,
+    scopes: Vec<Vec<(&'src str, u16, Ty<'src>)>>,
     /// (continue target, break target, try depth at loop entry)
     loops: Vec<(Label, Label, u32)>,
     try_depth: u32,
     /// Lazily created return plumbing for returns inside protected regions.
     ret_label: Option<Label>,
     ret_temp: Option<u16>,
-    body: &'a [Stmt],
+    body: &'a [Stmt<'src>],
     pos: Pos,
 }
 
-impl<'a, 'm> Gen<'a, 'm> {
+impl<'a, 'm, 'src> Gen<'a, 'm, 'src> {
     fn new(
         f: MethodBuilder<'m>,
-        st: &'a SymTab,
-        class: &str,
-        m: &'a MethodDecl,
-    ) -> Result<Gen<'a, 'm>> {
+        st: &'a SymTab<'src>,
+        class: &'src str,
+        m: &'a MethodDecl<'src>,
+    ) -> Result<Gen<'a, 'm, 'src>> {
         let is_static = m.kind == MKind::Static;
-        let mut params: Vec<(String, u16, Ty)> = Vec::new();
+        let mut params: Vec<(&'src str, u16, Ty<'src>)> = Vec::new();
         let arg_base = if is_static { 0 } else { 1 };
-        for (i, (t, n)) in m.params.iter().enumerate() {
-            if params.iter().any(|(pn, ..)| pn == n) {
+        for (i, &(ref t, n)) in m.params.iter().enumerate() {
+            if params.iter().any(|&(pn, ..)| pn == n) {
                 return err(m.pos, format!("duplicate parameter {n}"));
             }
-            params.push((n.clone(), (arg_base + i) as u16, t.clone()));
+            params.push((n, (arg_base + i) as u16, t.clone()));
         }
         Ok(Gen {
             f,
             st,
-            class: class.to_string(),
+            class,
             is_static,
             ret: m.ret.clone(),
             params,
@@ -497,13 +513,13 @@ impl<'a, 'm> Gen<'a, 'm> {
         self.scopes.pop();
     }
 
-    /// `scopes` is never empty, so `last` cannot miss here or in
-    /// [`Gen::temp_expr`]: it starts with the method's outermost scope,
-    /// and every `pop_scope` follows its own `push_scope` in the same
-    /// statement arm (a `?` between them only leaves scopes pushed).
-    fn declare_local(&mut self, name: &str, ty: Ty, pos: Pos) -> Result<u16> {
+    /// `scopes` is never empty, so `last` cannot miss here: it starts
+    /// with the method's outermost scope, and every `pop_scope` follows
+    /// its own `push_scope` in the same statement arm (a `?` between them
+    /// only leaves scopes pushed).
+    fn declare_local(&mut self, name: &'src str, ty: Ty<'src>, pos: Pos) -> Result<u16> {
         let innermost = self.scopes.last().expect("the outermost scope stays");
-        if innermost.iter().any(|(n, ..)| n == name) {
+        if innermost.iter().any(|&(n, ..)| n == name) {
             return err(pos, format!("duplicate local {name}"));
         }
         let cty = self.st.cil_ty(&ty, pos)?;
@@ -511,23 +527,23 @@ impl<'a, 'm> Gen<'a, 'm> {
         self.scopes
             .last_mut()
             .expect("the outermost scope stays")
-            .push((name.to_string(), slot, ty));
+            .push((name, slot, ty));
         Ok(slot)
     }
 
-    fn lookup_local(&self, name: &str) -> Option<(u16, Ty)> {
+    fn lookup_local(&self, name: &str) -> Option<(u16, Ty<'src>)> {
         for scope in self.scopes.iter().rev() {
-            if let Some((_, slot, ty)) = scope.iter().rev().find(|(n, ..)| n == name) {
+            if let Some((_, slot, ty)) = scope.iter().rev().find(|&&(n, ..)| n == name) {
                 return Some((*slot, ty.clone()));
             }
         }
         None
     }
 
-    fn lookup_param(&self, name: &str) -> Option<(u16, Ty)> {
+    fn lookup_param(&self, name: &str) -> Option<(u16, Ty<'src>)> {
         self.params
             .iter()
-            .find(|(n, ..)| n == name)
+            .find(|&&(n, ..)| n == name)
             .map(|(_, i, t)| (*i, t.clone()))
     }
 
@@ -565,7 +581,7 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(())
     }
 
-    fn unify(&self, a: &Ty, b: &Ty, pos: Pos) -> Result<Ty> {
+    fn unify(&self, a: &Ty<'src>, b: &Ty<'src>, pos: Pos) -> Result<Ty<'src>> {
         if a == b {
             return Ok(a.clone());
         }
@@ -594,7 +610,7 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     // ---- expression emission ----
 
-    fn gen_expr(&mut self, e: &Expr) -> Result<Ty> {
+    fn gen_expr(&mut self, e: &Expr<'src>) -> Result<Ty<'src>> {
         match e {
             Expr::Int(v) => {
                 self.f.ldc_i4(*v);
@@ -629,7 +645,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                     return err(*p, "this in static context");
                 }
                 self.f.ld_arg(0);
-                Ok(Ty::Class(self.class.clone()))
+                Ok(Ty::Class(self.class))
             }
             Expr::Ident(name, p) => {
                 if let Some((slot, ty)) = self.lookup_local(name) {
@@ -640,7 +656,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                     self.f.ld_arg(idx);
                     return Ok(ty);
                 }
-                if let Some(fi) = self.st.resolve_field(&self.class, name).cloned() {
+                if let Some(fi) = self.st.resolve_field(self.class, name) {
                     if fi.is_static {
                         self.f.emit(Op::LdSFld(fi.id));
                     } else {
@@ -650,7 +666,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                         self.f.ld_arg(0);
                         self.f.emit(Op::LdFld(fi.id));
                     }
-                    return Ok(fi.ty);
+                    return Ok(fi.ty.clone());
                 }
                 err(*p, format!("unknown name {name}"))
             }
@@ -683,7 +699,7 @@ impl<'a, 'm> Gen<'a, 'm> {
             Expr::Call { target, name, args, pos } => self.gen_call(target, name, args, *pos),
             Expr::New { class, args, pos } => {
                 let mi = match self.st.resolve_method(class, ".ctor") {
-                    Some((owner, mi)) if owner == class => mi.clone(),
+                    Some((owner, mi)) if owner == *class => mi,
                     _ => return err(*pos, format!("unknown class {class}")),
                 };
                 if mi.params.len() != args.len() {
@@ -694,7 +710,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                     self.convert(&at, pt, a.pos())?;
                 }
                 self.f.emit(Op::NewObj(mi.id));
-                Ok(Ty::Class(class.clone()))
+                Ok(Ty::Class(class))
             }
             Expr::NewArray { elem, dims, extra_ranks, pos } => {
                 let mut elem_ty = elem.clone();
@@ -765,6 +781,10 @@ impl<'a, 'm> Gen<'a, 'm> {
                 self.f.place(l_end);
                 Ok(ty)
             }
+            Expr::Temp { slot, ty } => {
+                self.f.ld_loc(*slot);
+                Ok(ty.clone())
+            }
         }
     }
 
@@ -826,7 +846,13 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(())
     }
 
-    fn gen_bin(&mut self, op: BinKind, lhs: &Expr, rhs: &Expr, pos: Pos) -> Result<Ty> {
+    fn gen_bin(
+        &mut self,
+        op: BinKind,
+        lhs: &Expr<'src>,
+        rhs: &Expr<'src>,
+        pos: Pos,
+    ) -> Result<Ty<'src>> {
         use BinKind::*;
         if matches!(op, AndAnd | OrOr) {
             // Value form via short-circuit branches: `&&` jumps to 0 when
@@ -953,7 +979,7 @@ impl<'a, 'm> Gen<'a, 'm> {
     /// Emit a conditional branch: jump to `target` when `cond` evaluates
     /// to `jump_if_true`. Emits fused compare-branches for comparisons —
     /// the canonical loop shape the engines' BCE pattern expects.
-    fn gen_branch(&mut self, cond: &Expr, target: Label, jump_if_true: bool) -> Result<()> {
+    fn gen_branch(&mut self, cond: &Expr<'src>, target: Label, jump_if_true: bool) -> Result<()> {
         if let Expr::Bin { op, lhs, rhs, pos } = cond {
             if let Some(cmp) = cmp_op(*op) {
                 let lt = self.gen_expr(lhs)?;
@@ -1013,9 +1039,14 @@ impl<'a, 'm> Gen<'a, 'm> {
         }
     }
 
-    fn gen_field_load(&mut self, obj: &Expr, name: &str, pos: Pos) -> Result<Ty> {
+    fn gen_field_load(
+        &mut self,
+        obj: &Expr<'src>,
+        name: &'src str,
+        pos: Pos,
+    ) -> Result<Ty<'src>> {
         // Math constants and static fields through a class name.
-        if let Expr::Ident(cname, _) = obj {
+        if let &Expr::Ident(cname, _) = obj {
             if cname == "Math" && name == "PI" {
                 self.f.ldc_r8(std::f64::consts::PI);
                 return Ok(Ty::Double);
@@ -1028,10 +1059,10 @@ impl<'a, 'm> Gen<'a, 'm> {
                 && self.lookup_param(cname).is_none()
                 && self.st.classes.contains_key(cname)
             {
-                return match self.st.resolve_field(cname, name).cloned() {
+                return match self.st.resolve_field(cname, name) {
                     Some(fi) if fi.is_static => {
                         self.f.emit(Op::LdSFld(fi.id));
-                        Ok(fi.ty)
+                        Ok(fi.ty.clone())
                     }
                     _ => err(pos, format!("no static field {cname}.{name}")),
                 };
@@ -1053,10 +1084,10 @@ impl<'a, 'm> Gen<'a, 'm> {
                 self.f.intrinsic(Intrinsic::StrLen);
                 Ok(Ty::Int)
             }
-            (Ty::Class(c), _) => match self.st.resolve_field(c, name).cloned() {
+            (Ty::Class(c), _) => match self.st.resolve_field(c, name) {
                 Some(fi) if !fi.is_static => {
                     self.f.emit(Op::LdFld(fi.id));
-                    Ok(fi.ty)
+                    Ok(fi.ty.clone())
                 }
                 Some(_) => err(pos, format!("{name} is static; access via {c}.{name}")),
                 None => err(pos, format!("no field {name} on {c}")),
@@ -1067,14 +1098,14 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     fn gen_call(
         &mut self,
-        target: &Option<Box<Expr>>,
-        name: &str,
-        args: &[Expr],
+        target: &Option<Box<Expr<'src>>>,
+        name: &'src str,
+        args: &[Expr<'src>],
         pos: Pos,
-    ) -> Result<Ty> {
+    ) -> Result<Ty<'src>> {
         if let Some(t) = target {
-            if let Expr::Ident(cname, _) = t.as_ref() {
-                if BUILTIN_CLASSES.contains(&cname.as_str()) {
+            if let &Expr::Ident(cname, _) = t.as_ref() {
+                if BUILTIN_CLASSES.contains(&cname) {
                     return self.gen_builtin(cname, name, args, pos);
                 }
                 if self.lookup_local(cname).is_none()
@@ -1082,10 +1113,10 @@ impl<'a, 'm> Gen<'a, 'm> {
                     && self.st.classes.contains_key(cname)
                 {
                     let mi = match self.st.resolve_method(cname, name) {
-                        Some((_, mi)) if mi.is_static => mi.clone(),
+                        Some((_, mi)) if mi.is_static => mi,
                         _ => return err(pos, format!("no static method {cname}.{name}")),
                     };
-                    return self.emit_invocation(&mi, false, args, pos);
+                    return self.emit_invocation(mi, false, args, pos);
                 }
             }
             let oty = self.gen_expr(t)?;
@@ -1105,13 +1136,13 @@ impl<'a, 'm> Gen<'a, 'm> {
                 return err(pos, format!("no method {name} on {oty:?}"));
             };
             let mi = match self.st.resolve_method(c, name) {
-                Some((_, mi)) if !mi.is_static => mi.clone(),
+                Some((_, mi)) if !mi.is_static => mi,
                 _ => return err(pos, format!("no method {name} on {c}")),
             };
-            self.emit_invocation(&mi, true, args, pos)
+            self.emit_invocation(mi, true, args, pos)
         } else {
-            let mi = match self.st.resolve_method(&self.class, name) {
-                Some((_, mi)) => mi.clone(),
+            let mi = match self.st.resolve_method(self.class, name) {
+                Some((_, mi)) => mi,
                 None => return err(pos, format!("unknown method {name}")),
             };
             if !mi.is_static {
@@ -1120,7 +1151,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                 }
                 self.f.ld_arg(0);
             }
-            self.emit_invocation(&mi, !mi.is_static, args, pos)
+            self.emit_invocation(mi, !mi.is_static, args, pos)
         }
     }
 
@@ -1128,11 +1159,11 @@ impl<'a, 'm> Gen<'a, 'm> {
     /// receiver was emitted before them.
     fn emit_invocation(
         &mut self,
-        mi: &MethodInfo,
+        mi: &MethodInfo<'src>,
         has_receiver: bool,
-        args: &[Expr],
+        args: &[Expr<'src>],
         pos: Pos,
-    ) -> Result<Ty> {
+    ) -> Result<Ty<'src>> {
         if mi.params.len() != args.len() {
             return err(pos, format!("expected {} arguments", mi.params.len()));
         }
@@ -1148,7 +1179,13 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(mi.ret.clone())
     }
 
-    fn gen_builtin(&mut self, class: &str, name: &str, args: &[Expr], pos: Pos) -> Result<Ty> {
+    fn gen_builtin(
+        &mut self,
+        class: &str,
+        name: &str,
+        args: &[Expr<'src>],
+        pos: Pos,
+    ) -> Result<Ty<'src>> {
         use Intrinsic::*;
         let argn = args.len();
         macro_rules! want {
@@ -1159,7 +1196,7 @@ impl<'a, 'm> Gen<'a, 'm> {
             };
         }
         // One double argument, double result.
-        let unary_r8 = |g: &mut Self, i: Intrinsic, args: &[Expr]| -> Result<Ty> {
+        let unary_r8 = |g: &mut Self, i: Intrinsic, args: &[Expr<'src>]| -> Result<Ty<'src>> {
             let t = g.gen_expr(&args[0])?;
             g.convert(&t, &Ty::Double, args[0].pos())?;
             g.f.intrinsic(i);
@@ -1353,7 +1390,7 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     // ---- statements ----
 
-    fn gen_stmt(&mut self, s: &Stmt) -> Result<()> {
+    fn gen_stmt(&mut self, s: &Stmt<'src>) -> Result<()> {
         match s {
             Stmt::Local { ty, name, init, pos } => {
                 let slot = self.declare_local(name, ty.clone(), *pos)?;
@@ -1372,7 +1409,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                 Ok(())
             }
             Stmt::Assign { target, op, value, pos } => match op {
-                None => self.gen_plain_assign(target, value, *pos),
+                None => self.gen_plain_assign(target, Value::Expr(value), *pos),
                 Some(binop) => self.gen_compound_assign(target, *binop, value, *pos),
             },
             Stmt::IncDec { target, inc, pos } => {
@@ -1603,9 +1640,9 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     fn gen_try(
         &mut self,
-        body: &[Stmt],
-        catch: &Option<(String, String, Vec<Stmt>)>,
-        finally: &Option<Vec<Stmt>>,
+        body: &[Stmt<'src>],
+        catch: &Option<(&'src str, &'src str, Vec<Stmt<'src>>)>,
+        finally: &Option<Vec<Stmt<'src>>>,
     ) -> Result<()> {
         let done = self.f.new_label();
         let (f_ts, f_te, f_hs, f_he) = (
@@ -1619,7 +1656,7 @@ impl<'a, 'm> Gen<'a, 'm> {
             self.try_depth += 1;
         }
         // Inner try/catch (when a catch exists).
-        if let Some((class, var, handler)) = catch {
+        if let &Some((class, var, ref handler)) = catch {
             let cls_id = *self
                 .st
                 .classes
@@ -1648,7 +1685,7 @@ impl<'a, 'm> Gen<'a, 'm> {
             self.f.place(hs);
             // Handler: exception is on the stack.
             self.push_scope();
-            let slot = self.declare_local(var, Ty::Class(class.clone()), self.pos)?;
+            let slot = self.declare_local(var, Ty::Class(class), self.pos)?;
             self.f.st_loc(slot);
             for s in handler {
                 self.gen_stmt(s)?;
@@ -1682,33 +1719,43 @@ impl<'a, 'm> Gen<'a, 'm> {
         Ok(())
     }
 
-    fn gen_plain_assign(&mut self, target: &Expr, value: &Expr, pos: Pos) -> Result<()> {
+    /// Emit `value` converted to `to`, the type of what it is assigned to.
+    fn gen_value(&mut self, value: Value<'_, 'src>, to: &Ty<'src>) -> Result<()> {
+        let (vt, pos) = match value {
+            Value::Expr(e) => (self.gen_expr(e)?, e.pos()),
+            Value::Bin(op, lhs, rhs, pos) => (self.gen_bin(op, lhs, rhs, pos)?, pos),
+        };
+        self.convert(&vt, to, pos)
+    }
+
+    fn gen_plain_assign(
+        &mut self,
+        target: &Expr<'src>,
+        value: Value<'_, 'src>,
+        pos: Pos,
+    ) -> Result<()> {
         match target {
             Expr::Ident(name, p) => {
                 if let Some((slot, ty)) = self.lookup_local(name) {
-                    let vt = self.gen_expr(value)?;
-                    self.convert(&vt, &ty, value.pos())?;
+                    self.gen_value(value, &ty)?;
                     self.f.st_loc(slot);
                     return Ok(());
                 }
                 if let Some((idx, ty)) = self.lookup_param(name) {
-                    let vt = self.gen_expr(value)?;
-                    self.convert(&vt, &ty, value.pos())?;
+                    self.gen_value(value, &ty)?;
                     self.f.st_arg(idx);
                     return Ok(());
                 }
-                if let Some(fi) = self.st.resolve_field(&self.class, name).cloned() {
+                if let Some(fi) = self.st.resolve_field(self.class, name) {
                     if fi.is_static {
-                        let vt = self.gen_expr(value)?;
-                        self.convert(&vt, &fi.ty, value.pos())?;
+                        self.gen_value(value, &fi.ty)?;
                         self.f.emit(Op::StSFld(fi.id));
                     } else {
                         if self.is_static {
                             return err(*p, format!("instance field {name} in static context"));
                         }
                         self.f.ld_arg(0);
-                        let vt = self.gen_expr(value)?;
-                        self.convert(&vt, &fi.ty, value.pos())?;
+                        self.gen_value(value, &fi.ty)?;
                         self.f.emit(Op::StFld(fi.id));
                     }
                     return Ok(());
@@ -1722,27 +1769,25 @@ impl<'a, 'm> Gen<'a, 'm> {
                         && self.lookup_param(cname).is_none()
                         && self.st.classes.contains_key(cname)
                     {
-                        let fi = match self.st.resolve_field(cname, name).cloned() {
+                        let fi = match self.st.resolve_field(cname, name) {
                             Some(fi) if fi.is_static => fi,
                             _ => return err(*fp, format!("no static field {cname}.{name}")),
                         };
-                        let vt = self.gen_expr(value)?;
-                        self.convert(&vt, &fi.ty, value.pos())?;
+                        self.gen_value(value, &fi.ty)?;
                         self.f.emit(Op::StSFld(fi.id));
                         return Ok(());
                     }
                 }
                 let oty = self.gen_expr(obj)?;
-                let c = match &oty {
-                    Ty::Class(c) => c.clone(),
+                let c = match oty {
+                    Ty::Class(c) => c,
                     _ => return err(*fp, format!("no assignable field {name} on {oty:?}")),
                 };
-                let fi = match self.st.resolve_field(&c, name).cloned() {
+                let fi = match self.st.resolve_field(c, name) {
                     Some(fi) if !fi.is_static => fi,
                     _ => return err(*fp, format!("no field {name} on {c}")),
                 };
-                let vt = self.gen_expr(value)?;
-                self.convert(&vt, &fi.ty, value.pos())?;
+                self.gen_value(value, &fi.ty)?;
                 self.f.emit(Op::StFld(fi.id));
                 Ok(())
             }
@@ -1752,8 +1797,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                     (Ty::Array(elem), 1) => {
                         let it = self.gen_expr(&idxs[0])?;
                         self.convert_index(&it, idxs[0].pos())?;
-                        let vt = self.gen_expr(value)?;
-                        self.convert(&vt, elem, value.pos())?;
+                        self.gen_value(value, elem)?;
                         let cty = self.st.cil_ty(elem, *ip)?;
                         self.f.emit(Op::StElem(elem_kind_of(&cty)));
                         Ok(())
@@ -1763,8 +1807,7 @@ impl<'a, 'm> Gen<'a, 'm> {
                             let it = self.gen_expr(idx)?;
                             self.convert_index(&it, idx.pos())?;
                         }
-                        let vt = self.gen_expr(value)?;
-                        self.convert(&vt, elem, value.pos())?;
+                        self.gen_value(value, elem)?;
                         let cty = self.st.cil_ty(elem, *ip)?;
                         self.f.emit(Op::StElemMulti {
                             kind: elem_kind_of(&cty),
@@ -1781,9 +1824,9 @@ impl<'a, 'm> Gen<'a, 'm> {
 
     fn gen_compound_assign(
         &mut self,
-        target: &Expr,
+        target: &Expr<'src>,
         op: BinKind,
-        value: &Expr,
+        value: &Expr<'src>,
         pos: Pos,
     ) -> Result<()> {
         // Desugar `t op= v` while evaluating the target's address parts
@@ -1803,29 +1846,15 @@ impl<'a, 'm> Gen<'a, 'm> {
                         let oty = self.gen_expr(obj)?;
                         let tmp = self.hidden_temp(&oty, *fp)?;
                         self.f.st_loc(tmp);
-                        let obj2 = self.temp_expr(tmp, &oty);
                         let new_target = Expr::Field {
-                            obj: Box::new(obj2.clone()),
-                            name: name.clone(),
+                            obj: Box::new(Expr::Temp { slot: tmp, ty: oty }),
+                            name,
                             pos: *fp,
                         };
-                        let rhs = Expr::Bin {
-                            op,
-                            lhs: Box::new(new_target.clone()),
-                            rhs: Box::new(value.clone()),
-                            pos,
-                        };
-                        self.gen_plain_assign(&new_target, &rhs, pos)
+                        let rhs = Value::Bin(op, &new_target, value, pos);
+                        self.gen_plain_assign(&new_target, rhs, pos)
                     }
-                    _ => {
-                        let rhs = Expr::Bin {
-                            op,
-                            lhs: Box::new(target.clone()),
-                            rhs: Box::new(value.clone()),
-                            pos,
-                        };
-                        self.gen_plain_assign(target, &rhs, pos)
-                    }
+                    _ => self.gen_plain_assign(target, Value::Bin(op, target, value, pos), pos),
                 }
             }
             Expr::Index { arr, idxs, pos: ip } => {
@@ -1839,36 +1868,17 @@ impl<'a, 'm> Gen<'a, 'm> {
                     let got = self.gen_expr(idx)?;
                     self.convert_index(&got, idx.pos())?;
                     self.f.st_loc(t);
-                    idx_exprs.push(self.temp_expr(t, &Ty::Int));
+                    idx_exprs.push(Expr::Temp { slot: t, ty: Ty::Int });
                 }
                 let new_target = Expr::Index {
-                    arr: Box::new(self.temp_expr(atmp, &aty)),
+                    arr: Box::new(Expr::Temp { slot: atmp, ty: aty }),
                     idxs: idx_exprs,
                     pos: *ip,
                 };
-                let rhs = Expr::Bin {
-                    op,
-                    lhs: Box::new(new_target.clone()),
-                    rhs: Box::new(value.clone()),
-                    pos,
-                };
-                self.gen_plain_assign(&new_target, &rhs, pos)
+                let rhs = Value::Bin(op, &new_target, value, pos);
+                self.gen_plain_assign(&new_target, rhs, pos)
             }
             other => err(pos, format!("not an assignable expression: {other:?}")),
         }
-    }
-
-    /// A synthetic identifier expression referring to a hidden temp.
-    fn temp_expr(&mut self, slot: u16, ty: &Ty) -> Expr {
-        // Register under an unutterable name in the innermost scope (there
-        // always is one: see `declare_local`).
-        let name = format!("$tmp{slot}");
-        if self.lookup_local(&name).is_none() {
-            self.scopes
-                .last_mut()
-                .expect("the outermost scope stays")
-                .push((name.clone(), slot, ty.clone()));
-        }
-        Expr::Ident(name, Pos { line: 0, col: 0 })
     }
 }

@@ -3,6 +3,11 @@
 //! Tokenizes the C# subset the benchmark ports are written in. Positions
 //! are tracked as line/column for diagnostics — porting two benchmark
 //! suites means a lot of compile errors worth reading.
+//!
+//! Identifiers borrow the source text (`Tok::Ident(&'src str)`), and so
+//! does every name the parser and codegen carry on: lexing allocates the
+//! token vector and one `String` per string literal, nothing per
+//! identifier.
 
 use std::fmt;
 
@@ -21,7 +26,7 @@ impl fmt::Display for Pos {
 
 /// Token kinds.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+pub enum Tok<'src> {
     // literals
     Int(i32),
     Long(i64),
@@ -32,7 +37,7 @@ pub enum Tok {
     False,
     Null,
     // identifiers & keywords
-    Ident(String),
+    Ident(&'src str),
     Class,
     Static,
     Virtual,
@@ -105,7 +110,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -118,8 +123,8 @@ impl fmt::Display for Tok {
 
 /// A token with its position.
 #[derive(Clone, Debug)]
-pub struct Token {
-    pub tok: Tok,
+pub struct Token<'src> {
+    pub tok: Tok<'src>,
     pub pos: Pos,
 }
 
@@ -136,7 +141,7 @@ impl fmt::Display for LexError {
     }
 }
 
-fn keyword(s: &str) -> Option<Tok> {
+fn keyword(s: &str) -> Option<Tok<'static>> {
     Some(match s {
         "class" => Tok::Class,
         "static" => Tok::Static,
@@ -169,22 +174,18 @@ fn keyword(s: &str) -> Option<Tok> {
         "true" => Tok::True,
         "false" => Tok::False,
         "null" => Tok::Null,
-        "public" | "private" | "internal" | "protected" | "sealed" => {
-            // Accessibility modifiers are accepted and ignored, easing
-            // direct ports of the Java Grande sources.
-            return None;
-        }
         _ => return None,
     })
 }
 
-/// Is the word an ignored modifier?
+/// Is the word an ignored modifier? Accessibility modifiers are accepted
+/// and dropped, easing direct ports of the Java Grande sources.
 fn ignored_modifier(s: &str) -> bool {
     matches!(s, "public" | "private" | "internal" | "protected" | "sealed")
 }
 
 /// Tokenize a full source file.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -389,7 +390,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 if ignored_modifier(word) {
                     continue;
                 }
-                let tok = keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string()));
+                let tok = keyword(word).unwrap_or(Tok::Ident(word));
                 out.push(Token { tok, pos: start });
             }
             _ => {
@@ -454,7 +455,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -487,16 +488,16 @@ mod tests {
         assert_eq!(
             toks("a += b << 2 >= c && !d"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::PlusAssign,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Shl,
                 Tok::Int(2),
                 Tok::Ge,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::AndAnd,
                 Tok::Not,
-                Tok::Ident("d".into()),
+                Tok::Ident("d"),
                 Tok::Eof
             ]
         );
@@ -506,7 +507,7 @@ mod tests {
     fn keywords_and_modifiers() {
         assert_eq!(
             toks("public static void Main"),
-            vec![Tok::Static, Tok::Void, Tok::Ident("Main".into()), Tok::Eof]
+            vec![Tok::Static, Tok::Void, Tok::Ident("Main"), Tok::Eof]
         );
     }
 

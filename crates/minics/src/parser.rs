@@ -1,4 +1,7 @@
 //! MiniC# recursive-descent parser.
+//!
+//! Names move from the tokens into the tree as `&'src str` borrows of the
+//! source; the parser allocates only the tree's own nodes and vectors.
 
 use crate::ast::*;
 use crate::lexer::{lex, Pos, Tok, Token};
@@ -20,7 +23,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parse a full compilation unit.
-pub fn parse(src: &str) -> Result<Program, ParseError> {
+pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
     let tokens = lex(src).map_err(|e| ParseError {
         pos: e.pos,
         message: e.message,
@@ -33,17 +36,17 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Ok(prog)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     at: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Tok<'src> {
         &self.tokens[self.at].tok
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'src> {
         &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].tok
     }
 
@@ -54,7 +57,7 @@ impl Parser {
     /// Consume the token at the cursor, moving it out: the parser never
     /// reads a consumed token again. The final `Eof` is never passed, so
     /// it reads as `Eof` however often it is consumed.
-    fn bump(&mut self) -> Tok {
+    fn bump(&mut self) -> Tok<'src> {
         let t = std::mem::replace(&mut self.tokens[self.at].tok, Tok::Eof);
         self.advance();
         t
@@ -94,9 +97,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        if let Tok::Ident(s) = &mut self.tokens[self.at].tok {
-            let s = std::mem::take(s);
+    fn ident(&mut self) -> Result<&'src str, ParseError> {
+        if let Tok::Ident(s) = self.tokens[self.at].tok {
             self.advance();
             return Ok(s);
         }
@@ -105,7 +107,7 @@ impl Parser {
 
     // ---- declarations ----
 
-    fn class_decl(&mut self) -> Result<ClassDecl, ParseError> {
+    fn class_decl(&mut self) -> Result<ClassDecl<'src>, ParseError> {
         let pos = self.pos();
         self.expect(&Tok::Class)?;
         let name = self.ident()?;
@@ -118,7 +120,7 @@ impl Parser {
         let mut fields = Vec::new();
         let mut methods = Vec::new();
         while !self.eat(&Tok::RBrace) {
-            self.member(&name, &mut fields, &mut methods)?;
+            self.member(name, &mut fields, &mut methods)?;
         }
         Ok(ClassDecl {
             name,
@@ -132,8 +134,8 @@ impl Parser {
     fn member(
         &mut self,
         class_name: &str,
-        fields: &mut Vec<FieldDecl>,
-        methods: &mut Vec<MethodDecl>,
+        fields: &mut Vec<FieldDecl<'src>>,
+        methods: &mut Vec<MethodDecl<'src>>,
     ) -> Result<(), ParseError> {
         let pos = self.pos();
         let mut is_static = false;
@@ -151,12 +153,12 @@ impl Parser {
         }
         // Constructor: `ClassName(...)`.
         if let Tok::Ident(id) = self.peek() {
-            if id == class_name && self.peek2() == &Tok::LParen {
+            if *id == class_name && self.peek2() == &Tok::LParen {
                 self.bump();
                 let params = self.params()?;
                 let body = self.block()?;
                 methods.push(MethodDecl {
-                    name: ".ctor".into(),
+                    name: ".ctor",
                     params,
                     ret: Ty::Void,
                     kind: MKind::Ctor,
@@ -226,7 +228,7 @@ impl Parser {
         Ok(())
     }
 
-    fn params(&mut self) -> Result<Vec<(Ty, String)>, ParseError> {
+    fn params(&mut self) -> Result<Vec<(Ty<'src>, &'src str)>, ParseError> {
         self.expect(&Tok::LParen)?;
         let mut out = Vec::new();
         if !self.check(&Tok::RParen) {
@@ -244,7 +246,7 @@ impl Parser {
     }
 
     /// Parse a type, including array suffixes.
-    fn ty(&mut self) -> Result<Ty, ParseError> {
+    fn ty(&mut self) -> Result<Ty<'src>, ParseError> {
         let base = match self.bump() {
             Tok::Void => Ty::Void,
             Tok::BoolKw => Ty::Bool,
@@ -260,7 +262,7 @@ impl Parser {
         self.array_suffix(base)
     }
 
-    fn array_suffix(&mut self, mut ty: Ty) -> Result<Ty, ParseError> {
+    fn array_suffix(&mut self, mut ty: Ty<'src>) -> Result<Ty<'src>, ParseError> {
         while self.check(&Tok::LBracket) {
             // Distinguish `[]` / `[,]` / `[,,]`.
             self.bump();
@@ -313,7 +315,7 @@ impl Parser {
 
     // ---- statements ----
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block(&mut self) -> Result<Vec<Stmt<'src>>, ParseError> {
         self.expect(&Tok::LBrace)?;
         let mut out = Vec::new();
         while !self.eat(&Tok::RBrace) {
@@ -322,7 +324,7 @@ impl Parser {
         Ok(out)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
         let pos = self.pos();
         match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
@@ -454,7 +456,7 @@ impl Parser {
         }
     }
 
-    fn stmt_as_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn stmt_as_block(&mut self) -> Result<Vec<Stmt<'src>>, ParseError> {
         if self.check(&Tok::LBrace) {
             self.block()
         } else {
@@ -464,7 +466,7 @@ impl Parser {
 
     /// A declaration, assignment, inc/dec, or expression — the statement
     /// forms legal in `for` headers.
-    fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn simple_stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
         let pos = self.pos();
         if self.looks_like_decl() {
             let ty = self.ty()?;
@@ -525,11 +527,11 @@ impl Parser {
 
     // ---- expressions (precedence climbing) ----
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<Expr<'src>, ParseError> {
         self.ternary()
     }
 
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
+    fn ternary(&mut self) -> Result<Expr<'src>, ParseError> {
         let cond = self.bin_expr(0)?;
         if self.check(&Tok::Question) {
             let pos = self.pos();
@@ -571,7 +573,7 @@ impl Parser {
         })
     }
 
-    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr<'src>, ParseError> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = Self::bin_op_prec(self.peek()) {
             if prec < min_prec {
@@ -590,7 +592,7 @@ impl Parser {
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary(&mut self) -> Result<Expr<'src>, ParseError> {
         let pos = self.pos();
         match self.peek() {
             Tok::Minus => {
@@ -713,7 +715,7 @@ impl Parser {
         }
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<Expr<'src>, ParseError> {
         let mut e = self.primary()?;
         loop {
             let pos = self.pos();
@@ -752,7 +754,7 @@ impl Parser {
         Ok(e)
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>, ParseError> {
+    fn args(&mut self) -> Result<Vec<Expr<'src>>, ParseError> {
         self.expect(&Tok::LParen)?;
         let mut out = Vec::new();
         if !self.check(&Tok::RParen) {
@@ -767,7 +769,7 @@ impl Parser {
         Ok(out)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Expr<'src>, ParseError> {
         let pos = self.pos();
         match self.bump() {
             Tok::Int(v) => Ok(Expr::Int(v)),
@@ -805,7 +807,7 @@ impl Parser {
         }
     }
 
-    fn new_expr(&mut self, pos: Pos) -> Result<Expr, ParseError> {
+    fn new_expr(&mut self, pos: Pos) -> Result<Expr<'src>, ParseError> {
         // Element type (no array suffix yet).
         let base = match self.bump() {
             Tok::BoolKw => Ty::Bool,
@@ -860,7 +862,7 @@ impl Parser {
 mod tests {
     use super::*;
 
-    fn p(src: &str) -> Program {
+    fn p(src: &str) -> Program<'_> {
         parse(src).unwrap()
     }
 
@@ -870,7 +872,7 @@ mod tests {
                       virtual int Get() { return x; } static void Main() { } }");
         let c = &prog.classes[0];
         assert_eq!(c.name, "A");
-        assert_eq!(c.base.as_deref(), Some("B"));
+        assert_eq!(c.base, Some("B"));
         assert_eq!(c.fields.len(), 2);
         assert!(c.fields[1].is_static);
         assert_eq!(c.methods.len(), 3);
