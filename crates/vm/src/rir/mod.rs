@@ -687,7 +687,7 @@ pub fn print_rir(r: &RirMethod) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashSet;
 
@@ -695,7 +695,7 @@ mod tests {
     /// the last. The match has no wildcard, so a new variant does not
     /// compile until it has a sample here. Every slot is `S`, so a def
     /// that is also read tests whether the visitor tells the two apart.
-    fn next_sample(inst: &RInst) -> Option<RInst> {
+    pub(crate) fn next_sample(inst: &RInst) -> Option<RInst> {
         const S: u16 = 7;
         let (ty, kind, bounds) = (NumTy::I4, ElemKind::I4, BoundsMode::Checked);
         let args = || -> Box<[ArgSlot]> { Box::new([ArgSlot::P(ty, S), ArgSlot::R(S)]) };
