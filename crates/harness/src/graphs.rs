@@ -10,7 +10,7 @@
 //! 10's table at both memory models. See DESIGN.md §4 for the experiment
 //! index and EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 
-use crate::measure::{cell_note, native_baseline, time_entry, time_native, MeasureError, Measurement};
+use crate::measure::{native_baseline, time_entry, time_native, MeasureError, Measurement};
 use crate::report::Table;
 use hpcnet_core::{find_entry, run_entry, vm_for, Entry, PassConfig, VmProfile};
 use std::time::Duration;
@@ -101,7 +101,7 @@ impl TableSpec {
 /// bugs, not data).
 fn rated(m: Result<Measurement, MeasureError>, scale: f64) -> (f64, String) {
     let m = m.unwrap_or_else(|err| panic!("{err}"));
-    (m.rate * scale, cell_note(&m))
+    (m.rate * scale, m.note)
 }
 
 /// Fill a declared table: every row's entry on the native baseline (if

@@ -2,9 +2,10 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation section:
 //! each one a declared table that one runner times ([`graphs`]), a
-//! warmup-aware statistical timing protocol ([`measure`] + [`stats`],
-//! docs/MEASUREMENT.md) applied uniformly to all engine profiles and the
-//! native baseline, text/CSV rendering ([`report`]), and the per-method
+//! warmup-aware statistical timing protocol ([`measure`] with its private
+//! `stats` classifier, docs/MEASUREMENT.md) applied uniformly to all
+//! engine profiles and the native baseline, whose result is each cell's
+//! rate and note; text/CSV rendering ([`report`]); and the per-method
 //! attribution artifact ([`profile`]), whose validator reads its schema
 //! off the document's builders.
 //!
@@ -15,7 +16,7 @@ pub mod graphs;
 pub mod measure;
 pub mod profile;
 pub mod report;
-pub mod stats;
+mod stats;
 
 pub use graphs::{all_reports, Config};
 pub use hpcnet_core::ObserveLevel;

@@ -10,7 +10,7 @@
 //! 1. find the steady-state changepoint with a deterministic heuristic,
 //! 2. classify the series as warmup / flat / slowdown / no-steady-state,
 //! 3. report the steady-state **median** with a 95% confidence interval
-//!    from a deterministic seeded bootstrap, plus an outlier count.
+//!    from a deterministic seeded bootstrap.
 //!
 //! Everything here is a pure function of the input series: the same series
 //! yields bit-identical classification and interval on every run, which is
@@ -56,8 +56,6 @@ pub struct SeriesStats {
     pub median: f64,
     /// 95% bootstrap confidence interval on the steady-state median.
     pub ci: (f64, f64),
-    /// Steady-segment samples deviating beyond the stability tolerance.
-    pub outliers: usize,
 }
 
 /// Series shorter than this cannot be classified.
@@ -123,7 +121,6 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
             steady_start: 0,
             median,
             ci,
-            outliers: 0,
         };
     }
 
@@ -141,7 +138,6 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
             steady_start: k / 2,
             median,
             ci,
-            outliers: 0,
         };
     }
     let deviating: Vec<bool> = series.iter().map(|&x| (x - m).abs() > tol).collect();
@@ -181,18 +177,12 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
         }
     };
 
-    let steady = &series[steady_start..];
-    let outliers = steady
-        .iter()
-        .filter(|&&x| (x - m).abs() > tol)
-        .count();
-    let (median, ci) = bootstrap_median_ci(steady);
+    let (median, ci) = bootstrap_median_ci(&series[steady_start..]);
     SeriesStats {
         classification,
         steady_start,
         median,
         ci,
-        outliers,
     }
 }
 
@@ -260,7 +250,6 @@ mod tests {
         assert_eq!(st.classification, Classification::Warmup);
         assert_eq!(st.steady_start, 6);
         assert_eq!(st.median, 1.0);
-        assert_eq!(st.outliers, 0);
     }
 
     #[test]
@@ -294,12 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn single_outlier_in_plateau_is_tolerated_and_counted() {
+    fn single_outlier_in_plateau_is_tolerated() {
         let mut s = flat_series();
         s[20] = 50.0; // one GC-style spike
         let st = analyze(&s);
         assert_eq!(st.classification, Classification::Flat);
-        assert_eq!(st.outliers, 1);
         assert_eq!(st.median, 2.0);
     }
 
