@@ -34,9 +34,9 @@ pub use hpcnet_runtime::{Heap, JRandom, Obj, Value};
 pub use hpcnet_cil::OP_KIND_NAMES;
 pub use hpcnet_vm::machine::run_on_big_stack;
 pub use hpcnet_vm::{
-    print_rir, Counters, CountersSnapshot, EhDispatchKind, Event, JitOutcome, LoopRejectReason,
-    MethodProfile, ObserveLevel, ObserveReport, PassConfig, PhaseTiming, ResetStats, Tier, Vm,
-    VmError, VmPhase, VmProfile,
+    print_rir, Counters, CountersSnapshot, JitOutcome, LoopRejectReason, MethodProfile,
+    ObserveLevel, ObserveReport, PassConfig, PhaseTiming, ResetStats, Tier, Vm, VmError, VmPhase,
+    VmProfile,
 };
 
 /// Compile MiniC# source and bind it to an engine profile, running the

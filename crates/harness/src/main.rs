@@ -197,7 +197,7 @@ fn run_profile(args: &[String]) {
     // writing the (time-free) JSON artifact.
     if overhead {
         let t = hpcnet_harness::profile::overhead_table(&entry, min_time)
-            .unwrap_or_else(|e| fail_run(&format!("overhead measurement failed: {e}")));
+            .unwrap_or_else(|e| fail_run(&format!("profile --overhead failed: {e}")));
         println!("{}", t.render());
         return;
     }

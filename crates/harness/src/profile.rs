@@ -6,8 +6,8 @@
 //! fixed problem size with the VM's attribution profiler at full level
 //! ([`hpcnet_core::ObserveLevel::Trace`]), and the per-method opcode,
 //! bounds-check, allocation and exception-dispatch counts are written to
-//! a schema'd `PROFILE_<entry>.json` together with the JIT event trace
-//! (per-pass compile outcomes, loop-pass rejection reasons).
+//! a schema'd `PROFILE_<entry>.json` together with each compiled method's
+//! compile record (per-pass outcome, loop-pass rejection reasons).
 //!
 //! The document carries **counts only — no wall times** — so two
 //! consecutive runs on the same build produce byte-identical files; the
@@ -30,14 +30,13 @@
 //! prints the rates, demonstrating that `Off` costs nothing measurable.
 //! Those rates go to stdout only, never into the JSON.
 
-use crate::measure::{time_entry, MeasureError};
+use crate::measure::time_entry;
 use crate::report::Table;
 use hpcnet_core::json::{Check, Json};
 use hpcnet_core::{
-    find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, Event,
-    JitOutcome, MethodProfile, ObserveLevel, ObserveReport, Tier, Vm, VmProfile,
+    find_entry, registry, run_entry, vm_for, BenchGroup, CountersSnapshot, Entry, JitOutcome,
+    MethodProfile, ObserveLevel, ObserveReport, Tier, VmProfile,
 };
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Document format version (bump on breaking schema changes).
@@ -50,7 +49,10 @@ use std::time::Duration;
 /// 1.3: the events object drops `eh_dispatches` and `alloc_milestones`,
 /// which copied `totals.eh_*` and `totals.allocs / 1024` and undercounted
 /// once the event buffer was full.
-pub const PROFILE_SCHEMA_VERSION: f64 = 1.3;
+/// 1.4: the events object drops `dropped`: each compiled method keeps one
+/// compile record, so nothing is dropped; `jit` and `loop_rejections` list
+/// methods in method-id order rather than compile order.
+pub const PROFILE_SCHEMA_VERSION: f64 = 1.4;
 
 /// Hot methods kept per profile (the rest are summarized by
 /// `methods_total` so the cap is never silent).
@@ -111,7 +113,6 @@ struct ProfiledCell {
     /// Counter movement attributable to the single timed invocation
     /// (the snapshot taken after `vm_for` excludes static init).
     delta: CountersSnapshot,
-    vm: Arc<Vm>,
 }
 
 fn profile_one(
@@ -126,11 +127,11 @@ fn profile_one(
     (entry.validate)(n, checksum).map_err(|e| format!("{}: validation: {e}", p.name))?;
     let delta = vm.counters.snapshot().delta(&before);
     let report = vm.observe_report().expect("observability is on");
-    Ok(ProfiledCell { profile: p, checksum, report, delta, vm })
+    Ok(ProfiledCell { profile: p, checksum, report, delta })
 }
 
-/// Per-method counts left out of `totals`: `ops` and `allocs` are the
-/// observer's own run totals, and invocations and inclusive ops do not
+/// Per-method counts left out of `totals`: `ops` and `allocs` lead the
+/// object under their own names, and invocations and inclusive ops do not
 /// add up across methods.
 const NOT_TOTALLED: [&str; 4] = ["invocations", "ops_excl", "ops_incl", "allocs"];
 
@@ -210,14 +211,9 @@ fn rejection_json(method: &str, header_pc: u32, reason: &str) -> Json {
     ])
 }
 
-/// `$.profiles[i].events`: the compile and rejection events, and how
-/// many the bounded buffer dropped.
-fn events_json(jit: Vec<Json>, rejections: Vec<Json>, dropped: u64) -> Json {
-    Json::obj(vec![
-        ("jit", Json::Arr(jit)),
-        ("loop_rejections", Json::Arr(rejections)),
-        ("dropped", Json::num(dropped as f64)),
-    ])
+/// `$.profiles[i].events`: the compile outcomes and loop rejections.
+fn events_json(jit: Vec<Json>, rejections: Vec<Json>) -> Json {
+    Json::obj(vec![("jit", Json::Arr(jit)), ("loop_rejections", Json::Arr(rejections))])
 }
 
 /// `$.profiles[i]`: one profile's knobs, checksum, totals, hot methods
@@ -289,7 +285,7 @@ fn document(entry: &str, group: &str, n: i32, profiles: Vec<Json>, reference: &s
 fn skeleton() -> Json {
     let sums: Vec<_> = MethodProfile::NAMES.iter().map(|&k| (k, 0)).collect();
     let events =
-        events_json(vec![jit_json("", &JitOutcome::default())], vec![rejection_json("", 0, "")], 0);
+        events_json(vec![jit_json("", &JitOutcome::default())], vec![rejection_json("", 0, "")]);
     let totals = totals_rows(0, 0, &sums, &CountersSnapshot::default());
     let methods = vec![method_json("", &sums, &[("", 0)])];
     let profile = profile_json(&VmProfile::mono023(), 0.0, totals, methods, 0, events);
@@ -320,20 +316,19 @@ fn profile_doc(cell: &ProfiledCell) -> Json {
             method_json(&m.name, &m.fields(), &kinds)
         })
         .collect();
-    let name = |m| cell.vm.method_display_name(m);
+    let r = &cell.report;
     let mut jit = Vec::new();
     let mut rejections = Vec::new();
-    for ev in &cell.report.events {
-        match ev {
-            Event::JitCompile { method, outcome } => jit.push(jit_json(&name(*method), outcome)),
-            Event::LoopRejected { method, header_pc, reason } => {
-                rejections.push(rejection_json(&name(*method), *header_pc, reason.as_str()))
-            }
+    for m in &r.methods {
+        let Some(compile) = &m.compile else { continue };
+        jit.push(jit_json(&m.name, &compile.outcome));
+        for &(header_pc, reason) in &compile.loop_rejections {
+            rejections.push(rejection_json(&m.name, header_pc, reason.as_str()));
         }
     }
-    let r = &cell.report;
-    let events = events_json(jit, rejections, r.events_dropped);
-    let totals = totals_rows(r.total_ops, r.total_allocs, &method_sums(r), &cell.delta);
+    let events = events_json(jit, rejections);
+    let allocs = r.total_of(|m| m.allocs);
+    let totals = totals_rows(r.total_ops, allocs, &method_sums(r), &cell.delta);
     profile_json(&cell.profile, cell.checksum, totals, methods, hot.len(), events)
 }
 
@@ -385,16 +380,21 @@ fn mechanisms_for(
     out
 }
 
-/// Run `entry_id` once per CLI-lineup profile under full observability
-/// and assemble the `PROFILE_<entry>.json` document plus tables.
-pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, String> {
-    let (group, entry) = find_entry(entry_id).ok_or_else(|| {
+/// The registry entry `entry_id` names, or an error listing the known ids.
+fn lookup(entry_id: &str) -> Result<(BenchGroup, Entry), String> {
+    find_entry(entry_id).ok_or_else(|| {
         let known: Vec<String> = registry()
             .iter()
             .flat_map(|g| g.entries.iter().map(|e| e.id.to_string()))
             .collect();
         format!("no benchmark entry {entry_id}; known entries: {}", known.join(" "))
-    })?;
+    })
+}
+
+/// Run `entry_id` once per CLI-lineup profile under full observability
+/// and assemble the `PROFILE_<entry>.json` document plus tables.
+pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, String> {
+    let (group, entry) = lookup(entry_id)?;
     if entry.threaded {
         return Err(format!("{entry_id} spawns threads; profiling covers serial entries"));
     }
@@ -464,9 +464,8 @@ pub fn run_profile(entry_id: &str, cfg: &ProfileConfig) -> Result<ProfileRun, St
 
 /// Time one entry at every [`ObserveLevel`] (rates to stdout only; the
 /// JSON artifact stays time-free). Demonstrates `Off` is zero-cost.
-pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, MeasureError> {
-    let (group, entry) =
-        find_entry(entry_id).unwrap_or_else(|| panic!("no benchmark entry {entry_id}"));
+pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, String> {
+    let (group, entry) = lookup(entry_id)?;
     let mut t = Table::new(
         &format!("observability overhead: {entry_id}"),
         "work units/sec by ObserveLevel",
@@ -480,7 +479,7 @@ pub fn overhead_table(entry_id: &str, min_time: Duration) -> Result<Table, Measu
         let mut notes = Vec::new();
         for level in levels {
             let vm = vm_for(&group, p.with_observe(level));
-            let m = time_entry(&vm, &entry, entry.small_n, min_time)?;
+            let m = time_entry(&vm, &entry, entry.small_n, min_time).map_err(|e| e.to_string())?;
             row.push(m.rate);
             notes.push(m.note);
         }

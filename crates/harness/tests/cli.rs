@@ -87,6 +87,24 @@ fn unreadable_check_paths_fail_cleanly() {
     assert!(!err.contains("panicked"), "profile panicked:\n{err}");
 }
 
+/// An unknown entry is a runtime failure (exit 1) that lists the known
+/// ids, with or without `--overhead`, and never a panic.
+#[test]
+fn unknown_profile_entries_fail_cleanly_with_known_ids() {
+    for extra in [&[][..], &["--overhead"][..]] {
+        let out = report()
+            .args(["profile", "no.such"])
+            .args(extra)
+            .output()
+            .expect("run hpcnet-report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: must exit 1:\n{err}");
+        assert!(err.contains("no benchmark entry no.such"), "{extra:?}: {err}");
+        assert!(err.contains("known entries:") && err.contains("loop.for"), "{extra:?}: {err}");
+        assert!(!err.contains("panicked"), "{extra:?}: panicked:\n{err}");
+    }
+}
+
 /// The profile subcommand end to end: write the artifact, then
 /// re-validate the written file via `--check`.
 #[test]

@@ -97,29 +97,14 @@ fn bounds_check_counts_differ_exactly_where_the_knobs_predict() {
         );
     }
 
-    // Event-trace sanity: the JIT tiers emit compile events, the
-    // interpreter emits none.
+    // Compile-record sanity: the JIT tiers list compiled methods, the
+    // interpreter none.
     let jit_events = |p: &str| {
         profile_obj(doc, p).get("events").unwrap().get("jit").unwrap().as_arr().unwrap().len()
     };
-    assert!(jit_events(clr) > 0, "CLR must record JitCompile events");
+    assert!(jit_events(clr) > 0, "CLR must record its compiles");
     assert!(jit_events(mono) > 0, "Mono compiles to RIR too");
     assert_eq!(jit_events(rotor), 0, "the interpreter never JITs");
-}
-
-/// Exception dispatches are counted, never traced: an entry that throws
-/// more often than the event buffer holds (4,096 events) keeps every
-/// compile event, and its catch count stays exact.
-#[test]
-fn an_exception_heavy_trace_drops_no_event() {
-    let n = 5_000;
-    let doc = run_profile("exception.throw", &cfg(n)).unwrap().doc;
-    for p in doc.get("profiles").unwrap().as_arr().unwrap() {
-        let name = p.get("profile").unwrap().as_str().unwrap();
-        let dropped = p.get("events").unwrap().get("dropped").unwrap().as_f64().unwrap();
-        assert_eq!(dropped, 0.0, "{name}: events dropped");
-        assert!(total(&doc, name, "eh_catch") >= n as f64, "{name}: one catch per throw");
-    }
 }
 
 /// FNV-1a (64-bit) over the rendered document.
@@ -137,8 +122,8 @@ fn fingerprint(text: &str) -> u64 {
 #[test]
 fn profile_documents_are_pinned_byte_for_byte() {
     for (entry, n, expected) in [
-        ("scimark.sor", 24, 0x5919_b8a3_1c89_b06f),
-        ("exception.throw", 200, 0x8575_d343_75e9_d291),
+        ("scimark.sor", 24, 0x73cf_f75c_92f6_101e),
+        ("exception.throw", 200, 0xc0e7_c213_a955_8cb2),
     ] {
         let text = run_profile(entry, &cfg(n)).unwrap().doc.render();
         assert_eq!(

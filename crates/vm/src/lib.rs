@@ -55,8 +55,8 @@ pub use machine::{
     declare_prelude, Counters, CountersSnapshot, ResetStats, Vm, VmSnapshot, WellKnown,
 };
 pub use observe::{
-    EhDispatchKind, Event, JitOutcome, LoopRejectReason, MethodProfile, ObserveLevel,
-    ObserveReport, PhaseTiming, VmPhase,
+    Compile, JitOutcome, LoopRejectReason, MethodProfile, ObserveLevel, ObserveReport,
+    PhaseTiming, VmPhase,
 };
 pub use profile::{MathKind, PassConfig, Tier, VmProfile};
 pub use rir::share::OptShare;
@@ -1249,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_trace_has_jit_events_with_pass_outcomes() {
+    fn observe_trace_has_compile_records_with_pass_outcomes() {
         let vm = Vm::new(
             array_loop_module(),
             VmProfile::clr11().with_observe(ObserveLevel::Trace),
@@ -1259,13 +1259,10 @@ mod tests {
         let r = vm.observe_report().unwrap();
         let fill = vm.module.find_method("P.Fill").unwrap();
         let outcome = r
-            .events
-            .iter()
-            .find_map(|e| match e {
-                Event::JitCompile { method, outcome } if *method == fill => Some(*outcome),
-                _ => None,
-            })
-            .expect("JitCompile event for P.Fill");
+            .method(fill)
+            .and_then(|m| m.compile.as_ref())
+            .expect("compile record for P.Fill")
+            .outcome;
         assert_eq!(outcome.loops_found, 1);
         assert!(outcome.rir_len > 0);
         assert!(

@@ -181,7 +181,6 @@ pub struct Vm {
     run_methods: HashMap<ClassId, MethodId>,
     /// Captured console output.
     console: Mutex<Vec<String>>,
-    echo_console: AtomicBool,
     /// In-memory sink for the Serial benchmark.
     serial_sink: Mutex<Vec<u8>>,
     /// Maximum managed call depth (soft stack-overflow guard).
@@ -193,7 +192,7 @@ pub struct Vm {
     /// not (see [`Vm::set_fuel`]).
     fuel_on: AtomicBool,
     fuel: std::sync::atomic::AtomicI64,
-    /// Per-method attribution profiler + typed event trace, sized by the
+    /// Per-method attribution profiler and compile records, sized by the
     /// profile's [`ObserveLevel`] at construction (see [`crate::observe`]).
     pub(crate) observer: Observer,
     /// Optional shared compile front-half cache (see [`crate::rir::share`]).
@@ -271,7 +270,6 @@ impl Vm {
             literals,
             run_methods,
             console: Mutex::new(Vec::new()),
-            echo_console: AtomicBool::new(false),
             serial_sink: Mutex::new(Vec::new()),
             max_depth: std::sync::atomic::AtomicU32::new(256),
             fuel_on: AtomicBool::new(false),
@@ -569,7 +567,7 @@ impl Vm {
     ///
     /// Must be called at a safepoint: no managed code running, all
     /// `Sys.Start` threads joined (this method joins them). Telemetry
-    /// (counters, the observer's histograms and events) is deliberately
+    /// (counters, the observer's histograms and compile records) is deliberately
     /// *not* part of the snapshot: it keeps accumulating across resets,
     /// and callers diff [`CountersSnapshot`]s around each run instead.
     /// Code caches are likewise untouched — keeping warmed compiled code
@@ -688,15 +686,9 @@ impl Vm {
 
     // ---- console ----
 
-    /// Echo console writes to stdout (examples); capture-only otherwise.
-    pub fn set_echo(&self, on: bool) {
-        self.echo_console.store(on, Ordering::Relaxed);
-    }
-
+    /// Capture one line of console output (drained by
+    /// [`Vm::take_console`]).
     pub fn write_line(&self, s: String) {
-        if self.echo_console.load(Ordering::Relaxed) {
-            println!("{s}");
-        }
         self.console.lock().push(s);
     }
 

@@ -1,4 +1,4 @@
-//! Per-method attribution profiling and the structured event trace.
+//! Per-method attribution profiling and compile records.
 //!
 //! The paper's Section 5 explains every CLR/Mono/Rotor gap by *mechanism*
 //! — enregistration, bounds-check elimination, exception-path cost — but
@@ -6,25 +6,25 @@
 //! module is the deterministic attribution layer: per-method counters
 //! (invocations, inclusive/exclusive executed-opcode counts, opcode-kind
 //! histograms, bounds checks executed vs. elided, allocations, exception
-//! dispatches by handler kind) plus a bounded trace of typed events (JIT
-//! compile outcomes, loop-pass rejection reasons). The trace holds only
-//! what no counter can say: anything countable is a counter, exact at any
-//! volume, and leaves the bounded buffer to the events.
+//! dispatches by handler kind) plus, at `Trace`, each compiled method's
+//! [`Compile`] record (per-pass JIT outcome, loop-pass rejection reasons):
+//! one per method, kept with its counters, so it needs no buffer and none
+//! is ever dropped.
 //!
 //! Everything is gated behind [`ObserveLevel`] on
 //! [`crate::profile::VmProfile`]:
 //!
 //! * `Off` — the default. Every recording entry point is a single
 //!   predictable branch on a plain enum field; no cells are allocated.
-//! * `Counters` — per-method atomic counters, no events.
-//! * `Trace` — counters plus the bounded typed-event buffer.
+//! * `Counters` — per-method atomic counters, no compile records.
+//! * `Trace` — counters plus one compile record per compiled method.
 //!
 //! Determinism: all recorded quantities are *counts* of deterministic VM
 //! work (never wall times), so for a single-threaded program two runs of
 //! the same module under the same profile produce bit-identical
 //! [`ObserveReport`]s. With managed threads the per-method exclusive
-//! counters remain exact (they are atomic), but inclusive counts and
-//! event interleaving depend on the schedule.
+//! counters and compile records remain exact (atomic cells, one record
+//! per method), but inclusive counts depend on the schedule.
 //!
 //! Scope notes (documented limits, pinned by tests where they matter):
 //!
@@ -43,7 +43,6 @@
 use crate::counters::counters;
 use crate::rir::{BoundsMode, RInst};
 use hpcnet_cil::{FieldId, MethodId, Op, OP_KIND_NAMES};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -57,7 +56,7 @@ pub enum ObserveLevel {
     /// Per-method counters (invocations, opcode histograms, bounds
     /// checks, allocations, EH dispatches).
     Counters,
-    /// Counters plus the bounded typed-event trace.
+    /// Counters plus each compiled method's [`Compile`] record.
     Trace,
 }
 
@@ -81,10 +80,6 @@ impl ObserveLevel {
         })
     }
 }
-
-/// Maximum retained events; later events increment
-/// [`ObserveReport::events_dropped`] instead of growing without bound.
-pub const EVENT_CAP: usize = 4096;
 
 /// A VM-internal phase the observer times at [`ObserveLevel::Trace`].
 ///
@@ -257,9 +252,10 @@ impl LoopRejectReason {
     }
 }
 
-/// Which kind of handler an exception dispatch step reached.
+/// Which kind of handler an exception dispatch step reached: selects the
+/// per-method counter [`Observer::eh_dispatch`] bumps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EhDispatchKind {
+pub(crate) enum EhDispatchKind {
     /// A catch handler matched and took the exception.
     Catch,
     /// A finally handler ran as part of the dispatch.
@@ -302,14 +298,15 @@ counters! {
     }
 }
 
-/// A typed trace record. Drained via [`ObserveReport::events`]; never a
-/// formatted string.
+/// How a method was compiled to RIR (recorded at [`ObserveLevel::Trace`]
+/// only, once per method: the first compile to finish keeps its record).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// A method was translated to RIR, with its per-pass outcomes.
-    JitCompile { method: MethodId, outcome: JitOutcome },
-    /// The loop-aware bounds-check pass rejected one natural loop.
-    LoopRejected { method: MethodId, header_pc: u32, reason: LoopRejectReason },
+pub struct Compile {
+    /// Per-pass outcome, the allocator's enreg/spill split included.
+    pub outcome: JitOutcome,
+    /// `(header_pc, reason)` of each natural loop the loop-aware
+    /// bounds-check pass rejected, in the order the pass met them.
+    pub loop_rejections: Vec<(u32, LoopRejectReason)>,
 }
 
 counters! {
@@ -326,6 +323,9 @@ counters! {
         /// Executed-opcode histogram, indexed like [`OP_KIND_NAMES`]. The
         /// register tier maps each `RInst` to its closest CIL kind.
         pub op_kinds: Vec<u64>,
+        /// The method's compile record; `None` below `Trace` and for a
+        /// method no register tier compiled.
+        pub compile: Option<Compile>,
     }
     counts {
         /// Frames of this method entered.
@@ -377,9 +377,8 @@ pub(crate) struct Observer {
     /// Total opcodes executed across all methods (the exclusive counts
     /// sum to this; enter/leave deltas derive inclusive counts from it).
     ops_total: AtomicU64,
-    allocs_total: AtomicU64,
-    events: Mutex<Vec<Event>>,
-    events_dropped: AtomicU64,
+    /// One compile record per module method; empty below `Trace`.
+    compiles: Box<[OnceLock<Compile>]>,
     /// Per-[`VmPhase`] run counts and total nanoseconds; only written at
     /// `Trace` level (below it [`Observer::phase_start`] never reads the
     /// clock).
@@ -391,14 +390,13 @@ pub(crate) struct Observer {
 impl Observer {
     pub(crate) fn new(level: ObserveLevel, n_methods: usize) -> Observer {
         let n_cells = if level == ObserveLevel::Off { 0 } else { n_methods };
+        let n_compiles = if level == ObserveLevel::Trace { n_methods } else { 0 };
         Observer {
             level,
             cells: (0..n_cells).map(|_| MethodCell::default()).collect(),
             kinds: (0..n_cells * Op::KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
             ops_total: AtomicU64::new(0),
-            allocs_total: AtomicU64::new(0),
-            events: Mutex::new(Vec::new()),
-            events_dropped: AtomicU64::new(0),
+            compiles: (0..n_compiles).map(|_| OnceLock::new()).collect(),
             phase_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             clock: OnceLock::new(),
@@ -447,7 +445,7 @@ impl Observer {
                 cell.bounds_checks_executed.fetch_add(1, Ordering::Relaxed);
             }
             Op::NewObj(_) | Op::NewArr(_) | Op::NewMultiArr { .. } | Op::BoxVal(_) => {
-                self.alloc(cell);
+                cell.allocs.fetch_add(1, Ordering::Relaxed);
             }
             _ => {}
         }
@@ -481,7 +479,9 @@ impl Observer {
             RInst::NewObj { .. }
             | RInst::NewArr { .. }
             | RInst::NewMulti { .. }
-            | RInst::BoxV { .. } => self.alloc(cell),
+            | RInst::BoxV { .. } => {
+                cell.allocs.fetch_add(1, Ordering::Relaxed);
+            }
             _ => {}
         }
     }
@@ -489,12 +489,6 @@ impl Observer {
     #[inline]
     fn kind(&self, method: MethodId, kind: usize) {
         self.kinds[method.idx() * Op::KIND_COUNT + kind].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn alloc(&self, cell: &MethodCell) {
-        cell.allocs.fetch_add(1, Ordering::Relaxed);
-        self.allocs_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one exception dispatch step in a frame of `method`.
@@ -561,14 +555,10 @@ impl Observer {
             .collect()
     }
 
-    /// Append an event, bounded by [`EVENT_CAP`].
-    pub(crate) fn push_event(&self, ev: Event) {
-        let mut buf = self.events.lock();
-        if buf.len() < EVENT_CAP {
-            buf.push(ev);
-        } else {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Record how `method` was compiled (`Trace` only). Two threads
+    /// racing a first call both compile; the first record stays.
+    pub(crate) fn record_compile(&self, method: MethodId, compile: Compile) {
+        let _ = self.compiles[method.idx()].set(compile);
     }
 
     /// Snapshot everything into plain values. `name_of` resolves
@@ -579,23 +569,19 @@ impl Observer {
             .iter()
             .zip(self.kinds.chunks(Op::KIND_COUNT))
             .enumerate()
-            .filter(|(_, (c, _))| {
-                c.invocations.load(Ordering::Relaxed) != 0 || c.ops_excl.load(Ordering::Relaxed) != 0
-            })
-            .map(|(i, (c, kinds))| {
+            .filter_map(|(i, (c, kinds))| {
+                let compile = self.compiles.get(i).and_then(OnceLock::get).cloned();
+                let ran = c.invocations.load(Ordering::Relaxed) != 0
+                    || c.ops_excl.load(Ordering::Relaxed) != 0;
+                if !ran && compile.is_none() {
+                    return None;
+                }
                 let method = MethodId(i as u32);
                 let op_kinds = kinds.iter().map(|k| k.load(Ordering::Relaxed)).collect();
-                c.snapshot(method, name_of(method), op_kinds)
+                Some(c.snapshot(method, name_of(method), op_kinds, compile))
             })
             .collect();
-        ObserveReport {
-            level: self.level,
-            total_ops: self.ops_total.load(Ordering::Relaxed),
-            total_allocs: self.allocs_total.load(Ordering::Relaxed),
-            methods,
-            events: self.events.lock().clone(),
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
-        }
+        ObserveReport { total_ops: self.ops_total.load(Ordering::Relaxed), methods }
     }
 }
 
@@ -616,19 +602,15 @@ impl MethodProfile {
 /// the harness (see [`crate::machine::Vm::observe_report`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObserveReport {
-    pub level: ObserveLevel,
     /// Total opcodes executed (equals the sum of `ops_excl`).
     pub total_ops: u64,
-    pub total_allocs: u64,
-    /// Methods that ran (or were called), in method-id order.
+    /// Methods that ran (or were called) or were compiled, in method-id
+    /// order.
     pub methods: Vec<MethodProfile>,
-    pub events: Vec<Event>,
-    /// Events discarded after [`EVENT_CAP`] was reached.
-    pub events_dropped: u64,
 }
 
 impl ObserveReport {
-    /// The profile for a method id, if it ran.
+    /// The profile for a method id, if it ran or was compiled.
     pub fn method(&self, m: MethodId) -> Option<&MethodProfile> {
         self.methods.iter().find(|p| p.method == m)
     }
@@ -719,15 +701,20 @@ mod tests {
     }
 
     #[test]
-    fn event_buffer_is_bounded() {
-        let obs = Observer::new(ObserveLevel::Trace, 1);
-        for pc in 0..(EVENT_CAP as u32 + 10) {
-            let reason = LoopRejectReason::GuardShape;
-            obs.push_event(Event::LoopRejected { method: MethodId(0), header_pc: pc, reason });
-        }
+    fn a_second_compile_record_keeps_the_first() {
+        let obs = Observer::new(ObserveLevel::Trace, 2);
+        let compile = |rir_len, pc| Compile {
+            outcome: JitOutcome { rir_len, ..JitOutcome::default() },
+            loop_rejections: vec![(pc, LoopRejectReason::GuardShape)],
+        };
+        obs.record_compile(MethodId(1), compile(7, 3));
+        obs.record_compile(MethodId(1), compile(9, 5));
         let rep = obs.report(|_| "M".into());
-        assert_eq!(rep.events.len(), EVENT_CAP);
-        assert_eq!(rep.events_dropped, 10);
+        // Compiled but never run: listed, with its first record only.
+        assert_eq!(rep.methods.len(), 1);
+        assert_eq!(rep.methods[0].method, MethodId(1));
+        assert_eq!(rep.methods[0].invocations, 0);
+        assert_eq!(rep.methods[0].compile, Some(compile(7, 3)));
     }
 
     #[test]
@@ -735,6 +722,8 @@ mod tests {
         let obs = Observer::new(ObserveLevel::Off, 100);
         assert!(!obs.enabled());
         assert_eq!(obs.cells.len(), 0);
+        assert_eq!(obs.compiles.len(), 0);
+        assert_eq!(Observer::new(ObserveLevel::Counters, 100).compiles.len(), 0);
     }
 
     #[test]

@@ -66,13 +66,13 @@ use std::sync::Arc;
 /// Compile a method for a register tier: lower, run the shared
 /// optimization pipeline, place registers with the ranking of the
 /// profile's tier (`rir::alloc`), then build the op records. Both tiers
-/// emit the same `JitCompile` trace events.
+/// record the same compile outcome.
 pub(crate) fn compile(vm: &Arc<Vm>, method: MethodId) -> VmResult<CompiledMethod> {
     let front = crate::rir::share::front(vm, method)?;
     let t = vm.observer.phase_start();
     let rir = alloc::allocate(vm, method, &front.lowered, &front.res.force_spill_p);
     vm.observer.phase_end(VmPhase::JitAllocate, t);
-    opt::push_compile_events(vm, method, &rir, &front.res);
+    opt::record_compile(vm, method, &rir, &front.res);
     let t = vm.observer.phase_start();
     let (ops, side) = build_ops(vm, &rir);
     vm.observer.phase_end(VmPhase::JitBuild, t);

@@ -7,7 +7,7 @@
 //! honoring the force-spill set the pipeline returns.
 
 use crate::machine::Vm;
-use crate::observe::{Event, JitOutcome, LoopRejectReason, Observer, VmPhase};
+use crate::observe::{Compile, JitOutcome, LoopRejectReason, Observer, VmPhase};
 use crate::profile::PassConfig;
 use crate::rir::audit::{self, CertKind, ElisionCert};
 use crate::rir::loops::{has_back_branch, leader_mask, Analysis, Cfg, NaturalLoop};
@@ -17,7 +17,6 @@ use hpcnet_cil::module::MethodId;
 use hpcnet_cil::{BinOp, CmpOp, NumTy, UnOp};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// What the pass pipeline did to a method, before allocation: the partial
 /// [`JitOutcome`] (enreg/spill filled in after allocation), the
@@ -197,15 +196,10 @@ pub(crate) fn apply_outcome_counters(vm: &Vm, o: &JitOutcome) {
     c.licm_hoisted.fetch_add(o.licm_hoisted, Ordering::Relaxed);
 }
 
-/// Emit the typed compile trace for a finished method: the `JitCompile`
-/// event with the allocator's enreg/spill split folded into the outcome,
-/// plus any loop rejections. Both tiers call this after allocation.
-pub(crate) fn push_compile_events(
-    vm: &Arc<Vm>,
-    method: MethodId,
-    compiled: &RirMethod,
-    opt: &OptResult,
-) {
+/// Record a finished method's compile: its outcome with the allocator's
+/// enreg/spill split folded in, plus any loop rejections. Both tiers call
+/// this after allocation.
+pub(crate) fn record_compile(vm: &Vm, method: MethodId, compiled: &RirMethod, opt: &OptResult) {
     if !vm.observer.tracing() {
         return;
     }
@@ -215,11 +209,8 @@ pub(crate) fn push_compile_events(
     outcome.spill_prim = compiled.n_pspill.into();
     outcome.enreg_ref = compiled.n_rreg.into();
     outcome.spill_ref = compiled.n_rspill.into();
-    vm.observer.push_event(Event::JitCompile { method, outcome });
-    for &(header_pc, reason) in &opt.rejections {
-        vm.observer
-            .push_event(Event::LoopRejected { method, header_pc, reason });
-    }
+    let loop_rejections = opt.rejections.clone();
+    vm.observer.record_compile(method, Compile { outcome, loop_rejections });
 }
 
 /// Block-local facts about virtual registers: a dense table, indexed by

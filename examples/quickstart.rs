@@ -32,11 +32,14 @@ fn main() {
 
     for profile in [VmProfile::clr11(), VmProfile::sscli10()] {
         let vm = compile_and_load(source, profile).expect("compile");
-        vm.set_echo(true);
         println!("--- running on {} ---", vm.profile.name);
         let start = std::time::Instant::now();
         vm.invoke_by_name("Primes.Main", vec![]).expect("run");
-        println!("({}ms)\n", start.elapsed().as_millis());
+        let elapsed = start.elapsed();
+        for line in vm.take_console() {
+            println!("{line}");
+        }
+        println!("({}ms)\n", elapsed.as_millis());
     }
 
     // The same CIL, two very different machine-code shapes: dump the

@@ -7,7 +7,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hpcnet::{compile_and_load, ObserveLevel, Tier, Value, VmPhase, VmProfile};
+use hpcnet::{
+    compile_and_load, find_entry, run_entry, vm_for, ObserveLevel, Tier, Value, VmPhase, VmProfile,
+};
 
 /// Counted loop taking an exception on every third iteration: exercises
 /// JIT lowering (on compiled tiers) and EH unwind dispatch everywhere.
@@ -154,5 +156,33 @@ fn observe_level_never_changes_results() {
                 (0..31).filter(|i| i % 3 != 0).sum::<i32>() + (0..31).filter(|i| i % 3 == 0).count() as i32;
             assert_eq!(out.as_i4(), want, "{}@{level:?}", profile.name);
         }
+    }
+}
+
+/// At `Trace` the report holds exactly one compile record per compiled
+/// method, `jit_compiles` of them, however much the run throws: 5,000
+/// throws of `exception.throw` once filled a bounded event buffer and
+/// pushed compile events out. A register tier compiles every method it
+/// enters; the interpreter compiles none.
+#[test]
+fn trace_keeps_one_compile_record_per_compiled_method() {
+    let (group, entry) = find_entry("exception.throw").unwrap();
+    for profile in VmProfile::cli_lineup() {
+        let vm = vm_for(&group, profile.with_observe(ObserveLevel::Trace));
+        let n = 5_000;
+        (entry.validate)(n, run_entry(&vm, &entry, n).unwrap()).unwrap();
+        let report = vm.observe_report().unwrap();
+        let records = report.methods.iter().filter(|m| m.compile.is_some()).count() as u64;
+        let compiles = vm.counters.jit_compiles.load(Ordering::Relaxed);
+        assert_eq!(records, compiles, "{}: one record per compiled method", profile.name);
+        let entered = report.methods.iter().filter(|m| m.invocations > 0);
+        if profile.tier == Tier::Interpreter {
+            assert_eq!(records, 0, "{}: the interpreter never compiles", profile.name);
+        } else {
+            for m in entered {
+                assert!(m.compile.is_some(), "{}: {} ran uncompiled", profile.name, m.name);
+            }
+        }
+        assert!(report.total_of(|m| m.eh_catch) >= n as u64, "{}: one catch per throw", profile.name);
     }
 }
