@@ -518,12 +518,14 @@ impl<'v> Activation<'v> {
                 EhKind::Catch(class) => {
                     if vm.instance_of(&exc, class) {
                         note(EhDispatchKind::Catch);
+                        vm.charge_fuel()?;
                         self.fr.rset(exc_slot, Some(exc));
                         return Ok(r.handler_start);
                     }
                 }
                 EhKind::Finally => {
                     note(EhDispatchKind::Finally);
+                    vm.charge_fuel()?;
                     match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
                         Ok(()) => {}
                         // An exception raised inside the finally replaces
@@ -1060,16 +1062,12 @@ mod tests {
         healthy(&mut fr);
     }
 
-    /// A loop closed by `leave` alone (a `continue` inside `try`) takes no
-    /// branch and makes no call, so it is stopped only if `leave` costs
-    /// fuel, on every tier. Each run has its own thread: one that ignores
-    /// fuel fails the test at the deadline instead of hanging it.
-    #[test]
-    fn a_loop_closed_by_leave_runs_out_of_fuel() {
-        const SRC: &str = "class Gen { static int Run(int a, int b) { int i = 0;
-            while (i >= 0) { try { i = i + 0; continue; } finally { b = b + 1; } }
-            return i; } }";
-        let module = hpcnet_minics::compile(SRC).expect("compiles");
+    /// Run `entry(args)` of `module` under 10,000 fuel on every stock
+    /// profile and require each run to stop at the fuel limit. Each run has
+    /// its own thread: one that ignores fuel fails the test at the deadline
+    /// instead of hanging it. The module is bound without verification, so
+    /// the charge is tested apart from what the verifier admits.
+    fn runs_out_of_fuel_everywhere(module: hpcnet_cil::Module, entry: &str, args: Vec<Value>) {
         let runs: Vec<_> = [
             VmProfile::clr11_compiled(),
             VmProfile::clr11(),
@@ -1083,11 +1081,11 @@ mod tests {
         .into_iter()
         .map(|profile| {
             let (module, (done, result)) = (module.clone(), std::sync::mpsc::channel());
-            let name = profile.name;
+            let (name, entry, args) = (profile.name, entry.to_string(), args.clone());
             let run = std::thread::spawn(move || {
-                let vm = Vm::new(module, profile).expect("binds");
+                let vm = Vm::new_unverified(module, profile);
                 vm.set_fuel(Some(10_000));
-                let _ = done.send(vm.invoke_by_name("Gen.Run", vec![Value::I4(1), Value::I4(2)]));
+                let _ = done.send(vm.invoke_by_name(&entry, args));
             });
             (name, run, result)
         })
@@ -1097,10 +1095,54 @@ mod tests {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             match result.recv_timeout(left) {
                 Ok(Err(VmError::Limit(m))) => assert_eq!(m, "fuel budget exhausted", "{name}"),
-                other => panic!("{name}: a leave-closed loop under 10,000 fuel gave {other:?}"),
+                other => panic!("{name}: {entry} under 10,000 fuel gave {other:?}"),
             }
             run.join().expect("the run thread returns once it has sent");
         }
+    }
+
+    /// A loop closed by `leave` alone (a `continue` inside `try`) takes no
+    /// branch and makes no call, so it is stopped only if `leave` costs
+    /// fuel, on every tier.
+    #[test]
+    fn a_loop_closed_by_leave_runs_out_of_fuel() {
+        const SRC: &str = "class Gen { static int Run(int a, int b) { int i = 0;
+            while (i >= 0) { try { i = i + 0; continue; } finally { b = b + 1; } }
+            return i; } }";
+        let module = hpcnet_minics::compile(SRC).expect("compiles");
+        runs_out_of_fuel_everywhere(module, "Gen.Run", vec![Value::I4(1), Value::I4(2)]);
+    }
+
+    /// A catch handler that falls into its own `try` loops through
+    /// exception dispatch alone: no branch, `leave` or call closes it, so
+    /// it is stopped only if landing in a handler costs fuel.
+    ///
+    /// ```text
+    /// Spin(int32):  br TS
+    /// HS:           pop                    // catch DivideByZeroException
+    /// TS:           ldc.i4 1; ldarg.0; div; ret
+    /// region:       try [TS, end)  handler [HS, TS)
+    /// ```
+    #[test]
+    fn a_loop_closed_by_exception_dispatch_runs_out_of_fuel() {
+        let mut mb = ModuleBuilder::new();
+        declare_prelude(&mut mb);
+        let div_zero = mb.class_id(hpcnet_cil::prelude::DIV_ZERO_CLASS).expect("prelude");
+        let c = mb.declare_class("P", None);
+        let mut f = mb.method(c, "Spin", vec![CilType::I4], CilType::I4, MethodKind::Static);
+        let (ts, te, hs) = (f.new_label(), f.new_label(), f.new_label());
+        f.br(ts);
+        f.place(hs);
+        f.emit(Op::Pop);
+        f.place(ts);
+        f.ldc_i4(1);
+        f.ld_arg(0);
+        f.bin(BinOp::Div);
+        f.ret();
+        f.place(te);
+        f.eh_catch(ts, te, hs, ts, div_zero);
+        f.finish();
+        runs_out_of_fuel_everywhere(mb.finish(), "P.Spin", vec![Value::I4(0)]);
     }
 
     #[test]

@@ -190,6 +190,7 @@ impl<'v> Interp<'v> {
                                 .observer
                                 .eh_dispatch(self.method, crate::observe::EhDispatchKind::Catch);
                         }
+                        self.vm.charge_fuel()?;
                         self.stack.clear();
                         self.stack.push(Value::Ref(exc));
                         return Ok(r.handler_start);
@@ -201,6 +202,7 @@ impl<'v> Interp<'v> {
                             .observer
                             .eh_dispatch(self.method, crate::observe::EhDispatchKind::Finally);
                     }
+                    self.vm.charge_fuel()?;
                     self.stack.clear();
                     match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
                         Ok(RunEnd::EndFinally) => {}

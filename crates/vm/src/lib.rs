@@ -1178,7 +1178,7 @@ mod tests {
     fn observe_off_reports_nothing() {
         let vm = Vm::new(array_loop_module(), VmProfile::clr11()).unwrap();
         vm.invoke_by_name("P.Fill", vec![Value::I4(16)]).unwrap();
-        assert_eq!(vm.observe_level(), ObserveLevel::Off);
+        assert_eq!(vm.profile.observe, ObserveLevel::Off);
         assert!(vm.observe_report().is_none());
     }
 
@@ -1503,6 +1503,27 @@ mod tests {
             assert!(one, "{}: two copies of the RIR", profile.name);
             let jit = vm.counters.snapshot().jit_compiles;
             assert_eq!(jit, 1, "{}: cache hit on repeat", profile.name);
+        }
+    }
+
+    #[test]
+    fn a_racing_first_call_counts_one_compile_and_its_outcome() {
+        // Two threads race the first call of a method with one loop: both
+        // may compile it, but only the code that wins the cell is counted,
+        // with the loops its passes found.
+        for round in 0..300 {
+            let vm = Vm::new(array_loop_module(), VmProfile::clr11()).unwrap();
+            let gate = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        gate.wait();
+                        vm.invoke_by_name("P.Fill", vec![Value::I4(4)]).unwrap();
+                    });
+                }
+            });
+            let c = vm.counters.snapshot();
+            assert_eq!((c.jit_compiles, c.loops_found), (1, 1), "round {round}");
         }
     }
 

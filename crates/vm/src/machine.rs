@@ -11,7 +11,7 @@ use crate::compiled::CompiledMethod;
 use crate::counters::counters;
 use crate::error::{VmError, VmResult, MULTI_TOO_LARGE};
 use crate::interp;
-use crate::observe::{ObserveLevel, ObserveReport, Observer, PhaseTiming, VmPhase};
+use crate::observe::{ObserveReport, Observer, PhaseTiming, VmPhase};
 use crate::profile::{MathKind, Tier, VmProfile};
 use crate::rir::RirMethod;
 use hpcnet_cil::{
@@ -193,7 +193,7 @@ pub struct Vm {
     fuel_on: AtomicBool,
     fuel: std::sync::atomic::AtomicI64,
     /// Per-method attribution profiler and compile records, sized by the
-    /// profile's [`ObserveLevel`] at construction (see [`crate::observe`]).
+    /// profile's [`ObserveLevel`](crate::ObserveLevel) at construction (see [`crate::observe`]).
     pub(crate) observer: Observer,
     /// Optional shared compile front-half cache (see [`crate::rir::share`]).
     opt_share: OnceLock<Arc<crate::rir::share::OptShare>>,
@@ -322,10 +322,13 @@ impl Vm {
         Some(self.fuel.load(Ordering::Relaxed).max(0) as u64)
     }
 
-    /// Spend one unit of fuel (no-op when disarmed). Called by every
-    /// tier's dispatch loop on taken branches and on `leave` (a loop can
-    /// be closed by a `leave` alone), and by [`Vm::guarded`] on managed
-    /// calls — any runaway program must do one of the three.
+    /// Spend one unit of fuel (no-op when disarmed). Every control
+    /// transfer that can close a loop charges: a taken branch and a
+    /// `leave` (a loop can be closed by a `leave` alone) in every tier's
+    /// dispatch loop, a managed call in [`Vm::guarded`], and exception
+    /// dispatch landing in a handler, `catch` or `finally` (a handler
+    /// can fall back into its own `try`) — any runaway program must do
+    /// one of the four.
     #[inline]
     pub(crate) fn charge_fuel(&self) -> VmResult<()> {
         if !self.fuel_on.load(Ordering::Relaxed) {
@@ -490,9 +493,12 @@ impl Vm {
         cell: &'a OnceLock<Arc<CompiledMethod>>,
         method: MethodId,
     ) -> VmResult<&'a Arc<CompiledMethod>> {
-        let code = crate::rir::compile::compile(self, method)?;
+        let (code, outcome) = crate::rir::compile::compile(self, method)?;
+        // Only the compile that wins the cell counts: a racing loser's
+        // code, and what its passes did, are thrown away.
         if cell.set(Arc::new(code)).is_ok() {
             self.counters.jit_compiles.fetch_add(1, Ordering::Relaxed);
+            crate::rir::opt::apply_outcome_counters(self, &outcome);
         }
         Ok(cell.get().expect("set just above, by this thread or the one that won the race"))
     }
@@ -511,7 +517,7 @@ impl Vm {
     }
 
     /// Drain the attribution profiler into plain values; `None` when the
-    /// profile's [`ObserveLevel`] is `Off`. Counts only — bit-identical
+    /// profile's [`ObserveLevel`](crate::ObserveLevel) is `Off`. Counts only — bit-identical
     /// across runs of a deterministic program (docs/OBSERVABILITY.md).
     pub fn observe_report(&self) -> Option<ObserveReport> {
         if !self.observer.enabled() {
@@ -526,21 +532,16 @@ impl Vm {
         format!("{}.{}", self.module.class(md.owner).name, md.name)
     }
 
-    /// The VM's observation level (from the profile at construction).
-    pub fn observe_level(&self) -> ObserveLevel {
-        self.observer.level()
-    }
-
     /// Install the observer's phase-timing time source (first caller
     /// wins; the default is the process wall clock). Only
-    /// [`ObserveLevel::Trace`] ever reads it — overhead tests install a
+    /// [`ObserveLevel::Trace`](crate::ObserveLevel::Trace) ever reads it — overhead tests install a
     /// counting clock and assert zero reads at lower levels.
     pub fn set_trace_clock(&self, clock: Arc<dyn Fn() -> u64 + Send + Sync>) {
         self.observer.set_clock(clock);
     }
 
     /// Per-phase VM timing (JIT passes, EH unwind) accumulated at
-    /// [`ObserveLevel::Trace`]; empty below it. Durations come from the
+    /// [`ObserveLevel::Trace`](crate::ObserveLevel::Trace); empty below it. Durations come from the
     /// installed trace clock, so unlike [`Vm::observe_report`] this is
     /// *not* deterministic under the default wall clock.
     pub fn phase_timings(&self) -> Vec<PhaseTiming> {

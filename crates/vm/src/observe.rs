@@ -413,10 +413,6 @@ impl Observer {
         self.level == ObserveLevel::Trace
     }
 
-    pub(crate) fn level(&self) -> ObserveLevel {
-        self.level
-    }
-
     /// Record frame entry; the returned token feeds [`Observer::leave`].
     #[inline]
     pub(crate) fn enter(&self, method: MethodId) -> u64 {
