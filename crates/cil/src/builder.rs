@@ -37,6 +37,17 @@ struct PendingMethod {
     kind: MethodKind,
 }
 
+/// The code, labels and branch sites of the body being built, kept by the
+/// module builder from one method to the next so that a body grows none
+/// of them afresh; [`MethodBuilder::finish`] copies the code out at its
+/// exact length.
+#[derive(Default)]
+struct BodyScratch {
+    code: Vec<Op>,
+    labels: Vec<Option<u32>>,
+    patches: Vec<(usize, Label)>,
+}
+
 /// Builds a [`Module`].
 pub struct ModuleBuilder {
     classes: Vec<(String, Option<String>)>,
@@ -46,6 +57,7 @@ pub struct ModuleBuilder {
     method_ids: HashMap<String, MethodId>,
     strings: Vec<String>,
     string_ids: HashMap<String, StrId>,
+    scratch: BodyScratch,
 }
 
 impl Default for ModuleBuilder {
@@ -64,6 +76,7 @@ impl ModuleBuilder {
             method_ids: HashMap::new(),
             strings: Vec::new(),
             string_ids: HashMap::new(),
+            scratch: BodyScratch::default(),
         }
     }
 
@@ -119,8 +132,7 @@ impl ModuleBuilder {
         kind: MethodKind,
     ) -> MethodBuilder<'_> {
         let id = MethodId(self.methods.len() as u32);
-        let owner_name = self.classes[owner.idx()].0.clone();
-        let qualified = format!("{owner_name}.{name}");
+        let qualified = format!("{}.{name}", self.classes[owner.idx()].0);
         assert!(
             !self.method_ids.contains_key(&qualified),
             "duplicate method {qualified}"
@@ -341,13 +353,14 @@ pub struct MethodBuilder<'m> {
 
 impl<'m> MethodBuilder<'m> {
     fn new(module: &'m mut ModuleBuilder, id: MethodId) -> Self {
+        let BodyScratch { code, labels, patches } = std::mem::take(&mut module.scratch);
         MethodBuilder {
             module,
             id,
             locals: Vec::new(),
-            code: Vec::new(),
-            labels: Vec::new(),
-            patches: Vec::new(),
+            code,
+            labels,
+            patches,
             eh: Vec::new(),
         }
     }
@@ -543,14 +556,14 @@ impl<'m> MethodBuilder<'m> {
             id,
             locals,
             mut code,
-            labels,
-            patches,
+            mut labels,
+            mut patches,
             eh,
         } = self;
         let resolve = |l: Label| -> u32 {
             labels[l.0 as usize].unwrap_or_else(|| panic!("unplaced label {l:?}"))
         };
-        for (at, l) in patches {
+        for &(at, l) in &patches {
             code[at].set_branch_target(resolve(l));
         }
         let eh = eh
@@ -565,10 +578,14 @@ impl<'m> MethodBuilder<'m> {
             .collect();
         module.methods[id.idx()].def.body = MethodBody {
             locals,
-            code,
+            code: code.to_vec(),
             eh,
             ..MethodBody::default()
         };
+        code.clear();
+        labels.clear();
+        patches.clear();
+        module.scratch = BodyScratch { code, labels, patches };
         id
     }
 }

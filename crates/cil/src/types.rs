@@ -9,6 +9,7 @@
 
 use crate::module::ClassId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Numeric primitive kinds as they exist on the CLI evaluation stack.
 ///
@@ -79,12 +80,13 @@ pub enum CilType {
     /// Reference to an instance of a declared class.
     Class(ClassId),
     /// Single-dimensional zero-based array (`T[]`). Jagged arrays are just
-    /// `Array(Array(T))`.
-    Array(Box<CilType>),
+    /// `Array(Array(T))`. The element type is shared, so copying an array
+    /// type (the verifier does for every value it tracks) allocates nothing.
+    Array(Arc<CilType>),
     /// True multidimensional array (`T[,]`, `T[,,]`): one flat buffer plus a
     /// dimension vector, addressed with per-dimension bounds checks. Rank is
     /// 2 or 3 in this subset.
-    MultiArray { elem: Box<CilType>, rank: u8 },
+    MultiArray { elem: Arc<CilType>, rank: u8 },
 }
 
 impl CilType {
@@ -133,14 +135,14 @@ impl CilType {
 
     /// Construct `T[]`.
     pub fn array_of(elem: CilType) -> CilType {
-        CilType::Array(Box::new(elem))
+        CilType::Array(Arc::new(elem))
     }
 
     /// Construct `T[,]` / `T[,,]`.
     pub fn multi_of(elem: CilType, rank: u8) -> CilType {
         assert!((2..=3).contains(&rank), "multi arrays support rank 2..=3");
         CilType::MultiArray {
-            elem: Box::new(elem),
+            elem: Arc::new(elem),
             rank,
         }
     }

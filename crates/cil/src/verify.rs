@@ -33,6 +33,7 @@ use crate::module::{EhKind, FieldDef, MethodDef, MethodId, Module};
 use crate::op::{BinOp, ElemKind, Intrinsic, Op, UnOp};
 use crate::types::{CilType, NumTy};
 use std::fmt;
+use std::sync::Arc;
 
 /// Abstract stack-cell type.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,20 +228,16 @@ impl<'m> Verifier<'m> {
     /// Bring `st` to the block entry `pc`: the first arrival records it,
     /// later ones merge into it cell by cell. `pc` goes on the worklist
     /// when its state is new or widened.
-    fn arrive(
-        &self,
-        states: &mut [Option<Vec<VerTy>>],
-        work: &mut Vec<u32>,
-        pc: u32,
-        st: &[VerTy],
-    ) -> Result<(), VerifyError> {
-        let Some(slot) = states.get_mut(pc as usize) else {
+    fn arrive(&self, w: &mut Work, pc: u32, st: &[VerTy]) -> Result<(), VerifyError> {
+        let Some(slot) = w.states.get_mut(pc as usize) else {
             return self.err(format!("branch target {pc} out of bounds"));
         };
         match slot {
             None => {
-                *slot = Some(st.to_vec());
-                work.push(pc);
+                let mut state = w.spare.pop().unwrap_or_default();
+                state.extend_from_slice(st);
+                *slot = Some(state);
+                w.work.push(pc);
             }
             Some(existing) => {
                 if existing.len() != st.len() {
@@ -259,7 +256,7 @@ impl<'m> Verifier<'m> {
                     }
                 }
                 if changed {
-                    work.push(pc);
+                    w.work.push(pc);
                 }
             }
         }
@@ -560,7 +557,7 @@ impl<'m> Verifier<'m> {
                     pop_i4!();
                 }
                 st.push(VerTy::Ref(CilType::MultiArray {
-                    elem: Box::new(elem_cil_ty(*kind)),
+                    elem: Arc::new(elem_cil_ty(*kind)),
                     rank: *rank,
                 }));
             }
@@ -636,9 +633,52 @@ impl<'m> Verifier<'m> {
     }
 }
 
+/// The working state of one method's verification. [`verify_module`]
+/// keeps one across the module's methods, so a body grows none of it
+/// afresh; each table is sized to the body at hand when it starts.
+#[derive(Default)]
+struct Work {
+    /// Block entries: pc 0, every in-bounds branch or `leave` target, and
+    /// every handler start.
+    leader: Vec<bool>,
+    /// The merged entry state of each block entry reached so far.
+    states: Vec<Option<Vec<VerTy>>>,
+    /// Emptied entry states of earlier bodies, for the next entries.
+    spare: Vec<Vec<VerTy>>,
+    /// Block entries whose state is new or changed.
+    work: Vec<u32>,
+    /// Where each pc's cells start in `seen`.
+    starts: Vec<u32>,
+    seen: Vec<Option<NumTy>>,
+    /// The running stack of the walk.
+    st: Vec<VerTy>,
+}
+
+impl Work {
+    /// Empty every table and size the per-pc ones to `n` instructions.
+    fn start(&mut self, n: usize) {
+        for mut state in self.states.drain(..).flatten() {
+            state.clear();
+            self.spare.push(state);
+        }
+        self.states.resize(n, None);
+        self.leader.clear();
+        self.leader.resize(n, false);
+        self.starts.clear();
+        self.starts.resize(n, 0);
+        self.work.clear();
+        self.seen.clear();
+        self.st.clear();
+    }
+}
+
 /// Verify a single method, returning the entry-stack shape of every
 /// instruction.
 pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, VerifyError> {
+    verify_with(module, id, &mut Work::default())
+}
+
+fn verify_with(module: &Module, id: MethodId, w: &mut Work) -> Result<StackShapes, VerifyError> {
     let method = module.method(id);
     let code = &method.body.code;
     let mut v = Verifier {
@@ -661,25 +701,22 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, Verif
         };
     }
 
-    // Block entries: pc 0, every in-bounds branch or `leave` target, and
-    // every handler start. Only these keep a state; an out-of-bounds
-    // target is rejected when control reaches its branch.
-    let mut leader = vec![false; n];
-    leader[0] = true;
+    // Block entries. Only these keep a state; an out-of-bounds target is
+    // rejected when control reaches its branch.
+    w.start(n);
+    w.leader[0] = true;
     for t in code.iter().filter_map(Op::branch_target) {
-        if let Some(l) = leader.get_mut(t as usize) {
+        if let Some(l) = w.leader.get_mut(t as usize) {
             *l = true;
         }
     }
     for region in &method.body.eh {
-        if let Some(l) = leader.get_mut(region.handler_start as usize) {
+        if let Some(l) = w.leader.get_mut(region.handler_start as usize) {
             *l = true;
         }
     }
 
-    let mut states: Vec<Option<Vec<VerTy>>> = vec![None; n];
-    let mut work: Vec<u32> = Vec::new();
-    v.arrive(&mut states, &mut work, 0, &[])?;
+    v.arrive(w, 0, &[])?;
     // Handler entries are reachable with a synthetic stack.
     for region in &method.body.eh {
         let caught;
@@ -690,17 +727,15 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, Verif
             }
             EhKind::Finally => &[],
         };
-        v.arrive(&mut states, &mut work, region.handler_start, st)?;
+        v.arrive(w, region.handler_start, st)?;
     }
 
     // Each pc's shape, written the first time a walk reaches it: its
     // depth, and where its cells start in `seen` (in visit order).
     let mut depths = vec![UNREACHED; n];
-    let mut starts = vec![0u32; n];
-    let mut seen: Vec<Option<NumTy>> = Vec::new();
-    let mut st: Vec<VerTy> = Vec::new();
-    while let Some(entry) = work.pop() {
-        let Some(state) = &states[entry as usize] else {
+    let mut st = std::mem::take(&mut w.st);
+    while let Some(entry) = w.work.pop() {
+        let Some(state) = &w.states[entry as usize] else {
             continue;
         };
         st.clone_from(state);
@@ -712,12 +747,12 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, Verif
             let at = pc as usize;
             if depths[at] == UNREACHED {
                 depths[at] = st.len() as u32;
-                starts[at] = seen.len() as u32;
-                seen.extend(st.iter().map(VerTy::num));
+                w.starts[at] = w.seen.len() as u32;
+                w.seen.extend(st.iter().map(VerTy::num));
             }
             let flow = v.step(&code[at], &mut st)?;
             if let Some(b) = flow.branch {
-                v.arrive(&mut states, &mut work, b, &st)?;
+                v.arrive(w, b, &st)?;
             }
             if !flow.fallthrough {
                 break;
@@ -726,18 +761,19 @@ pub fn verify_method(module: &Module, id: MethodId) -> Result<StackShapes, Verif
                 return v.err("control falls off the end of the method");
             }
             pc += 1;
-            if leader[pc as usize] {
-                v.arrive(&mut states, &mut work, pc, &st)?;
+            if w.leader[pc as usize] {
+                v.arrive(w, pc, &st)?;
                 break;
             }
         }
     }
+    w.st = st;
 
     // Lay the cells out in instruction order.
-    let mut cells = Vec::with_capacity(seen.len());
-    for (&d, &s) in depths.iter().zip(&starts) {
+    let mut cells = Vec::with_capacity(w.seen.len());
+    for (&d, &s) in depths.iter().zip(&w.starts) {
         if d != UNREACHED {
-            cells.extend_from_slice(&seen[s as usize..(s + d) as usize]);
+            cells.extend_from_slice(&w.seen[s as usize..(s + d) as usize]);
         }
     }
     Ok(StackShapes { depths, cells })
@@ -763,7 +799,7 @@ fn elem_result(arr: VerTy, k: ElemKind) -> VerTy {
     match k.num_ty() {
         Some(nt) => VerTy::Num(nt),
         None => match arr {
-            VerTy::Ref(CilType::Array(e)) if e.is_ref() => VerTy::Ref(*e),
+            VerTy::Ref(CilType::Array(e)) if e.is_ref() => VerTy::Ref(Arc::unwrap_or_clone(e)),
             _ => VerTy::Ref(CilType::Object),
         },
     }
@@ -902,9 +938,9 @@ fn verify_intrinsic(
 /// Verify every method in the module, recording `max_stack` and the
 /// [`StackShapes`] in each body.
 pub fn verify_module(module: &mut Module) -> Result<(), VerifyError> {
-    let ids: Vec<MethodId> = (0..module.methods.len() as u32).map(MethodId).collect();
-    for id in ids {
-        let shapes = verify_method(module, id)?;
+    let mut w = Work::default();
+    for id in (0..module.methods.len() as u32).map(MethodId) {
+        let shapes = verify_with(module, id, &mut w)?;
         let body = &mut module.methods[id.idx()].body;
         body.max_stack = shapes.max_depth();
         body.stack_shapes = Some(shapes);

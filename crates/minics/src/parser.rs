@@ -1,7 +1,9 @@
 //! MiniC# recursive-descent parser.
 //!
 //! Names move from the tokens into the tree as `&'src str` borrows of the
-//! source; the parser allocates only the tree's own nodes and vectors.
+//! source. Nodes go into the [`Program`]'s arenas; a child list is
+//! gathered on a stack shared by the whole parse and moved into the
+//! program's list vector when it ends, so a list costs no block of its own.
 
 use crate::ast::*;
 use crate::lexer::{lex, Pos, Tok, Token};
@@ -28,17 +30,22 @@ pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
         pos: e.pos,
         message: e.message,
     })?;
-    let mut p = Parser { tokens, at: 0 };
-    let mut prog = Program::default();
+    let prog = Program::with_capacity(tokens.len());
+    let mut p = Parser { tokens, at: 0, prog, exprs: Vec::new(), stmts: Vec::new() };
     while !p.check(&Tok::Eof) {
-        prog.classes.push(p.class_decl()?);
+        let class = p.class_decl()?;
+        p.prog.classes.push(class);
     }
-    Ok(prog)
+    Ok(p.prog)
 }
 
 struct Parser<'src> {
     tokens: Vec<Token<'src>>,
     at: usize,
+    prog: Program<'src>,
+    /// Ids of the lists being parsed, innermost last.
+    exprs: Vec<ExprId>,
+    stmts: Vec<StmtId>,
 }
 
 impl<'src> Parser<'src> {
@@ -191,37 +198,30 @@ impl<'src> Parser<'src> {
             });
         } else {
             // Field (possibly several: `int a, b;`), with optional
-            // initializer for statics.
-            let mut names = vec![name];
-            let mut inits = vec![if self.eat(&Tok::Assign) {
-                Some(self.expr()?)
-            } else {
-                None
-            }];
-            while self.eat(&Tok::Comma) {
-                names.push(self.ident()?);
-                inits.push(if self.eat(&Tok::Assign) {
+            // initializer for statics, checked once the list has parsed.
+            let first = fields.len();
+            let mut name = name;
+            loop {
+                let init = if self.eat(&Tok::Assign) {
                     Some(self.expr()?)
                 } else {
                     None
-                });
+                };
+                let ty = ty.clone();
+                fields.push(FieldDecl { name, ty, is_static, init, pos });
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+                name = self.ident()?;
             }
             self.expect(&Tok::Semi)?;
-            for (n, init) in names.into_iter().zip(inits) {
-                if init.is_some() && !is_static {
-                    return Err(ParseError {
-                        pos,
-                        message: format!(
-                            "instance field {n} cannot have an initializer (assign in the constructor)"
-                        ),
-                    });
-                }
-                fields.push(FieldDecl {
-                    name: n,
-                    ty: ty.clone(),
-                    is_static,
-                    init,
+            if let Some(f) = fields[first..].iter().find(|f| f.init.is_some() && !is_static) {
+                return Err(ParseError {
                     pos,
+                    message: format!(
+                        "instance field {} cannot have an initializer (assign in the constructor)",
+                        f.name
+                    ),
                 });
             }
         }
@@ -315,16 +315,22 @@ impl<'src> Parser<'src> {
 
     // ---- statements ----
 
-    fn block(&mut self) -> Result<Vec<Stmt<'src>>, ParseError> {
+    fn block(&mut self) -> Result<Block, ParseError> {
         self.expect(&Tok::LBrace)?;
-        let mut out = Vec::new();
+        let from = self.stmts.len();
         while !self.eat(&Tok::RBrace) {
-            out.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.stmts.push(s);
         }
-        Ok(out)
+        Ok(self.prog.block_of(&mut self.stmts, from))
     }
 
-    fn stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
+        let s = self.stmt_node()?;
+        Ok(self.prog.push_stmt(s))
+    }
+
+    fn stmt_node(&mut self) -> Result<Stmt<'src>, ParseError> {
         let pos = self.pos();
         match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
@@ -365,7 +371,7 @@ impl<'src> Parser<'src> {
                 let init = if self.check(&Tok::Semi) {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt()?))
+                    Some(self.simple_stmt()?)
                 };
                 self.expect(&Tok::Semi)?;
                 let cond = if self.check(&Tok::Semi) {
@@ -377,7 +383,7 @@ impl<'src> Parser<'src> {
                 let update = if self.check(&Tok::RParen) {
                     None
                 } else {
-                    Some(Box::new(self.simple_stmt()?))
+                    Some(self.simple_stmt()?)
                 };
                 self.expect(&Tok::RParen)?;
                 let body = self.stmt_as_block()?;
@@ -449,24 +455,32 @@ impl<'src> Parser<'src> {
                 Ok(Stmt::Lock { obj, body, pos })
             }
             _ => {
-                let s = self.simple_stmt()?;
+                let s = self.simple_stmt_node()?;
                 self.expect(&Tok::Semi)?;
                 Ok(s)
             }
         }
     }
 
-    fn stmt_as_block(&mut self) -> Result<Vec<Stmt<'src>>, ParseError> {
+    fn stmt_as_block(&mut self) -> Result<Block, ParseError> {
         if self.check(&Tok::LBrace) {
             self.block()
         } else {
-            Ok(vec![self.stmt()?])
+            let from = self.stmts.len();
+            let s = self.stmt()?;
+            self.stmts.push(s);
+            Ok(self.prog.block_of(&mut self.stmts, from))
         }
+    }
+
+    fn simple_stmt(&mut self) -> Result<StmtId, ParseError> {
+        let s = self.simple_stmt_node()?;
+        Ok(self.prog.push_stmt(s))
     }
 
     /// A declaration, assignment, inc/dec, or expression — the statement
     /// forms legal in `for` headers.
-    fn simple_stmt(&mut self) -> Result<Stmt<'src>, ParseError> {
+    fn simple_stmt_node(&mut self) -> Result<Stmt<'src>, ParseError> {
         let pos = self.pos();
         if self.looks_like_decl() {
             let ty = self.ty()?;
@@ -527,11 +541,15 @@ impl<'src> Parser<'src> {
 
     // ---- expressions (precedence climbing) ----
 
-    fn expr(&mut self) -> Result<Expr<'src>, ParseError> {
+    fn node(&mut self, e: Expr<'src>) -> ExprId {
+        self.prog.push_expr(e)
+    }
+
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         self.ternary()
     }
 
-    fn ternary(&mut self) -> Result<Expr<'src>, ParseError> {
+    fn ternary(&mut self) -> Result<ExprId, ParseError> {
         let cond = self.bin_expr(0)?;
         if self.check(&Tok::Question) {
             let pos = self.pos();
@@ -539,12 +557,7 @@ impl<'src> Parser<'src> {
             let then = self.expr()?;
             self.expect(&Tok::Colon)?;
             let els = self.expr()?;
-            return Ok(Expr::Cond {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els: Box::new(els),
-                pos,
-            });
+            return Ok(self.node(Expr::Cond { cond, then, els, pos }));
         }
         Ok(cond)
     }
@@ -573,7 +586,7 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr<'src>, ParseError> {
+    fn bin_expr(&mut self, min_prec: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = Self::bin_op_prec(self.peek()) {
             if prec < min_prec {
@@ -582,75 +595,46 @@ impl<'src> Parser<'src> {
             let pos = self.pos();
             self.bump();
             let rhs = self.bin_expr(prec + 1)?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
+            lhs = self.node(Expr::Bin { op, lhs, rhs, pos });
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr<'src>, ParseError> {
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
         let pos = self.pos();
-        match self.peek() {
+        let op = match self.peek() {
             Tok::Minus => {
                 self.bump();
                 // `-literal` folds so i32::MIN is writable.
-                match *self.peek() {
-                    Tok::Int(v) => {
-                        self.bump();
-                        return Ok(Expr::Int(v.wrapping_neg()));
-                    }
-                    Tok::Long(v) => {
-                        self.bump();
-                        return Ok(Expr::Long(v.wrapping_neg()));
-                    }
-                    Tok::Double(v) => {
-                        self.bump();
-                        return Ok(Expr::Double(-v));
-                    }
-                    Tok::Float(v) => {
-                        self.bump();
-                        return Ok(Expr::Float(-v));
-                    }
-                    _ => {}
-                }
-                Ok(Expr::Un {
-                    op: UnKind::Neg,
-                    expr: Box::new(self.unary()?),
-                    pos,
-                })
-            }
-            Tok::Not => {
+                let folded = match *self.peek() {
+                    Tok::Int(v) => Expr::Int(v.wrapping_neg()),
+                    Tok::Long(v) => Expr::Long(v.wrapping_neg()),
+                    Tok::Double(v) => Expr::Double(-v),
+                    Tok::Float(v) => Expr::Float(-v),
+                    _ => return self.un(UnKind::Neg, pos),
+                };
                 self.bump();
-                Ok(Expr::Un {
-                    op: UnKind::Not,
-                    expr: Box::new(self.unary()?),
-                    pos,
-                })
+                return Ok(self.node(folded));
             }
-            Tok::Tilde => {
-                self.bump();
-                Ok(Expr::Un {
-                    op: UnKind::BitNot,
-                    expr: Box::new(self.unary()?),
-                    pos,
-                })
-            }
+            Tok::Not => UnKind::Not,
+            Tok::Tilde => UnKind::BitNot,
             Tok::LParen if self.is_cast() => {
                 self.bump();
                 let ty = self.ty()?;
                 self.expect(&Tok::RParen)?;
-                Ok(Expr::Cast {
-                    ty,
-                    expr: Box::new(self.unary()?),
-                    pos,
-                })
+                let expr = self.unary()?;
+                return Ok(self.node(Expr::Cast { ty, expr, pos }));
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.bump();
+        self.un(op, pos)
+    }
+
+    /// `op` applied to the unary expression at the cursor.
+    fn un(&mut self, op: UnKind, pos: Pos) -> Result<ExprId, ParseError> {
+        let expr = self.unary()?;
+        Ok(self.node(Expr::Un { op, expr, pos }))
     }
 
     /// Is `( ... )` at the cursor a cast? True for `(type)` followed by an
@@ -715,38 +699,22 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn postfix(&mut self) -> Result<Expr<'src>, ParseError> {
+    fn postfix(&mut self) -> Result<ExprId, ParseError> {
         let mut e = self.primary()?;
         loop {
             let pos = self.pos();
             if self.eat(&Tok::Dot) {
                 let name = self.ident()?;
-                if self.check(&Tok::LParen) {
+                e = if self.check(&Tok::LParen) {
                     let args = self.args()?;
-                    e = Expr::Call {
-                        target: Some(Box::new(e)),
-                        name,
-                        args,
-                        pos,
-                    };
+                    self.node(Expr::Call { target: Some(e), name, args, pos })
                 } else {
-                    e = Expr::Field {
-                        obj: Box::new(e),
-                        name,
-                        pos,
-                    };
-                }
-            } else if self.eat(&Tok::LBracket) {
-                let mut idxs = vec![self.expr()?];
-                while self.eat(&Tok::Comma) {
-                    idxs.push(self.expr()?);
-                }
-                self.expect(&Tok::RBracket)?;
-                e = Expr::Index {
-                    arr: Box::new(e),
-                    idxs,
-                    pos,
+                    self.node(Expr::Field { obj: e, name, pos })
                 };
+            } else if self.eat(&Tok::LBracket) {
+                let idxs = self.expr_list()?;
+                self.expect(&Tok::RBracket)?;
+                e = self.node(Expr::Index { arr: e, idxs, pos });
             } else {
                 break;
             }
@@ -754,57 +722,64 @@ impl<'src> Parser<'src> {
         Ok(e)
     }
 
-    fn args(&mut self) -> Result<Vec<Expr<'src>>, ParseError> {
-        self.expect(&Tok::LParen)?;
-        let mut out = Vec::new();
-        if !self.check(&Tok::RParen) {
-            loop {
-                out.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
+    /// One or more comma-separated expressions.
+    fn expr_list(&mut self) -> Result<Exprs, ParseError> {
+        let from = self.exprs.len();
+        loop {
+            let e = self.expr()?;
+            self.exprs.push(e);
+            if !self.eat(&Tok::Comma) {
+                break;
             }
         }
-        self.expect(&Tok::RParen)?;
-        Ok(out)
+        Ok(self.prog.expr_list(&mut self.exprs, from))
     }
 
-    fn primary(&mut self) -> Result<Expr<'src>, ParseError> {
+    fn args(&mut self) -> Result<Exprs, ParseError> {
+        self.expect(&Tok::LParen)?;
+        let args = if self.check(&Tok::RParen) {
+            Exprs::default()
+        } else {
+            self.expr_list()?
+        };
+        self.expect(&Tok::RParen)?;
+        Ok(args)
+    }
+
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
         let pos = self.pos();
-        match self.bump() {
-            Tok::Int(v) => Ok(Expr::Int(v)),
-            Tok::Long(v) => Ok(Expr::Long(v)),
-            Tok::Float(v) => Ok(Expr::Float(v)),
-            Tok::Double(v) => Ok(Expr::Double(v)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
-            Tok::True => Ok(Expr::Bool(true)),
-            Tok::False => Ok(Expr::Bool(false)),
-            Tok::Null => Ok(Expr::Null),
-            Tok::This => Ok(Expr::This(pos)),
+        let e = match self.bump() {
+            Tok::Int(v) => Expr::Int(v),
+            Tok::Long(v) => Expr::Long(v),
+            Tok::Float(v) => Expr::Float(v),
+            Tok::Double(v) => Expr::Double(v),
+            Tok::Str(s) => Expr::Str(s),
+            Tok::True => Expr::Bool(true),
+            Tok::False => Expr::Bool(false),
+            Tok::Null => Expr::Null,
+            Tok::This => Expr::This(pos),
             Tok::LParen => {
                 let e = self.expr()?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Tok::New => self.new_expr(pos),
+            Tok::New => self.new_expr(pos)?,
             Tok::Ident(name) => {
                 if self.check(&Tok::LParen) {
                     let args = self.args()?;
-                    Ok(Expr::Call {
-                        target: None,
-                        name,
-                        args,
-                        pos,
-                    })
+                    Expr::Call { target: None, name, args, pos }
                 } else {
-                    Ok(Expr::Ident(name, pos))
+                    Expr::Ident(name, pos)
                 }
             }
-            other => Err(ParseError {
-                pos,
-                message: format!("expected expression, found {other}"),
-            }),
-        }
+            other => {
+                return Err(ParseError {
+                    pos,
+                    message: format!("expected expression, found {other}"),
+                })
+            }
+        };
+        Ok(self.node(e))
     }
 
     fn new_expr(&mut self, pos: Pos) -> Result<Expr<'src>, ParseError> {
@@ -821,11 +796,7 @@ impl<'src> Parser<'src> {
                 if self.check(&Tok::LParen) {
                     // `new Class(args)`
                     let args = self.args()?;
-                    return Ok(Expr::New {
-                        class: s,
-                        args,
-                        pos,
-                    });
+                    return Ok(Expr::New { class: s, args, pos });
                 }
                 Ty::Class(s)
             }
@@ -838,23 +809,23 @@ impl<'src> Parser<'src> {
         };
         // `[dims]` then optional `[]` ranks for jagged spines.
         self.expect(&Tok::LBracket)?;
-        let mut dims = vec![self.expr()?];
-        while self.eat(&Tok::Comma) {
-            dims.push(self.expr()?);
-        }
+        let dims = self.expr_list()?;
         self.expect(&Tok::RBracket)?;
+        let mut elem = base;
         let mut extra_ranks = 0u8;
         while self.check(&Tok::LBracket) && self.peek2() == &Tok::RBracket {
             self.bump();
             self.bump();
+            elem = elem.array_of();
             extra_ranks += 1;
         }
-        Ok(Expr::NewArray {
-            elem: base,
-            dims,
-            extra_ranks,
-            pos,
-        })
+        // The expression's type, built once here so codegen reads it in
+        // place; a mix of jagged and multidimensional is refused there.
+        let ty = match dims.len() {
+            1 => elem.array_of(),
+            n => Ty::Multi(Box::new(elem), n as u8),
+        };
+        Ok(Expr::NewArray { ty, dims, extra_ranks, pos })
     }
 }
 
@@ -902,11 +873,20 @@ mod tests {
                 lock (null) { s += 2; }
                 return s > 0 ? s : -s;
             } }"#);
-        let m = &prog.classes[0].methods[0];
-        assert_eq!(m.body.len(), 7);
-        assert!(matches!(m.body[1], Stmt::For { .. }));
-        assert!(matches!(m.body[4], Stmt::Try { .. }));
-        assert!(matches!(m.body[5], Stmt::Lock { .. }));
+        let body = prog.block(prog.classes[0].methods[0].body);
+        assert_eq!(body.len(), 7);
+        assert!(matches!(prog.stmt(body[1]), Stmt::For { .. }));
+        assert!(matches!(prog.stmt(body[4]), Stmt::Try { .. }));
+        assert!(matches!(prog.stmt(body[5]), Stmt::Lock { .. }));
+    }
+
+    /// The initializer of the `k`-th statement of the first method, a local.
+    fn init<'p, 'src>(prog: &'p Program<'src>, k: usize) -> &'p Expr<'src> {
+        let body = prog.block(prog.classes[0].methods[0].body);
+        match prog.stmt(body[k]) {
+            Stmt::Local { init: Some(e), .. } => prog.expr(*e),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -916,10 +896,12 @@ mod tests {
             double[] b = new double[10]; \
             double[][] c = new double[10][]; \
             double[,] d = new double[3,4]; } }");
-        let body = &prog.classes[0].methods[0].body;
-        assert!(matches!(&body[1], Stmt::Local { init: Some(Expr::NewArray { extra_ranks: 0, dims, .. }), .. } if dims.len() == 1));
-        assert!(matches!(&body[2], Stmt::Local { init: Some(Expr::NewArray { extra_ranks: 1, .. }), .. }));
-        assert!(matches!(&body[3], Stmt::Local { init: Some(Expr::NewArray { dims, .. }), .. } if dims.len() == 2));
+        assert!(matches!(init(&prog, 1), Expr::NewArray { extra_ranks: 0, dims, ty, .. }
+            if dims.len() == 1 && *ty == Ty::Double.array_of()));
+        assert!(matches!(init(&prog, 2), Expr::NewArray { extra_ranks: 1, ty, .. }
+            if *ty == Ty::Double.array_of().array_of()));
+        assert!(matches!(init(&prog, 3), Expr::NewArray { dims, ty, .. }
+            if dims.len() == 2 && *ty == Ty::Multi(Box::new(Ty::Double), 2)));
     }
 
     #[test]
@@ -927,21 +909,21 @@ mod tests {
         // (int)x is a cast; (x) + 1 is a parenthesized expr; (A)obj casts.
         let prog = p("class A { static void F(int x, object o) { \
             int a = (int)x; int b = (x) + 1; A c = (A)o; double d = (double)-x; } }");
-        let body = &prog.classes[0].methods[0].body;
-        assert!(matches!(&body[0], Stmt::Local { init: Some(Expr::Cast { .. }), .. }));
-        assert!(matches!(&body[1], Stmt::Local { init: Some(Expr::Bin { .. }), .. }));
-        assert!(matches!(&body[2], Stmt::Local { init: Some(Expr::Cast { .. }), .. }));
-        assert!(matches!(&body[3], Stmt::Local { init: Some(Expr::Cast { .. }), .. }));
+        assert!(matches!(init(&prog, 0), Expr::Cast { .. }));
+        assert!(matches!(init(&prog, 1), Expr::Bin { .. }));
+        assert!(matches!(init(&prog, 2), Expr::Cast { .. }));
+        assert!(matches!(init(&prog, 3), Expr::Cast { .. }));
     }
 
     #[test]
     fn precedence() {
         let prog = p("class A { static int F() { return 1 + 2 * 3 << 1 < 20 ? 1 : 0; } }");
         // Parses without error and nests: ((1 + (2*3)) << 1) < 20.
-        let m = &prog.classes[0].methods[0];
-        match &m.body[0] {
-            Stmt::Return(Some(Expr::Cond { cond, .. }), _) => {
-                assert!(matches!(**cond, Expr::Bin { op: BinKind::Lt, .. }));
+        let body = prog.block(prog.classes[0].methods[0].body);
+        let &Stmt::Return(Some(e), _) = prog.stmt(body[0]) else { panic!("a return") };
+        match prog.expr(e) {
+            Expr::Cond { cond, .. } => {
+                assert!(matches!(prog.expr(*cond), Expr::Bin { op: BinKind::Lt, .. }));
             }
             other => panic!("{other:?}"),
         }
@@ -950,8 +932,10 @@ mod tests {
     #[test]
     fn multidim_index() {
         let prog = p("class A { static double F(double[,] m) { return m[1, 2]; } }");
-        match &prog.classes[0].methods[0].body[0] {
-            Stmt::Return(Some(Expr::Index { idxs, .. }), _) => assert_eq!(idxs.len(), 2),
+        let body = prog.block(prog.classes[0].methods[0].body);
+        let &Stmt::Return(Some(e), _) = prog.stmt(body[0]) else { panic!("a return") };
+        match prog.expr(e) {
+            Expr::Index { idxs, .. } => assert_eq!(idxs.len(), 2),
             other => panic!("{other:?}"),
         }
     }
