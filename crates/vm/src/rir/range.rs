@@ -339,7 +339,7 @@ struct Plan {
 ///
 /// Consumes the context: every plan is laid against the code as it stands
 /// on entry, and the first one applied makes that analysis history.
-pub(crate) fn version_loops(l: &mut Lowered, mut ctx: MethodCtx) -> (u64, u64) {
+pub(crate) fn version_loops(l: &mut Lowered, ctx: &mut MethodCtx) -> (u64, u64) {
     let (an, facts) = ctx.facts(l);
     let mut plans: Vec<Plan> =
         an.loops(l).iter().filter_map(|lp| plan_version(l, an, facts, lp)).collect();
