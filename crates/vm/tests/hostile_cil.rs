@@ -7,9 +7,13 @@
 //! raises the same managed exception for it — the interpreter
 //! (`sscli10`), the use-count register tier (`clr11`, and `mono023` for
 //! the helper-call multidimensional path) and the linear-scan tier
-//! (`clr11_compiled`). Nothing here catches an unwind: a host panic fails
-//! the test. The last two tests bind modules without verifying them first,
-//! or edit a body after verification.
+//! (`clr11_compiled`). Two more break an exception-handling invariant the
+//! verifier does not check (an `endfinally` outside any handler, a `ret`
+//! inside a finally): every engine ends them with the same
+//! `VmError::Internal` text, naming the method by its simple name. Nothing
+//! here catches an unwind: a host panic fails the test. The last two tests
+//! bind modules without verifying them first, or edit a body after
+//! verification.
 
 use hpcnet_cil::{CilType, ElemKind, FieldId, MethodBuilder, MethodKind, Module, ModuleBuilder, Op};
 use hpcnet_vm::{declare_prelude, Vm, VmError, VmProfile};
@@ -21,6 +25,8 @@ enum Outcome {
     Rejected,
     /// `Main` raised a managed exception of this class.
     Throws(&'static str),
+    /// `Main` ended with `VmError::Internal` of this text.
+    Internal(&'static str),
 }
 
 const CAST: Outcome = Outcome::Throws("InvalidCastException");
@@ -193,6 +199,27 @@ fn cases() -> Vec<(&'static str, Module, Outcome)> {
             }),
             CAST,
         ),
+        (
+            "endfinally outside any handler",
+            module(|f, _| f.emit(Op::EndFinally)),
+            Outcome::Internal("endfinally outside handler in Main"),
+        ),
+        (
+            "ret inside a finally reached by leave",
+            module(|f, _| {
+                let [try_start, handler, after] = [(); 3].map(|()| f.new_label());
+                f.place(try_start);
+                f.leave(after);
+                f.place(handler);
+                f.ldc_i4(1);
+                f.ret();
+                f.place(after);
+                f.ldc_i4(0);
+                f.ret();
+                f.eh_finally(try_start, handler, handler, after);
+            }),
+            Outcome::Internal("return inside finally in Main"),
+        ),
     ]
 }
 
@@ -213,6 +240,13 @@ fn run(module: Module, profile: VmProfile) -> Result<Outcome, String> {
                 .find(|n| n == name)
                 .map(Outcome::Throws)
                 .ok_or_else(|| format!("threw {name}"))
+        }
+        Err(VmError::Internal(m)) => {
+            ["endfinally outside handler in Main", "return inside finally in Main"]
+                .into_iter()
+                .find(|k| *k == m)
+                .map(Outcome::Internal)
+                .ok_or_else(|| format!("internal error {m}"))
         }
         other => Err(format!("ended with {other:?}")),
     }
