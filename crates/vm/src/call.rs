@@ -1,6 +1,6 @@
 //! What a register-tier VM runs around an instruction: the frame, the
-//! dispatch loop with its `leave`/`finally`/exception protocol, and the
-//! managed call edge. (What runs *inside* one — its body — is the `ops`
+//! dispatch loop (which hands `leave`, `endfinally` and exceptions to the
+//! shared `eh` module), and the managed call edge. (What runs *inside* one — its body — is the `ops`
 //! module, called from the op records of a
 //! [`crate::compiled::CompiledMethod`].)
 //!
@@ -53,11 +53,11 @@
 //! returns.
 
 use crate::compiled::CompiledMethod;
+use crate::eh::{self, Bound, EhFrame};
 use crate::error::{VmError, VmResult};
 use crate::machine::Vm;
-use crate::observe::EhDispatchKind;
 use crate::rir::{slot_index, ArgSlot, DstSlot, Operand, RirMethod, SPILL_BIT};
-use hpcnet_cil::module::{EhKind, MethodId};
+use hpcnet_cil::module::{EhRegion, MethodId};
 use hpcnet_cil::Intrinsic;
 use hpcnet_runtime::{AllocCount, Obj, Value};
 use std::sync::Arc;
@@ -385,26 +385,11 @@ impl<'v> Activation<'v> {
         }
     }
 
-    fn internal<X>(&self, msg: &str) -> VmResult<X> {
-        // Same shape as the stack interpreter's internal errors: every tier
-        // must render an identical string for an identical failure.
-        Err(VmError::Internal(format!(
-            "{} in {}",
-            msg,
-            self.vm.module.method(self.code.rir.method).name
-        )))
-    }
-
     /// The dispatch loop. `Ok` means the region ended the way its kind
-    /// ends: the method body (`finally_bound = None`) by `ret`, with the
-    /// value parked in the frame; a finally handler run in-frame
-    /// (`Some(handler range)`) by `endfinally`. Inside a handler, exception
-    /// dispatch is restricted to regions nested in it — anything else
-    /// propagates out so the *enclosing* run performs the dispatch
-    /// (otherwise an enclosing catch would execute inside the finally
-    /// sub-run and a later `ret` would falsely read as "return inside
-    /// finally").
-    fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<()> {
+    /// ends: the method body (`bound = None`) by `ret`, with the value
+    /// parked in the frame; a finally handler run in-frame by `endfinally`
+    /// (see [`crate::eh`]).
+    fn run(&mut self, entry: u32, bound: Bound) -> VmResult<()> {
         let (vm, depth, observing) = (self.vm, self.depth, self.observing);
         let (rir, ops) = (&*self.code.rir, &*self.code.ops);
         let mut pc = entry;
@@ -424,29 +409,15 @@ impl<'v> Activation<'v> {
                 vm.charge_fuel()?;
                 pc = step.0;
             } else if step == Step::RET {
-                if finally_bound.is_some() {
-                    return self.internal("return inside finally");
-                }
-                return Ok(());
+                return eh::ret(self, bound);
             } else {
                 // Taken before anything below re-enters `run` on this
                 // frame: handlers execute in-frame and park their own.
                 match self.fr.parked.take() {
-                    Some(Exit::Leave(target)) => {
-                        vm.charge_fuel()?;
-                        pc = match self.run_leave_finallys(pc, target, finally_bound)? {
-                            Some(handler_pc) => handler_pc,
-                            None => target,
-                        };
-                    }
-                    Some(Exit::EndFinally) => {
-                        if finally_bound.is_some() {
-                            return Ok(());
-                        }
-                        return self.internal("endfinally outside handler");
-                    }
+                    Some(Exit::Leave(target)) => pc = eh::leave(self, pc, target, bound)?,
+                    Some(Exit::EndFinally) => return eh::end_finally(self, bound),
                     Some(Exit::Err(VmError::Exception(exc))) => {
-                        pc = self.dispatch_exception(pc, exc, finally_bound)?;
+                        pc = eh::dispatch(self, pc, exc, bound)?
                     }
                     Some(Exit::Err(other)) => return Err(other),
                     None => return self.internal("op exited without an outcome"),
@@ -454,90 +425,27 @@ impl<'v> Activation<'v> {
             }
         }
     }
+}
 
-    /// Run the finally handlers exited by `leave pc -> target`, innermost
-    /// first (table order). Returns `Some(handler_pc)` when a finally threw
-    /// and an enclosing catch takes over (the exception search restarts
-    /// from the faulting handler, per CLI semantics: it replaces the leave,
-    /// and outer finallys between the handler and the catch still run as
-    /// part of that dispatch).
-    fn run_leave_finallys(
-        &mut self,
-        pc: u32,
-        target: u32,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<Option<u32>> {
-        let code: &'v CompiledMethod = self.code;
-        for r in &code.rir.eh {
-            let exited = matches!(r.kind, EhKind::Finally)
-                && r.covers(pc)
-                && !(r.try_start <= target && target < r.try_end);
-            if !exited {
-                continue;
-            }
-            match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
-                Ok(()) => {}
-                Err(VmError::Exception(exc)) => {
-                    return self
-                        .dispatch_exception(r.handler_start, exc, bound)
-                        .map(Some)
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(None)
+impl<'v> EhFrame<'v> for Activation<'v> {
+    fn vm(&self) -> &'v Arc<Vm> {
+        self.vm
     }
 
-    /// Find a handler for `exc` thrown at `pc`; runs intervening finallys.
-    /// With `bound`, only regions nested inside that handler range are
-    /// eligible (dispatch from inside a finally handler must not escape it —
-    /// the caller owns anything further out).
-    fn dispatch_exception(
-        &mut self,
-        pc: u32,
-        mut exc: Obj,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<u32> {
-        let (vm, observing) = (self.vm, self.observing);
-        let rir: &'v RirMethod = &self.code.rir;
-        let note = |kind| {
-            if observing {
-                vm.observer.eh_dispatch(rir.method, kind);
-            }
-        };
-        for (r, &exc_slot) in rir.eh.iter().zip(&rir.eh_exc_slots) {
-            if !r.covers(pc) {
-                continue;
-            }
-            if let Some((lo, hi)) = bound {
-                if r.try_start < lo || r.handler_end > hi {
-                    continue;
-                }
-            }
-            match r.kind {
-                EhKind::Catch(class) => {
-                    if vm.instance_of(&exc, class) {
-                        note(EhDispatchKind::Catch);
-                        vm.charge_fuel()?;
-                        self.fr.rset(exc_slot, Some(exc));
-                        return Ok(r.handler_start);
-                    }
-                }
-                EhKind::Finally => {
-                    note(EhDispatchKind::Finally);
-                    vm.charge_fuel()?;
-                    match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
-                        Ok(()) => {}
-                        // An exception raised inside the finally replaces
-                        // the one in flight (CLI semantics).
-                        Err(VmError::Exception(newer)) => exc = newer,
-                        Err(other) => return Err(other),
-                    }
-                }
-            }
-        }
-        note(EhDispatchKind::FaultPath);
-        Err(VmError::Exception(exc))
+    fn method(&self) -> MethodId {
+        self.code.rir.method
+    }
+
+    fn regions(&self) -> &'v [EhRegion] {
+        &self.code.rir.eh
+    }
+
+    fn run_finally(&mut self, start: u32, end: u32) -> VmResult<()> {
+        self.run(start, Some((start, end)))
+    }
+
+    fn bind(&mut self, region: usize, exc: Obj) {
+        self.fr.rset(self.code.rir.eh_exc_slots[region], Some(exc));
     }
 }
 

@@ -16,10 +16,11 @@
 //! own `Tally` and settles it into the VM's totals when it ends.
 
 use crate::call::Tally;
+use crate::eh::{self, Bound, EhFrame};
 use crate::error::{VmError, VmResult, MULTI_TOO_LARGE, NOT_AN_INSTANCE};
 use crate::machine::Vm;
 use crate::numerics;
-use hpcnet_cil::module::{EhKind, EhRegion, MethodId};
+use hpcnet_cil::module::{EhRegion, MethodId};
 use hpcnet_cil::{BinOp, CilType, CmpOp, Op, UnOp};
 use hpcnet_runtime::{HeapObj, Value};
 use std::sync::Arc;
@@ -53,15 +54,7 @@ pub(crate) fn call(
     };
     let end = frame.run(0, None);
     vm.settle(&mut frame.tally);
-    match end? {
-        RunEnd::Return(v) => Ok(v),
-        RunEnd::EndFinally => Err(VmError::Internal("endfinally outside handler".into())),
-    }
-}
-
-enum RunEnd {
-    Return(Option<Value>),
-    EndFinally,
+    end
 }
 
 struct Interp<'v> {
@@ -74,23 +67,38 @@ struct Interp<'v> {
     tally: Tally,
 }
 
-impl<'v> Interp<'v> {
-    fn internal<T>(&self, msg: &str) -> VmResult<T> {
-        Err(VmError::Internal(format!(
-            "{} in {}",
-            msg,
-            self.vm.module.method(self.method).name
-        )))
+impl<'v> EhFrame<'v> for Interp<'v> {
+    fn vm(&self) -> &'v Arc<Vm> {
+        self.vm
     }
 
-    /// Execute starting at `entry`. With `finally_bound = Some(handler
-    /// range)`, the run is executing a finally handler in-frame: an
-    /// `endfinally` terminates it, and exception dispatch is restricted to
-    /// regions nested inside the handler — anything else propagates out so
-    /// the *enclosing* run performs the dispatch (otherwise an enclosing
-    /// catch would execute inside the finally sub-run and a later `ret`
-    /// would falsely read as "return inside finally").
-    fn run(&mut self, entry: u32, finally_bound: Option<(u32, u32)>) -> VmResult<RunEnd> {
+    fn method(&self) -> MethodId {
+        self.method
+    }
+
+    fn regions(&self) -> &'v [EhRegion] {
+        &self.vm.module.method(self.method).body.eh
+    }
+
+    /// A handler starts on an empty stack and leaves nothing on it.
+    fn run_finally(&mut self, start: u32, end: u32) -> VmResult<()> {
+        self.stack.clear();
+        self.run(start, Some((start, end)))?;
+        self.stack.clear();
+        Ok(())
+    }
+
+    fn bind(&mut self, _region: usize, exc: hpcnet_runtime::Obj) {
+        self.stack.clear();
+        self.stack.push(Value::Ref(exc));
+    }
+}
+
+impl<'v> Interp<'v> {
+    /// Execute starting at `entry`: the method body (`bound = None`) until
+    /// `ret`, or a finally handler run in-frame until its `endfinally`
+    /// (see [`crate::eh`]).
+    fn run(&mut self, entry: u32, bound: Bound) -> VmResult<Option<Value>> {
         let mut pc = entry;
         loop {
             match self.step(pc) {
@@ -103,124 +111,17 @@ impl<'v> Interp<'v> {
                     self.vm.charge_fuel()?;
                     pc = t;
                 }
-                Ok(Flow::Return(v)) => return Ok(RunEnd::Return(v)),
-                Ok(Flow::EndFinally) => {
-                    if finally_bound.is_some() {
-                        return Ok(RunEnd::EndFinally);
-                    }
-                    return self.internal("endfinally outside handler");
-                }
+                Ok(Flow::Return(v)) => return eh::ret(self, bound).map(|()| v),
+                Ok(Flow::EndFinally) => return eh::end_finally(self, bound).map(|()| None),
                 Ok(Flow::Leave(target)) => {
-                    self.vm.charge_fuel()?;
-                    match self.run_leave_finallys(pc, target, finally_bound)? {
-                        Some(handler_pc) => pc = handler_pc,
-                        None => {
-                            self.stack.clear();
-                            pc = target;
-                        }
-                    }
-                }
-                Err(VmError::Exception(exc)) => {
-                    pc = self.dispatch_exception(pc, exc, finally_bound)?;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
-    /// Run the finally handlers exited by `leave pc -> target`. Returns
-    /// `Some(handler_pc)` when a finally threw and an enclosing catch takes
-    /// over (the exception search restarts from the faulting handler, per
-    /// CLI semantics: it replaces the leave, and outer finallys between the
-    /// handler and the catch still run as part of that dispatch).
-    fn run_leave_finallys(
-        &mut self,
-        pc: u32,
-        target: u32,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<Option<u32>> {
-        // Regions are ordered innermost-first by construction. They are
-        // borrowed through the VM, not `self`, so handlers can run.
-        let vm: &'v Arc<Vm> = self.vm;
-        let regions = vm.module.method(self.method).body.eh.iter().filter(|r| {
-            matches!(r.kind, EhKind::Finally)
-                && r.covers(pc)
-                && !(r.try_start <= target && target < r.try_end)
-        });
-        for &EhRegion { handler_start: hs, handler_end: he, .. } in regions {
-            self.stack.clear();
-            match self.run(hs, Some((hs, he))) {
-                Ok(RunEnd::EndFinally) => {}
-                Ok(RunEnd::Return(_)) => return self.internal("return inside finally"),
-                Err(VmError::Exception(exc)) => {
-                    return self.dispatch_exception(hs, exc, bound).map(Some)
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Find a handler for `exc` thrown at `pc`; runs intervening finallys.
-    /// Returns the handler pc, or propagates the exception. With `bound`,
-    /// only regions nested inside that handler range are eligible (dispatch
-    /// from inside a finally handler must not escape it — the caller owns
-    /// anything further out).
-    fn dispatch_exception(
-        &mut self,
-        pc: u32,
-        mut exc: hpcnet_runtime::Obj,
-        bound: Option<(u32, u32)>,
-    ) -> VmResult<u32> {
-        let vm: &'v Arc<Vm> = self.vm;
-        for r in &vm.module.method(self.method).body.eh {
-            if !r.covers(pc) {
-                continue;
-            }
-            if let Some((lo, hi)) = bound {
-                if r.try_start < lo || r.handler_end > hi {
-                    continue;
-                }
-            }
-            match r.kind {
-                EhKind::Catch(class) => {
-                    if self.vm.instance_of(&exc, class) {
-                        if self.vm.observer.enabled() {
-                            self.vm
-                                .observer
-                                .eh_dispatch(self.method, crate::observe::EhDispatchKind::Catch);
-                        }
-                        self.vm.charge_fuel()?;
-                        self.stack.clear();
-                        self.stack.push(Value::Ref(exc));
-                        return Ok(r.handler_start);
-                    }
-                }
-                EhKind::Finally => {
-                    if self.vm.observer.enabled() {
-                        self.vm
-                            .observer
-                            .eh_dispatch(self.method, crate::observe::EhDispatchKind::Finally);
-                    }
-                    self.vm.charge_fuel()?;
+                    // `leave` empties the evaluation stack.
                     self.stack.clear();
-                    match self.run(r.handler_start, Some((r.handler_start, r.handler_end))) {
-                        Ok(RunEnd::EndFinally) => {}
-                        Ok(RunEnd::Return(_)) => return self.internal("return inside finally"),
-                        // An exception raised inside the finally replaces
-                        // the one in flight (CLI semantics).
-                        Err(VmError::Exception(newer)) => exc = newer,
-                        Err(other) => return Err(other),
-                    }
+                    pc = eh::leave(self, pc, target, bound)?;
                 }
+                Err(VmError::Exception(exc)) => pc = eh::dispatch(self, pc, exc, bound)?,
+                Err(other) => return Err(other),
             }
         }
-        if self.vm.observer.enabled() {
-            self.vm
-                .observer
-                .eh_dispatch(self.method, crate::observe::EhDispatchKind::FaultPath);
-        }
-        Err(VmError::Exception(exc))
     }
 
     #[inline]

@@ -39,6 +39,7 @@
 
 pub mod call;
 pub mod compiled;
+mod eh;
 mod counters;
 pub mod error;
 pub mod interp;
