@@ -50,8 +50,6 @@ impl Classification {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SeriesStats {
     pub classification: Classification,
-    /// First index of the steady-state segment (0 when flat from start).
-    pub steady_start: usize,
     /// Median of the steady-state segment.
     pub median: f64,
     /// 95% bootstrap confidence interval on the steady-state median.
@@ -118,7 +116,6 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
         let (median, ci) = bootstrap_median_ci(series);
         return SeriesStats {
             classification: Classification::NoSteadyState,
-            steady_start: 0,
             median,
             ci,
         };
@@ -135,7 +132,6 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
         let (median, ci) = bootstrap_median_ci(steady);
         return SeriesStats {
             classification: Classification::NoSteadyState,
-            steady_start: k / 2,
             median,
             ci,
         };
@@ -180,7 +176,6 @@ pub fn analyze(series: &[f64]) -> SeriesStats {
     let (median, ci) = bootstrap_median_ci(&series[steady_start..]);
     SeriesStats {
         classification,
-        steady_start,
         median,
         ci,
     }
@@ -248,7 +243,6 @@ mod tests {
     fn classifies_warmup() {
         let st = analyze(&warmup_series());
         assert_eq!(st.classification, Classification::Warmup);
-        assert_eq!(st.steady_start, 6);
         assert_eq!(st.median, 1.0);
     }
 
@@ -256,7 +250,6 @@ mod tests {
     fn classifies_flat() {
         let st = analyze(&flat_series());
         assert_eq!(st.classification, Classification::Flat);
-        assert_eq!(st.steady_start, 0);
         assert_eq!(st.median, 2.0);
         assert_eq!(st.ci, (2.0, 2.0));
     }
@@ -265,7 +258,6 @@ mod tests {
     fn classifies_slowdown() {
         let st = analyze(&slowdown_series());
         assert_eq!(st.classification, Classification::Slowdown);
-        assert_eq!(st.steady_start, 5);
         assert_eq!(st.median, 2.0);
     }
 
